@@ -328,11 +328,10 @@ def cmd_gaps(args):
     return 0
 
 
-def _kam_params(cfg, args, freq, sched):
+def _kam_params(cfg, args, freq, sched, k):
     kc = cfg.get("kam", {})
     return KamParams(
-        gamma=freq.dc_gamma, tau=freq.dc_tau,
-        k_exponent=float(args.k if args.k is not None else cfg.get("potential", {}).get("k", 2.0)),
+        gamma=freq.dc_gamma, tau=freq.dc_tau, k_exponent=float(k),
         s=sched.s if sched is not None else 0.9,
         schedule=sched,
         max_degree=int(kc.get("max_degree", 384)),
@@ -351,7 +350,7 @@ def cmd_kam(args):
     freq = ks.frequency
     k = float(args.k if args.k is not None else cfg.get("potential", {}).get("k", 2.0))
     V = build_potential(ks, k=k)
-    params = _kam_params(cfg, args, freq, ks.schedule)
+    params = _kam_params(cfg, args, freq, ks.schedule, k)
     if args.energy is not None:
         target = {"energy": float(args.energy)}
     else:
@@ -442,7 +441,7 @@ def cmd_report(args):
 
     k = cfg.get("potential", {}).get("k", 2.0)
     V = build_potential(ks, k=k)
-    params = _kam_params(cfg, args, freq, sched)
+    params = _kam_params(cfg, args, freq, sched, k)
     res = run_reducibility(V, freq.floats(),
                            {"label_index": cfg.get("kam", {}).get("label_index", 0),
                             "edge": cfg.get("kam", {}).get("edge", "upper")},

@@ -30,10 +30,11 @@ from .fourier import FourierSeries, Potential
 
 __all__ = [
     "M_CONJ", "M_CONJ_INV",
-    "to_su11", "from_su11", "check_sl2", "check_su11",
+    "to_su11", "from_su11", "check_su11",
     "su11_exp", "su11_log", "rot_su11", "frame_rotation_su11",
     "parabolic_normalize", "diagonalize_su11", "rotation_matrix",
     "QpCocycle", "schrodinger_cocycle", "transfer_product", "conjugate",
+    "potential_values", "orbit_potential", "pivot_negatives", "oscillation_rho",
     "RotationResult", "rotation_number", "lyapunov_exponent",
     "UhReport", "uh_test",
 ]
@@ -58,13 +59,6 @@ def to_su11(A):
 def from_su11(B):
     """M^{-1} B M; real for genuine SU(1,1) input."""
     return M_CONJ_INV @ np.asarray(B, complex) @ M_CONJ
-
-
-def check_sl2(A, tol=1e-10):
-    A = np.asarray(A)
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    err = abs(det - 1.0) + float(np.max(np.abs(np.imag(np.asarray(A, complex)))))
-    return err <= tol, err
 
 
 def check_su11(A, tol=1e-10):
@@ -287,43 +281,27 @@ class QpCocycle:
 def schrodinger_cocycle(V, E, alpha=None):
     """Cocycle of the operator at energy E: A(theta) = [[E - V(theta), -1], [1, 0]].
 
-    V may be None/0, a Potential, a scalar FourierSeries, or a callable
-    returning values for a batch of points.  The frequency defaults to the
-    label set's when V carries one.
+    V is None (the free operator, a constant cocycle) or a Potential.  The
+    frequency defaults to the label set's when V carries one.
     """
-    if alpha is None and isinstance(V, Potential) and V.label_set is not None:
+    if V is None:
+        return QpCocycle(alpha=np.zeros(1) if alpha is None else alpha, kind="constant",
+                         data=np.array([[E, -1.0], [1.0, 0.0]]), V=None, E=E)
+    if not isinstance(V, Potential):
+        raise QpslError(f"V must be None or a Potential, not {type(V).__name__}")
+    if alpha is None and V.label_set is not None:
         alpha = V.label_set.frequency.floats()
-
-    def v_values(thetas):
-        if V is None:
-            return np.zeros(thetas.shape[0])
-        if isinstance(V, Potential):
-            return V.sample(thetas if thetas.shape[1] > 1 else thetas[:, 0])
-        if isinstance(V, FourierSeries):
-            return V.sample(thetas, real=True)
-        return np.asarray(V(thetas))
 
     def sampler(thetas):
         thetas = np.asarray(thetas, float)
-        vals = v_values(thetas)
-        m = thetas.shape[0]
-        out = np.zeros((m, 2, 2))
-        out[:, 0, 0] = E - vals
+        out = np.zeros((thetas.shape[0], 2, 2))
+        out[:, 0, 0] = E - potential_values(V, thetas)
         out[:, 0, 1] = -1.0
         out[:, 1, 0] = 1.0
         return out
 
-    if V is None or (np.isscalar(V) and V == 0):
-        c = QpCocycle(alpha=np.zeros(1) if alpha is None else alpha, kind="constant",
-                      data=np.array([[E, -1.0], [1.0, 0.0]]), V=None, E=E)
-        return c
     return QpCocycle(alpha=np.zeros(1) if alpha is None else alpha, kind="callable",
                      data=sampler, V=V, E=E)
-
-
-def with_frequency(c: QpCocycle, alpha):
-    c.alpha = np.atleast_1d(np.asarray(alpha, float))
-    return c
 
 
 def transfer_product(c: QpCocycle, theta, n):
@@ -388,6 +366,92 @@ def conjugate(c: QpCocycle, Z, probes=16, tol=1e-8, seed=0):
 
 
 # ---------------------------------------------------------------------------
+# the Sturm pivot count shared by the IDS and the rotation number
+
+_ORBIT_BLOCK = 4096        # sites per block of potential values along an orbit
+_PIVOT_BLOCK = 1 << 15     # pivots the kernel holds at once
+_TINY = 1e-300
+
+
+def potential_values(V, thetas):
+    """V at angles of shape (..., d), in radians; V is None (zero) or a Potential."""
+    thetas = np.asarray(thetas, float)
+    if V is None:
+        return np.zeros(thetas.shape[:-1])
+    if not isinstance(V, Potential):
+        raise QpslError(f"V must be None or a Potential, not {type(V).__name__}")
+    flat = thetas.reshape(-1, thetas.shape[-1])
+    vals = V.sample(flat[:, 0] if flat.shape[1] == 1 else flat)
+    return vals.reshape(thetas.shape[:-1])
+
+
+def orbit_potential(V, alpha, thetas, sites):
+    """V at theta_p + k 2 pi alpha, k = 0..sites-1, for the phases ``thetas``
+    (shape (phases, d)), yielded in blocks of shape (sites, phases).
+
+    Each angle is the running sum th = th + 2 pi alpha from its phase, built a
+    block at a time with np.cumsum, which adds in the same order.
+    """
+    step = 2 * math.pi * np.atleast_1d(np.asarray(alpha, float))
+    th = np.atleast_2d(np.asarray(thetas, float))
+    for start in range(0, sites, _ORBIT_BLOCK):
+        ang = np.empty((min(_ORBIT_BLOCK, sites - start),) + th.shape)
+        ang[0] = th
+        ang[1:] = step
+        ang = np.cumsum(ang, axis=0)
+        th = ang[-1] + step
+        yield potential_values(V, ang)
+
+
+def pivot_negatives(energies, potential, r_init):
+    """Number of negative pivots r_k = (E - V_k) - 1/r_{k-1}, per energy and phase.
+
+    ``potential`` yields V_k in blocks of shape (sites, phases); the result has
+    shape (energies, phases).  With r_init = inf the r_k are the LDL^T pivots
+    of E - H for H = tridiag(1, V, 1) on the sites, so sites minus the count
+    is the number of eigenvalues below E (Barth, Martin and Wilkinson 1967).
+    With r_init = u_0 / u_{-1} they are the ratios u_{k+1} / u_k of the
+    solution of u_{k+1} = (E - V_k) u_k - u_{k-1}, so the count is its number
+    of sign changes.  An exact zero pivot becomes -1e-300 and counts as
+    negative.
+    """
+    E = np.asarray(energies, float)[:, None]
+    r, neg = float(r_init), 0
+    for block in potential:
+        rows = max(1, _PIVOT_BLOCK // (E.size * block.shape[1]))
+        for i in range(0, block.shape[0], rows):
+            a = E - block[i:i + rows, None, :]
+            piv = _pivots(a.copy(), r, zero_fix=False)
+            if not piv.all():          # rare: redo the block with the zero rule
+                piv = _pivots(a, r, zero_fix=True)
+            r = piv[-1]
+            neg = neg + (piv < 0).sum(axis=0)
+    return neg
+
+
+def _pivots(piv, r, zero_fix):
+    """Turn E - V_k (shape (sites, energies, phases)) into the pivots in place."""
+    with np.errstate(divide="ignore", over="ignore"):
+        for k in range(piv.shape[0]):
+            piv[k] -= 1.0 / r
+            r = piv[k]
+            if zero_fix:
+                r[r == 0] = -_TINY
+    return piv
+
+
+def oscillation_rho(V, alpha, energies, thetas, iters):
+    """Rotation numbers in [0, 1/2] per energy and phase, shape (energies, phases).
+
+    The solution from (u_{-1}, u_0) = (0.3, 1) changes sign twice per full
+    projective turn, so rho = (sign changes) / (2 iters): a branch-free lift
+    (no angle unwrapping), exact up to the endpoint term O(1/iters).
+    """
+    neg = pivot_negatives(energies, orbit_potential(V, alpha, thetas, iters), 1 / 0.3)
+    return neg / (2.0 * iters)
+
+
+# ---------------------------------------------------------------------------
 # rotation number and Lyapunov exponent
 
 
@@ -430,6 +494,8 @@ def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
     convergence certificate (``converged`` is False when it exceeds
     ``dispersion_bound``).  The cocycle map must be homotopic to the identity
     for the mod-1 class to be frequency-independent; Schrodinger cocycles are.
+    Schrodinger cocycles take the oscillation count of :func:`oscillation_rho`
+    instead, which reads rho in [0, 1/2].
     """
     rng = np.random.default_rng(seed)
     period = 2 * math.pi * (2.0 if c.halved else 1.0)
@@ -438,45 +504,14 @@ def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
         phase_samples = thetas.shape[0]
     else:
         thetas = rng.uniform(0, period, size=(phase_samples, c.d))
-    psi = np.zeros(phase_samples)
-    total = np.zeros(phase_samples)
-    step = c.step
-
-    structured = c.V is not None or (c.kind == "constant" and c.E is not None)
-    if structured:
-        # oscillation counting: the solution recursion changes sign twice per
-        # projective turn, so the count is a branch-free lift of the rotation
-        E = c.E
-        V = c.V
-        u_prev = np.full(phase_samples, 0.3)
-        u_cur = np.ones(phase_samples)
-        count = np.zeros(phase_samples)
-        for k in range(iters):
-            if V is None:
-                vals = 0.0
-            elif isinstance(V, Potential):
-                vals = V.sample(thetas if c.d > 1 else thetas[:, 0])
-            elif isinstance(V, FourierSeries):
-                vals = V.sample(thetas, real=True)
-            else:
-                vals = np.asarray(V(thetas))
-            u_next = (E - vals) * u_cur - u_prev
-            count += (u_cur * u_next < 0) | (u_next == 0)
-            u_prev, u_cur = u_cur, u_next
-            if (k + 1) % 64 == 0:
-                scale = np.maximum(np.abs(u_cur), np.abs(u_prev))
-                scale = np.where(scale == 0, 1.0, scale)
-                u_prev /= scale
-                u_cur /= scale
-            thetas = thetas + step[None, :]
-        per = count / (2.0 * iters)
+    if c.V is not None or (c.kind == "constant" and c.E is not None):
+        per = oscillation_rho(c.V, c.alpha, [c.E], thetas, iters)[0]
         rho = float(np.mean(per))
-        disp = float(np.max(per) - np.min(per)) if phase_samples > 1 else 0.0
-        bound = dispersion_bound if dispersion_bound is not None else math.inf
-        return RotationResult(rho=rho, iters=iters, samples=phase_samples,
-                              dispersion=disp, converged=disp <= bound,
-                              per_sample=per)
+        disp = float(np.max(per) - np.min(per))
     else:
+        psi = np.zeros(phase_samples)
+        total = np.zeros(phase_samples)
+        step = c.step
         for _ in range(iters):
             A = c.matrix_batch(thetas)
             if np.iscomplexobj(A):
@@ -489,10 +524,9 @@ def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
             total += delta
             psi = psi_new
             thetas = thetas + step[None, :]
-
-    per = (total / (2 * math.pi * iters)) % 1.0
-    rho = _circular_mean(per)
-    disp = _circular_spread(per) if phase_samples > 1 else 0.0
+        per = (total / (2 * math.pi * iters)) % 1.0
+        rho = _circular_mean(per)
+        disp = _circular_spread(per)
     bound = dispersion_bound if dispersion_bound is not None else math.inf
     return RotationResult(rho=rho, iters=iters, samples=phase_samples,
                           dispersion=disp, converged=disp <= bound, per_sample=per)

@@ -44,9 +44,8 @@ def _coeff_norm(v):
 class FourierSeries:
     """Finite frequency -> coefficient map on T^d or 2T^d.
 
-    kind is one of 'scalar', 'matrix', 'su11', 'sl2r'; the last two are
-    matrix-valued with extra structure that :meth:`structure_residual`
-    can quantify.
+    kind is one of 'scalar', 'matrix', 'su11', 'sl2r'; the last three are
+    matrix-valued.
     """
 
     __slots__ = ("d", "coeffs", "halved", "kind", "dropped_mass")
@@ -163,17 +162,6 @@ class FourierSeries:
             out.coeffs[n] = ph * out.coeffs[n]
         return out
 
-    def conj_transpose(self):
-        if self.kind == "scalar":
-            out = FourierSeries(self.d, halved=self.halved, kind="scalar")
-            for n, v in self.coeffs.items():
-                out[tuple(-c for c in n)] = np.conj(v)
-            return out
-        out = FourierSeries(self.d, halved=self.halved, kind="matrix")
-        for n, v in self.coeffs.items():
-            out[tuple(-c for c in n)] = v.conj().T
-        return out
-
     def map_values(self, f, kind=None):
         """Apply a linear map to every coefficient (e.g. constant conjugation)."""
         out = FourierSeries(self.d, halved=self.halved, kind=kind or self.kind)
@@ -262,25 +250,6 @@ class FourierSeries:
         worst = 0.0
         for n, v in self.coeffs.items():
             worst = max(worst, abs(self[tuple(-c for c in n)] - np.conj(v)))
-        return worst
-
-    def structure_residual(self, probes=16, seed=0):
-        """Pointwise deviation from the declared structure on random probes:
-        'sl2r' checks realness, 'su11' checks the [[a,b],[conj b, conj a]]
-        pattern of the summed values."""
-        if self.kind == "scalar":
-            return self.real_symmetry_residual()
-        rng = np.random.default_rng(seed)
-        period = 4 * math.pi if self.halved else _TWO_PI
-        worst = 0.0
-        for _ in range(probes):
-            th = rng.uniform(0, period, self.d)
-            v = self.eval(th)
-            if self.kind == "sl2r":
-                worst = max(worst, float(np.max(np.abs(v.imag))))
-            elif self.kind == "su11":
-                worst = max(worst, abs(v[1, 1] - np.conj(v[0, 0])),
-                            abs(v[1, 0] - np.conj(v[0, 1])))
         return worst
 
     def lift_halved(self):

@@ -342,8 +342,7 @@ class KamState:
     f: Su11Series                 # small remainder
     pending: list                 # [(level, label tuple, coefficient), ...]
     W: Su11Series                 # Ad(D) of the nilpotent direction
-    D: FourierSeries              # accumulated conjugation, doubled torus
-    Dinv: FourierSeries
+    Dinv: FourierSeries           # inverse of the accumulated conjugation D
     alpha: np.ndarray
     n_tilde: tuple
     sigma0: float                 # ||A_0||
@@ -351,10 +350,6 @@ class KamState:
 
     def labels_at_level(self, j):
         return [(lab, c) for (lvl, lab, c) in self.pending if lvl == j]
-
-    def pending_tail_mass(self, h=0.0):
-        wmass = self.W.norm(h)
-        return sum(abs(c) * wmass for (_, _, c) in self.pending)
 
 
 @dataclass
@@ -735,7 +730,7 @@ def kam_step(state: KamState, params: KamParams):
                             norm_before=norm_before, norm_after=norm_before,
                             residual=0.0, b_next=complex(state.A[0, 1]))
         new_state = KamState(j=j + 1, A=state.A.copy(), f=state.f.copy(),
-                             pending=remaining, W=state.W.copy(), D=state.D,
+                             pending=remaining, W=state.W.copy(),
                              Dinv=state.Dinv, alpha=alpha, n_tilde=state.n_tilde,
                              sigma0=state.sigma0, stopped=not remaining)
         return new_state, report
@@ -746,7 +741,7 @@ def kam_step(state: KamState, params: KamParams):
                                 norm_before=norm_before, norm_after=norm_before,
                                 residual=0.0, b_next=complex(state.A[0, 1]))
             new_state = KamState(j=j + 1, A=state.A.copy(), f=state.f.copy(),
-                                 pending=remaining, W=state.W.copy(), D=state.D,
+                                 pending=remaining, W=state.W.copy(),
                                  Dinv=state.Dinv, alpha=alpha, n_tilde=state.n_tilde,
                                  sigma0=state.sigma0, stopped=True)
             return new_state, report
@@ -877,8 +872,6 @@ def kam_step(state: KamState, params: KamParams):
             f"step {j} conjugacy residual {residual:.3e} exceeds "
             f"{params.conj_residual_tol:.1e}")
 
-    D_next = multiply(B_step if B_step.halved else B_step.lift_halved(),
-                      state.D, max_degree=2 * params.max_degree)
     Dinv_next = multiply(state.Dinv,
                          B_inv if B_inv.halved else B_inv.lift_halved(),
                          max_degree=2 * params.max_degree)
@@ -893,7 +886,7 @@ def kam_step(state: KamState, params: KamParams):
         site_unique=site_unique, newton_sweeps=newton_sweeps,
         diagnostics=extra)
     new_state = KamState(j=j + 1, A=A_next, f=f_next, pending=remaining,
-                         W=W_next, D=D_next, Dinv=Dinv_next, alpha=alpha,
+                         W=W_next, Dinv=Dinv_next, alpha=alpha,
                          n_tilde=n_tilde_next, sigma0=state.sigma0)
     return new_state, report
 
@@ -966,7 +959,7 @@ def _reduce_at_energy(V, alpha, E, params: KamParams, max_steps):
     ident[(0,) * d] = np.eye(2, dtype=complex)
     state = KamState(j=min([p[0] for p in pending], default=0), A=A0,
                      f=Su11Series.zero(d), pending=pending, W=W0,
-                     D=ident.copy(), Dinv=ident.copy(), alpha=alpha,
+                     Dinv=ident, alpha=alpha,
                      n_tilde=(0,) * d, sigma0=float(np.linalg.norm(A0, 2)))
     reports = []
     for _ in range(max_steps):

@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
-from .cocycle import QpCocycle, schrodinger_cocycle, uh_test
+from .cocycle import oscillation_rho, rotation_number, schrodinger_cocycle, uh_test
 from .diophantine import dist_to_integers
 from .errors import QpslError
 from .fourier import FourierSeries, multiply
@@ -53,20 +54,13 @@ def _mean_product(F: FourierSeries, G: FourierSeries):
     return acc
 
 
-def d_tau_constant(k0, k_hat, tau, d, tol=1e-16):
-    """8 sum_{m>=1} (2 pi m)^(-(k0 - k_hat - 3 tau - d + 1)), finite for
-    k_hat < k0 - 3 tau - d."""
-    expo = k0 - k_hat - 3 * tau - d + 1
-    if expo <= 1:
+def d_tau_constant(k0, k_hat, tau, d):
+    """8 sum_{m>=1} (2 pi m)^(-s) = 8 (2 pi)^(-s) zeta(s) with
+    s = k0 - k_hat - 3 tau - d + 1, finite for k_hat < k0 - 3 tau - d."""
+    s = k0 - k_hat - 3 * tau - d + 1
+    if s <= 1:
         return math.inf
-    acc, m = 0.0, 1
-    while True:
-        term = (2 * math.pi * m) ** (-expo)
-        acc += term
-        if term < tol * max(acc, 1e-300) or m > 10_000_000:
-            break
-        m += 1
-    return 8.0 * acc
+    return float(8 * (2 * mpmath.pi) ** (-s) * mpmath.zeta(s))
 
 
 @dataclass
@@ -267,7 +261,6 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta, horizon=None,
             # Schrodinger fallback: an unlocked rotation number certifies a
             # spectrum-side probe (gaps of unchecked huge labels are far
             # below the resolution used here)
-            from .cocycle import rotation_number
             iters = 400_000
             rr = rotation_number(coc, iters=iters, phase_samples=2, seed=seed)
             cands = [(k,) + (0,) * (alpha.size - 1) for k in range(-40, 41)]
@@ -297,13 +290,10 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta, horizon=None,
 
     rotation_shift = None
     if rotation_iters and coc.kind != "constant":
-        from .cocycle import rotation_number
-        r_probe = rotation_number(coc, iters=rotation_iters, phase_samples=2,
-                                  seed=seed).rho
-        r_edge = rotation_number(schrodinger_cocycle(V, E_edge, alpha=alpha),
-                                 iters=rotation_iters, phase_samples=2,
-                                 seed=seed).rho
-        rotation_shift = float(r_probe - r_edge)
+        # the phases rotation_number draws, at both energies in one count
+        thetas = np.random.default_rng(seed).uniform(0, 2 * math.pi, size=(2, alpha.size))
+        per = oscillation_rho(V, alpha, [E_probe, E_edge], thetas, rotation_iters)
+        rotation_shift = float(np.mean(per[0]) - np.mean(per[1]))
 
     return ProbeResult(delta=delta, probe_energy=E_probe, d_delta=d_val,
                        verdict=verdict, averaged_prediction=pred,

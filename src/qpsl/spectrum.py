@@ -1,10 +1,12 @@
 """Spectrum-side computations: integrated density of states, rotation-number
 curves, gap detection with labels, and gap-size exponent reports.
 
-The IDS is realized by Sturm-sequence eigenvalue counting on Dirichlet
-truncations of the operator (boundary contamination is O(1/N) and absorbed
-into tolerances); the rotation number comes from the projective cocycle
-iteration.  The two are tied by N(E) = 1 - 2 rho(E).
+The IDS and the rotation number are one pivot count
+(:func:`qpsl.cocycle.pivot_negatives`).  Started from r = inf on a Dirichlet
+truncation, its negative pivots count the eigenvalues at or above E (Sturm
+counting; boundary contamination is O(1/N) and absorbed into tolerances);
+started from a solution ratio along the orbit, they count the solution's sign
+changes, twice the rotation number.  The two are tied by N(E) = 1 - 2 rho(E).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cocycle import oscillation_rho, orbit_potential, pivot_negatives
 from .diophantine import dist_to_integers
 from .errors import QpslError
-from .fourier import Potential
 
 __all__ = [
     "IdsCurve", "RotationCurve", "GapRecord",
@@ -25,39 +27,23 @@ __all__ = [
 ]
 
 
-def _potential_values(V, thetas):
-    if V is None:
-        return np.zeros_like(np.asarray(thetas, float))
-    if isinstance(V, Potential):
-        return V.sample(thetas)
-    return np.asarray(V(thetas))
-
-
-def _sturm_counts(diag, energies):
-    """Number of eigenvalues < E of tridiag(1, diag, 1), vectorized over E."""
-    E = np.atleast_1d(np.asarray(energies, float))
-    d = np.empty_like(E)
-    d[:] = diag[0] - E
-    tiny = 1e-300
-    count = (d < 0).astype(int)
-    for i in range(1, len(diag)):
-        d = diag[i] - E - 1.0 / np.where(np.abs(d) < tiny, np.copysign(tiny, d), d)
-        count += d < 0
-    return count
+def _eigen_fractions(V, alpha, thetas, N, energies):
+    """Fraction of eigenvalues < E of the (2N+1)-site Dirichlet truncation
+    with phases theta + m alpha, m = -N..N, for each energy and phase."""
+    if N < 10:
+        raise QpslError("N must be >= 10")
+    sites = 2 * N + 1
+    start = thetas + 2 * math.pi * -N * alpha
+    neg = pivot_negatives(energies, orbit_potential(V, alpha, start, sites), math.inf)
+    return (sites - neg) / sites
 
 
 def finite_ids(V, alpha, theta, N, E):
-    """Fraction of eigenvalues <= E of the (2N+1)-site Dirichlet truncation
+    """Fraction of eigenvalues < E of the (2N+1)-site Dirichlet truncation
     with phases theta + m alpha, m = -N..N."""
-    if N < 10:
-        raise QpslError("N must be >= 10")
     alpha = np.atleast_1d(np.asarray(alpha, float))
     theta = np.atleast_1d(np.asarray(theta, float))
-    m = np.arange(-N, N + 1)
-    pts = theta[None, :] + 2 * math.pi * m[:, None] * alpha[None, :]
-    diag = _potential_values(V, pts if pts.shape[1] > 1 else pts[:, 0])
-    counts = _sturm_counts(diag, E)
-    out = counts / (2 * N + 1)
+    out = _eigen_fractions(V, alpha, theta[None, :], N, np.atleast_1d(E))[:, 0]
     return float(out[0]) if np.isscalar(E) else out
 
 
@@ -79,8 +65,8 @@ def ids_curve(V, alpha, energies, N=1000, phases=4, seed=0):
     th = rng.uniform(0, 2 * math.pi, size=(phases, alpha.size))
     energies = np.asarray(energies, float)
     acc = np.zeros_like(energies)
-    for p in range(phases):
-        acc += np.asarray(finite_ids(V, alpha, th[p], N, energies))
+    for col in _eigen_fractions(V, alpha, th, N, energies).T:
+        acc += col
     return IdsCurve(energies=energies, values=acc / phases, truncation=N, phases=th)
 
 
@@ -97,41 +83,17 @@ class RotationCurve:
 
 
 def rotation_curve(V, alpha, energies, iters=100_000, samples=3, seed=0):
-    """rho(E) on a sorted grid by oscillation counting.
-
-    The solution recursion u_{k+1} = (E - V) u_k - u_{k-1} changes sign twice
-    per full projective turn, so rho = (sign changes) / (2 iters) in [0, 1/2];
-    this count is branch-free (no angle unwrapping) and exact up to the
-    endpoint term O(1/iters).
-    """
+    """rho(E) on a sorted grid by oscillation counting
+    (:func:`qpsl.cocycle.oscillation_rho`), averaged over random phases."""
     energies = np.asarray(energies, float)
     if np.any(np.diff(energies) < 0):
         raise QpslError("energy grid must be sorted")
     alpha = np.atleast_1d(np.asarray(alpha, float))
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0, 2 * math.pi, size=(samples, alpha.size))
-    nE = energies.size
-    u_prev = np.full((nE, samples), 0.3)
-    u_cur = np.ones((nE, samples))
-    count = np.zeros((nE, samples))
-    th = thetas.copy()
-    step = 2 * math.pi * alpha
-    E = energies[:, None]
-    for k in range(iters):
-        vals = _potential_values(V, th if alpha.size > 1 else th[:, 0])
-        u_next = (E - vals[None, :]) * u_cur - u_prev
-        count += (u_cur * u_next < 0) | (u_next == 0)
-        u_prev, u_cur = u_cur, u_next
-        if (k + 1) % 64 == 0:
-            scale = np.maximum(np.abs(u_cur), np.abs(u_prev))
-            scale = np.where(scale == 0, 1.0, scale)
-            u_prev /= scale
-            u_cur /= scale
-        th = th + step[None, :]
-    per = count / (2.0 * iters)
-    rho = per.mean(axis=1)
-    disp = per.max(axis=1) - per.min(axis=1)
-    return RotationCurve(energies=energies, rho=rho, dispersion=disp,
+    per = oscillation_rho(V, alpha, energies, thetas, iters)
+    return RotationCurve(energies=energies, rho=per.mean(axis=1),
+                         dispersion=per.max(axis=1) - per.min(axis=1),
                          iters=iters, samples=samples)
 
 

@@ -107,6 +107,20 @@ def test_kam_and_edge_probe(tmp_path, capsys):
     assert (tmp_path / "bracket.csv").read_text().startswith("# schema=qpsl.bracket")
 
 
+def test_report_from_config(tmp_path):
+    # criterion-11 schedule, bracket probes off
+    cfg = {"frequency": {"components": [golden_mean(80)]},
+           "schedule": {"M": 10, "s": 0.9, "depth": 6, "count": 1},
+           "probe": False, "out_dir": str(tmp_path)}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["report", "--config", str(cfg_path)]) == 0
+    stages = json.loads((tmp_path / "report.json").read_text())["stages"]
+    assert stages["kam"]["energy"] == pytest.approx(1.8806000220263146, rel=0, abs=1e-12)
+    assert stages["kam"]["zeta"] == pytest.approx(0.005738461448592442, rel=1e-9)
+    assert stages["bracket"]["delta2"] is None
+
+
 def test_gaps_curve_out_combined_csv(tmp_path):
     out = tmp_path / "gaps.csv"
     curves = tmp_path / "curves.csv"

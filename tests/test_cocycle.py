@@ -16,6 +16,7 @@ from qpsl.cocycle import (
     from_su11,
     lyapunov_exponent,
     parabolic_normalize,
+    pivot_negatives,
     rot_su11,
     rotation_matrix,
     rotation_number,
@@ -27,8 +28,9 @@ from qpsl.cocycle import (
     transfer_product,
     uh_test,
 )
+from qpsl.spectrum import rotation_curve
 from qpsl.diophantine import frequency_vector, golden_mean
-from qpsl.errors import NotElliptic, NotUnipotent, SingularConjugator
+from qpsl.errors import NotElliptic, NotUnipotent, QpslError, SingularConjugator
 from qpsl.fourier import FourierSeries, amo_potential
 
 GOLD = 0.6180339887498949
@@ -371,3 +373,62 @@ def test_rotation_monotone_in_energy_amo():
     E = np.linspace(-2.8, 2.8, 29)
     curve = rotation_curve(P, [GOLD], E, iters=30_000, samples=2)
     assert curve.monotone_nonincreasing(slack=1e-4)
+
+
+def _tridiagonal(diag):
+    n = len(diag)
+    return np.diag(diag) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+
+
+def _sign_changes(diag, E, u_prev=0.3, u_cur=1.0):
+    """Reference oscillation count: the plain solution recursion, where a
+    step that lands exactly on zero counts as one sign change."""
+    count = 0
+    for v in diag:
+        u_next = (E - v) * u_cur - u_prev
+        count += bool(u_cur * u_next < 0 or u_next == 0)
+        u_prev, u_cur = u_cur, u_next
+    return count
+
+
+def test_pivot_count_exact_zero_pivots():
+    # prefixes ending on an exact zero pivot at E = 0 pin the rule down: a
+    # zero followed by another site contributes one negative either way
+    rng = np.random.default_rng(11)
+    energies = [-1.3, 0.0, 0.9]
+    # at E = 0 the pivots from r = inf are 0.5, 0, ..., 0.5, 0
+    ids_diag = np.concatenate([[-0.5, -2.0, 0.4, -0.5, -2.0], rng.uniform(-1.5, 1.5, 40)])
+    for sites in (2, 5, len(ids_diag)):
+        diag = ids_diag[:sites]
+        neg = pivot_negatives(energies, [diag[:, None]], math.inf)[:, 0]
+        evals = np.linalg.eigvalsh(_tridiagonal(diag))
+        for E, n in zip(energies, neg):
+            dist = np.abs(evals - E)
+            # each eigenvalue is either E itself (not below E) or well apart
+            assert not np.any((dist > 1e-12) & (dist < 1e-6))
+            assert sites - n == np.sum(evals < E - 1e-9)
+    # at E = 0 the solution from (0.3, 1) lands exactly on 0 at sites 0 and 3
+    rot_diag = np.concatenate([[-0.3, 0.7, -2.0, -0.5], rng.uniform(-1.5, 1.5, 40)])
+    for sites in (1, 4, len(rot_diag)):
+        diag = rot_diag[:sites]
+        neg = pivot_negatives(energies, [diag[:, None]], 1 / 0.3)[:, 0]
+        assert [int(n) for n in neg] == [_sign_changes(diag, E) for E in energies]
+
+
+def test_rotation_number_matches_rotation_curve_bitwise():
+    P = amo_potential(0.5)
+    for samples in (1, 3):
+        rr = rotation_number(schrodinger_cocycle(P, 0.4, alpha=[GOLD]), iters=20_000,
+                             phase_samples=samples, seed=6)
+        curve = rotation_curve(P, [GOLD], [0.4], iters=20_000, samples=samples, seed=6)
+        if samples == 1:
+            assert rr.per_sample[0] == curve.rho[0]
+        assert rr.rho == curve.rho[0]
+        assert rr.dispersion == curve.dispersion[0]
+
+
+def test_schrodinger_cocycle_rejects_non_potential():
+    series = FourierSeries(1, {(1,): 0.5, (-1,): 0.5})
+    for V in (series, lambda th: np.cos(th[:, 0]), 0.0):
+        with pytest.raises(QpslError):
+            schrodinger_cocycle(V, 0.3, alpha=[GOLD])

@@ -63,7 +63,7 @@ def _state(A, f, params, pending=(), alpha=GOLD):
     ident = FourierSeries(1, halved=True, kind="matrix")
     ident[(0,)] = np.eye(2, dtype=complex)
     return KamState(j=0, A=A, f=f, pending=list(pending), W=W0,
-                    D=ident.copy(), Dinv=ident.copy(),
+                    Dinv=ident.copy(),
                     alpha=np.array([alpha]), n_tilde=(0,),
                     sigma0=float(np.linalg.norm(A, 2)))
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -156,6 +157,12 @@ def test_d_tau_constant_finite():
     val = d_tau_constant(k0=10, k_hat=2, tau=1.5, d=1)
     assert 0 < val < math.inf
     assert d_tau_constant(k0=3, k_hat=2, tau=1.5, d=1) == math.inf
+    # s = k0 - k_hat - 3 tau - d + 1 = 2.5 (edge_reduction's arguments) and 3.5
+    for k0, s in ((1, 2.5), (2, 3.5)):
+        ref = 8 * mpmath.nsum(lambda m: (2 * mpmath.pi * m) ** (-s), [1, mpmath.inf],
+                              method="euler-maclaurin")
+        assert d_tau_constant(k0=k0, k_hat=-6, tau=1.5, d=1) == pytest.approx(
+            float(ref), rel=1e-13, abs=0)
 
 
 def test_bracket_monotone_and_degenerate():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qpsl.diophantine import dist_to_integers
-from qpsl.fourier import amo_potential
+from qpsl.errors import QpslError
+from qpsl.fourier import FourierSeries, amo_potential
 from qpsl.spectrum import (
     detect_gaps,
     finite_ids,
@@ -35,6 +36,28 @@ def test_finite_ids_free_half_filling():
         expect = np.sum(evals < E) / (2 * N + 1)
         got = finite_ids(None, [GOLD], [0.0], N, E)
         assert abs(got - expect) <= 1.5 / N
+
+
+def test_finite_ids_amo_matches_dense_eigenvalues():
+    P = amo_potential(0.5)
+    N, theta = 200, 0.8
+    m = np.arange(-N, N + 1)
+    diag = P.sample(theta + 2 * math.pi * m * GOLD)
+    H = np.diag(diag) + np.diag(np.ones(2 * N), 1) + np.diag(np.ones(2 * N), -1)
+    evals = np.linalg.eigvalsh(H)
+    E = np.linspace(-2.9, 2.9, 59)
+    got = finite_ids(P, [GOLD], [theta], N, E)
+    for e, g in zip(E, got):
+        assert np.min(np.abs(evals - e)) > 1e-9      # the oracle's count is sharp
+        assert g == np.sum(evals < e) / (2 * N + 1)
+
+
+def test_non_potential_rejected():
+    series = FourierSeries(1, {(1,): 0.5, (-1,): 0.5})
+    with pytest.raises(QpslError):
+        finite_ids(series, [GOLD], [0.3], 100, 0.0)
+    with pytest.raises(QpslError):
+        rotation_curve(lambda th: np.cos(th), [GOLD], [0.0, 1.0], iters=100, samples=2)
 
 
 def test_ids_curve_monotone():
