@@ -20,9 +20,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .diophantine import cf_expand, dc_check, frequency_vector
+from .diophantine import cf_expand, frequency_vector
 from .errors import ConfigInvalid, QpslError
-from .fourier import FourierSeries, Potential, amo_potential, build_potential, potential_series
+from .fourier import FourierSeries, amo_potential, build_potential, potential_series
 from .kam import KamParams, ReducibilityResult, run_reducibility
 from .label_set import LabelSet, build_schedule, construct_label_set, ell_star, verify_label_set
 from .moser_poschel import bracket_gap, edge_data_from_reduction, poly_bounds_check

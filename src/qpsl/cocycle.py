@@ -610,22 +610,25 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
     step = c.step
 
     def window_products(base_pts, window):
-        """Transfer matrices over `window` steps ending at each base point."""
-        out = np.broadcast_to(np.eye(2), (base_pts.shape[0], 2, 2)).copy()
+        """Transfer matrices over `window` steps ending at each base point,
+        and the prefix over the first max(1, window // 2) of those steps."""
+        out = half = np.broadcast_to(np.eye(2), (base_pts.shape[0], 2, 2)).copy()
         for k in range(1, window + 1):
             A = c.matrix_batch(base_pts - k * step[None, :])
             if np.iscomplexobj(A):
                 A = A.real
             out = np.einsum("mij,mjk->mik", out, A)
-        return out
+            if k == max(1, window // 2):
+                half = out
+        return out, half
 
-    def unstable_field(base_pts, window):
-        prods = window_products(base_pts, window)
+    def unstable_field(prods):
         U, S, _ = np.linalg.svd(prods)
         return U[:, :, 0], S[:, 0]
 
-    u_full, s_full = unstable_field(pts, horizon)
-    u_half, _ = unstable_field(pts, max(1, horizon // 2))
+    full, half = window_products(pts, horizon)
+    u_full, s_full = unstable_field(full)
+    u_half, _ = unstable_field(half)
     smax, smin = float(np.max(s_full)), float(np.min(s_full))
     if smax < 2.0:
         return UhReport(verdict="not", margin=smax - 2.0,
@@ -646,7 +649,7 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
         if np.iscomplexobj(A):
             A = A.real
         fwd = np.einsum("mij,mjk->mik", A, fwd)
-    u_next, _ = unstable_field(pts + horizon * step[None, :], horizon)
+    u_next, _ = unstable_field(window_products(pts + horizon * step[None, :], horizon)[0])
     ang = _proj_angle(u_full)
     ang_next = _proj_angle(u_next)
 

@@ -41,6 +41,16 @@ def _coeff_norm(v):
     return float(np.linalg.norm(v, 2))
 
 
+def _coeff_norms(values, scalar):
+    """_coeff_norm of a stack of coefficients in one call, bit for bit:
+    hypot for scalars (np.abs rounds differently), the top singular value
+    for 2x2 matrices."""
+    values = np.asarray(values)
+    if scalar:
+        return np.hypot(values.real, values.imag)
+    return np.linalg.svd(values, compute_uv=False).max(axis=-1)
+
+
 class FourierSeries:
     """Finite frequency -> coefficient map on T^d or 2T^d.
 
@@ -116,9 +126,11 @@ class FourierSeries:
         return self[(0,) * self.d]
 
     def prune(self, tol=0.0):
-        dead = [n for n, v in self.coeffs.items() if _coeff_norm(v) <= tol]
-        for n in dead:
-            del self.coeffs[n]
+        if self.coeffs:
+            norms = _coeff_norms(list(self.coeffs.values()), self.kind == "scalar")
+            for n, m in zip(list(self.coeffs), norms):
+                if m <= tol:
+                    del self.coeffs[n]
         return self
 
     # -- algebra ----------------------------------------------------------
@@ -456,6 +468,10 @@ def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
     ``values`` has shape (G^d,) or (G^d, 2, 2); modes are recovered up to
     G/2 per dimension (higher content aliases), then truncated to
     ``max_degree`` in frequency units with the dropped mass recorded.
+    Modes of norm <= ``prune_tol`` (default 0) are skipped and count as
+    neither kept nor dropped.  Keys are inserted in the C order of the FFT
+    block (per axis 0, 1, ..., G/2 - 1, -G/2, ..., -1), and the dropped
+    mass is summed left to right in that same order.
     """
     values = np.asarray(values)
     scalar = kind == "scalar"
@@ -463,28 +479,25 @@ def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
     if G ** d != values.shape[0]:
         raise QpslError("grid values do not form a cube")
     shape = (G,) * d
-    if scalar:
-        arr = values.reshape(shape)
-        spec = np.fft.fftn(arr) / (G ** d)
-    else:
-        arr = values.reshape(shape + (2, 2))
-        spec = np.fft.fftn(arr, axes=tuple(range(d))) / (G ** d)
-    out = FourierSeries(d, halved=halved, kind=kind)
-    scale = 0.5 if halved else 1.0
+    spec = np.fft.fftn(values.reshape(shape + values.shape[1:]),
+                       axes=tuple(range(d))) / (G ** d)
+    spec = spec.reshape(values.shape)
     freqs = np.fft.fftfreq(G, 1.0 / G).astype(int)
+    keys = freqs[np.indices(shape).reshape(d, -1).T]
+    norms = _coeff_norms(spec, scalar)
+    floor = prune_tol if prune_tol is not None else 0.0
+    keep = ~(norms <= floor)  # not norms > floor: NaN modes stay
     dropped = 0.0
-    it = np.ndindex(*shape)
-    mass_floor = prune_tol if prune_tol is not None else 0.0
-    for idx in it:
-        key = tuple(int(freqs[i]) for i in idx)
-        val = spec[idx]
-        m = _coeff_norm(val)
-        if m <= mass_floor:
-            continue
-        if max_degree is not None and max(abs(c) for c in key) * scale > max_degree:
-            dropped += m
-            continue
-        out.coeffs[key] = complex(val) if scalar else np.asarray(val)
+    if max_degree is not None:
+        over = np.abs(keys).max(axis=1) * (0.5 if halved else 1.0) > max_degree
+        drop = keep & over
+        if drop.any():
+            dropped = float(np.cumsum(norms[drop])[-1])  # sequential, not pairwise
+        keep &= ~over
+    out = FourierSeries(d, halved=halved, kind=kind)
+    kept = spec[keep]
+    out.coeffs = dict(zip(map(tuple, keys[keep].tolist()),
+                          kept.tolist() if scalar else kept))
     out.dropped_mass = dropped
     return out
 

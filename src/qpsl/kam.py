@@ -30,15 +30,12 @@ import numpy as np
 from .cocycle import (
     diagonalize_su11,
     frame_rotation_su11,
-    rot_su11,
     rotation_matrix,
     rotation_number,
     schrodinger_cocycle,
     su11_element,
     su11_exp,
-    su11_log,
     to_su11,
-    from_su11,
     M_CONJ,
     M_CONJ_INV,
     parabolic_normalize,

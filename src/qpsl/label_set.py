@@ -21,9 +21,7 @@ from fractions import Fraction
 import mpmath
 
 from .diophantine import (
-    ContinuedFraction,
     FrequencyVector,
-    cf_expand,
     dist_to_integers,
     mpf_to_fraction,
     resonant_denominator,

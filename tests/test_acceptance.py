@@ -263,6 +263,7 @@ def test_criterion_08_kam_step():
             f"on 256 probes; |rho_next| = {rho_next:.2e} <= 2x threshold")
 
 
+@pytest.mark.slow
 def test_criterion_09_gap_detection():
     t0 = time.time()
     P = amo_potential(0.5)
@@ -338,6 +339,7 @@ def test_criterion_10_moser_poschel_closed_forms():
             f"constant probes match the trace test")
 
 
+@pytest.mark.slow
 def test_criterion_11_end_to_end_consistency():
     t0 = time.time()
     freq = frequency_vector(GOLDEN_80, gamma=0.5, tau=1.5)

@@ -11,8 +11,10 @@ from qpsl.fourier import (
     FourierSeries,
     amo_potential,
     build_potential,
+    grid_points,
     multiply,
     potential_series,
+    series_from_grid,
 )
 from qpsl.label_set import LabelSet
 
@@ -228,3 +230,114 @@ def test_amo_potential():
     P = amo_potential(0.5)
     assert P.sample(0.0) == pytest.approx(1.0)
     assert P.sample(np.array([0.0, math.pi])).tolist() == pytest.approx([1.0, -1.0])
+
+
+def _oracle_norm(v):
+    if np.isscalar(v) or getattr(v, "ndim", 0) == 0:
+        return abs(v)
+    return float(np.linalg.norm(v, 2))
+
+
+def _oracle_series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
+                             prune_tol=None):
+    """The per-mode loop series_from_grid used before it was vectorised."""
+    values = np.asarray(values)
+    scalar = kind == "scalar"
+    G = round(values.shape[0] ** (1.0 / d))
+    shape = (G,) * d
+    if scalar:
+        spec = np.fft.fftn(values.reshape(shape)) / (G ** d)
+    else:
+        spec = np.fft.fftn(values.reshape(shape + (2, 2)), axes=tuple(range(d))) / (G ** d)
+    out = FourierSeries(d, halved=halved, kind=kind)
+    scale = 0.5 if halved else 1.0
+    freqs = np.fft.fftfreq(G, 1.0 / G).astype(int)
+    dropped = 0.0
+    mass_floor = prune_tol if prune_tol is not None else 0.0
+    for idx in np.ndindex(*shape):
+        key = tuple(int(freqs[i]) for i in idx)
+        val = spec[idx]
+        m = _oracle_norm(val)
+        if m <= mass_floor:
+            continue
+        if max_degree is not None and max(abs(c) for c in key) * scale > max_degree:
+            dropped += m
+            continue
+        out.coeffs[key] = complex(val) if scalar else np.asarray(val)
+    out.dropped_mass = dropped
+    return out
+
+
+def _grid_values(rng, d, G, kind, case):
+    """Grid samples whose spectrum spans many decades, so that both pruning
+    thresholds and the degree cut fall between live modes."""
+    tail = (2, 2) if kind == "matrix" else ()
+    size = (G ** d,) + tail
+    if case == "zero":
+        return np.zeros(size, complex)
+    if case == "constant":
+        return np.full(size, 0.7 - 0.2j)
+    decades = rng.uniform(0.0, 20.0, size=size)
+    spec = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** -decades
+    spec[rng.random(size=size) < 0.2] = 0.0
+    vals = np.fft.ifftn(spec.reshape((G,) * d + tail), axes=tuple(range(d))) * G ** d
+    if case == "real":
+        vals = vals.real.astype(complex)
+    if case == "nan":
+        vals.flat[0] = np.nan
+    return vals.reshape(size)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix"])
+@pytest.mark.parametrize("halved", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+def test_series_from_grid_matches_mode_loop(kind, halved, d):
+    rng = np.random.default_rng(17 + 4 * d + 2 * halved + (kind == "matrix"))
+    G = 16 if d == 1 else 8
+    # NaN matrices stop the SVD of both versions; scalars must keep NaN modes
+    cases = ("random", "real", "constant", "zero") + (("nan",) if kind == "scalar" else ())
+    for case in cases:
+        values = _grid_values(rng, d, G, kind, case)
+        for prune_tol in (None, 1e-16):
+            for max_degree in (None, G // 2 - 3, 1.5):
+                got = series_from_grid(values, d, halved=halved, kind=kind,
+                                       max_degree=max_degree, prune_tol=prune_tol)
+                want = _oracle_series_from_grid(values, d, halved=halved, kind=kind,
+                                                max_degree=max_degree,
+                                                prune_tol=prune_tol)
+                assert list(got.coeffs) == list(want.coeffs)
+                assert all(type(c) is int for n in got.coeffs for c in n)
+                for n, v in want.coeffs.items():
+                    assert type(got.coeffs[n]) is type(v)
+                    assert _same_bits(got.coeffs[n], v)
+                assert _same_bits(float(got.dropped_mass), float(want.dropped_mass))
+                assert (got.d, got.halved, got.kind) == (d, halved, kind)
+                # prune's batched norms: a tolerance equal to a live norm is pruned
+                norms = [_oracle_norm(v) for v in want.coeffs.values()]
+                tol = norms[len(norms) // 2] if norms else 0.0
+                assert list(got.copy().prune(tol).coeffs) == [
+                    n for n, m in zip(want.coeffs, norms) if not m <= tol]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix"])
+@pytest.mark.parametrize("halved", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+def test_series_from_grid_roundtrip(kind, halved, d):
+    rng = np.random.default_rng(3)
+    F = _random_series(rng, d=d, degree=5, kind=kind, halved=halved)
+    G = 16
+    back = series_from_grid(F.sample(grid_points(d, G, halved=halved)), d,
+                            halved=halved, kind=kind, prune_tol=1e-12)
+    assert set(back.coeffs) == set(F.coeffs)
+    for n, v in F.coeffs.items():
+        assert np.max(np.abs(back[n] - v)) < 1e-13
+    assert back.dropped_mass == 0.0
+    cut = series_from_grid(F.sample(grid_points(d, G, halved=halved)), d,
+                           halved=halved, kind=kind, prune_tol=1e-12, max_degree=1)
+    assert set(cut.coeffs) == {n for n in F.coeffs if F.freq_norm(n) <= 1}
+    assert cut.dropped_mass == pytest.approx(F.project_tail(1).coeff_mass(), rel=1e-12)

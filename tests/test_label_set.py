@@ -130,6 +130,7 @@ def test_constructed_set_verifies_d2():
     assert rep.passed
 
 
+@pytest.mark.slow
 def test_density_monotone_in_count():
     alpha = _alpha1()
     sched = build_schedule(100, 0.9, depth=16)
