@@ -1,10 +1,10 @@
 """Reducibility at a gap edge: the full conjugation pipeline.
 
 Builds the one-label potential V = cos(16 theta)/256 over the golden
-rotation, locates the upper edge of the gap labeled 16 by bisecting the
-reduced constant's trace, and reduces the cocycle there to the parabolic
-normal form [[1, zeta], [0, 1]].  The conjugation identity is certified at
-random probe points at every step and for the final answer.
+rotation, locates both edges of the gap labeled 16 by an ITP root search
+on the reduced constant's trace, and reduces the cocycle there to the
+parabolic normal form [[1, zeta], [0, 1]].  The conjugation identity is
+certified at random probe points at every step and for the final answer.
 """
 
 import numpy as np
@@ -29,6 +29,8 @@ for edge in ("lower", "upper"):
     print(f"\n{edge} edge at E = {res.energy:.12f}")
     print(f"  zeta = {res.zeta:+.6e} (sign selects the edge side)")
     print(f"  conjugation residual = {res.conj_residual:.2e}")
+    print(f"  edge search: {res.edge_search['evaluations']} reductions, "
+          f"failures {res.edge_search['failures']}")
     print(f"  reducing series: degree {res.B.degree:.0f}, {len(res.B)} modes "
           f"on the doubled torus")
     for rep in res.reports:

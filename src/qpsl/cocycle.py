@@ -609,24 +609,20 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
         pts = np.stack([m.ravel() for m in mesh], axis=1)
     step = c.step
 
-    def window_products(base_pts, window):
-        """Transfer matrices over `window` steps ending at each base point,
-        and the prefix over the first max(1, window // 2) of those steps."""
-        out = half = np.broadcast_to(np.eye(2), (base_pts.shape[0], 2, 2)).copy()
-        for k in range(1, window + 1):
-            A = c.matrix_batch(base_pts - k * step[None, :])
-            if np.iscomplexobj(A):
-                A = A.real
-            out = np.einsum("mij,mjk->mik", out, A)
-            if k == max(1, window // 2):
-                half = out
-        return out, half
-
     def unstable_field(prods):
         U, S, _ = np.linalg.svd(prods)
         return U[:, :, 0], S[:, 0]
 
-    full, half = window_products(pts, horizon)
+    # transfer matrices over the `horizon` steps ending at each grid point,
+    # and the prefix over the first max(1, horizon // 2) of those steps
+    full = half = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
+    for k in range(1, horizon + 1):
+        A = c.matrix_batch(pts - k * step[None, :])
+        if np.iscomplexobj(A):
+            A = A.real
+        full = np.einsum("mij,mjk->mik", full, A)
+        if k == max(1, horizon // 2):
+            half = full
     u_full, s_full = unstable_field(full)
     u_half, _ = unstable_field(half)
     smax, smin = float(np.max(s_full)), float(np.min(s_full))
@@ -649,7 +645,8 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
         if np.iscomplexobj(A):
             A = A.real
         fwd = np.einsum("mij,mjk->mik", A, fwd)
-    u_next, _ = unstable_field(window_products(pts + horizon * step[None, :], horizon)[0])
+    # the window ending at pts + horizon step is the forward block itself
+    u_next, _ = unstable_field(fwd)
     ang = _proj_angle(u_full)
     ang_next = _proj_angle(u_next)
 

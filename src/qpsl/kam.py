@@ -916,6 +916,7 @@ class ReducibilityResult:
     phi: float
     b_ck_norm: float = None
     relaxations: list = field(default_factory=list)
+    edge_search: dict = None
 
     def as_dict(self):
         return {
@@ -927,6 +928,7 @@ class ReducibilityResult:
             "b_ck_norm": self.b_ck_norm,
             "b_final": [self.b_final.real, self.b_final.imag],
             "relaxations": self.relaxations,
+            "edge_search": self.edge_search,
             "steps": [r.as_dict() for r in self.reports],
         }
 
@@ -981,8 +983,10 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
 
     ``target`` is {"energy": E} (the lock is checked against the potential's
     labels plus small vectors) or {"label": n} / {"label_index": i} with the
-    gap edge located by bisection on the reduced constant's trace;
-    {"edge": "upper"|"lower"} selects the edge (default upper).
+    gap edge located by an ITP search on the reduced constant's trace;
+    {"edge": "upper"|"lower"} selects the edge (default upper).  For an edge
+    target the result's ``edge_search`` holds the number of reductions the
+    search made and the failed ones it counted as outside the gap.
     """
     params = params or KamParams()
     alpha_arr = np.atleast_1d(np.asarray(alpha, float))
@@ -1010,8 +1014,11 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
             lab = target["label"]
             label = (int(lab),) if np.isscalar(lab) else tuple(int(x) for x in lab)
         edge = target.get("edge", "upper")
-        E_edge, state, reports = _locate_edge(V, alpha_arr, label, edge, params, max_steps)
-        return _finalize(V, alpha_arr, E_edge, label, state, reports, params, relaxations)
+        E_edge, state, reports, search = _locate_edge(V, alpha_arr, label, edge,
+                                                      params, max_steps)
+        result = _finalize(V, alpha_arr, E_edge, label, state, reports, params, relaxations)
+        result.edge_search = search
+        return result
 
     raise QpslError("target must contain 'energy', 'label' or 'label_index'")
 
@@ -1033,62 +1040,85 @@ def _find_lock(rho, alpha, V, params):
 
 
 def _locate_edge(V, alpha, label, edge, params, max_steps):
-    """Bisect the reduced-trace indicator across the gap edge."""
+    """Locate the gap edge on the reduced-trace indicator t = |Re a| - 1.
+
+    A point inside the gap (t > 0) is found near the free-cocycle guess and
+    stepped outward until t <= 0.  An ITP search (Oliveira and Takahashi,
+    ACM TOMS 2020) then shrinks [E_in, E_out] to 4e-16 relative width; it
+    takes a plain bisection step while either endpoint value is not finite.
+    Returns the innermost t > 0 energy with its state and reports, and the
+    search record {"evaluations": n, "failures": [[type, E], ...]}, where a
+    failure is a reduction that raised and was counted as outside the gap.
+    """
     lock = dist_to_integers(float(np.dot(label, alpha)) / 2)
-    rho_target = min(lock, 1 - lock) if lock <= 0.5 else lock
     E0 = 2 * math.cos(2 * math.pi * lock)
     spread = max(4 * (V.sup_bound() if V is not None else 0.1), 1e-3)
+    search = {"evaluations": 0, "failures": []}
 
     def indicator(E):
         # a failed reduction (stalled Newton sweep, small divisor, constant
         # part not settling) can only happen off the locked plateau, so it
-        # counts as "outside the gap" for the bisection
+        # counts as "outside the gap"; it is recorded on the search
+        search["evaluations"] += 1
         try:
             st, reps = _reduce_at_energy(V, alpha, E, params, max_steps)
-        except (NewtonDiverged, StateInvalid, SmallDivisor, NotElliptic):
+        except (NewtonDiverged, StateInvalid, SmallDivisor, NotElliptic) as exc:
+            search["failures"].append([type(exc).__name__, E])
             return -math.inf, None, None
         return _gap_indicator(st), st, reps
 
     # find a point inside the gap near the free-cocycle guess
-    t0, st0, _ = indicator(E0)
     E_in = E0
-    if t0 <= 0:
-        found = False
+    t_in, state, reports = indicator(E0)
+    if t_in <= 0:
         for frac in np.linspace(-1, 1, 41):
             E_try = E0 + frac * spread * 0.25
-            t, st, _ = indicator(E_try)
+            t, st, reps = indicator(E_try)
             if t > 0:
-                E_in, found = E_try, True
+                E_in, t_in, state, reports = E_try, t, st, reps
                 break
-        if not found:
+        else:
             raise TargetNotLocked(
                 f"no gap interior found near E = {E0:.6f} for label {label}")
 
     sign = +1.0 if edge == "upper" else -1.0
     delta = spread / 64
-    E_out = None
     for _ in range(40):
-        E_try = E_in + sign * delta
-        t, _, _ = indicator(E_try)
-        if t <= 0:
-            E_out = E_try
+        E_out = E_in + sign * delta
+        t_out, st, reps = indicator(E_out)
+        if t_out <= 0:
             break
-        E_in = E_try
-    if E_out is None:
+        E_in, t_in, state, reports = E_out, t_out, st, reps
+    else:
         raise NonConvergence(f"could not bracket the {edge} edge from E = {E_in}")
 
-    for _ in range(200):
+    # ITP with k1 = 0.2 / width0, k2 = 2, n0 = 1; eps is half the terminal width
+    width0 = abs(E_out - E_in)
+    eps = 2e-16 * max(1.0, abs(E_in))
+    n_max = math.ceil(math.log2(width0 / (2 * eps))) + 1
+    for j in range(200):
         mid = 0.5 * (E_in + E_out)
-        if abs(E_out - E_in) < 4e-16 * max(1.0, abs(mid)):
+        width = abs(E_out - E_in)
+        if width < 4e-16 * max(1.0, abs(mid)):
             break
-        t, _, _ = indicator(mid)
+        E = mid
+        if math.isfinite(t_in) and math.isfinite(t_out):
+            E_f = E_in + t_in * (E_out - E_in) / (t_in - t_out)  # regula falsi
+            toward = math.copysign(1.0, mid - E_f)
+            # t is rounded to half an ulp of 1.0 (2**-53), so the secant root
+            # is known only to the width over which the secant moves that much
+            shift = max(0.2 / width0 * width ** 2, 2.0 ** -53 * width / (t_in - t_out))
+            E_t = E_f + toward * shift if shift <= abs(mid - E_f) else mid
+            r = max(0.0, eps * 2.0 ** (n_max - j) - width / 2)
+            E = E_t if abs(E_t - mid) <= r else mid - toward * r
+            if not min(E_in, E_out) < E < max(E_in, E_out):
+                E = mid
+        t, st, reps = indicator(E)
         if t > 0:
-            E_in = mid
+            E_in, t_in, state, reports = E, t, st, reps
         else:
-            E_out = mid
-    E_edge = E_in  # innermost certified-gap energy
-    t, state, reports = indicator(E_edge)
-    return E_edge, state, reports
+            E_out, t_out = E, t
+    return E_in, state, reports, search
 
 
 def _finalize(V, alpha, E, label, state, reports, params, relaxations):

@@ -96,6 +96,8 @@ def test_kam_and_edge_probe(tmp_path, capsys):
     data = json.loads(kam_out.read_text())
     assert data["zeta"] != 0
     assert data["conj_residual"] < 1e-8
+    assert 0 < data["edge_search"]["evaluations"] <= 26
+    assert data["edge_search"]["failures"] == []
     assert (tmp_path / "steps.jsonl").read_text().strip()
     probe_out = tmp_path / "probe.json"
     rc = run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qpsl import kam
 from qpsl.cocycle import (
     frame_rotation_su11,
     rot_su11,
@@ -13,7 +14,7 @@ from qpsl.cocycle import (
     to_su11,
 )
 from qpsl.diophantine import dist_to_integers
-from qpsl.errors import SmallDivisor, StateInvalid, TargetNotLocked
+from qpsl.errors import NewtonDiverged, SmallDivisor, StateInvalid, TargetNotLocked
 from qpsl.fourier import FourierSeries
 from qpsl.kam import (
     KamParams,
@@ -317,12 +318,84 @@ def test_run_reducibility_free_cocycle_edge():
     assert res.conj_residual < 1e-9
     assert res.zeta < 0  # bottom edge of the upper infinite gap
     assert res.label == (0,)
+    assert res.edge_search is None and res.as_dict()["edge_search"] is None
 
 
 def test_run_reducibility_free_cocycle_lower_edge_sign():
     res = run_reducibility(None, [GOLD], {"energy": -2.0}, params=_params())
     assert abs(res.zeta) == pytest.approx(2.0, abs=1e-9)
     assert res.zeta > 0  # top edge of the lower infinite gap
+
+
+# ---------------------------------------------------------------------------
+# edge search on a planted gap
+
+
+# free-cocycle guess 2 cos(2 pi dist(GOLD / 2)) for label (1,), and a gap
+# around it; the expansion step is 0.4 / 64 for V = None
+_E0 = 2 * math.cos(2 * math.pi * dist_to_integers(GOLD / 2))
+_GAP = (_E0 - 0.0203, _E0 + 0.0291)
+
+
+def _plant_gap(monkeypatch, fail=None):
+    """Replace the reduction by the free cocycle at 2 + 2 t, so the reduced
+    constant has Re a = 1 + t with t = min(E - lo, hi - E) on the planted gap
+    (lo, hi); energies inside ``fail`` raise NewtonDiverged.  Returns the log
+    of (E, t) per call, t = -inf for a failure."""
+    real = kam._reduce_at_energy
+    log = []
+
+    def fake(V, alpha, E, params, max_steps):
+        if fail is not None and fail[0] < E < fail[1]:
+            log.append((E, -math.inf))
+            raise NewtonDiverged("planted failure")
+        t = min(E - _GAP[0], _GAP[1] - E)
+        state, reports = real(None, alpha, 2.0 + 2.0 * t, params, max_steps)
+        log.append((E, kam._gap_indicator(state)))
+        return state, reports
+
+    monkeypatch.setattr(kam, "_reduce_at_energy", fake)
+    return log
+
+
+@pytest.mark.parametrize("edge", ["upper", "lower"])
+def test_edge_search_brackets_planted_edge(monkeypatch, edge):
+    log = _plant_gap(monkeypatch)
+    res = run_reducibility(None, [GOLD], {"label": 1, "edge": edge}, params=_params())
+    E = res.energy
+    assert dict(log)[E] > 0
+    outward = [(abs(e - E), t) for e, t in log if (e > E) == (edge == "upper") and e != E]
+    gap_to_out, t_out = min(outward)
+    assert t_out <= 0
+    assert gap_to_out < 4e-16 * max(1.0, abs(E))
+    assert abs(E - _GAP[1 if edge == "upper" else 0]) < 1e-15
+    assert res.edge_search == {"evaluations": len(log), "failures": []}
+    assert res.edge_search["evaluations"] <= 26
+    assert res.as_dict()["edge_search"] == res.edge_search
+
+
+def test_edge_search_records_failures_and_bisects(monkeypatch):
+    # the second expansion step E0 + 0.0125 lands in the failing window, so
+    # the outer end of the bracket stays a failed reduction (t = -inf) and
+    # every later energy must be the midpoint of the bracket
+    fail = (_E0 + 0.011, _E0 + 0.014)
+    log = _plant_gap(monkeypatch, fail=fail)
+    res = run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+    first = next(i for i, (_, t) in enumerate(log) if t == -math.inf)
+    E_in, E_out = log[first - 1][0], log[first][0]
+    for E, t in log[first + 1:]:
+        assert E == 0.5 * (E_in + E_out)
+        assert t > 0 or t == -math.inf
+        if t > 0:
+            E_in = E
+        else:
+            E_out = E
+    assert res.energy == E_in
+    assert abs(E_out - E_in) < 4e-16 * max(1.0, abs(E_in))
+    assert abs(res.energy - fail[0]) < 1e-15
+    failed = [["NewtonDiverged", E] for E, t in log if t == -math.inf]
+    assert len(failed) > 1
+    assert res.edge_search == {"evaluations": len(log), "failures": failed}
 
 
 def test_run_reducibility_interior_not_locked():
