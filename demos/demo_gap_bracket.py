@@ -25,7 +25,7 @@ freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
 sched = build_schedule(10, 0.9, depth=6)
 ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
 V = build_potential(ks, k=2.0)
-params = KamParams(gamma=0.5, tau=1.5, k_exponent=2.0, s=0.9, schedule=sched,
+params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched,
                    max_degree=384, grid_size=2048, seed=1)
 
 res = run_reducibility(V, freq.floats(), {"label_index": 0, "edge": "upper"},

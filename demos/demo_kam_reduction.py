@@ -20,7 +20,7 @@ ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
 V = build_potential(ks, k=2.0)
 print(f"label set: {ks.labels()}, coefficient {V.coefficients[0]:.6g}")
 
-params = KamParams(gamma=0.5, tau=1.5, k_exponent=2.0, s=0.9, schedule=sched,
+params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched,
                    max_degree=384, grid_size=2048, conj_residual_tol=1e-9, seed=1)
 
 for edge in ("lower", "upper"):

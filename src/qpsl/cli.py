@@ -94,7 +94,7 @@ def _freq_from(cfg, args):
     return frequency_vector(tuple(comps), gamma=float(gamma), tau=float(tau))
 
 
-def _potential_from(cfg, args, freq=None):
+def _potential_from(cfg, args):
     preset = getattr(args, "preset", None) or cfg.get("potential", {}).get("preset")
     if preset == "amo":
         lam = getattr(args, "lam", None)
@@ -244,7 +244,7 @@ def cmd_potential(args):
 def cmd_rotation(args):
     cfg = _load_config(args)
     freq = _freq_from(cfg, args)
-    V = _potential_from(cfg, args, freq)
+    V = _potential_from(cfg, args)
     scan = cfg.get("scan", {})
     energies = np.linspace(float(args.emin if args.emin is not None else scan.get("e_min", -2.5)),
                            float(args.emax if args.emax is not None else scan.get("e_max", 2.5)),
@@ -265,7 +265,7 @@ def cmd_rotation(args):
 def cmd_ids(args):
     cfg = _load_config(args)
     freq = _freq_from(cfg, args)
-    V = _potential_from(cfg, args, freq)
+    V = _potential_from(cfg, args)
     scan = cfg.get("scan", {})
     energies = np.linspace(float(args.emin if args.emin is not None else scan.get("e_min", -2.5)),
                            float(args.emax if args.emax is not None else scan.get("e_max", 2.5)),
@@ -286,7 +286,7 @@ def cmd_ids(args):
 def cmd_gaps(args):
     cfg = _load_config(args)
     freq = _freq_from(cfg, args)
-    V = _potential_from(cfg, args, freq)
+    V = _potential_from(cfg, args)
     scan = cfg.get("scan", {})
     energies = np.linspace(float(args.emin if args.emin is not None else scan.get("e_min", -2.8)),
                            float(args.emax if args.emax is not None else scan.get("e_max", 2.8)),
@@ -331,9 +331,7 @@ def cmd_gaps(args):
 def _kam_params(cfg, args, freq, sched, k):
     kc = cfg.get("kam", {})
     return KamParams(
-        gamma=freq.dc_gamma, tau=freq.dc_tau, k_exponent=float(k),
-        s=sched.s if sched is not None else 0.9,
-        schedule=sched,
+        tau=freq.dc_tau, k_exponent=float(k), schedule=sched,
         max_degree=int(kc.get("max_degree", 384)),
         grid_size=int(kc.get("grid_size", 2048)),
         conj_residual_tol=float(kc.get("conj_residual_tol", 1e-9)),
@@ -562,7 +560,6 @@ def _build_parser():
     sp.add_argument("--energy", type=float, help="reduce at a fixed energy instead")
     sp.add_argument("--k", type=float)
     sp.add_argument("--max-steps", type=int, default=24)
-    sp.add_argument("--relaxed", action="store_true", default=True)
     sp.add_argument("--strict", action="store_true")
     sp.add_argument("--steps-out", help="JSON-lines stream of step reports")
     sp.set_defaults(func=cmd_kam)

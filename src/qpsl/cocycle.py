@@ -62,9 +62,12 @@ def from_su11(B):
 
 
 def check_su11(A, tol=1e-10):
+    """(ok, err): the largest SU(1,1) membership defect over a (..., 2, 2) stack."""
     A = np.asarray(A, complex)
-    err = max(abs(A[1, 1] - np.conj(A[0, 0])), abs(A[1, 0] - np.conj(A[0, 1])))
-    err = max(err, abs(abs(A[0, 0]) ** 2 - abs(A[0, 1]) ** 2 - 1.0))
+    err = np.maximum(np.abs(A[..., 1, 1] - np.conj(A[..., 0, 0])),
+                     np.abs(A[..., 1, 0] - np.conj(A[..., 0, 1])))
+    err = np.maximum(err, np.abs(np.abs(A[..., 0, 0]) ** 2 - np.abs(A[..., 0, 1]) ** 2 - 1.0))
+    err = float(np.max(err))
     return err <= tol, err
 
 
@@ -74,7 +77,8 @@ def su11_element(a, b):
 
 
 def su11_exp(C):
-    """Closed-form exponential of C = [[i a, b], [conj b, -i a]].
+    """Closed-form exponential of C = [[i a, b], [conj b, -i a]] over a
+    (..., 2, 2) stack.
 
     With lam = sqrt(|b|^2 - a^2) (principal branch; imaginary lam turns the
     hyperbolic functions trigonometric) the result is
@@ -82,44 +86,64 @@ def su11_exp(C):
     where sinhc = sinh(lam)/lam.
     """
     C = np.asarray(C, complex)
-    a = C[0, 0].imag
-    b = C[0, 1]
-    disc = complex(abs(b) ** 2 - a * a)
+    shape = C.shape
+    C = C.reshape(-1, 2, 2)  # one matrix runs as a stack of one, bit for bit
+    a = C[:, 0, 0].imag
+    b = C[:, 0, 1]
+    disc = (np.abs(b) ** 2 - a * a).astype(complex)
     lam = np.sqrt(disc)
-    if abs(lam) < 1e-8:
-        l2 = disc
-        ch = 1.0 + l2 / 2.0 + l2 * l2 / 24.0
-        sc = 1.0 + l2 / 6.0 + l2 * l2 / 120.0
-    else:
-        ch = np.cosh(lam)
-        sc = np.sinh(lam) / lam
-    return np.array([[ch + 1j * a * sc, b * sc],
-                     [np.conj(b) * sc, ch - 1j * a * sc]], complex)
+    small = np.abs(lam) < 1e-8
+    lam_safe = np.where(small, 1.0, lam)
+    ch = np.where(small, 1.0 + disc / 2 + disc * disc / 24, np.cosh(lam_safe))
+    sc = np.where(small, 1.0 + disc / 6 + disc * disc / 120,
+                  np.sinh(lam_safe) / lam_safe)
+    out = np.empty_like(C)
+    out[:, 0, 0] = ch + 1j * a * sc
+    out[:, 1, 1] = ch - 1j * a * sc
+    out[:, 0, 1] = b * sc
+    out[:, 1, 0] = np.conj(b) * sc
+    return out.reshape(shape)
 
 
 def su11_log(A, max_angle=math.pi - 1e-9):
-    """Inverse of :func:`su11_exp` on its injectivity domain.
-
-    cosh(lam) is the real part of the diagonal; elliptic branches use
-    lam = i*arccos, hyperbolic branches arccosh.  Raises when the rotation
-    angle reaches pi (log not single-valued there).
-    """
-    A = np.asarray(A, complex)
+    """Inverse of :func:`su11_exp` on its injectivity domain, over a
+    (..., 2, 2) stack; raises unless every matrix is SU(1,1) within 1e-6."""
     ok, err = check_su11(A, tol=1e-6)
     if not ok:
         raise QpslError(f"matrix is not SU(1,1) (residual {err:.3e})")
-    ch = A[0, 0].real
-    if ch >= 1.0:
-        lam = math.acosh(min(ch, 1e300))
-        sc = math.sinh(lam) / lam if lam > 1e-8 else 1.0 + lam * lam / 6.0
-    else:
-        theta = math.acos(max(ch, -1.0))
-        if theta >= max_angle:
-            raise QpslError(f"rotation angle {theta:.6f} outside log injectivity radius")
-        sc = math.sin(theta) / theta if theta > 1e-8 else 1.0 - theta * theta / 6.0
-    a = A[0, 0].imag / sc
-    b = A[0, 1] / sc
-    return su11_element(a, b)
+    return _su11_log(A, max_angle)
+
+
+def _su11_log(A, max_angle=math.pi - 1e-9):
+    """:func:`su11_log` without the membership check.
+
+    cosh(lam) is the real part of the diagonal; elliptic branches use
+    lam = i*arccos, hyperbolic branches arccosh.  Raises when a rotation
+    angle reaches ``max_angle`` (the log is not single-valued at pi).
+    """
+    A = np.asarray(A, complex)
+    shape = A.shape
+    A = A.reshape(-1, 2, 2)
+    ch = A[:, 0, 0].real
+    elliptic = ch < 1.0
+    theta = np.arccos(np.clip(ch, -1.0, 1.0))
+    if np.any(elliptic & (theta >= max_angle)):
+        raise QpslError("rotation angle outside log injectivity radius")
+    lam_h = np.arccosh(np.maximum(ch, 1.0))
+    near = np.abs(ch - 1.0) < 1e-12
+    sc_e = np.where(theta > 1e-8, np.sin(theta) / np.where(theta > 1e-8, theta, 1.0),
+                    1.0 - theta * theta / 6.0)
+    sc_h = np.where(lam_h > 1e-8, np.sinh(lam_h) / np.where(lam_h > 1e-8, lam_h, 1.0),
+                    1.0 + lam_h * lam_h / 6.0)
+    sc = np.where(near, 1.0, np.where(elliptic, sc_e, sc_h))
+    a = A[:, 0, 0].imag / sc
+    b = A[:, 0, 1] / sc
+    out = np.empty_like(A)
+    out[:, 0, 0] = 1j * a
+    out[:, 1, 1] = -1j * a
+    out[:, 0, 1] = b
+    out[:, 1, 0] = np.conj(b)
+    return out.reshape(shape)
 
 
 def _j_signed_angle(A, sign):

@@ -17,6 +17,13 @@ sigma being the angle (in cycles) of the diagonalized constant.
 
 Every accepted step is certified by evaluating both sides of the conjugation
 identity at random probe points; this residual is the single correctness gate.
+
+Settings no caller varies are module constants: the strip width H0 * H_DECAY^j
+of step j (unless strict mode has a schedule), the Newton stop NEWTON_TOL and
+cap NEWTON_MAX_SWEEPS, the divisor floor DIVISOR_FLOOR, the resonance
+threshold cap THRESHOLD_CAP, and the energy-target lock tolerance LOCK_TOL with
+its rotation-number iterations ROTATION_ITERS.  Everything a caller sets is on
+:class:`KamParams`.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .cocycle import (
     schrodinger_cocycle,
     su11_element,
     su11_exp,
+    _su11_log,
     to_su11,
     M_CONJ,
     M_CONJ_INV,
@@ -55,6 +63,7 @@ from .fourier import (
     Potential,
     grid_points,
     multiply,
+    potential_series,
     series_from_grid,
     shift_modes,
 )
@@ -110,12 +119,6 @@ class Su11Series:
     def scale(self, c):
         return Su11Series(self.u.scale(c), self.w.scale(c))
 
-    def __add__(self, other):
-        return Su11Series(self.u + other.u, self.w + other.w)
-
-    def __sub__(self, other):
-        return Su11Series(self.u - other.u, self.w - other.w)
-
     def mean_matrix(self):
         a = self.u.mean()
         return su11_element(a.real, self.w.mean())
@@ -130,9 +133,6 @@ class Su11Series:
         out[:, 0, 1] = ww
         out[:, 1, 0] = np.conj(ww)
         return out
-
-    def eval(self, theta):
-        return self.sample(np.atleast_2d(np.asarray(theta, float)))[0]
 
     def symmetrize(self):
         """Project u onto real-valued functions (Hermitian coefficients)."""
@@ -197,70 +197,26 @@ def su11_series_from_samples(vals, d, max_degree=None, prune_tol=1e-16):
     return out
 
 
-def _exp_su11_batch(C_batch):
-    """Vectorized closed-form exponential of su(1,1) matrices, shape (m,2,2)."""
-    C = np.asarray(C_batch, complex)
-    a = C[:, 0, 0].imag
-    b = C[:, 0, 1]
-    disc = (np.abs(b) ** 2 - a * a).astype(complex)
-    lam = np.sqrt(disc)
-    small = np.abs(lam) < 1e-8
-    lam_safe = np.where(small, 1.0, lam)
-    ch = np.where(small, 1.0 + disc / 2 + disc * disc / 24, np.cosh(lam_safe))
-    sc = np.where(small, 1.0 + disc / 6 + disc * disc / 120,
-                  np.sinh(lam_safe) / lam_safe)
-    out = np.empty_like(C)
-    out[:, 0, 0] = ch + 1j * a * sc
-    out[:, 1, 1] = ch - 1j * a * sc
-    out[:, 0, 1] = b * sc
-    out[:, 1, 0] = np.conj(b) * sc
-    return out
-
-
-def _log_su11_batch(A_batch, max_angle=math.pi - 1e-9):
-    """Vectorized inverse of :func:`_exp_su11_batch` on its injectivity domain."""
-    A = np.asarray(A_batch, complex)
-    ch = A[:, 0, 0].real
-    elliptic = ch < 1.0
-    theta = np.arccos(np.clip(ch, -1.0, 1.0))
-    if np.any(elliptic & (theta >= max_angle)):
-        raise QpslError("rotation angle outside log injectivity radius on grid")
-    lam_h = np.arccosh(np.maximum(ch, 1.0))
-    near = np.abs(ch - 1.0) < 1e-12
-    sc_e = np.where(theta > 1e-8, np.sin(theta) / np.where(theta > 1e-8, theta, 1.0),
-                    1.0 - theta * theta / 6.0)
-    sc_h = np.where(lam_h > 1e-8, np.sinh(lam_h) / np.where(lam_h > 1e-8, lam_h, 1.0),
-                    1.0 + lam_h * lam_h / 6.0)
-    sc = np.where(near, 1.0, np.where(elliptic, sc_e, sc_h))
-    a = A[:, 0, 0].imag / sc
-    b = A[:, 0, 1] / sc
-    out = np.empty_like(A)
-    out[:, 0, 0] = 1j * a
-    out[:, 1, 1] = -1j * a
-    out[:, 0, 1] = b
-    out[:, 1, 0] = np.conj(b)
-    return out
-
-
-def exp_series(Y: Su11Series, grid, max_degree, prune_tol=1e-16):
+def exp_series(Y: Su11Series, grid, max_degree):
     """e^{Y(theta)} as a matrix-valued series via the grid transform."""
-    pts = grid_points(Y.d, grid)
-    vals = _exp_su11_batch(Y.sample(pts))
+    vals = su11_exp(Y.sample(grid_points(Y.d, grid)))
     return series_from_grid(vals, Y.d, kind="matrix", max_degree=max_degree,
-                            prune_tol=prune_tol)
-
-
-def log_split_series(mean_mat, vals, d, max_degree, prune_tol=1e-16):
-    """f with e^{mean} e^{f(theta)} = given pointwise values: the grid log of
-    e^{-mean} * vals.  ``mean_mat`` is the su(1,1) generator of the mean."""
-    Einv = np.linalg.inv(su11_exp(mean_mat))
-    logs = _log_su11_batch(np.einsum("ij,mjk->mik", Einv, vals))
-    return su11_series_from_samples(logs, d, max_degree=max_degree,
-                                    prune_tol=prune_tol)
+                            prune_tol=1e-16)
 
 
 # ---------------------------------------------------------------------------
 # parameters and state
+
+
+# Fixed settings of the iteration (see the module docstring).
+H0 = 0.05                  # strip width of step 0 ...
+H_DECAY = 0.75             # ... shrinking by this factor per step
+NEWTON_TOL = 1e-14         # Newton stops at this fraction of the input norm
+NEWTON_MAX_SWEEPS = 16
+DIVISOR_FLOOR = 1e-9       # smallest divisor the homological solve accepts
+THRESHOLD_CAP = 5e-2       # cap of the resonance threshold
+LOCK_TOL = 1e-3            # 2 rho = <n, alpha> mod 1 lock tolerance
+ROTATION_ITERS = 200_000   # iterations of the lock's rotation number
 
 
 @dataclass
@@ -268,28 +224,20 @@ class KamParams:
     """Run parameters.  ``relaxed`` replaces the asymptotic-regime thresholds (which
     need k of order hundreds of tau) by measured-and-logged desk values; every
     relaxation is recorded on the reports so no run silently claims the strict
-    regime."""
+    regime.  The fixed settings are the module constants H0, H_DECAY,
+    NEWTON_TOL, NEWTON_MAX_SWEEPS, DIVISOR_FLOOR, THRESHOLD_CAP, LOCK_TOL and
+    ROTATION_ITERS."""
 
-    gamma: float = 0.5
     tau: float = 1.5
     k_exponent: float = 2.0
-    s: float = 0.9
     schedule: object = None
     max_degree: int = 384
     grid_size: int = 2048
-    newton_tol: float = 1e-14
-    newton_max_sweeps: int = 16
     conj_residual_tol: float = 1e-9
-    divisor_floor: float = 1e-9
-    threshold_cap: float = 5e-2
     window_cap: int = None
-    h0: float = 0.05
-    h_decay: float = 0.75
     relaxed: bool = True
     stop_tol: float = 1e-12
     probe_count: int = 12
-    lock_tol: float = 1e-3
-    rotation_iters: int = 200_000
     seed: int = 0
 
     def level(self, j):
@@ -302,7 +250,7 @@ class KamParams:
             ell = self.level(j)
             if ell and ell > 1:
                 return 10 * self.tau * math.log(ell) / ell
-        return self.h0 * self.h_decay ** j
+        return H0 * H_DECAY ** j
 
     def window(self, j):
         cap = self.window_cap or self.max_degree
@@ -318,11 +266,9 @@ class KamParams:
             ell = self.level(j)
             if ell and ell > 1:
                 strict_val = ell ** (-4 * self.tau)
-        if not self.relaxed:
-            return strict_val if strict_val is not None else self.threshold_cap
         if strict_val is None:
-            return self.threshold_cap
-        return max(strict_val, self.threshold_cap)
+            return THRESHOLD_CAP
+        return max(strict_val, THRESHOLD_CAP) if self.relaxed else strict_val
 
     def grid_for(self, degree, d=1):
         cap = self.grid_size if d == 1 else max(32, int(self.grid_size ** (1.0 / d)))
@@ -559,7 +505,7 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
         N = params.window_cap or params.max_degree
         rule = ModeRule(alpha=alpha, sigma=sigma, window=N,
                         diag_floor=_min_divisor_distance(alpha, N, d) / 2,
-                        off_floor=params.threshold(0) if params.schedule else params.threshold_cap,
+                        off_floor=params.threshold(0) if params.schedule else THRESHOLD_CAP,
                         keep_w_mean=True)
 
     g = F.ad_constant(P)
@@ -575,38 +521,38 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     sweeps = []
     dropped = 0.0
     g_cur = g.copy()
-    for it in range(params.newton_max_sweeps):
+    for it in range(NEWTON_MAX_SWEEPS):
         nre, _ = rule.split(g_cur)
         nre_norm = nre.norm(h)
         sweeps.append(nre_norm)
-        if nre_norm <= params.newton_tol * scale:
+        if nre_norm <= NEWTON_TOL * scale:
             break
-        if it >= 2 and nre_norm > 0.5 * sweeps[-2] and nre_norm > params.newton_tol * scale * 10:
+        if it >= 2 and nre_norm > 0.5 * sweeps[-2] and nre_norm > NEWTON_TOL * scale * 10:
             raise NewtonDiverged(
                 f"non-resonant norm stalled at {nre_norm:.3e} (sweep {it})")
         Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
         # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}
         Yv = Y_p.sample(pts)
         Yv_fwd = Y_p.sample(pts + step[None, :])
-        E_fwd = _exp_su11_batch(Yv_fwd)
-        E_bwd = _exp_su11_batch(-Yv)
-        Gv = _exp_su11_batch(g_cur.sample(pts))
+        E_fwd = su11_exp(Yv_fwd)
+        E_bwd = su11_exp(-Yv)
+        Gv = su11_exp(g_cur.sample(pts))
         inner = np.einsum("ij,mjk,kl->mil", np.linalg.inv(Ad), E_fwd, Ad)
         prod = np.einsum("mij,mjk,mkl->mil", inner, Gv, E_bwd)
-        g_next_vals = _log_su11_batch(prod)
+        g_next_vals = _su11_log(prod)
         g_cur = su11_series_from_samples(g_next_vals, d, max_degree=max_deg)
         dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
-        E_here = _exp_su11_batch(Yv)
+        E_here = su11_exp(Yv)
         E_acc = E_here if E_acc is None else np.einsum("mij,mjk->mik", E_here, E_acc)
     else:
         nre, _ = rule.split(g_cur)
-        if nre.norm(h) > params.newton_tol * scale * 100:
+        if nre.norm(h) > NEWTON_TOL * scale * 100:
             raise NewtonDiverged("Newton sweep cap reached without contraction")
 
     if E_acc is None:
         Y_total = Su11Series.zero(d)
     else:
-        Y_total = su11_series_from_samples(_log_su11_batch(E_acc), d, max_degree=max_deg)
+        Y_total = su11_series_from_samples(_su11_log(E_acc), d, max_degree=max_deg)
     # back to the original frame
     Pinv = np.linalg.inv(P)
     Y_out = Y_total.ad_constant(Pinv)
@@ -618,9 +564,9 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     pr = rng.uniform(0, 2 * math.pi, size=(probes, d))
     Ye = Y_out.sample(pr + step[None, :])
     Yb = Y_out.sample(pr)
-    lhs = np.einsum("mij,jk,mkl,mlp->mip", _exp_su11_batch(Ye), A,
-                    _exp_su11_batch(F.sample(pr)), _exp_su11_batch(-Yb))
-    rhs = np.einsum("ij,mjk->mik", A, _exp_su11_batch(F_star.sample(pr)))
+    lhs = np.einsum("mij,jk,mkl,mlp->mip", su11_exp(Ye), A,
+                    su11_exp(F.sample(pr)), su11_exp(-Yb))
+    rhs = np.einsum("ij,mjk->mik", A, su11_exp(F_star.sample(pr)))
     residual = float(np.max(np.abs(lhs - rhs)))
 
     y_norm = Y_out.norm(h)
@@ -649,12 +595,9 @@ def compute_diagnostics(W: Su11Series, n_tilde, h):
     big = W.w.analytic_norm(h) + W.u.analytic_norm(h)
     floor = sup_norm(n_tilde)
     small = 0.0
-    for n, v in w_twist.coeffs.items():
+    for n in w_twist.coeffs.keys() | W.u.coeffs.keys():
         if sup_norm(n) >= floor:
-            small = max(small, 0.5 * (abs(v) + abs(W.u[n])))
-    for n, v in W.u.coeffs.items():
-        if sup_norm(n) >= floor:
-            small = max(small, 0.5 * (abs(w_twist[n]) + abs(v)))
+            small = max(small, 0.5 * (abs(w_twist[n]) + abs(W.u[n])))
     return {"xi": xi, "M": big, "m": small}
 
 
@@ -672,34 +615,50 @@ def _q_series(site, d, inverse=False):
     return out
 
 
-def _const_series(d, mat, halved=False):
-    out = FourierSeries(d, halved=halved, kind="matrix")
-    out[(0,) * d] = np.asarray(mat, complex)
-    return out
-
-
 def _combine_f_and_label(state: KamState, labels, params):
     """F~ with e^{F~} = e^{f} e^{V_j W}: exact grid logarithm of the product."""
     d = state.f.d
     if not labels:
         return state.f.copy(), 0.0
-    V = FourierSeries(d)
-    for lab, c in labels:
-        pos = tuple(int(x) for x in lab)
-        neg = tuple(-int(x) for x in lab)
-        V[pos] = V[pos] + c / 2
-        V[neg] = V[neg] + c / 2
+    V = potential_series(Potential(labels=[lab for lab, _ in labels],
+                                   coefficients=[c for _, c in labels], k_exponent=0.0))
     T = state.W.scalar_multiply(V, max_degree=params.max_degree)
     if state.f.is_zero(1e-300):
         return T, T.u.dropped_mass + T.w.dropped_mass
     deg = int(max(state.f.degree(), T.degree())) + 4
     grid = params.grid_for(deg, d)
     pts = grid_points(d, grid)
-    vals = np.einsum("mij,mjk->mik", _exp_su11_batch(state.f.sample(pts)),
-                     _exp_su11_batch(T.sample(pts)))
-    out = su11_series_from_samples(_log_su11_batch(vals), d,
+    vals = np.einsum("mij,mjk->mik", su11_exp(state.f.sample(pts)),
+                     su11_exp(T.sample(pts)))
+    out = su11_series_from_samples(_su11_log(vals), d,
                                    max_degree=params.max_degree)
     return out, out.u.dropped_mass + out.w.dropped_mass
+
+
+def _split_mean(A_base, G: Su11Series, params):
+    """(A_next, f_next) with A_next e^{f_next} = A_base e^{G}: the mean of G
+    joins the constant, A_next = A_base e^{<G>}, and f_next is the grid log of
+    e^{-<G>} e^{G} (zero when G has no modes besides its mean)."""
+    d = G.d
+    mean = G.mean_matrix()
+    E_mean = su11_exp(mean)
+    A_next = A_base @ E_mean
+    tail = G.copy()
+    tail.u.coeffs.pop((0,) * d, None)
+    tail.w.coeffs.pop((0,) * d, None)
+    if tail.is_zero(1e-300):
+        return A_next, Su11Series.zero(d)
+    pts = grid_points(d, params.grid_for(int(G.degree()) + 4, d))
+    vals = su11_exp(G.sample(pts))
+    logs = _su11_log(np.einsum("ij,mjk->mik", np.linalg.inv(E_mean), vals))
+    return A_next, su11_series_from_samples(logs, d, max_degree=params.max_degree)
+
+
+def _exp_pair(Y: Su11Series, params):
+    """The series of e^{Y} and e^{-Y} on one grid."""
+    grid = params.grid_for(int(Y.degree()) * 2 + 8, Y.d)
+    return (exp_series(Y, grid, params.max_degree),
+            exp_series(Y.scale(-1.0), grid, params.max_degree))
 
 
 def kam_step(state: KamState, params: KamParams):
@@ -722,26 +681,20 @@ def kam_step(state: KamState, params: KamParams):
     re_a = float(np.asarray(state.A)[0, 0].real)
     elliptic = abs(re_a) < 1.0 - 1e-12
 
-    if norm_before <= params.stop_tol and not labels:
+    # nothing to remove: either a free step, or a settled non-elliptic constant
+    done = norm_before <= params.stop_tol and not labels
+    if done or (not elliptic and
+                norm_before <= max(params.stop_tol * 10, params.conj_residual_tol)):
         report = StepReport(j=j, case="trivial", sigma=None,
                             norm_before=norm_before, norm_after=norm_before,
                             residual=0.0, b_next=complex(state.A[0, 1]))
+        # a free step ends the run only when no labels remain
         new_state = KamState(j=j + 1, A=state.A.copy(), f=state.f.copy(),
                              pending=remaining, W=state.W.copy(),
                              Dinv=state.Dinv, alpha=alpha, n_tilde=state.n_tilde,
-                             sigma0=state.sigma0, stopped=not remaining)
+                             sigma0=state.sigma0, stopped=not (done and remaining))
         return new_state, report
-
     if not elliptic:
-        if norm_before <= max(params.stop_tol * 10, params.conj_residual_tol):
-            report = StepReport(j=j, case="trivial", sigma=None,
-                                norm_before=norm_before, norm_after=norm_before,
-                                residual=0.0, b_next=complex(state.A[0, 1]))
-            new_state = KamState(j=j + 1, A=state.A.copy(), f=state.f.copy(),
-                                 pending=remaining, W=state.W.copy(),
-                                 Dinv=state.Dinv, alpha=alpha, n_tilde=state.n_tilde,
-                                 sigma0=state.sigma0, stopped=True)
-            return new_state, report
         raise StateInvalid(
             f"constant part not elliptic (Re a = {re_a:.6f}) with perturbation "
             f"{norm_before:.3e} above the stop tolerance")
@@ -766,31 +719,13 @@ def kam_step(state: KamState, params: KamParams):
                         diag_floor=min(diag_floor, thr),
                         off_floor=min(cls.distance / 2, thr),
                         exclude=None, keep_w_mean=True)
-        eta = params.divisor_floor
-        Y, F_star, rep = remove_nonresonant(state.A, F_t, eta, h, alpha,
+        Y, F_star, rep = remove_nonresonant(state.A, F_t, DIVISOR_FLOOR, h, alpha,
                                             rule=rule, params=params,
                                             seed=params.seed + j)
-        mean = F_star.mean_matrix()
-        A_next = state.A @ su11_exp(mean)
-        tail = Su11Series(F_star.u.copy(), F_star.w.copy())
-        tail.u.coeffs.pop((0,) * d, None)
-        tail.w.coeffs.pop((0,) * d, None)
-        if tail.is_zero(1e-300):
-            f_next = Su11Series.zero(d)
-        else:
-            deg = int(F_star.degree()) + 4
-            grid = params.grid_for(deg, d)
-            pts = grid_points(d, grid)
-            vals = _exp_su11_batch(F_star.sample(pts))
-            f_next = log_split_series(mean, vals, d, params.max_degree)
-        B_step = exp_series(Y, params.grid_for(int(Y.degree()) * 2 + 8, d),
-                            params.max_degree)
-        B_inv = exp_series(Y.scale(-1.0), params.grid_for(int(Y.degree()) * 2 + 8, d),
-                           params.max_degree)
+        A_next, f_next = _split_mean(state.A, F_star, params)
+        B_step, B_inv = _exp_pair(Y, params)
         W_next = _ad_series(B_step, B_inv, state.W, params)
         n_tilde_next = state.n_tilde
-        newton_sweeps = rep["sweeps"]
-        dropped = drop0 + rep["dropped_mass"] + B_step.dropped_mass
         site = None
         site_unique = True
         extra = {"y_norm": rep["y_norm"], "y_bound_monitor": rep["y_bound_monitor"]}
@@ -801,46 +736,30 @@ def kam_step(state: KamState, params: KamParams):
         g = F_t.ad_constant(P)
         rule = ModeRule(alpha=alpha, sigma=sigma, window=params.max_degree,
                         diag_floor=min(diag_floor, thr),
-                        off_floor=min(thr, max(cls.distance * 2, params.divisor_floor * 10)),
+                        off_floor=min(thr, max(cls.distance * 2, DIVISOR_FLOOR * 10)),
                         exclude=site, keep_w_mean=False)
         A_diag = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-        eta = params.divisor_floor
-        Y, g_star, rep = remove_nonresonant(A_diag, g, eta, h, alpha,
+        Y, g_star, rep = remove_nonresonant(A_diag, g, DIVISOR_FLOOR, h, alpha,
                                             rule=rule, params=params,
                                             seed=params.seed + 101 * (j + 1))
         # rotate the resonant site to frequency zero (doubled torus)
         g_rot = g_star.shift_w(tuple(-c for c in site))
-        C_t = g_rot.mean_matrix()
         phi_new = theta - math.pi * float(np.dot(site, alpha))
         A_rot = np.diag([np.exp(1j * phi_new), np.exp(-1j * phi_new)])
-        A_next = A_rot @ su11_exp(C_t)
-        tail = g_rot.copy()
-        tail.u.coeffs.pop((0,) * d, None)
-        tail.w.coeffs.pop((0,) * d, None)
-        if tail.is_zero(1e-300):
-            f_next = Su11Series.zero(d)
-        else:
-            grid = params.grid_for(int(g_rot.degree()) + 4, d)
-            pts = grid_points(d, grid)
-            vals = _exp_su11_batch(g_rot.sample(pts))
-            f_next = log_split_series(C_t, vals, d, params.max_degree)
-        expY = exp_series(Y, params.grid_for(int(Y.degree()) * 2 + 8, d), params.max_degree)
-        expYinv = exp_series(Y.scale(-1.0), params.grid_for(int(Y.degree()) * 2 + 8, d),
-                             params.max_degree)
+        A_next, f_next = _split_mean(A_rot, g_rot, params)
+        expY, expYinv = _exp_pair(Y, params)
         Q = _q_series(site, d)
         Qinv = _q_series(site, d, inverse=True)
-        P_series = _const_series(d, P)
-        Pinv_series = _const_series(d, np.linalg.inv(P))
-        B_step = multiply(Q, multiply(expY, P_series, max_degree=params.max_degree),
+        B_step = multiply(Q, multiply(expY, FourierSeries.constant(d, P),
+                                      max_degree=params.max_degree),
                           max_degree=params.max_degree)
-        B_inv = multiply(Pinv_series, multiply(expYinv, Qinv, max_degree=params.max_degree),
+        B_inv = multiply(FourierSeries.constant(d, np.linalg.inv(P)),
+                         multiply(expYinv, Qinv, max_degree=params.max_degree),
                          max_degree=params.max_degree)
         W1 = state.W.ad_constant(P)
         W2 = _ad_series(expY, expYinv, W1, params)
         W_next = W2.shift_w(tuple(-c for c in site))
         n_tilde_next = tuple(a + b for a, b in zip(state.n_tilde, site))
-        newton_sweeps = rep["sweeps"]
-        dropped = drop0 + rep["dropped_mass"] + B_step.dropped_mass
         site_unique = cls.unique
         extra = {"y_norm": rep["y_norm"], "rotation_shift": float(np.dot(site, alpha)) / 2}
         if labels:
@@ -853,6 +772,7 @@ def kam_step(state: KamState, params: KamParams):
                 t_hat += (c / 2) * (W1.w[plus] + W1.w[minus])
             extra["t_hat_site"] = [t_hat.real, t_hat.imag]
             extra["b_minus_t_hat"] = abs(complex(A_next[0, 1]) - t_hat)
+    dropped = drop0 + rep["dropped_mass"] + B_step.dropped_mass
 
     # certify the step on random probes of the doubled torus
     rng = np.random.default_rng(params.seed + 7 * j + 3)
@@ -860,9 +780,9 @@ def kam_step(state: KamState, params: KamParams):
     step_vec = 2 * math.pi * alpha
     Bv = B_step.sample(pr + step_vec[None, :])
     Bv_inv = B_inv.sample(pr)
-    mid = np.einsum("ij,mjk->mik", state.A, _exp_su11_batch(F_t.sample(pr)))
+    mid = np.einsum("ij,mjk->mik", state.A, su11_exp(F_t.sample(pr)))
     lhs = np.einsum("mij,mjk,mkl->mil", Bv, mid, Bv_inv)
-    rhs = np.einsum("ij,mjk->mik", A_next, _exp_su11_batch(f_next.sample(pr)))
+    rhs = np.einsum("ij,mjk->mik", A_next, su11_exp(f_next.sample(pr)))
     residual = float(np.max(np.abs(lhs - rhs)))
     if residual > params.conj_residual_tol:
         raise StateInvalid(
@@ -880,7 +800,7 @@ def kam_step(state: KamState, params: KamParams):
         norm_before=norm_before, norm_after=f_next.norm(params.width(j + 1)),
         residual=residual, xi=diag["xi"], big_m=diag["M"], small_m=diag["m"],
         b_next=complex(A_next[0, 1]), dropped_mass=dropped,
-        site_unique=site_unique, newton_sweeps=newton_sweeps,
+        site_unique=site_unique, newton_sweeps=rep["sweeps"],
         diagnostics=extra)
     new_state = KamState(j=j + 1, A=A_next, f=f_next, pending=remaining,
                          W=W_next, Dinv=Dinv_next, alpha=alpha,
@@ -936,30 +856,21 @@ class ReducibilityResult:
         return json.dumps(self.as_dict(), indent=2)
 
 
-def _initial_state(V: Potential, alpha, params: KamParams):
+def _reduce_at_energy(V, alpha, E, params: KamParams, max_steps):
     alpha = np.atleast_1d(np.asarray(alpha, float))
     d = alpha.size
-    W_mat = to_su11(_W0_SL2)
-    W0 = Su11Series.constant(d, W_mat[0, 0].imag, W_mat[0, 1])
     pending = []
     if V is not None:
         for i, lab in enumerate(V.labels):
             lvl = V.label_set.entries[i].level if V.label_set is not None else 0
             pending.append((lvl, tuple(int(x) for x in lab), V.coefficients[i]))
-    return pending, W0, d
-
-
-def _reduce_at_energy(V, alpha, E, params: KamParams, max_steps):
-    alpha = np.atleast_1d(np.asarray(alpha, float))
-    d = alpha.size
-    pending, W0, d = _initial_state(V, alpha, params)
+    W_mat = to_su11(_W0_SL2)
     A0 = to_su11(np.array([[E, -1.0], [1.0, 0.0]]))
-    ident = FourierSeries(d, halved=True, kind="matrix")
-    ident[(0,) * d] = np.eye(2, dtype=complex)
     state = KamState(j=min([p[0] for p in pending], default=0), A=A0,
-                     f=Su11Series.zero(d), pending=pending, W=W0,
-                     Dinv=ident, alpha=alpha,
-                     n_tilde=(0,) * d, sigma0=float(np.linalg.norm(A0, 2)))
+                     f=Su11Series.zero(d), pending=pending,
+                     W=Su11Series.constant(d, W_mat[0, 0].imag, W_mat[0, 1]),
+                     Dinv=FourierSeries.constant(d, np.eye(2), halved=True),
+                     alpha=alpha, n_tilde=(0,) * d, sigma0=float(np.linalg.norm(A0, 2)))
     reports = []
     for _ in range(max_steps):
         state, rep = kam_step(state, params)
@@ -997,13 +908,13 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     if "energy" in target:
         E = float(target["energy"])
         rho = rotation_number(schrodinger_cocycle(V, E, alpha=alpha_arr),
-                              iters=params.rotation_iters, phase_samples=3,
+                              iters=ROTATION_ITERS, phase_samples=3,
                               seed=params.seed).rho
         label = _find_lock(rho, alpha_arr, V, params)
         if label is None:
             raise TargetNotLocked(
                 f"2 rho = {2 * rho:.8f} is not <n, alpha> mod 1 within "
-                f"{params.lock_tol:.1e} for any candidate label")
+                f"{LOCK_TOL:.1e} for any candidate label")
         state, reports = _reduce_at_energy(V, alpha_arr, E, params, max_steps)
         return _finalize(V, alpha_arr, E, label, state, reports, params, relaxations)
 
@@ -1036,7 +947,7 @@ def _find_lock(rho, alpha, V, params):
         v = dist_to_integers(2 * rho - float(np.dot(n, alpha)))
         if v < best:
             best, best_n = v, n
-    return best_n if best < params.lock_tol else None
+    return best_n if best < LOCK_TOL else None
 
 
 def _locate_edge(V, alpha, label, edge, params, max_steps):
@@ -1049,6 +960,10 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
     Returns the innermost t > 0 energy with its state and reports, and the
     search record {"evaluations": n, "failures": [[type, E], ...]}, where a
     failure is a reduction that raised and was counted as outside the gap.
+    Raises NonConvergence, with the record as its ``edge_search``, when the
+    outer end of the final bracket is such a failure: the edge is then
+    ambiguous, since the failure may lie just outside the gap or inside it,
+    and the search cannot tell the two apart.
     """
     lock = dist_to_integers(float(np.dot(label, alpha)) / 2)
     E0 = 2 * math.cos(2 * math.pi * lock)
@@ -1057,8 +972,8 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
 
     def indicator(E):
         # a failed reduction (stalled Newton sweep, small divisor, constant
-        # part not settling) can only happen off the locked plateau, so it
-        # counts as "outside the gap"; it is recorded on the search
+        # part not settling) counts as "outside the gap" for the bracket; it
+        # may also happen inside, so it is recorded on the search
         search["evaluations"] += 1
         try:
             st, reps = _reduce_at_energy(V, alpha, E, params, max_steps)
@@ -1118,6 +1033,16 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
             E_in, t_in, state, reports = E, t, st, reps
         else:
             E_out, t_out = E, t
+    if t_out == -math.inf:
+        # the bracket closed on a failed reduction, which may be the edge or
+        # the boundary of a failing window inside the gap; that failure is the
+        # last one recorded, since every failure becomes E_out
+        kind, E_fail = search["failures"][-1]
+        exc = NonConvergence(
+            f"{edge} edge search ended on a failed reduction ({kind} at "
+            f"E = {E_fail!r}) after {search['evaluations']} evaluations")
+        exc.edge_search = search
+        raise exc
     return E_in, state, reports, search
 
 

@@ -54,6 +54,14 @@ def _mean_product(F: FourierSeries, G: FourierSeries):
     return acc
 
 
+def _averages(B: FourierSeries):
+    """(A11, A12, A22) = ([B11^2], [B11 B12], [B12^2]), complex."""
+    B11 = _entry(B, 0, 0)
+    B12 = _entry(B, 0, 1)
+    return (_mean_product(B11, B11), _mean_product(B11, B12),
+            _mean_product(B12, B12))
+
+
 def d_tau_constant(k0, k_hat, tau, d):
     """8 sum_{m>=1} (2 pi m)^(-s) = 8 (2 pi)^(-s) zeta(s) with
     s = k0 - k_hat - 3 tau - d + 1, finite for k_hat < k0 - 3 tau - d."""
@@ -98,11 +106,7 @@ def edge_data_from_reduction(result: ReducibilityResult, alpha, tau=1.5,
         k0 = max(result.k0, 1)
     if k_hat is None:
         k_hat = int(k0 - math.ceil(3 * tau) - d - 1)
-    B11 = _entry(B, 0, 0)
-    B12 = _entry(B, 0, 1)
-    A11 = _mean_product(B11, B11)
-    A12 = _mean_product(B11, B12)
-    A22 = _mean_product(B12, B12)
+    A11, A12, A22 = _averages(B)
     for name, val in (("A11", A11), ("A12", A12), ("A22", A22)):
         if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
             raise QpslError(f"{name} has imaginary part {val.imag:.3e}")
@@ -150,12 +154,7 @@ def averaged_matrix(edge_or_B, zeta=None):
         A11, A12, A22 = edge_or_B.A11, edge_or_B.A12, edge_or_B.A22
         zeta = edge_or_B.zeta
     else:
-        B = edge_or_B
-        B11 = _entry(B, 0, 0)
-        B12 = _entry(B, 0, 1)
-        A11 = _mean_product(B11, B11).real
-        A12 = _mean_product(B11, B12).real
-        A22 = _mean_product(B12, B12).real
+        A11, A12, A22 = (v.real for v in _averages(edge_or_B))
     return np.array([[A12 - zeta * A11 / 2.0, -zeta * A12 + A22],
                      [-A11, -A12 + zeta * A11 / 2.0]])
 
@@ -166,12 +165,7 @@ def discriminant(edge_or_B, zeta=None, delta=0.0):
         A11, A12, A22 = edge_or_B.A11, edge_or_B.A12, edge_or_B.A22
         zeta = edge_or_B.zeta
     else:
-        B = edge_or_B
-        B11 = _entry(B, 0, 0)
-        B12 = _entry(B, 0, 1)
-        A11 = _mean_product(B11, B11).real
-        A12 = _mean_product(B11, B12).real
-        A22 = _mean_product(B12, B12).real
+        A11, A12, A22 = (v.real for v in _averages(edge_or_B))
     return -delta * A11 * zeta + delta ** 2 * (A11 * A22 - A12 ** 2)
 
 

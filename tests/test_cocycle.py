@@ -96,6 +96,42 @@ def test_su11_log_roundtrip():
         assert np.max(np.abs(su11_log(su11_exp(C)) - C)) < 1e-9
 
 
+def test_su11_exp_log_stack_matches_per_matrix_calls():
+    rng = np.random.default_rng(5)
+    m = 400
+    scale = rng.choice([1e-10, 1e-4, 0.1, 1.0], size=m)
+    a = rng.normal(size=m) * scale
+    b = (rng.normal(size=m) + 1j * rng.normal(size=m)) * scale
+    C = np.stack([su11_element(x, y) for x, y in zip(a, b)])
+    E = su11_exp(C)
+    assert E.shape == (m, 2, 2)
+    assert np.array_equal(E, np.stack([su11_exp(c) for c in C]))
+    # the log's domain: rotation angles below max_angle
+    ok = (E[:, 0, 0].real >= 1.0) | (np.arccos(np.clip(E[:, 0, 0].real, -1, 1)) < 3.0)
+    L = su11_log(E[ok])
+    assert np.array_equal(L, np.stack([su11_log(e) for e in E[ok]]))
+    small = ok & (np.linalg.norm(C, axis=(1, 2)) < 2.0)
+    assert np.max(np.abs(su11_log(E[small]) - C[small])) < 1e-9
+    assert su11_exp(C.reshape(20, 20, 2, 2)).shape == (20, 20, 2, 2)
+
+
+def test_su11_log_rejects_non_su11_and_wide_angles():
+    with pytest.raises(QpslError, match="not SU"):
+        su11_log(np.array([[2.0, 0.0], [0.0, 0.5]], complex))
+    stack = np.stack([np.eye(2, dtype=complex), np.diag([2.0, 0.5]).astype(complex)])
+    with pytest.raises(QpslError, match="not SU"):
+        su11_log(stack)
+    at_pi = su11_exp(su11_element(math.pi, 0.0))
+    with pytest.raises(QpslError, match="injectivity"):
+        su11_log(at_pi)
+    A = su11_exp(su11_element(1.0, 0.0))
+    assert np.allclose(su11_log(A), su11_element(1.0, 0.0))
+    theta = float(np.arccos(np.array([A[0, 0].real]))[0])
+    for max_angle in (theta, 0.9):  # at and beyond the matrix's angle
+        with pytest.raises(QpslError, match="injectivity"):
+            su11_log(A, max_angle=max_angle)
+
+
 def test_rot_su11():
     assert rot_su11(to_su11(rotation_matrix(0.2))) == pytest.approx(0.2, abs=1e-12)
     assert rot_su11(to_su11(np.diag([2.0, 0.5]))) == 0.0

@@ -14,7 +14,13 @@ from qpsl.cocycle import (
     to_su11,
 )
 from qpsl.diophantine import dist_to_integers
-from qpsl.errors import NewtonDiverged, SmallDivisor, StateInvalid, TargetNotLocked
+from qpsl.errors import (
+    NewtonDiverged,
+    NonConvergence,
+    SmallDivisor,
+    StateInvalid,
+    TargetNotLocked,
+)
 from qpsl.fourier import FourierSeries
 from qpsl.kam import (
     KamParams,
@@ -35,7 +41,7 @@ GOLD = 0.6180339887498949
 
 
 def _params(**kw):
-    defaults = dict(gamma=0.5, tau=1.5, k_exponent=2.0, schedule=None,
+    defaults = dict(tau=1.5, k_exponent=2.0, schedule=None,
                     max_degree=96, grid_size=1024, window_cap=24,
                     conj_residual_tol=1e-9, seed=0)
     defaults.update(kw)
@@ -380,7 +386,8 @@ def test_edge_search_records_failures_and_bisects(monkeypatch):
     # every later energy must be the midpoint of the bracket
     fail = (_E0 + 0.011, _E0 + 0.014)
     log = _plant_gap(monkeypatch, fail=fail)
-    res = run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+    with pytest.raises(NonConvergence) as info:
+        run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
     first = next(i for i, (_, t) in enumerate(log) if t == -math.inf)
     E_in, E_out = log[first - 1][0], log[first][0]
     for E, t in log[first + 1:]:
@@ -390,12 +397,32 @@ def test_edge_search_records_failures_and_bisects(monkeypatch):
             E_in = E
         else:
             E_out = E
-    assert res.energy == E_in
+    # the bracket closed on a failed reduction, so the edge is ambiguous and
+    # the search raises instead of returning the window's boundary
     assert abs(E_out - E_in) < 4e-16 * max(1.0, abs(E_in))
-    assert abs(res.energy - fail[0]) < 1e-15
+    assert abs(E_in - fail[0]) < 1e-15
     failed = [["NewtonDiverged", E] for E, t in log if t == -math.inf]
     assert len(failed) > 1
+    assert failed[-1][1] == E_out
+    assert info.value.edge_search == {"evaluations": len(log), "failures": failed}
+    msg = str(info.value)
+    assert f"NewtonDiverged at E = {E_out!r}" in msg
+    assert f"after {len(log)} evaluations" in msg
+
+
+def test_edge_search_records_failure_outside_gap(monkeypatch):
+    # the fifth expansion step E0 + 0.03125 lands in a failing window just
+    # past the upper edge E0 + 0.0291; the bisection midpoint E0 + 0.0296875
+    # is a finite t <= 0, so the search closes on the true edge and returns
+    fail = (_E0 + 0.030, _E0 + 0.032)
+    log = _plant_gap(monkeypatch, fail=fail)
+    res = run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+    assert abs(res.energy - _GAP[1]) < 1e-15
+    assert dict(log)[res.energy] > 0
+    failed = [["NewtonDiverged", E] for E, t in log if t == -math.inf]
+    assert len(failed) == 1 and abs(failed[0][1] - (_E0 + 5 * 0.4 / 64)) < 1e-15
     assert res.edge_search == {"evaluations": len(log), "failures": failed}
+    assert res.as_dict()["edge_search"] == res.edge_search
 
 
 def test_run_reducibility_interior_not_locked():
