@@ -197,6 +197,17 @@ def su11_series_from_samples(vals, d, max_degree=None, prune_tol=1e-16):
     return out
 
 
+def _adjugate(M):
+    """adj M = [[d, -b], [-c, a]] over the last two axes.  For M = e^{Y} in
+    SU(1,1) this is e^{-Y}, equal to su11_exp(-Y) bit for bit."""
+    out = np.empty_like(M)
+    out[..., 0, 0] = M[..., 1, 1]
+    out[..., 1, 1] = M[..., 0, 0]
+    out[..., 0, 1] = -M[..., 0, 1]
+    out[..., 1, 0] = -M[..., 1, 0]
+    return out
+
+
 def exp_series(Y: Su11Series, grid, max_degree):
     """e^{Y(theta)} as a matrix-valued series via the grid transform."""
     vals = su11_exp(Y.sample(grid_points(Y.d, grid)))
@@ -532,17 +543,14 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
                 f"non-resonant norm stalled at {nre_norm:.3e} (sweep {it})")
         Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
         # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}
-        Yv = Y_p.sample(pts)
-        Yv_fwd = Y_p.sample(pts + step[None, :])
-        E_fwd = su11_exp(Yv_fwd)
-        E_bwd = su11_exp(-Yv)
+        E_here = su11_exp(Y_p.sample(pts))
+        E_fwd = su11_exp(Y_p.sample(pts + step[None, :]))
         Gv = su11_exp(g_cur.sample(pts))
         inner = np.einsum("ij,mjk,kl->mil", np.linalg.inv(Ad), E_fwd, Ad)
-        prod = np.einsum("mij,mjk,mkl->mil", inner, Gv, E_bwd)
+        prod = np.einsum("mij,mjk,mkl->mil", inner, Gv, _adjugate(E_here))
         g_next_vals = _su11_log(prod)
         g_cur = su11_series_from_samples(g_next_vals, d, max_degree=max_deg)
         dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
-        E_here = su11_exp(Yv)
         E_acc = E_here if E_acc is None else np.einsum("mij,mjk->mik", E_here, E_acc)
     else:
         nre, _ = rule.split(g_cur)
@@ -655,10 +663,9 @@ def _split_mean(A_base, G: Su11Series, params):
 
 
 def _exp_pair(Y: Su11Series, params):
-    """The series of e^{Y} and e^{-Y} on one grid."""
-    grid = params.grid_for(int(Y.degree()) * 2 + 8, Y.d)
-    return (exp_series(Y, grid, params.max_degree),
-            exp_series(Y.scale(-1.0), grid, params.max_degree))
+    """The series of e^{Y} and of e^{-Y}, its coefficientwise adjugate."""
+    E = exp_series(Y, params.grid_for(int(Y.degree()) * 2 + 8, Y.d), params.max_degree)
+    return E, E.map_values(_adjugate)
 
 
 def kam_step(state: KamState, params: KamParams):
