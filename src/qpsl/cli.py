@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .diophantine import cf_expand, frequency_vector
 from .errors import ConfigInvalid, QpslError
-from .fourier import FourierSeries, amo_potential, build_potential, potential_series
+from .fourier import (FourierSeries, amo_potential, build_potential, potential_modes,
+                      series_json)
 from .kam import KamParams, ReducibilityResult, run_reducibility
 from .label_set import LabelSet, build_schedule, construct_label_set, ell_star, verify_label_set
 from .moser_poschel import bracket_gap, edge_data_from_reduction, poly_bounds_check
@@ -226,7 +227,6 @@ def cmd_potential(args):
     V = _potential_from(cfg, args)
     if V is None:
         raise ConfigInvalid("potential requires --set or --preset")
-    S = potential_series(V)
     rows = []
     n_samples = int(args.samples)
     for i in range(n_samples):
@@ -237,7 +237,7 @@ def cmd_potential(args):
     _emit_csv(args.out, "potential", ["theta", "V"], rows, base_cfg)
     if args.series_out:
         with open(args.series_out, "w") as fh:
-            fh.write(S.to_json() + "\n")
+            fh.write(series_json(V.d, *potential_modes(V)) + "\n")
     return 0
 
 
@@ -381,7 +381,15 @@ def cmd_edge_probe(args):
         b_final=complex(*data["b_final"]), phi=data.get("phi", 0.0))
     with open(args.set) as fh:
         ks = LabelSet.from_json(fh.read())
-    V = build_potential(ks, k=float(args.k)) if args.k else None
+    # the probe needs the potential the edge was reduced with; without it
+    # the free operator would be probed and the verdicts would mean nothing
+    k = data.get("config", {}).get("k")
+    if k is None and args.k is None:
+        raise ConfigInvalid("edge-probe needs --k: the kam result records no k")
+    if k is not None and args.k is not None and float(args.k) != float(k):
+        raise ConfigInvalid(f"--k {args.k} differs from k = {k} of the kam result")
+    k = float(args.k if k is None else k)
+    V = build_potential(ks, k=k)
     freq = ks.frequency
     edge = edge_data_from_reduction(res, freq.floats(), tau=freq.dc_tau)
     out = bracket_gap(edge, V, freq.floats(), probe=not args.no_probe)
@@ -401,7 +409,7 @@ def cmd_edge_probe(args):
             out["checks"]["delta2_inside_gap"] and out["checks"]["delta1_beyond_gap"])
     if args.kappa:
         payload["poly_bounds"] = poly_bounds_check(edge, float(args.kappa))
-    _emit_json(args.out, payload, {"result": args.result, "set": args.set, "k": args.k})
+    _emit_json(args.out, payload, {"result": args.result, "set": args.set, "k": k})
     if args.gap_csv:
         row = [(res.label, out["lower"], out["upper"], edge.zeta,
                 payload.get("delta2", {}).get("verdict", ""),

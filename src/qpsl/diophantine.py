@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from .errors import ExpansionTooShallow, NotInUnitInterval, PrecisionExhausted, QpslError
 
@@ -90,8 +91,11 @@ def _to_interval(alpha):
 def dist_to_integers(x):
     """||x||_{R/Z}: distance from x to the nearest integer, in [0, 1/2].
 
-    Exact for ``Fraction`` input, float otherwise.
+    Exact for ``Fraction`` input, float otherwise (elementwise for arrays).
     """
+    if isinstance(x, np.ndarray):
+        frac = x - np.floor(x)
+        return np.minimum(frac, 1.0 - frac)
     if isinstance(x, Fraction):
         frac = x - math.floor(x)
         return min(frac, 1 - frac)
@@ -124,9 +128,6 @@ class ContinuedFraction:
     def depth(self):
         return len(self.partial_quotients)
 
-    def alpha_float(self):
-        return float(self.alpha)
-
     def dist_q_alpha(self, k):
         """||q_k alpha||_{R/Z} as an exact Fraction at the declared midpoint."""
         return dist_to_integers(self.q[k] * self.alpha)
@@ -139,13 +140,6 @@ class ContinuedFraction:
         two-sided inequality holds for this paired error.
         """
         return abs(self.q[k] * self.alpha - self.p[k])
-
-    def dist_q_alpha_interval(self, k):
-        """(distance, radius): certified ||q_k alpha|| with interval half-width."""
-        q = self.q[k]
-        d = dist_to_integers(q * self.alpha)
-        radius = q * (self.alpha_hi - self.alpha_lo) / 2
-        return d, radius
 
     def check_invariants(self):
         """Verify the recurrences and the two-sided approximation inequality.
@@ -245,14 +239,7 @@ class FrequencyVector:
         return len(self.components)
 
     def floats(self):
-        import numpy as np
         return np.array([float(c) for c in self.components])
-
-    def pairing(self, n):
-        """<n, alpha> as a float, n an int (d=1 shorthand) or tuple."""
-        if isinstance(n, int):
-            n = (n,)
-        return float(sum(int(ni) * float(ci) for ni, ci in zip(n, self.components)))
 
     def exact_pairing(self, n):
         """<n, alpha> as an exact Fraction of the declared midpoints."""

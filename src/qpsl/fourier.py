@@ -2,14 +2,22 @@
 
 A series is a finite map from frequencies n in Z^d to scalar or 2x2 complex
 coefficients, evaluated as sum_n F(n) e^{i<n, theta>} with theta in radians.
-Series on the doubled torus (period 4*pi) are stored with ``halved=True``:
-a key m then stands for the half-integer frequency m/2.
+It is stored as one dense centred block: ``block[n + K]`` (per axis) holds
+F(n), the block has shape (2K+1,)*d followed by (2, 2) for the matrix kinds,
+and K is the smallest half-width that holds the nonzero modes.  A mode is
+present exactly when its coefficient is nonzero.  Series on the doubled torus
+(period 4*pi) are stored with ``halved=True``: a key m then stands for the
+half-integer frequency m/2.
 
 The analytic norm |F|_h and the C^k norm are implemented as the coefficient
 majorants sum ||F(n)|| e^{|n| h} and sum ||F(n)|| (1+|n|)^k.  The true sup
 over a complex strip is not computable from finite data; the majorant
 dominates it, and every smallness threshold in the package is interpreted
 against the majorant.
+
+A :class:`Potential` stays a sparse list of labels, whose modes can lie far
+beyond any block size; :func:`potential_modes` and :func:`shift_sum` work on
+it without a dense block.
 """
 
 from __future__ import annotations
@@ -29,48 +37,116 @@ __all__ = [
     "multiply",
     "build_potential",
     "potential_series",
+    "potential_modes",
     "amo_potential",
 ]
 
 _TWO_PI = 2.0 * math.pi
 
 
-def _coeff_norm(v):
-    if np.isscalar(v) or getattr(v, "ndim", 0) == 0:
-        return abs(v)
-    return float(np.linalg.norm(v, 2))
-
-
 def _coeff_norms(values, scalar):
-    """_coeff_norm of a stack of coefficients in one call, bit for bit:
-    hypot for scalars (np.abs rounds differently), the top singular value
-    for 2x2 matrices."""
+    """Coefficient norms of a stack of coefficients: hypot for scalars
+    (np.abs rounds differently), the top singular value for 2x2 matrices."""
     values = np.asarray(values)
     if scalar:
         return np.hypot(values.real, values.imag)
     return np.linalg.svd(values, compute_uv=False).max(axis=-1)
 
 
+def key_grid(K, d):
+    """The keys of a centred block of half-width K, shape (2K+1,)*d + (d,)."""
+    axis = np.arange(-K, K + 1)
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
+
+
+def _trimmed(block, d):
+    """The block cut to the smallest centred half-width holding its nonzero
+    modes (half-width 0 when every mode is zero)."""
+    nz = block != 0
+    if nz.ndim > d:
+        nz = nz.any(axis=(-2, -1))
+    idx = np.argwhere(nz)
+    if not idx.size:
+        return np.zeros((1,) * d + block.shape[d:], complex)
+    K = (block.shape[0] - 1) // 2
+    k = int(np.abs(idx - K).max())
+    return block[(slice(K - k, K + k + 1),) * d]
+
+
 class FourierSeries:
-    """Finite frequency -> coefficient map on T^d or 2T^d.
+    """Finite frequency -> coefficient map on T^d or 2T^d, stored as one
+    centred block (see the module docstring).
 
     kind is one of 'scalar', 'matrix', 'su11', 'sl2r'; the last three are
-    matrix-valued.
+    matrix-valued.  ``coeffs`` and ``items()`` list the nonzero modes.
     """
 
-    __slots__ = ("d", "coeffs", "halved", "kind", "dropped_mass")
+    __slots__ = ("d", "block", "halved", "kind", "dropped_mass")
 
     def __init__(self, d, coeffs=None, halved=False, kind="scalar"):
         self.d = int(d)
         self.halved = bool(halved)
         self.kind = kind
         self.dropped_mass = 0.0
-        self.coeffs = {}
+        self.block = np.zeros((1,) * self.d + self._tail, complex)
         if coeffs:
-            for n, v in coeffs.items():
-                self[n] = v
+            keys = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), -1)
+            if keys.shape[1] != self.d:
+                raise DomainMismatch(f"keys have length {keys.shape[1]}, series has d={self.d}")
+            vals = np.array(list(coeffs.values()), dtype=complex)
+            if vals.shape[1:] != self._tail:
+                raise QpslError(f"matrix coefficient must be 2x2, got {vals.shape[1:]}")
+            self.block = FourierSeries.from_modes(self.d, keys, vals).block
 
-    # -- mapping plumbing -------------------------------------------------
+    @staticmethod
+    def from_block(d, block, halved=False, kind="scalar"):
+        """Series with the given centred coefficient block (not copied)."""
+        out = FourierSeries(d, halved=halved, kind=kind)
+        out.block = _trimmed(block, out.d)
+        return out
+
+    @staticmethod
+    def from_modes(d, keys, vals, halved=False, kind="scalar"):
+        """Series with the modes keys (m, d) -> vals (m,) or (m, 2, 2);
+        repeated keys add up in order."""
+        return FourierSeries.from_block(d, _block_from_modes(keys, vals, d), halved, kind)
+
+    def _like(self, block, kind=None):
+        return FourierSeries.from_block(self.d, block, self.halved, kind or self.kind)
+
+    # -- block plumbing ---------------------------------------------------
+    @property
+    def _tail(self):
+        return () if self.kind == "scalar" else (2, 2)
+
+    @property
+    def K(self):
+        """Half-width of the coefficient block."""
+        return (self.block.shape[0] - 1) // 2
+
+    def padded(self, K):
+        """A new copy of the block at half-width K >= self.K."""
+        pad = K - self.K
+        return np.pad(self.block, [(pad, pad)] * self.d + [(0, 0)] * len(self._tail))
+
+    def support(self):
+        """Boolean mask of the nonzero modes over the key axes of the block."""
+        nz = self.block != 0
+        return nz.any(axis=(-2, -1)) if self._tail else nz
+
+    def restrict(self, mask):
+        """The series with only the modes where ``mask`` (over the key axes
+        of the block) is true."""
+        mask = np.reshape(mask, mask.shape + (1,) * len(self._tail))
+        return self._like(np.where(mask, self.block, 0))
+
+    def _freq_norms(self):
+        """|n| in frequency units over the block."""
+        return np.abs(key_grid(self.K, self.d)).max(axis=-1) * (0.5 if self.halved else 1.0)
+
+    def _norms(self):
+        return _coeff_norms(self.block, self.kind == "scalar")
+
     def _key(self, n):
         if isinstance(n, int):
             n = (n,)
@@ -81,56 +157,54 @@ class FourierSeries:
 
     def __setitem__(self, n, v):
         n = self._key(n)
-        if self.kind == "scalar":
-            self.coeffs[n] = complex(v)
-        else:
-            arr = np.array(v, dtype=complex)
-            if arr.shape != (2, 2):
-                raise QpslError(f"matrix coefficient must be 2x2, got {arr.shape}")
-            self.coeffs[n] = arr
+        arr = np.asarray(v, dtype=complex)
+        if arr.shape != self._tail:
+            raise QpslError(f"matrix coefficient must be 2x2, got {arr.shape}")
+        K = max([self.K] + [abs(c) for c in n])
+        block = self.padded(K)
+        block[tuple(c + K for c in n)] = arr
+        self.block = _trimmed(block, self.d)
 
     def __getitem__(self, n):
         n = self._key(n)
-        if n in self.coeffs:
-            return self.coeffs[n]
-        return 0j if self.kind == "scalar" else np.zeros((2, 2), complex)
+        if max(abs(c) for c in n) > self.K:
+            return 0j if self.kind == "scalar" else np.zeros((2, 2), complex)
+        v = self.block[tuple(c + self.K for c in n)]
+        return v if self.kind == "scalar" else v.copy()
 
     def items(self):
-        return sorted(self.coeffs.items())
+        """(key, coefficient) pairs of the nonzero modes, sorted by key."""
+        mask = self.support()
+        keys = map(tuple, (np.argwhere(mask) - self.K).tolist())
+        vals = self.block[mask]
+        return list(zip(keys, vals.tolist() if self.kind == "scalar" else vals))
+
+    @property
+    def coeffs(self):
+        """The nonzero modes as a {key: coefficient} dict (a fresh copy)."""
+        return dict(self.items())
 
     def copy(self):
-        out = FourierSeries(self.d, halved=self.halved, kind=self.kind)
-        for n, v in self.coeffs.items():
-            out.coeffs[n] = v if self.kind == "scalar" else v.copy()
+        out = self._like(self.block.copy())
         out.dropped_mass = self.dropped_mass
         return out
 
     def __len__(self):
-        return len(self.coeffs)
-
-    def freq(self, n):
-        """Frequency vector (possibly half-integer) of a stored key."""
-        s = 0.5 if self.halved else 1.0
-        return tuple(c * s for c in n)
+        return int(np.count_nonzero(self.support()))
 
     def freq_norm(self, n):
         return max(abs(c) for c in n) * (0.5 if self.halved else 1.0)
 
     @property
     def degree(self):
-        if not self.coeffs:
-            return 0.0
-        return max(self.freq_norm(n) for n in self.coeffs)
+        return self.K * (0.5 if self.halved else 1.0)
 
     def mean(self):
         return self[(0,) * self.d]
 
     def prune(self, tol=0.0):
-        if self.coeffs:
-            norms = _coeff_norms(list(self.coeffs.values()), self.kind == "scalar")
-            for n, m in zip(list(self.coeffs), norms):
-                if m <= tol:
-                    del self.coeffs[n]
+        """Drop, in place, the modes of norm <= tol (NaN modes stay)."""
+        self.block = self.restrict(~(self._norms() <= tol)).block
         return self
 
     # -- algebra ----------------------------------------------------------
@@ -141,26 +215,18 @@ class FourierSeries:
     def __add__(self, other):
         self._check_compat(other)
         a, b = _common_denominator(self, other)
-        out = a.copy()
-        for n, v in b.coeffs.items():
-            out[n] = out[n] + v
-        out.kind = a.kind if a.kind == b.kind else ("matrix" if a.kind != "scalar" else a.kind)
-        return out.prune()
+        K = max(a.K, b.K)
+        return a._like(a.padded(K) + b.padded(K),
+                       kind=a.kind if a.kind == b.kind else "matrix")
 
     def __neg__(self):
-        out = self.copy()
-        for n in out.coeffs:
-            out.coeffs[n] = -out.coeffs[n]
-        return out
+        return self._like(-self.block)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        out = self.copy()
-        for n in out.coeffs:
-            out.coeffs[n] = c * out.coeffs[n]
-        return out
+        return self._like(c * self.block)
 
     def shift(self, alpha):
         """Translate theta -> theta + 2*pi*alpha (alpha in cycles), in place of
@@ -168,18 +234,15 @@ class FourierSeries:
         alpha = np.atleast_1d(np.asarray(alpha, float))
         if alpha.size != self.d:
             raise DomainMismatch("alpha dimension mismatch")
-        out = self.copy()
-        for n in out.coeffs:
-            ph = np.exp(2j * np.pi * float(np.dot(self.freq(n), alpha)))
-            out.coeffs[n] = ph * out.coeffs[n]
-        return out
+        scale = 0.5 if self.halved else 1.0
+        ph = np.exp(2j * np.pi * (key_grid(self.K, self.d) @ (alpha * scale)))
+        return self._like(ph.reshape(ph.shape + (1,) * len(self._tail)) * self.block)
 
     def map_values(self, f, kind=None):
-        """Apply a linear map to every coefficient (e.g. constant conjugation)."""
-        out = FourierSeries(self.d, halved=self.halved, kind=kind or self.kind)
-        for n, v in self.coeffs.items():
-            out[n] = f(v)
-        return out
+        """Apply a coefficientwise linear map, given in array form: ``f``
+        takes the stacked coefficients (shape (..., 2, 2) for matrix kinds)
+        and returns the new stack (e.g. a constant conjugation)."""
+        return self._like(f(self.block), kind)
 
     # -- evaluation -------------------------------------------------------
     def eval(self, theta, real=False):
@@ -187,29 +250,20 @@ class FourierSeries:
         theta = np.atleast_1d(np.asarray(theta, float))
         if theta.size != self.d:
             raise DomainMismatch(f"theta has dimension {theta.size}, series d={self.d}")
-        acc = 0j if self.kind == "scalar" else np.zeros((2, 2), complex)
-        for n, v in self.coeffs.items():
-            acc = acc + v * np.exp(1j * float(np.dot(self.freq(n), theta)))
-        if real:
-            return _checked_real(acc, self.coeff_mass())
-        return acc
+        return self.sample(theta[None, :], real=real)[0]
 
     def sample(self, thetas, real=False):
-        """Vectorized evaluation; thetas shape (m,) for d=1 or (m, d)."""
+        """Values at arbitrary points, thetas shape (m,) for d=1 or (m, d);
+        on the :func:`grid_points` grid use :func:`grid_values` instead."""
         th = np.asarray(thetas, float)
         if self.d == 1 and th.ndim == 1:
             th = th[:, None]
         if th.ndim != 2 or th.shape[1] != self.d:
             raise DomainMismatch(f"thetas must be (m, {self.d})")
-        m = th.shape[0]
-        if self.kind == "scalar":
-            acc = np.zeros(m, complex)
-            for n, v in self.coeffs.items():
-                acc += v * np.exp(1j * th @ np.asarray(self.freq(n)))
-        else:
-            acc = np.zeros((m, 2, 2), complex)
-            for n, v in self.coeffs.items():
-                acc += np.exp(1j * th @ np.asarray(self.freq(n)))[:, None, None] * v
+        mask = self.support()
+        freqs = (np.argwhere(mask) - self.K) * (0.5 if self.halved else 1.0)
+        vals = self.block[mask].reshape(len(freqs), 4 if self._tail else 1)
+        acc = (np.exp(1j * (th @ freqs.T)) @ vals).reshape((th.shape[0],) + self._tail)
         if real:
             return _checked_real(acc, self.coeff_mass())
         return acc
@@ -219,94 +273,88 @@ class FourierSeries:
         """T_K: keep frequencies with |n| <= K."""
         if K < 0:
             raise QpslError("K must be >= 0")
-        out = FourierSeries(self.d, halved=self.halved, kind=self.kind)
-        for n, v in self.coeffs.items():
-            if self.freq_norm(n) <= K:
-                out.coeffs[n] = v
-        return out
+        return self.restrict(self._freq_norms() <= K)
 
     def project_tail(self, K):
         """R_K: keep frequencies with |n| > K; T_K F + R_K F = F exactly."""
         if K < 0:
             raise QpslError("K must be >= 0")
-        out = FourierSeries(self.d, halved=self.halved, kind=self.kind)
-        for n, v in self.coeffs.items():
-            if self.freq_norm(n) > K:
-                out.coeffs[n] = v
-        return out
+        return self.restrict(self._freq_norms() > K)
 
     # -- norms ------------------------------------------------------------
     def coeff_mass(self):
-        return sum(_coeff_norm(v) for v in self.coeffs.values())
+        return float(np.sum(self._norms()))
 
     def analytic_norm(self, h):
         """Majorant of sup over the strip of width h: sum ||F(n)|| e^{|n| h}."""
         if h < 0:
             raise QpslError("h must be >= 0")
-        return sum(_coeff_norm(v) * math.exp(self.freq_norm(n) * h)
-                   for n, v in self.coeffs.items())
+        return float(np.sum(self._norms() * np.exp(self._freq_norms() * h)))
 
     def ck_norm_estimate(self, k):
         """Majorant of the C^k norm: sum ||F(n)|| (1+|n|)^k (an upper bound
         for the sup of derivatives up to order k, not the exact sup)."""
         if k < 0 or int(k) != k:
             raise QpslError("k must be a nonnegative integer")
-        return sum(_coeff_norm(v) * (1.0 + self.freq_norm(n)) ** k
-                   for n, v in self.coeffs.items())
+        return float(np.sum(self._norms() * (1.0 + self._freq_norms()) ** k))
 
     # -- structure --------------------------------------------------------
     def real_symmetry_residual(self):
         """For scalar series: max |F(-n) - conj(F(n))| (0 means real-valued)."""
         if self.kind != "scalar":
             raise QpslError("real symmetry applies to scalar series")
-        worst = 0.0
-        for n, v in self.coeffs.items():
-            worst = max(worst, abs(self[tuple(-c for c in n)] - np.conj(v)))
-        return worst
+        return float(np.max(np.abs(np.flip(self.block) - np.conj(self.block))))
 
     def lift_halved(self):
         """Re-express an integer-frequency series on the doubled torus."""
         if self.halved:
             return self.copy()
-        out = FourierSeries(self.d, halved=True, kind=self.kind)
-        for n, v in self.coeffs.items():
-            out.coeffs[tuple(2 * c for c in n)] = v
-        return out
+        block = np.zeros((4 * self.K + 1,) * self.d + self._tail, complex)
+        block[(slice(None, None, 2),) * self.d] = self.block
+        return FourierSeries.from_block(self.d, block, halved=True, kind=self.kind)
 
     # -- serialization ----------------------------------------------------
     def to_json(self):
-        rows = []
-        for n, v in self.items():
-            if self.kind == "scalar":
-                rows.append([list(n), v.real, v.imag])
-            else:
-                flat = []
-                for x in np.asarray(v).ravel():
-                    flat.extend([float(x.real), float(x.imag)])
-                rows.append([list(n), flat])
-        return json.dumps({"d": self.d, "halved": self.halved,
-                           "kind": self.kind, "coeffs": rows})
+        mask = self.support()
+        return series_json(self.d, np.argwhere(mask) - self.K, self.block[mask],
+                           halved=self.halved, kind=self.kind)
 
     @staticmethod
     def from_json(text):
         data = json.loads(text)
-        out = FourierSeries(data["d"], halved=data["halved"], kind=data["kind"])
-        for row in data["coeffs"]:
-            n = tuple(row[0])
-            if data["kind"] == "scalar":
-                out[n] = complex(row[1], row[2])
-            else:
-                flat = row[1]
-                vals = [complex(flat[2 * i], flat[2 * i + 1]) for i in range(4)]
-                out[n] = np.array(vals, complex).reshape(2, 2)
-        return out
+        rows, kind, d = data["coeffs"], data["kind"], data["d"]
+        scalar = kind == "scalar"
+        keys = np.array([row[0] for row in rows], dtype=np.int64).reshape(len(rows), d)
+        flat = np.array([row[1:] if scalar else row[1] for row in rows], float)
+        vals = flat.reshape(len(rows), 2 if scalar else 8).view(complex)
+        vals = vals.reshape(len(rows)) if scalar else vals.reshape(len(rows), 2, 2)
+        return FourierSeries.from_modes(d, keys, vals, halved=data["halved"], kind=kind)
 
     @staticmethod
     def constant(d, value, halved=False):
         kind = "scalar" if np.isscalar(value) else "matrix"
-        out = FourierSeries(d, halved=halved, kind=kind)
-        out[(0,) * d] = value
-        return out
+        return FourierSeries(d, {(0,) * d: value}, halved=halved, kind=kind)
+
+
+def _block_from_modes(keys, vals, d):
+    """Centred block holding the modes keys (m, d) -> vals (m, ...); repeated
+    keys add up in order."""
+    K = int(np.abs(keys).max()) if keys.size else 0
+    block = np.zeros((2 * K + 1,) * d + vals.shape[1:], complex)
+    np.add.at(block, tuple((keys + K).T), vals)
+    return block
+
+
+def series_json(d, keys, values, halved=False, kind="scalar"):
+    """JSON text of a series given by its nonzero modes, keys sorted: one row
+    [key, re, im] per scalar mode, [key, [re, im] * 4 entries] per matrix."""
+    vals = np.asarray(values, complex)
+    flat = np.stack([vals.real, vals.imag], axis=-1).reshape(len(vals), -1).tolist()
+    if kind == "scalar":
+        rows = [[n] + v for n, v in zip(np.asarray(keys).tolist(), flat)]
+    else:
+        rows = [[n, v] for n, v in zip(np.asarray(keys).tolist(), flat)]
+    return json.dumps({"d": d, "halved": halved, "kind": kind, "coeffs": rows})
 
 
 def _checked_real(acc, mass, rel=1e-12):
@@ -323,10 +371,38 @@ def _common_denominator(a, b):
             b if b.halved else b.lift_halved())
 
 
+def _shift_add(block, d, keys, vals, K_out, mul):
+    """sum_i mul(block, vals[i]) with the centred ``block`` moved by keys[i],
+    on a centred window of half-width K_out.  Returns the window and, per
+    moved copy, the mass of its modes that fall outside the window."""
+    K = (block.shape[0] - 1) // 2
+    scalar = block.ndim == d
+    out = np.zeros((2 * K_out + 1,) * d + block.shape[d:], complex)
+    outside = 0.0
+    for k, v in zip(keys.tolist(), vals):
+        lo = [c - K + K_out for c in k]
+        src = tuple(slice(max(0, -a), min(2 * K + 1, 2 * K_out + 1 - a)) for a in lo)
+        dst = tuple(slice(max(0, a), min(2 * K_out + 1, a + 2 * K + 1)) for a in lo)
+        piece = mul(block, v)
+        if any(s.start >= s.stop for s in src):
+            outside += float(np.sum(_coeff_norms(piece, scalar)))
+            continue
+        out[dst] += piece[src]
+        if any(s.start > 0 or s.stop < 2 * K + 1 for s in src):
+            norms = _coeff_norms(piece, scalar)
+            norms[src] = 0.0
+            outside += float(np.sum(norms))
+    return out, outside
+
+
 def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
     """Convolution product; matrix kinds multiply per term with the matrix
     product.  Frequencies beyond ``max_degree`` are dropped with their mass
     recorded on ``result.dropped_mass`` (or raise DegreeOverflow if strict).
+
+    The product is a direct convolution (``np.convolve`` for d = 1, a
+    shift-and-add over the nonzero modes of G otherwise), so a mode no pair
+    of modes reaches stays exactly zero and the degree is not inflated.
     """
     if F.d != G.d:
         raise DomainMismatch("dimension mismatch")
@@ -334,29 +410,49 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
     scalar = A.kind == "scalar" and B.kind == "scalar"
     if A.kind == "scalar" and B.kind != "scalar":
         A, B = B, A  # matrix * scalar commutes coefficientwise
-    out = FourierSeries(A.d, halved=A.halved,
-                        kind="scalar" if scalar else "matrix")
-    acc = {}
-    for n1, v1 in A.coeffs.items():
-        for n2, v2 in B.coeffs.items():
-            n = tuple(c1 + c2 for c1, c2 in zip(n1, n2))
-            term = v1 * v2 if (scalar or B.kind == "scalar") else v1 @ v2
-            if n in acc:
-                acc[n] = acc[n] + term
-            else:
-                acc[n] = term
-    dropped = 0.0
-    for n, v in acc.items():
-        if max_degree is not None and out.freq_norm(n) > max_degree:
-            mass = _coeff_norm(v)
-            if strict and mass > 0:
-                raise DegreeOverflow(
-                    f"mode {n} exceeds max degree {max_degree} (mass {mass:.3e})")
-            dropped += mass
-            continue
-        out.coeffs[n] = v
-    out.prune(0.0)
-    out.dropped_mass = dropped
+    a, b, d = A.block, B.block, A.d
+    if d == 1 and scalar:
+        block = np.convolve(a, b)
+    elif d == 1:
+        ents = [np.convolve(a[:, i, k], b) if B.kind == "scalar" else
+                np.convolve(a[:, i, 0], b[:, 0, k]) + np.convolve(a[:, i, 1], b[:, 1, k])
+                for i in (0, 1) for k in (0, 1)]
+        block = np.stack(ents, axis=-1).reshape(-1, 2, 2)
+    else:
+        mask = B.support()
+        mul = (lambda x, v: x * v) if B.kind == "scalar" else (lambda x, v: x @ v)
+        block, _ = _shift_add(a, d, np.argwhere(mask) - B.K, b[mask], A.K + B.K, mul)
+    out = FourierSeries.from_block(d, block, halved=A.halved,
+                                   kind="scalar" if scalar else "matrix")
+    if max_degree is not None:
+        over = out._freq_norms() > max_degree
+        mass = np.where(over, out._norms(), 0.0)
+        if strict and np.any(mass > 0):
+            i = np.argwhere(mass > 0)[0]
+            raise DegreeOverflow(f"mode {tuple((i - out.K).tolist())} exceeds max degree "
+                                 f"{max_degree} (mass {mass[tuple(i)]:.3e})")
+        out = out.restrict(~over)
+        out.dropped_mass = float(np.sum(mass))
+    return out
+
+
+def shift_sum(F: FourierSeries, keys, values, max_degree):
+    """Product of F with the sparse scalar series {keys[i]: values[i]}, as
+    sum_i values[i] F(. - keys[i]) kept to frequencies |n| <= max_degree.
+
+    No block wider than 2 max_degree + 1 is made, however far the keys lie.
+    Each moved copy adds the mass it puts past max_degree to
+    ``dropped_mass``; the copies' tails are not summed first, so this bounds
+    the tail mass of the product from above (with equality when no two
+    copies overlap past max_degree).
+    """
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, F.d)
+    reach = int(np.abs(keys).max()) if keys.size else 0
+    cap = math.floor(max_degree / (0.5 if F.halved else 1.0))
+    block, outside = _shift_add(F.block, F.d, keys, values, min(cap, F.K + reach),
+                                lambda x, v: v * x)
+    out = F._like(block)
+    out.dropped_mass = outside
     return out
 
 
@@ -427,17 +523,27 @@ def build_potential(labels: LabelSet, k, coeff_fn=None, bound_const=1.0):
                      bound_const=float(bound_const), label_set=labels)
 
 
+def potential_modes(P: Potential, truncation=None):
+    """The nonzero modes of the potential's series, V(n) = V(-n) = c_n / 2
+    summed over the labels, as (keys (m, d) sorted, values (m,)).  Sparse:
+    labels of any size cost no block."""
+    labs = np.array(P.labels, dtype=np.int64).reshape(-1, P.d)
+    half = np.asarray(P.coefficients, float) / 2
+    if truncation is not None:
+        keep = np.abs(labs).max(axis=1) <= truncation
+        labs, half = labs[keep], half[keep]
+    keys, inv = np.unique(np.stack([labs, -labs], axis=1).reshape(-1, P.d), axis=0,
+                          return_inverse=True)
+    vals = np.zeros(len(keys), complex)
+    np.add.at(vals, inv.ravel(), np.repeat(half, 2))
+    nz = vals != 0
+    return keys[nz], vals[nz]
+
+
 def potential_series(P: Potential, truncation=None):
-    """Scalar Fourier series of the potential: V(n) = V(-n) = c_n / 2."""
-    out = FourierSeries(P.d, kind="scalar")
-    for lab, c in zip(P.labels, P.coefficients):
-        if truncation is not None and max(abs(x) for x in lab) > truncation:
-            continue
-        pos = tuple(int(x) for x in lab)
-        neg = tuple(-int(x) for x in lab)
-        out[pos] = out[pos] + c / 2
-        out[neg] = out[neg] + c / 2
-    return out
+    """Scalar Fourier series of the potential: V(n) = V(-n) = c_n / 2, as a
+    dense block (use :func:`potential_modes` for labels of any size)."""
+    return FourierSeries.from_modes(P.d, *potential_modes(P, truncation))
 
 
 def amo_potential(lam):
@@ -469,9 +575,8 @@ def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
     G/2 per dimension (higher content aliases), then truncated to
     ``max_degree`` in frequency units with the dropped mass recorded.
     Modes of norm <= ``prune_tol`` (default 0) are skipped and count as
-    neither kept nor dropped.  Keys are inserted in the C order of the FFT
-    block (per axis 0, 1, ..., G/2 - 1, -G/2, ..., -1), and the dropped
-    mass is summed left to right in that same order.
+    neither kept nor dropped.  The dropped mass is summed left to right in
+    the C order of the FFT block (per axis 0, 1, ..., G/2 - 1, -G/2, ..., -1).
     """
     values = np.asarray(values)
     scalar = kind == "scalar"
@@ -479,34 +584,59 @@ def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
     if G ** d != values.shape[0]:
         raise QpslError("grid values do not form a cube")
     shape = (G,) * d
-    spec = np.fft.fftn(values.reshape(shape + values.shape[1:]),
-                       axes=tuple(range(d))) / (G ** d)
-    spec = spec.reshape(values.shape)
+    tail = values.shape[1:]
+    spec = np.fft.fftn(values.reshape(shape + tail), axes=tuple(range(d))) / (G ** d)
     freqs = np.fft.fftfreq(G, 1.0 / G).astype(int)
-    keys = freqs[np.indices(shape).reshape(d, -1).T]
+    keys = np.stack(np.meshgrid(*([freqs] * d), indexing="ij"), axis=-1)
     norms = _coeff_norms(spec, scalar)
     floor = prune_tol if prune_tol is not None else 0.0
     keep = ~(norms <= floor)  # not norms > floor: NaN modes stay
     dropped = 0.0
     if max_degree is not None:
-        over = np.abs(keys).max(axis=1) * (0.5 if halved else 1.0) > max_degree
+        over = np.abs(keys).max(axis=-1) * (0.5 if halved else 1.0) > max_degree
         drop = keep & over
         if drop.any():
             dropped = float(np.cumsum(norms[drop])[-1])  # sequential, not pairwise
         keep &= ~over
-    out = FourierSeries(d, halved=halved, kind=kind)
-    kept = spec[keep]
-    out.coeffs = dict(zip(map(tuple, keys[keep].tolist()),
-                          kept.tolist() if scalar else kept))
+    K = G // 2
+    block = np.zeros((2 * K + 1,) * d + tail, complex)
+    block[np.ix_(*([freqs + K] * d))] = np.where(keep.reshape(shape + (1,) * len(tail)),
+                                                 spec, 0)
+    out = FourierSeries.from_block(d, block, halved=halved, kind=kind)
     out.dropped_mass = dropped
     return out
+
+
+def _fold(x, axis, K, G):
+    """Move the modes -K..K of a centred block along ``axis`` onto the G FFT
+    bins, mode n adding into bin n mod G."""
+    x = np.moveaxis(x, axis, 0)
+    reps = -(-x.shape[0] // G)
+    x = np.concatenate([x, np.zeros((reps * G - x.shape[0],) + x.shape[1:], complex)])
+    x = np.roll(x.reshape((reps, G) + x.shape[1:]).sum(axis=0), -K, axis=0)
+    return np.moveaxis(x, 0, axis)
+
+
+def grid_values(F: FourierSeries, G, shift=None):
+    """F on the ``grid_points(F.d, G, F.halved)`` grid, or on that grid moved
+    by 2*pi*shift (shift in cycles, as for :meth:`FourierSeries.shift`), by
+    one inverse FFT: the exact inverse of :func:`series_from_grid`.  Modes
+    with |n| > G/2 fold onto n mod G by summation."""
+    if shift is not None:
+        F = F.shift(shift)
+    spec = F.block
+    for axis in range(F.d):
+        spec = _fold(spec, axis, F.K, G)
+    vals = np.fft.ifftn(spec, axes=tuple(range(F.d))) * (G ** F.d)
+    return vals.reshape((G ** F.d,) + F.block.shape[F.d:])
 
 
 def shift_modes(F: FourierSeries, delta):
     """Multiply by the character of -delta: new coefficient at n is the old
     one at n - delta (keys move by +delta)."""
-    delta = (delta,) if isinstance(delta, int) else tuple(delta)
-    out = FourierSeries(F.d, halved=F.halved, kind=F.kind)
-    for n, v in F.coeffs.items():
-        out.coeffs[tuple(a + b for a, b in zip(n, delta))] = v
-    return out
+    delta = np.atleast_1d(np.asarray(delta, dtype=np.int64))
+    reach = int(np.abs(delta).max())
+    block = F.padded(F.K + reach)
+    block[...] = 0
+    block[tuple(slice(reach + c, reach + c + 2 * F.K + 1) for c in delta.tolist())] = F.block
+    return F._like(block)

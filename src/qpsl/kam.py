@@ -61,11 +61,13 @@ from .errors import (
 from .fourier import (
     FourierSeries,
     Potential,
-    grid_points,
+    grid_values,
+    key_grid,
     multiply,
-    potential_series,
+    potential_modes,
     series_from_grid,
     shift_modes,
+    shift_sum,
 )
 
 __all__ = [
@@ -81,6 +83,16 @@ _W0_SL2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 # su(1,1)-valued series as a (u, w) pair of scalar series
 
 
+def _su11_values(uu, ww):
+    """W = [[i u, w], [conj w, -i u]] from sampled u and w."""
+    out = np.empty(uu.shape + (2, 2), complex)
+    out[..., 0, 0] = 1j * uu.real  # enforce the real-u structure exactly
+    out[..., 1, 1] = -1j * uu.real
+    out[..., 0, 1] = ww
+    out[..., 1, 0] = np.conj(ww)
+    return out
+
+
 @dataclass
 class Su11Series:
     """W(theta) = [[i u, w], [conj w, -i u]] with u real-valued."""
@@ -94,10 +106,8 @@ class Su11Series:
 
     @staticmethod
     def constant(d, a, b):
-        out = Su11Series.zero(d)
-        out.u[(0,) * d] = complex(a)
-        out.w[(0,) * d] = complex(b)
-        return out
+        return Su11Series(FourierSeries.constant(d, complex(a)),
+                          FourierSeries.constant(d, complex(b)))
 
     @property
     def d(self):
@@ -124,31 +134,16 @@ class Su11Series:
         return su11_element(a.real, self.w.mean())
 
     def sample(self, pts):
-        uu = self.u.sample(pts)
-        ww = self.w.sample(pts)
-        m = pts.shape[0]
-        out = np.empty((m, 2, 2), complex)
-        out[:, 0, 0] = 1j * uu.real  # enforce the real-u structure exactly
-        out[:, 1, 1] = -1j * uu.real
-        out[:, 0, 1] = ww
-        out[:, 1, 0] = np.conj(ww)
-        return out
+        return _su11_values(self.u.sample(pts), self.w.sample(pts))
+
+    def on_grid(self, G, shift=None):
+        """Values on grid_points(d, G), or on that grid moved by 2 pi shift."""
+        return _su11_values(grid_values(self.u, G, shift), grid_values(self.w, G, shift))
 
     def symmetrize(self):
         """Project u onto real-valued functions (Hermitian coefficients)."""
-        fixed = FourierSeries(self.d)
-        seen = set()
-        for n, v in self.u.coeffs.items():
-            if n in seen:
-                continue
-            neg = tuple(-c for c in n)
-            seen.add(n)
-            seen.add(neg)
-            avg = (v + np.conj(self.u[neg])) / 2
-            fixed[n] = avg
-            if neg != n:
-                fixed[neg] = np.conj(avg)
-        return Su11Series(fixed, self.w.copy())
+        u = self.u.block
+        return Su11Series(self.u._like((u + np.conj(np.flip(u))) / 2), self.w.copy())
 
     def prune(self, tol):
         self.u.prune(tol)
@@ -157,29 +152,20 @@ class Su11Series:
 
     def ad_constant(self, P):
         """Ad(P) W = P W P^{-1} coefficientwise (P a constant SU(1,1) matrix)."""
-        Pinv = np.linalg.inv(P)
-        keys = set(self.u.coeffs) | set(self.w.coeffs)
-        out = Su11Series.zero(self.d)
-        for n in keys:
-            neg = tuple(-c for c in n)
-            C = np.array([[1j * self.u[n], self.w[n]],
-                          [np.conj(self.w[neg]), -1j * self.u[n]]], complex)
-            Cp = P @ C @ Pinv
-            out.u[n] = -1j * Cp[0, 0]
-            out.w[n] = Cp[0, 1]
-        out.u.prune(0.0)
-        out.w.prune(0.0)
-        return out
+        K = max(self.u.K, self.w.K)
+        u, w = self.u.padded(K), self.w.padded(K)
+        C = np.empty(u.shape + (2, 2), complex)
+        C[..., 0, 0] = 1j * u
+        C[..., 0, 1] = w
+        C[..., 1, 0] = np.conj(np.flip(w))
+        C[..., 1, 1] = -1j * u
+        Cp = P @ C @ np.linalg.inv(P)
+        return Su11Series(self.u._like(-1j * Cp[..., 0, 0]), self.w._like(Cp[..., 0, 1]))
 
     def shift_w(self, delta):
         """Ad of the half-period rotation with site -delta: w-modes move by
         +delta, u unchanged."""
         return Su11Series(self.u.copy(), shift_modes(self.w, delta))
-
-    def scalar_multiply(self, V: FourierSeries, max_degree=None):
-        """(V * W) for a real scalar series V: both components convolve."""
-        return Su11Series(multiply(V, self.u, max_degree=max_degree),
-                          multiply(V, self.w, max_degree=max_degree))
 
 
 def su11_series_from_samples(vals, d, max_degree=None, prune_tol=1e-16):
@@ -210,7 +196,7 @@ def _adjugate(M):
 
 def exp_series(Y: Su11Series, grid, max_degree):
     """e^{Y(theta)} as a matrix-valued series via the grid transform."""
-    vals = su11_exp(Y.sample(grid_points(Y.d, grid)))
+    vals = su11_exp(Y.on_grid(grid))
     return series_from_grid(vals, Y.d, kind="matrix", max_degree=max_degree,
                             prune_tol=1e-16)
 
@@ -410,39 +396,48 @@ class ModeRule:
     exclude: tuple = None
     keep_w_mean: bool = True
 
-    def u_resonant(self, n):
-        if all(c == 0 for c in n):
-            return True
-        if sup_norm(n) > self.window:
-            return True
-        return dist_to_integers(float(np.dot(n, self.alpha))) < self.diag_floor
-
-    def w_resonant(self, n):
-        if sup_norm(n) > self.window:
-            return True
-        if self.exclude is not None and tuple(n) == tuple(self.exclude):
-            return True
-        if all(c == 0 for c in n) and self.keep_w_mean:
-            return True
-        val = dist_to_integers(float(np.dot(n, self.alpha)) - 2.0 * self.sigma)
-        return val < self.off_floor
+    def resonant(self, K, d):
+        """Masks (u, w) over the keys of a centred block of half-width K:
+        true where the mode stays in the resonant part."""
+        keys = key_grid(K, d)
+        dots = keys @ self.alpha
+        zero = (keys == 0).all(axis=-1)
+        far = np.abs(keys).max(axis=-1) > self.window
+        u_res = zero | far | (dist_to_integers(dots) < self.diag_floor)
+        w_res = far | (dist_to_integers(dots - 2.0 * self.sigma) < self.off_floor)
+        if self.exclude is not None:
+            w_res |= (keys == np.asarray(self.exclude)).all(axis=-1)
+        if self.keep_w_mean:
+            w_res |= zero
+        return u_res, w_res
 
     def split(self, F: Su11Series):
-        nre = Su11Series.zero(F.d)
-        re = Su11Series.zero(F.d)
-        for n, v in F.u.coeffs.items():
-            (re if self.u_resonant(n) else nre).u[n] = v
-        for n, v in F.w.coeffs.items():
-            (re if self.w_resonant(n) else nre).w[n] = v
-        return nre, re
+        u_res = self.resonant(F.u.K, F.d)[0]
+        w_res = self.resonant(F.w.K, F.d)[1]
+        return (Su11Series(F.u.restrict(~u_res), F.w.restrict(~w_res)),
+                Su11Series(F.u.restrict(u_res), F.w.restrict(w_res)))
 
 
 def divisor_u(n, alpha):
-    return np.exp(2j * np.pi * float(np.dot(n, alpha))) - 1.0
+    """e^{2 pi i <n, alpha>} - 1 for a key n, or over keys of shape (..., d)."""
+    return np.exp(2j * np.pi * (np.asarray(n) @ np.asarray(alpha, float))) - 1.0
 
 
 def divisor_w(n, alpha, sigma):
-    return np.exp(2j * np.pi * (float(np.dot(n, alpha)) - 2.0 * sigma)) - 1.0
+    """e^{2 pi i (<n, alpha> - 2 sigma)} - 1 for a key n, or over keys (..., d)."""
+    return np.exp(2j * np.pi * (np.asarray(n) @ np.asarray(alpha, float) - 2.0 * sigma)) - 1.0
+
+
+def _divide(F: FourierSeries, divisor, floor):
+    """-F(n) / divisor(n) on the support of F; SmallDivisor below ``floor``."""
+    keys = key_grid(F.K, F.d)
+    dv = divisor(keys)
+    support = F.support()
+    small = support & (np.abs(dv) < floor)
+    if small.any():
+        i = tuple(np.argwhere(small)[0])
+        raise SmallDivisor(tuple(keys[i].tolist()), float(abs(dv[i])), floor)
+    return F._like(-F.block / np.where(support, dv, 1.0))
 
 
 def solve_homological(A, F_nre: Su11Series, alpha, floor=1e-12, sigma=None):
@@ -457,18 +452,8 @@ def solve_homological(A, F_nre: Su11Series, alpha, floor=1e-12, sigma=None):
             raise QpslError("solve_homological expects a diagonal constant part")
         sigma = (float(np.angle(A[0, 0])) / (2 * math.pi)) % 1.0
     alpha = np.atleast_1d(np.asarray(alpha, float))
-    Y = Su11Series.zero(F_nre.d)
-    for n, v in F_nre.u.coeffs.items():
-        dv = divisor_u(n, alpha)
-        if abs(dv) < floor:
-            raise SmallDivisor(n, abs(dv), floor)
-        Y.u[n] = -v / dv
-    for n, v in F_nre.w.coeffs.items():
-        dv = divisor_w(n, alpha, sigma)
-        if abs(dv) < floor:
-            raise SmallDivisor(n, abs(dv), floor)
-        Y.w[n] = -v / dv
-    return Y
+    return Su11Series(_divide(F_nre.u, lambda n: divisor_u(n, alpha), floor),
+                      _divide(F_nre.w, lambda n: divisor_w(n, alpha, sigma), floor))
 
 
 def _min_divisor_distance(alpha, N, d):
@@ -525,7 +510,6 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     # sweeps spread spectral content; fit on a grid sized for the full cap so
     # aliasing stays below the quadratic error floor
     grid = params.grid_for(max_deg, d)
-    pts = grid_points(d, grid)
     step = 2 * math.pi * alpha
 
     E_acc = None
@@ -543,9 +527,9 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
                 f"non-resonant norm stalled at {nre_norm:.3e} (sweep {it})")
         Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
         # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}
-        E_here = su11_exp(Y_p.sample(pts))
-        E_fwd = su11_exp(Y_p.sample(pts + step[None, :]))
-        Gv = su11_exp(g_cur.sample(pts))
+        E_here = su11_exp(Y_p.on_grid(grid))
+        E_fwd = su11_exp(Y_p.on_grid(grid, shift=alpha))
+        Gv = su11_exp(g_cur.on_grid(grid))
         inner = np.einsum("ij,mjk,kl->mil", np.linalg.inv(Ad), E_fwd, Ad)
         prod = np.einsum("mij,mjk,mkl->mil", inner, Gv, _adjugate(E_here))
         g_next_vals = _su11_log(prod)
@@ -601,11 +585,10 @@ def compute_diagnostics(W: Su11Series, n_tilde, h):
     w_twist = shift_modes(W.w, n_tilde)
     xi = abs(w_twist.mean())
     big = W.w.analytic_norm(h) + W.u.analytic_norm(h)
-    floor = sup_norm(n_tilde)
-    small = 0.0
-    for n in w_twist.coeffs.keys() | W.u.coeffs.keys():
-        if sup_norm(n) >= floor:
-            small = max(small, 0.5 * (abs(w_twist[n]) + abs(W.u[n])))
+    K = max(w_twist.K, W.u.K)
+    far = np.abs(key_grid(K, W.d)).max(axis=-1) >= sup_norm(n_tilde)
+    both = 0.5 * (np.abs(w_twist.padded(K)) + np.abs(W.u.padded(K)))
+    small = float(np.max(both, where=far, initial=0.0))
     return {"xi": xi, "M": big, "m": small}
 
 
@@ -617,10 +600,9 @@ def _q_series(site, d, inverse=False):
     """Half-period rotation Q(theta) = diag(e^{-i<site,theta>/2}, e^{+i...}),
     a two-coefficient matrix series on the doubled torus."""
     sgn = 1 if inverse else -1
-    out = FourierSeries(d, halved=True, kind="matrix")
-    out[tuple(sgn * c for c in site)] = np.array([[1.0, 0.0], [0.0, 0.0]], complex)
-    out[tuple(-sgn * c for c in site)] = np.array([[0.0, 0.0], [0.0, 1.0]], complex)
-    return out
+    return FourierSeries(d, {tuple(sgn * c for c in site): np.diag([1.0, 0.0]),
+                             tuple(-sgn * c for c in site): np.diag([0.0, 1.0])},
+                         halved=True, kind="matrix")
 
 
 def _combine_f_and_label(state: KamState, labels, params):
@@ -628,16 +610,17 @@ def _combine_f_and_label(state: KamState, labels, params):
     d = state.f.d
     if not labels:
         return state.f.copy(), 0.0
-    V = potential_series(Potential(labels=[lab for lab, _ in labels],
-                                   coefficients=[c for _, c in labels], k_exponent=0.0))
-    T = state.W.scalar_multiply(V, max_degree=params.max_degree)
+    keys, vals = potential_modes(Potential(labels=[lab for lab, _ in labels],
+                                           coefficients=[c for _, c in labels],
+                                           k_exponent=0.0))
+    # V W with the sparse V: W moved by each +-label, never a dense V
+    T = Su11Series(shift_sum(state.W.u, keys, vals, params.max_degree),
+                   shift_sum(state.W.w, keys, vals, params.max_degree))
     if state.f.is_zero(1e-300):
         return T, T.u.dropped_mass + T.w.dropped_mass
-    deg = int(max(state.f.degree(), T.degree())) + 4
-    grid = params.grid_for(deg, d)
-    pts = grid_points(d, grid)
-    vals = np.einsum("mij,mjk->mik", su11_exp(state.f.sample(pts)),
-                     su11_exp(T.sample(pts)))
+    grid = params.grid_for(int(max(state.f.degree(), T.degree())) + 4, d)
+    vals = np.einsum("mij,mjk->mik", su11_exp(state.f.on_grid(grid)),
+                     su11_exp(T.on_grid(grid)))
     out = su11_series_from_samples(_su11_log(vals), d,
                                    max_degree=params.max_degree)
     return out, out.u.dropped_mass + out.w.dropped_mass
@@ -652,12 +635,11 @@ def _split_mean(A_base, G: Su11Series, params):
     E_mean = su11_exp(mean)
     A_next = A_base @ E_mean
     tail = G.copy()
-    tail.u.coeffs.pop((0,) * d, None)
-    tail.w.coeffs.pop((0,) * d, None)
+    tail.u[(0,) * d] = 0
+    tail.w[(0,) * d] = 0
     if tail.is_zero(1e-300):
         return A_next, Su11Series.zero(d)
-    pts = grid_points(d, params.grid_for(int(G.degree()) + 4, d))
-    vals = su11_exp(G.sample(pts))
+    vals = su11_exp(G.on_grid(params.grid_for(int(G.degree()) + 4, d)))
     logs = _su11_log(np.einsum("ij,mjk->mik", np.linalg.inv(E_mean), vals))
     return A_next, su11_series_from_samples(logs, d, max_degree=params.max_degree)
 
@@ -818,10 +800,10 @@ def kam_step(state: KamState, params: KamParams):
 def _ad_series(E: FourierSeries, Einv: FourierSeries, W: Su11Series,
                params: KamParams):
     """Ad(E) W = E W E^{-1} for a matrix series E with inverse series Einv."""
-    d = W.d
-    pts = grid_points(d, params.grid_for(int(E.degree + W.degree() + Einv.degree) + 4, d))
-    vals = np.einsum("mij,mjk,mkl->mil", E.sample(pts), W.sample(pts), Einv.sample(pts))
-    return su11_series_from_samples(vals, d, max_degree=params.max_degree)
+    G = params.grid_for(int(E.degree + W.degree() + Einv.degree) + 4, W.d)
+    vals = np.einsum("mij,mjk,mkl->mil", grid_values(E, G), W.on_grid(G),
+                     grid_values(Einv, G))
+    return su11_series_from_samples(vals, W.d, max_degree=params.max_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -38,20 +38,13 @@ __all__ = [
 
 
 def _entry(B: FourierSeries, i, j):
-    out = FourierSeries(B.d, halved=B.halved, kind="scalar")
-    for n, v in B.coeffs.items():
-        out[n] = v[i, j]
-    return out.prune(0.0)
+    return B.map_values(lambda c: c[..., i, j], kind="scalar")
 
 
 def _mean_product(F: FourierSeries, G: FourierSeries):
-    """Zero mode of F*G, exactly from coefficients."""
-    acc = 0j
-    for n, v in F.coeffs.items():
-        neg = tuple(-c for c in n)
-        if neg in G.coeffs:
-            acc += v * G.coeffs[neg]
-    return acc
+    """Zero mode of F*G, exactly from coefficients: sum_n F(n) G(-n)."""
+    K = max(F.K, G.K)
+    return complex(np.sum(F.padded(K) * np.flip(G.padded(K))))
 
 
 def _averages(B: FourierSeries):
@@ -135,16 +128,11 @@ def perturbation_matrix(B: FourierSeries, zeta, max_degree=None):
     sq11 = multiply(B11, B11, max_degree=max_degree)
     cross = multiply(B11, B12, max_degree=max_degree)
     sq12 = multiply(B12, B12, max_degree=max_degree)
-    out = FourierSeries(B.d, halved=B.halved, kind="matrix")
-    keys = set(sq11.coeffs) | set(cross.coeffs) | set(sq12.coeffs)
-    for n in keys:
-        m = np.zeros((2, 2), complex)
-        m[0, 0] = cross[n] - zeta * sq11[n]
-        m[0, 1] = -zeta * cross[n] + sq12[n]
-        m[1, 0] = -sq11[n]
-        m[1, 1] = -cross[n]
-        out[n] = m
-    return out.prune(0.0)
+    K = max(sq11.K, cross.K, sq12.K)
+    a, b, c = sq11.padded(K), cross.padded(K), sq12.padded(K)
+    block = np.stack([b - zeta * a, -zeta * b + c, -a, -b], axis=-1)
+    return FourierSeries.from_block(B.d, block.reshape(a.shape + (2, 2)),
+                                    halved=B.halved, kind="matrix")
 
 
 def averaged_matrix(edge_or_B, zeta=None):

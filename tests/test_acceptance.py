@@ -380,6 +380,25 @@ def test_criterion_11_end_to_end_consistency():
             f"(factor {factor:.2f} <= 10)")
 
 
+def test_criterion_11_edges_within_drift_budget():
+    # the drift budget of a change to the Fourier core, on both edges: edge
+    # energies within 1e-14, zeta within 1e-10 relative, residuals <= 1e-9
+    freq = frequency_vector(GOLDEN_80, gamma=0.5, tau=1.5)
+    sched = build_schedule(10, 0.9, depth=6)
+    ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
+    V = build_potential(ks, k=2.0)
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched,
+                       max_degree=384, grid_size=2048, conj_residual_tol=1e-9, seed=1)
+    for edge, energy, zeta in (("upper", 1.8806000220263144, 0.005738461448592442),
+                               ("lower", 1.8766937910826185, -0.005649683749934033)):
+        res = run_reducibility(V, freq.floats(), {"label_index": 0, "edge": edge},
+                               params=params)
+        assert res.energy == pytest.approx(energy, rel=0, abs=1e-14), edge
+        assert res.zeta == pytest.approx(zeta, rel=1e-10, abs=0), edge
+        assert res.conj_residual <= 1e-9, edge
+        assert res.edge_search["failures"] == [], edge
+
+
 def test_criterion_12_exponent_window_report():
     t0 = time.time()
     from qpsl.spectrum import GapRecord

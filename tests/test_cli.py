@@ -84,21 +84,29 @@ def test_gaps_csv_amo(tmp_path):
     assert any(lab in ("1", "-1") for lab in labels)
 
 
-def test_kam_and_edge_probe(tmp_path, capsys):
-    set_path = tmp_path / "set.json"
+@pytest.fixture(scope="module")
+def criterion11_kam(tmp_path_factory):
+    """set.json, kam.json and the step stream of the criterion-11 upper edge."""
+    tmp = tmp_path_factory.mktemp("kam")
+    set_path = tmp / "set.json"
     run_cli(["build-set", "--alpha", golden_mean(80), "--M", "10",
              "--s", "0.9", "--depth", "6", "--count", "1", "--out", str(set_path)])
-    kam_out = tmp_path / "kam.json"
+    kam_out = tmp / "kam.json"
     rc = run_cli(["kam", "--set", str(set_path), "--label-index", "0",
                   "--k", "2.0", "--out", str(kam_out),
-                  "--steps-out", str(tmp_path / "steps.jsonl")])
+                  "--steps-out", str(tmp / "steps.jsonl")])
     assert rc == 0
+    return set_path, kam_out, tmp / "steps.jsonl"
+
+
+def test_kam_and_edge_probe(tmp_path, criterion11_kam):
+    set_path, kam_out, steps = criterion11_kam
     data = json.loads(kam_out.read_text())
     assert data["zeta"] != 0
     assert data["conj_residual"] < 1e-8
     assert 0 < data["edge_search"]["evaluations"] <= 26
     assert data["edge_search"]["failures"] == []
-    assert (tmp_path / "steps.jsonl").read_text().strip()
+    assert steps.read_text().strip()
     probe_out = tmp_path / "probe.json"
     rc = run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
                   "--k", "2.0", "--no-probe", "--out", str(probe_out),
@@ -107,6 +115,43 @@ def test_kam_and_edge_probe(tmp_path, capsys):
     probe = json.loads(probe_out.read_text())
     assert probe["bracket"][0] < probe["bracket"][1]
     assert (tmp_path / "bracket.csv").read_text().startswith("# schema=qpsl.bracket")
+
+
+def test_edge_probe_takes_k_from_the_kam_result(tmp_path, criterion11_kam):
+    # without --k the probe must still see the potential the edge was reduced
+    # with; the free operator gives delta2 'not' and a residual of 1e-2
+    set_path, kam_out, _ = criterion11_kam
+    probe_out = tmp_path / "probe.json"
+    rc = run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
+                  "--out", str(probe_out)])
+    assert rc == 0
+    probe = json.loads(probe_out.read_text())
+    assert probe["config"]["k"] == 2.0
+    assert probe["delta2"]["verdict"] == "hyperbolic"
+    assert probe["delta2"]["residual"] < 1e-9
+    assert probe["bracket_consistent"] is True
+
+
+def test_edge_probe_rejects_k_other_than_the_kam_result(tmp_path, capsys, criterion11_kam):
+    set_path, kam_out, _ = criterion11_kam
+    rc = run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
+                  "--k", "3.0", "--no-probe", "--out", str(tmp_path / "probe.json")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
+    assert not (tmp_path / "probe.json").exists()
+
+
+def test_edge_probe_needs_k_when_the_result_has_none(tmp_path, capsys, criterion11_kam):
+    set_path, kam_out, _ = criterion11_kam
+    data = json.loads(kam_out.read_text())
+    del data["config"]["k"]
+    bare = tmp_path / "kam.json"
+    bare.write_text(json.dumps(data))
+    args = ["edge-probe", "--result", str(bare), "--set", str(set_path), "--no-probe",
+            "--out", str(tmp_path / "probe.json")]
+    assert run_cli(args) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
+    assert run_cli(args + ["--k", "2.0"]) == 0
 
 
 def test_report_from_config(tmp_path):
