@@ -347,14 +347,20 @@ def transfer_product(c: QpCocycle, theta, n):
     return out
 
 
+def _adjugate(M):
+    """adj M = [[d, -b], [-c, a]] over the last two axes.  For M = e^{Y} in
+    SU(1,1) this is e^{-Y}, equal to su11_exp(-Y) bit for bit."""
+    out = np.empty_like(M)
+    out[..., 0, 0] = M[..., 1, 1]
+    out[..., 1, 1] = M[..., 0, 0]
+    out[..., 0, 1] = -M[..., 0, 1]
+    out[..., 1, 0] = -M[..., 1, 0]
+    return out
+
+
 def _inv2_batch(mats):
     det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    out = np.empty_like(mats)
-    out[:, 0, 0] = mats[:, 1, 1]
-    out[:, 1, 1] = mats[:, 0, 0]
-    out[:, 0, 1] = -mats[:, 0, 1]
-    out[:, 1, 0] = -mats[:, 1, 0]
-    return out / det[:, None, None]
+    return _adjugate(mats) / det[:, None, None]
 
 
 def conjugate(c: QpCocycle, Z, probes=16, tol=1e-8, seed=0):

@@ -78,7 +78,7 @@ class FourierSeries:
     centred block (see the module docstring).
 
     kind is one of 'scalar', 'matrix', 'su11', 'sl2r'; the last three are
-    matrix-valued.  ``coeffs`` and ``items()`` list the nonzero modes.
+    matrix-valued.  ``coeffs`` lists the nonzero modes.
     """
 
     __slots__ = ("d", "block", "halved", "kind", "dropped_mass")
@@ -90,13 +90,8 @@ class FourierSeries:
         self.dropped_mass = 0.0
         self.block = np.zeros((1,) * self.d + self._tail, complex)
         if coeffs:
-            keys = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), -1)
-            if keys.shape[1] != self.d:
-                raise DomainMismatch(f"keys have length {keys.shape[1]}, series has d={self.d}")
-            vals = np.array(list(coeffs.values()), dtype=complex)
-            if vals.shape[1:] != self._tail:
-                raise QpslError(f"matrix coefficient must be 2x2, got {vals.shape[1:]}")
-            self.block = FourierSeries.from_modes(self.d, keys, vals).block
+            self.block = FourierSeries.from_modes(d, list(coeffs), list(coeffs.values()),
+                                                  halved, kind).block
 
     @staticmethod
     def from_block(d, block, halved=False, kind="scalar"):
@@ -107,9 +102,20 @@ class FourierSeries:
 
     @staticmethod
     def from_modes(d, keys, vals, halved=False, kind="scalar"):
-        """Series with the modes keys (m, d) -> vals (m,) or (m, 2, 2);
-        repeated keys add up in order."""
-        return FourierSeries.from_block(d, _block_from_modes(keys, vals, d), halved, kind)
+        """Series with the modes keys[i] -> vals[i] (scalars, or 2x2 for the
+        matrix kinds); repeated keys add up in order."""
+        out = FourierSeries(d, halved=halved, kind=kind)
+        keys = np.array(keys, dtype=np.int64).reshape(len(keys), -1 if len(keys) else d)
+        vals = np.array(vals, dtype=complex)
+        if keys.shape[1] != out.d:
+            raise DomainMismatch(f"keys have length {keys.shape[1]}, series has d={out.d}")
+        if vals.shape[1:] != out._tail:
+            raise QpslError(f"coefficients must have shape {out._tail}, got {vals.shape[1:]}")
+        K = int(np.abs(keys).max(initial=0))
+        block = np.zeros((2 * K + 1,) * out.d + out._tail, complex)
+        np.add.at(block, tuple((keys + K).T), vals)
+        out.block = _trimmed(block, out.d)
+        return out
 
     def _like(self, block, kind=None):
         return FourierSeries.from_block(self.d, block, self.halved, kind or self.kind)
@@ -172,17 +178,13 @@ class FourierSeries:
         v = self.block[tuple(c + self.K for c in n)]
         return v if self.kind == "scalar" else v.copy()
 
-    def items(self):
-        """(key, coefficient) pairs of the nonzero modes, sorted by key."""
-        mask = self.support()
-        keys = map(tuple, (np.argwhere(mask) - self.K).tolist())
-        vals = self.block[mask]
-        return list(zip(keys, vals.tolist() if self.kind == "scalar" else vals))
-
     @property
     def coeffs(self):
         """The nonzero modes as a {key: coefficient} dict (a fresh copy)."""
-        return dict(self.items())
+        mask = self.support()
+        keys = map(tuple, (np.argwhere(mask) - self.K).tolist())
+        vals = self.block[mask]
+        return dict(zip(keys, vals.tolist() if self.kind == "scalar" else vals))
 
     def copy(self):
         out = self._like(self.block.copy())
@@ -208,22 +210,13 @@ class FourierSeries:
         return self
 
     # -- algebra ----------------------------------------------------------
-    def _check_compat(self, other):
+    def __add__(self, other):
         if self.d != other.d:
             raise DomainMismatch("dimension mismatch")
-
-    def __add__(self, other):
-        self._check_compat(other)
         a, b = _common_denominator(self, other)
         K = max(a.K, b.K)
         return a._like(a.padded(K) + b.padded(K),
                        kind=a.kind if a.kind == b.kind else "matrix")
-
-    def __neg__(self):
-        return self._like(-self.block)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c):
         return self._like(c * self.block)
@@ -245,14 +238,11 @@ class FourierSeries:
         return self._like(f(self.block), kind)
 
     # -- evaluation -------------------------------------------------------
-    def eval(self, theta, real=False):
+    def eval(self, theta):
         """Value at a point theta (radians, length d)."""
-        theta = np.atleast_1d(np.asarray(theta, float))
-        if theta.size != self.d:
-            raise DomainMismatch(f"theta has dimension {theta.size}, series d={self.d}")
-        return self.sample(theta[None, :], real=real)[0]
+        return self.sample(np.atleast_1d(np.asarray(theta, float))[None, :])[0]
 
-    def sample(self, thetas, real=False):
+    def sample(self, thetas):
         """Values at arbitrary points, thetas shape (m,) for d=1 or (m, d);
         on the :func:`grid_points` grid use :func:`grid_values` instead."""
         th = np.asarray(thetas, float)
@@ -263,10 +253,7 @@ class FourierSeries:
         mask = self.support()
         freqs = (np.argwhere(mask) - self.K) * (0.5 if self.halved else 1.0)
         vals = self.block[mask].reshape(len(freqs), 4 if self._tail else 1)
-        acc = (np.exp(1j * (th @ freqs.T)) @ vals).reshape((th.shape[0],) + self._tail)
-        if real:
-            return _checked_real(acc, self.coeff_mass())
-        return acc
+        return (np.exp(1j * (th @ freqs.T)) @ vals).reshape((th.shape[0],) + self._tail)
 
     # -- truncation -------------------------------------------------------
     def truncate(self, K):
@@ -336,32 +323,14 @@ class FourierSeries:
         return FourierSeries(d, {(0,) * d: value}, halved=halved, kind=kind)
 
 
-def _block_from_modes(keys, vals, d):
-    """Centred block holding the modes keys (m, d) -> vals (m, ...); repeated
-    keys add up in order."""
-    K = int(np.abs(keys).max()) if keys.size else 0
-    block = np.zeros((2 * K + 1,) * d + vals.shape[1:], complex)
-    np.add.at(block, tuple((keys + K).T), vals)
-    return block
-
-
 def series_json(d, keys, values, halved=False, kind="scalar"):
     """JSON text of a series given by its nonzero modes, keys sorted: one row
     [key, re, im] per scalar mode, [key, [re, im] * 4 entries] per matrix."""
     vals = np.asarray(values, complex)
     flat = np.stack([vals.real, vals.imag], axis=-1).reshape(len(vals), -1).tolist()
-    if kind == "scalar":
-        rows = [[n] + v for n, v in zip(np.asarray(keys).tolist(), flat)]
-    else:
-        rows = [[n, v] for n, v in zip(np.asarray(keys).tolist(), flat)]
+    rows = [[n] + v if kind == "scalar" else [n, v]
+            for n, v in zip(np.asarray(keys).tolist(), flat)]
     return json.dumps({"d": d, "halved": halved, "kind": kind, "coeffs": rows})
-
-
-def _checked_real(acc, mass, rel=1e-12):
-    imag = np.max(np.abs(np.imag(np.atleast_1d(acc))))
-    if imag > rel * max(mass, 1.0) + 1e-300:
-        raise QpslError(f"imaginary residue {imag:.3e} exceeds tolerance for real output")
-    return np.real(acc)
 
 
 def _common_denominator(a, b):
@@ -371,28 +340,13 @@ def _common_denominator(a, b):
             b if b.halved else b.lift_halved())
 
 
-def _shift_add(block, d, keys, vals, K_out, mul):
-    """sum_i mul(block, vals[i]) with the centred ``block`` moved by keys[i],
-    on a centred window of half-width K_out.  Returns the window and, per
-    moved copy, the mass of its modes that fall outside the window."""
-    K = (block.shape[0] - 1) // 2
-    scalar = block.ndim == d
-    out = np.zeros((2 * K_out + 1,) * d + block.shape[d:], complex)
-    outside = 0.0
-    for k, v in zip(keys.tolist(), vals):
-        lo = [c - K + K_out for c in k]
-        src = tuple(slice(max(0, -a), min(2 * K + 1, 2 * K_out + 1 - a)) for a in lo)
-        dst = tuple(slice(max(0, a), min(2 * K_out + 1, a + 2 * K + 1)) for a in lo)
-        piece = mul(block, v)
-        if any(s.start >= s.stop for s in src):
-            outside += float(np.sum(_coeff_norms(piece, scalar)))
-            continue
-        out[dst] += piece[src]
-        if any(s.start > 0 or s.stop < 2 * K + 1 for s in src):
-            norms = _coeff_norms(piece, scalar)
-            norms[src] = 0.0
-            outside += float(np.sum(norms))
-    return out, outside
+def _convolve(a, b, d):
+    """Full d-dim convolution of two scalar blocks: one np.convolve of the
+    blocks flattened, with every axis but the first zero-padded to the output
+    size so that rows do not mix."""
+    L = a.shape[0] + b.shape[0] - 1
+    flat = [np.pad(x, [(0, 0)] + [(0, L - x.shape[0])] * (d - 1)).ravel() for x in (a, b)]
+    return np.convolve(*flat)[:L ** d].reshape((L,) * d)
 
 
 def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
@@ -400,9 +354,9 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
     product.  Frequencies beyond ``max_degree`` are dropped with their mass
     recorded on ``result.dropped_mass`` (or raise DegreeOverflow if strict).
 
-    The product is a direct convolution (``np.convolve`` for d = 1, a
-    shift-and-add over the nonzero modes of G otherwise), so a mode no pair
-    of modes reaches stays exactly zero and the degree is not inflated.
+    The product is a direct convolution, not an FFT product, so a mode that
+    no pair of modes reaches stays exactly zero and the degree is not
+    inflated by round-off.
     """
     if F.d != G.d:
         raise DomainMismatch("dimension mismatch")
@@ -411,17 +365,13 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
     if A.kind == "scalar" and B.kind != "scalar":
         A, B = B, A  # matrix * scalar commutes coefficientwise
     a, b, d = A.block, B.block, A.d
-    if d == 1 and scalar:
-        block = np.convolve(a, b)
-    elif d == 1:
-        ents = [np.convolve(a[:, i, k], b) if B.kind == "scalar" else
-                np.convolve(a[:, i, 0], b[:, 0, k]) + np.convolve(a[:, i, 1], b[:, 1, k])
-                for i in (0, 1) for k in (0, 1)]
-        block = np.stack(ents, axis=-1).reshape(-1, 2, 2)
+    if scalar:
+        block = _convolve(a, b, d)
     else:
-        mask = B.support()
-        mul = (lambda x, v: x * v) if B.kind == "scalar" else (lambda x, v: x @ v)
-        block, _ = _shift_add(a, d, np.argwhere(mask) - B.K, b[mask], A.K + B.K, mul)
+        ents = [_convolve(a[..., i, k], b, d) if B.kind == "scalar" else
+                _convolve(a[..., i, 0], b[..., 0, k], d) + _convolve(a[..., i, 1], b[..., 1, k], d)
+                for i in (0, 1) for k in (0, 1)]
+        block = np.stack(ents, axis=-1).reshape(ents[0].shape + (2, 2))
     out = FourierSeries.from_block(d, block, halved=A.halved,
                                    kind="scalar" if scalar else "matrix")
     if max_degree is not None:
@@ -436,23 +386,35 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
     return out
 
 
-def shift_sum(F: FourierSeries, keys, values, max_degree):
+def shift_sum(F: FourierSeries, keys, values, max_degree=None):
     """Product of F with the sparse scalar series {keys[i]: values[i]}, as
-    sum_i values[i] F(. - keys[i]) kept to frequencies |n| <= max_degree.
+    sum_i values[i] F(. - keys[i]): mode n of F moves to n + keys[i].
 
-    No block wider than 2 max_degree + 1 is made, however far the keys lie.
-    Each moved copy adds the mass it puts past max_degree to
+    With ``max_degree`` (in frequency units) the product is kept to
+    |n| <= max_degree, and no block wider than that is made however far the
+    keys lie.  Each moved copy then adds the mass it puts past max_degree to
     ``dropped_mass``; the copies' tails are not summed first, so this bounds
     the tail mass of the product from above (with equality when no two
     copies overlap past max_degree).
     """
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, F.d)
-    reach = int(np.abs(keys).max()) if keys.size else 0
-    cap = math.floor(max_degree / (0.5 if F.halved else 1.0))
-    block, outside = _shift_add(F.block, F.d, keys, values, min(cap, F.K + reach),
-                                lambda x, v: v * x)
+    K = F.K
+    K_out = K + int(np.abs(keys).max(initial=0))
+    if max_degree is not None:
+        K_out = min(K_out, math.floor(max_degree / (0.5 if F.halved else 1.0)))
+    block = np.zeros((2 * K_out + 1,) * F.d + F._tail, complex)
+    dropped = 0.0
+    for k, v in zip(keys.tolist(), values):
+        moved = [np.arange(-K, K + 1) + c for c in k]
+        inside = [np.abs(m) <= K_out for m in moved]
+        piece = v * F.block
+        block[np.ix_(*[m[i] + K_out for m, i in zip(moved, inside)])] += piece[np.ix_(*inside)]
+        if not all(i.all() for i in inside):
+            norms = _coeff_norms(piece, F.kind == "scalar")
+            norms[np.ix_(*inside)] = 0.0
+            dropped += float(np.sum(norms))
     out = F._like(block)
-    out.dropped_mass = outside
+    out.dropped_mass = dropped
     return out
 
 
@@ -495,9 +457,6 @@ class Potential:
 
     def sup_bound(self):
         return sum(abs(c) for c in self.coefficients)
-
-    def series(self, truncation=None):
-        return potential_series(self, truncation)
 
 
 def build_potential(labels: LabelSet, k, coeff_fn=None, bound_const=1.0):
@@ -579,42 +538,27 @@ def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
     the C order of the FFT block (per axis 0, 1, ..., G/2 - 1, -G/2, ..., -1).
     """
     values = np.asarray(values)
-    scalar = kind == "scalar"
     G = round(values.shape[0] ** (1.0 / d))
     if G ** d != values.shape[0]:
         raise QpslError("grid values do not form a cube")
-    shape = (G,) * d
     tail = values.shape[1:]
-    spec = np.fft.fftn(values.reshape(shape + tail), axes=tuple(range(d))) / (G ** d)
+    spec = np.fft.fftn(values.reshape((G,) * d + tail), axes=tuple(range(d))) / (G ** d)
     freqs = np.fft.fftfreq(G, 1.0 / G).astype(int)
-    keys = np.stack(np.meshgrid(*([freqs] * d), indexing="ij"), axis=-1)
-    norms = _coeff_norms(spec, scalar)
-    floor = prune_tol if prune_tol is not None else 0.0
-    keep = ~(norms <= floor)  # not norms > floor: NaN modes stay
+    norms = _coeff_norms(spec, kind == "scalar")
+    keep = ~(norms <= (prune_tol or 0.0))  # not norms > tol: NaN modes stay
     dropped = 0.0
     if max_degree is not None:
-        over = np.abs(keys).max(axis=-1) * (0.5 if halved else 1.0) > max_degree
-        drop = keep & over
-        if drop.any():
-            dropped = float(np.cumsum(norms[drop])[-1])  # sequential, not pairwise
-        keep &= ~over
-    K = G // 2
-    block = np.zeros((2 * K + 1,) * d + tail, complex)
-    block[np.ix_(*([freqs + K] * d))] = np.where(keep.reshape(shape + (1,) * len(tail)),
-                                                 spec, 0)
+        keys = np.stack(np.meshgrid(*([freqs] * d), indexing="ij"), axis=-1)
+        drop = np.abs(keys).max(axis=-1) * (0.5 if halved else 1.0) > max_degree
+        if (keep & drop).any():
+            dropped = float(np.cumsum(norms[keep & drop])[-1])  # sequential, not pairwise
+        keep &= ~drop
+    block = np.zeros((2 * (G // 2) + 1,) * d + tail, complex)
+    block[np.ix_(*[freqs + G // 2] * d)] = np.where(keep.reshape(keep.shape + (1,) * len(tail)),
+                                                    spec, 0)
     out = FourierSeries.from_block(d, block, halved=halved, kind=kind)
     out.dropped_mass = dropped
     return out
-
-
-def _fold(x, axis, K, G):
-    """Move the modes -K..K of a centred block along ``axis`` onto the G FFT
-    bins, mode n adding into bin n mod G."""
-    x = np.moveaxis(x, axis, 0)
-    reps = -(-x.shape[0] // G)
-    x = np.concatenate([x, np.zeros((reps * G - x.shape[0],) + x.shape[1:], complex)])
-    x = np.roll(x.reshape((reps, G) + x.shape[1:]).sum(axis=0), -K, axis=0)
-    return np.moveaxis(x, 0, axis)
 
 
 def grid_values(F: FourierSeries, G, shift=None):
@@ -624,19 +568,7 @@ def grid_values(F: FourierSeries, G, shift=None):
     with |n| > G/2 fold onto n mod G by summation."""
     if shift is not None:
         F = F.shift(shift)
-    spec = F.block
-    for axis in range(F.d):
-        spec = _fold(spec, axis, F.K, G)
+    spec = np.zeros((G,) * F.d + F.block.shape[F.d:], complex)
+    np.add.at(spec, np.ix_(*[np.arange(-F.K, F.K + 1) % G] * F.d), F.block)
     vals = np.fft.ifftn(spec, axes=tuple(range(F.d))) * (G ** F.d)
     return vals.reshape((G ** F.d,) + F.block.shape[F.d:])
-
-
-def shift_modes(F: FourierSeries, delta):
-    """Multiply by the character of -delta: new coefficient at n is the old
-    one at n - delta (keys move by +delta)."""
-    delta = np.atleast_1d(np.asarray(delta, dtype=np.int64))
-    reach = int(np.abs(delta).max())
-    block = F.padded(F.K + reach)
-    block[...] = 0
-    block[tuple(slice(reach + c, reach + c + 2 * F.K + 1) for c in delta.tolist())] = F.block
-    return F._like(block)

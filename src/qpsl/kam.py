@@ -42,6 +42,7 @@ from .cocycle import (
     schrodinger_cocycle,
     su11_element,
     su11_exp,
+    _adjugate,
     _su11_log,
     to_su11,
     M_CONJ,
@@ -66,7 +67,6 @@ from .fourier import (
     multiply,
     potential_modes,
     series_from_grid,
-    shift_modes,
     shift_sum,
 )
 
@@ -129,10 +129,6 @@ class Su11Series:
     def scale(self, c):
         return Su11Series(self.u.scale(c), self.w.scale(c))
 
-    def mean_matrix(self):
-        a = self.u.mean()
-        return su11_element(a.real, self.w.mean())
-
     def sample(self, pts):
         return _su11_values(self.u.sample(pts), self.w.sample(pts))
 
@@ -165,7 +161,7 @@ class Su11Series:
     def shift_w(self, delta):
         """Ad of the half-period rotation with site -delta: w-modes move by
         +delta, u unchanged."""
-        return Su11Series(self.u.copy(), shift_modes(self.w, delta))
+        return Su11Series(self.u.copy(), shift_sum(self.w, [delta], [1.0]))
 
 
 def su11_series_from_samples(vals, d, max_degree=None, prune_tol=1e-16):
@@ -177,20 +173,8 @@ def su11_series_from_samples(vals, d, max_degree=None, prune_tol=1e-16):
                          max_degree=max_degree, prune_tol=prune_tol)
     w = series_from_grid(w_vals, d, kind="scalar",
                          max_degree=max_degree, prune_tol=prune_tol)
-    out = Su11Series(u, w).symmetrize()
+    out = Su11Series(u, w).symmetrize()  # w.copy() keeps its dropped mass
     out.u.dropped_mass = u.dropped_mass
-    out.w.dropped_mass = w.dropped_mass
-    return out
-
-
-def _adjugate(M):
-    """adj M = [[d, -b], [-c, a]] over the last two axes.  For M = e^{Y} in
-    SU(1,1) this is e^{-Y}, equal to su11_exp(-Y) bit for bit."""
-    out = np.empty_like(M)
-    out[..., 0, 0] = M[..., 1, 1]
-    out[..., 1, 1] = M[..., 0, 0]
-    out[..., 0, 1] = -M[..., 0, 1]
-    out[..., 1, 0] = -M[..., 1, 0]
     return out
 
 
@@ -288,9 +272,6 @@ class KamState:
     sigma0: float                 # ||A_0||
     stopped: bool = False
 
-    def labels_at_level(self, j):
-        return [(lab, c) for (lvl, lab, c) in self.pending if lvl == j]
-
 
 @dataclass
 class StepReport:
@@ -350,29 +331,14 @@ def classify_resonance(rho, alpha, N, threshold):
     if not 0 < threshold < 1:
         raise QpslError("threshold must lie in (0,1)")
     target = 2.0 * float(rho)
-    best, best_n = math.inf, None
-    hits = 0
-    if d == 1:
-        ns = np.arange(-N, N + 1)
-        ns = ns[ns != 0]
-        vals = np.abs((target - ns * alpha[0]) % 1.0)
-        vals = np.minimum(vals, 1.0 - vals)
-        hits = int(np.sum(vals < threshold))
-        # ties (possible at rho = 1/4 etc.) break toward small positive sites
-        order = sorted(range(len(ns)), key=lambda i: (vals[i], abs(ns[i]), ns[i] < 0))
-        k = order[0]
-        best, best_n = float(vals[k]), (int(ns[k]),)
-    else:
-        import itertools
-        for n in itertools.product(range(-N, N + 1), repeat=d):
-            if all(c == 0 for c in n):
-                continue
-            v = dist_to_integers(target - float(np.dot(n, alpha)))
-            if v < threshold:
-                hits += 1
-            key = (v, sup_norm(n), tuple(-c for c in n))
-            if best_n is None or key < (best, sup_norm(best_n), tuple(-c for c in best_n)):
-                best, best_n = v, n
+    keys = key_grid(N, d).reshape(-1, d)
+    keys = keys[(keys != 0).any(axis=1)]
+    vals = dist_to_integers(target - keys @ alpha)
+    hits = int(np.sum(vals < threshold))
+    # ties (possible at rho = 1/4 etc.) break toward small sites, then toward
+    # the larger key (a positive site before its negative)
+    k = np.lexsort(tuple(-keys[:, ::-1].T) + (np.abs(keys).max(axis=1), vals))[0]
+    best, best_n = float(vals[k]), tuple(keys[k].tolist())
     if best < threshold:
         return Classification(case="RS", site=best_n, distance=best, unique=hits <= 1)
     return Classification(case="NR", site=None, distance=best, unique=True)
@@ -418,20 +384,21 @@ class ModeRule:
                 Su11Series(F.u.restrict(u_res), F.w.restrict(w_res)))
 
 
-def divisor_u(n, alpha):
-    """e^{2 pi i <n, alpha>} - 1 for a key n, or over keys of shape (..., d)."""
-    return np.exp(2j * np.pi * (np.asarray(n) @ np.asarray(alpha, float))) - 1.0
-
-
 def divisor_w(n, alpha, sigma):
     """e^{2 pi i (<n, alpha> - 2 sigma)} - 1 for a key n, or over keys (..., d)."""
     return np.exp(2j * np.pi * (np.asarray(n) @ np.asarray(alpha, float) - 2.0 * sigma)) - 1.0
 
 
-def _divide(F: FourierSeries, divisor, floor):
-    """-F(n) / divisor(n) on the support of F; SmallDivisor below ``floor``."""
+def divisor_u(n, alpha):
+    """e^{2 pi i <n, alpha>} - 1 for a key n, or over keys of shape (..., d)."""
+    return divisor_w(n, alpha, 0.0)
+
+
+def _divide(F: FourierSeries, alpha, sigma, floor):
+    """-F(n) / divisor_w(n, alpha, sigma) on the support of F; SmallDivisor
+    below ``floor``."""
     keys = key_grid(F.K, F.d)
-    dv = divisor(keys)
+    dv = divisor_w(keys, alpha, sigma)
     support = F.support()
     small = support & (np.abs(dv) < floor)
     if small.any():
@@ -452,25 +419,14 @@ def solve_homological(A, F_nre: Su11Series, alpha, floor=1e-12, sigma=None):
             raise QpslError("solve_homological expects a diagonal constant part")
         sigma = (float(np.angle(A[0, 0])) / (2 * math.pi)) % 1.0
     alpha = np.atleast_1d(np.asarray(alpha, float))
-    return Su11Series(_divide(F_nre.u, lambda n: divisor_u(n, alpha), floor),
-                      _divide(F_nre.w, lambda n: divisor_w(n, alpha, sigma), floor))
+    return Su11Series(_divide(F_nre.u, alpha, 0.0, floor), _divide(F_nre.w, alpha, sigma, floor))
 
 
 def _min_divisor_distance(alpha, N, d):
     """min ||<n, alpha>|| over 0 < |n| <= N."""
-    alpha = np.atleast_1d(np.asarray(alpha, float))
-    if d == 1:
-        ns = np.arange(1, N + 1)
-        vals = np.abs((ns * alpha[0]) % 1.0)
-        vals = np.minimum(vals, 1.0 - vals)
-        return float(np.min(vals))
-    import itertools
-    best = math.inf
-    for n in itertools.product(range(-N, N + 1), repeat=d):
-        if all(c == 0 for c in n):
-            continue
-        best = min(best, dist_to_integers(float(np.dot(n, alpha))))
-    return best
+    keys = key_grid(N, d).reshape(-1, d)
+    vals = dist_to_integers(np.abs(keys @ np.atleast_1d(np.asarray(alpha, float))))
+    return float(np.min(vals[(keys != 0).any(axis=1)]))
 
 
 def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
@@ -582,7 +538,7 @@ def compute_diagnostics(W: Su11Series, n_tilde, h):
     (|w(n)| + |u(n)|)/2, all computed on the twisted components (the w-series
     is shifted so the accumulated resonance sits at frequency zero)."""
     n_tilde = (n_tilde,) if isinstance(n_tilde, int) else tuple(n_tilde)
-    w_twist = shift_modes(W.w, n_tilde)
+    w_twist = shift_sum(W.w, [n_tilde], [1.0])
     xi = abs(w_twist.mean())
     big = W.w.analytic_norm(h) + W.u.analytic_norm(h)
     K = max(w_twist.K, W.u.K)
@@ -605,17 +561,15 @@ def _q_series(site, d, inverse=False):
                          halved=True, kind="matrix")
 
 
-def _combine_f_and_label(state: KamState, labels, params):
-    """F~ with e^{F~} = e^{f} e^{V_j W}: exact grid logarithm of the product."""
+def _combine_f_and_label(state: KamState, V_modes, params):
+    """F~ with e^{F~} = e^{f} e^{V_j W}: exact grid logarithm of the product.
+    V_j is given by its modes (keys, values), or None when it is zero."""
     d = state.f.d
-    if not labels:
+    if V_modes is None:
         return state.f.copy(), 0.0
-    keys, vals = potential_modes(Potential(labels=[lab for lab, _ in labels],
-                                           coefficients=[c for _, c in labels],
-                                           k_exponent=0.0))
     # V W with the sparse V: W moved by each +-label, never a dense V
-    T = Su11Series(shift_sum(state.W.u, keys, vals, params.max_degree),
-                   shift_sum(state.W.w, keys, vals, params.max_degree))
+    T = Su11Series(shift_sum(state.W.u, *V_modes, params.max_degree),
+                   shift_sum(state.W.w, *V_modes, params.max_degree))
     if state.f.is_zero(1e-300):
         return T, T.u.dropped_mass + T.w.dropped_mass
     grid = params.grid_for(int(max(state.f.degree(), T.degree())) + 4, d)
@@ -631,13 +585,10 @@ def _split_mean(A_base, G: Su11Series, params):
     joins the constant, A_next = A_base e^{<G>}, and f_next is the grid log of
     e^{-<G>} e^{G} (zero when G has no modes besides its mean)."""
     d = G.d
-    mean = G.mean_matrix()
+    mean = su11_element(G.u.mean().real, G.w.mean())
     E_mean = su11_exp(mean)
     A_next = A_base @ E_mean
-    tail = G.copy()
-    tail.u[(0,) * d] = 0
-    tail.w[(0,) * d] = 0
-    if tail.is_zero(1e-300):
+    if G.degree() == 0:
         return A_next, Su11Series.zero(d)
     vals = su11_exp(G.on_grid(params.grid_for(int(G.degree()) + 4, d)))
     logs = _su11_log(np.einsum("ij,mjk->mik", np.linalg.inv(E_mean), vals))
@@ -661,10 +612,13 @@ def kam_step(state: KamState, params: KamParams):
     d = state.f.d
     alpha = state.alpha
     h = params.width(j)
-    labels = state.labels_at_level(j)
+    labels = [(lab, c) for (lvl, lab, c) in state.pending if lvl == j]
     remaining = [p for p in state.pending if p[0] != j]
+    V_modes = potential_modes(Potential(labels=[lab for lab, _ in labels],
+                                        coefficients=[c for _, c in labels],
+                                        k_exponent=0.0)) if labels else None
 
-    F_t, drop0 = _combine_f_and_label(state, labels, params)
+    F_t, drop0 = _combine_f_and_label(state, V_modes, params)
     norm_before = F_t.norm(h)
 
     re_a = float(np.asarray(state.A)[0, 0].real)
@@ -754,11 +708,7 @@ def kam_step(state: KamState, params: KamParams):
         if labels:
             # tracked off-diagonal source: the site coefficient of the
             # diagonal-frame potential term P (V W) P^{-1}
-            t_hat = 0j
-            for lab, c in labels:
-                plus = tuple(s + l for s, l in zip(site, lab))
-                minus = tuple(s - l for s, l in zip(site, lab))
-                t_hat += (c / 2) * (W1.w[plus] + W1.w[minus])
+            t_hat = complex(shift_sum(W1.w, *V_modes, sup_norm(site))[site])
             extra["t_hat_site"] = [t_hat.real, t_hat.imag]
             extra["b_minus_t_hat"] = abs(complex(A_next[0, 1]) - t_hat)
     dropped = drop0 + rep["dropped_mass"] + B_step.dropped_mass
@@ -778,9 +728,7 @@ def kam_step(state: KamState, params: KamParams):
             f"step {j} conjugacy residual {residual:.3e} exceeds "
             f"{params.conj_residual_tol:.1e}")
 
-    Dinv_next = multiply(state.Dinv,
-                         B_inv if B_inv.halved else B_inv.lift_halved(),
-                         max_degree=2 * params.max_degree)
+    Dinv_next = multiply(state.Dinv, B_inv, max_degree=2 * params.max_degree)
 
     f_next.prune(1e-18)
     diag = compute_diagnostics(W_next, n_tilde_next, params.width(j + 1))

@@ -97,11 +97,12 @@ def test_multiply_identity_and_modes():
 
 def test_multiply_pointwise_grid():
     rng = np.random.default_rng(4)
-    F = _random_series(rng, degree=4)
-    G = _random_series(rng, degree=5)
-    H = multiply(F, G)
-    pts = rng.uniform(0, 2 * math.pi, size=(40, 1))
-    assert np.max(np.abs(H.sample(pts) - F.sample(pts) * G.sample(pts))) < 1e-10
+    for d in (1, 2):
+        F = _random_series(rng, d=d, degree=4)
+        G = _random_series(rng, d=d, degree=5)
+        H = multiply(F, G)
+        pts = rng.uniform(0, 2 * math.pi, size=(40, d))
+        assert np.max(np.abs(H.sample(pts) - F.sample(pts) * G.sample(pts))) < 1e-10
 
 
 def test_multiply_matrix_vs_pointwise():
