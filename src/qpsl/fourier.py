@@ -174,17 +174,20 @@ class FourierSeries:
     def __getitem__(self, n):
         n = self._key(n)
         if max(abs(c) for c in n) > self.K:
-            return 0j if self.kind == "scalar" else np.zeros((2, 2), complex)
-        v = self.block[tuple(c + self.K for c in n)]
-        return v if self.kind == "scalar" else v.copy()
+            return np.zeros(self._tail, complex)[()]
+        return self.block[tuple(c + self.K for c in n)].copy()
+
+    def modes(self):
+        """(keys (m, d), coefficients) of the nonzero modes, keys sorted."""
+        mask = self.support()
+        return np.argwhere(mask) - self.K, self.block[mask]
 
     @property
     def coeffs(self):
         """The nonzero modes as a {key: coefficient} dict (a fresh copy)."""
-        mask = self.support()
-        keys = map(tuple, (np.argwhere(mask) - self.K).tolist())
-        vals = self.block[mask]
-        return dict(zip(keys, vals.tolist() if self.kind == "scalar" else vals))
+        keys, vals = self.modes()
+        return dict(zip(map(tuple, keys.tolist()),
+                        vals.tolist() if self.kind == "scalar" else vals))
 
     def copy(self):
         out = self._like(self.block.copy())
@@ -250,9 +253,9 @@ class FourierSeries:
             th = th[:, None]
         if th.ndim != 2 or th.shape[1] != self.d:
             raise DomainMismatch(f"thetas must be (m, {self.d})")
-        mask = self.support()
-        freqs = (np.argwhere(mask) - self.K) * (0.5 if self.halved else 1.0)
-        vals = self.block[mask].reshape(len(freqs), 4 if self._tail else 1)
+        keys, vals = self.modes()
+        freqs = keys * (0.5 if self.halved else 1.0)
+        vals = vals.reshape(len(keys), 4 if self._tail else 1)
         return (np.exp(1j * (th @ freqs.T)) @ vals).reshape((th.shape[0],) + self._tail)
 
     # -- truncation -------------------------------------------------------
@@ -302,16 +305,14 @@ class FourierSeries:
 
     # -- serialization ----------------------------------------------------
     def to_json(self):
-        mask = self.support()
-        return series_json(self.d, np.argwhere(mask) - self.K, self.block[mask],
-                           halved=self.halved, kind=self.kind)
+        return series_json(self.d, *self.modes(), halved=self.halved, kind=self.kind)
 
     @staticmethod
     def from_json(text):
         data = json.loads(text)
         rows, kind, d = data["coeffs"], data["kind"], data["d"]
         scalar = kind == "scalar"
-        keys = np.array([row[0] for row in rows], dtype=np.int64).reshape(len(rows), d)
+        keys = [row[0] for row in rows]
         flat = np.array([row[1:] if scalar else row[1] for row in rows], float)
         vals = flat.reshape(len(rows), 2 if scalar else 8).view(complex)
         vals = vals.reshape(len(rows)) if scalar else vals.reshape(len(rows), 2, 2)
@@ -336,17 +337,27 @@ def series_json(d, keys, values, halved=False, kind="scalar"):
 def _common_denominator(a, b):
     if a.halved == b.halved:
         return a, b
-    return (a if a.halved else a.lift_halved(),
-            b if b.halved else b.lift_halved())
+    return a.lift_halved(), b.lift_halved()
 
 
-def _convolve(a, b, d):
-    """Full d-dim convolution of two scalar blocks: one np.convolve of the
-    blocks flattened, with every axis but the first zero-padded to the output
-    size so that rows do not mix."""
-    L = a.shape[0] + b.shape[0] - 1
-    flat = [np.pad(x, [(0, 0)] + [(0, L - x.shape[0])] * (d - 1)).ravel() for x in (a, b)]
-    return np.convolve(*flat)[:L ** d].reshape((L,) * d)
+def _shift_add(copies, K_out, d, tail):
+    """Sum of centred blocks, each moved by its key (mode n to n + key), on a
+    centred window of half-width K_out.  ``copies`` yields (key, block)
+    pairs; the blocks have half-width K and coefficient shape ``tail``.
+    Returns the window and the summed mass of the modes each copy puts
+    outside it."""
+    out = np.zeros((2 * K_out + 1,) * d + tail, complex)
+    outside = 0.0
+    for k, piece in copies:
+        K = (piece.shape[0] - 1) // 2
+        moved = [np.arange(-K, K + 1) + c for c in k]
+        inside = [np.abs(m) <= K_out for m in moved]
+        out[np.ix_(*[m[i] + K_out for m, i in zip(moved, inside)])] += piece[np.ix_(*inside)]
+        if not all(i.all() for i in inside):
+            norms = _coeff_norms(piece, not tail)
+            norms[np.ix_(*inside)] = 0.0
+            outside += float(np.sum(norms))
+    return out, outside
 
 
 def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
@@ -356,7 +367,9 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
 
     The product is a direct convolution, not an FFT product, so a mode that
     no pair of modes reaches stays exactly zero and the degree is not
-    inflated by round-off.
+    inflated by round-off.  It is a shift-and-add over the nonzero modes of
+    the sparser factor: the reducing series hold a few modes spread over a
+    wide block, where a dense convolution of the blocks costs far more.
     """
     if F.d != G.d:
         raise DomainMismatch("dimension mismatch")
@@ -364,23 +377,24 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
     scalar = A.kind == "scalar" and B.kind == "scalar"
     if A.kind == "scalar" and B.kind != "scalar":
         A, B = B, A  # matrix * scalar commutes coefficientwise
-    a, b, d = A.block, B.block, A.d
-    if scalar:
-        block = _convolve(a, b, d)
+    a, b = A.block, B.block
+    if B.kind == "scalar" and not scalar:
+        b = b[..., None, None]
+    mul = np.multiply if B.kind == "scalar" else np.matmul
+    if len(B) <= len(A):
+        copies = ((k, mul(a, v)) for k, v in zip(*B.modes()))
     else:
-        ents = [_convolve(a[..., i, k], b, d) if B.kind == "scalar" else
-                _convolve(a[..., i, 0], b[..., 0, k], d) + _convolve(a[..., i, 1], b[..., 1, k], d)
-                for i in (0, 1) for k in (0, 1)]
-        block = np.stack(ents, axis=-1).reshape(ents[0].shape + (2, 2))
-    out = FourierSeries.from_block(d, block, halved=A.halved,
+        copies = ((k, mul(v, b)) for k, v in zip(*A.modes()))
+    block, _ = _shift_add(copies, A.K + B.K, A.d, () if scalar else (2, 2))
+    out = FourierSeries.from_block(A.d, block, halved=A.halved,
                                    kind="scalar" if scalar else "matrix")
     if max_degree is not None:
         over = out._freq_norms() > max_degree
-        mass = np.where(over, out._norms(), 0.0)
+        mass = _coeff_norms(out.block[over], scalar)
         if strict and np.any(mass > 0):
-            i = np.argwhere(mass > 0)[0]
-            raise DegreeOverflow(f"mode {tuple((i - out.K).tolist())} exceeds max degree "
-                                 f"{max_degree} (mass {mass[tuple(i)]:.3e})")
+            i = np.argmax(mass > 0)
+            raise DegreeOverflow(f"mode {tuple((np.argwhere(over)[i] - out.K).tolist())} "
+                                 f"exceeds max degree {max_degree} (mass {mass[i]:.3e})")
         out = out.restrict(~over)
         out.dropped_mass = float(np.sum(mass))
     return out
@@ -398,21 +412,11 @@ def shift_sum(F: FourierSeries, keys, values, max_degree=None):
     copies overlap past max_degree).
     """
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, F.d)
-    K = F.K
-    K_out = K + int(np.abs(keys).max(initial=0))
+    K_out = F.K + int(np.abs(keys).max(initial=0))
     if max_degree is not None:
         K_out = min(K_out, math.floor(max_degree / (0.5 if F.halved else 1.0)))
-    block = np.zeros((2 * K_out + 1,) * F.d + F._tail, complex)
-    dropped = 0.0
-    for k, v in zip(keys.tolist(), values):
-        moved = [np.arange(-K, K + 1) + c for c in k]
-        inside = [np.abs(m) <= K_out for m in moved]
-        piece = v * F.block
-        block[np.ix_(*[m[i] + K_out for m, i in zip(moved, inside)])] += piece[np.ix_(*inside)]
-        if not all(i.all() for i in inside):
-            norms = _coeff_norms(piece, F.kind == "scalar")
-            norms[np.ix_(*inside)] = 0.0
-            dropped += float(np.sum(norms))
+    copies = ((k, v * F.block) for k, v in zip(keys.tolist(), values))
+    block, dropped = _shift_add(copies, K_out, F.d, F._tail)
     out = F._like(block)
     out.dropped_mass = dropped
     return out

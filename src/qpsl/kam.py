@@ -394,19 +394,6 @@ def divisor_u(n, alpha):
     return divisor_w(n, alpha, 0.0)
 
 
-def _divide(F: FourierSeries, alpha, sigma, floor):
-    """-F(n) / divisor_w(n, alpha, sigma) on the support of F; SmallDivisor
-    below ``floor``."""
-    keys = key_grid(F.K, F.d)
-    dv = divisor_w(keys, alpha, sigma)
-    support = F.support()
-    small = support & (np.abs(dv) < floor)
-    if small.any():
-        i = tuple(np.argwhere(small)[0])
-        raise SmallDivisor(tuple(keys[i].tolist()), float(abs(dv[i])), floor)
-    return F._like(-F.block / np.where(support, dv, 1.0))
-
-
 def solve_homological(A, F_nre: Su11Series, alpha, floor=1e-12, sigma=None):
     """Solve A^{-1} Y(.+alpha) A - Y = -F_nre for diagonal A, mode by mode.
 
@@ -419,7 +406,16 @@ def solve_homological(A, F_nre: Su11Series, alpha, floor=1e-12, sigma=None):
             raise QpslError("solve_homological expects a diagonal constant part")
         sigma = (float(np.angle(A[0, 0])) / (2 * math.pi)) % 1.0
     alpha = np.atleast_1d(np.asarray(alpha, float))
-    return Su11Series(_divide(F_nre.u, alpha, 0.0, floor), _divide(F_nre.w, alpha, sigma, floor))
+    Y = []
+    for F, offset in ((F_nre.u, 0.0), (F_nre.w, sigma)):
+        keys = key_grid(F.K, F.d)
+        dv = divisor_w(keys, alpha, offset)
+        small = F.support() & (np.abs(dv) < floor)
+        if small.any():
+            i = tuple(np.argwhere(small)[0])
+            raise SmallDivisor(tuple(keys[i].tolist()), float(abs(dv[i])), floor)
+        Y.append(F._like(-F.block / np.where(F.support(), dv, 1.0)))
+    return Su11Series(*Y)
 
 
 def _min_divisor_distance(alpha, N, d):
@@ -444,8 +440,7 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     A = np.asarray(A, complex)
     d = F.d
 
-    diag_input = abs(A[0, 1]) + abs(A[1, 0]) < 1e-13
-    if diag_input:
+    if abs(A[0, 1]) + abs(A[1, 0]) < 1e-13:  # already diagonal
         P = np.eye(2, dtype=complex)
         theta = float(np.angle(A[0, 0])) % (2 * math.pi)
     else:
@@ -537,7 +532,6 @@ def compute_diagnostics(W: Su11Series, n_tilde, h):
     """xi = |<w>|, M = |w|_h + |u|_h, m = sup over |n| >= |n_tilde| of
     (|w(n)| + |u(n)|)/2, all computed on the twisted components (the w-series
     is shifted so the accumulated resonance sits at frequency zero)."""
-    n_tilde = (n_tilde,) if isinstance(n_tilde, int) else tuple(n_tilde)
     w_twist = shift_sum(W.w, [n_tilde], [1.0])
     xi = abs(w_twist.mean())
     big = W.w.analytic_norm(h) + W.u.analytic_norm(h)
