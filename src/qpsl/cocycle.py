@@ -450,21 +450,28 @@ def pivot_negatives(energies, potential, r_init):
     for block in potential:
         rows = max(1, _PIVOT_BLOCK // (E.size * block.shape[1]))
         for i in range(0, block.shape[0], rows):
-            a = E - block[i:i + rows, None, :]
-            piv = _pivots(a.copy(), r, zero_fix=False)
+            v = block[i:i + rows, None, :]
+            piv = _pivots(E - v, r, zero_fix=False)
             if not piv.all():          # rare: redo the block with the zero rule
-                piv = _pivots(a, r, zero_fix=True)
+                piv = _pivots(E - v, r, zero_fix=True)
             r = piv[-1]
             neg = neg + (piv < 0).sum(axis=0)
     return neg
 
 
 def _pivots(piv, r, zero_fix):
-    """Turn E - V_k (shape (sites, energies, phases)) into the pivots in place."""
+    """Turn E - V_k (shape (sites, energies, phases)) into the pivots in place.
+
+    A step is two ufunc calls on row views and no allocation: np.reciprocal
+    into one scratch row (the same correctly rounded 1.0 / r), then an
+    in-place subtraction.
+    """
+    inv = np.empty(piv.shape[1:])
+    r = np.broadcast_to(r, inv.shape)
     with np.errstate(divide="ignore", over="ignore"):
-        for k in range(piv.shape[0]):
-            piv[k] -= 1.0 / r
-            r = piv[k]
+        for row in piv:
+            row -= np.reciprocal(r, out=inv)
+            r = row
             if zero_fix:
                 r[r == 0] = -_TINY
     return piv
