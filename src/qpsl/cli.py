@@ -297,11 +297,11 @@ def cmd_gaps(args):
     labels = _parse_labels(args.labels or cfg.get("labels"))
     tol = float(args.tol if args.tol is not None else cfg.get("tol", 1e-3))
     alpha = freq.floats()
-    curve = _chunked_rotation(V, alpha, energies, iters, samples, seed, _workers(args))
+    workers = _workers(args)
+    curve = _chunked_rotation(V, alpha, energies, iters, samples, seed, workers)
 
     def rho_fn(evals):
-        return rotation_curve(V, alpha, evals, iters=iters,
-                              samples=samples, seed=seed).rho
+        return _chunked_rotation(V, alpha, evals, iters, samples, seed, workers).rho
 
     gaps = detect_gaps(curve, alpha, labels, tol=tol,
                        rho_fn=rho_fn if args.refine else None)

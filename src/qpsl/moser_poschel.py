@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .cocycle import oscillation_rho, rotation_number, schrodinger_cocycle, uh_test
+from .cocycle import rotation_number, schrodinger_cocycle, uh_test
 from .diophantine import dist_to_integers
 from .errors import QpslError
 from .fourier import FourierSeries, multiply
@@ -199,7 +199,6 @@ class ProbeResult:
     d_delta: float
     verdict: str                  # 'hyperbolic' | 'not' | 'inconclusive'
     averaged_prediction: str
-    rotation_shift: float = None
     conjugation_residual: float = None
 
     @property
@@ -208,15 +207,13 @@ class ProbeResult:
 
 
 def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta, horizon=None,
-                   grid=192, check_conjugation=True, rotation_iters=100_000,
-                   seed=0):
+                   grid=192, check_conjugation=True, seed=0):
     """Probe the energy delta inward from the edge (direction from sign(zeta):
     a right edge probes downward) and decide hyperbolicity of the cocycle.
 
     The authoritative verdict comes from :func:`uh_test` on the full cocycle;
     the sign of d(delta) (through the constant part e^{c0 - delta c1}) is the
-    averaged one-step prediction recorded alongside, together with the
-    rotation shift rho(probe) - rho(edge).
+    averaged one-step prediction recorded alongside.
     """
     if not 0 < delta < 1:
         raise QpslError("delta must lie in (0,1)")
@@ -270,16 +267,8 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta, horizon=None,
         residual = float(np.min([np.max(np.abs(got - want)),
                                  np.max(np.abs(got + want))]))
 
-    rotation_shift = None
-    if rotation_iters and coc.kind != "constant":
-        # the phases rotation_number draws, at both energies in one count
-        thetas = np.random.default_rng(seed).uniform(0, 2 * math.pi, size=(2, alpha.size))
-        per = oscillation_rho(V, alpha, [E_probe, E_edge], thetas, rotation_iters)
-        rotation_shift = float(np.mean(per[0]) - np.mean(per[1]))
-
     return ProbeResult(delta=delta, probe_energy=E_probe, d_delta=d_val,
                        verdict=verdict, averaged_prediction=pred,
-                       rotation_shift=rotation_shift,
                        conjugation_residual=residual)
 
 

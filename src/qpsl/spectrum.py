@@ -18,7 +18,7 @@ import numpy as np
 
 from .cocycle import oscillation_rho, orbit_potential, pivot_negatives
 from .diophantine import dist_to_integers
-from .errors import QpslError
+from .errors import NonConvergence, QpslError
 
 __all__ = [
     "IdsCurve", "RotationCurve", "GapRecord",
@@ -115,10 +115,6 @@ class GapRecord:
                 "bound_window": self.bound_window}
 
 
-def _lock_distance(rho, label, alpha):
-    return dist_to_integers(2.0 * rho - float(np.dot(label, alpha)))
-
-
 def detect_gaps(curve: RotationCurve, alpha, labels, tol=1e-3, rho_fn=None,
                 min_plateau=3, refine_bisections=40, refine_tol=None):
     """Find maximal plateaus where 2 rho(E) locks onto <n, alpha> mod 1.
@@ -129,7 +125,9 @@ def detect_gaps(curve: RotationCurve, alpha, labels, tol=1e-3, rho_fn=None,
     grid bounds are reported.  A minimum plateau width rejects numerical
     flats.  ``refine_tol`` tightens the lock tolerance during refinement (the
     rotation number departs from the lock like sqrt(E - edge), so a tolerance
-    t leaves an O(t^2) edge bias; it defaults to tol).
+    t leaves an O(t^2) edge bias; it defaults to tol).  All edges are refined
+    together, one ``rho_fn`` call per stage; a plateau whose midpoint is
+    unlocked at ``refine_tol`` raises :class:`NonConvergence`.
     """
     refine_tol = tol if refine_tol is None else refine_tol
     alpha = np.atleast_1d(np.asarray(alpha, float))
@@ -141,72 +139,78 @@ def detect_gaps(curve: RotationCurve, alpha, labels, tol=1e-3, rho_fn=None,
             if cand not in cands:
                 cands.append(cand)
 
+    # the nearest candidate lock per energy (argmin: first candidate on ties)
     E = curve.energies
-    best_label = [None] * E.size
-    for i, r in enumerate(curve.rho):
-        dists = [( _lock_distance(r, n, alpha), n) for n in cands]
-        dmin, nmin = min(dists, key=lambda t: t[0])
-        if dmin < tol:
-            best_label[i] = nmin
+    dist = dist_to_integers(2.0 * curve.rho[:, None] - _shifts(cands, alpha))
+    best = np.where(dist.min(axis=1) < tol, dist.argmin(axis=1), -1)
+    starts = np.flatnonzero(np.diff(best, prepend=-2, append=-2))
+    plateaus = [(cands[best[i]], i, j) for i, j in zip(starts[:-1], starts[1:] - 1)
+                if best[i] >= 0 and j - i + 1 >= min_plateau]
 
+    if rho_fn is None:
+        found = [E[k] for _, i, j in plateaus for k in (i, j)]
+    else:
+        edges = []
+        for n, i, j in plateaus:
+            anchor = 0.5 * (E[i] + E[j])
+            edges += [(n, "E_minus", anchor, E[max(i - 1, 0)]),
+                      (n, "E_plus", anchor, E[min(j + 1, E.size - 1)])]
+        found = _refine_edges(rho_fn, edges, alpha, refine_tol, refine_bisections)
     records = []
-    i = 0
-    while i < E.size:
-        if best_label[i] is None:
-            i += 1
-            continue
-        j = i
-        while j + 1 < E.size and best_label[j + 1] == best_label[i]:
-            j += 1
-        if j - i + 1 >= min_plateau:
-            n = best_label[i]
-            lo, hi = E[i], E[j]
-            if rho_fn is not None:
-                anchor = 0.5 * (E[i] + E[j])
-                lo = _refine_edge(rho_fn, n, alpha, refine_tol, anchor,
-                                  E[i - 1] if i > 0 else E[i],
-                                  refine_bisections)
-                hi = _refine_edge(rho_fn, n, alpha, refine_tol, anchor,
-                                  E[j + 1] if j + 1 < E.size else E[j],
-                                  refine_bisections)
-            lock = dist_to_integers(float(np.dot(n, alpha)) / 2.0)
-            records.append(GapRecord(label=n, E_minus=float(lo), E_plus=float(hi),
-                                     length=float(hi - lo), rho_locked=lock))
-        i = j + 1
+    for (n, _, _), lo, hi in zip(plateaus, found[0::2], found[1::2]):
+        lock = dist_to_integers(float(np.dot(n, alpha)) / 2.0)
+        records.append(GapRecord(label=n, E_minus=float(lo), E_plus=float(hi),
+                                 length=float(hi - lo), rho_locked=lock))
     return records
 
 
-def _refine_edge(rho_fn, label, alpha, tol, anchor, E_out, budget):
-    """Locate the lock boundary between the plateau interior (``anchor``,
-    reliably locked) and an unlocked energy beyond the edge.
+def _shifts(labels, alpha):
+    return np.array([float(np.dot(n, alpha)) for n in labels])
 
-    ``rho_fn`` must accept a sorted array of energies and return the matching
-    rho array; each refinement stage is a single vectorized evaluation of a
-    local grid, repeated until the bracket shrinks below the equivalent of
-    ``budget`` bisections.
+
+def _refine_edges(rho_fn, edges, alpha, tol, budget):
+    """Edge energies for ``edges`` (label, side, anchor, E_out), refined in
+    lockstep between the plateau interior (``anchor``, reliably locked) and an
+    unlocked energy ``E_out`` beyond the edge.
+
+    A stage lays a 33-point grid on each open bracket and evaluates the union
+    of the grids in one ``rho_fn`` call on the sorted energies.  Every energy
+    is its own column of the pivot count, so each edge gets the rho it would
+    get alone, bit for bit.  An edge closes when its bracket shrinks below the
+    equivalent of ``budget`` bisections, or when its whole grid is locked;
+    there are at most 12 stages.
     """
-    if E_out == anchor:
-        return float(anchor)
-    lo, hi = float(anchor), float(E_out)   # lo: locked side, hi: unlocked side
-    width_target = abs(E_out - anchor) * 0.5 ** budget
-    pts = 33
+    lo = np.array([e[2] for e in edges], float)   # locked side
+    hi = np.array([e[3] for e in edges], float)   # unlocked side
+    target = np.abs(hi - lo) * 0.5 ** budget
+    shift = _shifts([e[0] for e in edges], alpha)
     for _ in range(12):
-        if abs(hi - lo) <= width_target:
+        idx = np.flatnonzero(np.abs(hi - lo) > target)
+        if idx.size == 0:
             break
-        grid = np.linspace(lo, hi, pts)    # may run downward
-        asc = np.sort(grid)
-        rho_asc = np.asarray(rho_fn(asc))
-        rho = np.empty_like(rho_asc)
-        rho[np.argsort(grid, kind="stable")] = rho_asc
-        locked = np.array([_lock_distance(r, label, alpha) < tol for r in rho])
-        if locked.all():
-            lo = float(grid[-1])
-            break
-        k = int(np.argmin(locked))         # first unlocked index from lo
-        if k == 0:
-            break                          # plateau interior already unlocked
-        lo, hi = float(grid[k - 1]), float(grid[k])
+        grids = np.stack([np.linspace(lo[k], hi[k], 33) for k in idx])  # may run downward
+        flat = grids.ravel()
+        order = np.argsort(flat, kind="stable")
+        rho = np.empty_like(flat)
+        rho[order] = np.asarray(rho_fn(flat[order]))
+        locked = dist_to_integers(2.0 * rho.reshape(grids.shape) - shift[idx, None]) < tol
+        for k, grid, lock in zip(idx, grids, locked):
+            lo[k], hi[k] = _refine_edge(grid, lock, edges[k])
     return lo
+
+
+def _refine_edge(grid, locked, edge):
+    """One stage of one edge: the new bracket (lo, hi) from the grid laid
+    from its locked side and the lock flags of the grid points; an all-locked
+    grid closes the bracket at its far end."""
+    if locked.all():
+        return grid[-1], grid[-1]
+    k = int(np.argmin(locked))             # first unlocked point
+    if k == 0:
+        label, side, anchor, _ = edge
+        raise NonConvergence(f"gap {label} {side}: the plateau midpoint "
+                             f"{float(anchor)!r} is unlocked at the refinement tolerance")
+    return grid[k - 1], grid[k]
 
 
 def gap_bounds_check(gap: GapRecord, k, tau, strict=False):

@@ -263,7 +263,6 @@ def test_criterion_08_kam_step():
             f"on 256 probes; |rho_next| = {rho_next:.2e} <= 2x threshold")
 
 
-@pytest.mark.slow
 def test_criterion_09_gap_detection():
     t0 = time.time()
     P = amo_potential(0.5)

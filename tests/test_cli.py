@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qpsl.cli import main
@@ -194,6 +195,23 @@ def test_workers_deterministic(tmp_path, monkeypatch):
     out3 = tmp_path / "env.csv"
     assert run_cli(base + ["--out", str(out3)]) == 0
     assert out3.read_bytes() == out1.read_bytes()
+
+
+def test_gaps_refine_workers_deterministic(tmp_path):
+    # the refinement's rho_fn is split over the workers too
+    base = ["gaps", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
+            "--emin", "-2.6", "--emax", "2.6", "--grid", "121", "--iters", "20000",
+            "--labels", "1..2", "--tol", "4e-3", "--refine"]
+    out1, out3 = tmp_path / "w1.csv", tmp_path / "w3.csv"
+    assert run_cli(base + ["--out", str(out1), "--workers", "1"]) == 0
+    assert run_cli(base + ["--out", str(out3), "--workers", "3"]) == 0
+    assert out1.read_bytes() == out3.read_bytes()
+    rows = [line.split(",") for line in out1.read_text().splitlines()[2:]]
+    assert {"1", "-1"} <= {row[0] for row in rows}
+    grid = np.linspace(-2.6, 2.6, 121)
+    for row in rows:                          # refined edges lie off the scan grid
+        assert float(row[1]) not in grid and float(row[2]) not in grid
+        assert float(row[2]) - float(row[1]) == float(row[3]) > 0
 
 
 def test_console_entry_point():

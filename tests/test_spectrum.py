@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpsl.diophantine import dist_to_integers
-from qpsl.errors import QpslError
+from qpsl.errors import NonConvergence, QpslError
 from qpsl.fourier import FourierSeries, amo_potential
 from qpsl.spectrum import (
     detect_gaps,
@@ -132,6 +132,148 @@ def test_detect_gaps_amo_label_one():
     inside = (ic.energies > g1.E_minus + 0.02) & (ic.energies < g1.E_plus - 0.02)
     plateau_vals = ic.values[inside]
     assert plateau_vals.max() - plateau_vals.min() < 5e-3
+
+
+def _oracle_refine_edge(rho_fn, label, alpha, tol, anchor, E_out, budget):
+    """The per-edge refinement detect_gaps used before its edges were refined
+    in lockstep: one rho_fn call per edge and stage."""
+    if E_out == anchor:
+        return float(anchor)
+    lo, hi = float(anchor), float(E_out)   # lo: locked side, hi: unlocked side
+    width_target = abs(E_out - anchor) * 0.5 ** budget
+    pts = 33
+    for _ in range(12):
+        if abs(hi - lo) <= width_target:
+            break
+        grid = np.linspace(lo, hi, pts)    # may run downward
+        asc = np.sort(grid)
+        rho_asc = np.asarray(rho_fn(asc))
+        rho = np.empty_like(rho_asc)
+        rho[np.argsort(grid, kind="stable")] = rho_asc
+        locked = np.array([dist_to_integers(2.0 * r - float(np.dot(label, alpha))) < tol
+                           for r in rho])
+        if locked.all():
+            lo = float(grid[-1])
+            break
+        k = int(np.argmin(locked))         # first unlocked index from lo
+        if k == 0:
+            break                          # plateau interior already unlocked
+        lo, hi = float(grid[k - 1]), float(grid[k])
+    return lo
+
+
+class _CountingRho:
+    """A rho_fn that counts its calls and checks that its input is sorted."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, evals):
+        assert np.all(np.diff(evals) >= 0)
+        self.calls += 1
+        return self.fn(evals)
+
+
+def _oracle_plateaus(curve, alpha, labels, tol, min_plateau=3):
+    """The per-energy, per-candidate label pick and plateau scan detect_gaps
+    used before its lock tests were vectorised, as [(label, i, j)]."""
+    cands = []
+    for n in labels:
+        for cand in ((n,), (-n,)):
+            if cand not in cands:
+                cands.append(cand)
+    best = [None] * curve.energies.size
+    for i, r in enumerate(curve.rho):
+        dists = [(dist_to_integers(2.0 * r - float(np.dot(n, alpha))), n) for n in cands]
+        dmin, nmin = min(dists, key=lambda t: t[0])
+        if dmin < tol:
+            best[i] = nmin
+    out, i = [], 0
+    while i < len(best):
+        if best[i] is None:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(best) and best[j + 1] == best[i]:
+            j += 1
+        if j - i + 1 >= min_plateau:
+            out.append((best[i], i, j))
+        i = j + 1
+    return out
+
+
+def _check_against_oracle(curve, rho_fn, alpha, labels, tol, refine_tol, budget):
+    """detect_gaps with rho_fn equals the oracles on every label and edge
+    with ==, in one rho_fn call per stage; returns the gaps and the oracle's
+    stages per edge."""
+    E = curve.energies
+    counting = _CountingRho(rho_fn)
+    gaps = detect_gaps(curve, alpha, labels, tol=tol, rho_fn=counting,
+                       refine_bisections=budget, refine_tol=refine_tol)
+    plateaus = _oracle_plateaus(curve, alpha, labels, tol)
+    assert [g.label for g in gaps] == [n for n, _, _ in plateaus]
+    stages = []
+    for g, (_, i, j) in zip(gaps, plateaus):
+        anchor = 0.5 * (E[i] + E[j])
+        for got, E_out in ((g.E_minus, E[i - 1] if i > 0 else E[i]),
+                           (g.E_plus, E[j + 1] if j + 1 < E.size else E[j])):
+            oracle = _CountingRho(rho_fn)
+            want = _oracle_refine_edge(oracle, g.label, alpha, refine_tol, anchor,
+                                       E_out, budget)
+            assert got == want
+            stages.append(oracle.calls)
+        assert g.length == g.E_plus - g.E_minus
+    assert counting.calls == max(stages, default=0)
+    return gaps, stages
+
+
+def test_detect_gaps_lockstep_matches_per_edge_oracle():
+    P = amo_potential(0.5)
+    E = np.linspace(-2.6, 2.6, 201)
+    curve = rotation_curve(P, [GOLD], E, iters=20_000, samples=2, seed=1)
+
+    def rho_fn(evals):
+        return rotation_curve(P, [GOLD], evals, iters=20_000, samples=2, seed=1).rho
+
+    gaps, stages = _check_against_oracle(curve, rho_fn, [GOLD], [1, 2, 3],
+                                         tol=2e-3, refine_tol=3e-4, budget=14)
+    assert {(1,), (-1,)} <= {g.label for g in gaps}
+    assert stages == [3] * len(stages)        # 8 or more per-edge calls become 3
+
+
+def test_detect_gaps_lockstep_edges_close_at_different_stages():
+    # rho locks onto GOLD/2 (label 1) on [-1, 0.5] and leaves it linearly;
+    # the scan starts inside the plateau, so the lower edge's first grid is
+    # all locked and closes after one stage while the upper edge takes three
+    def rho_fn(evals):
+        evals = np.asarray(evals)
+        return GOLD / 2 + np.maximum(evals - 0.5, 0) + np.maximum(-1.0 - evals, 0)
+
+    E = np.linspace(-0.9, 1.0, 20)
+    curve = rotation_curve(None, [GOLD], E, iters=10, samples=1)
+    curve.rho = rho_fn(E)
+    gaps, stages = _check_against_oracle(curve, rho_fn, [GOLD], [1], tol=1e-3,
+                                         refine_tol=1e-3, budget=14)
+    assert stages == [1, 3]
+    assert gaps[0].E_minus == E[0]
+    assert 0.5 < gaps[0].E_plus < 0.5 + 1e-3
+
+
+def test_detect_gaps_unlocked_anchor_raises():
+    # the scan sees a plateau at tol 1e-3, but at the refinement tolerance
+    # even its midpoint is unlocked: no edge may be reported
+    def rho_fn(evals):
+        evals = np.asarray(evals)
+        return GOLD / 2 + 1e-4 + np.where(np.abs(evals) < 0.5, 0.0, 0.1)
+
+    E = np.linspace(-1.0, 1.0, 21)
+    curve = rotation_curve(None, [GOLD], E, iters=10, samples=1)
+    curve.rho = rho_fn(E)
+    (plain,) = detect_gaps(curve, [GOLD], [1], tol=1e-3)
+    anchor = 0.5 * (plain.E_minus + plain.E_plus)
+    with pytest.raises(NonConvergence) as err:
+        detect_gaps(curve, [GOLD], [1], tol=1e-3, rho_fn=rho_fn, refine_tol=1e-5)
+    assert str(err.value).startswith(f"gap (1,) E_minus: the plateau midpoint {anchor!r} ")
 
 
 def test_gap_bounds_check_window():
