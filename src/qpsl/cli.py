@@ -11,6 +11,7 @@ workers share nothing and results are assembled in input order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ from .fourier import (FourierSeries, amo_potential, build_potential, potential_m
 from .kam import KamParams, ReducibilityResult, run_reducibility
 from .label_set import LabelSet, build_schedule, construct_label_set, ell_star, verify_label_set
 from .moser_poschel import bracket_gap, edge_data_from_reduction, poly_bounds_check
-from .spectrum import detect_gaps, gap_bounds_check, ids_curve, rotation_curve
+from .spectrum import RotationCurve, detect_gaps, gap_bounds_check, ids_curve, rotation_curve
 
 SCHEMA_VERSION = "v1"
 
@@ -39,13 +40,17 @@ def _config_hash(cfg):
 def _emit_json(path, payload, cfg):
     payload = {"config": cfg, "config_hash": _config_hash(cfg),
                "qpsl_version": __version__, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return payload
+
+
+def _write(path, text):
+    """Write text to the file at ``path``, or to stdout for None or '-'."""
     if path is None or path == "-":
-        print(text)
+        sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return payload
+            fh.write(text)
 
 
 def _emit_csv(path, name, header, rows, cfg):
@@ -53,12 +58,7 @@ def _emit_csv(path, name, header, rows, cfg):
              ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _fmt(v):
@@ -136,18 +136,20 @@ def _workers(args):
     return max(1, int(w))
 
 
-def _chunked_rotation(V, alpha, energies, iters, samples, seed, workers):
-    if workers <= 1 or energies.size < 8:
+def _rotation_pool(workers):
+    """One fork pool for all the _chunked_rotation calls of a subcommand (None for one worker)."""
+    if workers <= 1:
+        return contextlib.nullcontext()
+    from multiprocessing import get_context   # not at start-up: no other command needs it
+    return get_context("fork").Pool(workers)
+
+
+def _chunked_rotation(V, alpha, energies, iters, samples, seed, workers, pool):
+    if pool is None or energies.size < 8:
         return rotation_curve(V, alpha, energies, iters=iters, samples=samples, seed=seed)
-    from multiprocessing import get_context
     chunks = np.array_split(np.arange(energies.size), workers)
     jobs = [(V, alpha, energies[idx], iters, samples, seed) for idx in chunks if idx.size]
-    ctx = get_context("fork")
-    with ctx.Pool(len(jobs)) as pool:
-        parts = pool.starmap(_rotation_job, jobs)
-    rho = np.concatenate([p[0] for p in parts])
-    disp = np.concatenate([p[1] for p in parts])
-    from .spectrum import RotationCurve
+    rho, disp = (np.concatenate(p) for p in zip(*pool.starmap(_rotation_job, jobs)))
     return RotationCurve(energies=energies, rho=rho, dispersion=disp,
                          iters=iters, samples=samples)
 
@@ -252,7 +254,9 @@ def cmd_rotation(args):
     iters = int(args.iters if args.iters is not None else scan.get("iters", 100_000))
     samples = int(args.samples if args.samples is not None else scan.get("samples", 3))
     seed = int(cfg.get("seed", 0))
-    curve = _chunked_rotation(V, freq.floats(), energies, iters, samples, seed, _workers(args))
+    workers = _workers(args)
+    with _rotation_pool(workers) as pool:
+        curve = _chunked_rotation(V, freq.floats(), energies, iters, samples, seed, workers, pool)
     run_cfg = {"frequency": [str(r) for r in freq.raw], "iters": iters,
                "samples": samples, "seed": seed,
                "potential": cfg.get("potential", {"preset": args.preset, "lambda": args.lam}),
@@ -298,13 +302,14 @@ def cmd_gaps(args):
     tol = float(args.tol if args.tol is not None else cfg.get("tol", 1e-3))
     alpha = freq.floats()
     workers = _workers(args)
-    curve = _chunked_rotation(V, alpha, energies, iters, samples, seed, workers)
+    with _rotation_pool(workers) as pool:
+        curve = _chunked_rotation(V, alpha, energies, iters, samples, seed, workers, pool)
 
-    def rho_fn(evals):
-        return _chunked_rotation(V, alpha, evals, iters, samples, seed, workers).rho
+        def rho_fn(evals):
+            return _chunked_rotation(V, alpha, evals, iters, samples, seed, workers, pool).rho
 
-    gaps = detect_gaps(curve, alpha, labels, tol=tol,
-                       rho_fn=rho_fn if args.refine else None)
+        gaps = detect_gaps(curve, alpha, labels, tol=tol,
+                           rho_fn=rho_fn if args.refine else None)
     if args.curve_out:
         N = int(scan.get("N", 1000))
         ic = ids_curve(V, alpha, energies, N=N,

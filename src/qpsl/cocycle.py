@@ -14,6 +14,7 @@ real and b complex.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ from .errors import (
 from .fourier import FourierSeries, Potential
 
 __all__ = [
-    "M_CONJ", "M_CONJ_INV",
+    "M_CONJ", "M_CONJ_INV", "mat_product",
     "to_su11", "from_su11", "check_su11",
     "su11_exp", "su11_log", "rot_su11", "frame_rotation_su11",
     "parabolic_normalize", "diagonalize_su11", "rotation_matrix",
@@ -255,7 +256,7 @@ def diagonalize_su11(A, tol=1e-9):
 
 @dataclass
 class QpCocycle:
-    """(alpha, A): alpha in cycles; A constant, FourierSeries, or callable.
+    """(alpha, A): alpha in cycles; A constant or callable.
 
     Callable maps must accept a batch of points with shape (m, d) and return
     (m, 2, 2).  ``halved`` marks maps on the doubled torus.
@@ -289,11 +290,8 @@ class QpCocycle:
             thetas = thetas[:, None]
         if thetas.shape[1] != self.d:
             raise DomainMismatch(f"points have dimension {thetas.shape[1]}, cocycle d={self.d}")
-        m = thetas.shape[0]
         if self.kind == "constant":
-            return np.broadcast_to(self.data, (m, 2, 2)).copy()
-        if self.kind == "series":
-            return self.data.sample(thetas)
+            return np.broadcast_to(self.data, (len(thetas), 2, 2)).copy()
         return np.asarray(self.data(thetas))
 
     @staticmethod
@@ -317,11 +315,8 @@ def schrodinger_cocycle(V, E, alpha=None):
         alpha = V.label_set.frequency.floats()
 
     def sampler(thetas):
-        thetas = np.asarray(thetas, float)
-        out = np.zeros((thetas.shape[0], 2, 2))
-        out[:, 0, 0] = E - potential_values(V, thetas)
-        out[:, 0, 1] = -1.0
-        out[:, 1, 0] = 1.0
+        out = np.broadcast_to([[0.0, -1.0], [1.0, 0.0]], (len(thetas), 2, 2)).copy()
+        out[:, 0, 0] = E - potential_values(V, np.asarray(thetas, float))
         return out
 
     return QpCocycle(alpha=np.zeros(1) if alpha is None else alpha, kind="callable",
@@ -333,17 +328,17 @@ def transfer_product(c: QpCocycle, theta, n):
 
     n >= 0 multiplies A(theta + (n-1) step) ... A(theta); n < 0 uses the
     inverse-product convention, so S_{-n}(theta) = S_n(theta - n*step)^{-1}.
+    Any kind; a Schrodinger cocycle takes the walk of :func:`_schrodinger_walk`.
     """
     theta = np.atleast_1d(np.asarray(theta, float))
-    step = c.step
+    if n < 0:
+        return np.linalg.inv(transfer_product(c, theta + n * c.step, -n))
     out = np.eye(2)
-    if n >= 0:
-        for k in range(n):
-            out = c.matrix(theta + k * step) @ out
-        return out
-    for k in range(n, 0):
-        A = c.matrix(theta + k * step)
-        out = out @ np.linalg.inv(A)
+    if c.V is not None:
+        r_prev, r = _schrodinger_walk(c, theta[None, :], np.arange(n), out[1:].T, out[:1].T)
+        return np.concatenate([r, r_prev], axis=1).T
+    for k in range(n):
+        out = c.matrix(theta + k * c.step) @ out
     return out
 
 
@@ -361,6 +356,41 @@ def _adjugate(M):
 def _inv2_batch(mats):
     det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
     return _adjugate(mats) / det[:, None, None]
+
+
+def mat_product(*factors):
+    """F_1 F_2 ... F_n per entry over a stack; factors (m, 2, 2) or (2, 2),
+    result (m, 2, 2).  Entry (i, l) adds to 0, over (j, k, ...) in C order,
+    the left-associated products F_1[i, j] F_2[j, k] ..., complex ones in
+    real arithmetic: numpy's Einstein summation order, which it equals bit
+    for bit (``@`` and numpy's complex ``*`` round differently)."""
+    mats = [np.asarray(F, np.result_type(*factors)) for F in factors]
+    cplx = np.iscomplexobj(mats[0])
+    entry = lambda M, i, j: (M[..., i, j].real, M[..., i, j].imag if cplx else None)
+
+    def times(a, b):
+        (ar, ai), (br, bi) = a, b
+        if not cplx:
+            return ar * br, None
+        re, im = ar * br, ar * bi
+        re -= ai * bi
+        im += ai * br
+        return re, im
+
+    out = np.zeros((max((len(M) for M in mats if M.ndim == 3), default=1), 2, 2),
+                   mats[0].dtype)
+    for i in (0, 1):
+        # the prefixes F_1[i, j] ... F_{n-1}[., k], in C order of (j, ..., k)
+        terms = [entry(mats[0], i, j) for j in (0, 1)]
+        for M in mats[1:-1]:
+            terms = [times(t, entry(M, s % 2, k)) for s, t in enumerate(terms) for k in (0, 1)]
+        for l in (0, 1):
+            for s, t in enumerate(terms):
+                re, im = times(t, entry(mats[-1], s % 2, l))
+                out.real[:, i, l] += re
+                if cplx:
+                    out.imag[:, i, l] += im
+    return out
 
 
 def conjugate(c: QpCocycle, Z, probes=16, tol=1e-8, seed=0):
@@ -389,8 +419,7 @@ def conjugate(c: QpCocycle, Z, probes=16, tol=1e-8, seed=0):
         thetas = np.asarray(thetas, float)
         Zs = z_eval(thetas)
         Zs_fwd = z_eval(thetas + step[None, :])
-        A = c.matrix_batch(thetas)
-        return np.einsum("mij,mjk,mkl->mil", _inv2_batch(Zs_fwd), A, Zs)
+        return mat_product(_inv2_batch(Zs_fwd), c.matrix_batch(thetas), Zs)
 
     return QpCocycle(alpha=c.alpha.copy(), kind="callable", data=sampler, halved=halved)
 
@@ -399,6 +428,7 @@ def conjugate(c: QpCocycle, Z, probes=16, tol=1e-8, seed=0):
 # the Sturm pivot count shared by the IDS and the rotation number
 
 _ORBIT_BLOCK = 4096        # sites per block of potential values along an orbit
+_WALK_BLOCK = 64           # steps per block of cocycle values in a step-by-step walk
 _PIVOT_BLOCK = 1 << 15     # pivots the kernel holds at once
 _TINY = 1e-300
 
@@ -415,22 +445,37 @@ def potential_values(V, thetas):
     return vals.reshape(thetas.shape[:-1])
 
 
-def orbit_potential(V, alpha, thetas, sites):
-    """V at theta_p + k 2 pi alpha, k = 0..sites-1, for the phases ``thetas``
-    (shape (phases, d)), yielded in blocks of shape (sites, phases).
-
-    Each angle is the running sum th = th + 2 pi alpha from its phase, built a
-    block at a time with np.cumsum, which adds in the same order.
-    """
+def _orbit_angles(alpha, thetas, sites, block):
+    """theta_p + k 2 pi alpha, k = 0..sites-1, for the phases ``thetas``
+    (shape (phases, d)), yielded in blocks of shape (block, phases, d): the
+    running sums th = th + 2 pi alpha, a block at a time by np.cumsum, which
+    adds in the same order."""
     step = 2 * math.pi * np.atleast_1d(np.asarray(alpha, float))
     th = np.atleast_2d(np.asarray(thetas, float))
-    for start in range(0, sites, _ORBIT_BLOCK):
-        ang = np.empty((min(_ORBIT_BLOCK, sites - start),) + th.shape)
+    for start in range(0, sites, block):
+        ang = np.empty((min(block, sites - start),) + th.shape)
         ang[0] = th
         ang[1:] = step
         ang = np.cumsum(ang, axis=0)
         th = ang[-1] + step
-        yield potential_values(V, ang)
+        yield ang
+
+
+def orbit_potential(V, alpha, thetas, sites):
+    """V on the angles of :func:`_orbit_angles`, in blocks of shape (sites, phases)."""
+    return (potential_values(V, a) for a in _orbit_angles(alpha, thetas, sites, _ORBIT_BLOCK))
+
+
+def _schrodinger_walk(c: QpCocycle, pts, ks, r_prev, r):
+    """Run r <- x_k r - r_prev, x_k = E - V(pts + k step), per entry over the
+    steps ``ks``, V _WALK_BLOCK steps at a time; r has shape (..., points).
+    The rows of S = A S are (r, r_prev), the columns of S = S A (r, -r_prev),
+    and a step equals that matrix product bit for bit up to a zero's sign."""
+    for start in range(0, len(ks), _WALK_BLOCK):
+        kb = ks[start:start + _WALK_BLOCK]
+        for x in c.E - potential_values(c.V, pts + kb[:, None, None] * c.step):
+            r_prev, r = r, x * r - r_prev
+    return r_prev, r
 
 
 def pivot_negatives(energies, potential, r_init):
@@ -513,17 +558,12 @@ def _circular_mean(vals):
 
 
 def _circular_spread(vals):
-    vals = np.asarray(vals)
-    worst = 0.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            d = abs(vals[i] - vals[j]) % 1.0
-            worst = max(worst, min(d, 1.0 - d))
-    return worst
+    d = np.abs(np.subtract.outer(vals, vals)) % 1.0
+    return float(np.max(np.minimum(d, 1.0 - d), initial=0.0))
 
 
 def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
-                    dispersion_bound=None, theta0=None):
+                    dispersion_bound=None):
     """Fibered rotation number by Birkhoff averaging of the projective lift.
 
     The lift increment is the principal angle advance of a tracked direction,
@@ -534,13 +574,8 @@ def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
     Schrodinger cocycles take the oscillation count of :func:`oscillation_rho`
     instead, which reads rho in [0, 1/2].
     """
-    rng = np.random.default_rng(seed)
     period = 2 * math.pi * (2.0 if c.halved else 1.0)
-    if theta0 is not None:
-        thetas = np.atleast_2d(np.asarray(theta0, float)).copy()
-        phase_samples = thetas.shape[0]
-    else:
-        thetas = rng.uniform(0, period, size=(phase_samples, c.d))
+    thetas = np.random.default_rng(seed).uniform(0, period, size=(phase_samples, c.d))
     if c.V is not None or (c.kind == "constant" and c.E is not None):
         per = oscillation_rho(c.V, c.alpha, [c.E], thetas, iters)[0]
         rho = float(np.mean(per))
@@ -548,11 +583,7 @@ def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
     else:
         psi = np.zeros(phase_samples)
         total = np.zeros(phase_samples)
-        step = c.step
-        for _ in range(iters):
-            A = c.matrix_batch(thetas)
-            if np.iscomplexobj(A):
-                A = A.real
+        for A in _orbit_matrices(c, thetas, iters, _WALK_BLOCK):
             x, y = np.cos(psi), np.sin(psi)
             u1 = A[:, 0, 0] * x + A[:, 0, 1] * y
             u2 = A[:, 1, 0] * x + A[:, 1, 1] * y
@@ -560,7 +591,6 @@ def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
             delta = (psi_new - psi + math.pi) % (2 * math.pi) - math.pi
             total += delta
             psi = psi_new
-            thetas = thetas + step[None, :]
         per = (total / (2 * math.pi * iters)) % 1.0
         rho = _circular_mean(per)
         disp = _circular_spread(per)
@@ -569,29 +599,32 @@ def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
                           dispersion=disp, converged=disp <= bound, per_sample=per)
 
 
+def _orbit_matrices(c: QpCocycle, thetas, sites, block):
+    """Real part of A on the angles of :func:`_orbit_angles`, one (phases, 2, 2)
+    stack per step, from one matrix_batch call per ``block`` steps."""
+    for ang in _orbit_angles(c.alpha, thetas, sites, block):
+        yield from c.matrix_batch(ang.reshape(-1, c.d)).real.reshape(ang.shape[:2] + (2, 2))
+
+
 def lyapunov_exponent(c: QpCocycle, iters=50_000, phase_samples=3, seed=0,
                       renorm_every=16):
-    """Top Lyapunov exponent by renormalized vector iteration (>= 0 for
-    SL(2,R) cocycles up to statistical noise)."""
-    rng = np.random.default_rng(seed)
+    """Top Lyapunov exponent by renormalized vector iteration (>= 0 up to
+    noise); any kind, a Schrodinger cocycle by :func:`_schrodinger_walk`."""
     period = 2 * math.pi * (2.0 if c.halved else 1.0)
-    thetas = rng.uniform(0, period, size=(phase_samples, c.d))
-    v = np.tile(np.array([[1.0], [0.7]]).T, (phase_samples, 1))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    thetas = np.random.default_rng(seed).uniform(0, period, size=(phase_samples, c.d))
+    v0, v1 = np.repeat([[1.0], [0.7]], phase_samples, axis=1) / math.sqrt(1.49)
     acc = np.zeros(phase_samples)
-    step = c.step
-    for k in range(iters):
-        A = c.matrix_batch(thetas)
-        if np.iscomplexobj(A):
-            A = A.real
-        v = np.einsum("mij,mj->mi", A, v)
-        if (k + 1) % renorm_every == 0:
-            nrm = np.linalg.norm(v, axis=1)
-            acc += np.log(nrm)
-            v /= nrm[:, None]
-        thetas = thetas + step[None, :]
-    nrm = np.linalg.norm(v, axis=1)
-    acc += np.log(nrm)
+    mats = None if c.V is not None else _orbit_matrices(c, thetas, iters, _WALK_BLOCK)
+    for start in range(0, iters, renorm_every):
+        if mats is None:
+            ks = np.arange(start, min(start + renorm_every, iters))
+            v1, v0 = _schrodinger_walk(c, thetas, ks, v1, v0)
+        else:
+            for A in itertools.islice(mats, renorm_every):
+                v0, v1 = A[:, 0, 0] * v0 + A[:, 0, 1] * v1, A[:, 1, 0] * v0 + A[:, 1, 1] * v1
+        nrm = np.sqrt(v0 * v0 + v1 * v1)
+        acc += np.log(nrm)
+        v0, v1 = v0 / nrm, v1 / nrm
     return float(np.mean(acc / iters))
 
 
@@ -622,86 +655,75 @@ def _proj_dist(a, b):
 
 
 def uh_test(c: QpCocycle, horizon=256, grid=128):
-    """Decide uniform hyperbolicity.
+    """Decide uniform hyperbolicity of a constant or Schrodinger cocycle.
 
-    Constant cocycles use the exact trace criterion (margin |tr| - 2).
-    Otherwise a finite-window unstable direction field is built on a theta
-    grid and a cone around it is checked for strict invariance under one
-    cocycle step; projective maps of SL(2,R) send arcs to arcs, so checking
-    the two cone edges and the center is exact for the sampled points.
-    Returns 'inconclusive' when neither certificate fires.
+    Any other kind raises QpslError.  Constant cocycles use the exact trace
+    criterion (margin |tr| - 2).  Otherwise a finite-window unstable direction
+    field is built on a theta grid by the walks of :func:`_schrodinger_walk`,
+    and a cone around it is checked for strict invariance under one cocycle
+    step; projective maps of SL(2,R) send arcs to arcs, so checking the two
+    cone edges and the center is exact for the sampled points.  Returns
+    'inconclusive' when neither certificate fires.
     """
     if c.kind == "constant":
         tr = float(np.trace(np.asarray(c.data, complex)).real)
         margin = abs(tr) - 2.0
         return UhReport(verdict="hyperbolic" if margin > 0 else "not", margin=margin)
+    if c.V is None or horizon < 1:
+        raise QpslError(f"uh_test takes Schrodinger cocycles and horizons >= 1, not "
+                        f"a {c.kind} cocycle and {horizon}")
 
     period = 2 * math.pi * (2.0 if c.halved else 1.0)
-    if c.d == 1:
-        pts = np.linspace(0.0, period, grid, endpoint=False)[:, None]
-    else:
-        per_dim = max(4, int(round(grid ** (1.0 / c.d))))
-        axes = [np.linspace(0.0, period, per_dim, endpoint=False)] * c.d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-    step = c.step
+    per_dim = grid if c.d == 1 else max(4, int(round(grid ** (1.0 / c.d))))
+    axis = np.linspace(0.0, period, per_dim, endpoint=False)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*[axis] * c.d, indexing="ij")], axis=1)
 
     def unstable_field(prods):
         U, S, _ = np.linalg.svd(prods)
         return U[:, :, 0], S[:, 0]
 
     # transfer matrices over the `horizon` steps ending at each grid point,
-    # and the prefix over the first max(1, horizon // 2) of those steps
-    full = half = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
-    for k in range(1, horizon + 1):
-        A = c.matrix_batch(pts - k * step[None, :])
-        if np.iscomplexobj(A):
-            A = A.real
-        full = np.einsum("mij,mjk->mik", full, A)
-        if k == max(1, horizon // 2):
-            half = full
-    u_full, s_full = unstable_field(full)
-    u_half, _ = unstable_field(half)
+    # and the prefix over the first max(1, horizon // 2) of those steps, as
+    # column walks (u, -u_prev) from the identity; u = (1, -0) makes the
+    # first product's zero entry +0, as a matrix product does
+    half_k = max(1, horizon // 2)
+    one, zero = np.ones(len(pts)), np.zeros(len(pts))
+    half = _schrodinger_walk(c, pts, -np.arange(1, half_k + 1), -np.array([zero, one]),
+                             np.array([one, -zero]))
+    full = _schrodinger_walk(c, pts, -np.arange(half_k + 1, horizon + 1), *half)
+    columns = lambda u_prev, u: np.moveaxis(np.stack([u, -u_prev], axis=1), -1, 0)
+    u_full, s_full = unstable_field(columns(*full))
+    u_half, _ = unstable_field(columns(*half))
     smax, smin = float(np.max(s_full)), float(np.min(s_full))
+    sigmas = {"sigma_min": smin, "sigma_max": smax}
     if smax < 2.0:
-        return UhReport(verdict="not", margin=smax - 2.0,
-                        sigma_min=smin, sigma_max=smax)
+        return UhReport(verdict="not", margin=smax - 2.0, **sigmas)
 
     stable_dirs = float(np.max(_proj_dist(_proj_angle(u_full), _proj_angle(u_half))))
     if stable_dirs > math.pi / 6:
         # finite-window unstable directions do not converge: no dominated
         # splitting at this horizon (elliptic behavior)
-        return UhReport(verdict="not", margin=-stable_dirs,
-                        sigma_min=smin, sigma_max=smax)
+        return UhReport(verdict="not", margin=-stable_dirs, **sigmas)
 
-    # cone contraction is checked for the horizon-step block map: weakly
-    # hyperbolic cocycles only contract cones over long blocks
-    fwd = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
-    for k in range(horizon):
-        A = c.matrix_batch(pts + k * step[None, :])
-        if np.iscomplexobj(A):
-            A = A.real
-        fwd = np.einsum("mij,mjk->mik", A, fwd)
+    # cone contraction is checked for the horizon-step block map, a row walk
+    # (r, r_prev): weakly hyperbolic cocycles only contract cones over long blocks
+    r_prev, r = _schrodinger_walk(c, pts, np.arange(horizon), np.array([zero, one]),
+                                  np.array([one, zero]))
     # the window ending at pts + horizon step is the forward block itself
-    u_next, _ = unstable_field(fwd)
+    u_next, _ = unstable_field(np.moveaxis(np.stack([r, r_prev]), -1, 0))
     ang = _proj_angle(u_full)
     ang_next = _proj_angle(u_next)
 
+    def image_dist(edge):
+        """Largest projective distance of the block's image of the
+        directions ``edge`` from the next window's unstable directions."""
+        x, y = np.cos(edge), np.sin(edge)
+        img = np.arctan2(r_prev[0] * x + r_prev[1] * y, r[0] * x + r[1] * y) % math.pi
+        return float(np.max(_proj_dist(img, ang_next)))
+
     for phi in (math.pi / 8, math.pi / 16, math.pi / 32, math.pi / 64, math.pi / 256):
-        worst = -math.inf
-        ok = True
-        for sgn in (-1.0, 0.0, 1.0):
-            edge = ang + sgn * phi
-            v = np.stack([np.cos(edge), np.sin(edge)], axis=1)
-            img = np.einsum("mij,mj->mi", fwd, v)
-            dist = _proj_dist(_proj_angle(img), ang_next)
-            lim = phi / 2
-            if np.max(dist) >= lim:
-                ok = False
-                break
-            worst = max(worst, float(np.max(dist)))
-        if ok and smin >= 2.0 and stable_dirs < phi:
+        worst = max(image_dist(ang + sgn * phi) for sgn in (-1.0, 0.0, 1.0))
+        if worst < phi / 2 and smin >= 2.0 and stable_dirs < phi:
             return UhReport(verdict="hyperbolic", margin=phi - worst,
-                            sigma_min=smin, sigma_max=smax, cone_half_angle=phi)
-    return UhReport(verdict="inconclusive", margin=0.0,
-                    sigma_min=smin, sigma_max=smax)
+                            cone_half_angle=phi, **sigmas)
+    return UhReport(verdict="inconclusive", margin=0.0, **sigmas)

@@ -44,6 +44,7 @@ from .cocycle import (
     su11_exp,
     _adjugate,
     _su11_log,
+    mat_product,
     to_su11,
     M_CONJ,
     M_CONJ_INV,
@@ -479,14 +480,12 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
         Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
         # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}
         E_here = su11_exp(Y_p.on_grid(grid))
-        E_fwd = su11_exp(Y_p.on_grid(grid, shift=alpha))
-        Gv = su11_exp(g_cur.on_grid(grid))
-        inner = np.einsum("ij,mjk,kl->mil", np.linalg.inv(Ad), E_fwd, Ad)
-        prod = np.einsum("mij,mjk,mkl->mil", inner, Gv, _adjugate(E_here))
+        inner = mat_product(np.linalg.inv(Ad), su11_exp(Y_p.on_grid(grid, shift=alpha)), Ad)
+        prod = mat_product(inner, su11_exp(g_cur.on_grid(grid)), _adjugate(E_here))
         g_next_vals = _su11_log(prod)
         g_cur = su11_series_from_samples(g_next_vals, d, max_degree=max_deg)
         dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
-        E_acc = E_here if E_acc is None else np.einsum("mij,mjk->mik", E_here, E_acc)
+        E_acc = E_here if E_acc is None else mat_product(E_here, E_acc)
     else:
         nre, _ = rule.split(g_cur)
         if nre.norm(h) > NEWTON_TOL * scale * 100:
@@ -503,13 +502,10 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     F_star.prune(1e-18)
 
     # certification on random probes
-    rng = np.random.default_rng(seed)
-    pr = rng.uniform(0, 2 * math.pi, size=(probes, d))
-    Ye = Y_out.sample(pr + step[None, :])
-    Yb = Y_out.sample(pr)
-    lhs = np.einsum("mij,jk,mkl,mlp->mip", su11_exp(Ye), A,
-                    su11_exp(F.sample(pr)), su11_exp(-Yb))
-    rhs = np.einsum("ij,mjk->mik", A, su11_exp(F_star.sample(pr)))
+    pr = np.random.default_rng(seed).uniform(0, 2 * math.pi, size=(probes, d))
+    lhs = mat_product(su11_exp(Y_out.sample(pr + step[None, :])), A, su11_exp(F.sample(pr)),
+                      su11_exp(-Y_out.sample(pr)))
+    rhs = mat_product(A, su11_exp(F_star.sample(pr)))
     residual = float(np.max(np.abs(lhs - rhs)))
 
     y_norm = Y_out.norm(h)
@@ -567,8 +563,7 @@ def _combine_f_and_label(state: KamState, V_modes, params):
     if state.f.is_zero(1e-300):
         return T, T.u.dropped_mass + T.w.dropped_mass
     grid = params.grid_for(int(max(state.f.degree(), T.degree())) + 4, d)
-    vals = np.einsum("mij,mjk->mik", su11_exp(state.f.on_grid(grid)),
-                     su11_exp(T.on_grid(grid)))
+    vals = mat_product(su11_exp(state.f.on_grid(grid)), su11_exp(T.on_grid(grid)))
     out = su11_series_from_samples(_su11_log(vals), d,
                                    max_degree=params.max_degree)
     return out, out.u.dropped_mass + out.w.dropped_mass
@@ -585,7 +580,7 @@ def _split_mean(A_base, G: Su11Series, params):
     if G.degree() == 0:
         return A_next, Su11Series.zero(d)
     vals = su11_exp(G.on_grid(params.grid_for(int(G.degree()) + 4, d)))
-    logs = _su11_log(np.einsum("ij,mjk->mik", np.linalg.inv(E_mean), vals))
+    logs = _su11_log(mat_product(np.linalg.inv(E_mean), vals))
     return A_next, su11_series_from_samples(logs, d, max_degree=params.max_degree)
 
 
@@ -710,12 +705,9 @@ def kam_step(state: KamState, params: KamParams):
     # certify the step on random probes of the doubled torus
     rng = np.random.default_rng(params.seed + 7 * j + 3)
     pr = rng.uniform(0, 4 * math.pi, size=(params.probe_count, d))
-    step_vec = 2 * math.pi * alpha
-    Bv = B_step.sample(pr + step_vec[None, :])
-    Bv_inv = B_inv.sample(pr)
-    mid = np.einsum("ij,mjk->mik", state.A, su11_exp(F_t.sample(pr)))
-    lhs = np.einsum("mij,mjk,mkl->mil", Bv, mid, Bv_inv)
-    rhs = np.einsum("ij,mjk->mik", A_next, su11_exp(f_next.sample(pr)))
+    mid = mat_product(state.A, su11_exp(F_t.sample(pr)))
+    lhs = mat_product(B_step.sample(pr + 2 * math.pi * alpha), mid, B_inv.sample(pr))
+    rhs = mat_product(A_next, su11_exp(f_next.sample(pr)))
     residual = float(np.max(np.abs(lhs - rhs)))
     if residual > params.conj_residual_tol:
         raise StateInvalid(
@@ -743,8 +735,7 @@ def _ad_series(E: FourierSeries, Einv: FourierSeries, W: Su11Series,
                params: KamParams):
     """Ad(E) W = E W E^{-1} for a matrix series E with inverse series Einv."""
     G = params.grid_for(int(E.degree + W.degree() + Einv.degree) + 4, W.d)
-    vals = np.einsum("mij,mjk,mkl->mil", grid_values(E, G), W.on_grid(G),
-                     grid_values(Einv, G))
+    vals = mat_product(grid_values(E, G), W.on_grid(G), grid_values(Einv, G))
     return su11_series_from_samples(vals, W.d, max_degree=params.max_degree)
 
 
@@ -998,17 +989,10 @@ def _finalize(V, alpha, E, label, state, reports, params, relaxations):
     # certify against the original cocycle
     rng = np.random.default_rng(params.seed + 99)
     pts = rng.uniform(0, 4 * math.pi, size=(params.probe_count, alpha.size))
-    coc = schrodinger_cocycle(V, E, alpha=alpha)
-    S = coc.matrix_batch(pts)
-    step = 2 * math.pi * alpha
-    Bf = B.sample(pts + step[None, :])
-    Bb = B.sample(pts)
-    Bf_inv = np.linalg.inv(Bf)
-    got = np.einsum("mij,mjk,mkl->mil", Bf_inv, S, Bb)
+    S = schrodinger_cocycle(V, E, alpha=alpha).matrix_batch(pts)
+    got = mat_product(np.linalg.inv(B.sample(pts + 2 * math.pi * alpha)), S, B.sample(pts))
     C = np.array([[1.0, zeta], [0.0, 1.0]])
-    res_plus = np.max(np.abs(got - C))
-    res_minus = np.max(np.abs(got + C))
-    conj_residual = float(min(res_plus, res_minus))
+    conj_residual = float(min(np.max(np.abs(got - C)), np.max(np.abs(got + C))))
 
     n_norm = sup_norm(label) if label is not None and any(label) else None
     window = {}

@@ -15,6 +15,7 @@ from qpsl.cocycle import (
     diagonalize_su11,
     from_su11,
     lyapunov_exponent,
+    mat_product,
     parabolic_normalize,
     pivot_negatives,
     rot_su11,
@@ -26,12 +27,13 @@ from qpsl.cocycle import (
     su11_log,
     to_su11,
     transfer_product,
+    UhReport,
     uh_test,
 )
 from qpsl.spectrum import rotation_curve
 from qpsl.diophantine import frequency_vector, golden_mean
 from qpsl.errors import NotElliptic, NotUnipotent, QpslError, SingularConjugator
-from qpsl.fourier import FourierSeries, amo_potential
+from qpsl.fourier import FourierSeries, Potential, amo_potential
 
 GOLD = 0.6180339887498949
 
@@ -321,6 +323,119 @@ def test_uh_nonconstant_amo():
         0.3926990816987237, 2.768553963496981e+31, 4.611817290259793e+31)
     assert (rep2.margin, rep2.sigma_min, rep2.sigma_max) == (
         -1.5305972187771577, 1.104138258583397, 3.7569910807470683)
+
+
+def _uh_oracle(c, horizon, grid):
+    """uh_test as one matrix_batch call and one einsum product per step."""
+    period = 2 * math.pi * (2.0 if c.halved else 1.0)
+    if c.d == 1:
+        pts = np.linspace(0.0, period, grid, endpoint=False)[:, None]
+    else:
+        per_dim = max(4, int(round(grid ** (1.0 / c.d))))
+        axes = [np.linspace(0.0, period, per_dim, endpoint=False)] * c.d
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    proj_angle = lambda v: np.arctan2(v[..., 1], v[..., 0]) % math.pi
+
+    def proj_dist(a, b):
+        d = np.abs(a - b) % math.pi
+        return np.minimum(d, math.pi - d)
+
+    def unstable_field(prods):
+        U, S, _ = np.linalg.svd(prods)
+        return U[:, :, 0], S[:, 0]
+
+    full = half = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
+    for k in range(1, horizon + 1):
+        full = np.einsum("mij,mjk->mik", full, c.matrix_batch(pts - k * c.step[None, :]))
+        if k == max(1, horizon // 2):
+            half = full
+    u_full, s_full = unstable_field(full)
+    u_half, _ = unstable_field(half)
+    smax, smin = float(np.max(s_full)), float(np.min(s_full))
+    if smax < 2.0:
+        return UhReport(verdict="not", margin=smax - 2.0, sigma_min=smin, sigma_max=smax)
+    stable_dirs = float(np.max(proj_dist(proj_angle(u_full), proj_angle(u_half))))
+    if stable_dirs > math.pi / 6:
+        return UhReport(verdict="not", margin=-stable_dirs, sigma_min=smin, sigma_max=smax)
+    fwd = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
+    for k in range(horizon):
+        fwd = np.einsum("mij,mjk->mik", c.matrix_batch(pts + k * c.step[None, :]), fwd)
+    ang, ang_next = proj_angle(u_full), proj_angle(unstable_field(fwd)[0])
+    for phi in (math.pi / 8, math.pi / 16, math.pi / 32, math.pi / 64, math.pi / 256):
+        worst, ok = -math.inf, True
+        for sgn in (-1.0, 0.0, 1.0):
+            edge = ang + sgn * phi
+            v = np.stack([np.cos(edge), np.sin(edge)], axis=1)
+            dist = proj_dist(proj_angle(np.einsum("mij,mj->mi", fwd, v)), ang_next)
+            if np.max(dist) >= phi / 2:
+                ok = False
+                break
+            worst = max(worst, float(np.max(dist)))
+        if ok and smin >= 2.0 and stable_dirs < phi:
+            return UhReport(verdict="hyperbolic", margin=phi - worst, sigma_min=smin,
+                            sigma_max=smax, cone_half_angle=phi)
+    return UhReport(verdict="inconclusive", margin=0.0, sigma_min=smin, sigma_max=smax)
+
+
+def test_uh_test_walk_matches_matrix_oracle():
+    amo = amo_potential(0.5)
+    d2 = Potential(labels=[(1, 0), (0, 1), (1, 1)], coefficients=[0.6, 0.3, 0.1],
+                   k_exponent=0.0)
+    cases = [(amo, [GOLD], E, horizon, 64) for E in (3.5, 0.0, 2.6)
+             for horizon in (1, 2, 64, 101)]
+    cases += [(d2, [GOLD, math.sqrt(2) - 1], E, horizon, 100) for E in (3.5, 0.3)
+              for horizon in (1, 2, 70)]
+    verdicts = set()
+    for V, alpha, E, horizon, grid in cases:
+        c = schrodinger_cocycle(V, E, alpha=alpha)
+        rep = uh_test(c, horizon=horizon, grid=grid)
+        assert rep == _uh_oracle(c, horizon, grid), (E, horizon, len(alpha))
+        verdicts.add((rep.verdict, len(alpha)))
+    # every verdict is covered, and both dimensions decide both ways
+    assert {v for v, _ in verdicts} == {"hyperbolic", "not", "inconclusive"}
+    assert {("hyperbolic", 2), ("not", 2)} <= verdicts
+
+
+def test_uh_test_rejects_other_cocycle_kinds():
+    c = schrodinger_cocycle(amo_potential(0.4), 0.7, alpha=[GOLD])
+    Z = FourierSeries(1, {(0,): np.eye(2, dtype=complex)}, kind="matrix")
+    with pytest.raises(QpslError, match="callable"):
+        uh_test(conjugate(c, Z), horizon=16, grid=16)
+
+
+def _einsum_operands(pattern, m, kinds, rng):
+    ops = []
+    for sub, kind in zip(pattern.split("->")[0].split(","), kinds):
+        shape = (m, 2, 2) if sub.startswith("m") else (2, 2)
+        parts = []
+        for _ in range(2 if kind == "c" else 1):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            x[rng.random(shape) < 0.1] = 0.0
+            x[rng.random(shape) < 0.1] = -0.0
+            parts.append(x)
+        ops.append(parts[0] + 1j * parts[1] if kind == "c" else parts[0])
+        if kind == "c":
+            ops[-1].imag[rng.random(shape) < 0.1] = -0.0
+    return ops
+
+
+def test_mat_product_matches_einsum_bitwise():
+    rng = np.random.default_rng(8)
+    patterns = ["mij,mjk->mik", "mij,mjk,mkl->mil", "ij,mjk,kl->mil", "ij,mjk->mik",
+                "mij,jk,mkl,mlp->mip"]
+    for pattern in patterns:
+        n = len(pattern.split(","))
+        mixed = ["c" if i % 2 else "r" for i in range(n)]
+        for kinds in (["r"] * n, ["c"] * n, mixed, mixed[::-1]):
+            for m in (0, 1, 192, 2048):
+                ops = _einsum_operands(pattern, m, kinds, rng)
+                want = np.einsum(pattern, *ops)
+                got = mat_product(*ops)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (pattern, kinds, m)
+    # signed zeros: a sum of -0 terms is +0, as in einsum
+    neg = np.full((3, 2, 2), -0.0)
+    assert mat_product(neg, np.ones((2, 2))).tobytes() == np.zeros((3, 2, 2)).tobytes()
 
 
 def test_conjugate_identity_map():
