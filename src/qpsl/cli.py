@@ -40,17 +40,13 @@ def _config_hash(cfg):
 def _emit_json(path, payload, cfg):
     payload = {"config": cfg, "config_hash": _config_hash(cfg),
                "qpsl_version": __version__, **payload}
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
-
-
-def _write(path, text):
-    """Write text to the file at ``path``, or to stdout for None or '-'."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if path is None or path == "-":
-        sys.stdout.write(text)
+        print(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
+    return payload
 
 
 def _emit_csv(path, name, header, rows, cfg):
@@ -58,7 +54,12 @@ def _emit_csv(path, name, header, rows, cfg):
              ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _write(path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def _fmt(v):
@@ -136,22 +137,30 @@ def _workers(args):
     return max(1, int(w))
 
 
-def _rotation_pool(workers):
-    """One fork pool for all the _chunked_rotation calls of a subcommand (None for one worker)."""
-    if workers <= 1:
-        return contextlib.nullcontext()
-    from multiprocessing import get_context   # not at start-up: no other command needs it
-    return get_context("fork").Pool(workers)
-
-
-def _chunked_rotation(V, alpha, energies, iters, samples, seed, workers, pool):
-    if pool is None or energies.size < 8:
+@contextlib.contextmanager
+def _rotation_runner(V, alpha, iters, samples, seed, workers):
+    """Yield a function energies -> RotationCurve.  With workers > 1 it splits
+    the energies over one fork pool, shared by every call in the block."""
+    def serial(energies):
         return rotation_curve(V, alpha, energies, iters=iters, samples=samples, seed=seed)
-    chunks = np.array_split(np.arange(energies.size), workers)
-    jobs = [(V, alpha, energies[idx], iters, samples, seed) for idx in chunks if idx.size]
-    rho, disp = (np.concatenate(p) for p in zip(*pool.starmap(_rotation_job, jobs)))
-    return RotationCurve(energies=energies, rho=rho, dispersion=disp,
-                         iters=iters, samples=samples)
+
+    if workers <= 1:
+        yield serial
+        return
+    from multiprocessing import get_context   # not at start-up: no other command needs it
+    with get_context("fork").Pool(workers) as pool:
+        def chunked(energies):
+            if energies.size < 8:
+                return serial(energies)
+            chunks = np.array_split(np.arange(energies.size), workers)
+            jobs = [(V, alpha, energies[idx], iters, samples, seed) for idx in chunks if idx.size]
+            parts = pool.starmap(_rotation_job, jobs)
+            rho = np.concatenate([p[0] for p in parts])
+            disp = np.concatenate([p[1] for p in parts])
+            return RotationCurve(energies=energies, rho=rho, dispersion=disp,
+                                 iters=iters, samples=samples)
+
+        yield chunked
 
 
 def _rotation_job(V, alpha, energies, iters, samples, seed):
@@ -254,9 +263,8 @@ def cmd_rotation(args):
     iters = int(args.iters if args.iters is not None else scan.get("iters", 100_000))
     samples = int(args.samples if args.samples is not None else scan.get("samples", 3))
     seed = int(cfg.get("seed", 0))
-    workers = _workers(args)
-    with _rotation_pool(workers) as pool:
-        curve = _chunked_rotation(V, freq.floats(), energies, iters, samples, seed, workers, pool)
+    with _rotation_runner(V, freq.floats(), iters, samples, seed, _workers(args)) as rotate:
+        curve = rotate(energies)
     run_cfg = {"frequency": [str(r) for r in freq.raw], "iters": iters,
                "samples": samples, "seed": seed,
                "potential": cfg.get("potential", {"preset": args.preset, "lambda": args.lam}),
@@ -301,15 +309,10 @@ def cmd_gaps(args):
     labels = _parse_labels(args.labels or cfg.get("labels"))
     tol = float(args.tol if args.tol is not None else cfg.get("tol", 1e-3))
     alpha = freq.floats()
-    workers = _workers(args)
-    with _rotation_pool(workers) as pool:
-        curve = _chunked_rotation(V, alpha, energies, iters, samples, seed, workers, pool)
-
-        def rho_fn(evals):
-            return _chunked_rotation(V, alpha, evals, iters, samples, seed, workers, pool).rho
-
+    with _rotation_runner(V, alpha, iters, samples, seed, _workers(args)) as rotate:
+        curve = rotate(energies)
         gaps = detect_gaps(curve, alpha, labels, tol=tol,
-                           rho_fn=rho_fn if args.refine else None)
+                           rho_fn=(lambda evals: rotate(evals).rho) if args.refine else None)
     if args.curve_out:
         N = int(scan.get("N", 1000))
         ic = ids_curve(V, alpha, energies, N=N,

@@ -14,7 +14,6 @@ real and b complex.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -290,8 +289,9 @@ class QpCocycle:
             thetas = thetas[:, None]
         if thetas.shape[1] != self.d:
             raise DomainMismatch(f"points have dimension {thetas.shape[1]}, cocycle d={self.d}")
+        m = thetas.shape[0]
         if self.kind == "constant":
-            return np.broadcast_to(self.data, (len(thetas), 2, 2)).copy()
+            return np.broadcast_to(self.data, (m, 2, 2)).copy()
         return np.asarray(self.data(thetas))
 
     @staticmethod
@@ -315,8 +315,11 @@ def schrodinger_cocycle(V, E, alpha=None):
         alpha = V.label_set.frequency.floats()
 
     def sampler(thetas):
-        out = np.broadcast_to([[0.0, -1.0], [1.0, 0.0]], (len(thetas), 2, 2)).copy()
-        out[:, 0, 0] = E - potential_values(V, np.asarray(thetas, float))
+        thetas = np.asarray(thetas, float)
+        out = np.zeros((thetas.shape[0], 2, 2))
+        out[:, 0, 0] = E - potential_values(V, thetas)
+        out[:, 0, 1] = -1.0
+        out[:, 1, 0] = 1.0
         return out
 
     return QpCocycle(alpha=np.zeros(1) if alpha is None else alpha, kind="callable",
@@ -328,17 +331,17 @@ def transfer_product(c: QpCocycle, theta, n):
 
     n >= 0 multiplies A(theta + (n-1) step) ... A(theta); n < 0 uses the
     inverse-product convention, so S_{-n}(theta) = S_n(theta - n*step)^{-1}.
-    Any kind; a Schrodinger cocycle takes the walk of :func:`_schrodinger_walk`.
     """
     theta = np.atleast_1d(np.asarray(theta, float))
-    if n < 0:
-        return np.linalg.inv(transfer_product(c, theta + n * c.step, -n))
+    step = c.step
     out = np.eye(2)
-    if c.V is not None:
-        r_prev, r = _schrodinger_walk(c, theta[None, :], np.arange(n), out[1:].T, out[:1].T)
-        return np.concatenate([r, r_prev], axis=1).T
-    for k in range(n):
-        out = c.matrix(theta + k * c.step) @ out
+    if n >= 0:
+        for k in range(n):
+            out = c.matrix(theta + k * step) @ out
+        return out
+    for k in range(n, 0):
+        A = c.matrix(theta + k * step)
+        out = out @ np.linalg.inv(A)
     return out
 
 
@@ -558,8 +561,13 @@ def _circular_mean(vals):
 
 
 def _circular_spread(vals):
-    d = np.abs(np.subtract.outer(vals, vals)) % 1.0
-    return float(np.max(np.minimum(d, 1.0 - d), initial=0.0))
+    vals = np.asarray(vals)
+    worst = 0.0
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            d = abs(vals[i] - vals[j]) % 1.0
+            worst = max(worst, min(d, 1.0 - d))
+    return worst
 
 
 def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
@@ -574,8 +582,9 @@ def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
     Schrodinger cocycles take the oscillation count of :func:`oscillation_rho`
     instead, which reads rho in [0, 1/2].
     """
+    rng = np.random.default_rng(seed)
     period = 2 * math.pi * (2.0 if c.halved else 1.0)
-    thetas = np.random.default_rng(seed).uniform(0, period, size=(phase_samples, c.d))
+    thetas = rng.uniform(0, period, size=(phase_samples, c.d))
     if c.V is not None or (c.kind == "constant" and c.E is not None):
         per = oscillation_rho(c.V, c.alpha, [c.E], thetas, iters)[0]
         rho = float(np.mean(per))
@@ -608,23 +617,24 @@ def _orbit_matrices(c: QpCocycle, thetas, sites, block):
 
 def lyapunov_exponent(c: QpCocycle, iters=50_000, phase_samples=3, seed=0,
                       renorm_every=16):
-    """Top Lyapunov exponent by renormalized vector iteration (>= 0 up to
-    noise); any kind, a Schrodinger cocycle by :func:`_schrodinger_walk`."""
+    """Top Lyapunov exponent by renormalized vector iteration (>= 0 for
+    SL(2,R) cocycles up to statistical noise).  Any kind; the cocycle values
+    come from :func:`_orbit_matrices`, one matrix_batch call per block of steps."""
+    rng = np.random.default_rng(seed)
     period = 2 * math.pi * (2.0 if c.halved else 1.0)
-    thetas = np.random.default_rng(seed).uniform(0, period, size=(phase_samples, c.d))
-    v0, v1 = np.repeat([[1.0], [0.7]], phase_samples, axis=1) / math.sqrt(1.49)
+    thetas = rng.uniform(0, period, size=(phase_samples, c.d))
+    v = np.tile(np.array([[1.0], [0.7]]).T, (phase_samples, 1))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
     acc = np.zeros(phase_samples)
-    mats = None if c.V is not None else _orbit_matrices(c, thetas, iters, _WALK_BLOCK)
-    for start in range(0, iters, renorm_every):
-        if mats is None:
-            ks = np.arange(start, min(start + renorm_every, iters))
-            v1, v0 = _schrodinger_walk(c, thetas, ks, v1, v0)
-        else:
-            for A in itertools.islice(mats, renorm_every):
-                v0, v1 = A[:, 0, 0] * v0 + A[:, 0, 1] * v1, A[:, 1, 0] * v0 + A[:, 1, 1] * v1
-        nrm = np.sqrt(v0 * v0 + v1 * v1)
-        acc += np.log(nrm)
-        v0, v1 = v0 / nrm, v1 / nrm
+    for k, A in enumerate(_orbit_matrices(c, thetas, iters, _WALK_BLOCK)):
+        v = np.stack([A[:, 0, 0] * v[:, 0] + A[:, 0, 1] * v[:, 1],
+                      A[:, 1, 0] * v[:, 0] + A[:, 1, 1] * v[:, 1]], axis=1)
+        if (k + 1) % renorm_every == 0:
+            nrm = np.linalg.norm(v, axis=1)
+            acc += np.log(nrm)
+            v /= nrm[:, None]
+    nrm = np.linalg.norm(v, axis=1)
+    acc += np.log(nrm)
     return float(np.mean(acc / iters))
 
 
@@ -674,9 +684,13 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
                         f"a {c.kind} cocycle and {horizon}")
 
     period = 2 * math.pi * (2.0 if c.halved else 1.0)
-    per_dim = grid if c.d == 1 else max(4, int(round(grid ** (1.0 / c.d))))
-    axis = np.linspace(0.0, period, per_dim, endpoint=False)
-    pts = np.stack([m.ravel() for m in np.meshgrid(*[axis] * c.d, indexing="ij")], axis=1)
+    if c.d == 1:
+        pts = np.linspace(0.0, period, grid, endpoint=False)[:, None]
+    else:
+        per_dim = max(4, int(round(grid ** (1.0 / c.d))))
+        axes = [np.linspace(0.0, period, per_dim, endpoint=False)] * c.d
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
 
     def unstable_field(prods):
         U, S, _ = np.linalg.svd(prods)
@@ -695,15 +709,16 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
     u_full, s_full = unstable_field(columns(*full))
     u_half, _ = unstable_field(columns(*half))
     smax, smin = float(np.max(s_full)), float(np.min(s_full))
-    sigmas = {"sigma_min": smin, "sigma_max": smax}
     if smax < 2.0:
-        return UhReport(verdict="not", margin=smax - 2.0, **sigmas)
+        return UhReport(verdict="not", margin=smax - 2.0,
+                        sigma_min=smin, sigma_max=smax)
 
     stable_dirs = float(np.max(_proj_dist(_proj_angle(u_full), _proj_angle(u_half))))
     if stable_dirs > math.pi / 6:
         # finite-window unstable directions do not converge: no dominated
         # splitting at this horizon (elliptic behavior)
-        return UhReport(verdict="not", margin=-stable_dirs, **sigmas)
+        return UhReport(verdict="not", margin=-stable_dirs,
+                        sigma_min=smin, sigma_max=smax)
 
     # cone contraction is checked for the horizon-step block map, a row walk
     # (r, r_prev): weakly hyperbolic cocycles only contract cones over long blocks
@@ -714,16 +729,22 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
     ang = _proj_angle(u_full)
     ang_next = _proj_angle(u_next)
 
-    def image_dist(edge):
-        """Largest projective distance of the block's image of the
-        directions ``edge`` from the next window's unstable directions."""
-        x, y = np.cos(edge), np.sin(edge)
-        img = np.arctan2(r_prev[0] * x + r_prev[1] * y, r[0] * x + r[1] * y) % math.pi
-        return float(np.max(_proj_dist(img, ang_next)))
-
     for phi in (math.pi / 8, math.pi / 16, math.pi / 32, math.pi / 64, math.pi / 256):
-        worst = max(image_dist(ang + sgn * phi) for sgn in (-1.0, 0.0, 1.0))
-        if worst < phi / 2 and smin >= 2.0 and stable_dirs < phi:
+        worst = -math.inf
+        ok = True
+        for sgn in (-1.0, 0.0, 1.0):
+            edge = ang + sgn * phi
+            x, y = np.cos(edge), np.sin(edge)
+            # the block's image of the directions, (r, r_prev) . (x, y) per entry
+            img = np.arctan2(r_prev[0] * x + r_prev[1] * y, r[0] * x + r[1] * y) % math.pi
+            dist = _proj_dist(img, ang_next)
+            lim = phi / 2
+            if np.max(dist) >= lim:
+                ok = False
+                break
+            worst = max(worst, float(np.max(dist)))
+        if ok and smin >= 2.0 and stable_dirs < phi:
             return UhReport(verdict="hyperbolic", margin=phi - worst,
-                            cone_half_angle=phi, **sigmas)
-    return UhReport(verdict="inconclusive", margin=0.0, **sigmas)
+                            sigma_min=smin, sigma_max=smax, cone_half_angle=phi)
+    return UhReport(verdict="inconclusive", margin=0.0,
+                    sigma_min=smin, sigma_max=smax)

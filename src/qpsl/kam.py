@@ -480,8 +480,10 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
         Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
         # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}
         E_here = su11_exp(Y_p.on_grid(grid))
-        inner = mat_product(np.linalg.inv(Ad), su11_exp(Y_p.on_grid(grid, shift=alpha)), Ad)
-        prod = mat_product(inner, su11_exp(g_cur.on_grid(grid)), _adjugate(E_here))
+        E_fwd = su11_exp(Y_p.on_grid(grid, shift=alpha))
+        Gv = su11_exp(g_cur.on_grid(grid))
+        inner = mat_product(np.linalg.inv(Ad), E_fwd, Ad)
+        prod = mat_product(inner, Gv, _adjugate(E_here))
         g_next_vals = _su11_log(prod)
         g_cur = su11_series_from_samples(g_next_vals, d, max_degree=max_deg)
         dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
@@ -502,9 +504,11 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     F_star.prune(1e-18)
 
     # certification on random probes
-    pr = np.random.default_rng(seed).uniform(0, 2 * math.pi, size=(probes, d))
-    lhs = mat_product(su11_exp(Y_out.sample(pr + step[None, :])), A, su11_exp(F.sample(pr)),
-                      su11_exp(-Y_out.sample(pr)))
+    rng = np.random.default_rng(seed)
+    pr = rng.uniform(0, 2 * math.pi, size=(probes, d))
+    Ye = Y_out.sample(pr + step[None, :])
+    Yb = Y_out.sample(pr)
+    lhs = mat_product(su11_exp(Ye), A, su11_exp(F.sample(pr)), su11_exp(-Yb))
     rhs = mat_product(A, su11_exp(F_star.sample(pr)))
     residual = float(np.max(np.abs(lhs - rhs)))
 
@@ -705,8 +709,11 @@ def kam_step(state: KamState, params: KamParams):
     # certify the step on random probes of the doubled torus
     rng = np.random.default_rng(params.seed + 7 * j + 3)
     pr = rng.uniform(0, 4 * math.pi, size=(params.probe_count, d))
+    step_vec = 2 * math.pi * alpha
+    Bv = B_step.sample(pr + step_vec[None, :])
+    Bv_inv = B_inv.sample(pr)
     mid = mat_product(state.A, su11_exp(F_t.sample(pr)))
-    lhs = mat_product(B_step.sample(pr + 2 * math.pi * alpha), mid, B_inv.sample(pr))
+    lhs = mat_product(Bv, mid, Bv_inv)
     rhs = mat_product(A_next, su11_exp(f_next.sample(pr)))
     residual = float(np.max(np.abs(lhs - rhs)))
     if residual > params.conj_residual_tol:
@@ -989,10 +996,17 @@ def _finalize(V, alpha, E, label, state, reports, params, relaxations):
     # certify against the original cocycle
     rng = np.random.default_rng(params.seed + 99)
     pts = rng.uniform(0, 4 * math.pi, size=(params.probe_count, alpha.size))
-    S = schrodinger_cocycle(V, E, alpha=alpha).matrix_batch(pts)
-    got = mat_product(np.linalg.inv(B.sample(pts + 2 * math.pi * alpha)), S, B.sample(pts))
+    coc = schrodinger_cocycle(V, E, alpha=alpha)
+    S = coc.matrix_batch(pts)
+    step = 2 * math.pi * alpha
+    Bf = B.sample(pts + step[None, :])
+    Bb = B.sample(pts)
+    Bf_inv = np.linalg.inv(Bf)
+    got = mat_product(Bf_inv, S, Bb)
     C = np.array([[1.0, zeta], [0.0, 1.0]])
-    conj_residual = float(min(np.max(np.abs(got - C)), np.max(np.abs(got + C))))
+    res_plus = np.max(np.abs(got - C))
+    res_minus = np.max(np.abs(got + C))
+    conj_residual = float(min(res_plus, res_minus))
 
     n_norm = sup_norm(label) if label is not None and any(label) else None
     window = {}

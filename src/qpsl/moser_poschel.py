@@ -227,10 +227,12 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta, horizon=None,
     if horizon is None:
         # the reduced constant's per-step expansion is sqrt(-d) when the
         # discriminant is negative; direction coherence needs a window
-        # several times longer (a constant cocycle takes the trace criterion)
+        # several times longer (uh_test decides a constant cocycle, V None,
+        # by its trace)
         rate = math.sqrt(abs(d_val)) if d_val != 0 else 1e-6
         horizon = int(min(20_000, max(256, 12.0 / max(rate, 1e-6))))
-    verdict = uh_test(coc, horizon=horizon, grid=grid).verdict
+    rep = uh_test(coc, horizon=horizon, grid=grid)
+    verdict = rep.verdict
     if verdict == "inconclusive":
         # Schrodinger fallback: an unlocked rotation number certifies a
         # spectrum-side probe (gaps of unchecked huge labels are far
@@ -238,21 +240,27 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta, horizon=None,
         iters = 400_000
         rr = rotation_number(coc, iters=iters, phase_samples=2, seed=seed)
         cands = [(k,) + (0,) * (alpha.size - 1) for k in range(-40, 41)]
-        lock_dist = min(dist_to_integers(2 * rr.rho - float(np.dot(n, alpha)))
-                        for n in cands)
+        lock_dist = min(
+            dist_to_integers(2 * rr.rho - float(np.dot(n, alpha)))
+            for n in cands)
         if lock_dist > 20.0 / iters:
             verdict = "not"
 
     residual = None
     if check_conjugation:
         # B(.+alpha)^{-1} S_{E_edge - s} B = C - s P with s signed into the gap
-        pts = np.random.default_rng(seed).uniform(0, 4 * math.pi, size=(8, alpha.size))
-        s = -direction * delta
-        S = schrodinger_cocycle(V, E_edge - s, alpha=alpha).matrix_batch(pts)
-        got = mat_product(np.linalg.inv(edge.B.sample(pts + 2 * math.pi * alpha)), S,
-                          edge.B.sample(pts))
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0, 4 * math.pi, size=(8, alpha.size))
+        step = 2 * math.pi * alpha
+        P = perturbation_matrix(edge.B, edge.zeta)
         C = np.array([[1.0, edge.zeta], [0.0, 1.0]])
-        want = C - s * perturbation_matrix(edge.B, edge.zeta).sample(pts)
+        s = -direction * delta
+        coc_edge = schrodinger_cocycle(V, E_edge - s, alpha=alpha)
+        S = coc_edge.matrix_batch(pts)
+        Bf = edge.B.sample(pts + step[None, :])
+        Bb = edge.B.sample(pts)
+        got = mat_product(np.linalg.inv(Bf), S, Bb)
+        want = C[None, :, :] - s * P.sample(pts)
         residual = float(np.min([np.max(np.abs(got - want)),
                                  np.max(np.abs(got + want))]))
 

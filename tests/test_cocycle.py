@@ -1,5 +1,6 @@
 """SU(1,1) utilities and cocycle dynamics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -419,7 +420,30 @@ def _einsum_operands(pattern, m, kinds, rng):
     return ops
 
 
-def test_mat_product_matches_einsum_bitwise():
+def _product_reference(*factors):
+    """F_1 ... F_n entry by entry: for each output entry (i, l), walk every
+    index path (i, j, k, ..., l), inner indices in C order, multiply along it
+    left to right with re = ar*br - ai*bi, im = ar*bi + ai*br, and add the
+    paths to 0 in turn."""
+    cplx = any(np.iscomplexobj(F) for F in factors)
+    m = max((len(F) for F in factors if F.ndim == 3), default=1)
+    mats = [np.broadcast_to(np.asarray(F, complex if cplx else float), (m, 2, 2))
+            for F in factors]
+    re_out, im_out = np.zeros((m, 2, 2)), np.zeros((m, 2, 2))
+    for i, l in itertools.product((0, 1), repeat=2):
+        for inner in itertools.product((0, 1), repeat=len(mats) - 1):
+            path = (i,) + inner + (l,)
+            re, im = mats[0].real[:, i, path[1]], mats[0].imag[:, i, path[1]]
+            for f in range(1, len(mats)):
+                br = mats[f].real[:, path[f], path[f + 1]]
+                bi = mats[f].imag[:, path[f], path[f + 1]]
+                re, im = re * br - im * bi, re * bi + im * br
+            re_out[:, i, l] += re
+            im_out[:, i, l] += im
+    return re_out + 1j * im_out if cplx else re_out
+
+
+def test_mat_product_matches_entry_reference_bitwise():
     rng = np.random.default_rng(8)
     patterns = ["mij,mjk->mik", "mij,mjk,mkl->mil", "ij,mjk,kl->mil", "ij,mjk->mik",
                 "mij,jk,mkl,mlp->mip"]
@@ -429,11 +453,14 @@ def test_mat_product_matches_einsum_bitwise():
         for kinds in (["r"] * n, ["c"] * n, mixed, mixed[::-1]):
             for m in (0, 1, 192, 2048):
                 ops = _einsum_operands(pattern, m, kinds, rng)
-                want = np.einsum(pattern, *ops)
                 got = mat_product(*ops)
+                want = _product_reference(*ops)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (pattern, kinds, m)
-    # signed zeros: a sum of -0 terms is +0, as in einsum
+                # einsum agrees to rounding (its summation order is numpy's own)
+                scale = np.einsum(pattern, *[np.abs(F) for F in ops])
+                assert np.all(np.abs(got - np.einsum(pattern, *ops)) <= 1e-14 * scale)
+    # signed zeros: a sum of -0 terms is +0
     neg = np.full((3, 2, 2), -0.0)
     assert mat_product(neg, np.ones((2, 2))).tobytes() == np.zeros((3, 2, 2)).tobytes()
 
