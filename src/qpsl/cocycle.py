@@ -21,12 +21,13 @@ import numpy as np
 
 from .errors import (
     DomainMismatch,
+    NonConvergence,
     NotElliptic,
     NotUnipotent,
     QpslError,
     SingularConjugator,
 )
-from .fourier import FourierSeries, Potential
+from .fourier import FourierSeries, Potential, grid_points
 
 __all__ = [
     "M_CONJ", "M_CONJ_INV", "mat_product",
@@ -356,11 +357,6 @@ def _adjugate(M):
     return out
 
 
-def _inv2_batch(mats):
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    return _adjugate(mats) / det[:, None, None]
-
-
 def mat_product(*factors):
     """F_1 F_2 ... F_n per entry over a stack; factors (m, 2, 2) or (2, 2),
     result (m, 2, 2).  Entry (i, l) adds to 0, over (j, k, ...) in C order,
@@ -422,7 +418,7 @@ def conjugate(c: QpCocycle, Z, probes=16, tol=1e-8, seed=0):
         thetas = np.asarray(thetas, float)
         Zs = z_eval(thetas)
         Zs_fwd = z_eval(thetas + step[None, :])
-        return mat_product(_inv2_batch(Zs_fwd), c.matrix_batch(thetas), Zs)
+        return mat_product(np.linalg.inv(Zs_fwd), c.matrix_batch(thetas), Zs)
 
     return QpCocycle(alpha=c.alpha.copy(), kind="callable", data=sampler, halved=halved)
 
@@ -673,7 +669,8 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
     and a cone around it is checked for strict invariance under one cocycle
     step; projective maps of SL(2,R) send arcs to arcs, so checking the two
     cone edges and the center is exact for the sampled points.  Returns
-    'inconclusive' when neither certificate fires.
+    'inconclusive' when neither certificate fires, and raises NonConvergence
+    when the walked products overflow float range at this horizon.
     """
     if c.kind == "constant":
         tr = float(np.trace(np.asarray(c.data, complex)).real)
@@ -683,16 +680,13 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
         raise QpslError(f"uh_test takes Schrodinger cocycles and horizons >= 1, not "
                         f"a {c.kind} cocycle and {horizon}")
 
-    period = 2 * math.pi * (2.0 if c.halved else 1.0)
-    if c.d == 1:
-        pts = np.linspace(0.0, period, grid, endpoint=False)[:, None]
-    else:
-        per_dim = max(4, int(round(grid ** (1.0 / c.d))))
-        axes = [np.linspace(0.0, period, per_dim, endpoint=False)] * c.d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+    per_dim = grid if c.d == 1 else max(4, int(round(grid ** (1.0 / c.d))))
+    pts = grid_points(c.d, per_dim, c.halved)
 
     def unstable_field(prods):
+        if not np.isfinite(prods).all():
+            raise NonConvergence(f"uh_test: the transfer matrices over horizon {horizon} "
+                                 f"overflow; take a shorter horizon")
         U, S, _ = np.linalg.svd(prods)
         return U[:, :, 0], S[:, 0]
 

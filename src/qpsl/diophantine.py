@@ -51,8 +51,11 @@ def sup_norm(n):
 
 
 def mpf_to_fraction(x):
-    """Exact Fraction value of an mpmath float."""
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+    """Exact Fraction value of an mpmath float, at whatever precision it
+    carries (``mpmath.mpf(x)`` would round it to the working precision)."""
+    if not isinstance(x, mpmath.mpf):
+        x = mpmath.mpf(x)
+    sign, man, exp, _ = x._mpf_
     if man == 0:
         return Fraction(0)
     return Fraction((-1) ** sign * man) * Fraction(2) ** exp

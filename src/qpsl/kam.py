@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cocycle import (
+    conjugate,
     diagonalize_su11,
     frame_rotation_su11,
     rotation_matrix,
@@ -996,13 +997,7 @@ def _finalize(V, alpha, E, label, state, reports, params, relaxations):
     # certify against the original cocycle
     rng = np.random.default_rng(params.seed + 99)
     pts = rng.uniform(0, 4 * math.pi, size=(params.probe_count, alpha.size))
-    coc = schrodinger_cocycle(V, E, alpha=alpha)
-    S = coc.matrix_batch(pts)
-    step = 2 * math.pi * alpha
-    Bf = B.sample(pts + step[None, :])
-    Bb = B.sample(pts)
-    Bf_inv = np.linalg.inv(Bf)
-    got = mat_product(Bf_inv, S, Bb)
+    got = conjugate(schrodinger_cocycle(V, E, alpha=alpha), B).matrix_batch(pts)
     C = np.array([[1.0, zeta], [0.0, 1.0]])
     res_plus = np.max(np.abs(got - C))
     res_minus = np.max(np.abs(got + C))

@@ -6,8 +6,9 @@ a fixed enumeration of Z^d by (q, 0, ..., 0), where q is a near-resonant
 multiple of a convergent denominator of alpha_1 at scale ell_{j_m}.
 
 Levels can exceed float range for honest schedules (s close to 1); they are
-kept as mpmath floats at a precision chosen from the schedule depth, and all
-window-membership tests compare exact integer |n| against these bounds.
+kept as mpmath floats, each at its own precision (its integer digits plus
+guard digits), and every window-membership test compares the exact integer
+|n| with the exact rational value of these bounds.
 """
 
 from __future__ import annotations
@@ -83,17 +84,17 @@ class GrowthSchedule:
     strict: bool = False
     relaxations: tuple = ()
 
-    @property
-    def dps(self):
-        # enough working digits to hold ell_depth with margin
-        top = (1 + self.s) ** self.depth * math.log10(self.M)
-        return max(50, int(top) + 30)
+    def _level_dps(self, j):
+        # levels past the depth keep the depth's precision
+        digits = (1 + self.s) ** min(j, self.depth) * math.log10(self.M)
+        return max(50, int(digits) + 30)
 
     def level(self, j):
-        """ell_j as an mpmath float at schedule precision."""
+        """ell_j as an mpmath float at its own precision: its integer digits
+        plus 30 guard digits, at least 50 digits."""
         if j < 0:
             raise QpslError("level index must be >= 0")
-        with mpmath.workdps(self.dps):
+        with mpmath.workdps(self._level_dps(j)):
             return mpmath.power(self.M, mpmath.power(1 + self.s, j))
 
     def level_float(self, j):
@@ -105,11 +106,10 @@ class GrowthSchedule:
 
     def check_ratio_identity(self, rtol=1e-12):
         """ell_{j+1} = ell_j^(1+s) to relative tolerance, all computed levels."""
-        with mpmath.workdps(self.dps):
-            for j in range(self.depth):
-                a = self.level(j + 1)
-                b = mpmath.power(self.level(j), 1 + self.s)
-                if abs(a - b) > rtol * abs(a):
+        for j in range(self.depth):
+            a = self.level(j + 1)
+            with mpmath.workdps(self._level_dps(j + 1)):
+                if abs(a - mpmath.power(self.level(j), 1 + self.s)) > rtol * abs(a):
                     return False
         return True
 
@@ -244,7 +244,7 @@ class LabelSet:
 
 
 def construct_label_set(alpha: FrequencyVector, schedule: GrowthSchedule,
-                        j1, spacing, count, cf_depth=None):
+                        j1, spacing, count):
     """Build `count` entries: entry m pairs the m-th enumeration vector with the
     resonant denominator of alpha_1 at level j_m = j1 + m*spacing.
 
@@ -264,14 +264,11 @@ def construct_label_set(alpha: FrequencyVector, schedule: GrowthSchedule,
                 f"strict mode: ell_(j1) = {schedule.level_float(j1):.4g} "
                 f"below ell_star = {schedule.ell_star:.4g}")
 
-    with mpmath.workdps(schedule.dps):
-        top_ell = schedule.level(top_level)
-        log10_top = float(mpmath.log10(top_ell))
-    if cf_depth is None:
-        # denominators must reach 41 ell/20; golden-type expansions grow
-        # slowest (by the golden ratio per level)
-        cf_depth = max(12, int((log10_top + math.log10(2.05))
-                               * math.log(10) / math.log((1 + math.sqrt(5)) / 2)) + 8)
+    log10_top = float(mpmath.log10(schedule.level(top_level)))
+    # denominators must reach 41 ell/20; golden-type expansions grow
+    # slowest (by the golden ratio per level)
+    cf_depth = max(12, int((log10_top + math.log10(2.05))
+                           * math.log(10) / math.log((1 + math.sqrt(5)) / 2)) + 8)
     try:
         cf = alpha.cf(cf_depth)
     except PrecisionExhausted as e:
@@ -285,10 +282,8 @@ def construct_label_set(alpha: FrequencyVector, schedule: GrowthSchedule,
     entries = []
     for m in range(count):
         j_m = j1 + spacing * m
-        with mpmath.workdps(schedule.dps):
-            ell_fr = mpf_to_fraction(schedule.level(j_m))
         try:
-            res = resonant_denominator(cf, ell_fr)
+            res = resonant_denominator(cf, mpf_to_fraction(schedule.level(j_m)))
         except ExpansionTooShallow as e:
             raise ExpansionTooShallow(
                 f"entry m={m} at level {j_m}: {e}") from e
@@ -344,45 +339,45 @@ def verify_label_set(ks: LabelSet, schedule: GrowthSchedule | None = None,
     norms = [e.norm() for e in ks.entries]
     jmax = max(e.level for e in ks.entries) + 2
 
-    with mpmath.workdps(schedule.dps):
-        levels = [schedule.level(j) for j in range(min(jmax + 1, schedule.depth + 1))]
-        mp_norms = [mpmath.mpf(n) for n in norms]
+    # exact comparisons: each level as the Fraction of its mpmath value
+    levels = [mpf_to_fraction(schedule.level(j))
+              for j in range(min(jmax + 1, schedule.depth + 1))]
 
-        sparsity_ok = True
-        for j in range(len(levels) - 2):
-            inside = [ks.entries[i].m for i, n in enumerate(mp_norms)
-                      if levels[j] <= n < levels[j + 2]]
-            if len(inside) > 1:
-                sparsity_ok = False
-                violations.append(("sparsity", j, inside))
+    sparsity_ok = True
+    for j in range(len(levels) - 2):
+        inside = [ks.entries[i].m for i, n in enumerate(norms)
+                  if levels[j] <= n < levels[j + 2]]
+        if len(inside) > 1:
+            sparsity_ok = False
+            violations.append(("sparsity", j, inside))
 
-        annulus_ok = True
-        for j in range(len(levels) - 1):
-            lo = levels[j] * 21 / 10
-            inside = [ks.entries[i].m for i, n in enumerate(mp_norms)
-                      if lo <= n < levels[j + 1]]
-            if inside:
-                annulus_ok = False
-                violations.append(("annulus", j, inside))
+    annulus_ok = True
+    for j in range(len(levels) - 1):
+        lo = levels[j] * Fraction(21, 10)
+        inside = [ks.entries[i].m for i, n in enumerate(norms)
+                  if lo <= n < levels[j + 1]]
+        if inside:
+            annulus_ok = False
+            violations.append(("annulus", j, inside))
 
-        floor_ok = None
-        if schedule.ell_star is not None:
-            floor_ok = True
-            for i, n in enumerate(norms):
-                if n < schedule.ell_star:
-                    floor_ok = False
-                    violations.append(("floor", ks.entries[i].m, n))
+    floor_ok = None
+    if schedule.ell_star is not None:
+        floor_ok = True
+        for i, n in enumerate(norms):
+            if n < schedule.ell_star:
+                floor_ok = False
+                violations.append(("floor", ks.entries[i].m, n))
 
-        window_ok = True
-        for e, n in zip(ks.entries, mp_norms):
-            if e.level > schedule.depth:
-                window_ok = False
-                violations.append(("window-level", e.m, e.level))
-                continue
-            lo = levels[e.level] if e.level < len(levels) else schedule.level(e.level)
-            if not (lo <= n < lo * 21 / 10):
-                window_ok = False
-                violations.append(("window", e.m, int(n)))
+    window_ok = True
+    for e, n in zip(ks.entries, norms):
+        if e.level > schedule.depth:
+            window_ok = False
+            violations.append(("window-level", e.m, e.level))
+            continue
+        lo = levels[e.level]
+        if not (lo <= n < lo * Fraction(21, 10)):
+            window_ok = False
+            violations.append(("window", e.m, n))
 
     spacing_ok = True
     lv = sorted(e.level for e in ks.entries)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .cocycle import mat_product, rotation_number, schrodinger_cocycle, uh_test
+from .cocycle import conjugate, rotation_number, schrodinger_cocycle, uh_test
 from .diophantine import dist_to_integers
 from .errors import QpslError
 from .fourier import FourierSeries, multiply
@@ -251,15 +251,11 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta, horizon=None,
         # B(.+alpha)^{-1} S_{E_edge - s} B = C - s P with s signed into the gap
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 4 * math.pi, size=(8, alpha.size))
-        step = 2 * math.pi * alpha
         P = perturbation_matrix(edge.B, edge.zeta)
         C = np.array([[1.0, edge.zeta], [0.0, 1.0]])
         s = -direction * delta
-        coc_edge = schrodinger_cocycle(V, E_edge - s, alpha=alpha)
-        S = coc_edge.matrix_batch(pts)
-        Bf = edge.B.sample(pts + step[None, :])
-        Bb = edge.B.sample(pts)
-        got = mat_product(np.linalg.inv(Bf), S, Bb)
+        got = conjugate(schrodinger_cocycle(V, E_edge - s, alpha=alpha),
+                        edge.B).matrix_batch(pts)
         want = C[None, :, :] - s * P.sample(pts)
         residual = float(np.min([np.max(np.abs(got - want)),
                                  np.max(np.abs(got + want))]))

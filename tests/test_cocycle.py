@@ -33,7 +33,8 @@ from qpsl.cocycle import (
 )
 from qpsl.spectrum import rotation_curve
 from qpsl.diophantine import frequency_vector, golden_mean
-from qpsl.errors import NotElliptic, NotUnipotent, QpslError, SingularConjugator
+from qpsl.errors import (NonConvergence, NotElliptic, NotUnipotent, QpslError,
+                         SingularConjugator)
 from qpsl.fourier import FourierSeries, Potential, amo_potential
 
 GOLD = 0.6180339887498949
@@ -395,6 +396,14 @@ def test_uh_test_walk_matches_matrix_oracle():
     # every verdict is covered, and both dimensions decide both ways
     assert {v for v, _ in verdicts} == {"hyperbolic", "not", "inconclusive"}
     assert {("hyperbolic", 2), ("not", 2)} <= verdicts
+
+
+def test_uh_test_overflowing_horizon_raises_nonconvergence():
+    # sigma_max is 1.1e295 at horizon 600; at 1099 the walked products overflow
+    c = schrodinger_cocycle(amo_potential(0.5), 3.5, alpha=[GOLD])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergence, match="horizon 1099"):
+            uh_test(c, horizon=1099, grid=64)
 
 
 def test_uh_test_rejects_other_cocycle_kinds():

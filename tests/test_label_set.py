@@ -1,11 +1,13 @@
 """Growth schedule, enumeration of Z^d, and the sparse label set."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from qpsl.diophantine import frequency_vector, golden_mean, sqrt2_minus_1, sup_norm
+from qpsl.diophantine import (frequency_vector, golden_mean, mpf_to_fraction,
+                              sqrt2_minus_1, sup_norm)
 from qpsl.errors import QpslError, ScheduleTooShort
 from qpsl.label_set import (
     LabelEntry,
@@ -81,6 +83,54 @@ def test_build_schedule_levels():
     assert sched.check_ratio_identity()
 
 
+def _oracle_level(sched, j):
+    """ell_j as an exact Fraction of its value at 100 more digits than the
+    schedule gives it."""
+    digits = int((1 + sched.s) ** j * math.log10(sched.M))
+    with mpmath.workdps(max(50, digits + 30) + 100):
+        return mpf_to_fraction(mpmath.power(sched.M, mpmath.power(1 + sched.s, j)))
+
+
+def test_levels_agree_with_extra_precision():
+    sched = build_schedule(100, 0.9, depth=10)
+    for j in range(sched.depth + 1):
+        ref = _oracle_level(sched, j)
+        err = abs(mpf_to_fraction(sched.level(j)) - ref)
+        # relative agreement, and an absolute margin far below the unit
+        # gap between the integer labels compared with the level
+        assert err <= Fraction(1, 10 ** 30) * ref, j
+        assert err <= Fraction(1, 10 ** 25), j
+
+
+def test_label_level_boundaries_match_oracle():
+    # single labels on each side of ell_0 = 100, of 21/10 ell_0 = 210 (an
+    # exact tie), of ell_1 = 100^1.9 and of ell_2, planted at levels 0, 1, 2;
+    # the oracle decides each window and annulus exactly on levels computed
+    # at 100 extra digits
+    sched = build_schedule(100, 0.9, depth=6)
+    ell = [_oracle_level(sched, j) for j in range(5)]
+    assert ell[0] == 100
+    planted = [99, 100, 101, 209, 210, 211]
+    planted += [math.floor(ell[j]) + k for j in (1, 2) for k in (-1, 0, 1, 2)]
+    # the oracle's own error (below 10^-100) cannot flip a verdict: apart
+    # from the exact ties at 100 and 210 no label lies within 10^-30 of a bound
+    for n in planted:
+        for b in ell + [Fraction(21, 10) * x for x in ell]:
+            assert n == b or abs(n - b) > Fraction(1, 10 ** 30), n
+
+    verdicts = set()
+    for n in planted:
+        for level in (0, 1, 2):
+            rep = verify_label_set(LabelSet.from_labels([(n,)], _alpha1(), levels=[level]),
+                                   sched)
+            window = ell[level] <= n < Fraction(21, 10) * ell[level]
+            annulus = not any(Fraction(21, 10) * ell[j] <= n < ell[j + 1]
+                              for j in range(min(level + 2, sched.depth)))
+            assert (rep.window_ok, rep.annulus_ok) == (window, annulus), (n, level)
+            verdicts.add((window, annulus))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
 def test_build_schedule_s_zero_constant():
     sched = build_schedule(50, 0.0, depth=4)
     assert sched.levels() == pytest.approx([50.0] * 5)
@@ -130,7 +180,6 @@ def test_constructed_set_verifies_d2():
     assert rep.passed
 
 
-@pytest.mark.slow
 def test_density_monotone_in_count():
     alpha = _alpha1()
     sched = build_schedule(100, 0.9, depth=16)
