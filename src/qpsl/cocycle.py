@@ -30,9 +30,9 @@ from .errors import (
 from .fourier import FourierSeries, Potential, grid_points
 
 __all__ = [
-    "M_CONJ", "M_CONJ_INV", "mat_product",
+    "M_CONJ", "M_CONJ_INV", "mat_product", "pair_product", "diag_pair_product",
     "to_su11", "from_su11", "check_su11",
-    "su11_exp", "su11_log", "rot_su11", "frame_rotation_su11",
+    "su11_exp", "su11_exp_pair", "su11_log", "rot_su11", "frame_rotation_su11",
     "parabolic_normalize", "diagonalize_su11", "rotation_matrix",
     "QpCocycle", "schrodinger_cocycle", "transfer_product", "conjugate",
     "potential_values", "orbit_potential", "pivot_negatives", "oscillation_rho",
@@ -73,36 +73,43 @@ def check_su11(A, tol=1e-10):
 
 
 def su11_element(a, b):
-    """su(1,1) element [[i a, b], [conj b, -i a]], a real, b complex."""
-    return np.array([[1j * a, b], [np.conj(b), -1j * a]], complex)
+    """su(1,1) element [[i a, b], [conj b, -i a]], a real, b complex; over
+    arrays a and b, a stack of shape broadcast(a, b) + (2, 2)."""
+    out = np.empty(np.broadcast(a, b).shape + (2, 2), complex)
+    out[..., 0, 0] = 1j * a
+    out[..., 1, 1] = -1j * a
+    out[..., 0, 1] = b
+    out[..., 1, 0] = np.conj(b)
+    return out
 
 
-def su11_exp(C):
-    """Closed-form exponential of C = [[i a, b], [conj b, -i a]] over a
-    (..., 2, 2) stack.
-
-    With lam = sqrt(|b|^2 - a^2) (principal branch; imaginary lam turns the
-    hyperbolic functions trigonometric) the result is
-    [[cosh lam + i a sinhc, b sinhc], [conj(b) sinhc, cosh lam - i a sinhc]]
-    where sinhc = sinh(lam)/lam.
-    """
-    C = np.asarray(C, complex)
-    shape = C.shape
-    C = C.reshape(-1, 2, 2)  # one matrix runs as a stack of one, bit for bit
-    a = C[:, 0, 0].imag
-    b = C[:, 0, 1]
+def su11_exp_pair(a, b):
+    """Row 0 (A, B) of exp [[i a, b], [conj b, -i a]], elementwise over a (real)
+    and b (complex); row 1 is (conj B, conj A).  With lam = sqrt(|b|^2 - a^2)
+    (principal branch; imaginary lam turns the hyperbolic functions
+    trigonometric), A = cosh lam + i a sinhc and B = b sinhc, where
+    sinhc = sinh(lam)/lam."""
     disc = (np.abs(b) ** 2 - a * a).astype(complex)
     lam = np.sqrt(disc)
     small = np.abs(lam) < 1e-8
     lam_safe = np.where(small, 1.0, lam)
-    ch = np.where(small, 1.0 + disc / 2 + disc * disc / 24, np.cosh(lam_safe))
-    sc = np.where(small, 1.0 + disc / 6 + disc * disc / 120,
-                  np.sinh(lam_safe) / lam_safe)
+    ch, sc = np.cosh(lam_safe), np.sinh(lam_safe) / lam_safe
+    t = disc[small]  # series of cosh and sinhc where lam is tiny
+    ch[small], sc[small] = 1.0 + t / 2 + t * t / 24, 1.0 + t / 6 + t * t / 120
+    return ch + 1j * a * sc, b * sc
+
+
+def su11_exp(C):
+    """Closed-form exponential of C = [[i a, b], [conj b, -i a]] over a
+    (..., 2, 2) stack: :func:`su11_exp_pair` of row 0, completed to
+    [[A, B], [conj B, conj A]]."""
+    C = np.asarray(C, complex)
+    shape = C.shape
+    C = C.reshape(-1, 2, 2)  # one matrix runs as a stack of one, bit for bit
+    A, B = su11_exp_pair(C[:, 0, 0].imag, C[:, 0, 1])
     out = np.empty_like(C)
-    out[:, 0, 0] = ch + 1j * a * sc
-    out[:, 1, 1] = ch - 1j * a * sc
-    out[:, 0, 1] = b * sc
-    out[:, 1, 0] = np.conj(b) * sc
+    out[:, 0, 0], out[:, 0, 1] = A, B
+    out[:, 1, 0], out[:, 1, 1] = np.conj(B), np.conj(A)
     return out.reshape(shape)
 
 
@@ -116,16 +123,21 @@ def su11_log(A, max_angle=math.pi - 1e-9):
 
 
 def _su11_log(A, max_angle=math.pi - 1e-9):
-    """:func:`su11_log` without the membership check.
-
-    cosh(lam) is the real part of the diagonal; elliptic branches use
-    lam = i*arccos, hyperbolic branches arccosh.  Raises when a rotation
-    angle reaches ``max_angle`` (the log is not single-valued at pi).
-    """
+    """:func:`su11_log` without the membership check: :func:`_su11_log_pair`
+    of row 0."""
     A = np.asarray(A, complex)
     shape = A.shape
     A = A.reshape(-1, 2, 2)
-    ch = A[:, 0, 0].real
+    return su11_element(*_su11_log_pair(A[:, 0, 0], A[:, 0, 1], max_angle)).reshape(shape)
+
+
+def _su11_log_pair(A, B, max_angle=math.pi - 1e-9):
+    """(a, b) with exp [[i a, b], [conj b, -i a]] the SU(1,1) matrix of row 0
+    (A, B), elementwise, without a membership check.  cosh(lam) is the real
+    part of A; elliptic branches use lam = i*arccos, hyperbolic branches
+    arccosh.  Raises when a rotation angle reaches ``max_angle`` (the log is
+    not single-valued at pi)."""
+    ch = A.real
     elliptic = ch < 1.0
     theta = np.arccos(np.clip(ch, -1.0, 1.0))
     if np.any(elliptic & (theta >= max_angle)):
@@ -137,14 +149,7 @@ def _su11_log(A, max_angle=math.pi - 1e-9):
     sc_h = np.where(lam_h > 1e-8, np.sinh(lam_h) / np.where(lam_h > 1e-8, lam_h, 1.0),
                     1.0 + lam_h * lam_h / 6.0)
     sc = np.where(near, 1.0, np.where(elliptic, sc_e, sc_h))
-    a = A[:, 0, 0].imag / sc
-    b = A[:, 0, 1] / sc
-    out = np.empty_like(A)
-    out[:, 0, 0] = 1j * a
-    out[:, 1, 1] = -1j * a
-    out[:, 0, 1] = b
-    out[:, 1, 0] = np.conj(b)
-    return out.reshape(shape)
+    return A.imag / sc, B / sc
 
 
 def _j_signed_angle(A, sign):
@@ -357,6 +362,35 @@ def _adjugate(M):
     return out
 
 
+def _times(a, b):
+    """(ar + i ai)(br + i bi) as (re, im) in the real arithmetic of
+    :func:`mat_product`; ai = bi = None for real factors."""
+    (ar, ai), (br, bi) = a, b
+    if ai is None:
+        return ar * br, None
+    re, im = ar * br, ar * bi
+    re -= ai * bi
+    im += ai * br
+    return re, im
+
+
+def _entry_products(entry, n, rows, out):
+    """Add to out[:, r, l] the entry (rows[r], l) of F_0 ... F_{n-1}, given
+    entry(f, j, k) = (re, im) of F_f[j, k], in :func:`mat_product`'s order."""
+    for r, i in enumerate(rows):
+        # the prefixes F_0[i, j] ... F_{n-2}[., k], in C order of (j, ..., k)
+        terms = [entry(0, i, j) for j in (0, 1)]
+        for f in range(1, n - 1):
+            terms = [_times(t, entry(f, s % 2, k)) for s, t in enumerate(terms) for k in (0, 1)]
+        for l in (0, 1):
+            for s, t in enumerate(terms):
+                re, im = _times(t, entry(n - 1, s % 2, l))
+                out.real[:, r, l] += re
+                if im is not None:
+                    out.imag[:, r, l] += im
+    return out
+
+
 def mat_product(*factors):
     """F_1 F_2 ... F_n per entry over a stack; factors (m, 2, 2) or (2, 2),
     result (m, 2, 2).  Entry (i, l) adds to 0, over (j, k, ...) in C order,
@@ -365,31 +399,36 @@ def mat_product(*factors):
     for bit (``@`` and numpy's complex ``*`` round differently)."""
     mats = [np.asarray(F, np.result_type(*factors)) for F in factors]
     cplx = np.iscomplexobj(mats[0])
-    entry = lambda M, i, j: (M[..., i, j].real, M[..., i, j].imag if cplx else None)
+    entry = lambda f, i, j: (mats[f][..., i, j].real, mats[f][..., i, j].imag if cplx else None)
+    m = max((len(M) for M in mats if M.ndim == 3), default=1)
+    return _entry_products(entry, len(mats), (0, 1), np.zeros((m, 2, 2), mats[0].dtype))
 
-    def times(a, b):
-        (ar, ai), (br, bi) = a, b
-        if not cplx:
-            return ar * br, None
-        re, im = ar * br, ar * bi
-        re -= ai * bi
-        im += ai * br
-        return re, im
 
-    out = np.zeros((max((len(M) for M in mats if M.ndim == 3), default=1), 2, 2),
-                   mats[0].dtype)
-    for i in (0, 1):
-        # the prefixes F_1[i, j] ... F_{n-1}[., k], in C order of (j, ..., k)
-        terms = [entry(mats[0], i, j) for j in (0, 1)]
-        for M in mats[1:-1]:
-            terms = [times(t, entry(M, s % 2, k)) for s, t in enumerate(terms) for k in (0, 1)]
-        for l in (0, 1):
-            for s, t in enumerate(terms):
-                re, im = times(t, entry(mats[-1], s % 2, l))
-                out.real[:, i, l] += re
-                if cplx:
-                    out.imag[:, i, l] += im
-    return out
+def pair_product(*pairs):
+    """Row 0 (A, B) of the product of SU(1,1) stacks, each given by its row 0
+    (A, B), row 1 being (conj B, conj A): row 0 of :func:`mat_product` of the
+    full stacks, bit for bit but for the sign of an exact zero."""
+
+    def entry(f, j, k):
+        v = pairs[f][(j + k) % 2]
+        return v.real, -v.imag if j else v.imag
+
+    out = _entry_products(entry, len(pairs), (0,),
+                          np.zeros((len(pairs[0][0]), 1, 2), complex))
+    return out[:, 0, 0], out[:, 0, 1]
+
+
+def diag_pair_product(c, pair, d):
+    """Row 0 (c A d[0], c B d[1]) of diag(c, .) M diag(d[0], d[1]) for M of row
+    0 ``pair``: row 0 of :func:`mat_product` of the three, bit for bit, as the
+    terms it adds besides these are exact zeros."""
+    out = np.zeros((len(pair[0]), 1, 2), complex)
+    for l in (0, 1):
+        re, im = _times(_times((c.real, c.imag), (pair[l].real, pair[l].imag)),
+                        (d[l].real, d[l].imag))
+        out.real[:, 0, l] += re
+        out.imag[:, 0, l] += im
+    return out[:, 0, 0], out[:, 0, 1]
 
 
 def conjugate(c: QpCocycle, Z, probes=16, tol=1e-8, seed=0):

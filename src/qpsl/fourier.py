@@ -534,45 +534,55 @@ def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
                      prune_tol=None):
     """Inverse transform of values sampled on the :func:`grid_points` grid.
 
-    ``values`` has shape (G^d,) or (G^d, 2, 2); modes are recovered up to
-    G/2 per dimension (higher content aliases), then truncated to
-    ``max_degree`` in frequency units with the dropped mass recorded.
-    Modes of norm <= ``prune_tol`` (default 0) are skipped and count as
-    neither kept nor dropped.  The dropped mass is summed left to right in
-    the C order of the FFT block (per axis 0, 1, ..., G/2 - 1, -G/2, ..., -1).
+    ``values`` has shape (G^d,) or (G^d, 2, 2); a stack of n such arrays
+    (a leading axis of length n) is transformed by one FFT into a list of n
+    series.  Modes are recovered up to G/2 per dimension (higher content
+    aliases), then truncated to ``max_degree`` in frequency units with the
+    dropped mass recorded.  Modes of norm <= ``prune_tol`` (default 0) are
+    skipped and count as neither kept nor dropped.  The dropped mass is summed
+    left to right in the C order of the FFT block (per axis 0, 1, ..., G/2 - 1,
+    -G/2, ..., -1).
     """
     values = np.asarray(values)
-    G = round(values.shape[0] ** (1.0 / d))
-    if G ** d != values.shape[0]:
+    single = values.ndim == (1 if kind == "scalar" else 3)
+    if single:
+        values = values[None]
+    n, G = len(values), round(values.shape[1] ** (1.0 / d))
+    if G ** d != values.shape[1]:
         raise QpslError("grid values do not form a cube")
-    tail = values.shape[1:]
-    spec = np.fft.fftn(values.reshape((G,) * d + tail), axes=tuple(range(d))) / (G ** d)
+    tail = values.shape[2:]
+    spec = np.fft.fftn(values.reshape((n,) + (G,) * d + tail),
+                       axes=tuple(range(1, d + 1))) / (G ** d)
     freqs = np.fft.fftfreq(G, 1.0 / G).astype(int)
     norms = _coeff_norms(spec, kind == "scalar")
     keep = ~(norms <= (prune_tol or 0.0))  # not norms > tol: NaN modes stay
-    dropped = 0.0
+    drop = np.zeros((G,) * d, bool)
     if max_degree is not None:
         keys = np.stack(np.meshgrid(*([freqs] * d), indexing="ij"), axis=-1)
         drop = np.abs(keys).max(axis=-1) * (0.5 if halved else 1.0) > max_degree
-        if (keep & drop).any():
-            dropped = float(np.cumsum(norms[keep & drop])[-1])  # sequential, not pairwise
-        keep &= ~drop
-    block = np.zeros((2 * (G // 2) + 1,) * d + tail, complex)
-    block[np.ix_(*[freqs + G // 2] * d)] = np.where(keep.reshape(keep.shape + (1,) * len(tail)),
-                                                    spec, 0)
-    out = FourierSeries.from_block(d, block, halved=halved, kind=kind)
-    out.dropped_mass = dropped
-    return out
+    block = np.zeros((n,) + (2 * (G // 2) + 1,) * d + tail, complex)
+    block[(slice(None),) + np.ix_(*[freqs + G // 2] * d)] = np.where(
+        (keep & ~drop).reshape(keep.shape + (1,) * len(tail)), spec, 0)
+    out = []
+    for b, norm, k in zip(block, norms, keep):
+        out.append(FourierSeries.from_block(d, b, halved=halved, kind=kind))
+        if (k & drop).any():
+            out[-1].dropped_mass = float(np.cumsum(norm[k & drop])[-1])  # sequential, not pairwise
+    return out[0] if single else out
 
 
-def grid_values(F: FourierSeries, G, shift=None):
-    """F on the ``grid_points(F.d, G, F.halved)`` grid, or on that grid moved
-    by 2*pi*shift (shift in cycles, as for :meth:`FourierSeries.shift`), by
-    one inverse FFT: the exact inverse of :func:`series_from_grid`.  Modes
-    with |n| > G/2 fold onto n mod G by summation."""
-    if shift is not None:
-        F = F.shift(shift)
-    spec = np.zeros((G,) * F.d + F.block.shape[F.d:], complex)
-    np.add.at(spec, np.ix_(*[np.arange(-F.K, F.K + 1) % G] * F.d), F.block)
-    vals = np.fft.ifftn(spec, axes=tuple(range(F.d))) * (G ** F.d)
-    return vals.reshape((G ** F.d,) + F.block.shape[F.d:])
+def grid_values(series, G, shifts=None):
+    """Each of ``series`` (one d and kind) on the ``grid_points(d, G, halved)``
+    grid, the i-th moved by 2*pi*shifts[i] when that is not None (in cycles,
+    as for :meth:`FourierSeries.shift`), by one inverse FFT of the stacked
+    spectra: the exact inverse of :func:`series_from_grid`.  Returns shape
+    (n, G^d) + the coefficient shape.  Modes with |n| > G/2 fold onto n mod G
+    by summation."""
+    d, tail = series[0].d, series[0].block.shape[series[0].d:]
+    spec = np.zeros((len(series),) + (G,) * d + tail, complex)
+    for row, F, shift in zip(spec, series, shifts or [None] * len(series)):
+        if shift is not None:
+            F = F.shift(shift)
+        np.add.at(row, np.ix_(*[np.arange(-F.K, F.K + 1) % G] * d), F.block)
+    vals = np.fft.ifftn(spec, axes=tuple(range(1, d + 1))) * (G ** d)
+    return vals.reshape((len(series), G ** d) + tail)

@@ -15,6 +15,9 @@ diagonal in coefficient space with divisors e^{2 pi i <n,alpha>} - 1 on the
 diagonal component and e^{2 pi i (<n,alpha> - 2 sigma)} - 1 off the diagonal,
 sigma being the angle (in cycles) of the diagonalized constant.
 
+The Newton sweep holds each SU(1,1) matrix [[A, B], [conj B, conj A]] on the
+grid as the pair (A, B) of its row 0, and forms only row 0 of its products.
+
 Every accepted step is certified by evaluating both sides of the conjugation
 identity at random probe points; this residual is the single correctness gate.
 
@@ -43,9 +46,12 @@ from .cocycle import (
     schrodinger_cocycle,
     su11_element,
     su11_exp,
+    su11_exp_pair,
     _adjugate,
-    _su11_log,
+    _su11_log_pair,
+    diag_pair_product,
     mat_product,
+    pair_product,
     to_su11,
     M_CONJ,
     M_CONJ_INV,
@@ -85,16 +91,6 @@ _W0_SL2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 # su(1,1)-valued series as a (u, w) pair of scalar series
 
 
-def _su11_values(uu, ww):
-    """W = [[i u, w], [conj w, -i u]] from sampled u and w."""
-    out = np.empty(uu.shape + (2, 2), complex)
-    out[..., 0, 0] = 1j * uu.real  # enforce the real-u structure exactly
-    out[..., 1, 1] = -1j * uu.real
-    out[..., 0, 1] = ww
-    out[..., 1, 0] = np.conj(ww)
-    return out
-
-
 @dataclass
 class Su11Series:
     """W(theta) = [[i u, w], [conj w, -i u]] with u real-valued."""
@@ -132,11 +128,12 @@ class Su11Series:
         return Su11Series(self.u.scale(c), self.w.scale(c))
 
     def sample(self, pts):
-        return _su11_values(self.u.sample(pts), self.w.sample(pts))
+        return su11_element(self.u.sample(pts).real, self.w.sample(pts))
 
     def on_grid(self, G, shift=None):
         """Values on grid_points(d, G), or on that grid moved by 2 pi shift."""
-        return _su11_values(grid_values(self.u, G, shift), grid_values(self.w, G, shift))
+        uu, ww = grid_values([self.u, self.w], G, [shift, shift])
+        return su11_element(uu.real, ww)
 
     def symmetrize(self):
         """Project u onto real-valued functions (Hermitian coefficients)."""
@@ -166,15 +163,11 @@ class Su11Series:
         return Su11Series(self.u.copy(), shift_sum(self.w, [delta], [1.0]))
 
 
-def su11_series_from_samples(vals, d, max_degree=None, prune_tol=1e-16):
-    """Pointwise su(1,1) samples on the standard grid -> (u, w) series."""
-    vals = np.asarray(vals)
-    u_vals = vals[:, 0, 0].imag
-    w_vals = vals[:, 0, 1]
-    u = series_from_grid(u_vals.astype(complex), d, kind="scalar",
-                         max_degree=max_degree, prune_tol=prune_tol)
-    w = series_from_grid(w_vals, d, kind="scalar",
-                         max_degree=max_degree, prune_tol=prune_tol)
+def su11_series_from_samples(uu, ww, d, max_degree=None, prune_tol=1e-16):
+    """Samples of u (real) and w on the standard grid -> (u, w) series, by
+    one forward FFT."""
+    u, w = series_from_grid(np.stack([uu, ww]), d, kind="scalar",
+                            max_degree=max_degree, prune_tol=prune_tol)
     out = Su11Series(u, w).symmetrize()  # w.copy() keeps its dropped mass
     out.u.dropped_mass = u.dropped_mass
     return out
@@ -479,16 +472,16 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
             raise NewtonDiverged(
                 f"non-resonant norm stalled at {nre_norm:.3e} (sweep {it})")
         Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
-        # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}
-        E_here = su11_exp(Y_p.on_grid(grid))
-        E_fwd = su11_exp(Y_p.on_grid(grid, shift=alpha))
-        Gv = su11_exp(g_cur.on_grid(grid))
-        inner = mat_product(np.linalg.inv(Ad), E_fwd, Ad)
-        prod = mat_product(inner, Gv, _adjugate(E_here))
-        g_next_vals = _su11_log(prod)
-        g_cur = su11_series_from_samples(g_next_vals, d, max_degree=max_deg)
+        # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}, each SU(1,1) matrix held
+        # as its row 0 (A, B); e^{-Y} is the adjugate (conj A, -B)
+        vals = grid_values([Y_p.u, Y_p.w, Y_p.u, Y_p.w, g_cur.u, g_cur.w], grid,
+                           [None, None, alpha, alpha, None, None])
+        E_here, E_fwd, Gv = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
+        inner = diag_pair_product(np.linalg.inv(Ad)[0, 0], E_fwd, np.diagonal(Ad))
+        prod = pair_product(inner, Gv, (np.conj(E_here[0]), -E_here[1]))
+        g_cur = su11_series_from_samples(*_su11_log_pair(*prod), d, max_degree=max_deg)
         dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
-        E_acc = E_here if E_acc is None else mat_product(E_here, E_acc)
+        E_acc = E_here if E_acc is None else pair_product(E_here, E_acc)
     else:
         nre, _ = rule.split(g_cur)
         if nre.norm(h) > NEWTON_TOL * scale * 100:
@@ -497,7 +490,7 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     if E_acc is None:
         Y_total = Su11Series.zero(d)
     else:
-        Y_total = su11_series_from_samples(_su11_log(E_acc), d, max_degree=max_deg)
+        Y_total = su11_series_from_samples(*_su11_log_pair(*E_acc), d, max_degree=max_deg)
     # back to the original frame
     Pinv = np.linalg.inv(P)
     Y_out = Y_total.ad_constant(Pinv)
@@ -568,8 +561,9 @@ def _combine_f_and_label(state: KamState, V_modes, params):
     if state.f.is_zero(1e-300):
         return T, T.u.dropped_mass + T.w.dropped_mass
     grid = params.grid_for(int(max(state.f.degree(), T.degree())) + 4, d)
-    vals = mat_product(su11_exp(state.f.on_grid(grid)), su11_exp(T.on_grid(grid)))
-    out = su11_series_from_samples(_su11_log(vals), d,
+    vals = grid_values([state.f.u, state.f.w, T.u, T.w], grid)
+    E_f, E_t = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
+    out = su11_series_from_samples(*_su11_log_pair(*pair_product(E_f, E_t)), d,
                                    max_degree=params.max_degree)
     return out, out.u.dropped_mass + out.w.dropped_mass
 
@@ -585,8 +579,9 @@ def _split_mean(A_base, G: Su11Series, params):
     if G.degree() == 0:
         return A_next, Su11Series.zero(d)
     vals = su11_exp(G.on_grid(params.grid_for(int(G.degree()) + 4, d)))
-    logs = _su11_log(mat_product(np.linalg.inv(E_mean), vals))
-    return A_next, su11_series_from_samples(logs, d, max_degree=params.max_degree)
+    P = mat_product(np.linalg.inv(E_mean), vals)
+    return A_next, su11_series_from_samples(*_su11_log_pair(P[:, 0, 0], P[:, 0, 1]), d,
+                                            max_degree=params.max_degree)
 
 
 def _exp_pair(Y: Su11Series, params):
@@ -743,8 +738,10 @@ def _ad_series(E: FourierSeries, Einv: FourierSeries, W: Su11Series,
                params: KamParams):
     """Ad(E) W = E W E^{-1} for a matrix series E with inverse series Einv."""
     G = params.grid_for(int(E.degree + W.degree() + Einv.degree) + 4, W.d)
-    vals = mat_product(grid_values(E, G), W.on_grid(G), grid_values(Einv, G))
-    return su11_series_from_samples(vals, W.d, max_degree=params.max_degree)
+    E_v, Einv_v = grid_values([E, Einv], G)
+    vals = mat_product(E_v, W.on_grid(G), Einv_v)
+    return su11_series_from_samples(vals[:, 0, 0].imag, vals[:, 0, 1], W.d,
+                                    max_degree=params.max_degree)
 
 
 # ---------------------------------------------------------------------------

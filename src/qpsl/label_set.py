@@ -84,20 +84,28 @@ class GrowthSchedule:
     strict: bool = False
     relaxations: tuple = ()
 
+    def _log10_level(self, j):
+        return (1 + self.s) ** j * math.log10(self.M)
+
     def _level_dps(self, j):
         # levels past the depth keep the depth's precision
-        digits = (1 + self.s) ** min(j, self.depth) * math.log10(self.M)
-        return max(50, int(digits) + 30)
+        return max(50, int(self._log10_level(min(j, self.depth))) + 30)
+
+    def _power(self, j, dps):
+        with mpmath.workdps(dps):
+            return mpmath.power(self.M, mpmath.power(1 + self.s, j))
 
     def level(self, j):
         """ell_j as an mpmath float at its own precision: its integer digits
         plus 30 guard digits, at least 50 digits."""
         if j < 0:
             raise QpslError("level index must be >= 0")
-        with mpmath.workdps(self._level_dps(j)):
-            return mpmath.power(self.M, mpmath.power(1 + self.s, j))
+        return self._power(j, self._level_dps(j))
 
     def level_float(self, j):
+        """ell_j as a float, inf from 1e300 on (well past it by log10 alone)."""
+        if self._log10_level(j) > 301:
+            return math.inf
         v = self.level(j)
         return float(v) if v < mpmath.mpf(10) ** 300 else math.inf
 
@@ -105,11 +113,14 @@ class GrowthSchedule:
         return [self.level_float(j) for j in range(self.depth + 1)]
 
     def check_ratio_identity(self, rtol=1e-12):
-        """ell_{j+1} = ell_j^(1+s) to relative tolerance, all computed levels."""
+        """ell_{j+1} = ell_j^(1+s) to relative tolerance, j < depth.  Both sides
+        are exp of about ln ell_{j+1}, which costs its digits; 50 digits beyond
+        those decide a tolerance down to about 1e-40."""
         for j in range(self.depth):
-            a = self.level(j + 1)
-            with mpmath.workdps(self._level_dps(j + 1)):
-                if abs(a - mpmath.power(self.level(j), 1 + self.s)) > rtol * abs(a):
+            dps = 50 + max(0, math.ceil(math.log10(3 * self._log10_level(j + 1))))
+            a = self._power(j + 1, dps)
+            with mpmath.workdps(dps):
+                if abs(a - mpmath.power(self._power(j, dps), 1 + self.s)) > rtol * abs(a):
                     return False
         return True
 

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qpsl.cocycle import _su11_log, _su11_log_pair
 from qpsl.cocycle import (
     M_CONJ,
     M_CONJ_INV,
     QpCocycle,
     check_su11,
     conjugate,
+    diag_pair_product,
     diagonalize_su11,
     from_su11,
     lyapunov_exponent,
     mat_product,
+    pair_product,
     parabolic_normalize,
     pivot_negatives,
     rot_su11,
@@ -25,6 +28,7 @@ from qpsl.cocycle import (
     schrodinger_cocycle,
     su11_element,
     su11_exp,
+    su11_exp_pair,
     su11_log,
     to_su11,
     transfer_product,
@@ -472,6 +476,75 @@ def test_mat_product_matches_entry_reference_bitwise():
     # signed zeros: a sum of -0 terms is +0
     neg = np.full((3, 2, 2), -0.0)
     assert mat_product(neg, np.ones((2, 2))).tobytes() == np.zeros((3, 2, 2)).tobytes()
+
+
+def _stack_exp_reference(C):
+    """su11_exp as a stack kernel computing both rows from the closed form,
+    row 1 as (conj(b) sinhc, cosh lam - i a sinhc)."""
+    a, b = C[:, 0, 0].imag, C[:, 0, 1]
+    disc = (np.abs(b) ** 2 - a * a).astype(complex)
+    lam = np.sqrt(disc)
+    small = np.abs(lam) < 1e-8
+    lam_safe = np.where(small, 1.0, lam)
+    ch = np.where(small, 1.0 + disc / 2 + disc * disc / 24, np.cosh(lam_safe))
+    sc = np.where(small, 1.0 + disc / 6 + disc * disc / 120, np.sinh(lam_safe) / lam_safe)
+    out = np.empty_like(C)
+    out[:, 0, 0], out[:, 1, 1] = ch + 1j * a * sc, ch - 1j * a * sc
+    out[:, 0, 1], out[:, 1, 0] = b * sc, np.conj(b) * sc
+    return out
+
+
+def _random_su11_algebra(rng, m):
+    """su(1,1) elements reaching the small-|lam|, elliptic and hyperbolic
+    branches of the exp and of the log."""
+    scale = rng.choice([1e-10, 1e-6, 1e-3, 0.1, 1.0], size=m)
+    a = rng.normal(size=m) * scale
+    b = (rng.normal(size=m) + 1j * rng.normal(size=m)) * scale
+    b[:8] = 0.0  # pure rotations
+    a[8:16] = 0.0  # pure boosts
+    return su11_element(a, b)
+
+
+def test_pair_exp_and_log_equal_stack_kernels():
+    rng = np.random.default_rng(11)
+    C = _random_su11_algebra(rng, 2000)
+    disc = np.abs(C[:, 0, 1]) ** 2 - C[:, 0, 0].imag ** 2
+    assert (np.sqrt(np.abs(disc)) < 1e-8).any() and (disc < -1e-4).any() and (disc > 1e-4).any()
+    E = _stack_exp_reference(C)
+    A, B = su11_exp_pair(C[:, 0, 0].imag, C[:, 0, 1])
+    assert np.array_equal(A, E[:, 0, 0]) and np.array_equal(B, E[:, 0, 1])
+    assert np.array_equal(su11_exp(C), E)
+    ok = (E[:, 0, 0].real >= 1.0) | (np.arccos(np.clip(E[:, 0, 0].real, -1, 1)) < 3.0)
+    ch = E[ok, 0, 0].real
+    assert (np.abs(ch - 1) < 1e-12).any() and (ch < 1 - 1e-6).any() and (ch > 1 + 1e-6).any()
+    L = _su11_log(E[ok])
+    a, b = _su11_log_pair(E[ok, 0, 0], E[ok, 0, 1])
+    assert np.array_equal(a, L[:, 0, 0].imag) and np.array_equal(b, L[:, 0, 1])
+    assert np.array_equal(L[:, 1, 0], np.conj(b)) and np.array_equal(L[:, 1, 1], -1j * a)
+
+
+def test_pair_products_equal_row_zero_of_mat_product():
+    rng = np.random.default_rng(12)
+    m = 2048
+    E1, E2, E3 = (_stack_exp_reference(_random_su11_algebra(rng, m)) for _ in range(3))
+    pair = lambda E: (E[:, 0, 0], E[:, 0, 1])
+    for stacks in ((E1, E2), (E1, E2, E3), (E3, E1, E2, E1)):
+        A, B = pair_product(*[pair(E) for E in stacks])
+        P = mat_product(*stacks)
+        assert np.array_equal(A, P[:, 0, 0]) and np.array_equal(B, P[:, 0, 1])
+    theta = 2 * math.pi * 0.2037
+    Ad = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
+    Ad_inv = np.linalg.inv(Ad)
+    A, B = diag_pair_product(Ad_inv[0, 0], pair(E1), np.diagonal(Ad))
+    P = mat_product(Ad_inv, E1, Ad)
+    assert A.tobytes() == P[:, 0, 0].tobytes() and B.tobytes() == P[:, 0, 1].tobytes()
+    # the Newton sweep's product inner . e^g . adj e^Y on pairs
+    inner = (P[:, 0, 0], P[:, 0, 1])
+    A, B = pair_product(inner, pair(E2), (np.conj(E3[:, 0, 0]), -E3[:, 0, 1]))
+    adj = np.stack([np.stack([E3[:, 1, 1], -E3[:, 0, 1]], -1),
+                    np.stack([-E3[:, 1, 0], E3[:, 0, 0]], -1)], -2)
+    P = mat_product(P, E2, adj)
+    assert np.array_equal(A, P[:, 0, 0]) and np.array_equal(B, P[:, 0, 1])
 
 
 def test_conjugate_identity_map():

@@ -12,6 +12,7 @@ from qpsl.fourier import (
     amo_potential,
     build_potential,
     grid_points,
+    grid_values,
     multiply,
     potential_series,
     series_from_grid,
@@ -324,6 +325,29 @@ def test_series_from_grid_matches_mode_loop(kind, halved, d):
                 tol = norms[len(norms) // 2] if norms else 0.0
                 assert sorted(got.copy().prune(tol).coeffs) == sorted(
                     n for n, m in zip(want, norms) if not m <= tol)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_transform_stacks_equal_single_calls(kind, d):
+    # one FFT over a stack gives each row the bits of its own call, also when
+    # a series folds (degree 11 > G/2) or is moved by a shift
+    rng = np.random.default_rng(5 + d + 2 * (kind == "matrix"))
+    G = 16 if d == 1 else 8
+    series = [_random_series(rng, d=d, degree=deg, kind=kind) for deg in (3, 5, 11)]
+    shifts = [None, np.full(d, 0.3183), None]
+    vals = grid_values(series, G, shifts)
+    assert vals.shape == (3, G ** d) + (() if kind == "scalar" else (2, 2))
+    for row, F, shift in zip(vals, series, shifts):
+        assert _same_bits(row, grid_values([F], G, [shift])[0])
+        pts = grid_points(d, G) + (0.0 if shift is None else 2 * math.pi * shift)
+        assert np.max(np.abs(row - F.sample(pts))) < 1e-12
+    back = series_from_grid(vals, d, kind=kind, max_degree=2, prune_tol=1e-16)
+    assert len(back) == 3
+    for got, row in zip(back, vals):
+        want = series_from_grid(row, d, kind=kind, max_degree=2, prune_tol=1e-16)
+        assert _same_bits(got.block, want.block)
+        assert _same_bits(float(got.dropped_mass), float(want.dropped_mass))
 
 
 @pytest.mark.parametrize("kind", ["scalar", "matrix"])

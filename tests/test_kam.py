@@ -7,7 +7,10 @@ import pytest
 
 from qpsl import kam
 from qpsl.cocycle import (
+    _adjugate,
+    _su11_log,
     frame_rotation_su11,
+    mat_product,
     rot_su11,
     su11_element,
     su11_exp,
@@ -22,6 +25,7 @@ from qpsl.errors import (
     TargetNotLocked,
 )
 from qpsl.fourier import FourierSeries
+from test_cocycle import _stack_exp_reference as _stack_exp
 from qpsl.kam import (
     KamParams,
     KamState,
@@ -221,6 +225,68 @@ def test_remove_nonresonant_single_mode_second_order():
             ratios.append(s[1] / s[0] ** 2)
     assert ratios
     assert max(ratios) <= 1.0
+
+
+def _stack_remove_nonresonant(A, F, eta, h, alpha, rule, params):
+    """The Newton sweep of remove_nonresonant on full (G, 2, 2) stacks, for a
+    diagonal A: each factor both rows, the diagonal conjugation a
+    three-factor product.  Returns (Y, F_star, sweeps, dropped mass)."""
+    d = F.d
+    theta = float(np.angle(A[0, 0])) % (2 * math.pi)
+    sigma = theta / (2 * math.pi)
+    Ad = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
+    g_cur = F.ad_constant(np.eye(2, dtype=complex))
+    scale = max(g_cur.norm(h), 1e-300)
+    grid = params.grid_for(params.max_degree, d)
+
+    def series(vals):
+        L = _su11_log(vals)
+        return kam.su11_series_from_samples(L[:, 0, 0].imag, L[:, 0, 1], d,
+                                            max_degree=params.max_degree)
+
+    E_acc, sweeps, dropped = None, [], 0.0
+    for _ in range(kam.NEWTON_MAX_SWEEPS):
+        nre, _ = rule.split(g_cur)
+        sweeps.append(nre.norm(h))
+        if sweeps[-1] <= kam.NEWTON_TOL * scale:
+            break
+        Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
+        E_here = _stack_exp(Y_p.on_grid(grid))
+        inner = mat_product(np.linalg.inv(Ad), _stack_exp(Y_p.on_grid(grid, shift=alpha)), Ad)
+        g_cur = series(mat_product(inner, _stack_exp(g_cur.on_grid(grid)), _adjugate(E_here)))
+        dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
+        E_acc = E_here if E_acc is None else mat_product(E_here, E_acc)
+    Pinv = np.linalg.inv(np.eye(2, dtype=complex))
+    return (series(E_acc).ad_constant(Pinv), g_cur.ad_constant(Pinv).prune(1e-18),
+            sweeps, dropped)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_remove_nonresonant_equals_stack_sweep(d):
+    rng = np.random.default_rng(7)
+    sigma = 0.85 if d == 1 else 0.205
+    A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
+    if d == 1:
+        alpha = np.array([GOLD])
+        F = _random_su11_series(rng, degree=30, modes=8, amp=3e-4)
+        params = _params(max_degree=192, grid_size=1024, window_cap=40)
+    else:
+        alpha = np.array([GOLD, math.sqrt(2) - 1])
+        F = Su11Series.zero(2)
+        F.w[(2, 1)], F.w[(0, -1)] = 2e-4, 1e-4 - 5e-5j
+        F.u[(1, -1)], F.u[(-1, 1)] = 1e-4 + 2e-5j, 1e-4 - 2e-5j
+        params = _params(max_degree=12, grid_size=4096, window_cap=6)
+    N = params.window_cap
+    rule = ModeRule(alpha=alpha, sigma=sigma, window=N,
+                    diag_floor=kam._min_divisor_distance(alpha, N, d) / 2,
+                    off_floor=kam.THRESHOLD_CAP, keep_w_mean=True)
+    Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule=rule, params=params)
+    Y_ref, F_ref, sweeps, dropped = _stack_remove_nonresonant(A, F, 1e-9, 0.05, alpha,
+                                                              rule, params)
+    assert len(sweeps) >= 3 and rep["sweeps"] == sweeps and rep["dropped_mass"] == dropped
+    for got, want in ((Y.u, Y_ref.u), (Y.w, Y_ref.w), (F_star.u, F_ref.u), (F_star.w, F_ref.w)):
+        assert got.block.shape == want.block.shape and np.array_equal(got.block, want.block)
+    assert rep["residual"] < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,37 @@ def test_levels_agree_with_extra_precision():
         assert err <= Fraction(1, 10 ** 25), j
 
 
+def test_level_float_and_ratio_identity_match_full_precision():
+    # levels just below and just above 1e300 (10^299.99985 and 10^300.49),
+    # where level_float computes the level, and levels of 340 to 645 digits,
+    # which it decides from the log10 estimate; the ratio identity at its
+    # reduced precision returns what it returns on levels at their own
+    # precision
+    def full_float(sched, j):
+        v = sched.level(j)
+        return float(v) if v < mpmath.mpf(10) ** 300 else math.inf
+
+    def full_ratio_identity(sched, rtol):
+        for j in range(sched.depth):
+            a = sched.level(j + 1)
+            with mpmath.workdps(sched._level_dps(j + 1)):
+                if abs(a - mpmath.power(sched.level(j), 1 + sched.s)) > rtol * abs(a):
+                    return False
+        return True
+
+    for M, s, depth in ((1e150, 0.999999, 2), (1e151, 0.99, 2), (100, 0.9, 9),
+                        (10, 0.9, 6), (1e250, 0.5, 2)):
+        sched = build_schedule(M, s, depth=depth)
+        assert sched.levels() == [full_float(sched, j) for j in range(depth + 1)]
+        for rtol in (1e-12, 1e-30):
+            assert sched.check_ratio_identity(rtol) is full_ratio_identity(sched, rtol)
+    below, above = build_schedule(1e150, 0.999999, 1), build_schedule(1e151, 0.99, 1)
+    assert math.isfinite(below.level_float(1)) and above.level_float(1) == math.inf
+    deep = build_schedule(100, 0.9, depth=16)
+    assert deep.levels()[8:] == [math.inf] * 9
+    assert deep.check_ratio_identity()
+
+
 def test_label_level_boundaries_match_oracle():
     # single labels on each side of ell_0 = 100, of 21/10 ell_0 = 210 (an
     # exact tie), of ell_1 = 100^1.9 and of ell_2, planted at levels 0, 1, 2;
