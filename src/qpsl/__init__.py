@@ -9,7 +9,7 @@ Subpackages follow the stages of the construction:
 * :mod:`qpsl.fourier`      - finite Fourier series on the torus (scalar and
   matrix valued), analytic and C^k norm majorants, the explicit potential.
 * :mod:`qpsl.cocycle`      - SL(2,R)/SU(1,1) utilities and quasi-periodic
-  cocycle dynamics (transfer matrices, rotation number, hyperbolicity).
+  cocycle dynamics (the Schrodinger rotation number, hyperbolicity).
 * :mod:`qpsl.kam`          - the reducibility iteration on SU(1,1) cocycles.
 * :mod:`qpsl.spectrum`     - integrated density of states, rotation curves,
   gap detection and labeling.

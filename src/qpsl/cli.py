@@ -312,7 +312,8 @@ def cmd_gaps(args):
     with _rotation_runner(V, alpha, iters, samples, seed, _workers(args)) as rotate:
         curve = rotate(energies)
         gaps = detect_gaps(curve, alpha, labels, tol=tol,
-                           rho_fn=(lambda evals: rotate(evals).rho) if args.refine else None)
+                           rho_fn=(lambda evals: rotate(evals).rho) if args.refine else None,
+                           refine_bisections=14)
     if args.curve_out:
         N = int(scan.get("N", 1000))
         ic = ids_curve(V, alpha, energies, N=N,

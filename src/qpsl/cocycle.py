@@ -32,11 +32,11 @@ from .fourier import FourierSeries, Potential, grid_points
 __all__ = [
     "M_CONJ", "M_CONJ_INV", "mat_product", "pair_product", "diag_pair_product",
     "to_su11", "from_su11", "check_su11",
-    "su11_exp", "su11_exp_pair", "su11_log", "rot_su11", "frame_rotation_su11",
+    "su11_exp", "su11_exp_pair", "frame_rotation_su11",
     "parabolic_normalize", "diagonalize_su11", "rotation_matrix",
-    "QpCocycle", "schrodinger_cocycle", "transfer_product", "conjugate",
+    "QpCocycle", "schrodinger_cocycle", "conjugate",
     "potential_values", "orbit_potential", "pivot_negatives", "oscillation_rho",
-    "RotationResult", "rotation_number", "lyapunov_exponent",
+    "RotationResult", "rotation_number",
     "UhReport", "uh_test",
 ]
 
@@ -113,34 +113,16 @@ def su11_exp(C):
     return out.reshape(shape)
 
 
-def su11_log(A, max_angle=math.pi - 1e-9):
-    """Inverse of :func:`su11_exp` on its injectivity domain, over a
-    (..., 2, 2) stack; raises unless every matrix is SU(1,1) within 1e-6."""
-    ok, err = check_su11(A, tol=1e-6)
-    if not ok:
-        raise QpslError(f"matrix is not SU(1,1) (residual {err:.3e})")
-    return _su11_log(A, max_angle)
-
-
-def _su11_log(A, max_angle=math.pi - 1e-9):
-    """:func:`su11_log` without the membership check: :func:`_su11_log_pair`
-    of row 0."""
-    A = np.asarray(A, complex)
-    shape = A.shape
-    A = A.reshape(-1, 2, 2)
-    return su11_element(*_su11_log_pair(A[:, 0, 0], A[:, 0, 1], max_angle)).reshape(shape)
-
-
-def _su11_log_pair(A, B, max_angle=math.pi - 1e-9):
+def _su11_log_pair(A, B):
     """(a, b) with exp [[i a, b], [conj b, -i a]] the SU(1,1) matrix of row 0
-    (A, B), elementwise, without a membership check.  cosh(lam) is the real
-    part of A; elliptic branches use lam = i*arccos, hyperbolic branches
-    arccosh.  Raises when a rotation angle reaches ``max_angle`` (the log is
-    not single-valued at pi)."""
+    (A, B), elementwise, without a membership check: the inverse of
+    :func:`su11_exp_pair`.  cosh(lam) is the real part of A; elliptic
+    branches use lam = i*arccos, hyperbolic branches arccosh.  Raises when a
+    rotation angle reaches pi - 1e-9 (the log is not single-valued at pi)."""
     ch = A.real
     elliptic = ch < 1.0
     theta = np.arccos(np.clip(ch, -1.0, 1.0))
-    if np.any(elliptic & (theta >= max_angle)):
+    if np.any(elliptic & (theta >= math.pi - 1e-9)):
         raise QpslError("rotation angle outside log injectivity radius")
     lam_h = np.arccosh(np.maximum(ch, 1.0))
     near = np.abs(ch - 1.0) < 1e-12
@@ -152,7 +134,10 @@ def _su11_log_pair(A, B, max_angle=math.pi - 1e-9):
     return A.imag / sc, B / sc
 
 
-def _j_signed_angle(A, sign):
+def frame_rotation_su11(A):
+    """Angle (cycles, in [0, 1)) of the first diagonal entry after SU(1,1)
+    diagonalization: the positive-J-norm eigenvalue.  Trace >= 2 gives 0 and
+    trace <= -2 gives 1/2."""
     A = np.asarray(A, complex)
     re = A[0, 0].real
     if re >= 1.0:
@@ -162,26 +147,10 @@ def _j_signed_angle(A, sign):
     w, vecs = np.linalg.eig(A)
     for k in (0, 1):
         v = vecs[:, k]
-        jn = abs(v[0]) ** 2 - abs(v[1]) ** 2
-        if sign * jn > 0:
+        if abs(v[0]) ** 2 - abs(v[1]) ** 2 > 0:
             return (float(np.angle(w[k])) / (2 * math.pi)) % 1.0
     # numerically parabolic: J-norms vanish
     return 0.0 if re > 0 else 0.5
-
-
-def rot_su11(A):
-    """Rotation number of a constant SU(1,1) matrix, in cycles in [0, 1),
-    oriented to match the measured projective rotation of the SL(2,R)
-    preimage (the negative-J-norm eigenvalue); trace >= 2 gives 0 and
-    trace <= -2 gives 1/2."""
-    return _j_signed_angle(A, -1.0)
-
-
-def frame_rotation_su11(A):
-    """Angle (cycles) of the first diagonal entry after SU(1,1)
-    diagonalization: the positive-J-norm eigenvalue.  Equals minus
-    :func:`rot_su11` mod 1 for elliptic matrices."""
-    return _j_signed_angle(A, +1.0)
 
 
 @dataclass
@@ -264,13 +233,12 @@ class QpCocycle:
     """(alpha, A): alpha in cycles; A constant or callable.
 
     Callable maps must accept a batch of points with shape (m, d) and return
-    (m, 2, 2).  ``halved`` marks maps on the doubled torus.
+    (m, 2, 2).
     """
 
     alpha: np.ndarray
     kind: str
     data: object
-    halved: bool = False
     V: object = None
     E: float = None
 
@@ -284,10 +252,6 @@ class QpCocycle:
     @property
     def step(self):
         return 2 * math.pi * self.alpha
-
-    def matrix(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, float))
-        return self.matrix_batch(theta[None, :])[0]
 
     def matrix_batch(self, thetas):
         thetas = np.asarray(thetas, float)
@@ -330,25 +294,6 @@ def schrodinger_cocycle(V, E, alpha=None):
 
     return QpCocycle(alpha=np.zeros(1) if alpha is None else alpha, kind="callable",
                      data=sampler, V=V, E=E)
-
-
-def transfer_product(c: QpCocycle, theta, n):
-    """n-step transfer matrix: ordered product of cocycle maps along the orbit.
-
-    n >= 0 multiplies A(theta + (n-1) step) ... A(theta); n < 0 uses the
-    inverse-product convention, so S_{-n}(theta) = S_n(theta - n*step)^{-1}.
-    """
-    theta = np.atleast_1d(np.asarray(theta, float))
-    step = c.step
-    out = np.eye(2)
-    if n >= 0:
-        for k in range(n):
-            out = c.matrix(theta + k * step) @ out
-        return out
-    for k in range(n, 0):
-        A = c.matrix(theta + k * step)
-        out = out @ np.linalg.inv(A)
-    return out
 
 
 def _adjugate(M):
@@ -431,24 +376,25 @@ def diag_pair_product(c, pair, d):
     return out[:, 0, 0], out[:, 0, 1]
 
 
-def conjugate(c: QpCocycle, Z, probes=16, tol=1e-8, seed=0):
+def conjugate(c: QpCocycle, Z):
     """Cocycle (alpha, Z(theta + step)^{-1} A(theta) Z(theta)).
 
     This is the fixed orientation for conjugations throughout the package;
     the opposite one corresponds to replacing Z by its inverse.  Z may be a
     matrix FourierSeries (possibly on the doubled torus) or a batch callable.
+    Raises SingularConjugator when |det Z| < 1e-8 at one of 16 seeded random
+    points of Z's torus.
     """
     if isinstance(Z, FourierSeries):
         z_eval = lambda th: Z.sample(th)
-        halved = Z.halved or c.halved
+        period = 2 * math.pi * (2.0 if Z.halved else 1.0)
     else:
         z_eval = lambda th: np.asarray(Z(th))
-        halved = c.halved
-    rng = np.random.default_rng(seed)
-    period = 2 * math.pi * (2.0 if halved else 1.0)
-    pts = rng.uniform(0, period, size=(probes, c.d))
+        period = 2 * math.pi
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(0, period, size=(16, c.d))
     dets = np.linalg.det(z_eval(pts))
-    if np.min(np.abs(dets)) < tol:
+    if np.min(np.abs(dets)) < 1e-8:
         raise SingularConjugator(f"min |det Z| = {np.min(np.abs(dets)):.3e} at probes")
 
     step = c.step
@@ -459,7 +405,7 @@ def conjugate(c: QpCocycle, Z, probes=16, tol=1e-8, seed=0):
         Zs_fwd = z_eval(thetas + step[None, :])
         return mat_product(np.linalg.inv(Zs_fwd), c.matrix_batch(thetas), Zs)
 
-    return QpCocycle(alpha=c.alpha.copy(), kind="callable", data=sampler, halved=halved)
+    return QpCocycle(alpha=c.alpha.copy(), kind="callable", data=sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +518,7 @@ def oscillation_rho(V, alpha, energies, thetas, iters):
 
 
 # ---------------------------------------------------------------------------
-# rotation number and Lyapunov exponent
+# rotation number
 
 
 @dataclass
@@ -581,96 +527,23 @@ class RotationResult:
     iters: int
     samples: int
     dispersion: float
-    converged: bool
     per_sample: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def folded(self):
-        """rho reported in [0, 1/2] using the orientation symmetry."""
-        return min(self.rho, 1.0 - self.rho)
 
-
-def _circular_mean(vals):
-    z = np.mean(np.exp(2j * np.pi * np.asarray(vals)))
-    return float(np.angle(z) / (2 * np.pi)) % 1.0
-
-
-def _circular_spread(vals):
-    vals = np.asarray(vals)
-    worst = 0.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            d = abs(vals[i] - vals[j]) % 1.0
-            worst = max(worst, min(d, 1.0 - d))
-    return worst
-
-
-def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0,
-                    dispersion_bound=None):
-    """Fibered rotation number by Birkhoff averaging of the projective lift.
-
-    The lift increment is the principal angle advance of a tracked direction,
-    so the result is defined mod 1; the dispersion across phase samples is the
-    convergence certificate (``converged`` is False when it exceeds
-    ``dispersion_bound``).  The cocycle map must be homotopic to the identity
-    for the mod-1 class to be frequency-independent; Schrodinger cocycles are.
-    Schrodinger cocycles take the oscillation count of :func:`oscillation_rho`
-    instead, which reads rho in [0, 1/2].
+def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0):
+    """Fibered rotation number of a Schrodinger cocycle, in [0, 1/2]: the
+    oscillation count of :func:`oscillation_rho` at ``phase_samples`` random
+    phases, averaged; ``dispersion`` is its spread across them.  Any other
+    cocycle kind raises QpslError.
     """
+    if c.V is None and not (c.kind == "constant" and c.E is not None):
+        raise QpslError(f"rotation_number takes Schrodinger cocycles, not a {c.kind} "
+                        f"cocycle")
     rng = np.random.default_rng(seed)
-    period = 2 * math.pi * (2.0 if c.halved else 1.0)
-    thetas = rng.uniform(0, period, size=(phase_samples, c.d))
-    if c.V is not None or (c.kind == "constant" and c.E is not None):
-        per = oscillation_rho(c.V, c.alpha, [c.E], thetas, iters)[0]
-        rho = float(np.mean(per))
-        disp = float(np.max(per) - np.min(per))
-    else:
-        psi = np.zeros(phase_samples)
-        total = np.zeros(phase_samples)
-        for A in _orbit_matrices(c, thetas, iters, _WALK_BLOCK):
-            x, y = np.cos(psi), np.sin(psi)
-            u1 = A[:, 0, 0] * x + A[:, 0, 1] * y
-            u2 = A[:, 1, 0] * x + A[:, 1, 1] * y
-            psi_new = np.arctan2(u2, u1)
-            delta = (psi_new - psi + math.pi) % (2 * math.pi) - math.pi
-            total += delta
-            psi = psi_new
-        per = (total / (2 * math.pi * iters)) % 1.0
-        rho = _circular_mean(per)
-        disp = _circular_spread(per)
-    bound = dispersion_bound if dispersion_bound is not None else math.inf
-    return RotationResult(rho=rho, iters=iters, samples=phase_samples,
-                          dispersion=disp, converged=disp <= bound, per_sample=per)
-
-
-def _orbit_matrices(c: QpCocycle, thetas, sites, block):
-    """Real part of A on the angles of :func:`_orbit_angles`, one (phases, 2, 2)
-    stack per step, from one matrix_batch call per ``block`` steps."""
-    for ang in _orbit_angles(c.alpha, thetas, sites, block):
-        yield from c.matrix_batch(ang.reshape(-1, c.d)).real.reshape(ang.shape[:2] + (2, 2))
-
-
-def lyapunov_exponent(c: QpCocycle, iters=50_000, phase_samples=3, seed=0,
-                      renorm_every=16):
-    """Top Lyapunov exponent by renormalized vector iteration (>= 0 for
-    SL(2,R) cocycles up to statistical noise).  Any kind; the cocycle values
-    come from :func:`_orbit_matrices`, one matrix_batch call per block of steps."""
-    rng = np.random.default_rng(seed)
-    period = 2 * math.pi * (2.0 if c.halved else 1.0)
-    thetas = rng.uniform(0, period, size=(phase_samples, c.d))
-    v = np.tile(np.array([[1.0], [0.7]]).T, (phase_samples, 1))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    acc = np.zeros(phase_samples)
-    for k, A in enumerate(_orbit_matrices(c, thetas, iters, _WALK_BLOCK)):
-        v = np.stack([A[:, 0, 0] * v[:, 0] + A[:, 0, 1] * v[:, 1],
-                      A[:, 1, 0] * v[:, 0] + A[:, 1, 1] * v[:, 1]], axis=1)
-        if (k + 1) % renorm_every == 0:
-            nrm = np.linalg.norm(v, axis=1)
-            acc += np.log(nrm)
-            v /= nrm[:, None]
-    nrm = np.linalg.norm(v, axis=1)
-    acc += np.log(nrm)
-    return float(np.mean(acc / iters))
+    thetas = rng.uniform(0, 2 * math.pi, size=(phase_samples, c.d))
+    per = oscillation_rho(c.V, c.alpha, [c.E], thetas, iters)[0]
+    return RotationResult(rho=float(np.mean(per)), iters=iters, samples=phase_samples,
+                          dispersion=float(np.max(per) - np.min(per)), per_sample=per)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +593,7 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
                         f"a {c.kind} cocycle and {horizon}")
 
     per_dim = grid if c.d == 1 else max(4, int(round(grid ** (1.0 / c.d))))
-    pts = grid_points(c.d, per_dim, c.halved)
+    pts = grid_points(c.d, per_dim)
 
     def unstable_field(prods):
         if not np.isfinite(prods).all():

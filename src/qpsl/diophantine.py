@@ -131,10 +131,6 @@ class ContinuedFraction:
     def depth(self):
         return len(self.partial_quotients)
 
-    def dist_q_alpha(self, k):
-        """||q_k alpha||_{R/Z} as an exact Fraction at the declared midpoint."""
-        return dist_to_integers(self.q[k] * self.alpha)
-
     def approx_error(self, k):
         """|q_k alpha - p_k| exactly.
 
@@ -143,26 +139,6 @@ class ContinuedFraction:
         two-sided inequality holds for this paired error.
         """
         return abs(self.q[k] * self.alpha - self.p[k])
-
-    def check_invariants(self):
-        """Verify the recurrences and the two-sided approximation inequality.
-
-        Returns the list of checked statements; raises AssertionError on failure.
-        """
-        a, p, q = self.partial_quotients, self.p, self.q
-        checked = []
-        for k in range(2, len(q)):
-            assert q[k] == a[k - 1] * q[k - 1] + q[k - 2]
-            assert p[k] == a[k - 1] * p[k - 1] + p[k - 2]
-            checked.append(f"recurrence k={k}")
-        for k in range(1, len(q)):
-            assert p[k] * q[k - 1] - p[k - 1] * q[k] == (-1) ** (k - 1)
-            checked.append(f"determinant k={k}")
-        for k in range(len(q) - 1):
-            d = self.approx_error(k)
-            assert Fraction(1, q[k] + q[k + 1]) < d <= Fraction(1, q[k + 1]), (k, d)
-            checked.append(f"two-sided k={k}")
-        return checked
 
 
 def cf_expand(alpha, depth):
@@ -254,9 +230,10 @@ class FrequencyVector:
         return cf_expand(self.raw[component], depth)
 
 
-def frequency_vector(components, gamma=0.5, tau=1.5, irrationality_depth=12):
+def frequency_vector(components, gamma=0.5, tau=1.5):
     """Build a FrequencyVector, checking each component is in (0,1) and
-    irrational to working precision (no remainder vanishes within the cutoff).
+    irrational to working precision (no remainder of its first 12 partial
+    quotients vanishes).
     """
     if isinstance(components, (str, float, Fraction, mpmath.mpf)):
         components = (components,)
@@ -266,7 +243,7 @@ def frequency_vector(components, gamma=0.5, tau=1.5, irrationality_depth=12):
         if not (0 < lo and hi < 1):
             raise NotInUnitInterval(f"component {c} outside (0,1)")
         try:
-            cf_expand(c, irrationality_depth)
+            cf_expand(c, 12)
         except PrecisionExhausted as e:
             if e.reason == "rational":
                 raise QpslError(f"component {c} is rational at declared precision") from e

@@ -36,7 +36,6 @@ __all__ = [
     "Potential",
     "multiply",
     "build_potential",
-    "potential_series",
     "potential_modes",
     "amo_potential",
 ]
@@ -197,9 +196,6 @@ class FourierSeries:
     def __len__(self):
         return int(np.count_nonzero(self.support()))
 
-    def freq_norm(self, n):
-        return max(abs(c) for c in n) * (0.5 if self.halved else 1.0)
-
     @property
     def degree(self):
         return self.K * (0.5 if self.halved else 1.0)
@@ -258,19 +254,6 @@ class FourierSeries:
         vals = vals.reshape(len(keys), 4 if self._tail else 1)
         return (np.exp(1j * (th @ freqs.T)) @ vals).reshape((th.shape[0],) + self._tail)
 
-    # -- truncation -------------------------------------------------------
-    def truncate(self, K):
-        """T_K: keep frequencies with |n| <= K."""
-        if K < 0:
-            raise QpslError("K must be >= 0")
-        return self.restrict(self._freq_norms() <= K)
-
-    def project_tail(self, K):
-        """R_K: keep frequencies with |n| > K; T_K F + R_K F = F exactly."""
-        if K < 0:
-            raise QpslError("K must be >= 0")
-        return self.restrict(self._freq_norms() > K)
-
     # -- norms ------------------------------------------------------------
     def coeff_mass(self):
         return float(np.sum(self._norms()))
@@ -289,12 +272,6 @@ class FourierSeries:
         return float(np.sum(self._norms() * (1.0 + self._freq_norms()) ** k))
 
     # -- structure --------------------------------------------------------
-    def real_symmetry_residual(self):
-        """For scalar series: max |F(-n) - conj(F(n))| (0 means real-valued)."""
-        if self.kind != "scalar":
-            raise QpslError("real symmetry applies to scalar series")
-        return float(np.max(np.abs(np.flip(self.block) - np.conj(self.block))))
-
     def lift_halved(self):
         """Re-express an integer-frequency series on the doubled torus."""
         if self.halved:
@@ -424,16 +401,11 @@ def shift_sum(F: FourierSeries, keys, values, max_degree=None):
 
 @dataclass
 class Potential:
-    """Real trigonometric potential V(theta) = sum_j c_j cos(<n_j, theta>).
-
-    ``bound_const`` is the constant c with |c_j| <= c |n_j|^(-k) declared at
-    construction.
-    """
+    """Real trigonometric potential V(theta) = sum_j c_j cos(<n_j, theta>)."""
 
     labels: list
     coefficients: list
     k_exponent: float
-    bound_const: float = 1.0
     label_set: LabelSet | None = None
 
     @property
@@ -463,9 +435,8 @@ class Potential:
         return sum(abs(c) for c in self.coefficients)
 
 
-def build_potential(labels: LabelSet, k, coeff_fn=None, bound_const=1.0):
-    """Potential with default coefficients |n|^(-k) on the label set; a user
-    coefficient rule must stay within bound_const * |n|^(-k)."""
+def build_potential(labels: LabelSet, k):
+    """Potential with coefficients |n|^(-k) on the label set."""
     if not labels.entries:
         raise QpslError("label set is empty")
     if k <= 0:
@@ -476,25 +447,18 @@ def build_potential(labels: LabelSet, k, coeff_fn=None, bound_const=1.0):
         norm = max(abs(int(c)) for c in n)
         if norm == 0:
             raise QpslError("zero label cannot carry a |n|^-k coefficient")
-        c = float(norm) ** (-k) if coeff_fn is None else float(coeff_fn(n))
-        cap = bound_const * float(norm) ** (-k)
-        if abs(c) > cap * (1 + 1e-12):
-            raise QpslError(f"coefficient {c:.3e} at {n} exceeds bound {cap:.3e}")
         labs.append(tuple(int(x) for x in n))
-        coefs.append(c)
+        coefs.append(float(norm) ** (-k))
     return Potential(labels=labs, coefficients=coefs, k_exponent=float(k),
-                     bound_const=float(bound_const), label_set=labels)
+                     label_set=labels)
 
 
-def potential_modes(P: Potential, truncation=None):
+def potential_modes(P: Potential):
     """The nonzero modes of the potential's series, V(n) = V(-n) = c_n / 2
     summed over the labels, as (keys (m, d) sorted, values (m,)).  Sparse:
     labels of any size cost no block."""
     labs = np.array(P.labels, dtype=np.int64).reshape(-1, P.d)
     half = np.asarray(P.coefficients, float) / 2
-    if truncation is not None:
-        keep = np.abs(labs).max(axis=1) <= truncation
-        labs, half = labs[keep], half[keep]
     keys, inv = np.unique(np.stack([labs, -labs], axis=1).reshape(-1, P.d), axis=0,
                           return_inverse=True)
     vals = np.zeros(len(keys), complex)
@@ -503,16 +467,9 @@ def potential_modes(P: Potential, truncation=None):
     return keys[nz], vals[nz]
 
 
-def potential_series(P: Potential, truncation=None):
-    """Scalar Fourier series of the potential: V(n) = V(-n) = c_n / 2, as a
-    dense block (use :func:`potential_modes` for labels of any size)."""
-    return FourierSeries.from_modes(P.d, *potential_modes(P, truncation))
-
-
 def amo_potential(lam):
     """Almost Mathieu potential 2*lambda*cos(theta) as a d=1 Potential."""
-    return Potential(labels=[(1,)], coefficients=[2.0 * lam], k_exponent=0.0,
-                     bound_const=2.0 * lam)
+    return Potential(labels=[(1,)], coefficients=[2.0 * lam], k_exponent=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -373,8 +373,11 @@ class ModeRule:
         return u_res, w_res
 
     def split(self, F: Su11Series):
-        u_res = self.resonant(F.u.K, F.d)[0]
-        w_res = self.resonant(F.w.K, F.d)[1]
+        K = max(F.u.K, F.w.K)
+        masks = self.resonant(K, F.d)
+        # each block's keys are the centred window of half-width its own K
+        u_res, w_res = (m[(slice(K - k, K + k + 1),) * F.d]
+                        for m, k in zip(masks, (F.u.K, F.w.K)))
         return (Su11Series(F.u.restrict(~u_res), F.w.restrict(~w_res)),
                 Su11Series(F.u.restrict(u_res), F.w.restrict(w_res)))
 
@@ -382,11 +385,6 @@ class ModeRule:
 def divisor_w(n, alpha, sigma):
     """e^{2 pi i (<n, alpha> - 2 sigma)} - 1 for a key n, or over keys (..., d)."""
     return np.exp(2j * np.pi * (np.asarray(n) @ np.asarray(alpha, float) - 2.0 * sigma)) - 1.0
-
-
-def divisor_u(n, alpha):
-    """e^{2 pi i <n, alpha>} - 1 for a key n, or over keys of shape (..., d)."""
-    return divisor_w(n, alpha, 0.0)
 
 
 def solve_homological(A, F_nre: Su11Series, alpha, floor=1e-12, sigma=None):
@@ -421,12 +419,12 @@ def _min_divisor_distance(alpha, N, d):
 
 
 def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
-                       params: KamParams = None, probes=8, seed=0):
+                       params: KamParams = None, seed=0):
     """Newton iteration conjugating (alpha, A e^F) to (alpha, A e^{F*}) with
     F* supported on the resonant complement of the mode rule.
 
     Returns (Y, F_star, report).  The conjugator is e^Y with
-    e^{Y(.+alpha)} A e^{F} e^{-Y} = A e^{F*}, certified on random probes.
+    e^{Y(.+alpha)} A e^{F} e^{-Y} = A e^{F*}, certified on 8 random probes.
     eta is the divisor floor passed to the mode-by-mode solves; |Y|_h is
     monitored against 2 |F|_h / eta.
     """
@@ -499,7 +497,7 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
 
     # certification on random probes
     rng = np.random.default_rng(seed)
-    pr = rng.uniform(0, 2 * math.pi, size=(probes, d))
+    pr = rng.uniform(0, 2 * math.pi, size=(8, d))
     Ye = Y_out.sample(pr + step[None, :])
     Yb = Y_out.sample(pr)
     lhs = mat_product(su11_exp(Ye), A, su11_exp(F.sample(pr)), su11_exp(-Yb))

@@ -54,9 +54,6 @@ class IdsCurve:
     truncation: int
     phases: np.ndarray
 
-    def monotone(self, slack=0.0):
-        return bool(np.all(np.diff(self.values) >= -slack))
-
 
 def ids_curve(V, alpha, energies, N=1000, phases=4, seed=0):
     """Phase-averaged finite-volume IDS on an energy grid."""
@@ -77,9 +74,6 @@ class RotationCurve:
     dispersion: np.ndarray
     iters: int
     samples: int
-
-    def monotone_nonincreasing(self, slack=1e-4):
-        return bool(np.all(np.diff(self.rho) <= slack))
 
 
 def rotation_curve(V, alpha, energies, iters=100_000, samples=3, seed=0):
@@ -116,18 +110,19 @@ class GapRecord:
 
 
 def detect_gaps(curve: RotationCurve, alpha, labels, tol=1e-3, rho_fn=None,
-                min_plateau=3, refine_bisections=40, refine_tol=None):
+                refine_bisections=40, refine_tol=None):
     """Find maximal plateaus where 2 rho(E) locks onto <n, alpha> mod 1.
 
     ``labels`` is a list of candidate lattice vectors (ints for d=1); both
     signs are tried.  Edges are refined on the lock condition when ``rho_fn``
     (sorted energy array -> rho array) is supplied; otherwise the plateau's
-    grid bounds are reported.  A minimum plateau width rejects numerical
-    flats.  ``refine_tol`` tightens the lock tolerance during refinement (the
-    rotation number departs from the lock like sqrt(E - edge), so a tolerance
-    t leaves an O(t^2) edge bias; it defaults to tol).  All edges are refined
-    together, one ``rho_fn`` call per stage; a plateau whose midpoint is
-    unlocked at ``refine_tol`` raises :class:`NonConvergence`.
+    grid bounds are reported.  Plateaus of under three grid points are
+    numerical flats.  ``refine_tol`` tightens the lock tolerance during
+    refinement (the rotation number departs from the lock like sqrt(E - edge),
+    so a tolerance t leaves an O(t^2) edge bias; it defaults to tol).  All
+    edges are refined together, one ``rho_fn`` call per stage; a plateau
+    whose midpoint is unlocked at ``refine_tol`` raises
+    :class:`NonConvergence`.
     """
     refine_tol = tol if refine_tol is None else refine_tol
     alpha = np.atleast_1d(np.asarray(alpha, float))
@@ -145,7 +140,7 @@ def detect_gaps(curve: RotationCurve, alpha, labels, tol=1e-3, rho_fn=None,
     best = np.where(dist.min(axis=1) < tol, dist.argmin(axis=1), -1)
     starts = np.flatnonzero(np.diff(best, prepend=-2, append=-2))
     plateaus = [(cands[best[i]], i, j) for i, j in zip(starts[:-1], starts[1:] - 1)
-                if best[i] >= 0 and j - i + 1 >= min_plateau]
+                if best[i] >= 0 and j - i + 1 >= 3]
 
     if rho_fn is None:
         found = [E[k] for _, i, j in plateaus for k in (i, j)]

@@ -36,7 +36,6 @@ from qpsl.kam import (
     KamState,
     ModeRule,
     Su11Series,
-    divisor_u,
     divisor_w,
     kam_step,
     remove_nonresonant,
@@ -173,7 +172,7 @@ def test_criterion_06_homological_solver():
             F.u[(-n,)] = F.u[(-n,)] + np.conj(c)
         Y = solve_homological(A, F, [GOLD])
         for n, v in F.u.coeffs.items():
-            worst_coeff = max(worst_coeff, abs(Y.u[n] + v / divisor_u(n, [GOLD])))
+            worst_coeff = max(worst_coeff, abs(Y.u[n] + v / divisor_w(n, [GOLD], 0.0)))
         for n, v in F.w.coeffs.items():
             worst_coeff = max(worst_coeff, abs(Y.w[n] + v / divisor_w(n, [GOLD], sigma)))
         lhs = (np.einsum("ij,mjk,kl->mil", np.linalg.inv(A),

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from qpsl.cli import main
-from qpsl.diophantine import golden_mean
+from qpsl.diophantine import frequency_vector, golden_mean
+from qpsl.fourier import amo_potential
+from qpsl.spectrum import detect_gaps, rotation_curve
 
 GOLDEN = "0.6180339887498949"
 
@@ -212,6 +214,13 @@ def test_gaps_refine_workers_deterministic(tmp_path):
     for row in rows:                          # refined edges lie off the scan grid
         assert float(row[1]) not in grid and float(row[2]) not in grid
         assert float(row[2]) - float(row[1]) == float(row[3]) > 0
+    # the edges are refined with 14 bisections, as the library's gap scans are
+    V, alpha = amo_potential(0.5), frequency_vector(GOLDEN).floats()
+    rho_fn = lambda energies: rotation_curve(V, alpha, energies, iters=20000, samples=2).rho
+    want = detect_gaps(rotation_curve(V, alpha, grid, iters=20000, samples=2), alpha,
+                       [1, 2], tol=4e-3, rho_fn=rho_fn, refine_bisections=14)
+    assert [(row[0], float(row[1]), float(row[2])) for row in rows] == [
+        (str(g.label[0]), g.E_minus, g.E_plus) for g in want]
 
 
 def test_console_entry_point():

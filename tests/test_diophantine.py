@@ -55,12 +55,17 @@ def test_two_sided_inequality_all_levels():
         assert Fraction(1, cf.q[k] + cf.q[k + 1]) < d <= Fraction(1, cf.q[k + 1])
     # paired error and R/Z distance agree from k = 1 on
     for k in range(1, len(cf.q)):
-        assert cf.approx_error(k) == cf.dist_q_alpha(k)
+        assert cf.approx_error(k) == dist_to_integers(cf.q[k] * cf.alpha)
 
 
-def test_check_invariants_passes():
+def test_convergent_recurrences_and_determinant():
     cf = cf_expand(GOLDEN, depth=10)
-    assert cf.check_invariants()
+    a, p, q = cf.partial_quotients, cf.p, cf.q
+    for k in range(2, len(q)):
+        assert q[k] == a[k - 1] * q[k - 1] + q[k - 2]
+        assert p[k] == a[k - 1] * p[k - 1] + p[k - 2]
+    for k in range(1, len(q)):
+        assert p[k] * q[k - 1] - p[k - 1] * q[k] == (-1) ** (k - 1)
 
 
 def test_best_approximation_property_exhaustive():

@@ -1,4 +1,4 @@
-"""Fourier series algebra: evaluation, truncation, products, norm majorants."""
+"""Fourier series algebra: evaluation, products, grid transforms, norm majorants."""
 
 import math
 
@@ -14,7 +14,7 @@ from qpsl.fourier import (
     grid_points,
     grid_values,
     multiply,
-    potential_series,
+    potential_modes,
     series_from_grid,
 )
 from qpsl.label_set import LabelSet
@@ -57,29 +57,6 @@ def test_eval_matches_bruteforce_oracle():
         for n, v in sorted(F.coeffs.items(), reverse=True):
             acc += v * np.exp(1j * (n[0] * th[0] + n[1] * th[1]))
         assert abs(acc - vals[i]) < 1e-12
-
-
-def test_truncate_project_partition():
-    rng = np.random.default_rng(1)
-    F = _random_series(rng, degree=9)
-    T, R = F.truncate(4), F.project_tail(4)
-    back = T + R
-    assert set(back.coeffs) == set(F.coeffs)
-    for n in F.coeffs:
-        assert back[n] == pytest.approx(F[n])
-    assert all(F.freq_norm(n) <= 4 for n in T.coeffs)
-    assert all(F.freq_norm(n) > 4 for n in R.coeffs)
-
-
-def test_truncate_whole_and_mean():
-    rng = np.random.default_rng(2)
-    F = _random_series(rng, degree=6)
-    F[(0,)] = 2.0 + 0j
-    assert set(F.truncate(99).coeffs) == set(F.coeffs)
-    assert len(F.project_tail(99)) == 0
-    T0 = F.truncate(0)
-    assert list(T0.coeffs) == [(0,)]
-    assert T0.mean() == F.mean()
 
 
 def test_multiply_identity_and_modes():
@@ -156,7 +133,7 @@ def test_halved_series_and_lift():
     F = FourierSeries(1, {(2,): 1.0 + 0j})  # e^{i theta} seen on 2T
     G = F.copy()
     G.halved = True
-    assert G.freq_norm((2,)) == 1.0
+    assert G.degree == 1.0
     assert G.eval([math.pi]).real == pytest.approx(-1.0)
     H = FourierSeries(1, {(1,): 1.0 + 0j})
     assert np.allclose(H.lift_halved().eval([0.7]), H.eval([0.7]))
@@ -172,13 +149,6 @@ def test_shift_matches_translated_eval():
     G = F.shift([alpha])
     for th in rng.uniform(0, 2 * math.pi, 10):
         assert abs(G.eval([th]) - F.eval([th + 2 * math.pi * alpha])) < 1e-12
-
-
-def test_real_symmetry_residual():
-    F = FourierSeries(1, {(2,): 1 + 2j, (-2,): 1 - 2j})
-    assert F.real_symmetry_residual() == 0.0
-    F[(3,)] = 1.0 + 0j
-    assert F.real_symmetry_residual() == pytest.approx(1.0)
 
 
 def test_domain_mismatch():
@@ -211,7 +181,7 @@ def test_potential_two_labels_oracle():
     P = build_potential(ks, k=2.0)
     expected = math.cos(5.0) / 25 + math.cos(11.0) / 121
     assert P.sample(1.0) == pytest.approx(expected, abs=1e-15)
-    S = potential_series(P)
+    S = FourierSeries.from_modes(P.d, *potential_modes(P))
     assert S[(5,)] == pytest.approx(1 / 50)
     assert S[(-11,)] == pytest.approx(1 / 242)
     assert abs(S.eval([1.0]) - expected) < 1e-14
@@ -220,8 +190,10 @@ def test_potential_two_labels_oracle():
 def test_potential_series_real_and_ck_bound():
     ks = LabelSet.from_labels([(5,), (11,), (23,)], ALPHA)
     P = build_potential(ks, k=3.0)
-    S = potential_series(P)
-    assert S.real_symmetry_residual() == 0.0
+    keys, vals = potential_modes(P)
+    # V is real: V(-n) = conj V(n), the keys sorted symmetrically about 0
+    assert np.array_equal(keys, -keys[::-1]) and np.array_equal(vals, np.conj(vals[::-1]))
+    S = FourierSeries.from_modes(P.d, keys, vals)
     k = 3
     bound = sum((1 + abs(n[0])) ** k * abs(n[0]) ** (-3.0) for n in ks.labels())
     assert S.ck_norm_estimate(k) <= bound + 1e-12
@@ -365,5 +337,8 @@ def test_series_from_grid_roundtrip(kind, halved, d):
     assert back.dropped_mass == 0.0
     cut = series_from_grid(F.sample(grid_points(d, G, halved=halved)), d,
                            halved=halved, kind=kind, prune_tol=1e-12, max_degree=1)
-    assert set(cut.coeffs) == {n for n in F.coeffs if F.freq_norm(n) <= 1}
-    assert cut.dropped_mass == pytest.approx(F.project_tail(1).coeff_mass(), rel=1e-12)
+    scale = 0.5 if halved else 1.0
+    tail = {n: v for n, v in F.coeffs.items() if max(map(abs, n)) * scale > 1}
+    assert set(cut.coeffs) == set(F.coeffs) - set(tail)
+    norm = np.abs if kind == "scalar" else lambda v: np.linalg.norm(v, 2)
+    assert cut.dropped_mass == pytest.approx(sum(norm(v) for v in tail.values()), rel=1e-12)

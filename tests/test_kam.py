@@ -8,10 +8,9 @@ import pytest
 from qpsl import kam
 from qpsl.cocycle import (
     _adjugate,
-    _su11_log,
+    _su11_log_pair,
     frame_rotation_su11,
     mat_product,
-    rot_su11,
     su11_element,
     su11_exp,
     to_su11,
@@ -33,7 +32,6 @@ from qpsl.kam import (
     Su11Series,
     classify_resonance,
     compute_diagnostics,
-    divisor_u,
     divisor_w,
     kam_step,
     remove_nonresonant,
@@ -141,7 +139,7 @@ def test_solve_homological_random_residual_and_oracle():
         Y = solve_homological(A, F, [GOLD])
         # coefficientwise independent per-mode formula
         for n, v in F.u.coeffs.items():
-            assert abs(Y.u[n] + v / divisor_u(n, [GOLD])) < 1e-12 * max(1, abs(v))
+            assert abs(Y.u[n] + v / divisor_w(n, [GOLD], 0.0)) < 1e-12 * max(1, abs(v))
         for n, v in F.w.coeffs.items():
             assert abs(Y.w[n] + v / divisor_w(n, [GOLD], sigma)) < 1e-12 * max(1, abs(v))
         # functional residual on a grid
@@ -227,6 +225,27 @@ def test_remove_nonresonant_single_mode_second_order():
     assert max(ratios) <= 1.0
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_mode_rule_split_masks_each_block_at_its_own_width(d):
+    # split builds both masks once at the wider block and crops each; the
+    # oracle builds each block's mask at its own half-width
+    rng = np.random.default_rng(3)
+    alpha = np.array([GOLD, math.sqrt(2) - 1][:d])
+    rule = ModeRule(alpha=alpha, sigma=0.205, window=5, diag_floor=0.05, off_floor=0.05,
+                    exclude=(1,) * d, keep_w_mean=False)
+    for Ku, Kw in ((7, 2), (0, 6), (3, 3)):
+        F = Su11Series.zero(d)
+        for blk, K in ((F.u, Ku), (F.w, Kw)):
+            blk.block = rng.normal(size=(2 * K + 1,) * d) + 1j * rng.normal(size=(2 * K + 1,) * d)
+        nre, res = rule.split(F)
+        u_res = rule.resonant(Ku, d)[0]
+        w_res = rule.resonant(Kw, d)[1]
+        assert Ku == 0 or 0 < u_res.sum() < u_res.size
+        for got, want in ((nre.u, F.u.restrict(~u_res)), (nre.w, F.w.restrict(~w_res)),
+                          (res.u, F.u.restrict(u_res)), (res.w, F.w.restrict(w_res))):
+            assert np.array_equal(got.block, want.block)
+
+
 def _stack_remove_nonresonant(A, F, eta, h, alpha, rule, params):
     """The Newton sweep of remove_nonresonant on full (G, 2, 2) stacks, for a
     diagonal A: each factor both rows, the diagonal conjugation a
@@ -240,8 +259,7 @@ def _stack_remove_nonresonant(A, F, eta, h, alpha, rule, params):
     grid = params.grid_for(params.max_degree, d)
 
     def series(vals):
-        L = _su11_log(vals)
-        return kam.su11_series_from_samples(L[:, 0, 0].imag, L[:, 0, 1], d,
+        return kam.su11_series_from_samples(*_su11_log_pair(vals[:, 0, 0], vals[:, 0, 1]), d,
                                             max_degree=params.max_degree)
 
     E_acc, sweeps, dropped = None, [], 0.0
