@@ -429,25 +429,20 @@ def potential_values(V, thetas):
     return vals.reshape(thetas.shape[:-1])
 
 
-def _orbit_angles(alpha, thetas, sites, block):
-    """theta_p + k 2 pi alpha, k = 0..sites-1, for the phases ``thetas``
-    (shape (phases, d)), yielded in blocks of shape (block, phases, d): the
-    running sums th = th + 2 pi alpha, a block at a time by np.cumsum, which
-    adds in the same order."""
+def orbit_potential(V, alpha, thetas, sites):
+    """V at theta_p + k 2 pi alpha, k = 0..sites-1, for the phases ``thetas``
+    (shape (phases, d)), yielded in blocks of shape (_ORBIT_BLOCK, phases).
+    The angles are the running sums th = th + 2 pi alpha, a block at a time
+    by np.cumsum, which adds in the same order."""
     step = 2 * math.pi * np.atleast_1d(np.asarray(alpha, float))
     th = np.atleast_2d(np.asarray(thetas, float))
-    for start in range(0, sites, block):
-        ang = np.empty((min(block, sites - start),) + th.shape)
+    for start in range(0, sites, _ORBIT_BLOCK):
+        ang = np.empty((min(_ORBIT_BLOCK, sites - start),) + th.shape)
         ang[0] = th
         ang[1:] = step
         ang = np.cumsum(ang, axis=0)
         th = ang[-1] + step
-        yield ang
-
-
-def orbit_potential(V, alpha, thetas, sites):
-    """V on the angles of :func:`_orbit_angles`, in blocks of shape (sites, phases)."""
-    return (potential_values(V, a) for a in _orbit_angles(alpha, thetas, sites, _ORBIT_BLOCK))
+        yield potential_values(V, ang)
 
 
 def _schrodinger_walk(c: QpCocycle, pts, ks, r_prev, r):
@@ -473,36 +468,41 @@ def pivot_negatives(energies, potential, r_init):
     solution of u_{k+1} = (E - V_k) u_k - u_{k-1}, so the count is its number
     of sign changes.  An exact zero pivot becomes -1e-300 and counts as
     negative.
+
+    Chunks of at most _PIVOT_BLOCK pivots have shape (sites, phases,
+    energies): energies, many against few phases, are the contiguous axis, so
+    E - V_k broadcasts with a long inner loop.  Each (energy, phase) column
+    does the same operations in the same order in any layout.
     """
-    E = np.asarray(energies, float)[:, None]
+    E = np.asarray(energies, float)
     r, neg = float(r_init), 0
-    for block in potential:
-        rows = max(1, _PIVOT_BLOCK // (E.size * block.shape[1]))
-        for i in range(0, block.shape[0], rows):
-            v = block[i:i + rows, None, :]
-            piv = _pivots(E - v, r, zero_fix=False)
-            if not piv.all():          # rare: redo the block with the zero rule
-                piv = _pivots(E - v, r, zero_fix=True)
-            r = piv[-1]
-            neg = neg + (piv < 0).sum(axis=0)
-    return neg
+    with np.errstate(divide="ignore", over="ignore"):
+        for block in potential:
+            rows = max(1, _PIVOT_BLOCK // (E.size * block.shape[1]))
+            for i in range(0, block.shape[0], rows):
+                v = block[i:i + rows, :, None]
+                piv = _pivots(E - v, r, zero_fix=False)
+                if not piv.all():          # rare: redo the chunk with the zero rule
+                    piv = _pivots(E - v, r, zero_fix=True)
+                r = piv[-1]
+                neg = neg + (piv < 0).sum(axis=0)
+    return np.transpose(neg)
 
 
 def _pivots(piv, r, zero_fix):
-    """Turn E - V_k (shape (sites, energies, phases)) into the pivots in place.
+    """Turn a chunk of E - V_k, shape (sites, phases, energies), into the
+    pivots in place under the caller's np.errstate; r is a float or a row.
 
-    A step is two ufunc calls on row views and no allocation: np.reciprocal
-    into one scratch row (the same correctly rounded 1.0 / r), then an
-    in-place subtraction.
+    A step is two ufunc calls on one contiguous row and no allocation:
+    np.reciprocal into one scratch row (the same correctly rounded 1.0 / r,
+    broadcast when r is a float), then an in-place subtraction.
     """
     inv = np.empty(piv.shape[1:])
-    r = np.broadcast_to(r, inv.shape)
-    with np.errstate(divide="ignore", over="ignore"):
-        for row in piv:
-            row -= np.reciprocal(r, out=inv)
-            r = row
-            if zero_fix:
-                r[r == 0] = -_TINY
+    for row in piv:
+        row -= np.reciprocal(r, out=inv)
+        r = row
+        if zero_fix:
+            r[r == 0] = -_TINY
     return piv
 
 

@@ -337,7 +337,6 @@ def test_criterion_10_moser_poschel_closed_forms():
             f"constant probes match the trace test")
 
 
-@pytest.mark.slow
 def test_criterion_11_end_to_end_consistency():
     t0 = time.time()
     freq = frequency_vector(GOLDEN_80, gamma=0.5, tau=1.5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qpsl.cocycle import _su11_log_pair
+from qpsl.cocycle import _ORBIT_BLOCK, _PIVOT_BLOCK, _su11_log_pair
 from qpsl.cocycle import (
     M_CONJ,
     M_CONJ_INV,
@@ -18,6 +18,7 @@ from qpsl.cocycle import (
     diagonalize_su11,
     from_su11,
     mat_product,
+    orbit_potential,
     pair_product,
     parabolic_normalize,
     pivot_negatives,
@@ -561,6 +562,25 @@ def _sign_changes(diag, E, u_prev=0.3, u_cur=1.0):
     return count
 
 
+def _pivot_zeros(diag, E, r):
+    """Exact zero pivots of r_k = (E - v_k) - 1/r_{k-1}, in Python floats."""
+    zeros = 0
+    for v in diag:
+        r = (E - v) - 1.0 / r
+        if r == 0:
+            zeros, r = zeros + 1, -1e-300
+    return zeros
+
+
+def _eigen_counts(diag, energies):
+    """Eigenvalues of tridiag(1, diag, 1) below each E; one equal to E up to
+    rounding counts as not below, and none may lie near E otherwise."""
+    evals = np.linalg.eigvalsh(_tridiagonal(diag))
+    dist = np.abs(evals[None, :] - np.asarray(energies)[:, None])
+    assert not np.any((dist > 1e-12) & (dist < 1e-6))
+    return np.sum(evals[None, :] < np.asarray(energies)[:, None] - 1e-9, axis=1)
+
+
 def test_pivot_count_exact_zero_pivots():
     # prefixes ending on an exact zero pivot at E = 0 pin the rule down: a
     # zero followed by another site contributes one negative either way
@@ -571,18 +591,59 @@ def test_pivot_count_exact_zero_pivots():
     for sites in (2, 5, len(ids_diag)):
         diag = ids_diag[:sites]
         neg = pivot_negatives(energies, [diag[:, None]], math.inf)[:, 0]
-        evals = np.linalg.eigvalsh(_tridiagonal(diag))
-        for E, n in zip(energies, neg):
-            dist = np.abs(evals - E)
-            # each eigenvalue is either E itself (not below E) or well apart
-            assert not np.any((dist > 1e-12) & (dist < 1e-6))
-            assert sites - n == np.sum(evals < E - 1e-9)
+        assert np.array_equal(sites - neg, _eigen_counts(diag, energies))
     # at E = 0 the solution from (0.3, 1) lands exactly on 0 at sites 0 and 3
     rot_diag = np.concatenate([[-0.3, 0.7, -2.0, -0.5], rng.uniform(-1.5, 1.5, 40)])
     for sites in (1, 4, len(rot_diag)):
         diag = rot_diag[:sites]
         neg = pivot_negatives(energies, [diag[:, None]], 1 / 0.3)[:, 0]
         assert [int(n) for n in neg] == [_sign_changes(diag, E) for E in energies]
+
+
+@pytest.mark.parametrize("n_energies, n_phases, r_init", [
+    (1, 3, math.inf), (1, 3, 1 / 0.3), (7, 1, math.inf), (7, 1, 1 / 0.3),
+    # the rotation start, which _refine_edges uses; the IDS start runs the
+    # same kernel and would double the time of the widest case
+    (261, 2, 1 / 0.3)])
+def test_pivot_count_columns_independent(n_energies, n_phases, r_init):
+    # the batched count equals one call per (energy, phase) column bit for
+    # bit; the sites cross an orbit block, which ends a pivot chunk, and the
+    # 261 x 2 batch also breaks each block into many chunks
+    sites = _ORBIT_BLOCK + 500
+    rng = np.random.default_rng(n_energies)
+    energies = np.sort(rng.uniform(-2.6, 2.6, n_energies))
+    thetas = rng.uniform(0, 2 * math.pi, size=(n_phases, 1))
+    blocks = list(orbit_potential(amo_potential(0.5), [GOLD], thetas, sites))
+    assert len(blocks) == 2
+    neg = pivot_negatives(energies, blocks, r_init)
+    assert neg.shape == (n_energies, n_phases)
+    for p in range(n_phases):
+        column = [b[:, p:p + 1] for b in blocks]
+        for e, E in enumerate(energies):
+            assert neg[e, p] == pivot_negatives([E], column, r_init)[0, 0]
+
+
+def test_pivot_count_one_zero_column_in_wide_batch():
+    # one (energy, phase) column of 81 x 2 meets an exact zero pivot in the
+    # first chunk, which is then redone under the zero rule for all columns
+    rng = np.random.default_rng(12)
+    energies = np.sort(np.concatenate([rng.uniform(-2.5, 2.5, 80), [0.0]]))
+    sites = 3 * (_PIVOT_BLOCK // (energies.size * 2))
+    for r_init, planted in ((math.inf, [-0.5, -2.0, 0.4, -0.5, -2.0]),
+                            (1 / 0.3, [-0.3, 0.7, -2.0, -0.5])):
+        diag = np.empty((sites, 2))
+        diag[:, 0] = np.concatenate([planted, rng.uniform(-1.5, 1.5, sites - len(planted))])
+        diag[:, 1] = rng.uniform(-1.5, 1.5, sites)
+        hits = [(e, p) for p in range(2) for e, E in enumerate(energies)
+                if _pivot_zeros(diag[:, p], E, r_init)]
+        assert hits == [(int(np.searchsorted(energies, 0.0)), 0)]
+        neg = pivot_negatives(energies, [diag], r_init)
+        for p in range(2):
+            if r_init == math.inf:
+                assert np.array_equal(sites - neg[:, p], _eigen_counts(diag[:, p], energies))
+            else:
+                assert [int(n) for n in neg[:, p]] == [_sign_changes(diag[:, p], E)
+                                                      for E in energies]
 
 
 def test_rotation_number_matches_rotation_curve_bitwise():
