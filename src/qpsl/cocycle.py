@@ -472,20 +472,23 @@ def pivot_negatives(energies, potential, r_init):
     Chunks of at most _PIVOT_BLOCK pivots have shape (sites, phases,
     energies): energies, many against few phases, are the contiguous axis, so
     E - V_k broadcasts with a long inner loop.  Each (energy, phase) column
-    does the same operations in the same order in any layout.
+    does the same operations in the same order in any layout.  A chunk is
+    redone with the zero rule only when a zero pivot raises divide-by-zero;
+    its counts are int32, which holds the _PIVOT_BLOCK rows of a chunk.
     """
     E = np.asarray(energies, float)
-    r, neg = float(r_init), 0
-    with np.errstate(divide="ignore", over="ignore"):
+    r, neg = float(r_init), np.int64(0)
+    with np.errstate(divide="raise", over="ignore"):
         for block in potential:
             rows = max(1, _PIVOT_BLOCK // (E.size * block.shape[1]))
             for i in range(0, block.shape[0], rows):
                 v = block[i:i + rows, :, None]
-                piv = _pivots(E - v, r, zero_fix=False)
-                if not piv.all():          # rare: redo the chunk with the zero rule
+                try:
+                    piv = _pivots(E - v, r, zero_fix=False)
+                except FloatingPointError:  # rare: redo the chunk with the zero rule
                     piv = _pivots(E - v, r, zero_fix=True)
                 r = piv[-1]
-                neg = neg + (piv < 0).sum(axis=0)
+                neg = neg + np.add.reduce(piv < 0, axis=0, dtype=np.int32)
     return np.transpose(neg)
 
 
@@ -495,7 +498,8 @@ def _pivots(piv, r, zero_fix):
 
     A step is two ufunc calls on one contiguous row and no allocation:
     np.reciprocal into one scratch row (the same correctly rounded 1.0 / r,
-    broadcast when r is a float), then an in-place subtraction.
+    broadcast when r is a float), then an in-place subtraction.  The last
+    row's reciprocal is taken too, so a zero anywhere in the chunk divides.
     """
     inv = np.empty(piv.shape[1:])
     for row in piv:
@@ -503,6 +507,7 @@ def _pivots(piv, r, zero_fix):
         r = row
         if zero_fix:
             r[r == 0] = -_TINY
+    np.reciprocal(r, out=inv)
     return piv
 
 

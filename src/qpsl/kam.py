@@ -17,6 +17,14 @@ sigma being the angle (in cycles) of the diagonalized constant.
 
 The Newton sweep holds each SU(1,1) matrix [[A, B], [conj B, conj A]] on the
 grid as the pair (A, B) of its row 0, and forms only row 0 of its products.
+Its grid is sized by the content it must resolve: it starts at grid_for(4 deg
+F), and the call restarts on twice the grid when a sweep's F' passes degree
+grid / 4 (each sweep's Y has the modes of the F it solves for), up to the
+grid of the degree cap, where nothing is checked.
+
+A gap edge is bracketed on steps of spread / 64 from a point inside the gap,
+jumping to the step the parabola through the last three inside values
+predicts, and then located by an ITP search.
 
 Every accepted step is certified by evaluating both sides of the conjugation
 identity at random probe points; this residual is the single correctness gate.
@@ -426,7 +434,8 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     Returns (Y, F_star, report).  The conjugator is e^Y with
     e^{Y(.+alpha)} A e^{F} e^{-Y} = A e^{F*}, certified on 8 random probes.
     eta is the divisor floor passed to the mode-by-mode solves; |Y|_h is
-    monitored against 2 |F|_h / eta.
+    monitored against 2 |F|_h / eta.  The sweeps run on a grid sized by
+    their content (see the module docstring), reported as ``grid``.
     """
     params = params or KamParams()
     alpha = np.atleast_1d(np.asarray(alpha, float))
@@ -451,39 +460,46 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     g = F.ad_constant(P)
     scale = max(g.norm(h), 1e-300)
     max_deg = params.max_degree
-    # sweeps spread spectral content; fit on a grid sized for the full cap so
-    # aliasing stays below the quadratic error floor
-    grid = params.grid_for(max_deg, d)
-    step = 2 * math.pi * alpha
+    # the grid is sized by its content (see the module docstring); at the
+    # criterion-11 edge, series below degree 96, 256 and 512 points reproduce
+    # the cap grid's step residual (5.9e-15 against 6.0e-15), while a fixed
+    # 128 points aliases it to 2.4e-10, inside the 1e-9 gate
+    cap = params.grid_for(max_deg, d)
+    grid = params.grid_for(4 * int(g.degree()), d)
 
-    E_acc = None
-    sweeps = []
-    dropped = 0.0
-    g_cur = g.copy()
-    for it in range(NEWTON_MAX_SWEEPS):
-        nre, _ = rule.split(g_cur)
-        nre_norm = nre.norm(h)
-        sweeps.append(nre_norm)
-        if nre_norm <= NEWTON_TOL * scale:
+    while True:
+        E_acc, sweeps, dropped, g_cur = None, [], 0.0, g.copy()
+        for it in range(NEWTON_MAX_SWEEPS):
+            nre, _ = rule.split(g_cur)
+            nre_norm = nre.norm(h)
+            sweeps.append(nre_norm)
+            if nre_norm <= NEWTON_TOL * scale:
+                break
+            if it >= 2 and nre_norm > 0.5 * sweeps[-2] and nre_norm > NEWTON_TOL * scale * 10:
+                raise NewtonDiverged(
+                    f"non-resonant norm stalled at {nre_norm:.3e} (sweep {it})")
+            Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
+            # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}, each SU(1,1) matrix
+            # held as its row 0 (A, B); e^{-Y} is the adjugate (conj A, -B)
+            vals = grid_values([Y_p.u, Y_p.w, Y_p.u, Y_p.w, g_cur.u, g_cur.w], grid,
+                               [None, None, alpha, alpha, None, None])
+            E_here, E_fwd, Gv = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
+            inner = diag_pair_product(np.linalg.inv(Ad)[0, 0], E_fwd, np.diagonal(Ad))
+            prod = pair_product(inner, Gv, (np.conj(E_here[0]), -E_here[1]))
+            if not np.isfinite(prod).all():
+                raise NewtonDiverged(f"non-finite sweep values (sweep {it})")
+            g_cur = su11_series_from_samples(*_su11_log_pair(*prod), d, max_degree=max_deg)
+            if grid < cap and g_cur.degree() > grid / 4:
+                break
+            dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
+            E_acc = E_here if E_acc is None else pair_product(E_here, E_acc)
+        else:
+            nre, _ = rule.split(g_cur)
+            if nre.norm(h) > NEWTON_TOL * scale * 100:
+                raise NewtonDiverged("Newton sweep cap reached without contraction")
+        if grid == cap or g_cur.degree() <= grid / 4:
             break
-        if it >= 2 and nre_norm > 0.5 * sweeps[-2] and nre_norm > NEWTON_TOL * scale * 10:
-            raise NewtonDiverged(
-                f"non-resonant norm stalled at {nre_norm:.3e} (sweep {it})")
-        Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
-        # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}, each SU(1,1) matrix held
-        # as its row 0 (A, B); e^{-Y} is the adjugate (conj A, -B)
-        vals = grid_values([Y_p.u, Y_p.w, Y_p.u, Y_p.w, g_cur.u, g_cur.w], grid,
-                           [None, None, alpha, alpha, None, None])
-        E_here, E_fwd, Gv = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
-        inner = diag_pair_product(np.linalg.inv(Ad)[0, 0], E_fwd, np.diagonal(Ad))
-        prod = pair_product(inner, Gv, (np.conj(E_here[0]), -E_here[1]))
-        g_cur = su11_series_from_samples(*_su11_log_pair(*prod), d, max_degree=max_deg)
-        dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
-        E_acc = E_here if E_acc is None else pair_product(E_here, E_acc)
-    else:
-        nre, _ = rule.split(g_cur)
-        if nre.norm(h) > NEWTON_TOL * scale * 100:
-            raise NewtonDiverged("Newton sweep cap reached without contraction")
+        grid = min(2 * grid, cap)
 
     if E_acc is None:
         Y_total = Su11Series.zero(d)
@@ -498,21 +514,15 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     # certification on random probes
     rng = np.random.default_rng(seed)
     pr = rng.uniform(0, 2 * math.pi, size=(8, d))
-    Ye = Y_out.sample(pr + step[None, :])
-    Yb = Y_out.sample(pr)
-    lhs = mat_product(su11_exp(Ye), A, su11_exp(F.sample(pr)), su11_exp(-Yb))
+    lhs = mat_product(su11_exp(Y_out.sample(pr + 2 * math.pi * alpha)), A,
+                      su11_exp(F.sample(pr)), su11_exp(-Y_out.sample(pr)))
     rhs = mat_product(A, su11_exp(F_star.sample(pr)))
     residual = float(np.max(np.abs(lhs - rhs)))
 
     y_norm = Y_out.norm(h)
-    report = {
-        "sweeps": sweeps,
-        "residual": residual,
-        "dropped_mass": dropped,
-        "y_norm": y_norm,
-        "y_bound_monitor": y_norm <= 2.0 * F.norm(h) / max(eta, 1e-300) + 1e-12,
-        "sigma": sigma,
-    }
+    report = {"sweeps": sweeps, "residual": residual, "dropped_mass": dropped,
+              "y_norm": y_norm, "sigma": sigma, "grid": grid,
+              "y_bound_monitor": y_norm <= 2.0 * F.norm(h) / max(eta, 1e-300) + 1e-12}
     return Y_out, F_star, report
 
 
@@ -655,9 +665,7 @@ def kam_step(state: KamState, params: KamParams):
         A_next, f_next = _split_mean(state.A, F_star, params)
         B_step, B_inv = _exp_pair(Y, params)
         W_next = _ad_series(B_step, B_inv, state.W, params)
-        n_tilde_next = state.n_tilde
-        site = None
-        site_unique = True
+        n_tilde_next, site, site_unique = state.n_tilde, None, True
         extra = {"y_norm": rep["y_norm"], "y_bound_monitor": rep["y_bound_monitor"]}
     else:
         site = cls.site
@@ -698,6 +706,7 @@ def kam_step(state: KamState, params: KamParams):
             t_hat = complex(shift_sum(W1.w, *V_modes, sup_norm(site))[site])
             extra["t_hat_site"] = [t_hat.real, t_hat.imag]
             extra["b_minus_t_hat"] = abs(complex(A_next[0, 1]) - t_hat)
+    extra["sweep_grid"] = rep["grid"]
     dropped = drop0 + rep["dropped_mass"] + B_step.dropped_mass
 
     # certify the step on random probes of the doubled torus
@@ -878,10 +887,13 @@ def _find_lock(rho, alpha, V, params):
 def _locate_edge(V, alpha, label, edge, params, max_steps):
     """Locate the gap edge on the reduced-trace indicator t = |Re a| - 1.
 
-    A point inside the gap (t > 0) is found near the free-cocycle guess and
-    stepped outward until t <= 0.  An ITP search (Oliveira and Takahashi,
-    ACM TOMS 2020) then shrinks [E_in, E_out] to 4e-16 relative width; it
-    takes a plain bisection step while either endpoint value is not finite.
+    A point E_0 inside the gap (t > 0) is found near the free-cocycle guess.
+    The bracket lies on the steps E_k = E_{k-1} +- spread / 64 (running float
+    sums); from step j = 2 on, the search jumps to the step just inside the
+    root of the parabola through the last three inside steps, at most to step
+    4j, and steps back one at a time on an overshoot, so that it is the
+    bracket of a plain outward scan whenever every skipped step is inside the
+    gap.  :func:`_itp_search` then shrinks it.
     Returns the innermost t > 0 energy with its state and reports, and the
     search record {"evaluations": n, "failures": [[type, E], ...]}, where a
     failure is a reduction that raised and was counted as outside the gap.
@@ -922,16 +934,49 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
                 f"no gap interior found near E = {E0:.6f} for label {label}")
 
     sign = +1.0 if edge == "upper" else -1.0
-    delta = spread / 64
-    for _ in range(40):
-        E_out = E_in + sign * delta
-        t_out, st, reps = indicator(E_out)
-        if t_out <= 0:
-            break
-        E_in, t_in, state, reports = E_out, t_out, st, reps
-    else:
-        raise NonConvergence(f"could not bracket the {edge} edge from E = {E_in}")
+    steps, inside, k_out = [E_in], [(0, t_in)], None  # inside: (k, t) with t > 0
+    while k_out != inside[-1][0] + 1:
+        j, k = inside[-1][0], inside[-1][0] + 1
+        if k_out is not None:  # overshoot: step back
+            k = k_out - 1
+        elif j >= 2:  # the root beyond x2 of p(x2 + s) = a s^2 + b s + t2
+            (x0, t0), (x1, t1), (x2, t2) = inside[-3:]
+            a = ((t2 - t1) / (x2 - x1) - (t1 - t0) / (x1 - x0)) / (x2 - x0)
+            b = (t2 - t1) / (x2 - x1) + a * (x2 - x1)
+            den = math.sqrt(b * b - 4 * a * t2) - b if b * b >= 4 * a * t2 else 0.0
+            if den > 0:
+                k = min(max(math.ceil(x2 + 2 * t2 / den) - 1, k), 4 * j, 40)
+        if k > 40:
+            raise NonConvergence(f"could not bracket the {edge} edge from E = {E_in}")
+        while len(steps) <= k:
+            steps.append(steps[-1] + sign * (spread / 64))
+        t, st, reps = indicator(steps[k])
+        if t > 0:
+            inside.append((k, t))
+            E_in, t_in, state, reports = steps[k], t, st, reps
+        else:
+            k_out, E_out, t_out = k, steps[k], t
+    E_in, (state, reports), t_out = _itp_search(indicator, E_in, t_in, E_out, t_out,
+                                                (state, reports))
+    if t_out == -math.inf:
+        # the bracket closed on a failed reduction, which may be the edge or
+        # the boundary of a failing window inside the gap; that failure is the
+        # last one recorded, since every failure becomes E_out
+        kind, E_fail = search["failures"][-1]
+        exc = NonConvergence(
+            f"{edge} edge search ended on a failed reduction ({kind} at "
+            f"E = {E_fail!r}) after {search['evaluations']} evaluations")
+        exc.edge_search = search
+        raise exc
+    return E_in, state, reports, search
 
+
+def _itp_search(indicator, E_in, t_in, E_out, t_out, found):
+    """Shrink the edge bracket [E_in, E_out], t_in > 0 >= t_out, to 4e-16
+    relative width by ITP (Oliveira and Takahashi, ACM TOMS 2020), bisecting
+    while either endpoint value is not finite.  ``indicator(E)`` gives (t,
+    state, reports); ``found`` is the (state, reports) of E_in.  Returns the
+    final (E_in, found, t_out)."""
     # ITP with k1 = 0.2 / width0, k2 = 2, n0 = 1; eps is half the terminal width
     width0 = abs(E_out - E_in)
     eps = 2e-16 * max(1.0, abs(E_in))
@@ -955,20 +1000,10 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
                 E = mid
         t, st, reps = indicator(E)
         if t > 0:
-            E_in, t_in, state, reports = E, t, st, reps
+            E_in, t_in, found = E, t, (st, reps)
         else:
             E_out, t_out = E, t
-    if t_out == -math.inf:
-        # the bracket closed on a failed reduction, which may be the edge or
-        # the boundary of a failing window inside the gap; that failure is the
-        # last one recorded, since every failure becomes E_out
-        kind, E_fail = search["failures"][-1]
-        exc = NonConvergence(
-            f"{edge} edge search ended on a failed reduction ({kind} at "
-            f"E = {E_fail!r}) after {search['evaluations']} evaluations")
-        exc.edge_search = search
-        raise exc
-    return E_in, state, reports, search
+    return E_in, found, t_out
 
 
 def _finalize(V, alpha, E, label, state, reports, params, relaxations):

@@ -23,7 +23,7 @@ from qpsl.errors import (
     StateInvalid,
     TargetNotLocked,
 )
-from qpsl.fourier import FourierSeries
+from qpsl.fourier import FourierSeries, Potential
 from test_cocycle import _stack_exp_reference as _stack_exp
 from qpsl.kam import (
     KamParams,
@@ -246,17 +246,17 @@ def test_mode_rule_split_masks_each_block_at_its_own_width(d):
             assert np.array_equal(got.block, want.block)
 
 
-def _stack_remove_nonresonant(A, F, eta, h, alpha, rule, params):
-    """The Newton sweep of remove_nonresonant on full (G, 2, 2) stacks, for a
-    diagonal A: each factor both rows, the diagonal conjugation a
-    three-factor product.  Returns (Y, F_star, sweeps, dropped mass)."""
+def _stack_remove_nonresonant(A, F, eta, h, alpha, rule, params, grid):
+    """The Newton sweep of remove_nonresonant on full (G, 2, 2) stacks on the
+    given grid, for a diagonal A: each factor both rows, the diagonal
+    conjugation a three-factor product.  Returns (Y, F_star, sweeps, dropped
+    mass)."""
     d = F.d
     theta = float(np.angle(A[0, 0])) % (2 * math.pi)
     sigma = theta / (2 * math.pi)
     Ad = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
     g_cur = F.ad_constant(np.eye(2, dtype=complex))
     scale = max(g_cur.norm(h), 1e-300)
-    grid = params.grid_for(params.max_degree, d)
 
     def series(vals):
         return kam.su11_series_from_samples(*_su11_log_pair(vals[:, 0, 0], vals[:, 0, 1]), d,
@@ -300,11 +300,79 @@ def test_remove_nonresonant_equals_stack_sweep(d):
                     off_floor=kam.THRESHOLD_CAP, keep_w_mean=True)
     Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule=rule, params=params)
     Y_ref, F_ref, sweeps, dropped = _stack_remove_nonresonant(A, F, 1e-9, 0.05, alpha,
-                                                              rule, params)
+                                                              rule, params, rep["grid"])
     assert len(sweeps) >= 3 and rep["sweeps"] == sweeps and rep["dropped_mass"] == dropped
     for got, want in ((Y.u, Y_ref.u), (Y.w, Y_ref.w), (F_star.u, F_ref.u), (F_star.w, F_ref.w)):
         assert got.block.shape == want.block.shape and np.array_equal(got.block, want.block)
     assert rep["residual"] < 1e-10
+
+
+def test_remove_nonresonant_grid_doubles_when_content_outgrows_it():
+    # degree-12 content starts on 256 points; the sweeps spread it past
+    # degree 64, so the call restarts on 512 points, below the 1,024 of the
+    # cap, and matches the sweep on the cap grid
+    rng = np.random.default_rng(11)
+    alpha, sigma = np.array([GOLD]), 0.85
+    A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
+    F = _random_su11_series(rng, degree=12, modes=6, amp=1e-2)
+    params = _params(max_degree=192, grid_size=1024, window_cap=40)
+    rule = ModeRule(alpha=alpha, sigma=sigma, window=40,
+                    diag_floor=kam._min_divisor_distance(alpha, 40, 1) / 2,
+                    off_floor=kam.THRESHOLD_CAP, keep_w_mean=True)
+    Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule=rule, params=params)
+    cap = params.grid_for(params.max_degree)
+    assert params.grid_for(4 * int(F.degree())) == 256 and rep["grid"] == 512 and cap == 1024
+    assert rep["residual"] < 1e-10
+    Y_ref, F_ref, _, _ = _stack_remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule, params, cap)
+    for got, want in ((Y.u, Y_ref.u), (Y.w, Y_ref.w), (F_star.u, F_ref.u), (F_star.w, F_ref.w)):
+        K = max(got.K, want.K)
+        assert np.max(np.abs(got.padded(K) - want.padded(K))) <= 1e-14
+
+
+def _poison_sweep(monkeypatch):
+    """Put one NaN into the sweep's diagonal conjugation while armed[0]."""
+    real = kam.diag_pair_product
+    armed = [True]
+
+    def poisoned(*args):
+        out = real(*args)
+        if armed[0]:
+            out[0][0] = np.nan
+        return out
+
+    monkeypatch.setattr(kam, "diag_pair_product", poisoned)
+    return armed
+
+
+def test_remove_nonresonant_nonfinite_values_raise_newton_diverged(monkeypatch):
+    _poison_sweep(monkeypatch)
+    A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
+    F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
+    with pytest.raises(NewtonDiverged, match="non-finite"):
+        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
+
+
+def test_edge_search_records_nonfinite_sweep(monkeypatch):
+    # a real one-label reduction; the fifth one (past the upper edge) gets a
+    # NaN in its sweep and must be recorded as a failure, not escape as a
+    # numpy error
+    armed = _poison_sweep(monkeypatch)
+    real = kam._reduce_at_energy
+    energies = []
+
+    def reduce(V, alpha, E, params, max_steps):
+        energies.append(E)
+        armed[0] = len(energies) == 5
+        return real(V, alpha, E, params, max_steps)
+
+    monkeypatch.setattr(kam, "_reduce_at_energy", reduce)
+    V = Potential(labels=[(1,)], coefficients=[0.1], k_exponent=0.0)
+    try:
+        search = run_reducibility(V, [GOLD], {"label": 1}, params=_params()).edge_search
+    except NonConvergence as exc:
+        search = exc.edge_search
+    assert search["failures"] == [["NewtonDiverged", energies[4]]]
+    assert search["evaluations"] == len(energies)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +575,55 @@ def test_edge_search_records_failure_outside_gap(monkeypatch):
     assert len(failed) == 1 and abs(failed[0][1] - (_E0 + 5 * 0.4 / 64)) < 1e-15
     assert res.edge_search == {"evaluations": len(log), "failures": failed}
     assert res.as_dict()["edge_search"] == res.edge_search
+
+
+# a parabolic gap t = w^2 - (E - Ec)^2 around the free-cocycle guess: its
+# edges lie 10.7 steps above and 8.5 below _E0
+_PARABOLA = (_E0 + 0.0071, 0.06)
+
+
+@pytest.mark.parametrize("edge", ["upper", "lower"])
+def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
+    Ec, w = _PARABOLA
+    real = kam._reduce_at_energy
+    log = []
+
+    def fake(V, alpha, E, params, max_steps):
+        log.append(E)
+        return real(None, alpha, 2.0 + 2.0 * (w * w - (E - Ec) ** 2), params, max_steps)
+
+    real_itp, brackets = kam._itp_search, []
+
+    def itp(indicator, E_in, t_in, E_out, t_out, found):
+        brackets.append((E_in, t_in, E_out, t_out))
+        return real_itp(indicator, E_in, t_in, E_out, t_out, found)
+
+    monkeypatch.setattr(kam, "_reduce_at_energy", fake)
+    monkeypatch.setattr(kam, "_itp_search", itp)
+    res = run_reducibility(None, [GOLD], {"label": 1, "edge": edge}, params=_params())
+    assert res.edge_search == {"evaluations": len(log), "failures": []}
+    evaluations = len(log)
+
+    # oracle: the plain outward scan from _E0 by running sums, then ITP
+    def indicator(E):
+        state, reports = fake(None, np.array([GOLD]), E, _params(), 24)
+        return kam._gap_indicator(state), state, reports
+
+    del log[:]
+    E_in, (t_in, *found) = _E0, indicator(_E0)
+    while True:
+        E_out = E_in + (1.0 if edge == "upper" else -1.0) * (0.4 / 64)
+        t_out, *here = indicator(E_out)
+        if t_out <= 0:
+            break
+        E_in, t_in, found = E_out, t_out, here
+    assert brackets == [(E_in, t_in, E_out, t_out)]
+    E_ref, _, _ = real_itp(indicator, E_in, t_in, E_out, t_out, found)
+    assert res.energy == E_ref
+    # the scan evaluates _E0 and 11 (upper) or 9 (lower) steps; the jumps
+    # evaluate _E0, steps 1 and 2, then upper 8 (the cap 4j), 10 and 11, or
+    # lower 8 and 9
+    assert len(log) - evaluations == {"upper": 6, "lower": 5}[edge]
 
 
 def test_run_reducibility_interior_not_locked():
