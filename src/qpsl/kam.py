@@ -24,7 +24,9 @@ grid of the degree cap, where nothing is checked.
 
 A gap edge is bracketed on steps of spread / 64 from a point inside the gap,
 jumping to the step the parabola through the last three inside values
-predicts, and then located by an ITP search.
+predicts, and then located by an ITP search.  The search stops when both ends
+of the bracket read the indicator |Re a| - 1 within one quantum of 0: it is
+rounded to the float grid at 1.0, so a further reduction cannot tell the side.
 
 Every accepted step is certified by evaluating both sides of the conjugation
 identity at random probe points; this residual is the single correctness gate.
@@ -483,12 +485,18 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
             # held as its row 0 (A, B); e^{-Y} is the adjugate (conj A, -B)
             vals = grid_values([Y_p.u, Y_p.w, Y_p.u, Y_p.w, g_cur.u, g_cur.w], grid,
                                [None, None, alpha, alpha, None, None])
-            E_here, E_fwd, Gv = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
-            inner = diag_pair_product(np.linalg.inv(Ad)[0, 0], E_fwd, np.diagonal(Ad))
-            prod = pair_product(inner, Gv, (np.conj(E_here[0]), -E_here[1]))
+            # an overflowing sweep is reported by the finite check alone
+            with np.errstate(over="ignore", invalid="ignore"):
+                E_here, E_fwd, Gv = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
+                inner = diag_pair_product(np.linalg.inv(Ad)[0, 0], E_fwd, np.diagonal(Ad))
+                prod = pair_product(inner, Gv, (np.conj(E_here[0]), -E_here[1]))
             if not np.isfinite(prod).all():
                 raise NewtonDiverged(f"non-finite sweep values (sweep {it})")
-            g_cur = su11_series_from_samples(*_su11_log_pair(*prod), d, max_degree=max_deg)
+            try:
+                log = _su11_log_pair(*prod)
+            except QpslError as exc:  # a rotation angle reached pi
+                raise NewtonDiverged(f"{exc} (sweep {it})") from exc
+            g_cur = su11_series_from_samples(*log, d, max_degree=max_deg)
             if grid < cap and g_cur.degree() > grid / 4:
                 break
             dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
@@ -831,7 +839,8 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     gap edge located by an ITP search on the reduced constant's trace;
     {"edge": "upper"|"lower"} selects the edge (default upper).  For an edge
     target the result's ``edge_search`` holds the number of reductions the
-    search made and the failed ones it counted as outside the gap.
+    search made, the failed ones it counted as outside the gap and its final
+    bracket.
     """
     params = params or KamParams()
     alpha_arr = np.atleast_1d(np.asarray(alpha, float))
@@ -893,10 +902,13 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
     root of the parabola through the last three inside steps, at most to step
     4j, and steps back one at a time on an overshoot, so that it is the
     bracket of a plain outward scan whenever every skipped step is inside the
-    gap.  :func:`_itp_search` then shrinks it.
+    gap.  :func:`_itp_search` then shrinks it, until t_in - t_out <= 2
+    ulp(1.0) (t is rounded to the float grid at 1.0, so no further value can
+    place the edge) or to 4e-16 relative width.
     Returns the innermost t > 0 energy with its state and reports, and the
-    search record {"evaluations": n, "failures": [[type, E], ...]}, where a
-    failure is a reduction that raised and was counted as outside the gap.
+    search record {"evaluations": n, "failures": [[type, E], ...], "bracket":
+    [E_in, E_out]}, where a failure is a reduction that raised and was
+    counted as outside the gap, and the bracket is the final one.
     Raises NonConvergence, with the record as its ``edge_search``, when the
     outer end of the final bracket is such a failure: the edge is then
     ambiguous, since the failure may lie just outside the gap or inside it,
@@ -956,8 +968,9 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
             E_in, t_in, state, reports = steps[k], t, st, reps
         else:
             k_out, E_out, t_out = k, steps[k], t
-    E_in, (state, reports), t_out = _itp_search(indicator, E_in, t_in, E_out, t_out,
-                                                (state, reports))
+    E_in, (state, reports), E_out, t_out = _itp_search(indicator, E_in, t_in, E_out,
+                                                       t_out, (state, reports))
+    search["bracket"] = [E_in, E_out]
     if t_out == -math.inf:
         # the bracket closed on a failed reduction, which may be the edge or
         # the boundary of a failing window inside the gap; that failure is the
@@ -972,11 +985,15 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
 
 
 def _itp_search(indicator, E_in, t_in, E_out, t_out, found):
-    """Shrink the edge bracket [E_in, E_out], t_in > 0 >= t_out, to 4e-16
-    relative width by ITP (Oliveira and Takahashi, ACM TOMS 2020), bisecting
-    while either endpoint value is not finite.  ``indicator(E)`` gives (t,
-    state, reports); ``found`` is the (state, reports) of E_in.  Returns the
-    final (E_in, found, t_out)."""
+    """Shrink the edge bracket [E_in, E_out], t_in > 0 >= t_out, by ITP
+    (Oliveira and Takahashi, ACM TOMS 2020), bisecting while either endpoint
+    value is not finite.  It stops at 4e-16 relative width, or once t_in -
+    t_out <= 2 ulp(1.0): t = |Re a| - 1 is rounded to the float grid at 1.0
+    (2**-52 above, 2**-53 below), so both ends then lie within one quantum of
+    0 and the sign of a further value carries no information.  A failed outer
+    end (t_out = -inf) never meets that rule, and is closed to the width.
+    ``indicator(E)`` gives (t, state, reports); ``found`` is the (state,
+    reports) of E_in.  Returns the final (E_in, found, E_out, t_out)."""
     # ITP with k1 = 0.2 / width0, k2 = 2, n0 = 1; eps is half the terminal width
     width0 = abs(E_out - E_in)
     eps = 2e-16 * max(1.0, abs(E_in))
@@ -984,7 +1001,7 @@ def _itp_search(indicator, E_in, t_in, E_out, t_out, found):
     for j in range(200):
         mid = 0.5 * (E_in + E_out)
         width = abs(E_out - E_in)
-        if width < 4e-16 * max(1.0, abs(mid)):
+        if width < 4e-16 * max(1.0, abs(mid)) or t_in - t_out <= 2 * math.ulp(1.0):
             break
         E = mid
         if math.isfinite(t_in) and math.isfinite(t_out):
@@ -1003,7 +1020,7 @@ def _itp_search(indicator, E_in, t_in, E_out, t_out, found):
             E_in, t_in, found = E, t, (st, reps)
         else:
             E_out, t_out = E, t
-    return E_in, found, t_out
+    return E_in, found, E_out, t_out
 
 
 def _finalize(V, alpha, E, label, state, reports, params, relaxations):

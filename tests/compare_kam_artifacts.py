@@ -10,11 +10,11 @@ edge, with the configuration of the ``edge_reduction`` benchmark workload
 ``max_degree`` 384 on a 2,048-point grid) in a temporary directory.  It
 prints the hashes of ``set.json`` and of each edge's ``kam.json`` and
 ``probe.json``, then ``float.hex`` of the edge energy, zeta,
-``conj_residual``, the bracket and the number of edge-search evaluations,
-and the delta2/delta1 verdicts, so
-a change that moves bits on purpose can quote which values moved.  The CLI's
-own messages are not printed.  Not collected by pytest: it runs four full
-edge reductions.
+``conj_residual``, the bracket, the number of edge-search evaluations and
+the width of the edge search's final bracket, and the delta2/delta1
+verdicts, so a change that moves bits on purpose can quote which values
+moved.  The CLI's own messages are not printed.  Not collected by pytest:
+it runs four full edge reductions.
 """
 
 import contextlib
@@ -75,6 +75,8 @@ def _run(seed):
         for key, value in values:
             print(f"seed {seed} {edge} {key} {float(value).hex()}")
         print(f"seed {seed} {edge} evaluations {kam['edge_search']['evaluations']}")
+        E_in, E_out = kam["edge_search"]["bracket"]
+        print(f"seed {seed} {edge} edge bracket width {abs(E_out - E_in).hex()}")
         print(f"seed {seed} {edge} verdicts {probe['delta2']['verdict']} "
               f"{probe['delta1']['verdict']} {probe['bracket_consistent']}")
 

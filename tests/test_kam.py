@@ -1,6 +1,7 @@
 """KAM machinery: classification, homological solve, Newton removal, steps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,18 +330,21 @@ def test_remove_nonresonant_grid_doubles_when_content_outgrows_it():
         assert np.max(np.abs(got.padded(K) - want.padded(K))) <= 1e-14
 
 
-def _poison_sweep(monkeypatch):
-    """Put one NaN into the sweep's diagonal conjugation while armed[0]."""
-    real = kam.diag_pair_product
+def _poison_sweep(monkeypatch, target="diag_pair_product", value=np.nan):
+    """Set the first value of row 0 of the sweep's ``target`` to ``value``
+    while armed[0]: of its diagonal conjugation, of its three-factor product
+    ("pair_product"), whose A is then -1 for value -1, or of its grid values
+    ("grid_values"), whose row 0 is Y's u."""
+    real = getattr(kam, target)
     armed = [True]
 
     def poisoned(*args):
         out = real(*args)
-        if armed[0]:
-            out[0][0] = np.nan
+        if armed[0] and (target != "pair_product" or len(args) == 3):
+            out[0][0] = value
         return out
 
-    monkeypatch.setattr(kam, "diag_pair_product", poisoned)
+    monkeypatch.setattr(kam, target, poisoned)
     return armed
 
 
@@ -352,11 +356,27 @@ def test_remove_nonresonant_nonfinite_values_raise_newton_diverged(monkeypatch):
         remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
 
 
-def test_edge_search_records_nonfinite_sweep(monkeypatch):
-    # a real one-label reduction; the fifth one (past the upper edge) gets a
-    # NaN in its sweep and must be recorded as a failure, not escape as a
-    # numpy error
-    armed = _poison_sweep(monkeypatch)
+@pytest.mark.parametrize("target, value, match", [
+    ("pair_product", -1.0, "outside log injectivity radius"),  # rotation angle pi
+    ("grid_values", np.inf, "non-finite"),  # an overflowing Y makes the exp NaN
+    ("grid_values", 1e300, "non-finite"),
+])
+def test_remove_nonresonant_sweep_failure_is_newton_diverged(monkeypatch, target, value,
+                                                             match):
+    # the sweep's failure is reported by its NewtonDiverged alone, no warning
+    _poison_sweep(monkeypatch, target, value)
+    A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
+    F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonDiverged, match=match):
+            remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
+
+
+def _search_with_fifth_poisoned(monkeypatch, armed):
+    """Run the edge search of a real one-label reduction whose fifth reduction
+    (past the upper edge) runs with ``armed`` set; returns its record and the
+    energies reduced."""
     real = kam._reduce_at_energy
     energies = []
 
@@ -371,6 +391,22 @@ def test_edge_search_records_nonfinite_sweep(monkeypatch):
         search = run_reducibility(V, [GOLD], {"label": 1}, params=_params()).edge_search
     except NonConvergence as exc:
         search = exc.edge_search
+    return search, energies
+
+
+def test_edge_search_records_nonfinite_sweep(monkeypatch):
+    # the fifth reduction gets a NaN in its sweep and must be recorded as a
+    # failure, not escape as a numpy error
+    search, energies = _search_with_fifth_poisoned(monkeypatch, _poison_sweep(monkeypatch))
+    assert search["failures"] == [["NewtonDiverged", energies[4]]]
+    assert search["evaluations"] == len(energies)
+
+
+def test_edge_search_records_log_domain_exit(monkeypatch):
+    # the fifth reduction's sweep product leaves the log's domain; the search
+    # records it instead of aborting on the log's error
+    armed = _poison_sweep(monkeypatch, "pair_product", -1.0)
+    search, energies = _search_with_fifth_poisoned(monkeypatch, armed)
     assert search["failures"] == [["NewtonDiverged", energies[4]]]
     assert search["evaluations"] == len(energies)
 
@@ -495,11 +531,11 @@ _E0 = 2 * math.cos(2 * math.pi * dist_to_integers(GOLD / 2))
 _GAP = (_E0 - 0.0203, _E0 + 0.0291)
 
 
-def _plant_gap(monkeypatch, fail=None):
-    """Replace the reduction by the free cocycle at 2 + 2 t, so the reduced
-    constant has Re a = 1 + t with t = min(E - lo, hi - E) on the planted gap
-    (lo, hi); energies inside ``fail`` raise NewtonDiverged.  Returns the log
-    of (E, t) per call, t = -inf for a failure."""
+def _plant_gap(monkeypatch, fail=None, slope=1.0):
+    """Replace the reduction by the free cocycle at 2 + 2 slope t, so the
+    reduced constant has Re a = 1 + slope t with t = min(E - lo, hi - E) on
+    the planted gap (lo, hi); energies inside ``fail`` raise NewtonDiverged.
+    Returns the log of (E, indicator) per call, -inf for a failure."""
     real = kam._reduce_at_energy
     log = []
 
@@ -508,7 +544,7 @@ def _plant_gap(monkeypatch, fail=None):
             log.append((E, -math.inf))
             raise NewtonDiverged("planted failure")
         t = min(E - _GAP[0], _GAP[1] - E)
-        state, reports = real(None, alpha, 2.0 + 2.0 * t, params, max_steps)
+        state, reports = real(None, alpha, 2.0 + 2.0 * slope * t, params, max_steps)
         log.append((E, kam._gap_indicator(state)))
         return state, reports
 
@@ -522,14 +558,37 @@ def test_edge_search_brackets_planted_edge(monkeypatch, edge):
     res = run_reducibility(None, [GOLD], {"label": 1, "edge": edge}, params=_params())
     E = res.energy
     assert dict(log)[E] > 0
-    outward = [(abs(e - E), t) for e, t in log if (e > E) == (edge == "upper") and e != E]
-    gap_to_out, t_out = min(outward)
+    outward = [(abs(e - E), t, e) for e, t in log if (e > E) == (edge == "upper") and e != E]
+    gap_to_out, t_out, E_out = min(outward)
     assert t_out <= 0
     assert gap_to_out < 4e-16 * max(1.0, abs(E))
     assert abs(E - _GAP[1 if edge == "upper" else 0]) < 1e-15
-    assert res.edge_search == {"evaluations": len(log), "failures": []}
+    assert res.edge_search == {"evaluations": len(log), "failures": [], "bracket": [E, E_out]}
     assert res.edge_search["evaluations"] <= 26
     assert res.as_dict()["edge_search"] == res.edge_search
+
+
+@pytest.mark.parametrize("edge", ["upper", "lower"])
+def test_edge_search_stops_at_indicator_resolution(monkeypatch, edge):
+    # Re a = 1 + 1e-3 t: the indicator is rounded to the float grid at 1.0, so
+    # one quantum of it spans about 2e-13 in E; the search stops once both
+    # ends of the bracket read within one quantum of 0
+    log = _plant_gap(monkeypatch, slope=1e-3)
+    target = {"label": 1, "edge": edge}
+    res = run_reducibility(None, [GOLD], target, params=_params())
+    E_in, E_out = res.edge_search["bracket"]
+    t = dict(log)
+    assert E_in == res.energy and t[E_in] > 0 >= t[E_out]
+    assert t[E_in] - t[E_out] <= 2 * math.ulp(1.0)
+    assert abs(res.energy - _GAP[1 if edge == "upper" else 0]) < 1e-12
+    assert res.edge_search["evaluations"] == len(log)
+    # with the stop rule disabled the search closes the bracket to 4e-16
+    del log[:]
+    monkeypatch.setattr(math, "ulp", lambda x: 0.0)
+    width_only = run_reducibility(None, [GOLD], target, params=_params()).edge_search
+    E_in, E_out = width_only["bracket"]
+    assert abs(E_out - E_in) < 4e-16 * max(1.0, abs(E_in))
+    assert res.edge_search["evaluations"] < width_only["evaluations"] == len(log)
 
 
 def test_edge_search_records_failures_and_bisects(monkeypatch):
@@ -556,7 +615,8 @@ def test_edge_search_records_failures_and_bisects(monkeypatch):
     failed = [["NewtonDiverged", E] for E, t in log if t == -math.inf]
     assert len(failed) > 1
     assert failed[-1][1] == E_out
-    assert info.value.edge_search == {"evaluations": len(log), "failures": failed}
+    assert info.value.edge_search == {"evaluations": len(log), "failures": failed,
+                                      "bracket": [E_in, E_out]}
     msg = str(info.value)
     assert f"NewtonDiverged at E = {E_out!r}" in msg
     assert f"after {len(log)} evaluations" in msg
@@ -573,7 +633,9 @@ def test_edge_search_records_failure_outside_gap(monkeypatch):
     assert dict(log)[res.energy] > 0
     failed = [["NewtonDiverged", E] for E, t in log if t == -math.inf]
     assert len(failed) == 1 and abs(failed[0][1] - (_E0 + 5 * 0.4 / 64)) < 1e-15
-    assert res.edge_search == {"evaluations": len(log), "failures": failed}
+    E_out = min(e for e, t in log if e > res.energy)
+    assert res.edge_search == {"evaluations": len(log), "failures": failed,
+                               "bracket": [res.energy, E_out]}
     assert res.as_dict()["edge_search"] == res.edge_search
 
 
@@ -601,8 +663,8 @@ def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
     monkeypatch.setattr(kam, "_reduce_at_energy", fake)
     monkeypatch.setattr(kam, "_itp_search", itp)
     res = run_reducibility(None, [GOLD], {"label": 1, "edge": edge}, params=_params())
-    assert res.edge_search == {"evaluations": len(log), "failures": []}
-    evaluations = len(log)
+    search, evaluations = res.edge_search, len(log)
+    assert search == {"evaluations": evaluations, "failures": [], "bracket": search["bracket"]}
 
     # oracle: the plain outward scan from _E0 by running sums, then ITP
     def indicator(E):
@@ -618,8 +680,9 @@ def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
             break
         E_in, t_in, found = E_out, t_out, here
     assert brackets == [(E_in, t_in, E_out, t_out)]
-    E_ref, _, _ = real_itp(indicator, E_in, t_in, E_out, t_out, found)
+    E_ref, _, E_out_ref, _ = real_itp(indicator, E_in, t_in, E_out, t_out, found)
     assert res.energy == E_ref
+    assert search["bracket"] == [E_ref, E_out_ref]
     # the scan evaluates _E0 and 11 (upper) or 9 (lower) steps; the jumps
     # evaluate _E0, steps 1 and 2, then upper 8 (the cap 4j), 10 and 11, or
     # lower 8 and 9
