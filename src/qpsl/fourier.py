@@ -22,6 +22,8 @@ it without a dense block.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -52,10 +54,20 @@ def _coeff_norms(values, scalar):
     return np.linalg.svd(values, compute_uv=False).max(axis=-1)
 
 
+@functools.lru_cache(maxsize=32)
 def key_grid(K, d):
-    """The keys of a centred block of half-width K, shape (2K+1,)*d + (d,)."""
+    """The keys of a centred block of half-width K, shape (2K+1,)*d + (d,).
+    Memoized: the array is shared, and read-only."""
     axis = np.arange(-K, K + 1)
-    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
+    keys = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
+    keys.setflags(write=False)
+    return keys
+
+
+def shift_phases(K, d, alpha):
+    """e^{2 pi i <n, alpha>} over the keys of a centred block of half-width K:
+    the factors that move a series by 2 pi alpha (alpha in cycles)."""
+    return np.exp(2j * np.pi * (key_grid(K, d) @ alpha))
 
 
 def _trimmed(block, d):
@@ -64,11 +76,12 @@ def _trimmed(block, d):
     nz = block != 0
     if nz.ndim > d:
         nz = nz.any(axis=(-2, -1))
-    idx = np.argwhere(nz)
-    if not idx.size:
+    if not nz.any():
         return np.zeros((1,) * d + block.shape[d:], complex)
-    K = (block.shape[0] - 1) // 2
-    k = int(np.abs(idx - K).max())
+    K, k = (block.shape[0] - 1) // 2, 0
+    for a in range(d):  # the support's extent along each axis
+        line = nz.any(axis=tuple(b for b in range(d) if b != a)) if d > 1 else nz
+        k = max(k, K - int(line.argmax()), K - int(line[::-1].argmax()))
     return block[(slice(K - k, K + k + 1),) * d]
 
 
@@ -131,8 +144,9 @@ class FourierSeries:
 
     def padded(self, K):
         """A new copy of the block at half-width K >= self.K."""
-        pad = K - self.K
-        return np.pad(self.block, [(pad, pad)] * self.d + [(0, 0)] * len(self._tail))
+        out = np.zeros((2 * K + 1,) * self.d + self._tail, complex)
+        out[(slice(K - self.K, K + self.K + 1),) * self.d] = self.block
+        return out
 
     def support(self):
         """Boolean mask of the nonzero modes over the key axes of the block."""
@@ -226,8 +240,7 @@ class FourierSeries:
         alpha = np.atleast_1d(np.asarray(alpha, float))
         if alpha.size != self.d:
             raise DomainMismatch("alpha dimension mismatch")
-        scale = 0.5 if self.halved else 1.0
-        ph = np.exp(2j * np.pi * (key_grid(self.K, self.d) @ (alpha * scale)))
+        ph = shift_phases(self.K, self.d, alpha * (0.5 if self.halved else 1.0))
         return self._like(ph.reshape(ph.shape + (1,) * len(self._tail)) * self.block)
 
     def map_values(self, f, kind=None):
@@ -487,59 +500,105 @@ def grid_points(d, G, halved=False):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
-                     prune_tol=None):
-    """Inverse transform of values sampled on the :func:`grid_points` grid.
+def grid_spectra(values, d, halved=False, max_degree=None, prune_tol=None, K=None):
+    """Inverse transform of a stack of n value arrays, shape (n, G^d) + the
+    coefficient shape, sampled on the :func:`grid_points` grid, by one FFT.
 
-    ``values`` has shape (G^d,) or (G^d, 2, 2); a stack of n such arrays
-    (a leading axis of length n) is transformed by one FFT into a list of n
-    series.  Modes are recovered up to G/2 per dimension (higher content
-    aliases), then truncated to ``max_degree`` in frequency units with the
-    dropped mass recorded.  Modes of norm <= ``prune_tol`` (default 0) are
-    skipped and count as neither kept nor dropped.  The dropped mass is summed
-    left to right in the C order of the FFT block (per axis 0, 1, ..., G/2 - 1,
+    Returns the coefficients as stacked centred blocks of half-width K
+    (default G // 2, at least that) and the list of the n dropped masses.
+    Modes are recovered up to G/2 per dimension (higher content aliases),
+    then truncated to ``max_degree`` in frequency units with the dropped mass
+    recorded.  Modes of norm <= ``prune_tol`` (default 0) are set to zero and
+    count as neither kept nor dropped.  The dropped mass is summed left to
+    right in the C order of the FFT block (per axis 0, 1, ..., G/2 - 1,
     -G/2, ..., -1).
     """
-    values = np.asarray(values)
-    single = values.ndim == (1 if kind == "scalar" else 3)
-    if single:
-        values = values[None]
     n, G = len(values), round(values.shape[1] ** (1.0 / d))
     if G ** d != values.shape[1]:
         raise QpslError("grid values do not form a cube")
     tail = values.shape[2:]
+    K = G // 2 if K is None else K
+    place, drop = _fft_layout(G, d, K, 0.5 if halved else 1.0, max_degree)
     spec = np.fft.fftn(values.reshape((n,) + (G,) * d + tail),
-                       axes=tuple(range(1, d + 1))) / (G ** d)
-    freqs = np.fft.fftfreq(G, 1.0 / G).astype(int)
-    norms = _coeff_norms(spec, kind == "scalar")
+                       axes=tuple(range(1, d + 1))).reshape(values.shape) / (G ** d)
+    norms = _coeff_norms(spec, not tail)
     keep = ~(norms <= (prune_tol or 0.0))  # not norms > tol: NaN modes stay
-    drop = np.zeros((G,) * d, bool)
+    kept, dropped = keep, [0.0] * n
+    if drop is not None:
+        kept = keep & ~drop
+        # sequential, not pairwise
+        dropped = [float(np.cumsum(norm[k])[-1]) if k.any() else 0.0
+                   for norm, k in zip(norms, keep & drop)]
+    blocks = np.zeros((n, (2 * K + 1) ** d) + tail, complex)
+    blocks[:, place] = np.where(kept.reshape(keep.shape + (1,) * len(tail)), spec, 0)
+    return blocks.reshape((n,) + (2 * K + 1,) * d + tail), dropped
+
+
+@functools.lru_cache(maxsize=16)
+def _fft_layout(G, d, K, scale, max_degree):
+    """For the keys of the G^d FFT block in its C order (per axis 0, 1, ...,
+    G/2 - 1, -G/2, ..., -1): the flat index of each in a centred block of
+    half-width K, and the mask of those beyond ``max_degree`` (frequencies
+    ``scale`` times the keys), None when there are none.  Memoized: shared,
+    read-only arrays."""
+    freqs = np.fft.fftfreq(G, 1.0 / G).astype(int)
+    keys = np.stack(np.meshgrid(*([freqs] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    place = np.ravel_multi_index(tuple((keys + K).T), (2 * K + 1,) * d)
+    drop = np.zeros(G ** d, bool)
     if max_degree is not None:
-        keys = np.stack(np.meshgrid(*([freqs] * d), indexing="ij"), axis=-1)
-        drop = np.abs(keys).max(axis=-1) * (0.5 if halved else 1.0) > max_degree
-    block = np.zeros((n,) + (2 * (G // 2) + 1,) * d + tail, complex)
-    block[(slice(None),) + np.ix_(*[freqs + G // 2] * d)] = np.where(
-        (keep & ~drop).reshape(keep.shape + (1,) * len(tail)), spec, 0)
+        drop = np.abs(keys).max(axis=-1) * scale > max_degree
+    place.setflags(write=False)
+    drop.setflags(write=False)
+    return place, drop if drop.any() else None
+
+
+def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
+                     prune_tol=None):
+    """Inverse transform of values sampled on the :func:`grid_points` grid:
+    :func:`grid_spectra` as series.
+
+    ``values`` has shape (G^d,) or (G^d, 2, 2); a stack of n such arrays
+    (a leading axis of length n) is transformed by one FFT into a list of n
+    series, each with its dropped mass.
+    """
+    values = np.asarray(values)
+    single = values.ndim == (1 if kind == "scalar" else 3)
+    blocks, dropped = grid_spectra(values[None] if single else values, d, halved=halved,
+                                   max_degree=max_degree, prune_tol=prune_tol)
     out = []
-    for b, norm, k in zip(block, norms, keep):
+    for b, mass in zip(blocks, dropped):
         out.append(FourierSeries.from_block(d, b, halved=halved, kind=kind))
-        if (k & drop).any():
-            out[-1].dropped_mass = float(np.cumsum(norm[k & drop])[-1])  # sequential, not pairwise
+        out[-1].dropped_mass = mass
     return out[0] if single else out
 
 
-def grid_values(series, G, shifts=None):
-    """Each of ``series`` (one d and kind) on the ``grid_points(d, G, halved)``
-    grid, the i-th moved by 2*pi*shifts[i] when that is not None (in cycles,
-    as for :meth:`FourierSeries.shift`), by one inverse FFT of the stacked
-    spectra: the exact inverse of :func:`series_from_grid`.  Returns shape
-    (n, G^d) + the coefficient shape.  Modes with |n| > G/2 fold onto n mod G
-    by summation."""
-    d, tail = series[0].d, series[0].block.shape[series[0].d:]
-    spec = np.zeros((len(series),) + (G,) * d + tail, complex)
-    for row, F, shift in zip(spec, series, shifts or [None] * len(series)):
-        if shift is not None:
-            F = F.shift(shift)
-        np.add.at(row, np.ix_(*[np.arange(-F.K, F.K + 1) % G] * d), F.block)
+def stack_blocks(series, K=None):
+    """The blocks of ``series`` (one d and kind) padded to one half-width K
+    (default the widest) and stacked on a leading axis."""
+    K = max(F.K for F in series) if K is None else K
+    return np.stack([F.padded(K) for F in series])
+
+
+def grid_values(blocks, G, d):
+    """Values on the ``grid_points(d, G, halved)`` grid (halved for blocks of
+    series on the doubled torus) of stacked centred coefficient blocks, shape
+    (n, (2K+1,)*d) + the coefficient shape, by one inverse FFT: the exact
+    inverse of :func:`grid_spectra`.  Returns shape
+    (n, G^d) + the coefficient shape.  Mode n folds onto n mod G; the modes
+    that share a residue add up in the C order of their keys."""
+    n, K = len(blocks), (blocks.shape[1] - 1) // 2
+    tail = blocks.shape[1 + d:]
+    # chunks of G consecutive keys from the multiple of G at or below -K: the
+    # p-th key of every chunk folds onto residue p, and the chunks add up in
+    # the order of their keys
+    start = -(-K // G) * G - K  # the residue of key -K
+    spans = []
+    for c in range((start + 2 * K + 1 + G - 1) // G):
+        a, b = max(c * G - start, 0), min((c + 1) * G - start, 2 * K + 1)
+        spans.append((slice(a, b), slice(a + start - c * G, b + start - c * G)))
+    spec = np.zeros((n,) + (G,) * d + tail, complex)
+    for chunk in itertools.product(spans, repeat=d):
+        src, dst = zip(*chunk)
+        spec[(slice(None),) + dst] += blocks[(slice(None),) + src]
     vals = np.fft.ifftn(spec, axes=tuple(range(1, d + 1))) * (G ** d)
-    return vals.reshape((len(series), G ** d) + tail)
+    return vals.reshape((n, G ** d) + tail)

@@ -20,7 +20,10 @@ grid as the pair (A, B) of its row 0, and forms only row 0 of its products.
 Its grid is sized by the content it must resolve: it starts at grid_for(4 deg
 F), and the call restarts on twice the grid when a sweep's F' passes degree
 grid / 4 (each sweep's Y has the modes of the F it solves for), up to the
-grid of the degree cap, where nothing is checked.
+grid of the degree cap, where nothing is checked.  On a grid of G points per
+axis the iterate stays the stack of its centred (u, w) coefficient blocks of
+half-width G / 2 as the forward FFT fills them (u's +G/2 modes stay apart from
+its -G/2 ones), with the tables over their keys built once per call and grid.
 
 A gap edge is bracketed on steps of spread / 64 from a point inside the gap,
 jumping to the step the parabola through the last three inside values
@@ -28,8 +31,9 @@ predicts, and then located by an ITP search.  The search stops when both ends
 of the bracket read the indicator |Re a| - 1 within one quantum of 0: it is
 rounded to the float grid at 1.0, so a further reduction cannot tell the side.
 
-Every accepted step is certified by evaluating both sides of the conjugation
-identity at random probe points; this residual is the single correctness gate.
+Every accepted step, and the final reduction to the normal form, is certified
+by evaluating both sides of its conjugation identity at random probe points;
+these residuals, against ``conj_residual_tol``, are the correctness gates.
 
 Settings no caller varies are module constants: the strip width H0 * H_DECAY^j
 of step j (unless strict mode has a schedule), the Newton stop NEWTON_TOL and
@@ -80,12 +84,15 @@ from .errors import (
 from .fourier import (
     FourierSeries,
     Potential,
+    grid_spectra,
     grid_values,
     key_grid,
     multiply,
     potential_modes,
     series_from_grid,
+    shift_phases,
     shift_sum,
+    stack_blocks,
 )
 
 __all__ = [
@@ -117,6 +124,17 @@ class Su11Series:
         return Su11Series(FourierSeries.constant(d, complex(a)),
                           FourierSeries.constant(d, complex(b)))
 
+    @staticmethod
+    def from_blocks(d, blocks):
+        """The series of stacked centred (u, w) blocks (not copied)."""
+        return Su11Series(FourierSeries.from_block(d, blocks[0]),
+                          FourierSeries.from_block(d, blocks[1]))
+
+    def blocks(self, K=None):
+        """The (u, w) blocks padded to half-width K (default the wider) and
+        stacked."""
+        return stack_blocks([self.u, self.w], K)
+
     @property
     def d(self):
         return self.u.d
@@ -142,13 +160,9 @@ class Su11Series:
 
     def on_grid(self, G, shift=None):
         """Values on grid_points(d, G), or on that grid moved by 2 pi shift."""
-        uu, ww = grid_values([self.u, self.w], G, [shift, shift])
+        S = self if shift is None else Su11Series(self.u.shift(shift), self.w.shift(shift))
+        uu, ww = grid_values(S.blocks(), G, self.d)
         return su11_element(uu.real, ww)
-
-    def symmetrize(self):
-        """Project u onto real-valued functions (Hermitian coefficients)."""
-        u = self.u.block
-        return Su11Series(self.u._like((u + np.conj(np.flip(u))) / 2), self.w.copy())
 
     def prune(self, tol):
         self.u.prune(tol)
@@ -157,8 +171,7 @@ class Su11Series:
 
     def ad_constant(self, P):
         """Ad(P) W = P W P^{-1} coefficientwise (P a constant SU(1,1) matrix)."""
-        K = max(self.u.K, self.w.K)
-        u, w = self.u.padded(K), self.w.padded(K)
+        u, w = self.blocks()
         C = np.empty(u.shape + (2, 2), complex)
         C[..., 0, 0] = 1j * u
         C[..., 0, 1] = w
@@ -173,13 +186,22 @@ class Su11Series:
         return Su11Series(self.u.copy(), shift_sum(self.w, [delta], [1.0]))
 
 
+def _su11_spectra(values, d, max_degree, K=None, prune_tol=1e-16):
+    """Stacked samples (u (real), w) on the standard grid -> the stacked
+    centred (u, w) blocks of :func:`grid_spectra`, u projected onto
+    real-valued functions (Hermitian coefficients), and the dropped masses."""
+    blocks, dropped = grid_spectra(values, d, max_degree=max_degree,
+                                   prune_tol=prune_tol, K=K)
+    blocks[0] = (blocks[0] + np.conj(np.flip(blocks[0]))) / 2
+    return blocks, dropped
+
+
 def su11_series_from_samples(uu, ww, d, max_degree=None, prune_tol=1e-16):
     """Samples of u (real) and w on the standard grid -> (u, w) series, by
     one forward FFT."""
-    u, w = series_from_grid(np.stack([uu, ww]), d, kind="scalar",
-                            max_degree=max_degree, prune_tol=prune_tol)
-    out = Su11Series(u, w).symmetrize()  # w.copy() keeps its dropped mass
-    out.u.dropped_mass = u.dropped_mass
+    blocks, dropped = _su11_spectra(np.stack([uu, ww]), d, max_degree, prune_tol=prune_tol)
+    out = Su11Series.from_blocks(d, blocks)
+    out.u.dropped_mass, out.w.dropped_mass = dropped
     return out
 
 
@@ -383,13 +405,11 @@ class ModeRule:
         return u_res, w_res
 
     def split(self, F: Su11Series):
+        """(non-resonant part, resonant part) of F."""
         K = max(F.u.K, F.w.K)
-        masks = self.resonant(K, F.d)
-        # each block's keys are the centred window of half-width its own K
-        u_res, w_res = (m[(slice(K - k, K + k + 1),) * F.d]
-                        for m, k in zip(masks, (F.u.K, F.w.K)))
-        return (Su11Series(F.u.restrict(~u_res), F.w.restrict(~w_res)),
-                Su11Series(F.u.restrict(u_res), F.w.restrict(w_res)))
+        resonant, blocks = np.stack(self.resonant(K, F.d)), F.blocks(K)
+        return (Su11Series.from_blocks(F.d, np.where(resonant, 0, blocks)),
+                Su11Series.from_blocks(F.d, np.where(resonant, blocks, 0)))
 
 
 def divisor_w(n, alpha, sigma):
@@ -397,11 +417,33 @@ def divisor_w(n, alpha, sigma):
     return np.exp(2j * np.pi * (np.asarray(n) @ np.asarray(alpha, float) - 2.0 * sigma)) - 1.0
 
 
+def _mode_divisors(keys, alpha, sigma):
+    """The divisors of the homological equation over keys (..., d), stacked
+    (u, w): e^{2 pi i <n, alpha>} - 1 and e^{2 pi i (<n, alpha> - 2 sigma)} - 1."""
+    return np.stack([divisor_w(keys, alpha, 0.0), divisor_w(keys, alpha, sigma)])
+
+
+def _divide(blocks, divisors, keys, floor):
+    """The homological solve on stacked centred (u, w) blocks over ``keys``:
+    Y = -F / divisor mode by mode.  Raises SmallDivisor at the first supported
+    mode whose divisor modulus is below ``floor``, u before w, each in the C
+    order of its keys."""
+    support = blocks != 0
+    small = support & (np.abs(divisors) < floor)
+    if small.any():
+        c, *i = np.argwhere(small)[0]
+        raise SmallDivisor(tuple(keys[tuple(i)].tolist()),
+                           float(abs(divisors[(c, *i)])), floor)
+    return -blocks / np.where(support, divisors, 1.0)
+
+
 def solve_homological(A, F_nre: Su11Series, alpha, floor=1e-12, sigma=None):
     """Solve A^{-1} Y(.+alpha) A - Y = -F_nre for diagonal A, mode by mode.
 
     ``A`` must be diagonal (pass sigma directly to skip the check); raises
     SmallDivisor when a supported mode has divisor modulus below ``floor``.
+    The Newton sweep of :func:`remove_nonresonant` runs the same solve on
+    its blocks.
     """
     if sigma is None:
         A = np.asarray(A, complex)
@@ -409,16 +451,23 @@ def solve_homological(A, F_nre: Su11Series, alpha, floor=1e-12, sigma=None):
             raise QpslError("solve_homological expects a diagonal constant part")
         sigma = (float(np.angle(A[0, 0])) / (2 * math.pi)) % 1.0
     alpha = np.atleast_1d(np.asarray(alpha, float))
-    Y = []
-    for F, offset in ((F_nre.u, 0.0), (F_nre.w, sigma)):
-        keys = key_grid(F.K, F.d)
-        dv = divisor_w(keys, alpha, offset)
-        small = F.support() & (np.abs(dv) < floor)
-        if small.any():
-            i = tuple(np.argwhere(small)[0])
-            raise SmallDivisor(tuple(keys[i].tolist()), float(abs(dv[i])), floor)
-        Y.append(F._like(-F.block / np.where(F.support(), dv, 1.0)))
-    return Su11Series(*Y)
+    K = max(F_nre.u.K, F_nre.w.K)
+    keys = key_grid(K, F_nre.d)
+    Y = _divide(F_nre.blocks(K), _mode_divisors(keys, alpha, sigma), keys, floor)
+    return Su11Series.from_blocks(F_nre.d, Y)
+
+
+def _blocks_norm(blocks, sup, weights):
+    """|u|_h + |w|_h of stacked centred (u, w) blocks, given |n| (``sup``)
+    and e^{|n| h} (``weights``) over their keys.  Each sum runs over its
+    block trimmed to its nonzero modes, as :meth:`FourierSeries.analytic_norm`
+    sums it, so the two agree bit for bit."""
+    K = (blocks.shape[1] - 1) // 2
+    terms = np.hypot(blocks.real, blocks.imag) * weights
+    norm = 0.0
+    for t, k in zip(terms, np.where(blocks != 0, sup, 0).reshape(2, -1).max(axis=1)):
+        norm += float(np.sum(np.ascontiguousarray(t[(slice(K - k, K + k + 1),) * t.ndim])))
+    return norm
 
 
 def _min_divisor_distance(alpha, N, d):
@@ -438,6 +487,12 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     eta is the divisor floor passed to the mode-by-mode solves; |Y|_h is
     monitored against 2 |F|_h / eta.  The sweeps run on a grid sized by
     their content (see the module docstring), reported as ``grid``.
+
+    The iterate stays a stack of centred (u, w) blocks of half-width G / 2
+    (the input's, if wider) until the exit; the resonance masks, divisors,
+    shift phases and norm weights over their keys are built once per call
+    and grid.  Each sweep does the float operations of ``rule.split``,
+    :meth:`Su11Series.norm` and :func:`solve_homological` in their order.
     """
     params = params or KamParams()
     alpha = np.atleast_1d(np.asarray(alpha, float))
@@ -451,6 +506,7 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
         P, theta = diagonalize_su11(A)
     sigma = theta / (2 * math.pi)
     Ad = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
+    Ad_inv, Ad_diag = np.linalg.inv(Ad)[0, 0], np.diagonal(Ad)
 
     if rule is None:
         N = params.window_cap or params.max_degree
@@ -470,25 +526,32 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     grid = params.grid_for(4 * int(g.degree()), d)
 
     while True:
-        E_acc, sweeps, dropped, g_cur = None, [], 0.0, g.copy()
+        K = max(grid // 2, g.u.K, g.w.K)
+        keys = key_grid(K, d)
+        sup = np.abs(keys).max(axis=-1)
+        weights = np.exp(sup * 1.0 * h)
+        resonant = np.stack(rule.resonant(K, d))
+        divisors = _mode_divisors(keys, alpha, sigma)
+        phases = shift_phases(K, d, alpha)
+        blocks, degree = g.blocks(K), g.degree()
+        E_acc, sweeps, dropped = None, [], 0.0
         for it in range(NEWTON_MAX_SWEEPS):
-            nre, _ = rule.split(g_cur)
-            nre_norm = nre.norm(h)
+            nre = np.where(resonant, 0, blocks)
+            nre_norm = _blocks_norm(nre, sup, weights)
             sweeps.append(nre_norm)
             if nre_norm <= NEWTON_TOL * scale:
                 break
             if it >= 2 and nre_norm > 0.5 * sweeps[-2] and nre_norm > NEWTON_TOL * scale * 10:
                 raise NewtonDiverged(
                     f"non-resonant norm stalled at {nre_norm:.3e} (sweep {it})")
-            Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
+            Y = _divide(nre, divisors, keys, eta)
             # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}, each SU(1,1) matrix
             # held as its row 0 (A, B); e^{-Y} is the adjugate (conj A, -B)
-            vals = grid_values([Y_p.u, Y_p.w, Y_p.u, Y_p.w, g_cur.u, g_cur.w], grid,
-                               [None, None, alpha, alpha, None, None])
+            vals = grid_values(np.concatenate([Y, phases * Y, blocks]), grid, d)
             # an overflowing sweep is reported by the finite check alone
             with np.errstate(over="ignore", invalid="ignore"):
                 E_here, E_fwd, Gv = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
-                inner = diag_pair_product(np.linalg.inv(Ad)[0, 0], E_fwd, np.diagonal(Ad))
+                inner = diag_pair_product(Ad_inv, E_fwd, Ad_diag)
                 prod = pair_product(inner, Gv, (np.conj(E_here[0]), -E_here[1]))
             if not np.isfinite(prod).all():
                 raise NewtonDiverged(f"non-finite sweep values (sweep {it})")
@@ -496,16 +559,17 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
                 log = _su11_log_pair(*prod)
             except QpslError as exc:  # a rotation angle reached pi
                 raise NewtonDiverged(f"{exc} (sweep {it})") from exc
-            g_cur = su11_series_from_samples(*log, d, max_degree=max_deg)
-            if grid < cap and g_cur.degree() > grid / 4:
+            blocks, (drop_u, drop_w) = _su11_spectra(np.stack(log), d, max_deg, K)
+            degree = int(np.where(blocks != 0, sup, 0).max())
+            if grid < cap and degree > grid / 4:
                 break
-            dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
+            dropped += drop_u + drop_w
             E_acc = E_here if E_acc is None else pair_product(E_here, E_acc)
         else:
-            nre, _ = rule.split(g_cur)
-            if nre.norm(h) > NEWTON_TOL * scale * 100:
+            nre_norm = _blocks_norm(np.where(resonant, 0, blocks), sup, weights)
+            if nre_norm > NEWTON_TOL * scale * 100:
                 raise NewtonDiverged("Newton sweep cap reached without contraction")
-        if grid == cap or g_cur.degree() <= grid / 4:
+        if grid == cap or degree <= grid / 4:
             break
         grid = min(2 * grid, cap)
 
@@ -516,7 +580,7 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     # back to the original frame
     Pinv = np.linalg.inv(P)
     Y_out = Y_total.ad_constant(Pinv)
-    F_star = g_cur.ad_constant(Pinv)
+    F_star = Su11Series.from_blocks(d, blocks).ad_constant(Pinv)
     F_star.prune(1e-18)
 
     # certification on random probes
@@ -577,7 +641,7 @@ def _combine_f_and_label(state: KamState, V_modes, params):
     if state.f.is_zero(1e-300):
         return T, T.u.dropped_mass + T.w.dropped_mass
     grid = params.grid_for(int(max(state.f.degree(), T.degree())) + 4, d)
-    vals = grid_values([state.f.u, state.f.w, T.u, T.w], grid)
+    vals = grid_values(stack_blocks([state.f.u, state.f.w, T.u, T.w]), grid, d)
     E_f, E_t = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
     out = su11_series_from_samples(*_su11_log_pair(*pair_product(E_f, E_t)), d,
                                    max_degree=params.max_degree)
@@ -753,7 +817,7 @@ def _ad_series(E: FourierSeries, Einv: FourierSeries, W: Su11Series,
                params: KamParams):
     """Ad(E) W = E W E^{-1} for a matrix series E with inverse series Einv."""
     G = params.grid_for(int(E.degree + W.degree() + Einv.degree) + 4, W.d)
-    E_v, Einv_v = grid_values([E, Einv], G)
+    E_v, Einv_v = grid_values(stack_blocks([E, Einv]), G, W.d)
     vals = mat_product(E_v, W.on_grid(G), Einv_v)
     return su11_series_from_samples(vals[:, 0, 0].imag, vals[:, 0, 1], W.d,
                                     max_degree=params.max_degree)
@@ -840,7 +904,8 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     {"edge": "upper"|"lower"} selects the edge (default upper).  For an edge
     target the result's ``edge_search`` holds the number of reductions the
     search made, the failed ones it counted as outside the gap and its final
-    bracket.
+    bracket.  Raises NonConvergence when B conjugates the cocycle to the
+    normal form only up to a residual above ``params.conj_residual_tol``.
     """
     params = params or KamParams()
     alpha_arr = np.atleast_1d(np.asarray(alpha, float))
@@ -1049,6 +1114,10 @@ def _finalize(V, alpha, E, label, state, reports, params, relaxations):
     res_plus = np.max(np.abs(got - C))
     res_minus = np.max(np.abs(got + C))
     conj_residual = float(min(res_plus, res_minus))
+    if conj_residual > params.conj_residual_tol:
+        raise NonConvergence(
+            f"conjugacy residual {conj_residual:.3e} of the reduction at E = {E!r} "
+            f"exceeds conj_residual_tol {params.conj_residual_tol:.1e}")
 
     n_norm = sup_norm(label) if label is not None and any(label) else None
     window = {}

@@ -11,9 +11,10 @@ edge, with the configuration of the ``edge_reduction`` benchmark workload
 prints the hashes of ``set.json`` and of each edge's ``kam.json`` and
 ``probe.json``, then ``float.hex`` of the edge energy, zeta,
 ``conj_residual``, the bracket, the number of edge-search evaluations and
-the width of the edge search's final bracket, and the delta2/delta1
-verdicts, so a change that moves bits on purpose can quote which values
-moved.  The CLI's own messages are not printed.  Not collected by pytest:
+the width of the edge search's final bracket, the delta2/delta1
+verdicts, and for each KAM step its ``sweep_grid`` and the ``float.hex`` of
+its Newton sweep norms, so a change that moves bits on purpose can quote
+which values moved.  The CLI's own messages are not printed.  Not collected by pytest:
 it runs four full edge reductions.
 """
 
@@ -79,6 +80,10 @@ def _run(seed):
         print(f"seed {seed} {edge} edge bracket width {abs(E_out - E_in).hex()}")
         print(f"seed {seed} {edge} verdicts {probe['delta2']['verdict']} "
               f"{probe['delta1']['verdict']} {probe['bracket_consistent']}")
+        for step in kam["steps"]:
+            sweeps = " ".join(float(v).hex() for v in step["newton_sweeps"])
+            print(f"seed {seed} {edge} step {step['j']} {step['case']} sweep_grid "
+                  f"{step['diagnostics'].get('sweep_grid')} sweeps {sweeps}")
 
 
 def main():

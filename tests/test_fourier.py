@@ -13,9 +13,11 @@ from qpsl.fourier import (
     build_potential,
     grid_points,
     grid_values,
+    key_grid,
     multiply,
     potential_modes,
     series_from_grid,
+    stack_blocks,
 )
 from qpsl.label_set import LabelSet
 
@@ -149,6 +151,16 @@ def test_shift_matches_translated_eval():
     G = F.shift([alpha])
     for th in rng.uniform(0, 2 * math.pi, 10):
         assert abs(G.eval([th]) - F.eval([th + 2 * math.pi * alpha])) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_key_grid_is_shared_and_read_only(d):
+    keys = key_grid(3, d)
+    assert keys is key_grid(3, d) and keys.shape == (7,) * d + (d,)
+    assert keys[(0,) * d].tolist() == [-3] * d and keys[(6,) * d].tolist() == [3] * d
+    with pytest.raises(ValueError, match="read-only"):
+        keys[(0,) * d] = 0
+    assert key_grid(3, d)[(0,) * d].tolist() == [-3] * d
 
 
 def test_domain_mismatch():
@@ -299,23 +311,34 @@ def test_series_from_grid_matches_mode_loop(kind, halved, d):
                     n for n, m in zip(want, norms) if not m <= tol)
 
 
+def _add_at_grid_values(F, G):
+    """The values of F on the G^d grid with its modes folded by np.add.at in
+    the C order of their keys, as grid_values folded them before it summed
+    chunks of the block."""
+    spec = np.zeros((G,) * F.d + F.block.shape[F.d:], complex)
+    np.add.at(spec, np.ix_(*[np.arange(-F.K, F.K + 1) % G] * F.d), F.block)
+    vals = np.fft.ifftn(spec, axes=tuple(range(F.d))) * (G ** F.d)
+    return vals.reshape((G ** F.d,) + F.block.shape[F.d:])
+
+
 @pytest.mark.parametrize("kind", ["scalar", "matrix"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_grid_transform_stacks_equal_single_calls(kind, d):
-    # one FFT over a stack gives each row the bits of its own call, also when
-    # a series folds (degree 11 > G/2) or is moved by a shift
+    # one FFT over a stack gives each row the bits of its own call and of the
+    # np.add.at fold, also when a series folds (degree 11 > G/2, and 20 > G)
+    # or is moved by a shift
     rng = np.random.default_rng(5 + d + 2 * (kind == "matrix"))
     G = 16 if d == 1 else 8
-    series = [_random_series(rng, d=d, degree=deg, kind=kind) for deg in (3, 5, 11)]
-    shifts = [None, np.full(d, 0.3183), None]
-    vals = grid_values(series, G, shifts)
-    assert vals.shape == (3, G ** d) + (() if kind == "scalar" else (2, 2))
-    for row, F, shift in zip(vals, series, shifts):
-        assert _same_bits(row, grid_values([F], G, [shift])[0])
-        pts = grid_points(d, G) + (0.0 if shift is None else 2 * math.pi * shift)
-        assert np.max(np.abs(row - F.sample(pts))) < 1e-12
+    series = [_random_series(rng, d=d, degree=deg, kind=kind) for deg in (3, 5, 11, 20)]
+    series = [F if i != 1 else F.shift(np.full(d, 0.3183)) for i, F in enumerate(series)]
+    vals = grid_values(stack_blocks(series), G, d)
+    assert vals.shape == (4, G ** d) + (() if kind == "scalar" else (2, 2))
+    for row, F in zip(vals, series):
+        assert _same_bits(row, grid_values(F.block[None], G, d)[0])
+        assert _same_bits(row, _add_at_grid_values(F, G))
+        assert np.max(np.abs(row - F.sample(grid_points(d, G)))) < 1e-12
     back = series_from_grid(vals, d, kind=kind, max_degree=2, prune_tol=1e-16)
-    assert len(back) == 3
+    assert len(back) == 4
     for got, row in zip(back, vals):
         want = series_from_grid(row, d, kind=kind, max_degree=2, prune_tol=1e-16)
         assert _same_bits(got.block, want.block)

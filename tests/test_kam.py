@@ -308,6 +308,94 @@ def test_remove_nonresonant_equals_stack_sweep(d):
     assert rep["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_remove_nonresonant_rs_rule_equals_stack_sweep(d):
+    # the rule of a resonant step: the site stays in the resonant part, the
+    # off-diagonal mean is solved for, and the window is the degree cap
+    rng = np.random.default_rng(9)
+    if d == 1:
+        alpha, site = np.array([GOLD]), (4,)
+        F = _random_su11_series(rng, degree=30, modes=8, amp=3e-4)
+        params = _params(max_degree=192, grid_size=1024, window_cap=40)
+    else:
+        alpha, site = np.array([GOLD, math.sqrt(2) - 1]), (1, -2)
+        F = Su11Series.zero(2)
+        F.w[(2, 1)], F.w[(0, -1)], F.w[(0, 0)] = 2e-4, 1e-4 - 5e-5j, 3e-5j
+        F.u[(1, -1)], F.u[(-1, 1)] = 1e-4 + 2e-5j, 1e-4 - 2e-5j
+        params = _params(max_degree=12, grid_size=4096, window_cap=6)
+    sigma = (float(np.dot(site, alpha)) / 2 + 1e-5) % 1.0
+    F.w[site] = 2e-4
+    A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
+    distance = dist_to_integers(2 * sigma - float(np.dot(site, alpha)))
+    rule = ModeRule(alpha=alpha, sigma=sigma, window=params.max_degree,
+                    diag_floor=kam._min_divisor_distance(alpha, params.window_cap, d) / 2,
+                    off_floor=min(kam.THRESHOLD_CAP, max(2 * distance, 10 * kam.DIVISOR_FLOOR)),
+                    exclude=site, keep_w_mean=False)
+    Y, F_star, rep = remove_nonresonant(A, F, kam.DIVISOR_FLOOR, 0.05, alpha, rule=rule,
+                                        params=params)
+    Y_ref, F_ref, sweeps, dropped = _stack_remove_nonresonant(A, F, kam.DIVISOR_FLOOR, 0.05,
+                                                              alpha, rule, params, rep["grid"])
+    assert len(sweeps) >= 3 and rep["sweeps"] == sweeps and rep["dropped_mass"] == dropped
+    for got, want in ((Y.u, Y_ref.u), (Y.w, Y_ref.w), (F_star.u, F_ref.u), (F_star.w, F_ref.w)):
+        assert got.block.shape == want.block.shape and np.array_equal(got.block, want.block)
+    # the site stays, the off-diagonal mean is gone
+    assert abs(F_star.w[site] - 2e-4) < 2e-5 and abs(F_star.w.mean()) < 1e-12
+    assert rep["residual"] < 1e-10
+
+
+def test_remove_nonresonant_on_a_capped_grid_equals_stack_sweep():
+    # the grid is capped at 64 points below the degree cap 48: the input
+    # (degree 40) folds onto the grid, and u's modes +32 and -32, beyond the
+    # window and so left in F*, stay apart though they share a grid residue
+    rng = np.random.default_rng(5)
+    sigma, alpha = 0.205, np.array([GOLD])
+    A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
+    F = _random_su11_series(rng, degree=40, modes=6, amp=1e-4)
+    F.w[(40,)] = 1e-4
+    params = _params(max_degree=48, grid_size=64)
+    rule = ModeRule(alpha=alpha, sigma=sigma, window=30, diag_floor=1e-3, off_floor=1e-3)
+    Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule=rule, params=params)
+    assert rep["grid"] == 64 and F.degree() > 32
+    assert F_star.u[(32,)] == np.conj(F_star.u[(-32,)]) != 0
+    Y_ref, F_ref, sweeps, dropped = _stack_remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule,
+                                                              params, rep["grid"])
+    assert len(sweeps) >= 3 and rep["sweeps"] == sweeps and rep["dropped_mass"] == dropped
+    for got, want in ((Y.u, Y_ref.u), (Y.w, Y_ref.w), (F_star.u, F_ref.u), (F_star.w, F_ref.w)):
+        assert got.block.shape == want.block.shape and np.array_equal(got.block, want.block)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_remove_nonresonant_small_divisor_is_the_first_in_c_order(d):
+    # about half the planted w modes have a divisor below eta; the sweep
+    # names the first such mode of u, else of w, in the C order of the keys
+    # (not the smallest divisor), with the modulus solve_homological gives
+    alpha, sigma = np.array([GOLD, math.sqrt(2) - 1][:d]), 0.85
+    A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
+    rule = ModeRule(alpha=alpha, sigma=sigma, window=8, diag_floor=1e-3, off_floor=1e-3)
+    for seed, plant_u in ((0, True), (18, False)):
+        rng = np.random.default_rng(seed)
+        F = Su11Series.zero(d)
+        for _ in range(6):
+            n, c = tuple(rng.integers(-6, 7, size=d).tolist()), 1e-4 * rng.normal()
+            F.w[n] = 1e-4 * (rng.normal() + 1j * rng.normal())
+            if plant_u:
+                F.u[n], F.u[tuple(-k for k in n)] = c, c
+        nre, _ = rule.split(F)
+        eta = float(np.median([abs(divisor_w(n, alpha, sigma)) for n in nre.w.coeffs]))
+        small = [sorted((n, abs(divisor_w(n, alpha, off))) for n in part.coeffs
+                        if abs(divisor_w(n, alpha, off)) < eta)
+                 for part, off in ((nre.u, 0.0), (nre.w, sigma))]
+        first = (small[0] or small[1])[0][0]
+        assert bool(small[0]) == plant_u and len(small[1]) >= 2
+        assert first != min(small[0] + small[1], key=lambda m: m[1])[0]
+        with pytest.raises(SmallDivisor) as want:
+            solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
+        with pytest.raises(SmallDivisor) as got:
+            remove_nonresonant(A, F, eta, 0.02, alpha, rule=rule, params=_params())
+        assert got.value.mode == want.value.mode == first
+        assert got.value.value == want.value.value
+
+
 def test_remove_nonresonant_grid_doubles_when_content_outgrows_it():
     # degree-12 content starts on 256 points; the sweeps spread it past
     # degree 64, so the call restarts on 512 points, below the 1,024 of the
@@ -328,6 +416,12 @@ def test_remove_nonresonant_grid_doubles_when_content_outgrows_it():
     for got, want in ((Y.u, Y_ref.u), (Y.w, Y_ref.w), (F_star.u, F_ref.u), (F_star.w, F_ref.w)):
         K = max(got.K, want.K)
         assert np.max(np.abs(got.padded(K) - want.padded(K))) <= 1e-14
+    # the restart on 512 points is the stack sweep on 512 points, bit for bit
+    Y_ref, F_ref, sweeps, dropped = _stack_remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule,
+                                                              params, rep["grid"])
+    assert rep["sweeps"] == sweeps and rep["dropped_mass"] == dropped
+    for got, want in ((Y.u, Y_ref.u), (Y.w, Y_ref.w), (F_star.u, F_ref.u), (F_star.w, F_ref.w)):
+        assert got.block.shape == want.block.shape and np.array_equal(got.block, want.block)
 
 
 def _poison_sweep(monkeypatch, target="diag_pair_product", value=np.nan):
@@ -531,24 +625,40 @@ _E0 = 2 * math.cos(2 * math.pi * dist_to_integers(GOLD / 2))
 _GAP = (_E0 - 0.0203, _E0 + 0.0291)
 
 
+def _certify_at_mapped_energy(monkeypatch, mapped):
+    """Make _finalize certify the B of a fake reduction at the energy
+    ``mapped[E]`` that the fake reduced the free cocycle at, since that B
+    conjugates the free cocycle there and not at E; the result keeps E."""
+    real = kam._finalize
+
+    def finalize(V, alpha, E, *rest):
+        result = real(V, alpha, mapped[E], *rest)
+        result.energy = E
+        return result
+
+    monkeypatch.setattr(kam, "_finalize", finalize)
+
+
 def _plant_gap(monkeypatch, fail=None, slope=1.0):
     """Replace the reduction by the free cocycle at 2 + 2 slope t, so the
     reduced constant has Re a = 1 + slope t with t = min(E - lo, hi - E) on
     the planted gap (lo, hi); energies inside ``fail`` raise NewtonDiverged.
     Returns the log of (E, indicator) per call, -inf for a failure."""
     real = kam._reduce_at_energy
-    log = []
+    log, mapped = [], {}
 
     def fake(V, alpha, E, params, max_steps):
         if fail is not None and fail[0] < E < fail[1]:
             log.append((E, -math.inf))
             raise NewtonDiverged("planted failure")
         t = min(E - _GAP[0], _GAP[1] - E)
-        state, reports = real(None, alpha, 2.0 + 2.0 * slope * t, params, max_steps)
+        mapped[E] = 2.0 + 2.0 * slope * t
+        state, reports = real(None, alpha, mapped[E], params, max_steps)
         log.append((E, kam._gap_indicator(state)))
         return state, reports
 
     monkeypatch.setattr(kam, "_reduce_at_energy", fake)
+    _certify_at_mapped_energy(monkeypatch, mapped)
     return log
 
 
@@ -648,11 +758,12 @@ _PARABOLA = (_E0 + 0.0071, 0.06)
 def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
     Ec, w = _PARABOLA
     real = kam._reduce_at_energy
-    log = []
+    log, mapped = [], {}
 
     def fake(V, alpha, E, params, max_steps):
         log.append(E)
-        return real(None, alpha, 2.0 + 2.0 * (w * w - (E - Ec) ** 2), params, max_steps)
+        mapped[E] = 2.0 + 2.0 * (w * w - (E - Ec) ** 2)
+        return real(None, alpha, mapped[E], params, max_steps)
 
     real_itp, brackets = kam._itp_search, []
 
@@ -662,6 +773,7 @@ def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
 
     monkeypatch.setattr(kam, "_reduce_at_energy", fake)
     monkeypatch.setattr(kam, "_itp_search", itp)
+    _certify_at_mapped_energy(monkeypatch, mapped)
     res = run_reducibility(None, [GOLD], {"label": 1, "edge": edge}, params=_params())
     search, evaluations = res.edge_search, len(log)
     assert search == {"evaluations": evaluations, "failures": [], "bracket": search["bracket"]}
@@ -687,6 +799,20 @@ def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
     # evaluate _E0, steps 1 and 2, then upper 8 (the cap 4j), 10 and 11, or
     # lower 8 and 9
     assert len(log) - evaluations == {"upper": 6, "lower": 5}[edge]
+
+
+def test_run_reducibility_rejects_final_residual_above_tolerance(monkeypatch):
+    # the planted gap's reductions run at another energy than the searched
+    # one, so without certifying at that energy B does not conjugate the
+    # cocycle at the edge, and the run must say so instead of returning
+    real = kam._reduce_at_energy
+    monkeypatch.setattr(kam, "_reduce_at_energy",
+                        lambda V, alpha, E, params, max_steps: real(
+                            None, alpha, 2.0 + 2.0 * min(E - _GAP[0], _GAP[1] - E),
+                            params, max_steps))
+    with pytest.raises(NonConvergence, match=r"residual \d\.\d{3}e[+-]\d+ .* exceeds "
+                                             r"conj_residual_tol 1\.0e-09"):
+        run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
 
 
 def test_run_reducibility_interior_not_locked():
