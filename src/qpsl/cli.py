@@ -337,14 +337,13 @@ def cmd_gaps(args):
     return 0
 
 
-def _kam_params(cfg, args, freq, sched, k):
+def _kam_params(cfg, freq, sched, k):
     kc = cfg.get("kam", {})
     return KamParams(
         tau=freq.dc_tau, k_exponent=float(k), schedule=sched,
         max_degree=int(kc.get("max_degree", 384)),
         grid_size=int(kc.get("grid_size", 2048)),
         conj_residual_tol=float(kc.get("conj_residual_tol", 1e-9)),
-        relaxed=not getattr(args, "strict", False),
         stop_tol=float(kc.get("stop_tol", 1e-12)),
         seed=int(cfg.get("seed", 0)),
     )
@@ -357,7 +356,11 @@ def cmd_kam(args):
     freq = ks.frequency
     k = float(args.k if args.k is not None else cfg.get("potential", {}).get("k", 2.0))
     V = build_potential(ks, k=k)
-    params = _kam_params(cfg, args, freq, ks.schedule, k)
+    params = _kam_params(cfg, freq, ks.schedule, k)
+    unmet = params.strict_unmet() if args.strict else []
+    if unmet:
+        raise ConfigInvalid("kam --strict: the run misses the paper's regime: "
+                            + "; ".join(unmet))
     if args.energy is not None:
         target = {"energy": float(args.energy)}
     else:
@@ -366,8 +369,7 @@ def cmd_kam(args):
                            max_steps=int(args.max_steps))
     payload = res.as_dict()
     payload["B_series"] = json.loads(res.B.to_json())
-    run_cfg = {"set": args.set, "k": k, "target": target,
-               "relaxed": params.relaxed, "seed": params.seed}
+    run_cfg = {"set": args.set, "k": k, "target": target, "seed": params.seed}
     _emit_json(args.out, payload, run_cfg)
     if args.steps_out:
         with open(args.steps_out, "w") as fh:
@@ -456,7 +458,7 @@ def cmd_report(args):
 
     k = cfg.get("potential", {}).get("k", 2.0)
     V = build_potential(ks, k=k)
-    params = _kam_params(cfg, args, freq, sched, k)
+    params = _kam_params(cfg, freq, sched, k)
     res = run_reducibility(V, freq.floats(),
                            {"label_index": cfg.get("kam", {}).get("label_index", 0),
                             "edge": cfg.get("kam", {}).get("edge", "upper")},
@@ -577,7 +579,9 @@ def _build_parser():
     sp.add_argument("--energy", type=float, help="reduce at a fixed energy instead")
     sp.add_argument("--k", type=float)
     sp.add_argument("--max-steps", type=int, default=24)
-    sp.add_argument("--strict", action="store_true")
+    sp.add_argument("--strict", action="store_true",
+                    help="refuse the run (exit 1), listing the unmet conditions, unless "
+                         "k, tau and the schedule meet the paper's regime")
     sp.add_argument("--steps-out", help="JSON-lines stream of step reports")
     sp.set_defaults(func=cmd_kam)
 

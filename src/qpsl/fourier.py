@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeOverflow, DomainMismatch, QpslError
+from .errors import DomainMismatch, QpslError
 from .label_set import LabelSet
 
 __all__ = [
@@ -223,14 +223,6 @@ class FourierSeries:
         return self
 
     # -- algebra ----------------------------------------------------------
-    def __add__(self, other):
-        if self.d != other.d:
-            raise DomainMismatch("dimension mismatch")
-        a, b = _common_denominator(self, other)
-        K = max(a.K, b.K)
-        return a._like(a.padded(K) + b.padded(K),
-                       kind=a.kind if a.kind == b.kind else "matrix")
-
     def scale(self, c):
         return self._like(c * self.block)
 
@@ -350,10 +342,11 @@ def _shift_add(copies, K_out, d, tail):
     return out, outside
 
 
-def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
-    """Convolution product; matrix kinds multiply per term with the matrix
-    product.  Frequencies beyond ``max_degree`` are dropped with their mass
-    recorded on ``result.dropped_mass`` (or raise DegreeOverflow if strict).
+def multiply(F: FourierSeries, G: FourierSeries, max_degree=None):
+    """Convolution product of two scalar or two matrix series; matrix kinds
+    multiply per term with the matrix product.  Frequencies beyond
+    ``max_degree`` are dropped with their mass recorded on
+    ``result.dropped_mass``.
 
     The product is a direct convolution, not an FFT product, so a mode that
     no pair of modes reaches stays exactly zero and the degree is not
@@ -363,14 +356,13 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
     """
     if F.d != G.d:
         raise DomainMismatch("dimension mismatch")
+    scalar = F.kind == "scalar"
+    if scalar != (G.kind == "scalar"):
+        raise QpslError(f"multiply takes two scalar or two matrix series, not "
+                        f"{F.kind} and {G.kind}")
     A, B = _common_denominator(F, G)
-    scalar = A.kind == "scalar" and B.kind == "scalar"
-    if A.kind == "scalar" and B.kind != "scalar":
-        A, B = B, A  # matrix * scalar commutes coefficientwise
     a, b = A.block, B.block
-    if B.kind == "scalar" and not scalar:
-        b = b[..., None, None]
-    mul = np.multiply if B.kind == "scalar" else np.matmul
+    mul = np.multiply if scalar else np.matmul
     if len(B) <= len(A):
         copies = ((k, mul(a, v)) for k, v in zip(*B.modes()))
     else:
@@ -381,10 +373,6 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None, strict=False):
     if max_degree is not None:
         over = out._freq_norms() > max_degree
         mass = _coeff_norms(out.block[over], scalar)
-        if strict and np.any(mass > 0):
-            i = np.argmax(mass > 0)
-            raise DegreeOverflow(f"mode {tuple((np.argwhere(over)[i] - out.K).tolist())} "
-                                 f"exceeds max degree {max_degree} (mass {mass[i]:.3e})")
         out = out.restrict(~over)
         out.dropped_mass = float(np.sum(mass))
     return out

@@ -35,12 +35,15 @@ Every accepted step, and the final reduction to the normal form, is certified
 by evaluating both sides of its conjugation identity at random probe points;
 these residuals, against ``conj_residual_tol``, are the correctness gates.
 
+The iteration runs in one regime, at desk-scale thresholds: the paper's
+smallness hypotheses need k of order hundreds of tau, which no floating-point
+run reaches.  :meth:`KamParams.strict_unmet` lists the hypotheses a run misses.
+
 Settings no caller varies are module constants: the strip width H0 * H_DECAY^j
-of step j (unless strict mode has a schedule), the Newton stop NEWTON_TOL and
-cap NEWTON_MAX_SWEEPS, the divisor floor DIVISOR_FLOOR, the resonance
-threshold cap THRESHOLD_CAP, and the energy-target lock tolerance LOCK_TOL with
-its rotation-number iterations ROTATION_ITERS.  Everything a caller sets is on
-:class:`KamParams`.
+of step j, the Newton stop NEWTON_TOL and cap NEWTON_MAX_SWEEPS, the divisor
+floor DIVISOR_FLOOR, the resonance threshold cap THRESHOLD_CAP, and the
+energy-target lock tolerance LOCK_TOL with its rotation-number iterations
+ROTATION_ITERS.  Everything a caller sets is on :class:`KamParams`.
 """
 
 from __future__ import annotations
@@ -229,12 +232,9 @@ ROTATION_ITERS = 200_000   # iterations of the lock's rotation number
 
 @dataclass
 class KamParams:
-    """Run parameters.  ``relaxed`` replaces the asymptotic-regime thresholds (which
-    need k of order hundreds of tau) by measured-and-logged desk values; every
-    relaxation is recorded on the reports so no run silently claims the strict
-    regime.  The fixed settings are the module constants H0, H_DECAY,
-    NEWTON_TOL, NEWTON_MAX_SWEEPS, DIVISOR_FLOOR, THRESHOLD_CAP, LOCK_TOL and
-    ROTATION_ITERS."""
+    """Run parameters.  The fixed settings are the module constants H0,
+    H_DECAY, NEWTON_TOL, NEWTON_MAX_SWEEPS, DIVISOR_FLOOR, THRESHOLD_CAP,
+    LOCK_TOL and ROTATION_ITERS."""
 
     tau: float = 1.5
     k_exponent: float = 2.0
@@ -243,7 +243,6 @@ class KamParams:
     grid_size: int = 2048
     conj_residual_tol: float = 1e-9
     window_cap: int = None
-    relaxed: bool = True
     stop_tol: float = 1e-12
     probe_count: int = 12
     seed: int = 0
@@ -254,10 +253,6 @@ class KamParams:
         return self.schedule.level_float(j)
 
     def width(self, j):
-        if not self.relaxed and self.schedule is not None:
-            ell = self.level(j)
-            if ell and ell > 1:
-                return 10 * self.tau * math.log(ell) / ell
         return H0 * H_DECAY ** j
 
     def window(self, j):
@@ -269,14 +264,25 @@ class KamParams:
         return cap
 
     def threshold(self, j):
-        strict_val = None
-        if self.schedule is not None:
-            ell = self.level(j)
-            if ell and ell > 1:
-                strict_val = ell ** (-4 * self.tau)
-        if strict_val is None:
-            return THRESHOLD_CAP
-        return max(strict_val, THRESHOLD_CAP) if self.relaxed else strict_val
+        ell = self.level(j)
+        if ell and ell > 1:
+            return max(ell ** (-4 * self.tau), THRESHOLD_CAP)
+        return THRESHOLD_CAP
+
+    def strict_unmet(self):
+        """The hypotheses of the paper's regime that this run misses (empty
+        when it meets them all): a bounded zeta window and a smoothness budget
+        k0, as :func:`_finalize` computes them, and a strict schedule."""
+        k, tau = self.k_exponent, self.tau
+        unmet = []
+        if k <= 62 * tau:
+            unmet.append(f"k = {k:g} <= 62 tau = {62 * tau:g}: the zeta window is unbounded")
+        if k - 90 * tau < 1:
+            unmet.append(f"k - 90 tau = {k - 90 * tau:g} < 1: there is no smoothness "
+                         f"budget k0")
+        if not getattr(self.schedule, "strict", False):
+            unmet.append("the label set's schedule was not built with build-set --strict")
+        return unmet
 
     def grid_for(self, degree, d=1):
         cap = self.grid_size if d == 1 else max(32, int(self.grid_size ** (1.0 / d)))
@@ -512,7 +518,7 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
         N = params.window_cap or params.max_degree
         rule = ModeRule(alpha=alpha, sigma=sigma, window=N,
                         diag_floor=_min_divisor_distance(alpha, N, d) / 2,
-                        off_floor=params.threshold(0) if params.schedule else THRESHOLD_CAP,
+                        off_floor=params.threshold(0),
                         keep_w_mean=True)
 
     g = F.ad_constant(P)
@@ -714,14 +720,11 @@ def kam_step(state: KamState, params: KamParams):
     sigma = frame_rotation_su11(state.A)
     N = params.window(j)
     dioph_min = _min_divisor_distance(alpha, N, d)
-    if params.relaxed:
-        # the resonant route must absorb every site the Newton sweep cannot
-        # solve through (its convergence boundary sits at distance of order
-        # sqrt of the perturbation), while staying below the cap
-        thr = min(params.threshold(j),
-                  max(dioph_min / 5, 4.0 * math.sqrt(max(norm_before, 0.0))))
-    else:
-        thr = params.threshold(j)
+    # the resonant route must absorb every site the Newton sweep cannot solve
+    # through (its convergence boundary sits at distance of order sqrt of the
+    # perturbation), while staying below the cap
+    thr = min(params.threshold(j),
+              max(dioph_min / 5, 4.0 * math.sqrt(max(norm_before, 0.0))))
     cls = classify_resonance(sigma, alpha, N, thr)
 
     diag_floor = dioph_min / 2
@@ -909,9 +912,7 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     """
     params = params or KamParams()
     alpha_arr = np.atleast_1d(np.asarray(alpha, float))
-    relaxations = []
-    if params.relaxed:
-        relaxations.append("relaxed desk-scale thresholds in effect")
+    relaxations = ["relaxed desk-scale thresholds in effect"]
 
     if "energy" in target:
         E = float(target["energy"])
@@ -1126,12 +1127,7 @@ def _finalize(V, alpha, E, label, state, reports, params, relaxations):
         lower = n_norm ** (-(k + 5 * tau))
         upper = n_norm ** (-(k - 62 * tau)) if k > 62 * tau else math.inf
         window = {"lower": lower, "upper": upper,
-                  "inside": bool(lower <= abs(zeta) <= upper),
-                  "asserted": not params.relaxed}
-        if not params.relaxed and not window["inside"]:
-            raise QpslError(
-                f"strict mode: |zeta| = {abs(zeta):.3e} outside "
-                f"[{lower:.3e}, {upper:.3e}]")
+                  "inside": bool(lower <= abs(zeta) <= upper), "asserted": False}
     k0 = max(0, int(params.k_exponent - 90 * params.tau))
     if k0 == 0:
         relaxations.append("smoothness budget k - 90 tau is not positive at desk scale")

@@ -208,9 +208,9 @@ def _refine_edge(grid, locked, edge):
     return grid[k - 1], grid[k]
 
 
-def gap_bounds_check(gap: GapRecord, k, tau, strict=False):
+def gap_bounds_check(gap: GapRecord, k, tau):
     """Exponent ratio r = log|I| / log|n| against the window
-    [-11k/10 - 6 tau, -9k/10 + 56 tau]; informational unless strict."""
+    [-11k/10 - 6 tau, -9k/10 + 56 tau], reported and not asserted."""
     n_norm = max(abs(c) for c in gap.label)
     if n_norm < 2 or gap.length <= 0:
         return {"r": None, "window": None, "inside": None,
@@ -218,8 +218,5 @@ def gap_bounds_check(gap: GapRecord, k, tau, strict=False):
     r = math.log(gap.length) / math.log(n_norm)
     lo = -11.0 * k / 10.0 - 6.0 * tau
     hi = -9.0 * k / 10.0 + 56.0 * tau
-    inside = lo <= r <= hi
-    if strict and not inside:
-        raise QpslError(f"gap exponent {r:.3f} outside [{lo:.3f}, {hi:.3f}]")
-    return {"r": r, "window": [lo, hi], "inside": inside,
+    return {"r": r, "window": [lo, hi], "inside": lo <= r <= hi,
             "window_nonempty": lo <= hi}

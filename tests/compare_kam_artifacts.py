@@ -9,7 +9,9 @@ edge, with the configuration of the ``edge_reduction`` benchmark workload
 (golden-mean alpha to 80 digits, M = 10, s = 0.9, depth 6, one label;
 ``max_degree`` 384 on a 2,048-point grid) in a temporary directory.  It
 prints the hashes of ``set.json`` and of each edge's ``kam.json`` and
-``probe.json``, then ``float.hex`` of the edge energy, zeta,
+``probe.json``, the hash of each ``kam.json`` without its ``config`` and
+``config_hash`` (so a change to the run configuration alone leaves it
+unchanged), then ``float.hex`` of the edge energy, zeta,
 ``conj_residual``, the bracket, the number of edge-search evaluations and
 the width of the edge search's final bracket, the delta2/delta1
 verdicts, and for each KAM step its ``sweep_grid`` and the ``float.hex`` of
@@ -68,6 +70,9 @@ def _run(seed):
             print(f"seed {seed} {name} {_sha(name)}")
         with open(kam_out) as fh:
             kam = json.load(fh)
+        results = {key: v for key, v in kam.items() if key not in ("config", "config_hash")}
+        results_sha = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+        print(f"seed {seed} {kam_out} results-only {results_sha}")
         with open(probe_out) as fh:
             probe = json.load(fh)
         values = [("energy", kam["energy"]), ("zeta", kam["zeta"]),

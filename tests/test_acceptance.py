@@ -3,8 +3,8 @@ the measured quantities (run with -s to see them).
 
 The asymptotic regime (smoothness exponents of order hundreds of tau) is not
 reachable numerically; these checks are property-based at relaxed parameters
-plus small-instance oracle equivalence, with strict-regime assertions
-explicitly skipped where noted.
+plus small-instance oracle equivalence, and the asymptotic windows (zeta,
+gap exponent) are reported, not asserted.
 """
 
 import math
@@ -404,14 +404,11 @@ def test_criterion_12_exponent_window_report():
     k, tau = 2.0, 1.5
     g = GapRecord(label=(16,), E_minus=1.8767, E_plus=1.8806, length=3.9e-3,
                   rho_locked=0.056)
-    rep = gap_bounds_check(g, k, tau, strict=False)
+    rep = gap_bounds_check(g, k, tau)
     assert rep["r"] is not None
     assert rep["window"] is not None
     assert rep["window_nonempty"]
-    # the strict-mode assertion is out of reach at desk scale and is skipped
-    # by default (strict=False); with the relaxed exponents here the measured
-    # ratio is reported alongside both endpoints
     rt = time.time() - t0
     _report("criterion-12 exponent-window", rt,
             f"r = {rep['r']:.3f} reported with window [{rep['window'][0]:.2f}, "
-            f"{rep['window'][1]:.2f}]; strict assertion documented out of reach, skipped")
+            f"{rep['window'][1]:.2f}]; not asserted at desk scale")

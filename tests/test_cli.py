@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from qpsl import kam
 from qpsl.cli import main
 from qpsl.diophantine import frequency_vector, golden_mean
 from qpsl.fourier import amo_potential
@@ -109,6 +111,7 @@ def test_kam_and_edge_probe(tmp_path, criterion11_kam):
     assert data["conj_residual"] < 1e-8
     assert 0 < data["edge_search"]["evaluations"] <= 26
     assert data["edge_search"]["failures"] == []
+    assert "relaxed" not in data["config"]
     assert steps.read_text().strip()
     probe_out = tmp_path / "probe.json"
     rc = run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
@@ -118,6 +121,29 @@ def test_kam_and_edge_probe(tmp_path, criterion11_kam):
     probe = json.loads(probe_out.read_text())
     assert probe["bracket"][0] < probe["bracket"][1]
     assert (tmp_path / "bracket.csv").read_text().startswith("# schema=qpsl.bracket")
+
+
+def test_kam_strict_refuses_outside_the_paper_regime(tmp_path, capsys, monkeypatch,
+                                                    criterion11_kam):
+    # k = 2 <= 62 tau: the refusal names every missed hypothesis before any
+    # reduction runs
+    set_path, _, _ = criterion11_kam
+
+    def no_reduction(*args):
+        raise AssertionError("kam --strict ran a reduction")
+
+    monkeypatch.setattr(kam, "_reduce_at_energy", no_reduction)
+    out = tmp_path / "kam.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["kam", "--set", str(set_path), "--label-index", "0", "--k", "2.0",
+                      "--strict", "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    for condition in ("k = 2 <= 62 tau", "k - 90 tau", "build-set --strict"):
+        assert condition in err["message"]
+    assert not out.exists()
 
 
 def test_edge_probe_takes_k_from_the_kam_result(tmp_path, criterion11_kam):

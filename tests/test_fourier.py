@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpsl.diophantine import frequency_vector, golden_mean
-from qpsl.errors import DegreeOverflow, DomainMismatch
+from qpsl.errors import DomainMismatch, QpslError
 from qpsl.fourier import (
     FourierSeries,
     amo_potential,
@@ -96,14 +96,20 @@ def test_multiply_matrix_vs_pointwise():
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_multiply_drop_accounting_and_strict():
+def test_multiply_drop_accounting():
     a = FourierSeries(1, {(4,): 1.0 + 0j, (0,): 1.0 + 0j})
     b = FourierSeries(1, {(4,): 2.0 + 0j})
     c = multiply(a, b, max_degree=5)
     assert (8,) not in c.coeffs
     assert c.dropped_mass == pytest.approx(2.0)
-    with pytest.raises(DegreeOverflow):
-        multiply(a, b, max_degree=5, strict=True)
+
+
+def test_multiply_rejects_a_scalar_times_a_matrix_series():
+    scalar = FourierSeries(1, {(1,): 1.0 + 0j})
+    matrix = FourierSeries.constant(1, np.eye(2, dtype=complex))
+    for F, G in ((scalar, matrix), (matrix, scalar)):
+        with pytest.raises(QpslError, match="two scalar or two matrix series"):
+            multiply(F, G)
 
 
 def test_analytic_norm_cases():

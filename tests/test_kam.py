@@ -24,7 +24,8 @@ from qpsl.errors import (
     StateInvalid,
     TargetNotLocked,
 )
-from qpsl.fourier import FourierSeries, Potential
+from qpsl.fourier import FourierSeries, Potential, potential_modes
+from qpsl.label_set import build_schedule
 from test_cocycle import _stack_exp_reference as _stack_exp
 from qpsl.kam import (
     KamParams,
@@ -557,6 +558,80 @@ def test_kam_step_rs_synthetic():
     assert min(sig_next, 1 - sig_next) <= 2 * max(thr, offset * 2)
 
 
+def _probes(rng):
+    return rng.uniform(0, 2 * math.pi, size=(12, 1))
+
+
+def test_split_mean_folds_the_mean_into_the_constant():
+    # G has modes besides its mean, so f_next is the grid log of e^{-<G>} e^{G}
+    rng = np.random.default_rng(21)
+    G = _random_su11_series(rng, degree=4, modes=5, amp=1e-3)
+    G.u[(0,)] = 2e-3
+    G.w[(0,)] = 1e-3 - 5e-4j
+    A_base = np.diag([np.exp(2j * np.pi * 0.21), np.exp(-2j * np.pi * 0.21)])
+    A_next, f_next = kam._split_mean(A_base, G, _params())
+    assert f_next.degree() > 0
+    assert np.array_equal(A_next, A_base @ su11_exp(su11_element(2e-3, 1e-3 - 5e-4j)))
+    pts = _probes(rng)
+    lhs = mat_product(A_next, su11_exp(f_next.sample(pts)))
+    rhs = mat_product(A_base, su11_exp(G.sample(pts)))
+    assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+def test_combine_f_and_label_is_the_product_of_both_exponentials():
+    # a nonzero f and a pending label: F~ is the grid log of e^{f} e^{V W}
+    rng = np.random.default_rng(22)
+    params = _params()
+    f = _random_su11_series(rng, degree=3, modes=4, amp=1e-3)
+    state = _state(np.eye(2, dtype=complex), f, params)
+    state.W.w[(1,)] = 0.2 - 0.1j
+    V_modes = potential_modes(Potential(labels=[(2,)], coefficients=[3e-3], k_exponent=0.0))
+    F_t, _ = kam._combine_f_and_label(state, V_modes, params)
+    pts = _probes(rng)
+    keys, vals = V_modes
+    V = (np.exp(1j * pts @ keys.T) @ vals).real
+    lhs = su11_exp(F_t.sample(pts))
+    rhs = mat_product(su11_exp(f.sample(pts)), su11_exp(V[:, None, None] * state.W.sample(pts)))
+    assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+def test_kam_step_rejects_a_step_residual_above_tolerance():
+    # the criterion-8 non-resonant instance, with the gate below its residual
+    A = np.diag([np.exp(2j * np.pi * 0.1545), np.exp(-2j * np.pi * 0.1545)])
+    f = Su11Series.zero(1)
+    f.w[(3,)] = 2e-6
+    f.u[(2,)] = 1e-6
+    f.u[(-2,)] = 1e-6
+    params = _params(probe_count=256)
+    residual = kam_step(_state(A, f, params), params)[1].residual
+    assert 0 < residual < 1e-9
+    params = _params(probe_count=256, conj_residual_tol=residual / 2)
+    with pytest.raises(StateInvalid, match=r"step 0 conjugacy residual .* exceeds"):
+        kam_step(_state(A, f, params), params)
+
+
+def test_remove_nonresonant_stall_is_newton_diverged(monkeypatch):
+    # a homological solve that removes a tenth of each mode contracts the
+    # non-resonant norm by 0.9 per sweep, above the stall ratio 0.5
+    real = kam._divide
+    monkeypatch.setattr(kam, "_divide", lambda *args: 0.1 * real(*args))
+    A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
+    F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
+    with pytest.raises(NewtonDiverged, match=r"non-resonant norm stalled at .* \(sweep 2\)"):
+        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
+
+
+def test_strict_unmet_lists_every_missed_hypothesis():
+    # the criterion-11 configuration misses all three
+    desk = KamParams(tau=1.5, k_exponent=2.0, schedule=build_schedule(10, 0.9, depth=6))
+    unmet = desk.strict_unmet()
+    assert len(unmet) == 3
+    assert "62 tau" in unmet[0] and "90 tau" in unmet[1] and "--strict" in unmet[2]
+    strict = build_schedule(2000, 0.9, depth=3, strict=True)
+    assert KamParams(tau=1.0, k_exponent=100.0, schedule=strict).strict_unmet() == []
+    assert len(KamParams(tau=1.0, k_exponent=100.0).strict_unmet()) == 1
+
+
 def test_kam_step_rejects_nonelliptic_with_large_perturbation():
     params = _params()
     A = to_su11(np.diag([1.5, 1 / 1.5]))
@@ -747,6 +822,22 @@ def test_edge_search_records_failure_outside_gap(monkeypatch):
     assert res.edge_search == {"evaluations": len(log), "failures": failed,
                                "bracket": [res.energy, E_out]}
     assert res.as_dict()["edge_search"] == res.edge_search
+
+
+def test_edge_search_without_a_gap_interior_is_target_not_locked(monkeypatch):
+    # every reduction reads t <= 0: the search tries the free-cocycle guess
+    # and the 41 energies of its interior scan, then gives up
+    real, energies = kam._reduce_at_energy, []
+
+    def fake(V, alpha, E, params, max_steps):
+        energies.append(E)
+        return real(None, alpha, 0.0, params, max_steps)
+
+    monkeypatch.setattr(kam, "_reduce_at_energy", fake)
+    with pytest.raises(TargetNotLocked,
+                       match=rf"no gap interior found near E = {_E0:.6f} for label \(1,\)"):
+        run_reducibility(None, [GOLD], {"label": 1}, params=_params())
+    assert len(energies) == 42 and energies[0] == _E0
 
 
 # a parabolic gap t = w^2 - (E - Ec)^2 around the free-cocycle guess: its
