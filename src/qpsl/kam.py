@@ -4,10 +4,12 @@ The cocycle is kept in the normal form (alpha, A_j e^{f_j} prod_p e^{V_p W_j}):
 a constant elliptic part A_j, a small su(1,1) remainder f_j, and the not yet
 consumed potential modes V_p conjugated along by the accumulated change of
 variables.  One step removes every non-resonant Fourier mode of the current
-perturbation by a quadratically convergent Newton iteration; a resonant step
-additionally diagonalizes A_j, excises the resonant site with a half-period
-rotation (which lives on the doubled torus), and restarts with a much smaller
-constant rotation.
+perturbation by a quadratically convergent Newton iteration.  Every step
+works in the eigenframe of A_j, where it is diag(e^{2 pi i sigma}, e^{-2 pi i
+sigma}): a non-resonant step conjugates its result back to the frame of A_j,
+while a resonant step stays in the eigenframe and adds the half-period
+rotation that excises the resonant site (it lives on the doubled torus), and
+restarts with a much smaller constant rotation.
 
 su(1,1)-valued series are stored as a pair of scalar series (u, w) via
 W(theta) = [[i u, w], [conj w, -i u]]; the homological equation is then
@@ -57,7 +59,6 @@ import numpy as np
 from .cocycle import (
     conjugate,
     diagonalize_su11,
-    frame_rotation_su11,
     rotation_matrix,
     rotation_number,
     schrodinger_cocycle,
@@ -302,7 +303,6 @@ class KamState:
     Dinv: FourierSeries           # inverse of the accumulated conjugation D
     alpha: np.ndarray
     n_tilde: tuple
-    sigma0: float                 # ||A_0||
     stopped: bool = False
 
 
@@ -353,12 +353,9 @@ class Classification:
 def classify_resonance(rho, alpha, N, threshold):
     """Scan 0 < |n| <= N for ||2 rho - <n, alpha>||_{R/Z} < threshold.
 
-    ``rho`` may be a number (cycles) or a constant SU(1,1) matrix.  Returns
-    the minimizing site; several sites under the threshold flag
-    ``unique=False`` (the winner is still the minimizer).
+    ``rho`` is in cycles.  Returns the minimizing site; several sites under
+    the threshold flag ``unique=False`` (the winner is still the minimizer).
     """
-    if not np.isscalar(rho):
-        rho = frame_rotation_su11(np.asarray(rho, complex))
     alpha = np.atleast_1d(np.asarray(alpha, float))
     d = alpha.size
     if not 0 < threshold < 1:
@@ -486,7 +483,9 @@ def _min_divisor_distance(alpha, N, d):
 def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
                        params: KamParams = None, seed=0):
     """Newton iteration conjugating (alpha, A e^F) to (alpha, A e^{F*}) with
-    F* supported on the resonant complement of the mode rule.
+    F* supported on the resonant complement of the mode rule, for a diagonal
+    constant A = diag(e^{2 pi i sigma}, e^{-2 pi i sigma}) only (the caller
+    works in the eigenframe of its constant); any other A raises QpslError.
 
     Returns (Y, F_star, report).  The conjugator is e^Y with
     e^{Y(.+alpha)} A e^{F} e^{-Y} = A e^{F*}, certified on 8 random probes.
@@ -505,11 +504,9 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     A = np.asarray(A, complex)
     d = F.d
 
-    if abs(A[0, 1]) + abs(A[1, 0]) < 1e-13:  # already diagonal
-        P = np.eye(2, dtype=complex)
-        theta = float(np.angle(A[0, 0])) % (2 * math.pi)
-    else:
-        P, theta = diagonalize_su11(A)
+    if abs(A[0, 1]) + abs(A[1, 0]) >= 1e-13:
+        raise QpslError("remove_nonresonant expects a diagonal constant part")
+    theta = float(np.angle(A[0, 0])) % (2 * math.pi)
     sigma = theta / (2 * math.pi)
     Ad = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
     Ad_inv, Ad_diag = np.linalg.inv(Ad)[0, 0], np.diagonal(Ad)
@@ -521,25 +518,24 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
                         off_floor=params.threshold(0),
                         keep_w_mean=True)
 
-    g = F.ad_constant(P)
-    scale = max(g.norm(h), 1e-300)
+    scale = max(F.norm(h), 1e-300)
     max_deg = params.max_degree
     # the grid is sized by its content (see the module docstring); at the
     # criterion-11 edge, series below degree 96, 256 and 512 points reproduce
     # the cap grid's step residual (5.9e-15 against 6.0e-15), while a fixed
     # 128 points aliases it to 2.4e-10, inside the 1e-9 gate
     cap = params.grid_for(max_deg, d)
-    grid = params.grid_for(4 * int(g.degree()), d)
+    grid = params.grid_for(4 * int(F.degree()), d)
 
     while True:
-        K = max(grid // 2, g.u.K, g.w.K)
+        K = max(grid // 2, F.u.K, F.w.K)
         keys = key_grid(K, d)
         sup = np.abs(keys).max(axis=-1)
         weights = np.exp(sup * 1.0 * h)
         resonant = np.stack(rule.resonant(K, d))
         divisors = _mode_divisors(keys, alpha, sigma)
         phases = shift_phases(K, d, alpha)
-        blocks, degree = g.blocks(K), g.degree()
+        blocks, degree = F.blocks(K), F.degree()
         E_acc, sweeps, dropped = None, [], 0.0
         for it in range(NEWTON_MAX_SWEEPS):
             nre = np.where(resonant, 0, blocks)
@@ -580,28 +576,24 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
         grid = min(2 * grid, cap)
 
     if E_acc is None:
-        Y_total = Su11Series.zero(d)
+        Y = Su11Series.zero(d)
     else:
-        Y_total = su11_series_from_samples(*_su11_log_pair(*E_acc), d, max_degree=max_deg)
-    # back to the original frame
-    Pinv = np.linalg.inv(P)
-    Y_out = Y_total.ad_constant(Pinv)
-    F_star = Su11Series.from_blocks(d, blocks).ad_constant(Pinv)
-    F_star.prune(1e-18)
+        Y = su11_series_from_samples(*_su11_log_pair(*E_acc), d, max_degree=max_deg)
+    F_star = Su11Series.from_blocks(d, blocks).prune(1e-18)
 
     # certification on random probes
     rng = np.random.default_rng(seed)
     pr = rng.uniform(0, 2 * math.pi, size=(8, d))
-    lhs = mat_product(su11_exp(Y_out.sample(pr + 2 * math.pi * alpha)), A,
-                      su11_exp(F.sample(pr)), su11_exp(-Y_out.sample(pr)))
+    lhs = mat_product(su11_exp(Y.sample(pr + 2 * math.pi * alpha)), A,
+                      su11_exp(F.sample(pr)), su11_exp(-Y.sample(pr)))
     rhs = mat_product(A, su11_exp(F_star.sample(pr)))
     residual = float(np.max(np.abs(lhs - rhs)))
 
-    y_norm = Y_out.norm(h)
+    y_norm = Y.norm(h)
     report = {"sweeps": sweeps, "residual": residual, "dropped_mass": dropped,
-              "y_norm": y_norm, "sigma": sigma, "grid": grid,
+              "y_norm": y_norm, "grid": grid,
               "y_bound_monitor": y_norm <= 2.0 * F.norm(h) / max(eta, 1e-300) + 1e-12}
-    return Y_out, F_star, report
+    return Y, F_star, report
 
 
 # ---------------------------------------------------------------------------
@@ -710,14 +702,15 @@ def kam_step(state: KamState, params: KamParams):
         new_state = KamState(j=j + 1, A=state.A.copy(), f=state.f.copy(),
                              pending=remaining, W=state.W.copy(),
                              Dinv=state.Dinv, alpha=alpha, n_tilde=state.n_tilde,
-                             sigma0=state.sigma0, stopped=not (done and remaining))
+                             stopped=not (done and remaining))
         return new_state, report
     if not elliptic:
         raise StateInvalid(
             f"constant part not elliptic (Re a = {re_a:.6f}) with perturbation "
             f"{norm_before:.3e} above the stop tolerance")
 
-    sigma = frame_rotation_su11(state.A)
+    P, theta = diagonalize_su11(state.A)
+    sigma = theta / (2 * math.pi)
     N = params.window(j)
     dioph_min = _min_divisor_distance(alpha, N, d)
     # the resonant route must absorb every site the Newton sweep cannot solve
@@ -726,59 +719,49 @@ def kam_step(state: KamState, params: KamParams):
     thr = min(params.threshold(j),
               max(dioph_min / 5, 4.0 * math.sqrt(max(norm_before, 0.0))))
     cls = classify_resonance(sigma, alpha, N, thr)
-
-    diag_floor = dioph_min / 2
-
-    if cls.case == "NR":
-        rule = ModeRule(alpha=alpha, sigma=sigma, window=N,
-                        diag_floor=min(diag_floor, thr),
-                        off_floor=min(cls.distance / 2, thr),
-                        exclude=None, keep_w_mean=True)
-        Y, F_star, rep = remove_nonresonant(state.A, F_t, DIVISOR_FLOOR, h, alpha,
-                                            rule=rule, params=params,
-                                            seed=params.seed + j)
-        A_next, f_next = _split_mean(state.A, F_star, params)
-        B_step, B_inv = _exp_pair(Y, params)
-        W_next = _ad_series(B_step, B_inv, state.W, params)
-        n_tilde_next, site, site_unique = state.n_tilde, None, True
-        extra = {"y_norm": rep["y_norm"], "y_bound_monitor": rep["y_bound_monitor"]}
-    else:
-        site = cls.site
-        P, theta = diagonalize_su11(state.A)
-        sigma = theta / (2 * math.pi)
-        g = F_t.ad_constant(P)
-        rule = ModeRule(alpha=alpha, sigma=sigma, window=params.max_degree,
-                        diag_floor=min(diag_floor, thr),
-                        off_floor=min(thr, max(cls.distance * 2, DIVISOR_FLOOR * 10)),
-                        exclude=site, keep_w_mean=False)
-        A_diag = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-        Y, g_star, rep = remove_nonresonant(A_diag, g, DIVISOR_FLOOR, h, alpha,
-                                            rule=rule, params=params,
-                                            seed=params.seed + 101 * (j + 1))
-        # rotate the resonant site to frequency zero (doubled torus)
-        g_rot = g_star.shift_w(tuple(-c for c in site))
+    site, nr = cls.site, cls.case == "NR"
+    rule = ModeRule(alpha=alpha, sigma=sigma, window=N if nr else params.max_degree,
+                    diag_floor=min(dioph_min / 2, thr),
+                    off_floor=(min(cls.distance / 2, thr) if nr else
+                               min(thr, max(cls.distance * 2, DIVISOR_FLOOR * 10))),
+                    exclude=site, keep_w_mean=nr)
+    # the Newton removal runs in the eigenframe, A_j = P^{-1} D P
+    D = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
+    Y, F_star, rep = remove_nonresonant(D, F_t.ad_constant(P), DIVISOR_FLOOR, h, alpha,
+                                        rule=rule, params=params,
+                                        seed=params.seed + (j if nr else 101 * (j + 1)))
+    W, n_tilde_next = state.W, state.n_tilde
+    if nr:  # back to the frame of A_j
+        Pinv = np.linalg.inv(P)
+        Y, F_star = Y.ad_constant(Pinv), F_star.ad_constant(Pinv).prune(1e-18)
+        A_base = state.A
+    else:  # rotate the resonant site to frequency zero (doubled torus)
+        back = tuple(-c for c in site)
+        F_star = F_star.shift_w(back)
         phi_new = theta - math.pi * float(np.dot(site, alpha))
-        A_rot = np.diag([np.exp(1j * phi_new), np.exp(-1j * phi_new)])
-        A_next, f_next = _split_mean(A_rot, g_rot, params)
-        expY, expYinv = _exp_pair(Y, params)
-        Q = _q_series(site, d)
-        Qinv = _q_series(site, d, inverse=True)
-        B_step = multiply(Q, multiply(expY, FourierSeries.constant(d, P),
-                                      max_degree=params.max_degree),
-                          max_degree=params.max_degree)
+        A_base = np.diag([np.exp(1j * phi_new), np.exp(-1j * phi_new)])
+        W = W.ad_constant(P)
+    A_next, f_next = _split_mean(A_base, F_star, params)
+    B_step, B_inv = _exp_pair(Y, params)
+    W_next = _ad_series(B_step, B_inv, W, params)
+    extra = {"y_norm": Y.norm(h)}
+    if nr:
+        extra["y_bound_monitor"] = rep["y_bound_monitor"]
+    else:
+        md = params.max_degree
+        B_step = multiply(_q_series(site, d),
+                          multiply(B_step, FourierSeries.constant(d, P), max_degree=md),
+                          max_degree=md)
         B_inv = multiply(FourierSeries.constant(d, np.linalg.inv(P)),
-                         multiply(expYinv, Qinv, max_degree=params.max_degree),
-                         max_degree=params.max_degree)
-        W1 = state.W.ad_constant(P)
-        W2 = _ad_series(expY, expYinv, W1, params)
-        W_next = W2.shift_w(tuple(-c for c in site))
-        n_tilde_next = tuple(a + b for a, b in zip(state.n_tilde, site))
-        site_unique = cls.unique
-        extra = {"y_norm": rep["y_norm"], "rotation_shift": float(np.dot(site, alpha)) / 2}
+                         multiply(B_inv, _q_series(site, d, inverse=True), max_degree=md),
+                         max_degree=md)
+        W_next = W_next.shift_w(back)
+        n_tilde_next = tuple(a + b for a, b in zip(n_tilde_next, site))
+        extra["rotation_shift"] = float(np.dot(site, alpha)) / 2
         if labels:
             # tracked off-diagonal source: the site coefficient of the
             # diagonal-frame potential term P (V W) P^{-1}
-            t_hat = complex(shift_sum(W1.w, *V_modes, sup_norm(site))[site])
+            t_hat = complex(shift_sum(W.w, *V_modes, sup_norm(site))[site])
             extra["t_hat_site"] = [t_hat.real, t_hat.imag]
             extra["b_minus_t_hat"] = abs(complex(A_next[0, 1]) - t_hat)
     extra["sweep_grid"] = rep["grid"]
@@ -808,11 +791,11 @@ def kam_step(state: KamState, params: KamParams):
         norm_before=norm_before, norm_after=f_next.norm(params.width(j + 1)),
         residual=residual, xi=diag["xi"], big_m=diag["M"], small_m=diag["m"],
         b_next=complex(A_next[0, 1]), dropped_mass=dropped,
-        site_unique=site_unique, newton_sweeps=rep["sweeps"],
+        site_unique=cls.unique, newton_sweeps=rep["sweeps"],
         diagnostics=extra)
     new_state = KamState(j=j + 1, A=A_next, f=f_next, pending=remaining,
                          W=W_next, Dinv=Dinv_next, alpha=alpha,
-                         n_tilde=n_tilde_next, sigma0=state.sigma0)
+                         n_tilde=n_tilde_next)
     return new_state, report
 
 
@@ -879,7 +862,7 @@ def _reduce_at_energy(V, alpha, E, params: KamParams, max_steps):
                      f=Su11Series.zero(d), pending=pending,
                      W=Su11Series.constant(d, W_mat[0, 0].imag, W_mat[0, 1]),
                      Dinv=FourierSeries.constant(d, np.eye(2), halved=True),
-                     alpha=alpha, n_tilde=(0,) * d, sigma0=float(np.linalg.norm(A0, 2)))
+                     alpha=alpha, n_tilde=(0,) * d)
     reports = []
     for _ in range(max_steps):
         state, rep = kam_step(state, params)
@@ -912,7 +895,6 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     """
     params = params or KamParams()
     alpha_arr = np.atleast_1d(np.asarray(alpha, float))
-    relaxations = ["relaxed desk-scale thresholds in effect"]
 
     if "energy" in target:
         E = float(target["energy"])
@@ -925,7 +907,7 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
                 f"2 rho = {2 * rho:.8f} is not <n, alpha> mod 1 within "
                 f"{LOCK_TOL:.1e} for any candidate label")
         state, reports = _reduce_at_energy(V, alpha_arr, E, params, max_steps)
-        return _finalize(V, alpha_arr, E, label, state, reports, params, relaxations)
+        return _finalize(V, alpha_arr, E, label, state, reports, params)
 
     if "label" in target or "label_index" in target:
         if "label_index" in target:
@@ -936,7 +918,7 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
         edge = target.get("edge", "upper")
         E_edge, state, reports, search = _locate_edge(V, alpha_arr, label, edge,
                                                       params, max_steps)
-        result = _finalize(V, alpha_arr, E_edge, label, state, reports, params, relaxations)
+        result = _finalize(V, alpha_arr, E_edge, label, state, reports, params)
         result.edge_search = search
         return result
 
@@ -1089,9 +1071,9 @@ def _itp_search(indicator, E_in, t_in, E_out, t_out, found):
     return E_in, found, E_out, t_out
 
 
-def _finalize(V, alpha, E, label, state, reports, params, relaxations):
+def _finalize(V, alpha, E, label, state, reports, params):
     A_fin = np.asarray(state.A, complex)
-    psl_sign = 1
+    psl_sign, relaxations = 1, []
     if A_fin[0, 0].real < 0:
         A_fin = -A_fin
         psl_sign = -1
@@ -1127,7 +1109,7 @@ def _finalize(V, alpha, E, label, state, reports, params, relaxations):
         lower = n_norm ** (-(k + 5 * tau))
         upper = n_norm ** (-(k - 62 * tau)) if k > 62 * tau else math.inf
         window = {"lower": lower, "upper": upper,
-                  "inside": bool(lower <= abs(zeta) <= upper), "asserted": False}
+                  "inside": bool(lower <= abs(zeta) <= upper)}
     k0 = max(0, int(params.k_exponent - 90 * params.tau))
     if k0 == 0:
         relaxations.append("smoothness budget k - 90 tau is not positive at desk scale")

@@ -16,23 +16,39 @@ unchanged), then ``float.hex`` of the edge energy, zeta,
 the width of the edge search's final bracket, the delta2/delta1
 verdicts, and for each KAM step its ``sweep_grid`` and the ``float.hex`` of
 its Newton sweep norms, so a change that moves bits on purpose can quote
-which values moved.  The CLI's own messages are not printed.  Not collected by pytest:
-it runs four full edge reductions.
+which values moved.  The CLI's own messages are not printed.
+
+Every criterion-11 reduction is a single resonant step, so the script then
+runs fixed non-resonant steps: the criterion-8 NR perturbation under
+A = P D P^{-1}, D = diag(e^{2 pi i sigma}, e^{-2 pi i sigma}) for sigma in
+{0.1545, 0.3455, 0.6545, 0.8455} and P the SU(1,1) boost of rapidity t in
+{0, 0.2, 0.7}.  For each it prints every StepReport field (floats as
+``float.hex``), the new constant, the norm of the new remainder and the
+coefficient mass of the new D^{-1}.  Not collected by pytest: it runs four
+full edge reductions.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 
 import mpmath
+import numpy as np
 
 from qpsl.cli import main as qpsl_main
+from qpsl.cocycle import to_su11
+from qpsl.fourier import FourierSeries
+from qpsl.kam import KamParams, KamState, Su11Series, kam_step
 
 SEEDS = (1, 2)
 EDGES = ("upper", "lower")
+NR_SIGMAS = (0.1545, 0.3455, 0.6545, 0.8455)
+NR_BOOSTS = (0.0, 0.2, 0.7)
 
 
 def _golden_digits(digits):
@@ -91,6 +107,49 @@ def _run(seed):
                   f"{step['diagnostics'].get('sweep_grid')} sweeps {sweeps}")
 
 
+def _hex(value):
+    """float.hex of a float, of each part of a complex and of each entry of a
+    list, array or dict; repr of anything else."""
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (complex, np.complexfloating)):
+        return f"({_hex(value.real)} {_hex(value.imag)})"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + " ".join(_hex(v) for v in np.asarray(value, object).ravel()) + "]"
+    if isinstance(value, dict):
+        return "{" + " ".join(f"{k}={_hex(v)}" for k, v in value.items()) + "}"
+    return repr(value)
+
+
+def _nr_steps():
+    params = KamParams(schedule=None, max_degree=96, grid_size=1024, window_cap=24,
+                       conj_residual_tol=1e-9, probe_count=256)
+    W_mat = to_su11(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    W0 = Su11Series.constant(1, W_mat[0, 0].imag, W_mat[0, 1])
+    Dinv = FourierSeries(1, halved=True, kind="matrix")
+    Dinv[(0,)] = np.eye(2, dtype=complex)
+    names = {f.name for f in dataclasses.fields(KamState)}
+    for sigma in NR_SIGMAS:
+        for t in NR_BOOSTS:
+            P = np.array([[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]],
+                         complex)
+            A = P @ np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)]) \
+                @ np.linalg.inv(P)
+            f = Su11Series.zero(1)
+            f.w[(3,)], f.u[(2,)], f.u[(-2,)] = 2e-6, 1e-6, 1e-6
+            fields = dict(j=0, A=A, f=f, pending=[], W=W0.copy(), Dinv=Dinv.copy(),
+                          alpha=np.array([0.6180339887498949]), n_tilde=(0,))
+            if "sigma0" in names:  # a KamState that still carries ||A_0||
+                fields["sigma0"] = float(np.linalg.norm(A, 2))
+            new, rep = kam_step(KamState(**fields), params)
+            tag = f"NR sigma {sigma} boost {t}"
+            for field in dataclasses.fields(rep):
+                print(f"{tag} {field.name} {_hex(getattr(rep, field.name))}")
+            print(f"{tag} A {_hex(new.A)}")
+            print(f"{tag} f norm {_hex(new.f.norm(params.width(new.j)))}")
+            print(f"{tag} Dinv mass {_hex(new.Dinv.coeff_mass())}")
+
+
 def main():
     home = os.getcwd()
     for seed in SEEDS:
@@ -100,6 +159,7 @@ def main():
                 _run(seed)
             finally:
                 os.chdir(home)
+    _nr_steps()
 
 
 if __name__ == "__main__":

@@ -222,8 +222,7 @@ def _mk_state(A, f, alpha=GOLD):
     ident = FourierSeries(1, halved=True, kind="matrix")
     ident[(0,)] = np.eye(2, dtype=complex)
     return KamState(j=0, A=A, f=f, pending=[], W=W0,
-                    Dinv=ident.copy(), alpha=np.array([alpha]), n_tilde=(0,),
-                    sigma0=float(np.linalg.norm(A, 2)))
+                    Dinv=ident.copy(), alpha=np.array([alpha]), n_tilde=(0,))
 
 
 def test_criterion_08_kam_step():

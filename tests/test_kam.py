@@ -20,6 +20,7 @@ from qpsl.diophantine import dist_to_integers
 from qpsl.errors import (
     NewtonDiverged,
     NonConvergence,
+    QpslError,
     SmallDivisor,
     StateInvalid,
     TargetNotLocked,
@@ -75,8 +76,7 @@ def _state(A, f, params, pending=(), alpha=GOLD):
     ident[(0,)] = np.eye(2, dtype=complex)
     return KamState(j=0, A=A, f=f, pending=list(pending), W=W0,
                     Dinv=ident.copy(),
-                    alpha=np.array([alpha]), n_tilde=(0,),
-                    sigma0=float(np.linalg.norm(A, 2)))
+                    alpha=np.array([alpha]), n_tilde=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +100,6 @@ def test_classify_rs_quarter():
 def test_classify_nr_tight_threshold():
     cls = classify_resonance(0.25, [GOLD], N=10, threshold=0.02)
     assert cls.case == "NR"
-
-
-def test_classify_from_matrix():
-    A = np.diag([np.exp(2j * np.pi * 0.25), np.exp(-2j * np.pi * 0.25)])
-    cls = classify_resonance(A, [GOLD], N=10, threshold=0.05)
-    assert cls.case == "RS"
-    assert abs(cls.site[0]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +161,18 @@ def test_solve_homological_small_divisor_raised():
 
 
 def test_remove_nonresonant_zero():
-    A = to_su11(np.array([[2 * math.cos(2 * math.pi * 0.15), -1.0], [1.0, 0.0]]))
+    A = np.diag([np.exp(2j * np.pi * 0.15), np.exp(-2j * np.pi * 0.15)])
     Y, F_star, rep = remove_nonresonant(A, Su11Series.zero(1), 1e-9, 0.05,
                                         [GOLD], params=_params())
     assert Y.is_zero(1e-300)
     assert F_star.is_zero(1e-300)
+
+
+def test_remove_nonresonant_rejects_a_nondiagonal_constant():
+    # the caller moves to the eigenframe of its constant first
+    A = to_su11(np.array([[2 * math.cos(2 * math.pi * 0.15), -1.0], [1.0, 0.0]]))
+    with pytest.raises(QpslError, match="diagonal constant"):
+        remove_nonresonant(A, Su11Series.zero(1), 1e-9, 0.05, [GOLD], params=_params())
 
 
 def test_remove_nonresonant_residual_random():
@@ -257,7 +257,7 @@ def _stack_remove_nonresonant(A, F, eta, h, alpha, rule, params, grid):
     theta = float(np.angle(A[0, 0])) % (2 * math.pi)
     sigma = theta / (2 * math.pi)
     Ad = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-    g_cur = F.ad_constant(np.eye(2, dtype=complex))
+    g_cur = F
     scale = max(g_cur.norm(h), 1e-300)
 
     def series(vals):
@@ -276,9 +276,7 @@ def _stack_remove_nonresonant(A, F, eta, h, alpha, rule, params, grid):
         g_cur = series(mat_product(inner, _stack_exp(g_cur.on_grid(grid)), _adjugate(E_here)))
         dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
         E_acc = E_here if E_acc is None else mat_product(E_here, E_acc)
-    Pinv = np.linalg.inv(np.eye(2, dtype=complex))
-    return (series(E_acc).ad_constant(Pinv), g_cur.ad_constant(Pinv).prune(1e-18),
-            sweeps, dropped)
+    return series(E_acc), g_cur.copy().prune(1e-18), sweeps, dropped
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -556,6 +554,35 @@ def test_kam_step_rs_synthetic():
     thr = min(params.threshold(0), 1.0)
     sig_next = frame_rotation_su11(new.A)
     assert min(sig_next, 1 - sig_next) <= 2 * max(thr, offset * 2)
+
+
+@pytest.mark.parametrize("case, conjugations", [("NR", 3), ("RS", 2)])
+def test_kam_step_works_in_one_eigenframe(monkeypatch, case, conjugations):
+    # one diagonalization per step; F~ goes to the eigenframe once, and an NR
+    # step brings Y and F* back while an RS step moves W there instead
+    calls = {"diagonalize_su11": 0, "ad_constant": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(kam, "diagonalize_su11", counted("diagonalize_su11",
+                                                         kam.diagonalize_su11))
+    monkeypatch.setattr(Su11Series, "ad_constant", counted("ad_constant",
+                                                           Su11Series.ad_constant))
+    # the criterion-8 instances
+    f = Su11Series.zero(1)
+    if case == "NR":
+        sigma, f.w[(3,)], f.u[(2,)], f.u[(-2,)] = 0.1545, 2e-6, 1e-6, 1e-6
+    else:
+        sigma, f.w[(1,)], f.w[(4,)] = (4 * GOLD / 2 + 1e-5) % 1.0, 1e-4, 2e-4
+    A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
+    params = _params()
+    rep = kam_step(_state(A, f, params), params)[1]
+    assert rep.case == case and rep.residual < 1e-9
+    assert calls == {"diagonalize_su11": 1, "ad_constant": conjugations}
 
 
 def _probes(rng):
