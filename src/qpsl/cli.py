@@ -4,14 +4,18 @@ deterministic CSV/JSON artifacts.
 Every output embeds the canonical configuration and its SHA-256 hash, so a
 run is reproducible byte for byte from its own artifacts.  Exit codes:
 0 success, 1 invalid configuration, 2 computation error (machine-readable
-JSON on stderr).  QPSL_THREADS (or --workers) controls sweep parallelism;
-workers share nothing and results are assembled in input order.
+JSON on stderr).  ``report`` runs the stages build-set, verify-set, kam and
+edge-probe as subcommands on one config and leaves their artifacts beside
+report.json.  ``rotation`` and ``gaps`` take --workers (or QPSL_THREADS) for
+sweep parallelism; workers share nothing and results are assembled in input
+order.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -23,8 +27,7 @@ import numpy as np
 from . import __version__
 from .diophantine import cf_expand, frequency_vector
 from .errors import ConfigInvalid, QpslError
-from .fourier import (FourierSeries, amo_potential, build_potential, potential_modes,
-                      series_json)
+from .fourier import amo_potential, build_potential, potential_modes, series_dict
 from .kam import KamParams, ReducibilityResult, run_reducibility
 from .label_set import LabelSet, build_schedule, construct_label_set, ell_star, verify_label_set
 from .moser_poschel import bracket_gap, edge_data_from_reduction, poly_bounds_check
@@ -37,29 +40,26 @@ def _config_hash(cfg):
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _write(path, text):
+    """Write text to path, or to stdout when no path or '-' is given."""
+    if not path or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _emit_json(path, payload, cfg):
     payload = {"config": cfg, "config_hash": _config_hash(cfg),
                "qpsl_version": __version__, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is None or path == "-":
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return payload
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_csv(path, name, header, rows, cfg):
     lines = [f"# schema=qpsl.{name}.{SCHEMA_VERSION} config_hash={_config_hash(cfg)}",
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _fmt(v):
@@ -68,6 +68,16 @@ def _fmt(v):
     if isinstance(v, (tuple, list)):
         return ";".join(str(x) for x in v)
     return str(v)
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _opt(value, table, key, default):
+    """A flag's value, else the config table's entry, else the default."""
+    return value if value is not None else table.get(key, default)
 
 
 def _load_config(args):
@@ -82,38 +92,49 @@ def _load_config(args):
 
 
 def _freq_from(cfg, args):
+    fc = cfg.get("frequency", {})
     comps = None
-    if getattr(args, "alpha", None):
-        comps = [args.alpha]
-        if getattr(args, "alpha2", None):
-            comps.append(args.alpha2)
-    elif "frequency" in cfg:
-        comps = cfg["frequency"]["components"]
+    if args.alpha:
+        comps = [args.alpha] + ([args.alpha2] if args.alpha2 else [])
+    elif "components" in fc:
+        comps = fc["components"]
     if comps is None:
         raise ConfigInvalid("no frequency given (--alpha or config.frequency)")
-    gamma = getattr(args, "gamma", None) or cfg.get("frequency", {}).get("gamma", 0.5)
-    tau = getattr(args, "tau", None) or cfg.get("frequency", {}).get("tau", 1.5)
-    return frequency_vector(tuple(comps), gamma=float(gamma), tau=float(tau))
+    return frequency_vector(tuple(comps), gamma=float(_opt(args.gamma, fc, "gamma", 0.5)),
+                            tau=float(_opt(args.tau, fc, "tau", 1.5)))
 
 
 def _potential_from(cfg, args):
-    preset = getattr(args, "preset", None) or cfg.get("potential", {}).get("preset")
+    pc = cfg.get("potential", {})
+    preset = args.preset or pc.get("preset")
     if preset == "amo":
-        lam = getattr(args, "lam", None)
-        if lam is None:
-            lam = cfg.get("potential", {}).get("lambda")
+        lam = _opt(args.lam, pc, "lambda", None)
         if lam is None:
             raise ConfigInvalid("preset amo requires --lambda")
         return amo_potential(float(lam))
     if preset in (None, "none", "zero"):
-        set_path = getattr(args, "set", None) or cfg.get("potential", {}).get("set")
+        set_path = args.set or pc.get("set")
         if set_path is None:
             return None
-        with open(set_path) as fh:
-            ks = LabelSet.from_json(fh.read())
-        k = getattr(args, "k", None) or cfg.get("potential", {}).get("k", 2.0)
-        return build_potential(ks, k=float(k))
+        return build_potential(LabelSet.from_json(_read(set_path)),
+                               k=float(_opt(args.k, pc, "k", 2.0)))
     raise ConfigInvalid(f"unknown preset {preset!r}")
+
+
+def _scan(args, e_min, e_max, grid):
+    """Setup shared by rotation, ids and gaps: the config and its scan table,
+    the frequency, the potential, the energy grid and the run-config keys
+    every scan records."""
+    cfg = _load_config(args)
+    freq = _freq_from(cfg, args)
+    V = _potential_from(cfg, args)
+    scan = cfg.get("scan", {})
+    energies = np.linspace(float(_opt(args.emin, scan, "e_min", e_min)),
+                           float(_opt(args.emax, scan, "e_max", e_max)),
+                           int(_opt(args.grid, scan, "grid", grid)))
+    run_cfg = {"frequency": [str(r) for r in freq.raw], "seed": int(cfg.get("seed", 0)),
+               "potential": cfg.get("potential", {"preset": args.preset, "lambda": args.lam})}
+    return cfg, scan, freq, V, energies, run_cfg
 
 
 def _parse_labels(expr):
@@ -131,7 +152,7 @@ def _parse_labels(expr):
 
 
 def _workers(args):
-    w = getattr(args, "workers", None)
+    w = args.workers
     if w is None:
         w = os.environ.get("QPSL_THREADS", "1")
     return max(1, int(w))
@@ -173,11 +194,8 @@ def _rotation_job(V, alpha, energies, iters, samples, seed):
 
 
 def cmd_cf(args):
-    cfg = _load_config(args)
-    alpha = args.alpha or cfg.get("frequency", {}).get("components", [None])[0]
-    if alpha is None:
-        raise ConfigInvalid("cf requires --alpha")
-    depth = int(args.depth)
+    _load_config(args)
+    alpha, depth = args.alpha, int(args.depth)
     cf = cf_expand(alpha, depth)
     print("a =", ",".join(str(a) for a in cf.partial_quotients))
     print("q =", ",".join(str(q) for q in cf.q))
@@ -194,12 +212,12 @@ def cmd_build_set(args):
     cfg = _load_config(args)
     freq = _freq_from(cfg, args)
     sc = cfg.get("schedule", {})
-    M = float(args.M if args.M is not None else sc.get("M", 10.0))
-    s = float(args.s if args.s is not None else sc.get("s", 0.9))
-    depth = int(args.depth if args.depth is not None else sc.get("depth", 8))
-    j1 = int(args.j1 if args.j1 is not None else sc.get("j1", 0))
-    spacing = int(args.spacing if args.spacing is not None else sc.get("spacing", 2))
-    count = int(args.count if args.count is not None else sc.get("count", 1))
+    M = float(_opt(args.M, sc, "M", 10.0))
+    s = float(_opt(args.s, sc, "s", 0.9))
+    depth = int(_opt(args.depth, sc, "depth", 8))
+    j1 = int(_opt(args.j1, sc, "j1", 0))
+    spacing = int(_opt(args.spacing, sc, "spacing", 2))
+    count = int(_opt(args.count, sc, "count", 1))
     strict = bool(sc.get("strict", False)) or bool(args.strict)
     ell = None
     if args.k_exponent is not None:
@@ -207,20 +225,15 @@ def cmd_build_set(args):
                        a_norm=float(args.a_norm))
     sched = build_schedule(M, s, depth, ell_star_value=ell, strict=strict)
     ks = construct_label_set(freq, sched, j1=j1, spacing=spacing, count=count)
-    text = ks.to_json()
+    _write(args.out, ks.to_json() + "\n")
     if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
         print(f"wrote {args.out}: labels {ks.labels() if ks.d == 1 else len(ks.entries)}")
-    else:
-        print(text)
     return 0
 
 
 def cmd_verify_set(args):
-    cfg = _load_config(args)
-    with open(args.set) as fh:
-        ks = LabelSet.from_json(fh.read())
+    _load_config(args)
+    ks = LabelSet.from_json(_read(args.set))
     targets = None
     if args.targets:
         targets = [float(t) for t in args.targets.split(",")]
@@ -248,66 +261,43 @@ def cmd_potential(args):
     _emit_csv(args.out, "potential", ["theta", "V"], rows, base_cfg)
     if args.series_out:
         with open(args.series_out, "w") as fh:
-            fh.write(series_json(V.d, *potential_modes(V)) + "\n")
+            fh.write(json.dumps(series_dict(V.d, *potential_modes(V))) + "\n")
     return 0
 
 
 def cmd_rotation(args):
-    cfg = _load_config(args)
-    freq = _freq_from(cfg, args)
-    V = _potential_from(cfg, args)
-    scan = cfg.get("scan", {})
-    energies = np.linspace(float(args.emin if args.emin is not None else scan.get("e_min", -2.5)),
-                           float(args.emax if args.emax is not None else scan.get("e_max", 2.5)),
-                           int(args.grid if args.grid is not None else scan.get("grid", 101)))
-    iters = int(args.iters if args.iters is not None else scan.get("iters", 100_000))
-    samples = int(args.samples if args.samples is not None else scan.get("samples", 3))
-    seed = int(cfg.get("seed", 0))
-    with _rotation_runner(V, freq.floats(), iters, samples, seed, _workers(args)) as rotate:
+    _, scan, freq, V, energies, run_cfg = _scan(args, -2.5, 2.5, 101)
+    iters = int(_opt(args.iters, scan, "iters", 100_000))
+    samples = int(_opt(args.samples, scan, "samples", 3))
+    with _rotation_runner(V, freq.floats(), iters, samples, run_cfg["seed"],
+                          _workers(args)) as rotate:
         curve = rotate(energies)
-    run_cfg = {"frequency": [str(r) for r in freq.raw], "iters": iters,
-               "samples": samples, "seed": seed,
-               "potential": cfg.get("potential", {"preset": args.preset, "lambda": args.lam}),
-               "grid": [float(energies[0]), float(energies[-1]), int(energies.size)]}
+    run_cfg.update(iters=iters, samples=samples,
+                   grid=[float(energies[0]), float(energies[-1]), int(energies.size)])
     rows = list(zip(energies.tolist(), curve.rho.tolist(), curve.dispersion.tolist()))
     _emit_csv(args.out, "rotation", ["E", "rho", "dispersion"], rows, run_cfg)
     return 0
 
 
 def cmd_ids(args):
-    cfg = _load_config(args)
-    freq = _freq_from(cfg, args)
-    V = _potential_from(cfg, args)
-    scan = cfg.get("scan", {})
-    energies = np.linspace(float(args.emin if args.emin is not None else scan.get("e_min", -2.5)),
-                           float(args.emax if args.emax is not None else scan.get("e_max", 2.5)),
-                           int(args.grid if args.grid is not None else scan.get("grid", 101)))
-    N = int(args.N if args.N is not None else scan.get("N", 1000))
-    phases = int(args.phases if args.phases is not None else scan.get("phases", 4))
-    seed = int(cfg.get("seed", 0))
-    curve = ids_curve(V, freq.floats(), energies, N=N, phases=phases, seed=seed)
-    run_cfg = {"frequency": [str(r) for r in freq.raw], "N": N, "phases": phases,
-               "seed": seed,
-               "potential": cfg.get("potential", {"preset": args.preset, "lambda": args.lam}),
-               "grid": [float(energies[0]), float(energies[-1]), int(energies.size)]}
+    _, scan, freq, V, energies, run_cfg = _scan(args, -2.5, 2.5, 101)
+    N = int(_opt(args.N, scan, "N", 1000))
+    phases = int(_opt(args.phases, scan, "phases", 4))
+    curve = ids_curve(V, freq.floats(), energies, N=N, phases=phases, seed=run_cfg["seed"])
+    run_cfg.update(N=N, phases=phases,
+                   grid=[float(energies[0]), float(energies[-1]), int(energies.size)])
     rows = list(zip(energies.tolist(), curve.values.tolist()))
     _emit_csv(args.out, "ids", ["E", "N"], rows, run_cfg)
     return 0
 
 
 def cmd_gaps(args):
-    cfg = _load_config(args)
-    freq = _freq_from(cfg, args)
-    V = _potential_from(cfg, args)
-    scan = cfg.get("scan", {})
-    energies = np.linspace(float(args.emin if args.emin is not None else scan.get("e_min", -2.8)),
-                           float(args.emax if args.emax is not None else scan.get("e_max", 2.8)),
-                           int(args.grid if args.grid is not None else scan.get("grid", 201)))
-    iters = int(args.iters if args.iters is not None else scan.get("iters", 60_000))
-    samples = int(args.samples if args.samples is not None else scan.get("samples", 2))
-    seed = int(cfg.get("seed", 0))
+    cfg, scan, freq, V, energies, run_cfg = _scan(args, -2.8, 2.8, 201)
+    iters = int(_opt(args.iters, scan, "iters", 60_000))
+    samples = int(_opt(args.samples, scan, "samples", 2))
+    seed = run_cfg["seed"]
     labels = _parse_labels(args.labels or cfg.get("labels"))
-    tol = float(args.tol if args.tol is not None else cfg.get("tol", 1e-3))
+    tol = float(_opt(args.tol, cfg, "tol", 1e-3))
     alpha = freq.floats()
     with _rotation_runner(V, alpha, iters, samples, seed, _workers(args)) as rotate:
         curve = rotate(energies)
@@ -320,43 +310,36 @@ def cmd_gaps(args):
                        phases=int(scan.get("phases", 4)), seed=seed)
         rows = list(zip(energies.tolist(), curve.rho.tolist(), ic.values.tolist()))
         _emit_csv(args.curve_out, "curves", ["E", "rho", "N"], rows,
-                  {"frequency": [str(r) for r in freq.raw], "iters": iters,
+                  {"frequency": run_cfg["frequency"], "iters": iters,
                    "N_trunc": N, "seed": seed})
-    k = float(args.k if args.k is not None else cfg.get("potential", {}).get("k", 2.0))
+    k = float(_opt(args.k, cfg.get("potential", {}), "k", 2.0))
     rows = []
     for g in gaps:
         chk = gap_bounds_check(g, k, freq.dc_tau)
         rows.append((g.label, g.E_minus, g.E_plus, g.length,
                      chk["r"] if chk["r"] is not None else "",
                      chk["window"] if chk["window"] else ""))
-    run_cfg = {"frequency": [str(r) for r in freq.raw], "labels": labels,
-               "tol": tol, "iters": iters, "seed": seed,
-               "potential": cfg.get("potential", {"preset": args.preset, "lambda": args.lam})}
+    run_cfg.update(labels=labels, tol=tol, iters=iters)
     _emit_csv(args.out, "gaps", ["label", "E_minus", "E_plus", "length", "r", "window"],
               rows, run_cfg)
     return 0
 
 
-def _kam_params(cfg, freq, sched, k):
+def cmd_kam(args):
+    cfg = _load_config(args)
+    ks = LabelSet.from_json(_read(args.set))
+    freq = ks.frequency
+    k = float(_opt(args.k, cfg.get("potential", {}), "k", 2.0))
+    V = build_potential(ks, k=k)
     kc = cfg.get("kam", {})
-    return KamParams(
-        tau=freq.dc_tau, k_exponent=float(k), schedule=sched,
+    params = KamParams(
+        tau=freq.dc_tau, k_exponent=k, schedule=ks.schedule,
         max_degree=int(kc.get("max_degree", 384)),
         grid_size=int(kc.get("grid_size", 2048)),
         conj_residual_tol=float(kc.get("conj_residual_tol", 1e-9)),
         stop_tol=float(kc.get("stop_tol", 1e-12)),
         seed=int(cfg.get("seed", 0)),
     )
-
-
-def cmd_kam(args):
-    cfg = _load_config(args)
-    with open(args.set) as fh:
-        ks = LabelSet.from_json(fh.read())
-    freq = ks.frequency
-    k = float(args.k if args.k is not None else cfg.get("potential", {}).get("k", 2.0))
-    V = build_potential(ks, k=k)
-    params = _kam_params(cfg, freq, ks.schedule, k)
     unmet = params.strict_unmet() if args.strict else []
     if unmet:
         raise ConfigInvalid("kam --strict: the run misses the paper's regime: "
@@ -367,10 +350,8 @@ def cmd_kam(args):
         target = {"label_index": int(args.label_index), "edge": args.edge}
     res = run_reducibility(V, freq.floats(), target, params=params,
                            max_steps=int(args.max_steps))
-    payload = res.as_dict()
-    payload["B_series"] = json.loads(res.B.to_json())
     run_cfg = {"set": args.set, "k": k, "target": target, "seed": params.seed}
-    _emit_json(args.out, payload, run_cfg)
+    _emit_json(args.out, res.as_dict(), run_cfg)
     if args.steps_out:
         with open(args.steps_out, "w") as fh:
             for rep in res.reports:
@@ -379,19 +360,10 @@ def cmd_kam(args):
 
 
 def cmd_edge_probe(args):
-    cfg = _load_config(args)
-    with open(args.result) as fh:
-        data = json.load(fh)
-    B = FourierSeries.from_json(json.dumps(data["B_series"]))
-    res = ReducibilityResult(
-        B=B, zeta=data["zeta"], k0=data["k0"],
-        conj_residual=data["conj_residual"], energy=data["energy"],
-        label=tuple(data["label"]) if data.get("label") else None,
-        reports=[], psl_sign=data.get("psl_sign", 1),
-        zeta_window=data.get("zeta_window", {}),
-        b_final=complex(*data["b_final"]), phi=data.get("phi", 0.0))
-    with open(args.set) as fh:
-        ks = LabelSet.from_json(fh.read())
+    _load_config(args)
+    data = json.loads(_read(args.result))
+    res = ReducibilityResult.from_dict(data)
+    ks = LabelSet.from_json(_read(args.set))
     # the probe needs the potential the edge was reduced with; without it
     # the free operator would be probed and the verdicts would mean nothing
     k = data.get("config", {}).get("k")
@@ -422,66 +394,60 @@ def cmd_edge_probe(args):
         payload["poly_bounds"] = poly_bounds_check(edge, float(args.kappa))
     _emit_json(args.out, payload, {"result": args.result, "set": args.set, "k": k})
     if args.gap_csv:
-        row = [(res.label, out["lower"], out["upper"], edge.zeta,
-                payload.get("delta2", {}).get("verdict", ""),
-                payload.get("delta1", {}).get("verdict", ""))]
-        mode = "a" if os.path.exists(args.gap_csv) else "w"
-        with open(args.gap_csv, mode) as fh:
-            if mode == "w":
+        row = (res.label, out["lower"], out["upper"], edge.zeta,
+               payload.get("delta2", {}).get("verdict", ""),
+               payload.get("delta1", {}).get("verdict", ""))
+        new = not os.path.exists(args.gap_csv)
+        with open(args.gap_csv, "a") as fh:
+            if new:
                 fh.write(f"# schema=qpsl.bracket.{SCHEMA_VERSION}\n")
                 fh.write("label,delta2,delta1,zeta,delta2_verdict,delta1_verdict\n")
-            for r in row:
-                fh.write(",".join(_fmt(v) for v in r) + "\n")
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     return 0
 
 
 def cmd_report(args):
+    """Run build-set, verify-set, kam and edge-probe on the config, each as its
+    own subcommand, and summarize their artifacts in report.json."""
     cfg = _load_config(args)
     if not cfg:
         raise ConfigInvalid("report requires --config")
-    freq = _freq_from(cfg, args)
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    summary = {"stages": {}}
-
-    sc = cfg.get("schedule", {})
-    sched = build_schedule(sc.get("M", 10.0), sc.get("s", 0.9), sc.get("depth", 8),
-                           strict=sc.get("strict", False))
-    ks = construct_label_set(freq, sched, j1=sc.get("j1", 0),
-                             spacing=sc.get("spacing", 2), count=sc.get("count", 1))
-    set_path = os.path.join(out_dir, "set.json")
-    with open(set_path, "w") as fh:
-        fh.write(ks.to_json() + "\n")
-    rep = verify_label_set(ks, sched, density_targets=[i / 10 for i in range(10)],
-                           density_tol=cfg.get("tol", 0.25))
-    summary["stages"]["label_set"] = {"passed": rep.passed, "path": set_path}
-
-    k = cfg.get("potential", {}).get("k", 2.0)
-    V = build_potential(ks, k=k)
-    params = _kam_params(cfg, freq, sched, k)
-    res = run_reducibility(V, freq.floats(),
-                           {"label_index": cfg.get("kam", {}).get("label_index", 0),
-                            "edge": cfg.get("kam", {}).get("edge", "upper")},
-                           params=params,
-                           max_steps=cfg.get("kam", {}).get("max_steps", 24))
-    summary["stages"]["kam"] = {"energy": res.energy, "zeta": res.zeta,
-                                "conj_residual": res.conj_residual,
-                                "zeta_window": res.zeta_window}
-    edge = edge_data_from_reduction(res, freq.floats(), tau=freq.dc_tau)
-    br = bracket_gap(edge, V, freq.floats(), probe=cfg.get("probe", True))
-    summary["stages"]["bracket"] = {
-        "lower": br["lower"], "upper": br["upper"],
-        "delta2": br["checks"]["delta2"].verdict if br["checks"] else None,
-        "delta1": br["checks"]["delta1"].verdict if br["checks"] else None,
-    }
-    _emit_json(os.path.join(out_dir, "report.json"), summary, cfg)
-    print(f"report written to {os.path.join(out_dir, 'report.json')}")
+    path = {name: os.path.join(out_dir, name + ".json")
+            for name in ("set", "verify", "kam", "probe", "report")}
+    kc = cfg.get("kam", {})
+    stages = (
+        ["build-set", "--out", path["set"]],
+        ["verify-set", "--set", path["set"], "--num-targets", "10",
+         "--tol", str(cfg.get("tol", 0.25)), "--out", path["verify"]],
+        ["kam", "--set", path["set"], "--label-index", str(kc.get("label_index", 0)),
+         "--edge", str(kc.get("edge", "upper")), "--max-steps", str(kc.get("max_steps", 24)),
+         "--out", path["kam"]],
+        ["edge-probe", "--result", path["kam"], "--set", path["set"], "--out", path["probe"]]
+        + ([] if cfg.get("probe", True) else ["--no-probe"]),
+    )
+    for argv in stages:
+        rc = main(argv + ["--config", args.config])
+        if rc:
+            return rc
+    verify, kam, probe = (json.loads(_read(path[name])) for name in ("verify", "kam", "probe"))
+    summary = {"stages": {
+        "label_set": {"passed": verify["passed"], "path": path["set"]},
+        "kam": {key: kam[key] for key in ("energy", "zeta", "conj_residual", "zeta_window")},
+        "bracket": {"lower": probe["bracket"][0], "upper": probe["bracket"][1],
+                    **{key: probe[key]["verdict"] if key in probe else None
+                       for key in ("delta2", "delta1")}},
+    }}
+    _emit_json(path["report"], summary, cfg)
+    print(f"report written to {path['report']}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(prog="qpsl", description=__doc__.split("\n")[0])
     p.add_argument("--version", action="version", version=__version__)
@@ -490,7 +456,6 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--workers", type=int, help="parallel workers (QPSL_THREADS)")
 
     sp = sub.add_parser("cf", help="continued-fraction expansion")
     common(sp)
@@ -546,11 +511,15 @@ def _build_parser():
         sp.add_argument("--emax", type=float)
         sp.add_argument("--grid", type=int)
 
+    def sweep_opts(sp):
+        sp.add_argument("--iters", type=int)
+        sp.add_argument("--samples", type=int)
+        sp.add_argument("--workers", type=int, help="parallel workers (QPSL_THREADS)")
+
     sp = sub.add_parser("rotation", help="rotation-number curve")
     common(sp)
     scan_opts(sp)
-    sp.add_argument("--iters", type=int)
-    sp.add_argument("--samples", type=int)
+    sweep_opts(sp)
     sp.set_defaults(func=cmd_rotation)
 
     sp = sub.add_parser("ids", help="integrated density of states curve")
@@ -563,8 +532,7 @@ def _build_parser():
     sp = sub.add_parser("gaps", help="detect and label spectral gaps")
     common(sp)
     scan_opts(sp)
-    sp.add_argument("--iters", type=int)
-    sp.add_argument("--samples", type=int)
+    sweep_opts(sp)
     sp.add_argument("--labels", help="candidates, e.g. '1..5' or '1,3,8'")
     sp.add_argument("--tol", type=float)
     sp.add_argument("--refine", action="store_true", help="refine edges on the lock condition")
@@ -595,8 +563,8 @@ def _build_parser():
     sp.add_argument("--gap-csv", help="append a bracket summary row here")
     sp.set_defaults(func=cmd_edge_probe)
 
-    sp = sub.add_parser("report", help="full pipeline from a config file")
-    common(sp)
+    sp = sub.add_parser("report", help="full pipeline from a config file, stage by stage")
+    sp.add_argument("--config", help="JSON config file")
     sp.set_defaults(func=cmd_report)
 
     return p

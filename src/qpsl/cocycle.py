@@ -32,7 +32,7 @@ from .fourier import FourierSeries, Potential, grid_points
 __all__ = [
     "M_CONJ", "M_CONJ_INV", "mat_product", "pair_product", "diag_pair_product",
     "to_su11", "from_su11", "check_su11",
-    "su11_exp", "su11_exp_pair", "frame_rotation_su11",
+    "su11_exp", "su11_exp_pair",
     "parabolic_normalize", "diagonalize_su11", "rotation_matrix",
     "QpCocycle", "schrodinger_cocycle", "conjugate",
     "potential_values", "orbit_potential", "pivot_negatives", "oscillation_rho",
@@ -132,25 +132,6 @@ def _su11_log_pair(A, B):
                     1.0 + lam_h * lam_h / 6.0)
     sc = np.where(near, 1.0, np.where(elliptic, sc_e, sc_h))
     return A.imag / sc, B / sc
-
-
-def frame_rotation_su11(A):
-    """Angle (cycles, in [0, 1)) of the first diagonal entry after SU(1,1)
-    diagonalization: the positive-J-norm eigenvalue.  Trace >= 2 gives 0 and
-    trace <= -2 gives 1/2."""
-    A = np.asarray(A, complex)
-    re = A[0, 0].real
-    if re >= 1.0:
-        return 0.0
-    if re <= -1.0:
-        return 0.5
-    w, vecs = np.linalg.eig(A)
-    for k in (0, 1):
-        v = vecs[:, k]
-        if abs(v[0]) ** 2 - abs(v[1]) ** 2 > 0:
-            return (float(np.angle(w[k])) / (2 * math.pi)) % 1.0
-    # numerically parabolic: J-norms vanish
-    return 0.0 if re > 0 else 0.5
 
 
 @dataclass

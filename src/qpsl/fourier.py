@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -286,12 +285,11 @@ class FourierSeries:
         return FourierSeries.from_block(self.d, block, halved=True, kind=self.kind)
 
     # -- serialization ----------------------------------------------------
-    def to_json(self):
-        return series_json(self.d, *self.modes(), halved=self.halved, kind=self.kind)
+    def as_dict(self):
+        return series_dict(self.d, *self.modes(), halved=self.halved, kind=self.kind)
 
     @staticmethod
-    def from_json(text):
-        data = json.loads(text)
+    def from_dict(data):
         rows, kind, d = data["coeffs"], data["kind"], data["d"]
         scalar = kind == "scalar"
         keys = [row[0] for row in rows]
@@ -306,14 +304,14 @@ class FourierSeries:
         return FourierSeries(d, {(0,) * d: value}, halved=halved, kind=kind)
 
 
-def series_json(d, keys, values, halved=False, kind="scalar"):
-    """JSON text of a series given by its nonzero modes, keys sorted: one row
-    [key, re, im] per scalar mode, [key, [re, im] * 4 entries] per matrix."""
+def series_dict(d, keys, values, halved=False, kind="scalar"):
+    """JSON-ready dict of a series given by its nonzero modes, keys sorted: one
+    row [key, re, im] per scalar mode, [key, [re, im] * 4 entries] per matrix."""
     vals = np.asarray(values, complex)
     flat = np.stack([vals.real, vals.imag], axis=-1).reshape(len(vals), -1).tolist()
     rows = [[n] + v if kind == "scalar" else [n, v]
             for n, v in zip(np.asarray(keys).tolist(), flat)]
-    return json.dumps({"d": d, "halved": halved, "kind": kind, "coeffs": rows})
+    return {"d": d, "halved": halved, "kind": kind, "coeffs": rows}
 
 
 def _common_denominator(a, b):

@@ -50,7 +50,6 @@ ROTATION_ITERS.  Everything a caller sets is on :class:`KamParams`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -842,10 +841,20 @@ class ReducibilityResult:
             "relaxations": self.relaxations,
             "edge_search": self.edge_search,
             "steps": [r.as_dict() for r in self.reports],
+            "B_series": self.B.as_dict(),
         }
 
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2)
+    @staticmethod
+    def from_dict(data):
+        """The result ``as_dict`` wrote; its step reports stay in ``data``."""
+        return ReducibilityResult(
+            B=FourierSeries.from_dict(data["B_series"]), zeta=data["zeta"],
+            k0=data["k0"], conj_residual=data["conj_residual"], energy=data["energy"],
+            label=tuple(data["label"]) if data.get("label") else None, reports=[],
+            psl_sign=data.get("psl_sign", 1), zeta_window=data.get("zeta_window", {}),
+            b_final=complex(*data["b_final"]), phi=data.get("phi", 0.0),
+            b_ck_norm=data.get("b_ck_norm"), relaxations=data.get("relaxations", []),
+            edge_search=data.get("edge_search"))
 
 
 def _reduce_at_energy(V, alpha, E, params: KamParams, max_steps):

@@ -24,8 +24,14 @@ A = P D P^{-1}, D = diag(e^{2 pi i sigma}, e^{-2 pi i sigma}) for sigma in
 {0.1545, 0.3455, 0.6545, 0.8455} and P the SU(1,1) boost of rapidity t in
 {0, 0.2, 0.7}.  For each it prints every StepReport field (floats as
 ``float.hex``), the new constant, the norm of the new remainder and the
-coefficient mass of the new D^{-1}.  Not collected by pytest: it runs four
-full edge reductions.
+coefficient mass of the new D^{-1}.
+
+Last it runs ``qpsl report`` on the same configuration (seed 1, upper edge,
+bracket probes on) and prints the sha256 of ``report.json`` and of each stage
+artifact it leaves (``set.json``, ``verify.json``, ``kam.json``,
+``probe.json``) without ``config`` and ``config_hash``, or ``missing`` for an
+artifact a checkout's ``report`` does not write.  Not collected by pytest: it
+runs five full edge reductions.
 """
 
 import contextlib
@@ -68,9 +74,23 @@ def _sha(name):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _results_sha(name):
+    """sha256 of an artifact's JSON without its run configuration."""
+    if not os.path.exists(name):
+        return "missing"
+    with open(name) as fh:
+        data = json.load(fh)
+    results = {key: v for key, v in data.items() if key not in ("config", "config_hash")}
+    return hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+
+
+def _config(seed):
+    return {"seed": seed,
+            "kam": {"max_degree": 384, "grid_size": 2048, "conj_residual_tol": 1e-9}}
+
+
 def _run(seed):
-    config = {"seed": seed,
-              "kam": {"max_degree": 384, "grid_size": 2048, "conj_residual_tol": 1e-9}}
+    config = _config(seed)
     with open("config.json", "w") as fh:
         json.dump(config, fh)
     _qpsl(["build-set", "--alpha", _golden_digits(80), "--M", "10", "--s", "0.9",
@@ -84,11 +104,9 @@ def _run(seed):
                "--k", "2.0", "--out", probe_out], seed)
         for name in (kam_out, probe_out):
             print(f"seed {seed} {name} {_sha(name)}")
+        print(f"seed {seed} {kam_out} results-only {_results_sha(kam_out)}")
         with open(kam_out) as fh:
             kam = json.load(fh)
-        results = {key: v for key, v in kam.items() if key not in ("config", "config_hash")}
-        results_sha = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
-        print(f"seed {seed} {kam_out} results-only {results_sha}")
         with open(probe_out) as fh:
             probe = json.load(fh)
         values = [("energy", kam["energy"]), ("zeta", kam["zeta"]),
@@ -105,6 +123,20 @@ def _run(seed):
             sweeps = " ".join(float(v).hex() for v in step["newton_sweeps"])
             print(f"seed {seed} {edge} step {step['j']} {step['case']} sweep_grid "
                   f"{step['diagnostics'].get('sweep_grid')} sweeps {sweeps}")
+
+
+def _report(seed):
+    """``qpsl report`` on the criterion-11 configuration, probes on."""
+    config = {**_config(seed), "frequency": {"components": [_golden_digits(80)]},
+              "schedule": {"M": 10.0, "s": 0.9, "depth": 6, "count": 1},
+              "out_dir": "report"}
+    with open("config.json", "w") as fh:
+        json.dump(config, fh)
+    _qpsl(["report", "--config", "config.json"], seed)
+    print(f"report seed {seed} report.json {_sha(os.path.join('report', 'report.json'))}")
+    for name in ("set.json", "verify.json", "kam.json", "probe.json"):
+        print(f"report seed {seed} {name} results-only "
+              f"{_results_sha(os.path.join('report', name))}")
 
 
 def _hex(value):
@@ -160,6 +192,12 @@ def main():
             finally:
                 os.chdir(home)
     _nr_steps()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            _report(1)
+        finally:
+            os.chdir(home)
 
 
 if __name__ == "__main__":

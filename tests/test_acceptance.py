@@ -16,7 +16,6 @@ import pytest
 
 from qpsl.cocycle import (
     QpCocycle,
-    frame_rotation_su11,
     rotation_matrix,
     schrodinger_cocycle,
     to_su11,
@@ -251,7 +250,8 @@ def test_criterion_08_kam_step():
     assert rep_rs.case == "RS" and rep_rs.site == (4,)
     assert rep_rs.residual <= 1e-9
     thr = min(params.threshold(0), 4 * math.sqrt(rep_rs.norm_before))
-    sig_next = frame_rotation_su11(new2.A)
+    # the new constant's angle, cycles in [0, 1/2]: trace 2 cos(2 pi sigma)
+    sig_next = math.acos(np.clip(new2.A[0, 0].real, -1, 1)) / (2 * math.pi)
     rho_next = min(sig_next, 1 - sig_next)
     assert rho_next <= 2 * thr
     rt = time.time() - t0

@@ -197,6 +197,57 @@ def test_report_from_config(tmp_path):
     assert stages["bracket"]["delta2"] is None
 
 
+def test_report_runs_the_stage_subcommands(tmp_path, criterion11_kam):
+    # the criterion11_kam configuration, bracket probes on: report leaves the
+    # artifacts of its stages, equal to the subcommands' own
+    set_path, kam_out, _ = criterion11_kam
+    probe_out = tmp_path / "probe.json"
+    assert run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
+                    "--out", str(probe_out)]) == 0
+    out_dir = tmp_path / "report"
+    cfg = {"frequency": {"components": [golden_mean(80)]},
+           "schedule": {"M": 10.0, "s": 0.9, "depth": 6, "count": 1},
+           "out_dir": str(out_dir)}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["report", "--config", str(cfg_path)]) == 0
+    assert (out_dir / "set.json").read_bytes() == set_path.read_bytes()
+    assert json.loads((out_dir / "verify.json").read_text())["passed"]
+
+    def results(path):
+        data = json.loads(path.read_text())
+        return {key: v for key, v in data.items() if key not in ("config", "config_hash")}
+
+    kam_data, probe = results(out_dir / "kam.json"), results(out_dir / "probe.json")
+    assert kam_data == results(kam_out)
+    assert probe == results(probe_out)
+    stages = json.loads((out_dir / "report.json").read_text())["stages"]
+    assert stages["kam"] == {key: kam_data[key]
+                             for key in ("energy", "zeta", "conj_residual", "zeta_window")}
+    assert stages["bracket"] == {"lower": probe["bracket"][0], "upper": probe["bracket"][1],
+                                 "delta2": probe["delta2"]["verdict"],
+                                 "delta1": probe["delta1"]["verdict"]}
+    # --workers only where a sweep reads it; report writes to its config's out_dir
+    for argv in (["kam", "--set", str(set_path), "--workers", "2"],
+                 ["report", "--config", str(cfg_path), "--out", "report.json"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+
+
+def test_explicit_zero_flags_are_kept(tmp_path, capsys, criterion11_kam):
+    # --k 0 reaches build_potential instead of falling back to k = 2
+    set_path, _, _ = criterion11_kam
+    assert run_cli(["potential", "--set", str(set_path), "--k", "0",
+                    "--out", str(tmp_path / "V.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "k must be positive"
+    out = tmp_path / "set.json"
+    assert run_cli(["build-set", "--alpha", golden_mean(80), "--M", "10", "--s", "0.9",
+                    "--depth", "6", "--count", "1", "--tau", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tau"] == 0.0
+
+
 def test_gaps_curve_out_combined_csv(tmp_path):
     out = tmp_path / "gaps.csv"
     curves = tmp_path / "curves.csv"

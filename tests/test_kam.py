@@ -10,7 +10,6 @@ from qpsl import kam
 from qpsl.cocycle import (
     _adjugate,
     _su11_log_pair,
-    frame_rotation_su11,
     mat_product,
     su11_element,
     su11_exp,
@@ -552,7 +551,8 @@ def test_kam_step_rs_synthetic():
     assert new.n_tilde == (4,)
     # the new constant rotates by at most twice the classification threshold
     thr = min(params.threshold(0), 1.0)
-    sig_next = frame_rotation_su11(new.A)
+    # the new constant's angle, cycles in [0, 1/2]: trace 2 cos(2 pi sigma)
+    sig_next = math.acos(np.clip(new.A[0, 0].real, -1, 1)) / (2 * math.pi)
     assert min(sig_next, 1 - sig_next) <= 2 * max(thr, offset * 2)
 
 
