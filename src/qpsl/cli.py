@@ -6,9 +6,10 @@ run is reproducible byte for byte from its own artifacts.  Exit codes:
 0 success, 1 invalid configuration, 2 computation error (machine-readable
 JSON on stderr).  ``report`` runs the stages build-set, verify-set, kam and
 edge-probe as subcommands on one config and leaves their artifacts beside
-report.json.  ``rotation`` and ``gaps`` take --workers (or QPSL_THREADS) for
-sweep parallelism; workers share nothing and results are assembled in input
-order.
+report.json.  Every subcommand but ``cf``, ``verify-set`` and ``edge-probe``
+(whose inputs are all flags or artifacts) reads a --config file.  ``rotation``
+and ``gaps`` take --workers (or QPSL_THREADS) for sweep parallelism; workers
+share nothing and results are assembled in input order.
 """
 
 from __future__ import annotations
@@ -194,7 +195,6 @@ def _rotation_job(V, alpha, energies, iters, samples, seed):
 
 
 def cmd_cf(args):
-    _load_config(args)
     alpha, depth = args.alpha, int(args.depth)
     cf = cf_expand(alpha, depth)
     print("a =", ",".join(str(a) for a in cf.partial_quotients))
@@ -232,7 +232,6 @@ def cmd_build_set(args):
 
 
 def cmd_verify_set(args):
-    _load_config(args)
     ks = LabelSet.from_json(_read(args.set))
     targets = None
     if args.targets:
@@ -360,7 +359,6 @@ def cmd_kam(args):
 
 
 def cmd_edge_probe(args):
-    _load_config(args)
     data = json.loads(_read(args.result))
     res = ReducibilityResult.from_dict(data)
     ks = LabelSet.from_json(_read(args.set))
@@ -418,17 +416,17 @@ def cmd_report(args):
             for name in ("set", "verify", "kam", "probe", "report")}
     kc = cfg.get("kam", {})
     stages = (
-        ["build-set", "--out", path["set"]],
+        ["build-set", "--config", args.config, "--out", path["set"]],
         ["verify-set", "--set", path["set"], "--num-targets", "10",
          "--tol", str(cfg.get("tol", 0.25)), "--out", path["verify"]],
         ["kam", "--set", path["set"], "--label-index", str(kc.get("label_index", 0)),
          "--edge", str(kc.get("edge", "upper")), "--max-steps", str(kc.get("max_steps", 24)),
-         "--out", path["kam"]],
+         "--config", args.config, "--out", path["kam"]],
         ["edge-probe", "--result", path["kam"], "--set", path["set"], "--out", path["probe"]]
         + ([] if cfg.get("probe", True) else ["--no-probe"]),
     )
     for argv in stages:
-        rc = main(argv + ["--config", args.config])
+        rc = main(argv)
         if rc:
             return rc
     verify, kam, probe = (json.loads(_read(path[name])) for name in ("verify", "kam", "probe"))
@@ -453,12 +451,13 @@ def _build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file")
+    def common(sp, config=True):
+        if config:
+            sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("cf", help="continued-fraction expansion")
-    common(sp)
+    common(sp, config=False)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--depth", type=int, default=8)
     sp.set_defaults(func=cmd_cf)
@@ -481,7 +480,7 @@ def _build_parser():
     sp.set_defaults(func=cmd_build_set)
 
     sp = sub.add_parser("verify-set", help="verify a label set")
-    common(sp)
+    common(sp, config=False)
     sp.add_argument("--set", required=True)
     sp.add_argument("--targets")
     sp.add_argument("--num-targets", type=int)
@@ -554,7 +553,7 @@ def _build_parser():
     sp.set_defaults(func=cmd_kam)
 
     sp = sub.add_parser("edge-probe", help="Moser-Poschel probes at a reduced edge")
-    common(sp)
+    common(sp, config=False)
     sp.add_argument("--result", required=True, help="kam output JSON")
     sp.add_argument("--set", required=True)
     sp.add_argument("--k", type=float)

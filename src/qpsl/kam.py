@@ -480,17 +480,19 @@ def _min_divisor_distance(alpha, N, d):
 
 
 def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
-                       params: KamParams = None, seed=0):
+                       params: KamParams = None):
     """Newton iteration conjugating (alpha, A e^F) to (alpha, A e^{F*}) with
     F* supported on the resonant complement of the mode rule, for a diagonal
     constant A = diag(e^{2 pi i sigma}, e^{-2 pi i sigma}) only (the caller
     works in the eigenframe of its constant); any other A raises QpslError.
 
     Returns (Y, F_star, report).  The conjugator is e^Y with
-    e^{Y(.+alpha)} A e^{F} e^{-Y} = A e^{F*}, certified on 8 random probes.
-    eta is the divisor floor passed to the mode-by-mode solves; |Y|_h is
-    monitored against 2 |F|_h / eta.  The sweeps run on a grid sized by
-    their content (see the module docstring), reported as ``grid``.
+    e^{Y(.+alpha)} A e^{F} e^{-Y} = A e^{F*}; the caller certifies it (kam_step
+    checks the step identity at random probes).  eta is the divisor floor
+    passed to the mode-by-mode solves.  The report holds ``sweeps``, the
+    non-resonant norm before each sweep, ``dropped_mass``, the coefficient
+    mass the sweeps dropped, and ``grid``, the grid they ran on (sized by
+    their content, see the module docstring).
 
     The iterate stays a stack of centred (u, w) blocks of half-width G / 2
     (the input's, if wider) until the exit; the resonance masks, divisors,
@@ -579,20 +581,7 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     else:
         Y = su11_series_from_samples(*_su11_log_pair(*E_acc), d, max_degree=max_deg)
     F_star = Su11Series.from_blocks(d, blocks).prune(1e-18)
-
-    # certification on random probes
-    rng = np.random.default_rng(seed)
-    pr = rng.uniform(0, 2 * math.pi, size=(8, d))
-    lhs = mat_product(su11_exp(Y.sample(pr + 2 * math.pi * alpha)), A,
-                      su11_exp(F.sample(pr)), su11_exp(-Y.sample(pr)))
-    rhs = mat_product(A, su11_exp(F_star.sample(pr)))
-    residual = float(np.max(np.abs(lhs - rhs)))
-
-    y_norm = Y.norm(h)
-    report = {"sweeps": sweeps, "residual": residual, "dropped_mass": dropped,
-              "y_norm": y_norm, "grid": grid,
-              "y_bound_monitor": y_norm <= 2.0 * F.norm(h) / max(eta, 1e-300) + 1e-12}
-    return Y, F_star, report
+    return Y, F_star, {"sweeps": sweeps, "dropped_mass": dropped, "grid": grid}
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +716,7 @@ def kam_step(state: KamState, params: KamParams):
     # the Newton removal runs in the eigenframe, A_j = P^{-1} D P
     D = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
     Y, F_star, rep = remove_nonresonant(D, F_t.ad_constant(P), DIVISOR_FLOOR, h, alpha,
-                                        rule=rule, params=params,
-                                        seed=params.seed + (j if nr else 101 * (j + 1)))
+                                        rule=rule, params=params)
     W, n_tilde_next = state.W, state.n_tilde
     if nr:  # back to the frame of A_j
         Pinv = np.linalg.inv(P)
@@ -744,8 +732,8 @@ def kam_step(state: KamState, params: KamParams):
     B_step, B_inv = _exp_pair(Y, params)
     W_next = _ad_series(B_step, B_inv, W, params)
     extra = {"y_norm": Y.norm(h)}
-    if nr:
-        extra["y_bound_monitor"] = rep["y_bound_monitor"]
+    if nr:  # |Y|_h against 2 |F~|_h / eta
+        extra["y_bound_monitor"] = extra["y_norm"] <= 2.0 * norm_before / DIVISOR_FLOOR + 1e-12
     else:
         md = params.max_degree
         B_step = multiply(_q_series(site, d),
@@ -969,7 +957,9 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
     Raises NonConvergence, with the record as its ``edge_search``, when the
     outer end of the final bracket is such a failure: the edge is then
     ambiguous, since the failure may lie just outside the gap or inside it,
-    and the search cannot tell the two apart.
+    and the search cannot tell the two apart.  Raises TargetNotLocked, with
+    the record, when the returned reduction's accumulated resonance n~ is
+    not +-label: the edge is then another label's.
     """
     lock = dist_to_integers(float(np.dot(label, alpha)) / 2)
     E0 = 2 * math.cos(2 * math.pi * lock)
@@ -1036,6 +1026,12 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
         exc = NonConvergence(
             f"{edge} edge search ended on a failed reduction ({kind} at "
             f"E = {E_fail!r}) after {search['evaluations']} evaluations")
+        exc.edge_search = search
+        raise exc
+    if state.n_tilde not in (label, tuple(-n for n in label)):
+        exc = TargetNotLocked(
+            f"{edge} edge at E = {float(E_in)!r} locks to n~ = {state.n_tilde}, "
+            f"not to label {label}")
         exc.edge_search = search
         raise exc
     return E_in, state, reports, search

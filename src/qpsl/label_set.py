@@ -130,6 +130,7 @@ def build_schedule(M, s, depth, ell_star_value=None, strict=False):
     hypotheses, otherwise record their violation."""
     if M <= 1 or not 0 <= s < 1 or depth < 1:
         raise QpslError("need M > 1, s in [0,1), depth >= 1")
+    M, s = float(M), float(s)  # an int and a float record the same text
     relaxations = []
     if M <= 1000:
         msg = f"M = {M} <= 1000"
@@ -141,7 +142,7 @@ def build_schedule(M, s, depth, ell_star_value=None, strict=False):
         if strict:
             raise QpslError("strict schedule rejects " + msg)
         relaxations.append(msg)
-    return GrowthSchedule(M=float(M), s=float(s), depth=int(depth),
+    return GrowthSchedule(M=M, s=s, depth=int(depth),
                           ell_star=ell_star_value, strict=strict,
                           relaxations=tuple(relaxations))
 

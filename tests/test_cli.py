@@ -1,5 +1,6 @@
 """CLI wiring: artifacts, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from qpsl import kam
-from qpsl.cli import main
+from qpsl.cli import _build_parser, main
 from qpsl.diophantine import frequency_vector, golden_mean
 from qpsl.fourier import amo_potential
 from qpsl.spectrum import detect_gaps, rotation_curve
@@ -246,6 +247,44 @@ def test_explicit_zero_flags_are_kept(tmp_path, capsys, criterion11_kam):
     assert run_cli(["build-set", "--alpha", golden_mean(80), "--M", "10", "--s", "0.9",
                     "--depth", "6", "--count", "1", "--tau", "0", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["tau"] == 0.0
+
+
+def test_cli_surface():
+    # every settable flag of every subcommand (--help aside); --config only
+    # where a config key is read
+    scan = ["--alpha", "--alpha2", "--gamma", "--tau", "--set", "--preset", "--lambda",
+            "--k", "--emin", "--emax", "--grid"]
+    sweep = ["--iters", "--samples", "--workers"]
+    surface = {
+        "cf": ["--out", "--alpha", "--depth"],
+        "build-set": ["--config", "--out", "--alpha", "--alpha2", "--gamma", "--tau", "--M",
+                      "--s", "--depth", "--j1", "--spacing", "--count", "--strict",
+                      "--k-exponent", "--a-norm"],
+        "verify-set": ["--out", "--set", "--targets", "--num-targets", "--tol"],
+        "potential": ["--config", "--out", "--set", "--preset", "--lambda", "--k",
+                      "--samples", "--series-out"],
+        "rotation": ["--config", "--out"] + scan + sweep,
+        "ids": ["--config", "--out"] + scan + ["--N", "--phases"],
+        "gaps": ["--config", "--out"] + scan + sweep + ["--labels", "--tol", "--refine",
+                                                        "--curve-out"],
+        "kam": ["--config", "--out", "--set", "--label-index", "--edge", "--energy", "--k",
+                "--max-steps", "--strict", "--steps-out"],
+        "edge-probe": ["--out", "--result", "--set", "--k", "--kappa", "--no-probe",
+                       "--gap-csv"],
+        "report": ["--config"],
+    }
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: [opt for action in sp._actions for opt in action.option_strings
+                  if opt not in ("-h", "--help")]
+           for name, sp in sub.choices.items()}
+    assert got == surface
+    assert sum(map(len, got.values())) == 100
+    for argv in (["cf", "--alpha", GOLDEN], ["verify-set", "--set", "set.json"],
+                 ["edge-probe", "--result", "kam.json", "--set", "set.json"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--config", "config.json"])
+        assert exc.value.code == 2
 
 
 def test_gaps_curve_out_combined_csv(tmp_path):

@@ -1,5 +1,6 @@
 """KAM machinery: classification, homological solve, Newton removal, steps."""
 
+import dataclasses
 import math
 import warnings
 
@@ -15,7 +16,7 @@ from qpsl.cocycle import (
     su11_exp,
     to_su11,
 )
-from qpsl.diophantine import dist_to_integers
+from qpsl.diophantine import dist_to_integers, frequency_vector, golden_mean
 from qpsl.errors import (
     NewtonDiverged,
     NonConvergence,
@@ -24,8 +25,8 @@ from qpsl.errors import (
     StateInvalid,
     TargetNotLocked,
 )
-from qpsl.fourier import FourierSeries, Potential, potential_modes
-from qpsl.label_set import build_schedule
+from qpsl.fourier import FourierSeries, Potential, build_potential, potential_modes
+from qpsl.label_set import build_schedule, construct_label_set
 from test_cocycle import _stack_exp_reference as _stack_exp
 from qpsl.kam import (
     KamParams,
@@ -65,6 +66,17 @@ def _random_su11_series(rng, degree=8, modes=10, amp=1e-3, nonzero_only=False):
         F.u[(m,)] = F.u[(m,)] + c
         F.u[(-m,)] = F.u[(-m,)] + np.conj(c)
     return F
+
+
+def _removal_residual(A, F, Y, F_star, alpha, seed=0):
+    """max |e^{Y(.+alpha)} A e^{F} e^{-Y} - A e^{F*}| at 8 random probes: the
+    identity the conjugator of remove_nonresonant satisfies."""
+    alpha = np.atleast_1d(np.asarray(alpha, float))
+    pr = np.random.default_rng(seed).uniform(0, 2 * math.pi, size=(8, F.d))
+    lhs = mat_product(su11_exp(Y.sample(pr + 2 * math.pi * alpha)), A,
+                      su11_exp(F.sample(pr)), su11_exp(-Y.sample(pr)))
+    rhs = mat_product(A, su11_exp(F_star.sample(pr)))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def _state(A, f, params, pending=(), alpha=GOLD):
@@ -186,7 +198,7 @@ def test_remove_nonresonant_residual_random():
                                             params=_params(max_degree=320,
                                                            grid_size=2048,
                                                            window_cap=56))
-        assert rep["residual"] <= 1e-10
+        assert _removal_residual(A, F, Y, F_star, [GOLD]) <= 1e-10
         # the non-resonant content of F_star is gone
         nre, _ = rule.split(F_star)
         assert nre.norm(0.02) < 1e-11
@@ -303,7 +315,7 @@ def test_remove_nonresonant_equals_stack_sweep(d):
     assert len(sweeps) >= 3 and rep["sweeps"] == sweeps and rep["dropped_mass"] == dropped
     for got, want in ((Y.u, Y_ref.u), (Y.w, Y_ref.w), (F_star.u, F_ref.u), (F_star.w, F_ref.w)):
         assert got.block.shape == want.block.shape and np.array_equal(got.block, want.block)
-    assert rep["residual"] < 1e-10
+    assert _removal_residual(A, F, Y, F_star, alpha) < 1e-10
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -338,7 +350,7 @@ def test_remove_nonresonant_rs_rule_equals_stack_sweep(d):
         assert got.block.shape == want.block.shape and np.array_equal(got.block, want.block)
     # the site stays, the off-diagonal mean is gone
     assert abs(F_star.w[site] - 2e-4) < 2e-5 and abs(F_star.w.mean()) < 1e-12
-    assert rep["residual"] < 1e-10
+    assert _removal_residual(A, F, Y, F_star, alpha) < 1e-10
 
 
 def test_remove_nonresonant_on_a_capped_grid_equals_stack_sweep():
@@ -409,7 +421,7 @@ def test_remove_nonresonant_grid_doubles_when_content_outgrows_it():
     Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule=rule, params=params)
     cap = params.grid_for(params.max_degree)
     assert params.grid_for(4 * int(F.degree())) == 256 and rep["grid"] == 512 and cap == 1024
-    assert rep["residual"] < 1e-10
+    assert _removal_residual(A, F, Y, F_star, alpha) < 1e-10
     Y_ref, F_ref, _, _ = _stack_remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule, params, cap)
     for got, want in ((Y.u, Y_ref.u), (Y.w, Y_ref.w), (F_star.u, F_ref.u), (F_star.w, F_ref.w)):
         K = max(got.K, want.K)
@@ -727,6 +739,17 @@ _E0 = 2 * math.cos(2 * math.pi * dist_to_integers(GOLD / 2))
 _GAP = (_E0 - 0.0203, _E0 + 0.0291)
 
 
+_REDUCE = kam._reduce_at_energy
+
+
+def _free_reduction_locked(alpha, E, params, max_steps):
+    """The free cocycle's reduction at E, relabelled as locked to label (1,):
+    the free cocycle resonates nowhere (n~ = (0,)), and the edge search only
+    returns an edge whose reduction locks to its label."""
+    state, reports = _REDUCE(None, alpha, E, params, max_steps)
+    return dataclasses.replace(state, n_tilde=(1,)), reports
+
+
 def _certify_at_mapped_energy(monkeypatch, mapped):
     """Make _finalize certify the B of a fake reduction at the energy
     ``mapped[E]`` that the fake reduced the free cocycle at, since that B
@@ -746,7 +769,6 @@ def _plant_gap(monkeypatch, fail=None, slope=1.0):
     reduced constant has Re a = 1 + slope t with t = min(E - lo, hi - E) on
     the planted gap (lo, hi); energies inside ``fail`` raise NewtonDiverged.
     Returns the log of (E, indicator) per call, -inf for a failure."""
-    real = kam._reduce_at_energy
     log, mapped = [], {}
 
     def fake(V, alpha, E, params, max_steps):
@@ -755,7 +777,7 @@ def _plant_gap(monkeypatch, fail=None, slope=1.0):
             raise NewtonDiverged("planted failure")
         t = min(E - _GAP[0], _GAP[1] - E)
         mapped[E] = 2.0 + 2.0 * slope * t
-        state, reports = real(None, alpha, mapped[E], params, max_steps)
+        state, reports = _free_reduction_locked(alpha, mapped[E], params, max_steps)
         log.append((E, kam._gap_indicator(state)))
         return state, reports
 
@@ -875,13 +897,12 @@ _PARABOLA = (_E0 + 0.0071, 0.06)
 @pytest.mark.parametrize("edge", ["upper", "lower"])
 def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
     Ec, w = _PARABOLA
-    real = kam._reduce_at_energy
     log, mapped = [], {}
 
     def fake(V, alpha, E, params, max_steps):
         log.append(E)
         mapped[E] = 2.0 + 2.0 * (w * w - (E - Ec) ** 2)
-        return real(None, alpha, mapped[E], params, max_steps)
+        return _free_reduction_locked(alpha, mapped[E], params, max_steps)
 
     real_itp, brackets = kam._itp_search, []
 
@@ -923,14 +944,30 @@ def test_run_reducibility_rejects_final_residual_above_tolerance(monkeypatch):
     # the planted gap's reductions run at another energy than the searched
     # one, so without certifying at that energy B does not conjugate the
     # cocycle at the edge, and the run must say so instead of returning
-    real = kam._reduce_at_energy
     monkeypatch.setattr(kam, "_reduce_at_energy",
-                        lambda V, alpha, E, params, max_steps: real(
-                            None, alpha, 2.0 + 2.0 * min(E - _GAP[0], _GAP[1] - E),
+                        lambda V, alpha, E, params, max_steps: _free_reduction_locked(
+                            alpha, 2.0 + 2.0 * min(E - _GAP[0], _GAP[1] - E),
                             params, max_steps))
     with pytest.raises(NonConvergence, match=r"residual \d\.\d{3}e[+-]\d+ .* exceeds "
                                              r"conj_residual_tol 1\.0e-09"):
         run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+
+
+def test_edge_of_another_label_is_target_not_locked():
+    # K = {4, 9, 43}: the interior scan for label 43 (a gap 5.9e-4 wide) ends
+    # in label 9's gap, whose edge E = -0.38598... reduces with n~ = (-9,);
+    # the search must refuse it instead of returning it as label 43's edge
+    freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
+    sched = build_schedule(3, 0.3, depth=10)
+    ks = construct_label_set(freq, sched, j1=0, spacing=2, count=3)
+    assert ks.labels() == [(4,), (9,), (43,)]
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
+                       grid_size=2048, conj_residual_tol=1e-9, seed=1)
+    msg = r"upper edge at E = -0\.38598157870400657 locks to n~ = \(-9,\), not to label \(43,\)"
+    with pytest.raises(TargetNotLocked, match=msg) as info:
+        run_reducibility(build_potential(ks, k=2.0), freq.floats(), {"label": 43},
+                         params=params)
+    assert info.value.edge_search["bracket"][0] == -0.38598157870400657
 
 
 def test_run_reducibility_interior_not_locked():
@@ -970,7 +1007,7 @@ def test_remove_nonresonant_d2():
     F.u[(-1, 1)] = 1e-4
     params = _params(max_degree=12, grid_size=4096, window_cap=6)
     Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha, params=params)
-    assert rep["residual"] < 1e-10
+    assert _removal_residual(A, F, Y, F_star, alpha) < 1e-10
 
 
 def test_kam_step_deterministic():

@@ -168,6 +168,13 @@ def test_build_schedule_s_zero_constant():
     assert "s = 0.0 outside (4/5, 1)" in sched.relaxations
 
 
+def test_build_schedule_relaxations_read_the_same_for_int_and_float():
+    # one schedule, one text: build-set passes floats, a JSON config ints
+    as_int, as_float = build_schedule(10, 0, depth=3), build_schedule(10.0, 0.0, depth=3)
+    assert as_int.relaxations == as_float.relaxations == ("M = 10.0 <= 1000",
+                                                          "s = 0.0 outside (4/5, 1)")
+
+
 def test_build_schedule_strict_rejects_small_M():
     with pytest.raises(QpslError):
         build_schedule(10, 0.9, depth=3, strict=True)
