@@ -1,8 +1,8 @@
 """Reducibility at a gap edge: the full conjugation pipeline.
 
 Builds the one-label potential V = cos(16 theta)/256 over the golden
-rotation, locates both edges of the gap labeled 16 by an ITP root search
-on the reduced constant's trace, and reduces the cocycle there to the
+rotation, locates both edges of the gap labeled 16 by a Newton search on
+the reduced constant's trace, and reduces the cocycle there to the
 parabolic normal form [[1, zeta], [0, 1]].  The conjugation identity is
 certified at random probe points at every step and for the final answer.
 """

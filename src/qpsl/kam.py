@@ -29,9 +29,9 @@ its -G/2 ones), with the tables over their keys built once per call and grid.
 
 A gap edge is bracketed on steps of spread / 64 from a point inside the gap,
 jumping to the step the parabola through the last three inside values
-predicts, and then located by an ITP search.  The search stops when both ends
-of the bracket read the indicator |Re a| - 1 within one quantum of 0: it is
-rounded to the float grid at 1.0, so a further reduction cannot tell the side.
+predicts, and then located by Newton steps on the indicator |Re a| - 1 with
+its slope in closed form from each reduction's conjugacy, bisecting where a
+step would leave the bracket, down to the resolution of the indicator.
 
 Every accepted step, and the final reduction to the normal form, is certified
 by evaluating both sides of its conjugation identity at random probe points;
@@ -877,13 +877,26 @@ def _gap_indicator(state):
     return abs(float(np.asarray(state.A)[0, 0].real)) - 1.0
 
 
+def _trace_slope(state):
+    """dt/dE of :func:`_gap_indicator` from the reduction's own conjugacy: with
+    Z = M^{-1} D^{-1} M, S_E + delta e11 conjugates to A + delta Z(.+alpha)^{-1}
+    e11 Z, so tr A moves by delta times the mean of Z22(.+alpha) Z11 -
+    Z21(.+alpha) Z12 (det Z = 1), exactly the sum over n of mode n of the
+    first factor times mode -n of the second, and t by sign(Re a) / 2 of it."""
+    Z = M_CONJ_INV @ state.Dinv.block @ M_CONJ
+    Zs = M_CONJ_INV @ state.Dinv.shift(state.alpha).block @ M_CONJ
+    Zr = np.flip(Z, axis=tuple(range(state.alpha.size)))  # mode -n at n
+    mean = np.sum(Zs[..., 1, 1] * Zr[..., 0, 0] - Zs[..., 1, 0] * Zr[..., 0, 1])
+    return math.copysign(0.5, float(np.asarray(state.A)[0, 0].real)) * float(mean.real)
+
+
 def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     """Reduce the Schrodinger cocycle at a locked energy to the parabolic
     normal form [[1, zeta], [0, 1]].
 
     ``target`` is {"energy": E} (the lock is checked against the potential's
     labels plus small vectors) or {"label": n} / {"label_index": i} with the
-    gap edge located by an ITP search on the reduced constant's trace;
+    gap edge located by a Newton search on the reduced constant's trace;
     {"edge": "upper"|"lower"} selects the edge (default upper).  For an edge
     target the result's ``edge_search`` holds the number of reductions the
     search made, the failed ones it counted as outside the gap and its final
@@ -947,9 +960,13 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
     root of the parabola through the last three inside steps, at most to step
     4j, and steps back one at a time on an overshoot, so that it is the
     bracket of a plain outward scan whenever every skipped step is inside the
-    gap.  :func:`_itp_search` then shrinks it, until t_in - t_out <= 2
-    ulp(1.0) (t is rounded to the float grid at 1.0, so no further value can
-    place the edge) or to 4e-16 relative width.
+    gap, or lies inside it: a Newton step from step j that falls short of step
+    j + 1 comes first.  Newton steps -t / t' (t' of :func:`_trace_slope`) from
+    the last reduction then shrink the bracket, bisecting where a step leaves
+    it or an end failed.  t is rounded to the float grid at 1.0, so one
+    quantum of it spans q = 2**-52 / |t'| in E: a shorter step crosses by
+    q / 2, and the search stops once t_in - t_out <= 2 ulp(1.0) in a bracket
+    at most q / 2 and 1e-14 relative wide, or at 4e-16 relative width.
     Returns the innermost t > 0 energy with its state and reports, and the
     search record {"evaluations": n, "failures": [[type, E], ...], "bracket":
     [E_in, E_out]}, where a failure is a reduction that raised and was
@@ -978,19 +995,14 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
             return -math.inf, None, None
         return _gap_indicator(st), st, reps
 
-    # find a point inside the gap near the free-cocycle guess
-    E_in = E0
-    t_in, state, reports = indicator(E0)
-    if t_in <= 0:
-        for frac in np.linspace(-1, 1, 41):
-            E_try = E0 + frac * spread * 0.25
-            t, st, reps = indicator(E_try)
-            if t > 0:
-                E_in, t_in, state, reports = E_try, t, st, reps
-                break
-        else:
-            raise TargetNotLocked(
-                f"no gap interior found near E = {E0:.6f} for label {label}")
+    # find a point inside the gap: the free-cocycle guess, then a scan around it
+    scan = [E0 + frac * spread * 0.25 for frac in np.linspace(-1, 1, 41).tolist()]
+    for E_in in [E0] + scan:
+        t_in, state, reports = indicator(E_in)
+        if t_in > 0:
+            break
+    else:
+        raise TargetNotLocked(f"no gap interior found near E = {E0:.6f} for label {label}")
 
     sign = +1.0 if edge == "upper" else -1.0
     steps, inside, k_out = [E_in], [(0, t_in)], None  # inside: (k, t) with t > 0
@@ -1009,14 +1021,40 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
             raise NonConvergence(f"could not bracket the {edge} edge from E = {E_in}")
         while len(steps) <= k:
             steps.append(steps[-1] + sign * (spread / 64))
-        t, st, reps = indicator(steps[k])
+        E = steps[k]
+        if j >= 2 and k == j + 1 and E_in == steps[j]:
+            # a Newton step from step j that falls short of step k comes first
+            slope = _trace_slope(state)
+            if slope and min(E_in, E) < E_in - t_in / slope < max(E_in, E):
+                E = E_in - t_in / slope
+        t, st, reps = indicator(E)
+        if t <= 0:
+            k_out, E_out, t_out = k, E, t
+        else:  # after a Newton step inside, step k is still due
+            if E == steps[k]:
+                inside.append((k, t))
+            E_in, t_in, state, reports = E, t, st, reps
+
+    # safeguarded Newton on the closed-form slope, from the last reduction
+    q = 0.0  # one quantum of t, measured in E
+    for _ in range(200):
+        width, scale = abs(E_out - E_in), max(1.0, abs(0.5 * (E_in + E_out)))
+        if (width < 4e-16 * scale or (t_in - t_out <= 2 * math.ulp(1.0)
+                                      and width <= min(q / 2, 1e-14 * scale))):
+            break
+        step = math.inf  # bisect unless a Newton step stays inside the bracket
+        slope = _trace_slope(st) if math.isfinite(t_out) else 0.0
+        if slope:
+            q, step = math.ulp(1.0) / abs(slope), -t / slope
+            if abs(step) < q:  # t cannot resolve the step: cross by q / 2
+                step = math.copysign(q / 2, (E_out if t > 0 else E_in) - E)
+        E = E + step if min(E_in, E_out) < E + step < max(E_in, E_out) else \
+            0.5 * (E_in + E_out)
+        t, st, reps = indicator(E)
         if t > 0:
-            inside.append((k, t))
-            E_in, t_in, state, reports = steps[k], t, st, reps
+            E_in, t_in, state, reports = E, t, st, reps
         else:
-            k_out, E_out, t_out = k, steps[k], t
-    E_in, (state, reports), E_out, t_out = _itp_search(indicator, E_in, t_in, E_out,
-                                                       t_out, (state, reports))
+            E_out, t_out = E, t
     search["bracket"] = [E_in, E_out]
     if t_out == -math.inf:
         # the bracket closed on a failed reduction, which may be the edge or
@@ -1030,50 +1068,11 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
         raise exc
     if state.n_tilde not in (label, tuple(-n for n in label)):
         exc = TargetNotLocked(
-            f"{edge} edge at E = {float(E_in)!r} locks to n~ = {state.n_tilde}, "
+            f"{edge} edge at E = {E_in!r} locks to n~ = {state.n_tilde}, "
             f"not to label {label}")
         exc.edge_search = search
         raise exc
     return E_in, state, reports, search
-
-
-def _itp_search(indicator, E_in, t_in, E_out, t_out, found):
-    """Shrink the edge bracket [E_in, E_out], t_in > 0 >= t_out, by ITP
-    (Oliveira and Takahashi, ACM TOMS 2020), bisecting while either endpoint
-    value is not finite.  It stops at 4e-16 relative width, or once t_in -
-    t_out <= 2 ulp(1.0): t = |Re a| - 1 is rounded to the float grid at 1.0
-    (2**-52 above, 2**-53 below), so both ends then lie within one quantum of
-    0 and the sign of a further value carries no information.  A failed outer
-    end (t_out = -inf) never meets that rule, and is closed to the width.
-    ``indicator(E)`` gives (t, state, reports); ``found`` is the (state,
-    reports) of E_in.  Returns the final (E_in, found, E_out, t_out)."""
-    # ITP with k1 = 0.2 / width0, k2 = 2, n0 = 1; eps is half the terminal width
-    width0 = abs(E_out - E_in)
-    eps = 2e-16 * max(1.0, abs(E_in))
-    n_max = math.ceil(math.log2(width0 / (2 * eps))) + 1
-    for j in range(200):
-        mid = 0.5 * (E_in + E_out)
-        width = abs(E_out - E_in)
-        if width < 4e-16 * max(1.0, abs(mid)) or t_in - t_out <= 2 * math.ulp(1.0):
-            break
-        E = mid
-        if math.isfinite(t_in) and math.isfinite(t_out):
-            E_f = E_in + t_in * (E_out - E_in) / (t_in - t_out)  # regula falsi
-            toward = math.copysign(1.0, mid - E_f)
-            # t is rounded to half an ulp of 1.0 (2**-53), so the secant root
-            # is known only to the width over which the secant moves that much
-            shift = max(0.2 / width0 * width ** 2, 2.0 ** -53 * width / (t_in - t_out))
-            E_t = E_f + toward * shift if shift <= abs(mid - E_f) else mid
-            r = max(0.0, eps * 2.0 ** (n_max - j) - width / 2)
-            E = E_t if abs(E_t - mid) <= r else mid - toward * r
-            if not min(E_in, E_out) < E < max(E_in, E_out):
-                E = mid
-        t, st, reps = indicator(E)
-        if t > 0:
-            E_in, t_in, found = E, t, (st, reps)
-        else:
-            E_out, t_out = E, t
-    return E_in, found, E_out, t_out
 
 
 def _finalize(V, alpha, E, label, state, reports, params):

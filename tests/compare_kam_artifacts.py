@@ -12,8 +12,9 @@ prints the hashes of ``set.json`` and of each edge's ``kam.json`` and
 ``probe.json``, the hash of each ``kam.json`` without its ``config`` and
 ``config_hash`` (so a change to the run configuration alone leaves it
 unchanged), then ``float.hex`` of the edge energy, zeta,
-``conj_residual``, the bracket, the number of edge-search evaluations and
-the width of the edge search's final bracket, the delta2/delta1
+``conj_residual``, the bracket, the number of edge-search evaluations,
+the width of the edge search's final bracket and the closed-form trace slope
+dt/dE of the reduction at the edge (``kam._trace_slope``), the delta2/delta1
 verdicts, and for each KAM step its ``sweep_grid`` and the ``float.hex`` of
 its Newton sweep norms, so a change that moves bits on purpose can quote
 which values moved.  The CLI's own messages are not printed.
@@ -46,10 +47,12 @@ import tempfile
 import mpmath
 import numpy as np
 
+from qpsl import kam as kam_module
 from qpsl.cli import main as qpsl_main
 from qpsl.cocycle import to_su11
-from qpsl.fourier import FourierSeries
+from qpsl.fourier import FourierSeries, build_potential
 from qpsl.kam import KamParams, KamState, Su11Series, kam_step
+from qpsl.label_set import LabelSet
 
 SEEDS = (1, 2)
 EDGES = ("upper", "lower")
@@ -89,6 +92,18 @@ def _config(seed):
             "kam": {"max_degree": 384, "grid_size": 2048, "conj_residual_tol": 1e-9}}
 
 
+def _edge_slope(seed, energy):
+    """dt/dE of the reduction at ``energy`` with the potential and parameters
+    ``kam`` ran with on ``set.json``."""
+    with open("set.json") as fh:
+        ks = LabelSet.from_json(fh.read())
+    params = KamParams(tau=ks.frequency.dc_tau, k_exponent=2.0, schedule=ks.schedule,
+                       max_degree=384, grid_size=2048, conj_residual_tol=1e-9, seed=seed)
+    state, _ = kam_module._reduce_at_energy(build_potential(ks, k=2.0),
+                                            ks.frequency.floats(), energy, params, 24)
+    return kam_module._trace_slope(state)
+
+
 def _run(seed):
     config = _config(seed)
     with open("config.json", "w") as fh:
@@ -117,6 +132,7 @@ def _run(seed):
         print(f"seed {seed} {edge} evaluations {kam['edge_search']['evaluations']}")
         E_in, E_out = kam["edge_search"]["bracket"]
         print(f"seed {seed} {edge} edge bracket width {abs(E_out - E_in).hex()}")
+        print(f"seed {seed} {edge} slope {_edge_slope(seed, kam['energy']).hex()}")
         print(f"seed {seed} {edge} verdicts {probe['delta2']['verdict']} "
               f"{probe['delta1']['verdict']} {probe['bracket_consistent']}")
         for step in kam["steps"]:

@@ -110,7 +110,7 @@ def test_kam_and_edge_probe(tmp_path, criterion11_kam):
     data = json.loads(kam_out.read_text())
     assert data["zeta"] != 0
     assert data["conj_residual"] < 1e-8
-    assert 0 < data["edge_search"]["evaluations"] <= 26
+    assert 0 < data["edge_search"]["evaluations"] <= 8
     assert data["edge_search"]["failures"] == []
     assert "relaxed" not in data["config"]
     assert steps.read_text().strip()

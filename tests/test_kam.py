@@ -27,6 +27,7 @@ from qpsl.errors import (
 )
 from qpsl.fourier import FourierSeries, Potential, build_potential, potential_modes
 from qpsl.label_set import build_schedule, construct_label_set
+from qpsl.moser_poschel import edge_data_from_reduction
 from test_cocycle import _stack_exp_reference as _stack_exp
 from qpsl.kam import (
     KamParams,
@@ -739,7 +740,7 @@ _E0 = 2 * math.cos(2 * math.pi * dist_to_integers(GOLD / 2))
 _GAP = (_E0 - 0.0203, _E0 + 0.0291)
 
 
-_REDUCE = kam._reduce_at_energy
+_REDUCE, _FINALIZE = kam._reduce_at_energy, kam._finalize
 
 
 def _free_reduction_locked(alpha, E, params, max_steps):
@@ -764,26 +765,46 @@ def _certify_at_mapped_energy(monkeypatch, mapped):
     monkeypatch.setattr(kam, "_finalize", finalize)
 
 
-def _plant_gap(monkeypatch, fail=None, slope=1.0):
-    """Replace the reduction by the free cocycle at 2 + 2 slope t, so the
-    reduced constant has Re a = 1 + slope t with t = min(E - lo, hi - E) on
-    the planted gap (lo, hi); energies inside ``fail`` raise NewtonDiverged.
-    Returns the log of (E, indicator) per call, -inf for a failure."""
-    log, mapped = [], {}
+def _plant(monkeypatch, planted, fail=None):
+    """Replace the reduction by the free cocycle at 2 + 2 t, so the reduced
+    constant has Re a = 1 + t, where planted(E) = (t, dt/dE), and make
+    _trace_slope read that dt/dE, since the free cocycle's own slope is not
+    the planted one; energies inside ``fail`` raise NewtonDiverged.  Returns
+    the log of (E, indicator) per call, -inf for a failure."""
+    log, mapped, slopes = [], {}, {}
 
     def fake(V, alpha, E, params, max_steps):
         if fail is not None and fail[0] < E < fail[1]:
             log.append((E, -math.inf))
             raise NewtonDiverged("planted failure")
-        t = min(E - _GAP[0], _GAP[1] - E)
-        mapped[E] = 2.0 + 2.0 * slope * t
+        t, slope = planted(E)
+        mapped[E] = 2.0 + 2.0 * t
         state, reports = _free_reduction_locked(alpha, mapped[E], params, max_steps)
+        slopes[id(state)] = state, slope
         log.append((E, kam._gap_indicator(state)))
         return state, reports
 
     monkeypatch.setattr(kam, "_reduce_at_energy", fake)
+    monkeypatch.setattr(kam, "_trace_slope", lambda state: slopes[id(state)][1])
     _certify_at_mapped_energy(monkeypatch, mapped)
     return log
+
+
+def _plant_gap(monkeypatch, fail=None, slope=1.0, gap=_GAP):
+    """t = slope min(E - lo, hi - E) on the planted gap (lo, hi)."""
+    lo, hi = gap
+    return _plant(monkeypatch, lambda E: (slope * min(E - lo, hi - E),
+                                          slope if E - lo < hi - E else -slope), fail)
+
+
+# a parabolic gap t = w^2 - (E - Ec)^2 around the free-cocycle guess: its
+# edges lie 10.7 steps above and 8.5 below _E0
+_PARABOLA = (_E0 + 0.0071, 0.06)
+
+
+def _plant_parabola(monkeypatch, fail=None):
+    Ec, w = _PARABOLA
+    return _plant(monkeypatch, lambda E: (w * w - (E - Ec) ** 2, -2.0 * (E - Ec)), fail)
 
 
 @pytest.mark.parametrize("edge", ["upper", "lower"])
@@ -798,7 +819,7 @@ def test_edge_search_brackets_planted_edge(monkeypatch, edge):
     assert gap_to_out < 4e-16 * max(1.0, abs(E))
     assert abs(E - _GAP[1 if edge == "upper" else 0]) < 1e-15
     assert res.edge_search == {"evaluations": len(log), "failures": [], "bracket": [E, E_out]}
-    assert res.edge_search["evaluations"] <= 26
+    assert res.edge_search["evaluations"] == {"upper": 9, "lower": 6}[edge]
     assert res.as_dict()["edge_search"] == res.edge_search
 
 
@@ -857,17 +878,20 @@ def test_edge_search_records_failures_and_bisects(monkeypatch):
 
 
 def test_edge_search_records_failure_outside_gap(monkeypatch):
-    # the fifth expansion step E0 + 0.03125 lands in a failing window just
-    # past the upper edge E0 + 0.0291; the bisection midpoint E0 + 0.0296875
-    # is a finite t <= 0, so the search closes on the true edge and returns
-    fail = (_E0 + 0.030, _E0 + 0.032)
-    log = _plant_gap(monkeypatch, fail=fail)
+    # on the parabolic gap, the Newton step from step 10 overshoots the upper
+    # edge Ec + w = E0 + 0.0671 into a failing window just past it; the
+    # bisection that follows reaches a finite t <= 0 at E0 + 0.06714, so the
+    # search closes on the true edge and returns
+    Ec, w = _PARABOLA
+    fail = (Ec + w + 1e-4, Ec + w + 3e-4)
+    log = _plant_parabola(monkeypatch, fail=fail)
     res = run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
-    assert abs(res.energy - _GAP[1]) < 1e-15
+    assert abs(res.energy - (Ec + w)) < 4e-15
     assert dict(log)[res.energy] > 0
     failed = [["NewtonDiverged", E] for E, t in log if t == -math.inf]
-    assert len(failed) == 1 and abs(failed[0][1] - (_E0 + 5 * 0.4 / 64)) < 1e-15
+    assert failed == [["NewtonDiverged", log[5][0]]] and len(log) == 15
     E_out = min(e for e, t in log if e > res.energy)
+    assert log[6][0] == 0.5 * (log[4][0] + log[5][0])  # bisection after the failure
     assert res.edge_search == {"evaluations": len(log), "failures": failed,
                                "bracket": [res.energy, E_out]}
     assert res.as_dict()["edge_search"] == res.edge_search
@@ -889,65 +913,57 @@ def test_edge_search_without_a_gap_interior_is_target_not_locked(monkeypatch):
     assert len(energies) == 42 and energies[0] == _E0
 
 
-# a parabolic gap t = w^2 - (E - Ec)^2 around the free-cocycle guess: its
-# edges lie 10.7 steps above and 8.5 below _E0
-_PARABOLA = (_E0 + 0.0071, 0.06)
+def test_edge_search_after_the_interior_scan_keeps_plain_floats(monkeypatch):
+    # a planted gap above the free-cocycle guess: _E0 reads t <= 0, so the
+    # interior scan finds the gap, and its energies stay plain floats in the
+    # result, its bracket, its failures and an error message
+    gap = (_E0 + 0.01, _E0 + 0.05)
+    log = _plant_gap(monkeypatch, gap=gap)
+    res = run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+    assert log[0] == (_E0, log[0][1]) and log[0][1] <= 0
+    assert abs(res.energy - gap[1]) < 1e-15
+    assert type(res.energy) is float
+    assert [type(E) for E in res.edge_search["bracket"]] == [float, float]
+    # the edge inside a failing window: the search ends on a failure
+    _plant_gap(monkeypatch, fail=(gap[1] - 1e-3, gap[1] + 1e-3), gap=gap)
+    with pytest.raises(NonConvergence) as info:
+        run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+    failures = info.value.edge_search["failures"]
+    assert failures and all(type(E) is float for _, E in failures)
+    assert "np.float64(" not in str(info.value)
 
 
 @pytest.mark.parametrize("edge", ["upper", "lower"])
 def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
     Ec, w = _PARABOLA
-    log, mapped = [], {}
-
-    def fake(V, alpha, E, params, max_steps):
-        log.append(E)
-        mapped[E] = 2.0 + 2.0 * (w * w - (E - Ec) ** 2)
-        return _free_reduction_locked(alpha, mapped[E], params, max_steps)
-
-    real_itp, brackets = kam._itp_search, []
-
-    def itp(indicator, E_in, t_in, E_out, t_out, found):
-        brackets.append((E_in, t_in, E_out, t_out))
-        return real_itp(indicator, E_in, t_in, E_out, t_out, found)
-
-    monkeypatch.setattr(kam, "_reduce_at_energy", fake)
-    monkeypatch.setattr(kam, "_itp_search", itp)
-    _certify_at_mapped_energy(monkeypatch, mapped)
+    log = _plant_parabola(monkeypatch)
     res = run_reducibility(None, [GOLD], {"label": 1, "edge": edge}, params=_params())
-    search, evaluations = res.edge_search, len(log)
-    assert search == {"evaluations": evaluations, "failures": [], "bracket": search["bracket"]}
+    search, energies = res.edge_search, [E for E, _ in log]
+    assert search == {"evaluations": len(log), "failures": [], "bracket": search["bracket"]}
+    # one quantum of the indicator spans 2**-52 / 2w = 1.9e-15 in E here
+    assert abs(res.energy - (Ec + w if edge == "upper" else Ec - w)) < 4e-15
 
-    # oracle: the plain outward scan from _E0 by running sums, then ITP
-    def indicator(E):
-        state, reports = fake(None, np.array([GOLD]), E, _params(), 24)
-        return kam._gap_indicator(state), state, reports
-
-    del log[:]
-    E_in, (t_in, *found) = _E0, indicator(_E0)
-    while True:
-        E_out = E_in + (1.0 if edge == "upper" else -1.0) * (0.4 / 64)
-        t_out, *here = indicator(E_out)
-        if t_out <= 0:
-            break
-        E_in, t_in, found = E_out, t_out, here
-    assert brackets == [(E_in, t_in, E_out, t_out)]
-    E_ref, _, E_out_ref, _ = real_itp(indicator, E_in, t_in, E_out, t_out, found)
-    assert res.energy == E_ref
-    assert search["bracket"] == [E_ref, E_out_ref]
-    # the scan evaluates _E0 and 11 (upper) or 9 (lower) steps; the jumps
-    # evaluate _E0, steps 1 and 2, then upper 8 (the cap 4j), 10 and 11, or
-    # lower 8 and 9
-    assert len(log) - evaluations == {"upper": 6, "lower": 5}[edge]
+    # oracle: the plain outward scan from _E0 by running sums
+    steps = [_E0]
+    while w * w - (steps[-1] - Ec) ** 2 > 0:
+        steps.append(steps[-1] + (1.0 if edge == "upper" else -1.0) * (0.4 / 64))
+    # the jumps evaluate _E0, steps 1 and 2, then upper 8 (the cap 4j) and 10,
+    # or lower 8; the Newton step from there lands short of the scan's first
+    # outside step (upper 11, lower 9) and outside the gap, so the bracket
+    # the expansion hands to Newton lies inside the scan's
+    jumps = {"upper": [0, 1, 2, 8, 10], "lower": [0, 1, 2, 8]}[edge]
+    assert energies[:len(jumps)] == [steps[k] for k in jumps]
+    E_n, t_n = log[len(jumps)]
+    assert min(steps[-2:]) < E_n < max(steps[-2:]) and t_n <= 0
+    assert len(log) == {"upper": 10, "lower": 11}[edge]
 
 
 def test_run_reducibility_rejects_final_residual_above_tolerance(monkeypatch):
     # the planted gap's reductions run at another energy than the searched
     # one, so without certifying at that energy B does not conjugate the
     # cocycle at the edge, and the run must say so instead of returning
-    monkeypatch.setattr(kam, "_reduce_at_energy",
-                        lambda V, alpha, E, params, max_steps: _free_reduction_locked(
-                            alpha, 2.0 + 2.0 * min(E - _GAP[0], _GAP[1] - E),
-                            params, max_steps))
+    _plant_gap(monkeypatch)
+    monkeypatch.setattr(kam, "_finalize", _FINALIZE)
     with pytest.raises(NonConvergence, match=r"residual \d\.\d{3}e[+-]\d+ .* exceeds "
                                              r"conj_residual_tol 1\.0e-09"):
         run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
@@ -963,11 +979,38 @@ def test_edge_of_another_label_is_target_not_locked():
     assert ks.labels() == [(4,), (9,), (43,)]
     params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
                        grid_size=2048, conj_residual_tol=1e-9, seed=1)
-    msg = r"upper edge at E = -0\.38598157870400657 locks to n~ = \(-9,\), not to label \(43,\)"
+    msg = r"upper edge at E = -0\.3859815787040026 locks to n~ = \(-9,\), not to label \(43,\)"
     with pytest.raises(TargetNotLocked, match=msg) as info:
         run_reducibility(build_potential(ks, k=2.0), freq.floats(), {"label": 43},
                          params=params)
-    assert info.value.edge_search["bracket"][0] == -0.38598157870400657
+    assert info.value.edge_search["bracket"][0] == -0.3859815787040026
+
+
+def test_trace_slope_is_the_closed_form_and_the_finite_difference():
+    # criterion 11: at each edge dt/dE is -psl_sign zeta A11 / 2 (the mean
+    # trace of perturbation_matrix), and near the upper edge, 1e-4 inside and
+    # 3e-4 outside, it is the central difference of t
+    freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
+    sched = build_schedule(10, 0.9, depth=6)
+    ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
+    V, alpha = build_potential(ks, k=2.0), np.asarray(freq.floats(), float)
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
+                       grid_size=2048, conj_residual_tol=1e-9, seed=1)
+
+    def reduced(E):
+        return kam._reduce_at_energy(V, alpha, E, params, 24)[0]
+
+    edges = {}
+    for edge in ("upper", "lower"):
+        res = run_reducibility(V, alpha, {"label_index": 0, "edge": edge}, params=params)
+        A11 = edge_data_from_reduction(res, alpha, tau=1.5).A11
+        want = -res.psl_sign * res.zeta * A11 / 2
+        assert kam._trace_slope(reduced(res.energy)) == pytest.approx(want, rel=1e-9), edge
+        edges[edge] = res.energy
+    h = 1e-6
+    for E in (edges["upper"] - 1e-4, edges["upper"] + 3e-4):
+        diff = (kam._gap_indicator(reduced(E + h)) - kam._gap_indicator(reduced(E - h))) / (2 * h)
+        assert kam._trace_slope(reduced(E)) == pytest.approx(diff, rel=1e-6), E
 
 
 def test_run_reducibility_interior_not_locked():
