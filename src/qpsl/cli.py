@@ -71,9 +71,14 @@ def _fmt(v):
     return str(v)
 
 
-def _read(path):
-    with open(path) as fh:
-        return fh.read()
+def _read(path, parse=json.loads):
+    """``parse`` of the text of the file at path (JSON by default); a file
+    that cannot be read or parsed is ConfigInvalid."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ConfigInvalid(f"cannot read {path}: {type(e).__name__}: {e}")
 
 
 def _opt(value, table, key, default):
@@ -82,14 +87,23 @@ def _opt(value, table, key, default):
 
 
 def _load_config(args):
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise ConfigInvalid(f"cannot read config {args.config}: {e}")
+    if not getattr(args, "config", None):
+        return {}
+    cfg = _read(args.config)
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid(f"config {args.config} is not a JSON object")
     return cfg
+
+
+def _count(value, name):
+    """``value`` as an integer >= 1, else ConfigInvalid naming the setting."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = 0
+    if n < 1:
+        raise ConfigInvalid(f"{name} must be an integer >= 1, not {value!r}")
+    return n
 
 
 def _freq_from(cfg, args):
@@ -117,7 +131,7 @@ def _potential_from(cfg, args):
         set_path = args.set or pc.get("set")
         if set_path is None:
             return None
-        return build_potential(LabelSet.from_json(_read(set_path)),
+        return build_potential(_read(set_path, LabelSet.from_json),
                                k=float(_opt(args.k, pc, "k", 2.0)))
     raise ConfigInvalid(f"unknown preset {preset!r}")
 
@@ -132,7 +146,7 @@ def _scan(args, e_min, e_max, grid):
     scan = cfg.get("scan", {})
     energies = np.linspace(float(_opt(args.emin, scan, "e_min", e_min)),
                            float(_opt(args.emax, scan, "e_max", e_max)),
-                           int(_opt(args.grid, scan, "grid", grid)))
+                           _count(_opt(args.grid, scan, "grid", grid), "grid"))
     run_cfg = {"frequency": [str(r) for r in freq.raw], "seed": int(cfg.get("seed", 0)),
                "potential": cfg.get("potential", {"preset": args.preset, "lambda": args.lam})}
     return cfg, scan, freq, V, energies, run_cfg
@@ -142,21 +156,23 @@ def _parse_labels(expr):
     if expr is None:
         return [1, 2, 3]
     out = []
-    for part in str(expr).split(","):
-        part = part.strip()
-        if ".." in part:
-            a, b = part.split("..")
-            out.extend(range(int(a), int(b) + 1))
-        elif part:
-            out.append(int(part))
+    try:
+        for part in str(expr).split(","):
+            part = part.strip()
+            if ".." in part:
+                a, b = part.split("..")
+                out.extend(range(int(a), int(b) + 1))
+            elif part:
+                out.append(int(part))
+    except ValueError:
+        raise ConfigInvalid(f"labels {expr!r} are not a list like '1..5' or '1,3,8'")
     return out
 
 
 def _workers(args):
-    w = args.workers
-    if w is None:
-        w = os.environ.get("QPSL_THREADS", "1")
-    return max(1, int(w))
+    if args.workers is not None:
+        return _count(args.workers, "--workers")
+    return _count(os.environ.get("QPSL_THREADS", "1"), "QPSL_THREADS")
 
 
 @contextlib.contextmanager
@@ -232,10 +248,13 @@ def cmd_build_set(args):
 
 
 def cmd_verify_set(args):
-    ks = LabelSet.from_json(_read(args.set))
+    ks = _read(args.set, LabelSet.from_json)
     targets = None
     if args.targets:
-        targets = [float(t) for t in args.targets.split(",")]
+        try:
+            targets = [float(t) for t in args.targets.split(",")]
+        except ValueError:
+            raise ConfigInvalid(f"--targets {args.targets!r} is not a list of numbers")
     elif args.num_targets:
         targets = [i / float(args.num_targets) for i in range(int(args.num_targets))]
     rep = verify_label_set(ks, ks.schedule, density_targets=targets,
@@ -250,11 +269,10 @@ def cmd_potential(args):
     V = _potential_from(cfg, args)
     if V is None:
         raise ConfigInvalid("potential requires --set or --preset")
-    rows = []
     n_samples = int(args.samples)
-    for i in range(n_samples):
-        th = 2 * math.pi * i / n_samples
-        rows.append((th, V.sample(np.full(V.d, th)) if V.d > 1 else V.sample(th)))
+    thetas = [2 * math.pi * i / n_samples for i in range(n_samples)]
+    values = V.sample(np.repeat(np.array(thetas)[:, None], V.d, axis=1))
+    rows = list(zip(thetas, values.tolist()))
     base_cfg = {"k": V.k_exponent, "labels": [list(l) for l in V.labels],
                 "coefficients": V.coefficients}
     _emit_csv(args.out, "potential", ["theta", "V"], rows, base_cfg)
@@ -266,8 +284,8 @@ def cmd_potential(args):
 
 def cmd_rotation(args):
     _, scan, freq, V, energies, run_cfg = _scan(args, -2.5, 2.5, 101)
-    iters = int(_opt(args.iters, scan, "iters", 100_000))
-    samples = int(_opt(args.samples, scan, "samples", 3))
+    iters = _count(_opt(args.iters, scan, "iters", 100_000), "iters")
+    samples = _count(_opt(args.samples, scan, "samples", 3), "samples")
     with _rotation_runner(V, freq.floats(), iters, samples, run_cfg["seed"],
                           _workers(args)) as rotate:
         curve = rotate(energies)
@@ -281,7 +299,7 @@ def cmd_rotation(args):
 def cmd_ids(args):
     _, scan, freq, V, energies, run_cfg = _scan(args, -2.5, 2.5, 101)
     N = int(_opt(args.N, scan, "N", 1000))
-    phases = int(_opt(args.phases, scan, "phases", 4))
+    phases = _count(_opt(args.phases, scan, "phases", 4), "phases")
     curve = ids_curve(V, freq.floats(), energies, N=N, phases=phases, seed=run_cfg["seed"])
     run_cfg.update(N=N, phases=phases,
                    grid=[float(energies[0]), float(energies[-1]), int(energies.size)])
@@ -292,8 +310,8 @@ def cmd_ids(args):
 
 def cmd_gaps(args):
     cfg, scan, freq, V, energies, run_cfg = _scan(args, -2.8, 2.8, 201)
-    iters = int(_opt(args.iters, scan, "iters", 60_000))
-    samples = int(_opt(args.samples, scan, "samples", 2))
+    iters = _count(_opt(args.iters, scan, "iters", 60_000), "iters")
+    samples = _count(_opt(args.samples, scan, "samples", 2), "samples")
     seed = run_cfg["seed"]
     labels = _parse_labels(args.labels or cfg.get("labels"))
     tol = float(_opt(args.tol, cfg, "tol", 1e-3))
@@ -326,7 +344,7 @@ def cmd_gaps(args):
 
 def cmd_kam(args):
     cfg = _load_config(args)
-    ks = LabelSet.from_json(_read(args.set))
+    ks = _read(args.set, LabelSet.from_json)
     freq = ks.frequency
     k = float(_opt(args.k, cfg.get("potential", {}), "k", 2.0))
     V = build_potential(ks, k=k)
@@ -346,7 +364,10 @@ def cmd_kam(args):
     if args.energy is not None:
         target = {"energy": float(args.energy)}
     else:
-        target = {"label_index": int(args.label_index), "edge": args.edge}
+        if not 0 <= args.label_index < len(V.labels):
+            raise ConfigInvalid(f"--label-index {args.label_index} is not in "
+                                f"0..{len(V.labels) - 1}, the set's labels")
+        target = {"label_index": args.label_index, "edge": args.edge}
     res = run_reducibility(V, freq.floats(), target, params=params,
                            max_steps=int(args.max_steps))
     run_cfg = {"set": args.set, "k": k, "target": target, "seed": params.seed}
@@ -359,9 +380,9 @@ def cmd_kam(args):
 
 
 def cmd_edge_probe(args):
-    data = json.loads(_read(args.result))
+    data = _read(args.result)
     res = ReducibilityResult.from_dict(data)
-    ks = LabelSet.from_json(_read(args.set))
+    ks = _read(args.set, LabelSet.from_json)
     # the probe needs the potential the edge was reduced with; without it
     # the free operator would be probed and the verdicts would mean nothing
     k = data.get("config", {}).get("k")
@@ -429,7 +450,7 @@ def cmd_report(args):
         rc = main(argv)
         if rc:
             return rc
-    verify, kam, probe = (json.loads(_read(path[name])) for name in ("verify", "kam", "probe"))
+    verify, kam, probe = (_read(path[name]) for name in ("verify", "kam", "probe"))
     summary = {"stages": {
         "label_set": {"passed": verify["passed"], "path": path["set"]},
         "kam": {key: kam[key] for key in ("energy", "zeta", "conj_residual", "zeta_window")},

@@ -1,8 +1,11 @@
-"""SL(2,R) / SU(1,1) matrix utilities and quasi-periodic cocycle dynamics.
+"""SL(2,R) / SU(1,1) matrix utilities and Schrodinger cocycle dynamics.
 
-A cocycle is a pair (alpha, A): the torus rotation theta -> theta + 2*pi*alpha
-(alpha in cycles) skew-extended by A(theta) acting on R^2.  Rotation numbers
-are reported in cycles, so gap locking reads 2*rho = <n, alpha> mod 1.
+The one cocycle of the package is given by (V, alpha, E): the torus rotation
+theta -> theta + 2*pi*alpha (alpha in cycles) skew-extended by
+S_E(theta) = [[E - V(theta), -1], [1, 0]] acting on R^2, with V None (the
+free operator) or a Potential.  Each function takes the three directly.
+Rotation numbers are reported in cycles, so gap locking reads
+2*rho = <n, alpha> mod 1.
 
 SU(1,1) is the isomorphic image of SL(2,R) under the unitary
 
@@ -15,28 +18,27 @@ real and b complex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DomainMismatch,
     NonConvergence,
     NotElliptic,
     NotUnipotent,
     QpslError,
     SingularConjugator,
 )
-from .fourier import FourierSeries, Potential, grid_points
+from .fourier import Potential, grid_points
 
 __all__ = [
     "M_CONJ", "M_CONJ_INV", "mat_product", "pair_product", "diag_pair_product",
     "to_su11", "from_su11", "check_su11",
     "su11_exp", "su11_exp_pair",
     "parabolic_normalize", "diagonalize_su11", "rotation_matrix",
-    "QpCocycle", "schrodinger_cocycle", "conjugate",
+    "conjugacy_residual",
     "potential_values", "orbit_potential", "pivot_negatives", "oscillation_rho",
-    "RotationResult", "rotation_number",
+    "rotation_number",
     "UhReport", "uh_test",
 ]
 
@@ -205,78 +207,6 @@ def diagonalize_su11(A, tol=1e-9):
     raise NotElliptic("no eigenvector with positive J-norm (parabolic or hyperbolic)")
 
 
-# ---------------------------------------------------------------------------
-# cocycles
-
-
-@dataclass
-class QpCocycle:
-    """(alpha, A): alpha in cycles; A constant or callable.
-
-    Callable maps must accept a batch of points with shape (m, d) and return
-    (m, 2, 2).
-    """
-
-    alpha: np.ndarray
-    kind: str
-    data: object
-    V: object = None
-    E: float = None
-
-    def __post_init__(self):
-        self.alpha = np.atleast_1d(np.asarray(self.alpha, float))
-
-    @property
-    def d(self):
-        return self.alpha.size
-
-    @property
-    def step(self):
-        return 2 * math.pi * self.alpha
-
-    def matrix_batch(self, thetas):
-        thetas = np.asarray(thetas, float)
-        if thetas.ndim == 1:
-            thetas = thetas[:, None]
-        if thetas.shape[1] != self.d:
-            raise DomainMismatch(f"points have dimension {thetas.shape[1]}, cocycle d={self.d}")
-        m = thetas.shape[0]
-        if self.kind == "constant":
-            return np.broadcast_to(self.data, (m, 2, 2)).copy()
-        return np.asarray(self.data(thetas))
-
-    @staticmethod
-    def constant(alpha, A):
-        return QpCocycle(alpha=np.atleast_1d(np.asarray(alpha, float)),
-                         kind="constant", data=np.asarray(A))
-
-
-def schrodinger_cocycle(V, E, alpha=None):
-    """Cocycle of the operator at energy E: A(theta) = [[E - V(theta), -1], [1, 0]].
-
-    V is None (the free operator, a constant cocycle) or a Potential.  The
-    frequency defaults to the label set's when V carries one.
-    """
-    if V is None:
-        return QpCocycle(alpha=np.zeros(1) if alpha is None else alpha, kind="constant",
-                         data=np.array([[E, -1.0], [1.0, 0.0]]), V=None, E=E)
-    if not isinstance(V, Potential):
-        raise QpslError(f"V must be None or a Potential, not {type(V).__name__}")
-    if alpha is None and V.label_set is not None:
-        alpha = V.label_set.frequency.floats()
-
-    def sampler(thetas):
-        thetas = np.asarray(thetas, float)
-        out = np.zeros((thetas.shape[0], 2, 2))
-        out[:, 0, 0] = E - potential_values(V, thetas)
-        out[:, 0, 1] = -1.0
-        out[:, 1, 0] = 1.0
-        return out
-
-    return QpCocycle(alpha=np.zeros(1) if alpha is None else alpha, kind="callable",
-                     data=sampler, V=V, E=E)
-
-
 def _adjugate(M):
     """adj M = [[d, -b], [-c, a]] over the last two axes.  For M = e^{Y} in
     SU(1,1) this is e^{-Y}, equal to su11_exp(-Y) bit for bit."""
@@ -357,36 +287,26 @@ def diag_pair_product(c, pair, d):
     return out[:, 0, 0], out[:, 0, 1]
 
 
-def conjugate(c: QpCocycle, Z):
-    """Cocycle (alpha, Z(theta + step)^{-1} A(theta) Z(theta)).
-
-    This is the fixed orientation for conjugations throughout the package;
-    the opposite one corresponds to replacing Z by its inverse.  Z may be a
-    matrix FourierSeries (possibly on the doubled torus) or a batch callable.
-    Raises SingularConjugator when |det Z| < 1e-8 at one of 16 seeded random
-    points of Z's torus.
+def conjugacy_residual(V, alpha, E, B, want, pts):
+    """The residual of the conjugacy B(theta + 2 pi alpha)^{-1} S_E(theta)
+    B(theta) = want at the points ``pts`` (shape (m, d)): the sup norm of the
+    difference over them, or of the sum when that is smaller (the PSL(2,R)
+    sign).  B is a matrix FourierSeries, possibly on the doubled torus, and
+    ``want`` one 2x2 matrix or one per point.  Raises SingularConjugator when
+    |det B| < 1e-8 at one of 16 seeded random points of B's torus.
     """
-    if isinstance(Z, FourierSeries):
-        z_eval = lambda th: Z.sample(th)
-        period = 2 * math.pi * (2.0 if Z.halved else 1.0)
-    else:
-        z_eval = lambda th: np.asarray(Z(th))
-        period = 2 * math.pi
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(0, period, size=(16, c.d))
-    dets = np.linalg.det(z_eval(pts))
-    if np.min(np.abs(dets)) < 1e-8:
-        raise SingularConjugator(f"min |det Z| = {np.min(np.abs(dets)):.3e} at probes")
-
-    step = c.step
-
-    def sampler(thetas):
-        thetas = np.asarray(thetas, float)
-        Zs = z_eval(thetas)
-        Zs_fwd = z_eval(thetas + step[None, :])
-        return mat_product(np.linalg.inv(Zs_fwd), c.matrix_batch(thetas), Zs)
-
-    return QpCocycle(alpha=c.alpha.copy(), kind="callable", data=sampler)
+    step = 2 * math.pi * np.atleast_1d(np.asarray(alpha, float))
+    probes = np.random.default_rng(0).uniform(0, 2 * math.pi * (2.0 if B.halved else 1.0),
+                                              size=(16, step.size))
+    dets = np.abs(np.linalg.det(B.sample(probes)))
+    if np.min(dets) < 1e-8:
+        raise SingularConjugator(f"min |det B| = {np.min(dets):.3e} at probes")
+    S = np.zeros((len(pts), 2, 2))
+    S[:, 0, 0] = E - potential_values(V, pts)
+    S[:, 0, 1] = -1.0
+    S[:, 1, 0] = 1.0
+    got = mat_product(np.linalg.inv(B.sample(pts + step)), S, B.sample(pts))
+    return float(min(np.max(np.abs(got - want)), np.max(np.abs(got + want))))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +325,7 @@ def potential_values(V, thetas):
         return np.zeros(thetas.shape[:-1])
     if not isinstance(V, Potential):
         raise QpslError(f"V must be None or a Potential, not {type(V).__name__}")
-    flat = thetas.reshape(-1, thetas.shape[-1])
-    vals = V.sample(flat[:, 0] if flat.shape[1] == 1 else flat)
-    return vals.reshape(thetas.shape[:-1])
+    return V.sample(thetas.reshape(-1, thetas.shape[-1])).reshape(thetas.shape[:-1])
 
 
 def orbit_potential(V, alpha, thetas, sites):
@@ -426,14 +344,15 @@ def orbit_potential(V, alpha, thetas, sites):
         yield potential_values(V, ang)
 
 
-def _schrodinger_walk(c: QpCocycle, pts, ks, r_prev, r):
-    """Run r <- x_k r - r_prev, x_k = E - V(pts + k step), per entry over the
-    steps ``ks``, V _WALK_BLOCK steps at a time; r has shape (..., points).
+def _schrodinger_walk(V, alpha, E, pts, ks, r_prev, r):
+    """Run r <- x_k r - r_prev, x_k = E - V(pts + k 2 pi alpha), per entry over
+    the steps ``ks``, V _WALK_BLOCK steps at a time; r has shape (..., points).
     The rows of S = A S are (r, r_prev), the columns of S = S A (r, -r_prev),
     and a step equals that matrix product bit for bit up to a zero's sign."""
+    step = 2 * math.pi * np.atleast_1d(np.asarray(alpha, float))
     for start in range(0, len(ks), _WALK_BLOCK):
         kb = ks[start:start + _WALK_BLOCK]
-        for x in c.E - potential_values(c.V, pts + kb[:, None, None] * c.step):
+        for x in E - potential_values(V, pts + kb[:, None, None] * step):
             r_prev, r = r, x * r - r_prev
     return r_prev, r
 
@@ -507,29 +426,14 @@ def oscillation_rho(V, alpha, energies, thetas, iters):
 # rotation number
 
 
-@dataclass
-class RotationResult:
-    rho: float
-    iters: int
-    samples: int
-    dispersion: float
-    per_sample: np.ndarray = field(repr=False, default=None)
-
-
-def rotation_number(c: QpCocycle, iters=100_000, phase_samples=3, seed=0):
-    """Fibered rotation number of a Schrodinger cocycle, in [0, 1/2]: the
-    oscillation count of :func:`oscillation_rho` at ``phase_samples`` random
-    phases, averaged; ``dispersion`` is its spread across them.  Any other
-    cocycle kind raises QpslError.
-    """
-    if c.V is None and not (c.kind == "constant" and c.E is not None):
-        raise QpslError(f"rotation_number takes Schrodinger cocycles, not a {c.kind} "
-                        f"cocycle")
+def rotation_number(V, alpha, E, iters=100_000, phase_samples=3, seed=0):
+    """Fibered rotation number of the Schrodinger cocycle (V, alpha, E), in
+    [0, 1/2]: the oscillation count of :func:`oscillation_rho` at
+    ``phase_samples`` random phases, averaged."""
+    alpha = np.atleast_1d(np.asarray(alpha, float))
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0, 2 * math.pi, size=(phase_samples, c.d))
-    per = oscillation_rho(c.V, c.alpha, [c.E], thetas, iters)[0]
-    return RotationResult(rho=float(np.mean(per)), iters=iters, samples=phase_samples,
-                          dispersion=float(np.max(per) - np.min(per)), per_sample=per)
+    thetas = rng.uniform(0, 2 * math.pi, size=(phase_samples, alpha.size))
+    return float(np.mean(oscillation_rho(V, alpha, [E], thetas, iters)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -558,28 +462,27 @@ def _proj_dist(a, b):
     return np.minimum(d, math.pi - d)
 
 
-def uh_test(c: QpCocycle, horizon=256, grid=128):
-    """Decide uniform hyperbolicity of a constant or Schrodinger cocycle.
+def uh_test(V, alpha, E, horizon=256, grid=128):
+    """Decide uniform hyperbolicity of the Schrodinger cocycle (V, alpha, E).
 
-    Any other kind raises QpslError.  Constant cocycles use the exact trace
-    criterion (margin |tr| - 2).  Otherwise a finite-window unstable direction
-    field is built on a theta grid by the walks of :func:`_schrodinger_walk`,
-    and a cone around it is checked for strict invariance under one cocycle
-    step; projective maps of SL(2,R) send arcs to arcs, so checking the two
-    cone edges and the center is exact for the sampled points.  Returns
+    The free cocycle (V None) is constant and takes the exact trace criterion
+    (margin |E| - 2).  Otherwise a finite-window unstable direction field is
+    built on a theta grid by the walks of :func:`_schrodinger_walk`, and a
+    cone around it is checked for strict invariance under one cocycle step;
+    projective maps of SL(2,R) send arcs to arcs, so checking the two cone
+    edges and the center is exact for the sampled points.  Returns
     'inconclusive' when neither certificate fires, and raises NonConvergence
     when the walked products overflow float range at this horizon.
     """
-    if c.kind == "constant":
-        tr = float(np.trace(np.asarray(c.data, complex)).real)
-        margin = abs(tr) - 2.0
+    if V is None:
+        margin = abs(float(E)) - 2.0
         return UhReport(verdict="hyperbolic" if margin > 0 else "not", margin=margin)
-    if c.V is None or horizon < 1:
-        raise QpslError(f"uh_test takes Schrodinger cocycles and horizons >= 1, not "
-                        f"a {c.kind} cocycle and {horizon}")
+    if horizon < 1:
+        raise QpslError(f"uh_test takes horizons >= 1, not {horizon}")
 
-    per_dim = grid if c.d == 1 else max(4, int(round(grid ** (1.0 / c.d))))
-    pts = grid_points(c.d, per_dim)
+    d = np.size(alpha)
+    per_dim = grid if d == 1 else max(4, int(round(grid ** (1.0 / d))))
+    pts = grid_points(d, per_dim)
 
     def unstable_field(prods):
         if not np.isfinite(prods).all():
@@ -594,9 +497,9 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
     # first product's zero entry +0, as a matrix product does
     half_k = max(1, horizon // 2)
     one, zero = np.ones(len(pts)), np.zeros(len(pts))
-    half = _schrodinger_walk(c, pts, -np.arange(1, half_k + 1), -np.array([zero, one]),
-                             np.array([one, -zero]))
-    full = _schrodinger_walk(c, pts, -np.arange(half_k + 1, horizon + 1), *half)
+    walk = lambda ks, r_prev, r: _schrodinger_walk(V, alpha, E, pts, ks, r_prev, r)
+    half = walk(-np.arange(1, half_k + 1), -np.array([zero, one]), np.array([one, -zero]))
+    full = walk(-np.arange(half_k + 1, horizon + 1), *half)
     columns = lambda u_prev, u: np.moveaxis(np.stack([u, -u_prev], axis=1), -1, 0)
     u_full, s_full = unstable_field(columns(*full))
     u_half, _ = unstable_field(columns(*half))
@@ -614,8 +517,7 @@ def uh_test(c: QpCocycle, horizon=256, grid=128):
 
     # cone contraction is checked for the horizon-step block map, a row walk
     # (r, r_prev): weakly hyperbolic cocycles only contract cones over long blocks
-    r_prev, r = _schrodinger_walk(c, pts, np.arange(horizon), np.array([zero, one]),
-                                  np.array([one, zero]))
+    r_prev, r = walk(np.arange(horizon), np.array([zero, one]), np.array([one, zero]))
     # the window ending at pts + horizon step is the forward block itself
     u_next, _ = unstable_field(np.moveaxis(np.stack([r, r_prev]), -1, 0))
     ang = _proj_angle(u_full)

@@ -412,23 +412,18 @@ class Potential:
         return len(self.labels[0]) if self.labels else 1
 
     def sample(self, theta):
-        """V at one point (theta length d) or a batch (m, d) / (m,) for d=1."""
+        """V at one point (theta length d, or a scalar for d=1) or a batch
+        (m, d) / (m,) for d=1, each point as a row of one (m, d) batch.
+        For d = 1, <n, theta> is the one product n theta: the same bits as
+        ``pts @ n``, which costs several times as much there (numpy's
+        matmul loop, or a BLAS gemv that OpenBLAS may spread over threads)."""
         th = np.asarray(theta, float)
-        if self.d == 1:
-            if th.ndim == 0:
-                return float(sum(c * math.cos(lab[0] * float(th))
-                                 for lab, c in zip(self.labels, self.coefficients)))
-            acc = np.zeros(th.shape[0])
-            for lab, c in zip(self.labels, self.coefficients):
-                acc += c * np.cos(lab[0] * th)
-            return acc
-        if th.ndim == 1:
-            return float(sum(c * math.cos(float(np.dot(lab, th)))
-                             for lab, c in zip(self.labels, self.coefficients)))
-        acc = np.zeros(th.shape[0])
+        pts = th.reshape(-1, self.d)
+        acc = np.zeros(len(pts))
         for lab, c in zip(self.labels, self.coefficients):
-            acc += c * np.cos(th @ np.asarray(lab, float))
-        return acc
+            phase = pts[:, 0] * lab[0] if self.d == 1 else pts @ np.asarray(lab, float)
+            acc += c * np.cos(phase)
+        return float(acc[0]) if th.ndim == (0 if self.d == 1 else 1) else acc
 
     def sup_bound(self):
         return sum(abs(c) for c in self.coefficients)

@@ -56,11 +56,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cocycle import (
-    conjugate,
+    conjugacy_residual,
     diagonalize_su11,
     rotation_matrix,
     rotation_number,
-    schrodinger_cocycle,
     su11_element,
     su11_exp,
     su11_exp_pair,
@@ -908,9 +907,8 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
 
     if "energy" in target:
         E = float(target["energy"])
-        rho = rotation_number(schrodinger_cocycle(V, E, alpha=alpha_arr),
-                              iters=ROTATION_ITERS, phase_samples=3,
-                              seed=params.seed).rho
+        rho = rotation_number(V, alpha_arr, E, iters=ROTATION_ITERS, phase_samples=3,
+                              seed=params.seed)
         label = _find_lock(rho, alpha_arr, V, params)
         if label is None:
             raise TargetNotLocked(
@@ -1096,11 +1094,8 @@ def _finalize(V, alpha, E, label, state, reports, params):
     # certify against the original cocycle
     rng = np.random.default_rng(params.seed + 99)
     pts = rng.uniform(0, 4 * math.pi, size=(params.probe_count, alpha.size))
-    got = conjugate(schrodinger_cocycle(V, E, alpha=alpha), B).matrix_batch(pts)
-    C = np.array([[1.0, zeta], [0.0, 1.0]])
-    res_plus = np.max(np.abs(got - C))
-    res_minus = np.max(np.abs(got + C))
-    conj_residual = float(min(res_plus, res_minus))
+    conj_residual = conjugacy_residual(V, alpha, E, B, np.array([[1.0, zeta], [0.0, 1.0]]),
+                                       pts)
     if conj_residual > params.conj_residual_tol:
         raise NonConvergence(
             f"conjugacy residual {conj_residual:.3e} of the reduction at E = {E!r} "

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .cocycle import conjugate, rotation_number, schrodinger_cocycle, uh_test
+from .cocycle import conjugacy_residual, rotation_number, uh_test
 from .diophantine import dist_to_integers
 from .errors import QpslError
 from .fourier import FourierSeries, multiply
@@ -223,24 +223,23 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta):
     d_val = discriminant(edge, delta=delta)
     pred = "hyperbolic" if d_val < 0 else ("not" if d_val > 0 else "inconclusive")
 
-    coc = schrodinger_cocycle(V, E_probe, alpha=alpha)
     # the reduced constant's per-step expansion is sqrt(-d) when the
     # discriminant is negative; direction coherence needs a window
-    # several times longer (uh_test decides a constant cocycle, V None,
+    # several times longer (uh_test decides the free cocycle, V None,
     # by its trace)
     rate = math.sqrt(abs(d_val)) if d_val != 0 else 1e-6
     horizon = int(min(20_000, max(256, 12.0 / max(rate, 1e-6))))
-    rep = uh_test(coc, horizon=horizon, grid=192)
+    rep = uh_test(V, alpha, E_probe, horizon=horizon, grid=192)
     verdict = rep.verdict
     if verdict == "inconclusive":
         # Schrodinger fallback: an unlocked rotation number certifies a
         # spectrum-side probe (gaps of unchecked huge labels are far
         # below the resolution used here)
         iters = 400_000
-        rr = rotation_number(coc, iters=iters, phase_samples=2, seed=0)
+        rho = rotation_number(V, alpha, E_probe, iters=iters, phase_samples=2, seed=0)
         cands = [(k,) + (0,) * (alpha.size - 1) for k in range(-40, 41)]
         lock_dist = min(
-            dist_to_integers(2 * rr.rho - float(np.dot(n, alpha)))
+            dist_to_integers(2 * rho - float(np.dot(n, alpha)))
             for n in cands)
         if lock_dist > 20.0 / iters:
             verdict = "not"
@@ -251,11 +250,8 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta):
     P = perturbation_matrix(edge.B, edge.zeta)
     C = np.array([[1.0, edge.zeta], [0.0, 1.0]])
     s = -direction * delta
-    got = conjugate(schrodinger_cocycle(V, E_edge - s, alpha=alpha),
-                    edge.B).matrix_batch(pts)
-    want = C[None, :, :] - s * P.sample(pts)
-    residual = float(np.min([np.max(np.abs(got - want)),
-                             np.max(np.abs(got + want))]))
+    residual = conjugacy_residual(V, alpha, E_edge - s, edge.B,
+                                  C[None, :, :] - s * P.sample(pts), pts)
 
     return ProbeResult(delta=delta, probe_energy=E_probe, d_delta=d_val,
                        verdict=verdict, averaged_prediction=pred,

@@ -17,7 +17,10 @@ the width of the edge search's final bracket and the closed-form trace slope
 dt/dE of the reduction at the edge (``kam._trace_slope``), the delta2/delta1
 verdicts, and for each KAM step its ``sweep_grid`` and the ``float.hex`` of
 its Newton sweep norms, so a change that moves bits on purpose can quote
-which values moved.  The CLI's own messages are not printed.
+which values moved.  Then it runs ``kam --energy`` at the upper edge's
+energy, the one CLI path through the rotation-number lock, and prints the
+hash of that ``kam.json`` without ``config`` and ``config_hash``.  The CLI's
+own messages are not printed.
 
 Every criterion-11 reduction is a single resonant step, so the script then
 runs fixed non-resonant steps: the criterion-8 NR perturbation under
@@ -139,6 +142,12 @@ def _run(seed):
             sweeps = " ".join(float(v).hex() for v in step["newton_sweeps"])
             print(f"seed {seed} {edge} step {step['j']} {step['case']} sweep_grid "
                   f"{step['diagnostics'].get('sweep_grid')} sweeps {sweeps}")
+    with open("kam_upper.json") as fh:
+        energy = json.load(fh)["energy"]
+    _qpsl(["kam", "--config", "config.json", "--set", "set.json", "--energy", repr(energy),
+           "--k", "2.0", "--out", "kam_energy.json"], seed)
+    print(f"seed {seed} energy target {float(energy).hex()} kam.json results-only "
+          f"{_results_sha('kam_energy.json')}")
 
 
 def _report(seed):

@@ -14,13 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpsl.cocycle import (
-    QpCocycle,
-    rotation_matrix,
-    schrodinger_cocycle,
-    to_su11,
-    uh_test,
-)
+from qpsl.cocycle import to_su11, uh_test
 from qpsl.diophantine import (
     cf_expand,
     dist_to_integers,
@@ -320,15 +314,16 @@ def test_criterion_10_moser_poschel_closed_forms():
     assert np.allclose(c1, [[-zeta / 2, 0.0], [-1.0, zeta / 2]], atol=1e-15)
     assert discriminant(I, zeta=zeta, delta=0.01) == pytest.approx(-0.003)
 
-    # constant-cocycle probe verdicts match the trace criterion exactly
+    # constant-cocycle probe verdicts match the trace criterion exactly: the
+    # free cocycle at E = tr M is constant with the trace of M
     for z, delta in ((0.01, 0.01 ** 1.1), (0.05, 0.02), (0.3, 0.1)):
         C = np.array([[1.0, z], [0.0, 1.0]])
         Pm = np.array([[-z, 0.0], [-1.0, 0.0]])
         M = C - delta * Pm
-        rep = uh_test(QpCocycle.constant([GOLD], M))
+        rep = uh_test(None, [GOLD], float(np.trace(M)))
         assert rep.verdict == ("hyperbolic" if abs(np.trace(M)) > 2 else "not")
         assert rep.verdict == "hyperbolic"
-        rep0 = uh_test(QpCocycle.constant([GOLD], C))
+        rep0 = uh_test(None, [GOLD], float(np.trace(C)))
         assert rep0.verdict == "not"
     rt = time.time() - t0
     assert rt < 5.0

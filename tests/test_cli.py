@@ -184,6 +184,44 @@ def test_edge_probe_needs_k_when_the_result_has_none(tmp_path, capsys, criterion
     assert run_cli(args + ["--k", "2.0"]) == 0
 
 
+ROTATION = ["rotation", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
+            "--grid", "3", "--iters", "100"]
+
+
+@pytest.mark.parametrize("argv, threads", [
+    (["kam", "--set", "{tmp}/missing.json"], None),
+    (["kam", "--set", "{tmp}/text.json"], None),
+    (["edge-probe", "--result", "{tmp}/missing.json", "--set", "{set}"], None),
+    (ROTATION + ["--config", "{tmp}/binary.json"], None),
+    (ROTATION + ["--config", "{tmp}/list.json"], None),
+    (["gaps"] + ROTATION[1:] + ["--labels", "1.."], None),
+    (["verify-set", "--set", "{set}", "--targets", "0.1,x"], None),
+    (ROTATION, "two"),
+    (ROTATION + ["--grid", "0"], None),
+    (ROTATION + ["--iters", "0"], None),
+    (ROTATION + ["--samples", "0"], None),
+    (["ids"] + ROTATION[1:-2] + ["--phases", "0"], None),
+    (["kam", "--set", "{set}", "--label-index", "5"], None),
+    (["kam", "--set", "{set}", "--label-index", "-1"], None),
+], ids=["missing-set", "text-set", "missing-result", "binary-config", "list-config",
+        "labels", "targets", "threads", "grid", "iters", "samples", "phases",
+        "label-index-past-end", "label-index-negative"])
+def test_invalid_input_exits_config_invalid(argv, threads, tmp_path, capsys, monkeypatch,
+                                            criterion11_kam):
+    # unreadable or malformed files and flag values exit 1 with ConfigInvalid,
+    # before any output is written
+    (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    if threads is not None:
+        monkeypatch.setenv("QPSL_THREADS", threads)
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path, set=criterion11_kam[0]) for a in argv]
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
+    assert not out.exists()
+
+
 def test_report_from_config(tmp_path):
     # criterion-11 schedule, bracket probes off
     cfg = {"frequency": {"components": [golden_mean(80)]},

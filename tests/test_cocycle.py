@@ -11,9 +11,8 @@ from qpsl.cocycle import _ORBIT_BLOCK, _PIVOT_BLOCK, _su11_log_pair
 from qpsl.cocycle import (
     M_CONJ,
     M_CONJ_INV,
-    QpCocycle,
     check_su11,
-    conjugate,
+    conjugacy_residual,
     diag_pair_product,
     diagonalize_su11,
     from_su11,
@@ -24,7 +23,6 @@ from qpsl.cocycle import (
     pivot_negatives,
     rotation_matrix,
     rotation_number,
-    schrodinger_cocycle,
     su11_element,
     su11_exp,
     su11_exp_pair,
@@ -221,57 +219,61 @@ def test_diagonalize_rejects_hyperbolic():
         diagonalize_su11(to_su11(np.diag([2.0, 0.5])))
 
 
-def test_schrodinger_cocycle_values():
-    c = schrodinger_cocycle(None, 0.0, alpha=[GOLD])
-    assert np.allclose(c.matrix_batch([0.0]), [[[0.0, -1.0], [1.0, 0.0]]])
-    c2 = schrodinger_cocycle(None, 2.0, alpha=[GOLD])
-    assert np.allclose(c2.matrix_batch([0.3]), [[[2.0, -1.0], [1.0, 0.0]]])
+def _schrodinger(V, E, pts):
+    """S_E at the points pts (shape (m, d)) by numpy alone."""
+    vals = np.zeros(len(pts)) if V is None else V.sample(pts)
+    out = np.zeros((len(pts), 2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0] = E - vals, -1.0, 1.0
+    return out
+
+
+def _identity():
+    I = FourierSeries(1, kind="matrix")
+    I[(0,)] = np.eye(2, dtype=complex)
+    return I
+
+
+def test_schrodinger_matrix_values():
+    # B = I conjugates the cocycle to its own matrices [[E - V, -1], [1, 0]]
+    pts = np.array([[0.0], [0.3], [0.4]])
     P = amo_potential(0.5)
-    c3 = schrodinger_cocycle(P, 1.0, alpha=[GOLD])
-    (A,) = c3.matrix_batch([0.4])
-    assert np.linalg.det(A) == pytest.approx(1.0)
-    assert A[0, 0] == pytest.approx(1.0 - P.sample(0.4))
-
-
-def test_rotation_number_rigid():
-    # only Schrodinger cocycles have a rotation number here, as in uh_test
-    c = QpCocycle.constant([GOLD], rotation_matrix(0.3))
-    with pytest.raises(QpslError, match="Schrodinger"):
-        rotation_number(c, iters=5000, phase_samples=2)
+    for V, E, want in ((None, 0.0, [[0.0, -1.0], [1.0, 0.0]]),
+                       (None, 2.0, [[2.0, -1.0], [1.0, 0.0]]),
+                       (P, 1.0, [[[1.0 - P.sample(p[0]), -1.0], [1.0, 0.0]] for p in pts])):
+        assert conjugacy_residual(V, [GOLD], E, _identity(), np.array(want), pts) == 0.0
 
 
 def test_rotation_number_free_cocycle():
-    c = schrodinger_cocycle(None, 0.0, alpha=[GOLD])
-    res = rotation_number(c, iters=20_000, phase_samples=2)
-    assert res.rho == pytest.approx(0.25, abs=1e-4)
+    rho = rotation_number(None, [GOLD], 0.0, iters=20_000, phase_samples=2)
+    assert rho == pytest.approx(0.25, abs=1e-4)
     E = 2 * math.cos(2 * math.pi * 0.1)
-    c2 = schrodinger_cocycle(None, E, alpha=[GOLD])
-    res2 = rotation_number(c2, iters=50_000, phase_samples=2)
-    assert res2.rho == pytest.approx(0.1, abs=1e-3)
+    rho2 = rotation_number(None, [GOLD], E, iters=50_000, phase_samples=2)
+    assert rho2 == pytest.approx(0.1, abs=1e-3)
 
 
 def test_rotation_number_amo_dispersion():
     P = amo_potential(0.5)
-    c = schrodinger_cocycle(P, 0.0, alpha=[GOLD])
-    res = rotation_number(c, iters=50_000, phase_samples=4)
-    assert res.dispersion <= 1e-2
-    assert 0.0 < res.rho < 0.5
+    rho = rotation_number(P, [GOLD], 0.0, iters=50_000, phase_samples=4)
+    curve = rotation_curve(P, [GOLD], [0.0], iters=50_000, samples=4)
+    assert curve.dispersion[0] <= 1e-2
+    assert rho == curve.rho[0]
+    assert 0.0 < rho < 0.5
 
 
 def test_uh_constant_cases():
-    assert uh_test(QpCocycle.constant([GOLD], [[2.1, -1.0], [1.0, 0.0]])).verdict == "hyperbolic"
-    assert uh_test(QpCocycle.constant([GOLD], [[2.1, -1.0], [1.0, 0.0]])).margin == pytest.approx(0.1)
-    assert uh_test(QpCocycle.constant([GOLD], rotation_matrix(0.23))).verdict == "not"
-    assert uh_test(QpCocycle.constant([GOLD], [[3.0, -1.0], [1.0, 0.0]])).verdict == "hyperbolic"
+    # the free cocycle is constant: the trace criterion, margin |E| - 2
+    assert uh_test(None, [GOLD], 2.1).verdict == "hyperbolic"
+    assert uh_test(None, [GOLD], 2.1).margin == pytest.approx(0.1)
+    assert uh_test(None, [GOLD], -2.1).verdict == "hyperbolic"
+    assert uh_test(None, [GOLD], float(np.trace(rotation_matrix(0.23)))).verdict == "not"
+    assert uh_test(None, [GOLD], 3.0).verdict == "hyperbolic"
 
 
 def test_uh_nonconstant_amo():
     P = amo_potential(0.5)
-    outside = schrodinger_cocycle(P, 3.5, alpha=[GOLD])
-    rep = uh_test(outside, horizon=64, grid=64)
+    rep = uh_test(P, [GOLD], 3.5, horizon=64, grid=64)
     assert rep.verdict == "hyperbolic"
-    inside = schrodinger_cocycle(P, 0.0, alpha=[GOLD])
-    rep2 = uh_test(inside, horizon=64, grid=64)
+    rep2 = uh_test(P, [GOLD], 0.0, horizon=64, grid=64)
     assert rep2.verdict == "not"
     # pinned bit for bit; an orbit walk that recomputes the next window
     # instead of reusing the forward block moves the margin by 3 ulps
@@ -281,14 +283,15 @@ def test_uh_nonconstant_amo():
         -1.5305972187771577, 1.104138258583397, 3.7569910807470683)
 
 
-def _uh_oracle(c, horizon, grid):
-    """uh_test as one matrix_batch call and one einsum product per step."""
-    period = 2 * math.pi
-    if c.d == 1:
+def _uh_oracle(V, alpha, E, horizon, grid):
+    """uh_test as one batch of cocycle matrices and one einsum product per step."""
+    period, d = 2 * math.pi, len(alpha)
+    step = 2 * math.pi * np.asarray(alpha)
+    if d == 1:
         pts = np.linspace(0.0, period, grid, endpoint=False)[:, None]
     else:
-        per_dim = max(4, int(round(grid ** (1.0 / c.d))))
-        axes = [np.linspace(0.0, period, per_dim, endpoint=False)] * c.d
+        per_dim = max(4, int(round(grid ** (1.0 / d))))
+        axes = [np.linspace(0.0, period, per_dim, endpoint=False)] * d
         pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     proj_angle = lambda v: np.arctan2(v[..., 1], v[..., 0]) % math.pi
 
@@ -302,7 +305,7 @@ def _uh_oracle(c, horizon, grid):
 
     full = half = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
     for k in range(1, horizon + 1):
-        full = np.einsum("mij,mjk->mik", full, c.matrix_batch(pts - k * c.step[None, :]))
+        full = np.einsum("mij,mjk->mik", full, _schrodinger(V, E, pts - k * step[None, :]))
         if k == max(1, horizon // 2):
             half = full
     u_full, s_full = unstable_field(full)
@@ -315,7 +318,7 @@ def _uh_oracle(c, horizon, grid):
         return UhReport(verdict="not", margin=-stable_dirs, sigma_min=smin, sigma_max=smax)
     fwd = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
     for k in range(horizon):
-        fwd = np.einsum("mij,mjk->mik", c.matrix_batch(pts + k * c.step[None, :]), fwd)
+        fwd = np.einsum("mij,mjk->mik", _schrodinger(V, E, pts + k * step[None, :]), fwd)
     ang, ang_next = proj_angle(u_full), proj_angle(unstable_field(fwd)[0])
     for phi in (math.pi / 8, math.pi / 16, math.pi / 32, math.pi / 64, math.pi / 256):
         worst, ok = -math.inf, True
@@ -343,9 +346,8 @@ def test_uh_test_walk_matches_matrix_oracle():
               for horizon in (1, 2, 70)]
     verdicts = set()
     for V, alpha, E, horizon, grid in cases:
-        c = schrodinger_cocycle(V, E, alpha=alpha)
-        rep = uh_test(c, horizon=horizon, grid=grid)
-        assert rep == _uh_oracle(c, horizon, grid), (E, horizon, len(alpha))
+        rep = uh_test(V, alpha, E, horizon=horizon, grid=grid)
+        assert rep == _uh_oracle(V, alpha, E, horizon, grid), (E, horizon, len(alpha))
         verdicts.add((rep.verdict, len(alpha)))
     # every verdict is covered, and both dimensions decide both ways
     assert {v for v, _ in verdicts} == {"hyperbolic", "not", "inconclusive"}
@@ -354,17 +356,9 @@ def test_uh_test_walk_matches_matrix_oracle():
 
 def test_uh_test_overflowing_horizon_raises_nonconvergence():
     # sigma_max is 1.1e295 at horizon 600; at 1099 the walked products overflow
-    c = schrodinger_cocycle(amo_potential(0.5), 3.5, alpha=[GOLD])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonConvergence, match="horizon 1099"):
-            uh_test(c, horizon=1099, grid=64)
-
-
-def test_uh_test_rejects_other_cocycle_kinds():
-    c = schrodinger_cocycle(amo_potential(0.4), 0.7, alpha=[GOLD])
-    Z = FourierSeries(1, {(0,): np.eye(2, dtype=complex)}, kind="matrix")
-    with pytest.raises(QpslError, match="callable"):
-        uh_test(conjugate(c, Z), horizon=16, grid=16)
+            uh_test(amo_potential(0.5), [GOLD], 3.5, horizon=1099, grid=64)
 
 
 def _einsum_operands(pattern, m, kinds, rng):
@@ -498,44 +492,38 @@ def test_pair_products_equal_row_zero_of_mat_product():
 
 
 def test_conjugate_identity_map():
+    # B = I: the residual against S_E is 0, and against -S_E too (the PSL sign)
     P = amo_potential(0.4)
-    c = schrodinger_cocycle(P, 0.7, alpha=[GOLD])
-    Z = FourierSeries(1, {(0,): np.eye(2, dtype=complex)}, kind="matrix")
-    cc = conjugate(c, Z)
     pts = np.random.default_rng(0).uniform(0, 2 * math.pi, size=(16, 1))
-    assert np.max(np.abs(cc.matrix_batch(pts) - c.matrix_batch(pts))) < 1e-12
+    S = _schrodinger(P, 0.7, pts)
+    for want in (S, -S):
+        assert conjugacy_residual(P, [GOLD], 0.7, _identity(), want, pts) == 0.0
+    assert conjugacy_residual(P, [GOLD], 0.7, _identity(), 2 * S, pts) > 0.1
 
 
 def test_conjugate_matches_linalg_product():
-    # Z(theta + 2 pi alpha)^{-1} A(theta) Z(theta), for a callable Z on the
-    # torus and a half-winding rotation Z as a series on the doubled torus
-    c = schrodinger_cocycle(amo_potential(0.3), 0.2, alpha=[GOLD])
-
-    def shear(thetas):
-        out = np.tile(np.eye(2), (thetas.shape[0], 1, 1))
-        out[:, 0, 1] = 0.4 * np.cos(thetas[:, 0])
-        return out
-
+    # B(theta + 2 pi alpha)^{-1} S_E(theta) B(theta), for a shear on the torus
+    # and a half-winding rotation on the doubled torus
+    P = amo_potential(0.3)
+    shear = _identity()
+    shear[(1,)] = shear[(-1,)] = np.array([[0.0, 0.2], [0.0, 0.0]])
     half = FourierSeries(1, halved=True, kind="matrix")  # rotation by theta / 2
     half[(1,)] = np.array([[1, 1j], [-1j, 1]]) / 2
     half[(-1,)] = np.array([[1, -1j], [1j, 1]]) / 2
     pts = np.random.default_rng(4).uniform(0, 4 * math.pi, size=(64, 1))
+    assert np.allclose(shear.sample(pts)[:, 0, 1], 0.4 * np.cos(pts[:, 0]), atol=1e-15)
     assert np.allclose(half.sample(pts)[:, 1, 0], np.sin(pts[:, 0] / 2), atol=1e-15)
-    for Z, z_eval in ((shear, shear), (half, half.sample)):
-        want = np.linalg.inv(z_eval(pts + c.step)) @ c.matrix_batch(pts) @ z_eval(pts)
-        got = conjugate(c, Z).matrix_batch(pts)
-        assert np.max(np.abs(got - want)) < 1e-12
-        assert np.max(np.abs(got - c.matrix_batch(pts))) > 0.1
+    S = _schrodinger(P, 0.2, pts)
+    for B in (shear, half):
+        want = np.linalg.inv(B.sample(pts + 2 * math.pi * GOLD)) @ S @ B.sample(pts)
+        assert conjugacy_residual(P, [GOLD], 0.2, B, want, pts) < 1e-12
+        assert conjugacy_residual(P, [GOLD], 0.2, B, S, pts) > 0.1
 
 
 def test_conjugate_singular_rejected():
-    c = schrodinger_cocycle(None, 0.0, alpha=[GOLD])
-
-    def Z(thetas):
-        return np.zeros((thetas.shape[0], 2, 2))
-
+    pts = np.zeros((4, 1))
     with pytest.raises(SingularConjugator):
-        conjugate(c, Z)
+        conjugacy_residual(None, [GOLD], 0.0, FourierSeries(1, kind="matrix"), np.eye(2), pts)
 
 
 def test_rotation_monotone_in_energy_amo():
@@ -649,17 +637,26 @@ def test_pivot_count_one_zero_column_in_wide_batch():
 def test_rotation_number_matches_rotation_curve_bitwise():
     P = amo_potential(0.5)
     for samples in (1, 3):
-        rr = rotation_number(schrodinger_cocycle(P, 0.4, alpha=[GOLD]), iters=20_000,
-                             phase_samples=samples, seed=6)
+        rho = rotation_number(P, [GOLD], 0.4, iters=20_000, phase_samples=samples, seed=6)
         curve = rotation_curve(P, [GOLD], [0.4], iters=20_000, samples=samples, seed=6)
-        if samples == 1:
-            assert rr.per_sample[0] == curve.rho[0]
-        assert rr.rho == curve.rho[0]
-        assert rr.dispersion == curve.dispersion[0]
+        assert rho == curve.rho[0]
+
+
+def test_rotation_number_rigid():
+    # only Schrodinger cocycles have a rotation number here, as in uh_test:
+    # a rigid rotation in place of V is refused
+    with pytest.raises(QpslError, match="Potential"):
+        rotation_number(rotation_matrix(0.3), [GOLD], 0.0, iters=5000, phase_samples=2)
 
 
 def test_schrodinger_cocycle_rejects_non_potential():
+    # V is None or a Potential, in every function of (V, alpha, E)
     series = FourierSeries(1, {(1,): 0.5, (-1,): 0.5})
+    pts = np.zeros((4, 1))
     for V in (series, lambda th: np.cos(th[:, 0]), 0.0):
-        with pytest.raises(QpslError):
-            schrodinger_cocycle(V, 0.3, alpha=[GOLD])
+        with pytest.raises(QpslError, match="Potential"):
+            conjugacy_residual(V, [GOLD], 0.3, _identity(), np.eye(2), pts)
+        with pytest.raises(QpslError, match="Potential"):
+            rotation_number(V, [GOLD], 0.3, iters=100, phase_samples=1)
+        with pytest.raises(QpslError, match="Potential"):
+            uh_test(V, [GOLD], 0.3, horizon=4, grid=4)

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qpsl.cocycle import QpCocycle, uh_test
+from qpsl.cocycle import uh_test
 from qpsl.errors import QpslError
 from qpsl.fourier import FourierSeries
 from qpsl.kam import KamParams, run_reducibility
@@ -145,11 +145,12 @@ def test_constant_probe_matches_trace_criterion():
     M = C - delta * P
     assert np.allclose(M, [[1 + delta * zeta, zeta], [delta, 1.0]])
     assert np.trace(M) > 2
-    rep = uh_test(QpCocycle.constant([GOLD], M))
+    # the free cocycle at E = tr M is constant with the trace of M
+    rep = uh_test(None, [GOLD], float(np.trace(M)))
     assert rep.verdict == "hyperbolic"
     assert rep.margin == pytest.approx(delta * zeta, abs=1e-15)
     # delta = 0: parabolic C is not uniformly hyperbolic
-    rep0 = uh_test(QpCocycle.constant([GOLD], C))
+    rep0 = uh_test(None, [GOLD], float(np.trace(C)))
     assert rep0.verdict == "not"
 
 
