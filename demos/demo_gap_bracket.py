@@ -46,7 +46,7 @@ for key in ("precondition_met", "gram", "ratio", "ratio_bound", "gram_bound"):
     print(f"  {key} = {pb[key]}")
 
 print("\nprobing both scales (authoritative verdicts from the cone test):")
-out = bracket_gap(edge, V, freq.floats())
+out = bracket_gap(edge, V)
 print(f"  delta_2 = {out['lower']:.4e}: verdict {out['checks']['delta2'].verdict} "
       f"(averaged prediction: {out['checks']['delta2'].averaged_prediction})")
 print(f"  delta_1 = {out['upper']:.4e}: verdict {out['checks']['delta1'].verdict} "

@@ -153,8 +153,12 @@ def _scan(args, e_min, e_max, grid):
 
 
 def _parse_labels(expr):
+    """Candidate gap labels: a string like '1..5' or '1,3,8', or a JSON list
+    of integers (default 1, 2, 3); no label at all is ConfigInvalid."""
     if expr is None:
         return [1, 2, 3]
+    if isinstance(expr, list) and all(type(n) is int for n in expr):
+        expr = ",".join(map(str, expr))
     out = []
     try:
         for part in str(expr).split(","):
@@ -165,7 +169,9 @@ def _parse_labels(expr):
             elif part:
                 out.append(int(part))
     except ValueError:
-        raise ConfigInvalid(f"labels {expr!r} are not a list like '1..5' or '1,3,8'")
+        out = []
+    if not out:
+        raise ConfigInvalid(f"labels {expr!r} are not a list like '1..5', '1,3,8' or [1, 3]")
     return out
 
 
@@ -354,7 +360,6 @@ def cmd_kam(args):
         max_degree=int(kc.get("max_degree", 384)),
         grid_size=int(kc.get("grid_size", 2048)),
         conj_residual_tol=float(kc.get("conj_residual_tol", 1e-9)),
-        stop_tol=float(kc.get("stop_tol", 1e-12)),
         seed=int(cfg.get("seed", 0)),
     )
     unmet = params.strict_unmet() if args.strict else []
@@ -372,16 +377,15 @@ def cmd_kam(args):
                            max_steps=int(args.max_steps))
     run_cfg = {"set": args.set, "k": k, "target": target, "seed": params.seed}
     _emit_json(args.out, res.as_dict(), run_cfg)
-    if args.steps_out:
-        with open(args.steps_out, "w") as fh:
-            for rep in res.reports:
-                fh.write(json.dumps(rep.as_dict()) + "\n")
     return 0
 
 
 def cmd_edge_probe(args):
     data = _read(args.result)
-    res = ReducibilityResult.from_dict(data)
+    try:
+        res = ReducibilityResult.from_dict(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ConfigInvalid(f"{args.result} is not a kam result: {type(e).__name__}: {e}")
     ks = _read(args.set, LabelSet.from_json)
     # the probe needs the potential the edge was reduced with; without it
     # the free operator would be probed and the verdicts would mean nothing
@@ -394,7 +398,7 @@ def cmd_edge_probe(args):
     V = build_potential(ks, k=k)
     freq = ks.frequency
     edge = edge_data_from_reduction(res, freq.floats(), tau=freq.dc_tau)
-    out = bracket_gap(edge, V, freq.floats(), probe=not args.no_probe)
+    out = bracket_gap(edge, V, probe=not args.no_probe)
     payload = {
         "zeta": edge.zeta, "bracket": [out["lower"], out["upper"]],
         "degenerate": out["degenerate"],
@@ -570,7 +574,6 @@ def _build_parser():
     sp.add_argument("--strict", action="store_true",
                     help="refuse the run (exit 1), listing the unmet conditions, unless "
                          "k, tau and the schedule meet the paper's regime")
-    sp.add_argument("--steps-out", help="JSON-lines stream of step reports")
     sp.set_defaults(func=cmd_kam)
 
     sp = sub.add_parser("edge-probe", help="Moser-Poschel probes at a reduced edge")

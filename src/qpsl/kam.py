@@ -27,11 +27,12 @@ axis the iterate stays the stack of its centred (u, w) coefficient blocks of
 half-width G / 2 as the forward FFT fills them (u's +G/2 modes stay apart from
 its -G/2 ones), with the tables over their keys built once per call and grid.
 
-A gap edge is bracketed on steps of spread / 64 from a point inside the gap,
-jumping to the step the parabola through the last three inside values
-predicts, and then located by Newton steps on the indicator |Re a| - 1 with
-its slope in closed form from each reduction's conjugacy, bisecting where a
-step would leave the bracket, down to the resolution of the indicator.
+A gap edge is bracketed on steps of spread / 64 from the free-cocycle guess
+E0, which must read inside the gap, jumping to the step the parabola through
+the last three inside values predicts, and then located by Newton steps on
+the indicator |Re a| - 1 with its slope in closed form from each reduction's
+conjugacy, bisecting where a step would leave the bracket, down to the
+resolution of the indicator.
 
 Every accepted step, and the final reduction to the normal form, is certified
 by evaluating both sides of its conjugation identity at random probe points;
@@ -42,10 +43,12 @@ smallness hypotheses need k of order hundreds of tau, which no floating-point
 run reaches.  :meth:`KamParams.strict_unmet` lists the hypotheses a run misses.
 
 Settings no caller varies are module constants: the strip width H0 * H_DECAY^j
-of step j, the Newton stop NEWTON_TOL and cap NEWTON_MAX_SWEEPS, the divisor
-floor DIVISOR_FLOOR, the resonance threshold cap THRESHOLD_CAP, and the
-energy-target lock tolerance LOCK_TOL with its rotation-number iterations
-ROTATION_ITERS.  Everything a caller sets is on :class:`KamParams`.
+of step j, the Newton stop NEWTON_TOL and cap NEWTON_MAX_SWEEPS, the norm
+STOP_TOL below which a perturbation counts as removed, the number of random
+probes PROBE_COUNT of each residual, the divisor floor DIVISOR_FLOOR, the
+resonance threshold cap THRESHOLD_CAP, and the energy-target lock tolerance
+LOCK_TOL with its rotation-number iterations ROTATION_ITERS.  Everything a
+caller sets is on :class:`KamParams`.
 """
 
 from __future__ import annotations
@@ -223,6 +226,8 @@ H0 = 0.05                  # strip width of step 0 ...
 H_DECAY = 0.75             # ... shrinking by this factor per step
 NEWTON_TOL = 1e-14         # Newton stops at this fraction of the input norm
 NEWTON_MAX_SWEEPS = 16
+STOP_TOL = 1e-12           # a perturbation of this norm counts as removed
+PROBE_COUNT = 12           # random probes of each conjugacy residual
 DIVISOR_FLOOR = 1e-9       # smallest divisor the homological solve accepts
 THRESHOLD_CAP = 5e-2       # cap of the resonance threshold
 LOCK_TOL = 1e-3            # 2 rho = <n, alpha> mod 1 lock tolerance
@@ -231,9 +236,7 @@ ROTATION_ITERS = 200_000   # iterations of the lock's rotation number
 
 @dataclass
 class KamParams:
-    """Run parameters.  The fixed settings are the module constants H0,
-    H_DECAY, NEWTON_TOL, NEWTON_MAX_SWEEPS, DIVISOR_FLOOR, THRESHOLD_CAP,
-    LOCK_TOL and ROTATION_ITERS."""
+    """Run parameters; the fixed settings are the module constants."""
 
     tau: float = 1.5
     k_exponent: float = 2.0
@@ -242,8 +245,6 @@ class KamParams:
     grid_size: int = 2048
     conj_residual_tol: float = 1e-9
     window_cap: int = None
-    stop_tol: float = 1e-12
-    probe_count: int = 12
     seed: int = 0
 
     def level(self, j):
@@ -679,9 +680,8 @@ def kam_step(state: KamState, params: KamParams):
     elliptic = abs(re_a) < 1.0 - 1e-12
 
     # nothing to remove: either a free step, or a settled non-elliptic constant
-    done = norm_before <= params.stop_tol and not labels
-    if done or (not elliptic and
-                norm_before <= max(params.stop_tol * 10, params.conj_residual_tol)):
+    done = norm_before <= STOP_TOL and not labels
+    if done or (not elliptic and norm_before <= max(STOP_TOL * 10, params.conj_residual_tol)):
         report = StepReport(j=j, case="trivial", sigma=None,
                             norm_before=norm_before, norm_after=norm_before,
                             residual=0.0, b_next=complex(state.A[0, 1]))
@@ -755,7 +755,7 @@ def kam_step(state: KamState, params: KamParams):
 
     # certify the step on random probes of the doubled torus
     rng = np.random.default_rng(params.seed + 7 * j + 3)
-    pr = rng.uniform(0, 4 * math.pi, size=(params.probe_count, d))
+    pr = rng.uniform(0, 4 * math.pi, size=(PROBE_COUNT, d))
     step_vec = 2 * math.pi * alpha
     Bv = B_step.sample(pr + step_vec[None, :])
     Bv_inv = B_inv.sample(pr)
@@ -865,7 +865,7 @@ def _reduce_at_energy(V, alpha, E, params: KamParams, max_steps):
         reports.append(rep)
         if state.stopped:
             break
-        if not state.pending and state.f.norm(params.width(state.j)) <= params.stop_tol:
+        if not state.pending and state.f.norm(params.width(state.j)) <= STOP_TOL:
             break
     return state, reports
 
@@ -899,8 +899,12 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     {"edge": "upper"|"lower"} selects the edge (default upper).  For an edge
     target the result's ``edge_search`` holds the number of reductions the
     search made, the failed ones it counted as outside the gap and its final
-    bracket.  Raises NonConvergence when B conjugates the cocycle to the
-    normal form only up to a residual above ``params.conj_residual_tol``.
+    bracket; the search starts at the free-cocycle guess E0 and raises
+    TargetNotLocked after that one reduction unless E0 lies inside the gap.
+    Raises NonConvergence when B conjugates the cocycle to the normal form
+    only up to a residual above ``params.conj_residual_tol``.  Every error
+    the edge search or the final certification raises for an edge target
+    carries the search record as its ``edge_search``.
     """
     params = params or KamParams()
     alpha_arr = np.atleast_1d(np.asarray(alpha, float))
@@ -909,8 +913,8 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
         E = float(target["energy"])
         rho = rotation_number(V, alpha_arr, E, iters=ROTATION_ITERS, phase_samples=3,
                               seed=params.seed)
-        label = _find_lock(rho, alpha_arr, V, params)
-        if label is None:
+        lock_dist, label = _find_lock(rho, alpha_arr, V, 4)
+        if lock_dist >= LOCK_TOL:
             raise TargetNotLocked(
                 f"2 rho = {2 * rho:.8f} is not <n, alpha> mod 1 within "
                 f"{LOCK_TOL:.1e} for any candidate label")
@@ -926,45 +930,45 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
         edge = target.get("edge", "upper")
         E_edge, state, reports, search = _locate_edge(V, alpha_arr, label, edge,
                                                       params, max_steps)
-        result = _finalize(V, alpha_arr, E_edge, label, state, reports, params)
-        result.edge_search = search
-        return result
+        return _finalize(V, alpha_arr, E_edge, label, state, reports, params, search)
 
     raise QpslError("target must contain 'energy', 'label' or 'label_index'")
 
 
-def _find_lock(rho, alpha, V, params):
+def _find_lock(rho, alpha, V, radius):
+    """(distance, n) of the candidate n nearest to 2 rho = <n, alpha> mod 1,
+    the first on ties.  The candidates are zero, +- each label of V and
+    +- k e_1 for 1 <= k <= radius."""
     cands = [(0,) * alpha.size]
     if V is not None:
-        cands += [tuple(int(x) for x in lab) for lab in V.labels]
-        cands += [tuple(-int(x) for x in lab) for lab in V.labels]
-    for k in range(1, 5):
-        for s in (1, -1):
-            cands.append(tuple(s * k if i == 0 else 0 for i in range(alpha.size)))
+        cands += [tuple(s * int(x) for x in lab) for s in (1, -1) for lab in V.labels]
+    cands += [(s * k,) + (0,) * (alpha.size - 1)
+              for k in range(1, radius + 1) for s in (1, -1)]
     best, best_n = math.inf, None
     for n in cands:
         v = dist_to_integers(2 * rho - float(np.dot(n, alpha)))
         if v < best:
             best, best_n = v, n
-    return best_n if best < LOCK_TOL else None
+    return best, best_n
 
 
 def _locate_edge(V, alpha, label, edge, params, max_steps):
     """Locate the gap edge on the reduced-trace indicator t = |Re a| - 1.
 
-    A point E_0 inside the gap (t > 0) is found near the free-cocycle guess.
-    The bracket lies on the steps E_k = E_{k-1} +- spread / 64 (running float
-    sums); from step j = 2 on, the search jumps to the step just inside the
-    root of the parabola through the last three inside steps, at most to step
-    4j, and steps back one at a time on an overshoot, so that it is the
-    bracket of a plain outward scan whenever every skipped step is inside the
-    gap, or lies inside it: a Newton step from step j that falls short of step
-    j + 1 comes first.  Newton steps -t / t' (t' of :func:`_trace_slope`) from
-    the last reduction then shrink the bracket, bisecting where a step leaves
-    it or an end failed.  t is rounded to the float grid at 1.0, so one
-    quantum of it spans q = 2**-52 / |t'| in E: a shorter step crosses by
-    q / 2, and the search stops once t_in - t_out <= 2 ulp(1.0) in a bracket
-    at most q / 2 and 1e-14 relative wide, or at 4e-16 relative width.
+    The search starts at the free-cocycle guess E_0 = 2 cos(2 pi ||<n,
+    alpha> / 2||) and, unless t(E_0) > 0, raises TargetNotLocked after that
+    one evaluation, with the record below.  The bracket lies on the steps E_k =
+    E_{k-1} +- spread / 64 (running float sums); from step j = 2 on, the
+    search jumps to the step just inside the root of the parabola through the
+    last three inside steps, at most to step 4j, and a Newton step from step j
+    that falls short of step j + 1 comes first; the first energy that reads
+    t <= 0 closes the bracket.  Newton steps -t / t' (t' of
+    :func:`_trace_slope`) from the last reduction then shrink the bracket,
+    bisecting where a step leaves it or an end failed.  t is rounded to the
+    float grid at 1.0, so one quantum of it spans q = 2**-52 / |t'| in E: a
+    shorter step crosses by q / 2, and the search stops once
+    t_in - t_out <= 2 ulp(1.0) in a bracket at most q / 2 and 1e-14 relative
+    wide, or at 4e-16 relative width.
     Returns the innermost t > 0 energy with its state and reports, and the
     search record {"evaluations": n, "failures": [[type, E], ...], "bracket":
     [E_in, E_out]}, where a failure is a reduction that raised and was
@@ -993,22 +997,18 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
             return -math.inf, None, None
         return _gap_indicator(st), st, reps
 
-    # find a point inside the gap: the free-cocycle guess, then a scan around it
-    scan = [E0 + frac * spread * 0.25 for frac in np.linspace(-1, 1, 41).tolist()]
-    for E_in in [E0] + scan:
-        t_in, state, reports = indicator(E_in)
-        if t_in > 0:
-            break
-    else:
-        raise TargetNotLocked(f"no gap interior found near E = {E0:.6f} for label {label}")
+    E_in = E0
+    t_in, state, reports = indicator(E_in)
+    if t_in <= 0:
+        raise _with_search(TargetNotLocked(f"the free-cocycle guess E0 = {E0!r} for label "
+                                           f"{label} reads t = {t_in:.3e}; the search "
+                                           f"starts only where t > 0"), search)
 
     sign = +1.0 if edge == "upper" else -1.0
-    steps, inside, k_out = [E_in], [(0, t_in)], None  # inside: (k, t) with t > 0
-    while k_out != inside[-1][0] + 1:
+    steps, inside = [E_in], [(0, t_in)]  # inside: (k, t) with t > 0
+    while True:
         j, k = inside[-1][0], inside[-1][0] + 1
-        if k_out is not None:  # overshoot: step back
-            k = k_out - 1
-        elif j >= 2:  # the root beyond x2 of p(x2 + s) = a s^2 + b s + t2
+        if j >= 2:  # the root beyond x2 of p(x2 + s) = a s^2 + b s + t2
             (x0, t0), (x1, t1), (x2, t2) = inside[-3:]
             a = ((t2 - t1) / (x2 - x1) - (t1 - t0) / (x1 - x0)) / (x2 - x0)
             b = (t2 - t1) / (x2 - x1) + a * (x2 - x1)
@@ -1016,7 +1016,8 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
             if den > 0:
                 k = min(max(math.ceil(x2 + 2 * t2 / den) - 1, k), 4 * j, 40)
         if k > 40:
-            raise NonConvergence(f"could not bracket the {edge} edge from E = {E_in}")
+            raise _with_search(NonConvergence(f"could not bracket the {edge} edge from "
+                                              f"E = {E_in}"), search)
         while len(steps) <= k:
             steps.append(steps[-1] + sign * (spread / 64))
         E = steps[k]
@@ -1027,11 +1028,11 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
                 E = E_in - t_in / slope
         t, st, reps = indicator(E)
         if t <= 0:
-            k_out, E_out, t_out = k, E, t
-        else:  # after a Newton step inside, step k is still due
-            if E == steps[k]:
-                inside.append((k, t))
-            E_in, t_in, state, reports = E, t, st, reps
+            E_out, t_out = E, t
+            break
+        if E == steps[k]:  # after a Newton step inside, step k is still due
+            inside.append((k, t))
+        E_in, t_in, state, reports = E, t, st, reps
 
     # safeguarded Newton on the closed-form slope, from the last reduction
     q = 0.0  # one quantum of t, measured in E
@@ -1059,21 +1060,24 @@ def _locate_edge(V, alpha, label, edge, params, max_steps):
         # the boundary of a failing window inside the gap; that failure is the
         # last one recorded, since every failure becomes E_out
         kind, E_fail = search["failures"][-1]
-        exc = NonConvergence(
-            f"{edge} edge search ended on a failed reduction ({kind} at "
-            f"E = {E_fail!r}) after {search['evaluations']} evaluations")
-        exc.edge_search = search
-        raise exc
+        raise _with_search(NonConvergence(f"{edge} edge search ended on a failed reduction "
+                                          f"({kind} at E = {E_fail!r}) after "
+                                          f"{search['evaluations']} evaluations"), search)
     if state.n_tilde not in (label, tuple(-n for n in label)):
-        exc = TargetNotLocked(
-            f"{edge} edge at E = {E_in!r} locks to n~ = {state.n_tilde}, "
-            f"not to label {label}")
-        exc.edge_search = search
-        raise exc
+        raise _with_search(TargetNotLocked(f"{edge} edge at E = {E_in!r} locks to n~ = "
+                                           f"{state.n_tilde}, not to label {label}"), search)
     return E_in, state, reports, search
 
 
-def _finalize(V, alpha, E, label, state, reports, params):
+def _with_search(exc, search):
+    """``exc`` carrying an edge search's record as its ``edge_search``."""
+    exc.edge_search = search
+    return exc
+
+
+def _finalize(V, alpha, E, label, state, reports, params, edge_search=None):
+    """The result at E, certified against the original cocycle; an edge
+    search's record rides on it, or on the NonConvergence of its residual."""
     A_fin = np.asarray(state.A, complex)
     psl_sign, relaxations = 1, []
     if A_fin[0, 0].real < 0:
@@ -1093,13 +1097,13 @@ def _finalize(V, alpha, E, label, state, reports, params):
 
     # certify against the original cocycle
     rng = np.random.default_rng(params.seed + 99)
-    pts = rng.uniform(0, 4 * math.pi, size=(params.probe_count, alpha.size))
+    pts = rng.uniform(0, 4 * math.pi, size=(PROBE_COUNT, alpha.size))
     conj_residual = conjugacy_residual(V, alpha, E, B, np.array([[1.0, zeta], [0.0, 1.0]]),
                                        pts)
     if conj_residual > params.conj_residual_tol:
-        raise NonConvergence(
+        raise _with_search(NonConvergence(
             f"conjugacy residual {conj_residual:.3e} of the reduction at E = {E!r} "
-            f"exceeds conj_residual_tol {params.conj_residual_tol:.1e}")
+            f"exceeds conj_residual_tol {params.conj_residual_tol:.1e}"), edge_search)
 
     n_norm = sup_norm(label) if label is not None and any(label) else None
     window = {}
@@ -1118,4 +1122,4 @@ def _finalize(V, alpha, E, label, state, reports, params):
                               psl_sign=psl_sign, zeta_window=window,
                               b_final=b_final, phi=phi,
                               b_ck_norm=B.ck_norm_estimate(k0),
-                              relaxations=relaxations)
+                              relaxations=relaxations, edge_search=edge_search)

@@ -24,10 +24,9 @@ import mpmath
 import numpy as np
 
 from .cocycle import conjugacy_residual, rotation_number, uh_test
-from .diophantine import dist_to_integers
 from .errors import QpslError
 from .fourier import FourierSeries, multiply
-from .kam import ReducibilityResult
+from .kam import ReducibilityResult, _find_lock
 
 __all__ = [
     "EdgeData", "ProbeResult",
@@ -86,19 +85,14 @@ class EdgeData:
     checks: dict = field(default_factory=dict)
 
 
-def edge_data_from_reduction(result: ReducibilityResult, alpha, tau=1.5,
-                             k0=None, k_hat=None):
-    """Assemble the probe data from a reducibility run.
-
-    k_hat defaults to k0 - ceil(3 tau) - d - 1 (the smoothness the averaged
-    step retains).
-    """
+def edge_data_from_reduction(result: ReducibilityResult, alpha, tau=1.5):
+    """Assemble the probe data from a reducibility run, with k0 the run's
+    (at least 1) and k_hat = k0 - ceil(3 tau) - d - 1 (the smoothness the
+    averaged step retains)."""
     B = result.B
     d = B.d
-    if k0 is None:
-        k0 = max(result.k0, 1)
-    if k_hat is None:
-        k_hat = int(k0 - math.ceil(3 * tau) - d - 1)
+    k0 = max(result.k0, 1)
+    k_hat = int(k0 - math.ceil(3 * tau) - d - 1)
     A11, A12, A22 = _averages(B)
     for name, val in (("A11", A11), ("A12", A12), ("A22", A22)):
         if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
@@ -116,7 +110,7 @@ def edge_data_from_reduction(result: ReducibilityResult, alpha, tau=1.5,
                     checks=checks)
 
 
-def perturbation_matrix(B: FourierSeries, zeta, max_degree=None):
+def perturbation_matrix(B: FourierSeries, zeta):
     """P = [[B11 B12 - zeta B11^2, -zeta B11 B12 + B12^2],
            [-B11^2, -B11 B12]] as a matrix series.
 
@@ -125,9 +119,7 @@ def perturbation_matrix(B: FourierSeries, zeta, max_degree=None):
     """
     B11 = _entry(B, 0, 0)
     B12 = _entry(B, 0, 1)
-    sq11 = multiply(B11, B11, max_degree=max_degree)
-    cross = multiply(B11, B12, max_degree=max_degree)
-    sq12 = multiply(B12, B12, max_degree=max_degree)
+    sq11, cross, sq12 = multiply(B11, B11), multiply(B11, B12), multiply(B12, B12)
     K = max(sq11.K, cross.K, sq12.K)
     a, b, c = sq11.padded(K), cross.padded(K), sq12.padded(K)
     block = np.stack([b - zeta * a, -zeta * b + c, -a, -b], axis=-1)
@@ -135,26 +127,18 @@ def perturbation_matrix(B: FourierSeries, zeta, max_degree=None):
                                     halved=B.halved, kind="matrix")
 
 
-def averaged_matrix(edge_or_B, zeta=None):
+def averaged_matrix(edge: EdgeData):
     """c1 = [[A12 - zeta A11/2, -zeta A12 + A22], [-A11, -A12 + zeta A11/2]]
     (trace zero exactly): the traceless part of the mean of P."""
-    if isinstance(edge_or_B, EdgeData):
-        A11, A12, A22 = edge_or_B.A11, edge_or_B.A12, edge_or_B.A22
-        zeta = edge_or_B.zeta
-    else:
-        A11, A12, A22 = (v.real for v in _averages(edge_or_B))
+    A11, A12, A22, zeta = edge.A11, edge.A12, edge.A22, edge.zeta
     return np.array([[A12 - zeta * A11 / 2.0, -zeta * A12 + A22],
                      [-A11, -A12 + zeta * A11 / 2.0]])
 
 
-def discriminant(edge_or_B, zeta=None, delta=0.0):
+def discriminant(edge: EdgeData, delta):
     """d(delta) = -delta A11 zeta + delta^2 (A11 A22 - A12^2)."""
-    if isinstance(edge_or_B, EdgeData):
-        A11, A12, A22 = edge_or_B.A11, edge_or_B.A12, edge_or_B.A22
-        zeta = edge_or_B.zeta
-    else:
-        A11, A12, A22 = (v.real for v in _averages(edge_or_B))
-    return -delta * A11 * zeta + delta ** 2 * (A11 * A22 - A12 ** 2)
+    A11, A12, A22 = edge.A11, edge.A12, edge.A22
+    return -delta * A11 * edge.zeta + delta ** 2 * (A11 * A22 - A12 ** 2)
 
 
 def discriminant_crosscheck(edge: EdgeData, delta):
@@ -163,7 +147,7 @@ def discriminant_crosscheck(edge: EdgeData, delta):
     c0 = np.array([[0.0, edge.zeta], [0.0, 0.0]])
     c1 = averaged_matrix(edge)
     det = np.linalg.det(c0 - delta * c1)
-    d_val = discriminant(edge, delta=delta)
+    d_val = discriminant(edge, delta)
     return abs(d_val - det - 0.25 * delta ** 2 * edge.zeta ** 2 * edge.A11 ** 2)
 
 
@@ -201,14 +185,11 @@ class ProbeResult:
     averaged_prediction: str
     conjugation_residual: float = None
 
-    @property
-    def hyperbolic(self):
-        return self.verdict == "hyperbolic"
 
-
-def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta):
+def probe_gap_edge(edge: EdgeData, V, delta):
     """Probe the energy delta inward from the edge (direction from sign(zeta):
-    a right edge probes downward) and decide hyperbolicity of the cocycle.
+    a right edge probes downward) and decide hyperbolicity of the cocycle
+    (V, edge.alpha).
 
     The authoritative verdict comes from :func:`uh_test` on the full cocycle
     on a 192-point grid; the sign of d(delta) (through the constant part
@@ -217,10 +198,10 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta):
     """
     if not 0 < delta < 1:
         raise QpslError("delta must lie in (0,1)")
-    alpha = np.atleast_1d(np.asarray(alpha, float))
+    alpha = edge.alpha
     direction = -math.copysign(1.0, edge.zeta) if edge.zeta != 0 else -1.0
-    E_probe = E_edge + direction * delta
-    d_val = discriminant(edge, delta=delta)
+    E_probe = edge.energy + direction * delta
+    d_val = discriminant(edge, delta)
     pred = "hyperbolic" if d_val < 0 else ("not" if d_val > 0 else "inconclusive")
 
     # the reduced constant's per-step expansion is sqrt(-d) when the
@@ -232,25 +213,22 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta):
     rep = uh_test(V, alpha, E_probe, horizon=horizon, grid=192)
     verdict = rep.verdict
     if verdict == "inconclusive":
-        # Schrodinger fallback: an unlocked rotation number certifies a
-        # spectrum-side probe (gaps of unchecked huge labels are far
-        # below the resolution used here)
+        # Schrodinger fallback: a rotation number locked to no candidate of
+        # the energy lock (V's labels, and k e1 out to |k| = 40) certifies
+        # a spectrum-side probe (gaps of unchecked huge labels are far below
+        # the resolution used here)
         iters = 400_000
         rho = rotation_number(V, alpha, E_probe, iters=iters, phase_samples=2, seed=0)
-        cands = [(k,) + (0,) * (alpha.size - 1) for k in range(-40, 41)]
-        lock_dist = min(
-            dist_to_integers(2 * rho - float(np.dot(n, alpha)))
-            for n in cands)
-        if lock_dist > 20.0 / iters:
+        if _find_lock(rho, alpha, V, 40)[0] > 20.0 / iters:
             verdict = "not"
 
-    # B(.+alpha)^{-1} S_{E_edge - s} B = C - s P with s signed into the gap
+    # B(.+alpha)^{-1} S_{E - s} B = C - s P at the edge E, s signed into the gap
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 4 * math.pi, size=(8, alpha.size))
     P = perturbation_matrix(edge.B, edge.zeta)
     C = np.array([[1.0, edge.zeta], [0.0, 1.0]])
     s = -direction * delta
-    residual = conjugacy_residual(V, alpha, E_edge - s, edge.B,
+    residual = conjugacy_residual(V, alpha, edge.energy - s, edge.B,
                                   C[None, :, :] - s * P.sample(pts), pts)
 
     return ProbeResult(delta=delta, probe_energy=E_probe, d_delta=d_val,
@@ -258,10 +236,10 @@ def probe_gap_edge(edge: EdgeData, V, alpha, E_edge, delta):
                        conjugation_residual=residual)
 
 
-def bracket_gap(edge: EdgeData, V=None, alpha=None, probe=True):
+def bracket_gap(edge: EdgeData, V=None, probe=True):
     """Probe scales delta_2 = |zeta|^{11/10} (inside the gap) and
     delta_1 = |zeta|^{9/10} (beyond it); with ``probe`` the verdicts are
-    evaluated on the actual cocycle."""
+    evaluated on the actual cocycle (V, edge.alpha) at edge.energy."""
     z = abs(edge.zeta)
     if z == 0:
         raise QpslError("zeta = 0: collapsed gap, nothing to bracket")
@@ -272,9 +250,7 @@ def bracket_gap(edge: EdgeData, V=None, alpha=None, probe=True):
     if z >= 1.0:
         return out
     if probe:
-        alpha = edge.alpha if alpha is None else alpha
-        p2 = probe_gap_edge(edge, V, alpha, edge.energy, lower)
-        p1 = probe_gap_edge(edge, V, alpha, edge.energy, upper)
+        p2, p1 = probe_gap_edge(edge, V, lower), probe_gap_edge(edge, V, upper)
         out["checks"] = {
             "delta2_inside_gap": p2.verdict == "hyperbolic",
             "delta1_beyond_gap": p1.verdict != "hyperbolic",

@@ -12,7 +12,7 @@ changes, twice the rotation number.  The two are tied by N(E) = 1 - 2 rho(E).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,15 +98,6 @@ class GapRecord:
     E_plus: float
     length: float
     rho_locked: float
-    zeta_estimate: float = None
-    bound_window: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        return {"label": list(self.label), "E_minus": self.E_minus,
-                "E_plus": self.E_plus, "length": self.length,
-                "rho_locked": self.rho_locked,
-                "zeta_estimate": self.zeta_estimate,
-                "bound_window": self.bound_window}
 
 
 def detect_gaps(curve: RotationCurve, alpha, labels, tol=1e-3, rho_fn=None,

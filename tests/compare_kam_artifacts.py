@@ -34,8 +34,15 @@ Last it runs ``qpsl report`` on the same configuration (seed 1, upper edge,
 bracket probes on) and prints the sha256 of ``report.json`` and of each stage
 artifact it leaves (``set.json``, ``verify.json``, ``kam.json``,
 ``probe.json``) without ``config`` and ``config_hash``, or ``missing`` for an
-artifact a checkout's ``report`` does not write.  Not collected by pytest: it
-runs five full edge reductions.
+artifact a checkout's ``report`` does not write.
+
+Then, as a baseline for multi-label edges, it runs the upper-edge search of
+each label of K = {4, 9, 43} (golden-mean alpha to 80 digits, gamma 0.5,
+tau 1.5, M = 3, s = 0.3, depth 10, three labels, k = 2, the criterion-11
+``KamParams`` with seed 1) and prints its outcome: the error type, or
+``returned``, then the edge search's evaluation count and number of
+failures, or ``None`` when the outcome carries no search record.  Not
+collected by pytest: it runs five full edge reductions and three searches.
 """
 
 import contextlib
@@ -46,6 +53,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -53,9 +61,11 @@ import numpy as np
 from qpsl import kam as kam_module
 from qpsl.cli import main as qpsl_main
 from qpsl.cocycle import to_su11
+from qpsl.diophantine import frequency_vector
+from qpsl.errors import QpslError
 from qpsl.fourier import FourierSeries, build_potential
-from qpsl.kam import KamParams, KamState, Su11Series, kam_step
-from qpsl.label_set import LabelSet
+from qpsl.kam import KamParams, KamState, Su11Series, kam_step, run_reducibility
+from qpsl.label_set import LabelSet, build_schedule, construct_label_set
 
 SEEDS = (1, 2)
 EDGES = ("upper", "lower")
@@ -180,7 +190,7 @@ def _hex(value):
 
 def _nr_steps():
     params = KamParams(schedule=None, max_degree=96, grid_size=1024, window_cap=24,
-                       conj_residual_tol=1e-9, probe_count=256)
+                       conj_residual_tol=1e-9)
     W_mat = to_su11(np.array([[0.0, 0.0], [1.0, 0.0]]))
     W0 = Su11Series.constant(1, W_mat[0, 0].imag, W_mat[0, 1])
     Dinv = FourierSeries(1, halved=True, kind="matrix")
@@ -207,6 +217,26 @@ def _nr_steps():
             print(f"{tag} Dinv mass {_hex(new.Dinv.coeff_mass())}")
 
 
+def _multi_label():
+    """The upper-edge outcome of each label of K = {4, 9, 43}."""
+    freq = frequency_vector(_golden_digits(80), gamma=0.5, tau=1.5)
+    sched = build_schedule(3, 0.3, depth=10)
+    ks = construct_label_set(freq, sched, j1=0, spacing=2, count=3)
+    V = build_potential(ks, k=2.0)
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
+                       grid_size=2048, conj_residual_tol=1e-9, seed=1)
+    for label in ks.labels():
+        try:
+            search = run_reducibility(V, freq.floats(), {"label": label, "edge": "upper"},
+                                      params=params).edge_search
+            outcome = "returned"
+        except QpslError as exc:
+            outcome, search = type(exc).__name__, getattr(exc, "edge_search", None)
+        counts = (f"evaluations {search['evaluations']} failures {len(search['failures'])}"
+                  if search else "None")
+        print(f"K 4,9,43 label {label[0]} upper {outcome} {counts}")
+
+
 def main():
     home = os.getcwd()
     for seed in SEEDS:
@@ -216,13 +246,15 @@ def main():
                 _run(seed)
             finally:
                 os.chdir(home)
-    _nr_steps()
+    with mock.patch.object(kam_module, "PROBE_COUNT", 256):  # certify each step on 256 probes
+        _nr_steps()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             _report(1)
         finally:
             os.chdir(home)
+    _multi_label()
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qpsl import kam
 from qpsl.cocycle import to_su11, uh_test
 from qpsl.diophantine import (
     cf_expand,
@@ -219,10 +220,11 @@ def _mk_state(A, f, alpha=GOLD):
                     Dinv=ident.copy(), alpha=np.array([alpha]), n_tilde=(0,))
 
 
-def test_criterion_08_kam_step():
+def test_criterion_08_kam_step(monkeypatch):
     t0 = time.time()
+    monkeypatch.setattr(kam, "PROBE_COUNT", 256)
     params = KamParams(schedule=None, max_degree=96, grid_size=1024,
-                       window_cap=24, conj_residual_tol=1e-9, probe_count=256)
+                       window_cap=24, conj_residual_tol=1e-9)
     # non-resonant instance
     A = np.diag([np.exp(2j * np.pi * 0.1545), np.exp(-2j * np.pi * 0.1545)])
     f = Su11Series.zero(1)
@@ -310,9 +312,10 @@ def test_criterion_10_moser_poschel_closed_forms():
     zeta = 0.3
     P = perturbation_matrix(I, zeta)
     assert np.allclose(P.eval([0.4]), [[-zeta, 0.0], [-1.0, 0.0]], atol=1e-15)
-    c1 = averaged_matrix(I, zeta)
+    edge_I = _edge_from_series(I, zeta)
+    c1 = averaged_matrix(edge_I)
     assert np.allclose(c1, [[-zeta / 2, 0.0], [-1.0, zeta / 2]], atol=1e-15)
-    assert discriminant(I, zeta=zeta, delta=0.01) == pytest.approx(-0.003)
+    assert discriminant(edge_I, delta=0.01) == pytest.approx(-0.003)
 
     # constant-cocycle probe verdicts match the trace criterion exactly: the
     # free cocycle at E = tr M is constant with the trace of M
@@ -346,7 +349,7 @@ def test_criterion_11_end_to_end_consistency():
     assert res_up.conj_residual <= 1e-8
 
     edge = edge_data_from_reduction(res_up, af, tau=1.5)
-    br = bracket_gap(edge, V, af)
+    br = bracket_gap(edge, V)
     assert br["checks"]["delta2_inside_gap"]
     assert br["checks"]["delta1_beyond_gap"]
 

@@ -90,30 +90,40 @@ def test_gaps_csv_amo(tmp_path):
     assert any(lab in ("1", "-1") for lab in labels)
 
 
+def test_gaps_config_labels_as_a_list(tmp_path):
+    # a config's labels may be a JSON list of integers, read as --labels is
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"labels": [1, 2]}))
+    base = ["gaps", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
+            "--grid", "41", "--iters", "4000"]
+    assert run_cli(base + ["--config", str(cfg), "--out", str(tmp_path / "list.csv")]) == 0
+    assert run_cli(base + ["--labels", "1,2", "--out", str(tmp_path / "flag.csv")]) == 0
+    assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def criterion11_kam(tmp_path_factory):
-    """set.json, kam.json and the step stream of the criterion-11 upper edge."""
+    """set.json and kam.json of the criterion-11 upper edge."""
     tmp = tmp_path_factory.mktemp("kam")
     set_path = tmp / "set.json"
     run_cli(["build-set", "--alpha", golden_mean(80), "--M", "10",
              "--s", "0.9", "--depth", "6", "--count", "1", "--out", str(set_path)])
     kam_out = tmp / "kam.json"
     rc = run_cli(["kam", "--set", str(set_path), "--label-index", "0",
-                  "--k", "2.0", "--out", str(kam_out),
-                  "--steps-out", str(tmp / "steps.jsonl")])
+                  "--k", "2.0", "--out", str(kam_out)])
     assert rc == 0
-    return set_path, kam_out, tmp / "steps.jsonl"
+    return set_path, kam_out
 
 
 def test_kam_and_edge_probe(tmp_path, criterion11_kam):
-    set_path, kam_out, steps = criterion11_kam
+    set_path, kam_out = criterion11_kam
     data = json.loads(kam_out.read_text())
     assert data["zeta"] != 0
     assert data["conj_residual"] < 1e-8
     assert 0 < data["edge_search"]["evaluations"] <= 8
     assert data["edge_search"]["failures"] == []
     assert "relaxed" not in data["config"]
-    assert steps.read_text().strip()
+    assert data["steps"] and all(step["residual"] < 1e-9 for step in data["steps"])
     probe_out = tmp_path / "probe.json"
     rc = run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
                   "--k", "2.0", "--no-probe", "--out", str(probe_out),
@@ -128,7 +138,7 @@ def test_kam_strict_refuses_outside_the_paper_regime(tmp_path, capsys, monkeypat
                                                     criterion11_kam):
     # k = 2 <= 62 tau: the refusal names every missed hypothesis before any
     # reduction runs
-    set_path, _, _ = criterion11_kam
+    set_path, _ = criterion11_kam
 
     def no_reduction(*args):
         raise AssertionError("kam --strict ran a reduction")
@@ -150,7 +160,7 @@ def test_kam_strict_refuses_outside_the_paper_regime(tmp_path, capsys, monkeypat
 def test_edge_probe_takes_k_from_the_kam_result(tmp_path, criterion11_kam):
     # without --k the probe must still see the potential the edge was reduced
     # with; the free operator gives delta2 'not' and a residual of 1e-2
-    set_path, kam_out, _ = criterion11_kam
+    set_path, kam_out = criterion11_kam
     probe_out = tmp_path / "probe.json"
     rc = run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
                   "--out", str(probe_out)])
@@ -163,7 +173,7 @@ def test_edge_probe_takes_k_from_the_kam_result(tmp_path, criterion11_kam):
 
 
 def test_edge_probe_rejects_k_other_than_the_kam_result(tmp_path, capsys, criterion11_kam):
-    set_path, kam_out, _ = criterion11_kam
+    set_path, kam_out = criterion11_kam
     rc = run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
                   "--k", "3.0", "--no-probe", "--out", str(tmp_path / "probe.json")])
     assert rc == 1
@@ -172,7 +182,7 @@ def test_edge_probe_rejects_k_other_than_the_kam_result(tmp_path, capsys, criter
 
 
 def test_edge_probe_needs_k_when_the_result_has_none(tmp_path, capsys, criterion11_kam):
-    set_path, kam_out, _ = criterion11_kam
+    set_path, kam_out = criterion11_kam
     data = json.loads(kam_out.read_text())
     del data["config"]["k"]
     bare = tmp_path / "kam.json"
@@ -192,9 +202,12 @@ ROTATION = ["rotation", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
     (["kam", "--set", "{tmp}/missing.json"], None),
     (["kam", "--set", "{tmp}/text.json"], None),
     (["edge-probe", "--result", "{tmp}/missing.json", "--set", "{set}"], None),
+    (["edge-probe", "--result", "{tmp}/not_kam.json", "--set", "{set}"], None),
     (ROTATION + ["--config", "{tmp}/binary.json"], None),
     (ROTATION + ["--config", "{tmp}/list.json"], None),
     (["gaps"] + ROTATION[1:] + ["--labels", "1.."], None),
+    (["gaps"] + ROTATION[1:] + ["--labels", ","], None),
+    (["gaps"] + ROTATION[1:] + ["--config", "{tmp}/labels.json"], None),
     (["verify-set", "--set", "{set}", "--targets", "0.1,x"], None),
     (ROTATION, "two"),
     (ROTATION + ["--grid", "0"], None),
@@ -203,8 +216,8 @@ ROTATION = ["rotation", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
     (["ids"] + ROTATION[1:-2] + ["--phases", "0"], None),
     (["kam", "--set", "{set}", "--label-index", "5"], None),
     (["kam", "--set", "{set}", "--label-index", "-1"], None),
-], ids=["missing-set", "text-set", "missing-result", "binary-config", "list-config",
-        "labels", "targets", "threads", "grid", "iters", "samples", "phases",
+], ids=["missing-set", "text-set", "missing-result", "non-kam-result", "binary-config",
+        "list-config", "labels", "no-labels", "config-labels", "targets", "threads", "grid", "iters", "samples", "phases",
         "label-index-past-end", "label-index-negative"])
 def test_invalid_input_exits_config_invalid(argv, threads, tmp_path, capsys, monkeypatch,
                                             criterion11_kam):
@@ -213,6 +226,8 @@ def test_invalid_input_exits_config_invalid(argv, threads, tmp_path, capsys, mon
     (tmp_path / "text.json").write_text("not json")
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "not_kam.json").write_text('{"zeta": 1}')
+    (tmp_path / "labels.json").write_text('{"labels": [1, "2"]}')
     if threads is not None:
         monkeypatch.setenv("QPSL_THREADS", threads)
     out = tmp_path / "out"
@@ -239,7 +254,7 @@ def test_report_from_config(tmp_path):
 def test_report_runs_the_stage_subcommands(tmp_path, criterion11_kam):
     # the criterion11_kam configuration, bracket probes on: report leaves the
     # artifacts of its stages, equal to the subcommands' own
-    set_path, kam_out, _ = criterion11_kam
+    set_path, kam_out = criterion11_kam
     probe_out = tmp_path / "probe.json"
     assert run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
                     "--out", str(probe_out)]) == 0
@@ -276,7 +291,7 @@ def test_report_runs_the_stage_subcommands(tmp_path, criterion11_kam):
 
 def test_explicit_zero_flags_are_kept(tmp_path, capsys, criterion11_kam):
     # --k 0 reaches build_potential instead of falling back to k = 2
-    set_path, _, _ = criterion11_kam
+    set_path, _ = criterion11_kam
     assert run_cli(["potential", "--set", str(set_path), "--k", "0",
                     "--out", str(tmp_path / "V.csv")]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -306,7 +321,7 @@ def test_cli_surface():
         "gaps": ["--config", "--out"] + scan + sweep + ["--labels", "--tol", "--refine",
                                                         "--curve-out"],
         "kam": ["--config", "--out", "--set", "--label-index", "--edge", "--energy", "--k",
-                "--max-steps", "--strict", "--steps-out"],
+                "--max-steps", "--strict"],
         "edge-probe": ["--out", "--result", "--set", "--k", "--kappa", "--no-probe",
                        "--gap-csv"],
         "report": ["--config"],
@@ -317,7 +332,7 @@ def test_cli_surface():
                   if opt not in ("-h", "--help")]
            for name, sp in sub.choices.items()}
     assert got == surface
-    assert sum(map(len, got.values())) == 100
+    assert sum(map(len, got.values())) == 99
     for argv in (["cf", "--alpha", GOLDEN], ["verify-set", "--set", "set.json"],
                  ["edge-probe", "--result", "kam.json", "--set", "set.json"]):
         with pytest.raises(SystemExit) as exc:

@@ -635,17 +635,18 @@ def test_combine_f_and_label_is_the_product_of_both_exponentials():
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
-def test_kam_step_rejects_a_step_residual_above_tolerance():
+def test_kam_step_rejects_a_step_residual_above_tolerance(monkeypatch):
     # the criterion-8 non-resonant instance, with the gate below its residual
+    monkeypatch.setattr(kam, "PROBE_COUNT", 256)
     A = np.diag([np.exp(2j * np.pi * 0.1545), np.exp(-2j * np.pi * 0.1545)])
     f = Su11Series.zero(1)
     f.w[(3,)] = 2e-6
     f.u[(2,)] = 1e-6
     f.u[(-2,)] = 1e-6
-    params = _params(probe_count=256)
+    params = _params()
     residual = kam_step(_state(A, f, params), params)[1].residual
     assert 0 < residual < 1e-9
-    params = _params(probe_count=256, conj_residual_tol=residual / 2)
+    params = _params(conj_residual_tol=residual / 2)
     with pytest.raises(StateInvalid, match=r"step 0 conjugacy residual .* exceeds"):
         kam_step(_state(A, f, params), params)
 
@@ -743,12 +744,13 @@ _GAP = (_E0 - 0.0203, _E0 + 0.0291)
 _REDUCE, _FINALIZE = kam._reduce_at_energy, kam._finalize
 
 
-def _free_reduction_locked(alpha, E, params, max_steps):
-    """The free cocycle's reduction at E, relabelled as locked to label (1,):
-    the free cocycle resonates nowhere (n~ = (0,)), and the edge search only
-    returns an edge whose reduction locks to its label."""
+def _free_reduction_locked(alpha, E, params, max_steps, n_tilde=(1,)):
+    """The free cocycle's reduction at E, relabelled as locked to ``n_tilde``
+    (label (1,) by default): the free cocycle resonates nowhere (n~ = (0,)),
+    and the edge search only returns an edge whose reduction locks to its
+    label."""
     state, reports = _REDUCE(None, alpha, E, params, max_steps)
-    return dataclasses.replace(state, n_tilde=(1,)), reports
+    return dataclasses.replace(state, n_tilde=n_tilde), reports
 
 
 def _certify_at_mapped_energy(monkeypatch, mapped):
@@ -765,12 +767,13 @@ def _certify_at_mapped_energy(monkeypatch, mapped):
     monkeypatch.setattr(kam, "_finalize", finalize)
 
 
-def _plant(monkeypatch, planted, fail=None):
-    """Replace the reduction by the free cocycle at 2 + 2 t, so the reduced
-    constant has Re a = 1 + t, where planted(E) = (t, dt/dE), and make
-    _trace_slope read that dt/dE, since the free cocycle's own slope is not
-    the planted one; energies inside ``fail`` raise NewtonDiverged.  Returns
-    the log of (E, indicator) per call, -inf for a failure."""
+def _plant(monkeypatch, planted, fail=None, n_tilde=(1,)):
+    """Replace the reduction by the free cocycle at 2 + 2 t, locked to
+    ``n_tilde``, so the reduced constant has Re a = 1 + t, where planted(E) =
+    (t, dt/dE), and make _trace_slope read that dt/dE, since the free
+    cocycle's own slope is not the planted one; energies inside ``fail``
+    raise NewtonDiverged.  Returns the log of (E, indicator) per call, -inf
+    for a failure."""
     log, mapped, slopes = [], {}, {}
 
     def fake(V, alpha, E, params, max_steps):
@@ -779,7 +782,7 @@ def _plant(monkeypatch, planted, fail=None):
             raise NewtonDiverged("planted failure")
         t, slope = planted(E)
         mapped[E] = 2.0 + 2.0 * t
-        state, reports = _free_reduction_locked(alpha, mapped[E], params, max_steps)
+        state, reports = _free_reduction_locked(alpha, mapped[E], params, max_steps, n_tilde)
         slopes[id(state)] = state, slope
         log.append((E, kam._gap_indicator(state)))
         return state, reports
@@ -790,11 +793,11 @@ def _plant(monkeypatch, planted, fail=None):
     return log
 
 
-def _plant_gap(monkeypatch, fail=None, slope=1.0, gap=_GAP):
+def _plant_gap(monkeypatch, fail=None, slope=1.0, gap=_GAP, n_tilde=(1,)):
     """t = slope min(E - lo, hi - E) on the planted gap (lo, hi)."""
     lo, hi = gap
     return _plant(monkeypatch, lambda E: (slope * min(E - lo, hi - E),
-                                          slope if E - lo < hi - E else -slope), fail)
+                                          slope if E - lo < hi - E else -slope), fail, n_tilde)
 
 
 # a parabolic gap t = w^2 - (E - Ec)^2 around the free-cocycle guess: its
@@ -898,8 +901,8 @@ def test_edge_search_records_failure_outside_gap(monkeypatch):
 
 
 def test_edge_search_without_a_gap_interior_is_target_not_locked(monkeypatch):
-    # every reduction reads t <= 0: the search tries the free-cocycle guess
-    # and the 41 energies of its interior scan, then gives up
+    # every reduction reads t <= 0: the search reduces at the free-cocycle
+    # guess alone and refuses, naming the guess and its t
     real, energies = kam._reduce_at_energy, []
 
     def fake(V, alpha, E, params, max_steps):
@@ -907,29 +910,31 @@ def test_edge_search_without_a_gap_interior_is_target_not_locked(monkeypatch):
         return real(None, alpha, 0.0, params, max_steps)
 
     monkeypatch.setattr(kam, "_reduce_at_energy", fake)
-    with pytest.raises(TargetNotLocked,
-                       match=rf"no gap interior found near E = {_E0:.6f} for label \(1,\)"):
+    msg = (rf"guess E0 = {_E0!r} for label \(1,\) reads t = -1\.000e\+00; the search "
+           r"starts only where t > 0")
+    with pytest.raises(TargetNotLocked, match=msg) as info:
         run_reducibility(None, [GOLD], {"label": 1}, params=_params())
-    assert len(energies) == 42 and energies[0] == _E0
+    assert energies == [_E0]
+    assert info.value.edge_search == {"evaluations": 1, "failures": []}
 
 
-def test_edge_search_after_the_interior_scan_keeps_plain_floats(monkeypatch):
-    # a planted gap above the free-cocycle guess: _E0 reads t <= 0, so the
-    # interior scan finds the gap, and its energies stay plain floats in the
-    # result, its bracket, its failures and an error message
+def test_edge_search_refuses_a_guess_outside_the_gap_or_failing(monkeypatch):
+    # a planted gap above the free-cocycle guess: _E0 reads t <= 0, and the
+    # search refuses after that one reduction instead of scanning for the gap
     gap = (_E0 + 0.01, _E0 + 0.05)
     log = _plant_gap(monkeypatch, gap=gap)
-    res = run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
-    assert log[0] == (_E0, log[0][1]) and log[0][1] <= 0
-    assert abs(res.energy - gap[1]) < 1e-15
-    assert type(res.energy) is float
-    assert [type(E) for E in res.edge_search["bracket"]] == [float, float]
-    # the edge inside a failing window: the search ends on a failure
-    _plant_gap(monkeypatch, fail=(gap[1] - 1e-3, gap[1] + 1e-3), gap=gap)
-    with pytest.raises(NonConvergence) as info:
+    with pytest.raises(TargetNotLocked, match=r"reads t = -1\.000e-02; the search starts") as info:
         run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
-    failures = info.value.edge_search["failures"]
-    assert failures and all(type(E) is float for _, E in failures)
+    assert [E for E, _ in log] == [_E0]
+    assert info.value.edge_search == {"evaluations": 1, "failures": []}
+    # a failing reduction at the guess is refused the same way and recorded,
+    # its energy a plain float in the record and in the message
+    log = _plant_gap(monkeypatch, fail=(_E0 - 1e-3, _E0 + 1e-3))
+    with pytest.raises(TargetNotLocked, match=r"reads t = -inf; the search starts") as info:
+        run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+    assert log == [(_E0, -math.inf)]
+    assert info.value.edge_search == {"evaluations": 1, "failures": [["NewtonDiverged", _E0]]}
+    assert type(info.value.edge_search["failures"][0][1]) is float
     assert "np.float64(" not in str(info.value)
 
 
@@ -961,29 +966,52 @@ def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
 def test_run_reducibility_rejects_final_residual_above_tolerance(monkeypatch):
     # the planted gap's reductions run at another energy than the searched
     # one, so without certifying at that energy B does not conjugate the
-    # cocycle at the edge, and the run must say so instead of returning
-    _plant_gap(monkeypatch)
+    # cocycle at the edge, and the run must say so instead of returning; the
+    # error carries the search that found the edge
+    log = _plant_gap(monkeypatch)
     monkeypatch.setattr(kam, "_finalize", _FINALIZE)
     with pytest.raises(NonConvergence, match=r"residual \d\.\d{3}e[+-]\d+ .* exceeds "
-                                             r"conj_residual_tol 1\.0e-09"):
+                                             r"conj_residual_tol 1\.0e-09") as info:
         run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+    search = info.value.edge_search
+    assert search == {"evaluations": len(log), "failures": [], "bracket": search["bracket"]}
+    assert abs(search["bracket"][0] - _GAP[1]) < 1e-15
 
 
-def test_edge_of_another_label_is_target_not_locked():
-    # K = {4, 9, 43}: the interior scan for label 43 (a gap 5.9e-4 wide) ends
-    # in label 9's gap, whose edge E = -0.38598... reduces with n~ = (-9,);
-    # the search must refuse it instead of returning it as label 43's edge
+def test_edge_of_another_label_is_target_not_locked(monkeypatch):
+    # the planted gap's reductions lock to n~ = (2,), another label's
+    # resonance: the search finds the edge and then refuses it as label
+    # (1,)'s, with its record
+    log = _plant_gap(monkeypatch, n_tilde=(2,))
+    with pytest.raises(TargetNotLocked, match=r"upper edge at E = .* locks to n~ = \(2,\), "
+                                              r"not to label \(1,\)") as info:
+        run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+    search = info.value.edge_search
+    assert search == {"evaluations": len(log), "failures": [], "bracket": search["bracket"]}
+    assert abs(search["bracket"][0] - _GAP[1]) < 1e-15
+
+
+def test_multi_label_upper_edges_refuse_or_fail_with_their_search():
+    # K = {4, 9, 43}: the free-cocycle guesses of labels 4 (whose first step
+    # fails while label 9's term is pending) and 43 (t = -9.5e-7, outside a
+    # gap 5.9e-4 wide) are refused after one reduction each; label 9's edge
+    # reduction stops early and fails the final residual gate, and the error
+    # carries its search
     freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
     sched = build_schedule(3, 0.3, depth=10)
     ks = construct_label_set(freq, sched, j1=0, spacing=2, count=3)
     assert ks.labels() == [(4,), (9,), (43,)]
+    V = build_potential(ks, k=2.0)
     params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
                        grid_size=2048, conj_residual_tol=1e-9, seed=1)
-    msg = r"upper edge at E = -0\.3859815787040026 locks to n~ = \(-9,\), not to label \(43,\)"
-    with pytest.raises(TargetNotLocked, match=msg) as info:
-        run_reducibility(build_potential(ks, k=2.0), freq.floats(), {"label": 43},
-                         params=params)
-    assert info.value.edge_search["bracket"][0] == -0.3859815787040026
+    searches = {}
+    for label, error in ((4, TargetNotLocked), (43, TargetNotLocked), (9, NonConvergence)):
+        with pytest.raises(error) as info:
+            run_reducibility(V, freq.floats(), {"label": label}, params=params)
+        searches[label] = info.value.edge_search
+    assert searches[4]["evaluations"] == 1 and len(searches[4]["failures"]) == 1
+    assert searches[43] == {"evaluations": 1, "failures": []}
+    assert searches[9]["failures"] == [] and searches[9]["evaluations"] > 1
 
 
 def test_trace_slope_is_the_closed_form_and_the_finite_difference():

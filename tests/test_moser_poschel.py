@@ -6,9 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from qpsl.cocycle import uh_test
+from qpsl import moser_poschel
+from qpsl.cocycle import UhReport, uh_test
+from qpsl.diophantine import dist_to_integers
 from qpsl.errors import QpslError
-from qpsl.fourier import FourierSeries
+from qpsl.fourier import FourierSeries, Potential
 from qpsl.kam import KamParams, run_reducibility
 from qpsl.moser_poschel import (
     EdgeData,
@@ -26,9 +28,9 @@ from qpsl.moser_poschel import (
 GOLD = 0.6180339887498949
 
 
-def _identity_series():
-    B = FourierSeries(1, halved=True, kind="sl2r")
-    B[(0,)] = np.eye(2, dtype=complex)
+def _identity_series(d=1):
+    B = FourierSeries(d, halved=True, kind="sl2r")
+    B[(0,) * d] = np.eye(2, dtype=complex)
     return B
 
 
@@ -44,14 +46,14 @@ def _random_real_sl2_series(rng, degree=4):
     return B
 
 
-def _edge_from_series(B, zeta, energy=0.0):
+def _edge_from_series(B, zeta, energy=0.0, alpha=(GOLD,)):
     from qpsl.moser_poschel import _entry, _mean_product
     B11 = _entry(B, 0, 0)
     B12 = _entry(B, 0, 1)
     A11 = _mean_product(B11, B11).real
     A12 = _mean_product(B11, B12).real
     A22 = _mean_product(B12, B12).real
-    return EdgeData(B=B, zeta=zeta, energy=energy, alpha=np.array([GOLD]),
+    return EdgeData(B=B, zeta=zeta, energy=energy, alpha=np.array(alpha),
                     A11=A11, A12=A12, A22=A22, k0=1, k_hat=0,
                     D_tau=1.0, b_norm_k0=B.ck_norm_estimate(1))
 
@@ -75,7 +77,7 @@ def test_perturbation_trace_pointwise():
 
 
 def test_averaged_matrix_identity_B():
-    c1 = averaged_matrix(_identity_series(), zeta=0.3)
+    c1 = averaged_matrix(_edge_from_series(_identity_series(), 0.3))
     assert np.allclose(c1, [[-0.15, 0.0], [-1.0, 0.15]])
 
 
@@ -84,20 +86,19 @@ def test_averaged_matrix_traceless_and_mean_consistency():
     for _ in range(20):
         B = _random_real_sl2_series(rng)
         zeta = float(rng.uniform(0.01, 0.5))
-        c1 = averaged_matrix(B, zeta)
+        edge = _edge_from_series(B, zeta)
+        c1 = averaged_matrix(edge)
         assert abs(np.trace(c1)) < 1e-14
         # c1 is the traceless part of the mean of P: mean(P) = c1 - (zeta/2) A11 I
-        P = perturbation_matrix(B, zeta)
-        meanP = P.mean()
-        edge = _edge_from_series(B, zeta)
+        meanP = perturbation_matrix(B, zeta).mean()
         assert np.allclose(meanP, c1 - 0.5 * zeta * edge.A11 * np.eye(2), atol=1e-12)
 
 
 def test_discriminant_trivial_cases():
-    B = _identity_series()
-    assert discriminant(B, zeta=0.3, delta=0.0) == 0.0
+    edge = _edge_from_series(_identity_series(), 0.3)
+    assert discriminant(edge, delta=0.0) == 0.0
     # B = I: A11 = 1, A12 = A22 = 0 so d(delta) = -delta zeta
-    assert discriminant(B, zeta=0.3, delta=0.01) == pytest.approx(-0.003)
+    assert discriminant(edge, delta=0.01) == pytest.approx(-0.003)
 
 
 def test_discriminant_negative_for_small_positive_delta():
@@ -186,9 +187,28 @@ def test_probe_identity_on_free_edge():
     edge = edge_data_from_reduction(res, [GOLD])
     assert edge.checks["cauchy_schwarz"]
     assert edge.checks["a11_lower_bound"]
-    p = probe_gap_edge(edge, None, [GOLD], res.energy, delta=0.01)
+    p = probe_gap_edge(edge, None, delta=0.01)
     assert p.conjugation_residual < 1e-9
     # zeta < 0 at E = 2 (left edge of the upper gap): the probe goes upward,
     # into the gap (2, infinity), where the cocycle is uniformly hyperbolic
     assert p.probe_energy > 2.0
     assert p.verdict == "hyperbolic"
+
+
+@pytest.mark.parametrize("label, alpha", [((43,), (GOLD,)), ((3, -2), (GOLD, math.sqrt(2) - 1))],
+                         ids=["label-43", "off-axis-d2"])
+def test_inconclusive_probe_locked_to_a_label_of_v_stays_inconclusive(monkeypatch, label,
+                                                                       alpha):
+    # when uh_test cannot decide, a rotation number locked to a label of V
+    # lies in that label's gap; the fallback must not call it "not" because
+    # no k e1 with |k| <= 40 is near (for label 43 the nearest, 55, is 8.1e-3
+    # away), while a rotation number locked to none of them stays "not"
+    V = Potential(labels=[label], coefficients=[1e-3], k_exponent=0.0)
+    edge = _edge_from_series(_identity_series(len(alpha)), 0.01, energy=0.5, alpha=alpha)
+    rho = dist_to_integers(float(np.dot(label, alpha)) / 2)
+    monkeypatch.setattr(moser_poschel, "uh_test",
+                        lambda *args, **kw: UhReport(verdict="inconclusive", margin=0.0))
+    monkeypatch.setattr(moser_poschel, "rotation_number", lambda *args, **kw: rho)
+    assert probe_gap_edge(edge, V, 0.01).verdict == "inconclusive"
+    monkeypatch.setattr(moser_poschel, "rotation_number", lambda *args, **kw: rho + 0.004)
+    assert probe_gap_edge(edge, V, 0.01).verdict == "not"
