@@ -32,7 +32,7 @@ res = run_reducibility(V, freq.floats(), {"label_index": 0, "edge": "upper"},
                        params=params)
 print(f"upper edge E+ = {res.energy:.10f}, zeta = {res.zeta:.6e}")
 
-edge = edge_data_from_reduction(res, freq.floats(), tau=1.5)
+edge = edge_data_from_reduction(res, freq.floats())
 print(f"averages: [B11^2] = {edge.A11:.6f}, [B11 B12] = {edge.A12:.6f}, "
       f"[B12^2] = {edge.A22:.6f}")
 print(f"structure checks: {edge.checks}")
@@ -47,11 +47,11 @@ for key in ("precondition_met", "gram", "ratio", "ratio_bound", "gram_bound"):
 
 print("\nprobing both scales (authoritative verdicts from the cone test):")
 out = bracket_gap(edge, V)
-print(f"  delta_2 = {out['lower']:.4e}: verdict {out['checks']['delta2'].verdict} "
-      f"(averaged prediction: {out['checks']['delta2'].averaged_prediction})")
-print(f"  delta_1 = {out['upper']:.4e}: verdict {out['checks']['delta1'].verdict} "
-      f"(averaged prediction: {out['checks']['delta1'].averaged_prediction})")
+delta2, delta1 = out["bracket"]
+for name, delta in (("delta2", delta2), ("delta1", delta1)):
+    print(f"  {name} = {delta:.4e}: verdict {out[name]['verdict']} "
+          f"(d({name}) = {out[name]['d']:+.3e})")
 print(f"\n=> the gap at label {res.label} has length between "
-      f"{out['lower']:.3e} and {out['upper']:.3e}")
+      f"{delta2:.3e} and {delta1:.3e}")
 print(f"   (compare the lower edge: reducing there gives the other endpoint; "
       f"the measured gap is about {V.coefficients[0]:.3e})")

@@ -184,7 +184,9 @@ def _workers(args):
 @contextlib.contextmanager
 def _rotation_runner(V, alpha, iters, samples, seed, workers):
     """Yield a function energies -> RotationCurve.  With workers > 1 it splits
-    the energies over one fork pool, shared by every call in the block."""
+    the energies into ``workers`` chunks over one fork pool of at most
+    os.cpu_count() processes, shared by every call in the block; the chunks,
+    and so the curves, do not depend on the pool's size."""
     def serial(energies):
         return rotation_curve(V, alpha, energies, iters=iters, samples=samples, seed=seed)
 
@@ -192,7 +194,7 @@ def _rotation_runner(V, alpha, iters, samples, seed, workers):
         yield serial
         return
     from multiprocessing import get_context   # not at start-up: no other command needs it
-    with get_context("fork").Pool(workers) as pool:
+    with get_context("fork").Pool(min(workers, os.cpu_count() or 1)) as pool:
         def chunked(energies):
             if energies.size < 8:
                 return serial(energies)
@@ -201,8 +203,7 @@ def _rotation_runner(V, alpha, iters, samples, seed, workers):
             parts = pool.starmap(_rotation_job, jobs)
             rho = np.concatenate([p[0] for p in parts])
             disp = np.concatenate([p[1] for p in parts])
-            return RotationCurve(energies=energies, rho=rho, dispersion=disp,
-                                 iters=iters, samples=samples)
+            return RotationCurve(energies=energies, rho=rho, dispersion=disp)
 
         yield chunked
 
@@ -396,28 +397,13 @@ def cmd_edge_probe(args):
         raise ConfigInvalid(f"--k {args.k} differs from k = {k} of the kam result")
     k = float(args.k if k is None else k)
     V = build_potential(ks, k=k)
-    freq = ks.frequency
-    edge = edge_data_from_reduction(res, freq.floats(), tau=freq.dc_tau)
-    out = bracket_gap(edge, V, probe=not args.no_probe)
-    payload = {
-        "zeta": edge.zeta, "bracket": [out["lower"], out["upper"]],
-        "degenerate": out["degenerate"],
-        "averages": {"A11": edge.A11, "A12": edge.A12, "A22": edge.A22},
-        "edge_checks": edge.checks,
-    }
-    if out["checks"]:
-        payload["delta2"] = {"verdict": out["checks"]["delta2"].verdict,
-                             "d": out["checks"]["delta2"].d_delta,
-                             "residual": out["checks"]["delta2"].conjugation_residual}
-        payload["delta1"] = {"verdict": out["checks"]["delta1"].verdict,
-                             "d": out["checks"]["delta1"].d_delta}
-        payload["bracket_consistent"] = bool(
-            out["checks"]["delta2_inside_gap"] and out["checks"]["delta1_beyond_gap"])
+    edge = edge_data_from_reduction(res, ks.frequency.floats())
+    payload = bracket_gap(edge, V, probe=not args.no_probe)
     if args.kappa:
         payload["poly_bounds"] = poly_bounds_check(edge, float(args.kappa))
     _emit_json(args.out, payload, {"result": args.result, "set": args.set, "k": k})
     if args.gap_csv:
-        row = (res.label, out["lower"], out["upper"], edge.zeta,
+        row = (res.label, *payload["bracket"], edge.zeta,
                payload.get("delta2", {}).get("verdict", ""),
                payload.get("delta1", {}).get("verdict", ""))
         new = not os.path.exists(args.gap_csv)

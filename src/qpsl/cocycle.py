@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diophantine import dist_to_integers
 from .errors import (
     NonConvergence,
     NotElliptic,
@@ -37,8 +38,8 @@ __all__ = [
     "su11_exp", "su11_exp_pair",
     "parabolic_normalize", "diagonalize_su11", "rotation_matrix",
     "conjugacy_residual",
-    "potential_values", "orbit_potential", "pivot_negatives", "oscillation_rho",
-    "rotation_number",
+    "potential_values", "orbit_potential", "pivot_negatives", "random_phases",
+    "oscillation_rho", "rotation_number", "find_lock",
     "UhReport", "uh_test",
 ]
 
@@ -411,13 +412,22 @@ def _pivots(piv, r, zero_fix):
     return piv
 
 
-def oscillation_rho(V, alpha, energies, thetas, iters):
-    """Rotation numbers in [0, 1/2] per energy and phase, shape (energies, phases).
+def random_phases(count, d, seed):
+    """``count`` phases uniform on the d-torus from the seeded generator, the
+    one draw behind every phase average of the Sturm count."""
+    return np.random.default_rng(seed).uniform(0, 2 * math.pi, size=(count, d))
+
+
+def oscillation_rho(V, alpha, energies, iters, samples, seed):
+    """Rotation numbers in [0, 1/2] per energy and phase, shape (energies,
+    samples), at ``samples`` phases of :func:`random_phases`.
 
     The solution from (u_{-1}, u_0) = (0.3, 1) changes sign twice per full
     projective turn, so rho = (sign changes) / (2 iters): a branch-free lift
     (no angle unwrapping), exact up to the endpoint term O(1/iters).
     """
+    alpha = np.atleast_1d(np.asarray(alpha, float))
+    thetas = random_phases(samples, alpha.size, seed)
     neg = pivot_negatives(energies, orbit_potential(V, alpha, thetas, iters), 1 / 0.3)
     return neg / (2.0 * iters)
 
@@ -430,10 +440,25 @@ def rotation_number(V, alpha, E, iters=100_000, phase_samples=3, seed=0):
     """Fibered rotation number of the Schrodinger cocycle (V, alpha, E), in
     [0, 1/2]: the oscillation count of :func:`oscillation_rho` at
     ``phase_samples`` random phases, averaged."""
+    return float(np.mean(oscillation_rho(V, alpha, [E], iters, phase_samples, seed)[0]))
+
+
+def find_lock(rho, alpha, V, radius):
+    """(distance, n) of the candidate n nearest to 2 rho = <n, alpha> mod 1,
+    the first on ties.  The candidates are zero, +- each label of V and
+    +- k e_1 for 1 <= k <= radius."""
     alpha = np.atleast_1d(np.asarray(alpha, float))
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0, 2 * math.pi, size=(phase_samples, alpha.size))
-    return float(np.mean(oscillation_rho(V, alpha, [E], thetas, iters)[0]))
+    cands = [(0,) * alpha.size]
+    if V is not None:
+        cands += [tuple(s * int(x) for x in lab) for s in (1, -1) for lab in V.labels]
+    cands += [(s * k,) + (0,) * (alpha.size - 1)
+              for k in range(1, radius + 1) for s in (1, -1)]
+    best, best_n = math.inf, None
+    for n in cands:
+        v = dist_to_integers(2 * rho - float(np.dot(n, alpha)))
+        if v < best:
+            best, best_n = v, n
+    return best, best_n
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +471,6 @@ class UhReport:
     margin: float
     sigma_min: float = None
     sigma_max: float = None
-    cone_half_angle: float = None
-
-    @property
-    def hyperbolic(self):
-        return self.verdict == "hyperbolic"
 
 
 def _proj_angle(v):
@@ -539,6 +559,6 @@ def uh_test(V, alpha, E, horizon=256, grid=128):
             worst = max(worst, float(np.max(dist)))
         if ok and smin >= 2.0 and stable_dirs < phi:
             return UhReport(verdict="hyperbolic", margin=phi - worst,
-                            sigma_min=smin, sigma_max=smax, cone_half_angle=phi)
+                            sigma_min=smin, sigma_max=smax)
     return UhReport(verdict="inconclusive", margin=0.0,
                     sigma_min=smin, sigma_max=smax)

@@ -127,10 +127,6 @@ class ContinuedFraction:
     p: tuple
     q: tuple
 
-    @property
-    def depth(self):
-        return len(self.partial_quotients)
-
     def approx_error(self, k):
         """|q_k alpha - p_k| exactly.
 
@@ -261,11 +257,6 @@ class DcReport:
     gamma: float
     tau: float
     max_norm: int
-
-    def as_dict(self):
-        return {"holds": self.holds, "worst_n": list(self.worst_n),
-                "worst_value": self.worst_value, "gamma": self.gamma,
-                "tau": self.tau, "max_norm": self.max_norm}
 
 
 def dc_check(alpha: FrequencyVector, max_norm, gamma=None, tau=None):

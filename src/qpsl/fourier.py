@@ -414,14 +414,17 @@ class Potential:
     def sample(self, theta):
         """V at one point (theta length d, or a scalar for d=1) or a batch
         (m, d) / (m,) for d=1, each point as a row of one (m, d) batch.
-        For d = 1, <n, theta> is the one product n theta: the same bits as
-        ``pts @ n``, which costs several times as much there (numpy's
-        matmul loop, or a BLAS gemv that OpenBLAS may spread over threads)."""
+        <n, theta> is the sum of the per-axis products n_i theta_i in axis
+        order, one path for every d and no BLAS call (``pts @ n`` costs
+        several times as much, and OpenBLAS may spread its gemv over
+        threads)."""
         th = np.asarray(theta, float)
         pts = th.reshape(-1, self.d)
         acc = np.zeros(len(pts))
         for lab, c in zip(self.labels, self.coefficients):
-            phase = pts[:, 0] * lab[0] if self.d == 1 else pts @ np.asarray(lab, float)
+            phase = pts[:, 0] * lab[0]
+            for i in range(1, self.d):
+                phase += pts[:, i] * lab[i]
             acc += c * np.cos(phase)
         return float(acc[0]) if th.ndim == (0 if self.d == 1 else 1) else acc
 

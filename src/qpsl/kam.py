@@ -46,9 +46,10 @@ Settings no caller varies are module constants: the strip width H0 * H_DECAY^j
 of step j, the Newton stop NEWTON_TOL and cap NEWTON_MAX_SWEEPS, the norm
 STOP_TOL below which a perturbation counts as removed, the number of random
 probes PROBE_COUNT of each residual, the divisor floor DIVISOR_FLOOR, the
-resonance threshold cap THRESHOLD_CAP, and the energy-target lock tolerance
-LOCK_TOL with its rotation-number iterations ROTATION_ITERS.  Everything a
-caller sets is on :class:`KamParams`.
+desk-scale resonance threshold RESONANCE_THRESHOLD (ell_j^{-4 tau} falls
+below it from ell_j = 20^{1/(4 tau)} on), and the energy-target lock
+tolerance LOCK_TOL with its rotation-number iterations ROTATION_ITERS.
+Everything a caller sets is on :class:`KamParams`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ import numpy as np
 from .cocycle import (
     conjugacy_residual,
     diagonalize_su11,
+    find_lock,
     rotation_matrix,
     rotation_number,
     su11_element,
@@ -229,7 +231,7 @@ NEWTON_MAX_SWEEPS = 16
 STOP_TOL = 1e-12           # a perturbation of this norm counts as removed
 PROBE_COUNT = 12           # random probes of each conjugacy residual
 DIVISOR_FLOOR = 1e-9       # smallest divisor the homological solve accepts
-THRESHOLD_CAP = 5e-2       # cap of the resonance threshold
+RESONANCE_THRESHOLD = 5e-2 # a site nearer than this to 2 sigma may be resonant
 LOCK_TOL = 1e-3            # 2 rho = <n, alpha> mod 1 lock tolerance
 ROTATION_ITERS = 200_000   # iterations of the lock's rotation number
 
@@ -247,27 +249,16 @@ class KamParams:
     window_cap: int = None
     seed: int = 0
 
-    def level(self, j):
-        if self.schedule is None:
-            return None
-        return self.schedule.level_float(j)
-
     def width(self, j):
         return H0 * H_DECAY ** j
 
     def window(self, j):
         cap = self.window_cap or self.max_degree
         if self.schedule is not None:
-            ell_next = self.level(j + 1)
-            if ell_next is not None and math.isfinite(ell_next):
+            ell_next = self.schedule.level_float(j + 1)
+            if math.isfinite(ell_next):
                 return int(min(cap, max(8, 2 * ell_next)))
         return cap
-
-    def threshold(self, j):
-        ell = self.level(j)
-        if ell and ell > 1:
-            return max(ell ** (-4 * self.tau), THRESHOLD_CAP)
-        return THRESHOLD_CAP
 
     def strict_unmet(self):
         """The hypotheses of the paper's regime that this run misses (empty
@@ -516,7 +507,7 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
         N = params.window_cap or params.max_degree
         rule = ModeRule(alpha=alpha, sigma=sigma, window=N,
                         diag_floor=_min_divisor_distance(alpha, N, d) / 2,
-                        off_floor=params.threshold(0),
+                        off_floor=RESONANCE_THRESHOLD,
                         keep_w_mean=True)
 
     scale = max(F.norm(h), 1e-300)
@@ -702,8 +693,8 @@ def kam_step(state: KamState, params: KamParams):
     dioph_min = _min_divisor_distance(alpha, N, d)
     # the resonant route must absorb every site the Newton sweep cannot solve
     # through (its convergence boundary sits at distance of order sqrt of the
-    # perturbation), while staying below the cap
-    thr = min(params.threshold(j),
+    # perturbation), while staying below RESONANCE_THRESHOLD
+    thr = min(RESONANCE_THRESHOLD,
               max(dioph_min / 5, 4.0 * math.sqrt(max(norm_before, 0.0))))
     cls = classify_resonance(sigma, alpha, N, thr)
     site, nr = cls.site, cls.case == "NR"
@@ -913,7 +904,7 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
         E = float(target["energy"])
         rho = rotation_number(V, alpha_arr, E, iters=ROTATION_ITERS, phase_samples=3,
                               seed=params.seed)
-        lock_dist, label = _find_lock(rho, alpha_arr, V, 4)
+        lock_dist, label = find_lock(rho, alpha_arr, V, 4)
         if lock_dist >= LOCK_TOL:
             raise TargetNotLocked(
                 f"2 rho = {2 * rho:.8f} is not <n, alpha> mod 1 within "
@@ -933,23 +924,6 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
         return _finalize(V, alpha_arr, E_edge, label, state, reports, params, search)
 
     raise QpslError("target must contain 'energy', 'label' or 'label_index'")
-
-
-def _find_lock(rho, alpha, V, radius):
-    """(distance, n) of the candidate n nearest to 2 rho = <n, alpha> mod 1,
-    the first on ties.  The candidates are zero, +- each label of V and
-    +- k e_1 for 1 <= k <= radius."""
-    cands = [(0,) * alpha.size]
-    if V is not None:
-        cands += [tuple(s * int(x) for x in lab) for s in (1, -1) for lab in V.labels]
-    cands += [(s * k,) + (0,) * (alpha.size - 1)
-              for k in range(1, radius + 1) for s in (1, -1)]
-    best, best_n = math.inf, None
-    for n in cands:
-        v = dist_to_integers(2 * rho - float(np.dot(n, alpha)))
-        if v < best:
-            best, best_n = v, n
-    return best, best_n
 
 
 def _locate_edge(V, alpha, label, edge, params, max_steps):

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .cocycle import conjugacy_residual, rotation_number, uh_test
+from .cocycle import conjugacy_residual, find_lock, rotation_number, uh_test
 from .errors import QpslError
 from .fourier import FourierSeries, multiply
-from .kam import ReducibilityResult, _find_lock
+from .kam import ReducibilityResult
 
 __all__ = [
     "EdgeData", "ProbeResult",
@@ -79,20 +79,15 @@ class EdgeData:
     A12: float
     A22: float
     k0: int
-    k_hat: int
-    D_tau: float
     b_norm_k0: float
     checks: dict = field(default_factory=dict)
 
 
-def edge_data_from_reduction(result: ReducibilityResult, alpha, tau=1.5):
+def edge_data_from_reduction(result: ReducibilityResult, alpha):
     """Assemble the probe data from a reducibility run, with k0 the run's
-    (at least 1) and k_hat = k0 - ceil(3 tau) - d - 1 (the smoothness the
-    averaged step retains)."""
+    (at least 1)."""
     B = result.B
-    d = B.d
     k0 = max(result.k0, 1)
-    k_hat = int(k0 - math.ceil(3 * tau) - d - 1)
     A11, A12, A22 = _averages(B)
     for name, val in (("A11", A11), ("A12", A12), ("A22", A22)):
         if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
@@ -105,8 +100,7 @@ def edge_data_from_reduction(result: ReducibilityResult, alpha, tau=1.5):
     }
     return EdgeData(B=B, zeta=result.zeta, energy=result.energy,
                     alpha=np.atleast_1d(np.asarray(alpha, float)),
-                    A11=A11, A12=A12, A22=A22, k0=k0, k_hat=k_hat,
-                    D_tau=d_tau_constant(k0, k_hat, tau, d), b_norm_k0=b_norm,
+                    A11=A11, A12=A12, A22=A22, k0=k0, b_norm_k0=b_norm,
                     checks=checks)
 
 
@@ -178,12 +172,9 @@ def poly_bounds_check(edge: EdgeData, kappa):
 
 @dataclass
 class ProbeResult:
-    delta: float
-    probe_energy: float
-    d_delta: float
     verdict: str                  # 'hyperbolic' | 'not' | 'inconclusive'
-    averaged_prediction: str
-    conjugation_residual: float = None
+    d_delta: float
+    conjugation_residual: float
 
 
 def probe_gap_edge(edge: EdgeData, V, delta):
@@ -191,10 +182,12 @@ def probe_gap_edge(edge: EdgeData, V, delta):
     a right edge probes downward) and decide hyperbolicity of the cocycle
     (V, edge.alpha).
 
-    The authoritative verdict comes from :func:`uh_test` on the full cocycle
-    on a 192-point grid; the sign of d(delta) (through the constant part
-    e^{c0 - delta c1}) is the averaged one-step prediction recorded
-    alongside, and the conjugation residual of B at 8 seeded random points.
+    The verdict comes from :func:`uh_test` on the full cocycle on a
+    192-point grid, with a horizon set by d(delta), the discriminant, whose
+    sign is the averaged one-step prediction; when that test is
+    inconclusive, a rotation number locked to no candidate of
+    :func:`qpsl.cocycle.find_lock` reads "not".  The conjugation residual of
+    B is taken at 8 seeded random points.
     """
     if not 0 < delta < 1:
         raise QpslError("delta must lie in (0,1)")
@@ -202,7 +195,6 @@ def probe_gap_edge(edge: EdgeData, V, delta):
     direction = -math.copysign(1.0, edge.zeta) if edge.zeta != 0 else -1.0
     E_probe = edge.energy + direction * delta
     d_val = discriminant(edge, delta)
-    pred = "hyperbolic" if d_val < 0 else ("not" if d_val > 0 else "inconclusive")
 
     # the reduced constant's per-step expansion is sqrt(-d) when the
     # discriminant is negative; direction coherence needs a window
@@ -210,8 +202,7 @@ def probe_gap_edge(edge: EdgeData, V, delta):
     # by its trace)
     rate = math.sqrt(abs(d_val)) if d_val != 0 else 1e-6
     horizon = int(min(20_000, max(256, 12.0 / max(rate, 1e-6))))
-    rep = uh_test(V, alpha, E_probe, horizon=horizon, grid=192)
-    verdict = rep.verdict
+    verdict = uh_test(V, alpha, E_probe, horizon=horizon, grid=192).verdict
     if verdict == "inconclusive":
         # Schrodinger fallback: a rotation number locked to no candidate of
         # the energy lock (V's labels, and k e1 out to |k| = 40) certifies
@@ -219,7 +210,7 @@ def probe_gap_edge(edge: EdgeData, V, delta):
         # the resolution used here)
         iters = 400_000
         rho = rotation_number(V, alpha, E_probe, iters=iters, phase_samples=2, seed=0)
-        if _find_lock(rho, alpha, V, 40)[0] > 20.0 / iters:
+        if find_lock(rho, alpha, V, 40)[0] > 20.0 / iters:
             verdict = "not"
 
     # B(.+alpha)^{-1} S_{E - s} B = C - s P at the edge E, s signed into the gap
@@ -230,30 +221,28 @@ def probe_gap_edge(edge: EdgeData, V, delta):
     s = -direction * delta
     residual = conjugacy_residual(V, alpha, edge.energy - s, edge.B,
                                   C[None, :, :] - s * P.sample(pts), pts)
-
-    return ProbeResult(delta=delta, probe_energy=E_probe, d_delta=d_val,
-                       verdict=verdict, averaged_prediction=pred,
-                       conjugation_residual=residual)
+    return ProbeResult(verdict=verdict, d_delta=d_val, conjugation_residual=residual)
 
 
-def bracket_gap(edge: EdgeData, V=None, probe=True):
-    """Probe scales delta_2 = |zeta|^{11/10} (inside the gap) and
-    delta_1 = |zeta|^{9/10} (beyond it); with ``probe`` the verdicts are
-    evaluated on the actual cocycle (V, edge.alpha) at edge.energy."""
+def bracket_gap(edge: EdgeData, V, probe=True):
+    """The record ``qpsl edge-probe`` writes for the edge: zeta, the bracket
+    [delta_2, delta_1] = [|zeta|^{11/10}, |zeta|^{9/10}] of the gap length,
+    ``degenerate`` (|zeta| >= 1, where nothing is probed), the averages and
+    the edge's structure checks.  With ``probe`` the two scales are probed
+    on the cocycle (V, edge.alpha) from edge.energy: ``delta2`` {verdict, d,
+    residual} must read inside the gap (hyperbolic) and ``delta1`` {verdict,
+    d} beyond it, and ``bracket_consistent`` says whether both do."""
     z = abs(edge.zeta)
     if z == 0:
         raise QpslError("zeta = 0: collapsed gap, nothing to bracket")
-    lower = z ** 1.1
-    upper = z ** 0.9
-    out = {"zeta": edge.zeta, "lower": lower, "upper": upper,
-           "degenerate": z >= 1.0, "checks": {}}
-    if z >= 1.0:
-        return out
-    if probe:
-        p2, p1 = probe_gap_edge(edge, V, lower), probe_gap_edge(edge, V, upper)
-        out["checks"] = {
-            "delta2_inside_gap": p2.verdict == "hyperbolic",
-            "delta1_beyond_gap": p1.verdict != "hyperbolic",
-            "delta2": p2, "delta1": p1,
-        }
+    out = {"zeta": edge.zeta, "bracket": [z ** 1.1, z ** 0.9], "degenerate": z >= 1.0,
+           "averages": {"A11": edge.A11, "A12": edge.A12, "A22": edge.A22},
+           "edge_checks": edge.checks}
+    if probe and z < 1.0:
+        delta2, delta1 = out["bracket"]
+        p2, p1 = probe_gap_edge(edge, V, delta2), probe_gap_edge(edge, V, delta1)
+        out["delta2"] = {"verdict": p2.verdict, "d": p2.d_delta,
+                         "residual": p2.conjugation_residual}
+        out["delta1"] = {"verdict": p1.verdict, "d": p1.d_delta}
+        out["bracket_consistent"] = p2.verdict == "hyperbolic" and p1.verdict != "hyperbolic"
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import oscillation_rho, orbit_potential, pivot_negatives
+from .cocycle import oscillation_rho, orbit_potential, pivot_negatives, random_phases
 from .diophantine import dist_to_integers
 from .errors import NonConvergence, QpslError
 
@@ -51,20 +51,18 @@ def finite_ids(V, alpha, theta, N, E):
 class IdsCurve:
     energies: np.ndarray
     values: np.ndarray
-    truncation: int
-    phases: np.ndarray
 
 
 def ids_curve(V, alpha, energies, N=1000, phases=4, seed=0):
-    """Phase-averaged finite-volume IDS on an energy grid."""
-    rng = np.random.default_rng(seed)
+    """Finite-volume IDS on an energy grid, averaged over ``phases`` phases
+    of :func:`qpsl.cocycle.random_phases`."""
     alpha = np.atleast_1d(np.asarray(alpha, float))
-    th = rng.uniform(0, 2 * math.pi, size=(phases, alpha.size))
+    th = random_phases(phases, alpha.size, seed)
     energies = np.asarray(energies, float)
     acc = np.zeros_like(energies)
     for col in _eigen_fractions(V, alpha, th, N, energies).T:
         acc += col
-    return IdsCurve(energies=energies, values=acc / phases, truncation=N, phases=th)
+    return IdsCurve(energies=energies, values=acc / phases)
 
 
 @dataclass
@@ -72,8 +70,6 @@ class RotationCurve:
     energies: np.ndarray
     rho: np.ndarray
     dispersion: np.ndarray
-    iters: int
-    samples: int
 
 
 def rotation_curve(V, alpha, energies, iters=100_000, samples=3, seed=0):
@@ -82,13 +78,9 @@ def rotation_curve(V, alpha, energies, iters=100_000, samples=3, seed=0):
     energies = np.asarray(energies, float)
     if np.any(np.diff(energies) < 0):
         raise QpslError("energy grid must be sorted")
-    alpha = np.atleast_1d(np.asarray(alpha, float))
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0, 2 * math.pi, size=(samples, alpha.size))
-    per = oscillation_rho(V, alpha, energies, thetas, iters)
+    per = oscillation_rho(V, alpha, energies, iters, samples, seed)
     return RotationCurve(energies=energies, rho=per.mean(axis=1),
-                         dispersion=per.max(axis=1) - per.min(axis=1),
-                         iters=iters, samples=samples)
+                         dispersion=per.max(axis=1) - per.min(axis=1))
 
 
 @dataclass

@@ -246,7 +246,7 @@ def test_criterion_08_kam_step(monkeypatch):
     new2, rep_rs = kam_step(st2, params)
     assert rep_rs.case == "RS" and rep_rs.site == (4,)
     assert rep_rs.residual <= 1e-9
-    thr = min(params.threshold(0), 4 * math.sqrt(rep_rs.norm_before))
+    thr = min(kam.RESONANCE_THRESHOLD, 4 * math.sqrt(rep_rs.norm_before))
     # the new constant's angle, cycles in [0, 1/2]: trace 2 cos(2 pi sigma)
     sig_next = math.acos(np.clip(new2.A[0, 0].real, -1, 1)) / (2 * math.pi)
     rho_next = min(sig_next, 1 - sig_next)
@@ -348,14 +348,14 @@ def test_criterion_11_end_to_end_consistency():
     assert res_up.zeta != 0
     assert res_up.conj_residual <= 1e-8
 
-    edge = edge_data_from_reduction(res_up, af, tau=1.5)
+    edge = edge_data_from_reduction(res_up, af)
     br = bracket_gap(edge, V)
-    assert br["checks"]["delta2_inside_gap"]
-    assert br["checks"]["delta1_beyond_gap"]
+    assert br["bracket_consistent"]
+    lower, upper = br["bracket"]
 
     # independent gap measurement: rotation-plateau edges
     n1 = ks.labels()[0]
-    E_grid = np.linspace(res_up.energy - 3 * br["upper"], res_up.energy + br["upper"], 41)
+    E_grid = np.linspace(res_up.energy - 3 * upper, res_up.energy + upper, 41)
     curve = rotation_curve(V, af, E_grid, iters=250_000, samples=2, seed=4)
 
     def rho_fn(evals):
@@ -365,13 +365,13 @@ def test_criterion_11_end_to_end_consistency():
     gaps = detect_gaps(curve, af, labels=[n1], tol=2e-5, rho_fn=rho_fn,
                        refine_bisections=20)
     g = max(gaps, key=lambda x: x.length)
-    factor = max(br["lower"] / g.length, g.length / br["upper"], 1.0)
+    factor = max(lower / g.length, g.length / upper, 1.0)
     assert factor <= 10.0
     rt = time.time() - t0
     assert rt < 900.0
     _report("criterion-11 end-to-end", rt,
             f"zeta = {res_up.zeta:.3e}, residual = {res_up.conj_residual:.1e}; "
-            f"gap {g.length:.3e} vs bracket [{br['lower']:.3e}, {br['upper']:.3e}] "
+            f"gap {g.length:.3e} vs bracket [{lower:.3e}, {upper:.3e}] "
             f"(factor {factor:.2f} <= 10)")
 
 

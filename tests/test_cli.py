@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import warnings
@@ -12,7 +15,9 @@ import pytest
 from qpsl import kam
 from qpsl.cli import _build_parser, main
 from qpsl.diophantine import frequency_vector, golden_mean
-from qpsl.fourier import amo_potential
+from qpsl.fourier import amo_potential, build_potential
+from qpsl.label_set import LabelSet, ell_star
+from qpsl.moser_poschel import bracket_gap, edge_data_from_reduction
 from qpsl.spectrum import detect_gaps, rotation_curve
 
 GOLDEN = "0.6180339887498949"
@@ -22,10 +27,15 @@ def run_cli(args):
     return main(args)
 
 
-def test_cf_prints_denominators(capsys):
-    assert run_cli(["cf", "--alpha", GOLDEN, "--depth", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "q = 1,1,2,3,5,8,13,21" in out
+def test_cf_prints_denominators(tmp_path, capsys):
+    out = tmp_path / "cf.json"
+    assert run_cli(["cf", "--alpha", GOLDEN, "--depth", "8", "--out", str(out)]) == 0
+    assert "q = 1,1,2,3,5,8,13,21" in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert data["config"] == {"alpha": GOLDEN, "depth": 8}
+    assert data["partial_quotients"] == [1] * 8
+    assert data["p"] == ["0", "1", "1", "2", "3", "5", "8", "13"]
+    assert data["q"] == ["1", "1", "2", "3", "5", "8", "13", "21"]
 
 
 def test_cf_invalid_alpha_exit_code(capsys):
@@ -49,6 +59,25 @@ def test_build_and_verify_set(tmp_path, capsys):
     rep = json.loads((tmp_path / "verify.json").read_text())
     assert rep["passed"]
     assert "config_hash" in rep
+
+
+def test_build_set_floor_from_k_exponent_and_verify_set_checks_it(tmp_path):
+    # --k-exponent records ell_star(k, gamma, tau, s, ||A||) as the schedule's
+    # floor; verify-set fails a set with a label below it
+    base = ["build-set", "--alpha", golden_mean(80), "--M", "10", "--s", "0.9",
+            "--depth", "6", "--count", "1", "--k-exponent", "1"]
+    for j1, a_norm, floor_ok, labels in (("0", "2", False, [["16"]]),
+                                         ("0", "1000", False, [["16"]]),
+                                         ("3", "2", True, [["11405774"]])):
+        set_path, verify = tmp_path / f"set_{j1}_{a_norm}.json", tmp_path / "verify.json"
+        assert run_cli(base + ["--j1", j1, "--a-norm", a_norm, "--out", str(set_path)]) == 0
+        data = json.loads(set_path.read_text())
+        assert data["schedule"]["ell_star"] == ell_star(1.0, 0.5, 1.5, 0.9, float(a_norm))
+        assert [e["label"] for e in data["entries"]] == labels
+        assert run_cli(["verify-set", "--set", str(set_path), "--out", str(verify)]) == 0
+        rep = json.loads(verify.read_text())
+        assert rep["report"]["floor_ok"] is floor_ok and rep["passed"] is floor_ok
+        assert rep["report"]["violations"] == ([] if floor_ok else [["floor", 0, 16]])
 
 
 def test_rotation_csv_deterministic(tmp_path):
@@ -132,6 +161,54 @@ def test_kam_and_edge_probe(tmp_path, criterion11_kam):
     probe = json.loads(probe_out.read_text())
     assert probe["bracket"][0] < probe["bracket"][1]
     assert (tmp_path / "bracket.csv").read_text().startswith("# schema=qpsl.bracket")
+
+
+def test_kam_energy_target_locks_by_rotation_number(tmp_path, capsys, criterion11_kam):
+    # at the edge energy the rotation number locks to the label and the
+    # reduction is the edge search's; at E = 0, 2 rho = 1/2 locks to no candidate
+    set_path, kam_out = criterion11_kam
+    edge = json.loads(kam_out.read_text())
+    out = tmp_path / "kam.json"
+    assert run_cli(["kam", "--set", str(set_path), "--k", "2.0",
+                    "--energy", repr(edge["energy"]), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["config"]["target"] == {"energy": edge["energy"]}
+    assert data["edge_search"] is None
+    for key in ("energy", "zeta", "conj_residual", "B_series"):
+        assert data[key] == edge[key], key
+    assert edge["label"] == [16] and data["label"] in ([16], [-16])
+    assert run_cli(["kam", "--set", str(set_path), "--k", "2.0", "--energy", "0.0",
+                    "--out", str(tmp_path / "none.json")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "TargetNotLocked"
+    assert not (tmp_path / "none.json").exists()
+
+
+def test_edge_probe_kappa_adds_the_quadratic_form_bounds_to_the_record(tmp_path,
+                                                                      criterion11_kam):
+    # probe.json is bracket_gap's record, plus poly_bounds with --kappa
+    set_path, kam_out = criterion11_kam
+    argv = ["edge-probe", "--result", str(kam_out), "--set", str(set_path), "--k", "2.0",
+            "--no-probe"]
+    assert run_cli(argv + ["--kappa", "0.2", "--out", str(tmp_path / "kappa.json")]) == 0
+    assert run_cli(argv + ["--out", str(tmp_path / "plain.json")]) == 0
+    probe = json.loads((tmp_path / "kappa.json").read_text())
+    pb = probe.pop("poly_bounds")
+    assert probe == json.loads((tmp_path / "plain.json").read_text())
+    ks = LabelSet.from_json(set_path.read_text())
+    edge = edge_data_from_reduction(kam.ReducibilityResult.from_dict(
+        json.loads(kam_out.read_text())), ks.frequency.floats())
+    record = bracket_gap(edge, build_potential(ks, k=2.0), probe=False)
+    assert {key: probe[key] for key in record} == json.loads(json.dumps(record))
+    assert set(probe) - set(record) == {"config", "config_hash", "qpsl_version"}
+    a, z = probe["averages"], abs(probe["zeta"])
+    gram = a["A11"] * a["A22"] - a["A12"] ** 2
+    assert pb["gram"] == pytest.approx(gram, rel=1e-12)
+    assert pb["ratio"] == pytest.approx(a["A11"] / gram, rel=1e-12)
+    assert pb["ratio_bound"] == pytest.approx(0.5 * z ** -0.2, rel=1e-12)
+    assert pb["gram_bound"] == pytest.approx(8 * z ** 0.4, rel=1e-12)
+    assert pb["ratio_ok"] is (0 < pb["ratio"] <= pb["ratio_bound"])
+    assert pb["gram_ok"] is (gram >= pb["gram_bound"])
+    assert pb["degenerate"] is False
 
 
 def test_kam_strict_refuses_outside_the_paper_regime(tmp_path, capsys, monkeypatch,
@@ -302,6 +379,24 @@ def test_explicit_zero_flags_are_kept(tmp_path, capsys, criterion11_kam):
     assert json.loads(out.read_text())["tau"] == 0.0
 
 
+def test_potential_csv_and_series(tmp_path, criterion11_kam):
+    # K = {16} at k = 2: V(theta) = 16^-2 cos(16 theta), modes +-16 of 16^-2 / 2
+    set_path, _ = criterion11_kam
+    csv, series = tmp_path / "V.csv", tmp_path / "series.json"
+    assert run_cli(["potential", "--set", str(set_path), "--k", "2.0", "--samples", "7",
+                    "--out", str(csv), "--series-out", str(series)]) == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0].startswith("# schema=qpsl.potential.v1 config_hash=")
+    assert lines[1] == "theta,V"
+    rows = [tuple(map(float, line.split(","))) for line in lines[2:]]
+    assert [theta for theta, _ in rows] == [2 * math.pi * i / 7 for i in range(7)]
+    for theta, v in rows:
+        assert v == pytest.approx(math.cos(16 * theta) / 256, rel=0, abs=1e-16)
+    assert json.loads(series.read_text()) == {
+        "d": 1, "halved": False, "kind": "scalar",
+        "coeffs": [[[-16], 1 / 512, 0.0], [[16], 1 / 512, 0.0]]}
+
+
 def test_cli_surface():
     # every settable flag of every subcommand (--help aside); --config only
     # where a config key is read
@@ -366,6 +461,40 @@ def test_workers_deterministic(tmp_path, monkeypatch):
     out3 = tmp_path / "env.csv"
     assert run_cli(base + ["--out", str(out3)]) == 0
     assert out3.read_bytes() == out1.read_bytes()
+
+
+def test_rotation_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    # --workers and QPSL_THREADS set the chunks, not the processes: the pool
+    # takes at most os.cpu_count() (a fake pool runs the chunks in-process,
+    # so no process is started)
+    sizes = []
+
+    class FakePool:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs):
+            return [fn(*job) for job in jobs]
+
+    class Context:
+        def Pool(self, size):
+            sizes.append(size)
+            return FakePool()
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
+    base = ["rotation", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
+            "--emin", "-1.0", "--emax", "1.0", "--grid", "9", "--iters", "1000",
+            "--samples", "2"]
+    out1, big, env = tmp_path / "w1.csv", tmp_path / "big.csv", tmp_path / "env.csv"
+    assert run_cli(base + ["--out", str(out1), "--workers", "1"]) == 0
+    assert run_cli(base + ["--out", str(big), "--workers", "100000"]) == 0
+    monkeypatch.setenv("QPSL_THREADS", "100000")
+    assert run_cli(base + ["--out", str(env)]) == 0
+    assert len(sizes) == 2 and all(1 <= n <= (os.cpu_count() or 1) for n in sizes)
+    assert big.read_bytes() == out1.read_bytes() == env.read_bytes()
 
 
 def test_gaps_refine_workers_deterministic(tmp_path):

@@ -332,7 +332,7 @@ def _uh_oracle(V, alpha, E, horizon, grid):
             worst = max(worst, float(np.max(dist)))
         if ok and smin >= 2.0 and stable_dirs < phi:
             return UhReport(verdict="hyperbolic", margin=phi - worst, sigma_min=smin,
-                            sigma_max=smax, cone_half_angle=phi)
+                            sigma_max=smax)
     return UhReport(verdict="inconclusive", margin=0.0, sigma_min=smin, sigma_max=smax)
 
 

@@ -309,7 +309,7 @@ def test_remove_nonresonant_equals_stack_sweep(d):
     N = params.window_cap
     rule = ModeRule(alpha=alpha, sigma=sigma, window=N,
                     diag_floor=kam._min_divisor_distance(alpha, N, d) / 2,
-                    off_floor=kam.THRESHOLD_CAP, keep_w_mean=True)
+                    off_floor=kam.RESONANCE_THRESHOLD, keep_w_mean=True)
     Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule=rule, params=params)
     Y_ref, F_ref, sweeps, dropped = _stack_remove_nonresonant(A, F, 1e-9, 0.05, alpha,
                                                               rule, params, rep["grid"])
@@ -340,7 +340,7 @@ def test_remove_nonresonant_rs_rule_equals_stack_sweep(d):
     distance = dist_to_integers(2 * sigma - float(np.dot(site, alpha)))
     rule = ModeRule(alpha=alpha, sigma=sigma, window=params.max_degree,
                     diag_floor=kam._min_divisor_distance(alpha, params.window_cap, d) / 2,
-                    off_floor=min(kam.THRESHOLD_CAP, max(2 * distance, 10 * kam.DIVISOR_FLOOR)),
+                    off_floor=min(kam.RESONANCE_THRESHOLD, max(2 * distance, 10 * kam.DIVISOR_FLOOR)),
                     exclude=site, keep_w_mean=False)
     Y, F_star, rep = remove_nonresonant(A, F, kam.DIVISOR_FLOOR, 0.05, alpha, rule=rule,
                                         params=params)
@@ -418,7 +418,7 @@ def test_remove_nonresonant_grid_doubles_when_content_outgrows_it():
     params = _params(max_degree=192, grid_size=1024, window_cap=40)
     rule = ModeRule(alpha=alpha, sigma=sigma, window=40,
                     diag_floor=kam._min_divisor_distance(alpha, 40, 1) / 2,
-                    off_floor=kam.THRESHOLD_CAP, keep_w_mean=True)
+                    off_floor=kam.RESONANCE_THRESHOLD, keep_w_mean=True)
     Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule=rule, params=params)
     cap = params.grid_for(params.max_degree)
     assert params.grid_for(4 * int(F.degree())) == 256 and rep["grid"] == 512 and cap == 1024
@@ -563,7 +563,7 @@ def test_kam_step_rs_synthetic():
     assert rep.residual < 1e-9
     assert new.n_tilde == (4,)
     # the new constant rotates by at most twice the classification threshold
-    thr = min(params.threshold(0), 1.0)
+    thr = min(kam.RESONANCE_THRESHOLD, 1.0)
     # the new constant's angle, cycles in [0, 1/2]: trace 2 cos(2 pi sigma)
     sig_next = math.acos(np.clip(new.A[0, 0].real, -1, 1)) / (2 * math.pi)
     assert min(sig_next, 1 - sig_next) <= 2 * max(thr, offset * 2)
@@ -1031,7 +1031,7 @@ def test_trace_slope_is_the_closed_form_and_the_finite_difference():
     edges = {}
     for edge in ("upper", "lower"):
         res = run_reducibility(V, alpha, {"label_index": 0, "edge": edge}, params=params)
-        A11 = edge_data_from_reduction(res, alpha, tau=1.5).A11
+        A11 = edge_data_from_reduction(res, alpha).A11
         want = -res.psl_sign * res.zeta * A11 / 2
         assert kam._trace_slope(reduced(res.energy)) == pytest.approx(want, rel=1e-9), edge
         edges[edge] = res.energy
