@@ -395,12 +395,14 @@ def cmd_edge_probe(args):
         raise ConfigInvalid("edge-probe needs --k: the kam result records no k")
     if k is not None and args.k is not None and float(args.k) != float(k):
         raise ConfigInvalid(f"--k {args.k} differs from k = {k} of the kam result")
+    if args.kappa is not None and not 0 < args.kappa < 0.25:
+        raise ConfigInvalid(f"--kappa {args.kappa} is not in (0, 1/4)")
     k = float(args.k if k is None else k)
     V = build_potential(ks, k=k)
     edge = edge_data_from_reduction(res, ks.frequency.floats())
     payload = bracket_gap(edge, V, probe=not args.no_probe)
-    if args.kappa:
-        payload["poly_bounds"] = poly_bounds_check(edge, float(args.kappa))
+    if args.kappa is not None:
+        payload["poly_bounds"] = poly_bounds_check(edge, args.kappa)
     _emit_json(args.out, payload, {"result": args.result, "set": args.set, "k": k})
     if args.gap_csv:
         row = (res.label, *payload["bracket"], edge.zeta,

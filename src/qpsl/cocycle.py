@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diophantine import dist_to_integers
 from .errors import (
     NonConvergence,
     NotElliptic,
@@ -39,7 +38,7 @@ __all__ = [
     "parabolic_normalize", "diagonalize_su11", "rotation_matrix",
     "conjugacy_residual",
     "potential_values", "orbit_potential", "pivot_negatives", "random_phases",
-    "oscillation_rho", "rotation_number", "find_lock",
+    "oscillation_rho", "rotation_number",
     "UhReport", "uh_test",
 ]
 
@@ -441,24 +440,6 @@ def rotation_number(V, alpha, E, iters=100_000, phase_samples=3, seed=0):
     [0, 1/2]: the oscillation count of :func:`oscillation_rho` at
     ``phase_samples`` random phases, averaged."""
     return float(np.mean(oscillation_rho(V, alpha, [E], iters, phase_samples, seed)[0]))
-
-
-def find_lock(rho, alpha, V, radius):
-    """(distance, n) of the candidate n nearest to 2 rho = <n, alpha> mod 1,
-    the first on ties.  The candidates are zero, +- each label of V and
-    +- k e_1 for 1 <= k <= radius."""
-    alpha = np.atleast_1d(np.asarray(alpha, float))
-    cands = [(0,) * alpha.size]
-    if V is not None:
-        cands += [tuple(s * int(x) for x in lab) for s in (1, -1) for lab in V.labels]
-    cands += [(s * k,) + (0,) * (alpha.size - 1)
-              for k in range(1, radius + 1) for s in (1, -1)]
-    best, best_n = math.inf, None
-    for n in cands:
-        v = dist_to_integers(2 * rho - float(np.dot(n, alpha)))
-        if v < best:
-            best, best_n = v, n
-    return best, best_n
 
 
 # ---------------------------------------------------------------------------

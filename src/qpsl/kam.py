@@ -34,6 +34,10 @@ the indicator |Re a| - 1 with its slope in closed form from each reduction's
 conjugacy, bisecting where a step would leave the bracket, down to the
 resolution of the indicator.
 
+A reduction is labelled by the resonance n~ its resonant steps accumulate:
+at an edge of the gap of label n, n~ = +-n (gap labelling, 2 rho = <n,
+alpha> mod 1).
+
 Every accepted step, and the final reduction to the normal form, is certified
 by evaluating both sides of its conjugation identity at random probe points;
 these residuals, against ``conj_residual_tol``, are the correctness gates.
@@ -45,11 +49,10 @@ run reaches.  :meth:`KamParams.strict_unmet` lists the hypotheses a run misses.
 Settings no caller varies are module constants: the strip width H0 * H_DECAY^j
 of step j, the Newton stop NEWTON_TOL and cap NEWTON_MAX_SWEEPS, the norm
 STOP_TOL below which a perturbation counts as removed, the number of random
-probes PROBE_COUNT of each residual, the divisor floor DIVISOR_FLOOR, the
+probes PROBE_COUNT of each residual, the divisor floor DIVISOR_FLOOR and the
 desk-scale resonance threshold RESONANCE_THRESHOLD (ell_j^{-4 tau} falls
-below it from ell_j = 20^{1/(4 tau)} on), and the energy-target lock
-tolerance LOCK_TOL with its rotation-number iterations ROTATION_ITERS.
-Everything a caller sets is on :class:`KamParams`.
+below it from ell_j = 20^{1/(4 tau)} on).  Everything a caller sets is on
+:class:`KamParams`.
 """
 
 from __future__ import annotations
@@ -62,9 +65,7 @@ import numpy as np
 from .cocycle import (
     conjugacy_residual,
     diagonalize_su11,
-    find_lock,
     rotation_matrix,
-    rotation_number,
     su11_element,
     su11_exp,
     su11_exp_pair,
@@ -232,8 +233,6 @@ STOP_TOL = 1e-12           # a perturbation of this norm counts as removed
 PROBE_COUNT = 12           # random probes of each conjugacy residual
 DIVISOR_FLOOR = 1e-9       # smallest divisor the homological solve accepts
 RESONANCE_THRESHOLD = 5e-2 # a site nearer than this to 2 sigma may be resonant
-LOCK_TOL = 1e-3            # 2 rho = <n, alpha> mod 1 lock tolerance
-ROTATION_ITERS = 200_000   # iterations of the lock's rotation number
 
 
 @dataclass
@@ -884,32 +883,35 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     """Reduce the Schrodinger cocycle at a locked energy to the parabolic
     normal form [[1, zeta], [0, 1]].
 
-    ``target`` is {"energy": E} (the lock is checked against the potential's
-    labels plus small vectors) or {"label": n} / {"label_index": i} with the
-    gap edge located by a Newton search on the reduced constant's trace;
-    {"edge": "upper"|"lower"} selects the edge (default upper).  For an edge
-    target the result's ``edge_search`` holds the number of reductions the
-    search made, the failed ones it counted as outside the gap and its final
-    bracket; the search starts at the free-cocycle guess E0 and raises
-    TargetNotLocked after that one reduction unless E0 lies inside the gap.
-    Raises NonConvergence when B conjugates the cocycle to the normal form
-    only up to a residual above ``params.conj_residual_tol``.  Every error
-    the edge search or the final certification raises for an edge target
-    carries the search record as its ``edge_search``.
+    ``target`` is {"energy": E}, labelled by the reduction's n~ (with the sign
+    of V's label when -n~ is one), or {"label": n} / {"label_index": i} with
+    the gap edge located by a Newton search on the reduced constant's trace
+    and n~ = +-label checked; {"edge": "upper"|"lower"} selects the edge
+    (default upper).  An energy target raises TargetNotLocked when its
+    reduced constant is elliptic, t = |Re a| - 1 < -``conj_residual_tol``:
+    E then lies in the spectrum.  For an edge target the result's
+    ``edge_search`` holds the number of reductions the search made, the
+    failed ones it counted as outside the gap and its final bracket; the
+    search starts at the free-cocycle guess E0 and raises TargetNotLocked
+    after that one reduction unless E0 lies inside the gap.  Raises
+    NonConvergence when B conjugates the cocycle to the normal form only up
+    to a residual above ``params.conj_residual_tol``.  Every error the edge
+    search or the final certification raises for an edge target carries the
+    search record as its ``edge_search``.
     """
     params = params or KamParams()
     alpha_arr = np.atleast_1d(np.asarray(alpha, float))
 
     if "energy" in target:
         E = float(target["energy"])
-        rho = rotation_number(V, alpha_arr, E, iters=ROTATION_ITERS, phase_samples=3,
-                              seed=params.seed)
-        lock_dist, label = find_lock(rho, alpha_arr, V, 4)
-        if lock_dist >= LOCK_TOL:
-            raise TargetNotLocked(
-                f"2 rho = {2 * rho:.8f} is not <n, alpha> mod 1 within "
-                f"{LOCK_TOL:.1e} for any candidate label")
         state, reports = _reduce_at_energy(V, alpha_arr, E, params, max_steps)
+        t = _gap_indicator(state)
+        if t < -params.conj_residual_tol:
+            raise TargetNotLocked(f"the reduced constant at E = {E!r} is elliptic (t = "
+                                  f"{t:.3e}): E lies in the spectrum, at no gap edge")
+        label = tuple(-n for n in state.n_tilde)
+        if V is None or label not in map(tuple, V.labels):
+            label = state.n_tilde
         return _finalize(V, alpha_arr, E, label, state, reports, params)
 
     if "label" in target or "label_index" in target:
@@ -1079,7 +1081,7 @@ def _finalize(V, alpha, E, label, state, reports, params, edge_search=None):
             f"conjugacy residual {conj_residual:.3e} of the reduction at E = {E!r} "
             f"exceeds conj_residual_tol {params.conj_residual_tol:.1e}"), edge_search)
 
-    n_norm = sup_norm(label) if label is not None and any(label) else None
+    n_norm = sup_norm(label)
     window = {}
     if n_norm:
         k, tau = params.k_exponent, params.tau

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .cocycle import conjugacy_residual, find_lock, rotation_number, uh_test
+from .cocycle import conjugacy_residual, uh_test
 from .errors import QpslError
 from .fourier import FourierSeries, multiply
 from .kam import ReducibilityResult
@@ -135,16 +135,6 @@ def discriminant(edge: EdgeData, delta):
     return -delta * A11 * edge.zeta + delta ** 2 * (A11 * A22 - A12 ** 2)
 
 
-def discriminant_crosscheck(edge: EdgeData, delta):
-    """|d(delta) - det(c0 - delta c1) - delta^2 zeta^2 A11^2 / 4|, which is
-    zero in exact arithmetic."""
-    c0 = np.array([[0.0, edge.zeta], [0.0, 0.0]])
-    c1 = averaged_matrix(edge)
-    det = np.linalg.det(c0 - delta * c1)
-    d_val = discriminant(edge, delta)
-    return abs(d_val - det - 0.25 * delta ** 2 * edge.zeta ** 2 * edge.A11 ** 2)
-
-
 def poly_bounds_check(edge: EdgeData, kappa):
     """Measured vs claimed bounds for the average quadratic form:
     when ||B||_{k0} zeta^{kappa/2} <= 1/4,
@@ -182,12 +172,11 @@ def probe_gap_edge(edge: EdgeData, V, delta):
     a right edge probes downward) and decide hyperbolicity of the cocycle
     (V, edge.alpha).
 
-    The verdict comes from :func:`uh_test` on the full cocycle on a
-    192-point grid, with a horizon set by d(delta), the discriminant, whose
-    sign is the averaged one-step prediction; when that test is
-    inconclusive, a rotation number locked to no candidate of
-    :func:`qpsl.cocycle.find_lock` reads "not".  The conjugation residual of
-    B is taken at 8 seeded random points.
+    The verdict is :func:`uh_test`'s on the full cocycle on a 192-point
+    grid, with a horizon set by d(delta), the discriminant, whose sign is
+    the averaged one-step prediction; an inconclusive test stays
+    "inconclusive".  The conjugation residual of B is taken at 8 seeded
+    random points.
     """
     if not 0 < delta < 1:
         raise QpslError("delta must lie in (0,1)")
@@ -203,15 +192,6 @@ def probe_gap_edge(edge: EdgeData, V, delta):
     rate = math.sqrt(abs(d_val)) if d_val != 0 else 1e-6
     horizon = int(min(20_000, max(256, 12.0 / max(rate, 1e-6))))
     verdict = uh_test(V, alpha, E_probe, horizon=horizon, grid=192).verdict
-    if verdict == "inconclusive":
-        # Schrodinger fallback: a rotation number locked to no candidate of
-        # the energy lock (V's labels, and k e1 out to |k| = 40) certifies
-        # a spectrum-side probe (gaps of unchecked huge labels are far below
-        # the resolution used here)
-        iters = 400_000
-        rho = rotation_number(V, alpha, E_probe, iters=iters, phase_samples=2, seed=0)
-        if find_lock(rho, alpha, V, 40)[0] > 20.0 / iters:
-            verdict = "not"
 
     # B(.+alpha)^{-1} S_{E - s} B = C - s P at the edge E, s signed into the gap
     rng = np.random.default_rng(0)

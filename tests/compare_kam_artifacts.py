@@ -18,9 +18,9 @@ dt/dE of the reduction at the edge (``kam._trace_slope``), the delta2/delta1
 verdicts, and for each KAM step its ``sweep_grid`` and the ``float.hex`` of
 its Newton sweep norms, so a change that moves bits on purpose can quote
 which values moved.  Then it runs ``kam --energy`` at the upper edge's
-energy, the one CLI path through the rotation-number lock, and prints the
-hash of that ``kam.json`` without ``config`` and ``config_hash``.  The CLI's
-own messages are not printed.
+energy, which labels the reduction by its own n~ instead of searching for
+the edge, and prints the hash of that ``kam.json`` without ``config`` and
+``config_hash``.  The CLI's own messages are not printed.
 
 Every criterion-11 reduction is a single resonant step, so the script then
 runs fixed non-resonant steps: the criterion-8 NR perturbation under

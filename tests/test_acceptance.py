@@ -40,7 +40,6 @@ from qpsl.label_set import LabelSet, build_schedule, construct_label_set, verify
 from qpsl.moser_poschel import (
     bracket_gap,
     discriminant,
-    discriminant_crosscheck,
     edge_data_from_reduction,
     perturbation_matrix,
     averaged_matrix,
@@ -297,13 +296,17 @@ def test_criterion_10_moser_poschel_closed_forms():
     t0 = time.time()
     rng = np.random.default_rng(10)
     # d(delta) cross-identity on 100 random inputs
-    from tests.test_moser_poschel import _edge_from_series, _random_real_sl2_series
+    from tests.test_moser_poschel import (
+        _discriminant_crosscheck,
+        _edge_from_series,
+        _random_real_sl2_series,
+    )
     worst = 0.0
     for _ in range(100):
         B = _random_real_sl2_series(rng)
         edge = _edge_from_series(B, float(rng.uniform(0.001, 0.5)))
         delta = float(rng.uniform(0, 1))
-        worst = max(worst, discriminant_crosscheck(edge, delta))
+        worst = max(worst, _discriminant_crosscheck(edge, delta))
     assert worst < 1e-12
 
     # B = identity closed forms

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qpsl import kam
+from qpsl import cocycle, kam
 from qpsl.cli import _build_parser, main
 from qpsl.diophantine import frequency_vector, golden_mean
 from qpsl.fourier import amo_potential, build_potential
@@ -164,8 +164,9 @@ def test_kam_and_edge_probe(tmp_path, criterion11_kam):
 
 
 def test_kam_energy_target_locks_by_rotation_number(tmp_path, capsys, criterion11_kam):
-    # at the edge energy the rotation number locks to the label and the
-    # reduction is the edge search's; at E = 0, 2 rho = 1/2 locks to no candidate
+    # at the edge energy the reduction is the edge search's, labelled by its
+    # n~ with the sign of the set's label; at E = 0 the reduced constant is
+    # elliptic, so E lies in the spectrum
     set_path, kam_out = criterion11_kam
     edge = json.loads(kam_out.read_text())
     out = tmp_path / "kam.json"
@@ -176,11 +177,33 @@ def test_kam_energy_target_locks_by_rotation_number(tmp_path, capsys, criterion1
     assert data["edge_search"] is None
     for key in ("energy", "zeta", "conj_residual", "B_series"):
         assert data[key] == edge[key], key
-    assert edge["label"] == [16] and data["label"] in ([16], [-16])
+    assert edge["label"] == [16] and data["label"] == [16]
     assert run_cli(["kam", "--set", str(set_path), "--k", "2.0", "--energy", "0.0",
                     "--out", str(tmp_path / "none.json")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "TargetNotLocked"
     assert not (tmp_path / "none.json").exists()
+
+
+@pytest.mark.parametrize("edge", ["upper", "lower"])
+def test_kam_energy_target_computes_no_rotation_number(tmp_path, monkeypatch, criterion11_kam,
+                                                       edge):
+    # the energy target's label is the reduction's own n~: with the Sturm
+    # count raising, kam --energy at either edge writes the edge search's
+    # reduction under the label target's label
+    set_path, _ = criterion11_kam
+    edge_out, out = tmp_path / "edge.json", tmp_path / "energy.json"
+    assert run_cli(["kam", "--set", str(set_path), "--label-index", "0", "--edge", edge,
+                    "--k", "2.0", "--out", str(edge_out)]) == 0
+    ref = json.loads(edge_out.read_text())
+
+    def no_sturm_count(*args, **kw):
+        raise AssertionError("the Sturm count ran")
+    monkeypatch.setattr(cocycle, "pivot_negatives", no_sturm_count)
+    assert run_cli(["kam", "--set", str(set_path), "--k", "2.0", "--energy",
+                    repr(ref["energy"]), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    for key in ("label", "energy", "zeta", "conj_residual", "B_series"):
+        assert data[key] == ref[key], key
 
 
 def test_edge_probe_kappa_adds_the_quadratic_form_bounds_to_the_record(tmp_path,
@@ -209,6 +232,19 @@ def test_edge_probe_kappa_adds_the_quadratic_form_bounds_to_the_record(tmp_path,
     assert pb["ratio_ok"] is (0 < pb["ratio"] <= pb["ratio_bound"])
     assert pb["gram_ok"] is (gram >= pb["gram_bound"])
     assert pb["degenerate"] is False
+
+
+@pytest.mark.parametrize("kappa", ["0", "0.3"])
+def test_edge_probe_refuses_a_kappa_outside_the_open_quarter(tmp_path, capsys, kappa,
+                                                             criterion11_kam):
+    # an explicit --kappa 0 is not dropped, and both are invalid input (exit 1)
+    set_path, kam_out = criterion11_kam
+    out = tmp_path / "probe.json"
+    assert run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
+                    "--k", "2.0", "--no-probe", "--kappa", kappa, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid" and f"--kappa {float(kappa)}" in err["message"]
+    assert not out.exists()
 
 
 def test_kam_strict_refuses_outside_the_paper_regime(tmp_path, capsys, monkeypatch,

@@ -8,7 +8,7 @@ import pytest
 
 from qpsl.diophantine import (frequency_vector, golden_mean, mpf_to_fraction,
                               sqrt2_minus_1, sup_norm)
-from qpsl.errors import QpslError, ScheduleTooShort
+from qpsl.errors import PrecisionExhausted, QpslError, ScheduleTooShort
 from qpsl.label_set import (
     LabelEntry,
     LabelSet,
@@ -178,6 +178,29 @@ def test_build_schedule_relaxations_read_the_same_for_int_and_float():
 def test_build_schedule_strict_rejects_small_M():
     with pytest.raises(QpslError):
         build_schedule(10, 0.9, depth=3, strict=True)
+
+
+def test_construct_strict_refuses_a_first_level_below_ell_star():
+    # ell_1 = 2000^1.9 = 1.87e6 clears ell_star = 1e3, not 1e30
+    alpha = _alpha1()
+    ok = build_schedule(2000, 0.9, depth=3, ell_star_value=1e3, strict=True)
+    assert construct_label_set(alpha, ok, j1=1, spacing=2, count=1).labels() == [(2692538,)]
+    short = build_schedule(2000, 0.9, depth=3, ell_star_value=1e30, strict=True)
+    with pytest.raises(QpslError, match=r"^strict mode: ell_\(j1\) = 1\.87e\+06 below "
+                                        r"ell_star = 1e\+30$"):
+        construct_label_set(alpha, short, j1=1, spacing=2, count=1)
+
+
+def test_construct_names_the_digits_a_short_declared_alpha_needs():
+    # level 6 of (10, 0.9) is ell ~ 1e47, out of reach of 20 declared digits
+    alpha = frequency_vector(golden_mean(20), gamma=0.2, tau=2.0)
+    sched = build_schedule(10, 0.9, depth=6)
+    with pytest.raises(PrecisionExhausted, match=r"; reaching level 6 \(ell ~ 1e47\) needs the "
+                                                 r"first frequency component declared to "
+                                                 r"about 114 digits$") as info:
+        construct_label_set(alpha, sched, j1=2, spacing=2, count=3)
+    assert (info.value.reason, info.value.level) == ("ambiguous", 47)
+    assert isinstance(info.value.__cause__, PrecisionExhausted)
 
 
 def test_construct_label_set_first_entry_golden():

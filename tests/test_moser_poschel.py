@@ -8,7 +8,6 @@ import pytest
 
 from qpsl import moser_poschel
 from qpsl.cocycle import UhReport, uh_test
-from qpsl.diophantine import dist_to_integers
 from qpsl.errors import QpslError
 from qpsl.fourier import FourierSeries, Potential
 from qpsl.kam import KamParams, run_reducibility
@@ -18,7 +17,6 @@ from qpsl.moser_poschel import (
     bracket_gap,
     d_tau_constant,
     discriminant,
-    discriminant_crosscheck,
     edge_data_from_reduction,
     perturbation_matrix,
     poly_bounds_check,
@@ -55,6 +53,15 @@ def _edge_from_series(B, zeta, energy=0.0, alpha=(GOLD,)):
     A22 = _mean_product(B12, B12).real
     return EdgeData(B=B, zeta=zeta, energy=energy, alpha=np.array(alpha),
                     A11=A11, A12=A12, A22=A22, k0=1, b_norm_k0=B.ck_norm_estimate(1))
+
+
+def _discriminant_crosscheck(edge: EdgeData, delta):
+    """|d(delta) - det(c0 - delta c1) - delta^2 zeta^2 A11^2 / 4|, which is
+    zero in exact arithmetic."""
+    c0 = np.array([[0.0, edge.zeta], [0.0, 0.0]])
+    det = np.linalg.det(c0 - delta * averaged_matrix(edge))
+    d_val = discriminant(edge, delta)
+    return abs(d_val - det - 0.25 * delta ** 2 * edge.zeta ** 2 * edge.A11 ** 2)
 
 
 def test_perturbation_matrix_identity_B():
@@ -118,7 +125,7 @@ def test_discriminant_crosscheck_identity():
         zeta = float(rng.uniform(0.001, 0.5))
         edge = _edge_from_series(B, zeta)
         delta = float(rng.uniform(0.0, 1.0))
-        assert discriminant_crosscheck(edge, delta) < 1e-12 * max(1.0, edge.A11 ** 2)
+        assert _discriminant_crosscheck(edge, delta) < 1e-12 * max(1.0, edge.A11 ** 2)
 
 
 def test_poly_bounds_identity_degenerate():
@@ -197,16 +204,11 @@ def test_probe_identity_on_free_edge():
                          ids=["label-43", "off-axis-d2"])
 def test_inconclusive_probe_locked_to_a_label_of_v_stays_inconclusive(monkeypatch, label,
                                                                        alpha):
-    # when uh_test cannot decide, a rotation number locked to a label of V
-    # lies in that label's gap; the fallback must not call it "not" because
-    # no k e1 with |k| <= 40 is near (for label 43 the nearest, 55, is 8.1e-3
-    # away), while a rotation number locked to none of them stays "not"
+    # the verdict is uh_test's alone: no rotation-number lock turns an
+    # inconclusive test into "not", whatever the labels of V
     V = Potential(labels=[label], coefficients=[1e-3], k_exponent=0.0)
     edge = _edge_from_series(_identity_series(len(alpha)), 0.01, energy=0.5, alpha=alpha)
-    rho = dist_to_integers(float(np.dot(label, alpha)) / 2)
     monkeypatch.setattr(moser_poschel, "uh_test",
                         lambda *args, **kw: UhReport(verdict="inconclusive", margin=0.0))
-    monkeypatch.setattr(moser_poschel, "rotation_number", lambda *args, **kw: rho)
     assert probe_gap_edge(edge, V, 0.01).verdict == "inconclusive"
-    monkeypatch.setattr(moser_poschel, "rotation_number", lambda *args, **kw: rho + 0.004)
-    assert probe_gap_edge(edge, V, 0.01).verdict == "not"
+    assert not hasattr(moser_poschel, "rotation_number")

@@ -13,9 +13,10 @@ read-only, as ``tests/test_bench_targets.py`` imports its ``layers.py``.
 
 Per module it prints the executable lines (from the code objects'
 ``co_lines``), the lines the workloads run, the lines only the tests run and
-the lines nothing runs, then the numbers of the lines nothing runs.  A line
-run at import counts as run by both.  Child processes (the rotation pool)
-are not traced.  Standard library only; not collected by pytest.
+the lines nothing runs, then the numbers of the lines only the tests run and
+of the lines nothing runs.  A line run at import counts as run by both.
+Child processes (the rotation pool) are not traced.  Standard library only;
+not collected by pytest.
 """
 
 import contextlib
@@ -128,20 +129,22 @@ def main(argv):
     for msg in failures:
         print("  " + msg)
     print(f"\n{'module':<18}{'executable':>11}{'workloads':>11}{'tests only':>11}{'none':>6}")
-    unrun = {}
+    tests_only, unrun = {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
         ran = lambda hits: {line for p, line in hits if p == path} & lines
         at_import = ran(imported)
         by_bench = ran(bench) | at_import
-        tests_only = ran(tests) - by_bench
-        unrun[path.name] = lines - by_bench - tests_only
-        print(f"{path.name:<18}{len(lines):>11}{len(by_bench):>11}{len(tests_only):>11}"
-              f"{len(unrun[path.name]):>6}")
-    print("\nlines nothing runs:")
-    for name, lines in unrun.items():
-        if lines:
-            print(f"  {name}: {spans(lines)}")
+        tests_only[path.name] = ran(tests) - by_bench
+        unrun[path.name] = lines - by_bench - tests_only[path.name]
+        print(f"{path.name:<18}{len(lines):>11}{len(by_bench):>11}"
+              f"{len(tests_only[path.name]):>11}{len(unrun[path.name]):>6}")
+    for title, table in (("lines only the tests run", tests_only),
+                         ("lines nothing runs", unrun)):
+        print(f"\n{title}:")
+        for name, lines in table.items():
+            if lines:
+                print(f"  {name}: {spans(lines)}")
     return rc
 
 
