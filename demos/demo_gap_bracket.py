@@ -45,12 +45,13 @@ pb = poly_bounds_check(edge, kappa=0.2)
 for key in ("precondition_met", "gram", "ratio", "ratio_bound", "gram_bound"):
     print(f"  {key} = {pb[key]}")
 
-print("\nprobing both scales (authoritative verdicts from the cone test):")
+print("\nprobing both scales (verdicts from one averaging step through B):")
 out = bracket_gap(edge, V)
 delta2, delta1 = out["bracket"]
 for name, delta in (("delta2", delta2), ("delta1", delta1)):
     print(f"  {name} = {delta:.4e}: verdict {out[name]['verdict']} "
-          f"(d({name}) = {out[name]['d']:+.3e})")
+          f"(margin {out[name]['margin']:.2f}, by {out[name]['decided_by']}; "
+          f"d({name}) = {out[name]['d']:+.3e})")
 print(f"\n=> the gap at label {res.label} has length between "
       f"{delta2:.3e} and {delta1:.3e}")
 print(f"   (compare the lower edge: reducing there gives the other endpoint; "

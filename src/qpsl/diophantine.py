@@ -63,9 +63,7 @@ def mpf_to_fraction(x):
 
 def _to_interval(alpha):
     """Return (lo, mid, hi) Fractions bracketing the declared value of alpha."""
-    if isinstance(alpha, Fraction):
-        return alpha, alpha, alpha
-    if isinstance(alpha, int):
+    if isinstance(alpha, (Fraction, int)):
         f = Fraction(alpha)
         return f, f, f
     if isinstance(alpha, str):

@@ -1,18 +1,21 @@
 """Gap-edge probing: perturb the energy off a reduced edge and decide
-hyperbolicity from the averaged matrix and the discriminant.
+hyperbolicity by one averaging step through B.
 
 With B reducing the edge cocycle to C = [[1, zeta], [0, 1]], lowering the
-energy by delta conjugates S_{E-delta} to C - delta P(theta) where P is an
-explicit quadratic expression in the entries of B.  The mean of P drives a
-constant part e^{c0 - delta c1} whose determinant sign decides which side of
-the spectrum the probe landed on; the discriminant
+energy by s conjugates S_{E-s} to C - s P(theta) where P is an explicit
+quadratic expression in the entries of B.  A probe lies at s = sign(zeta)
+delta, inside the gap.  The discriminant of the averaged constant's
+traceless part at E - delta,
 
-    d(delta) = -delta [B11^2] zeta + delta^2 ([B11^2][B12^2] - [B11 B12]^2)
+    d(delta) = -delta [B11^2] zeta + delta^2 ([B11^2][B12^2] - [B11 B12]^2),
 
-is negative inside the gap and positive past the opposite edge.  The probes
-delta_2 = zeta^{11/10} (certified inside) and delta_1 = zeta^{9/10}
-(certified beyond) bracket the gap length.  All averages [.] are the zero
-Fourier modes of entry products, computed exactly from the series.
+is negative at small delta when zeta > 0; when zeta < 0 the probe's own is
+d(-delta), and d(delta) is positive at every delta.  The verdicts come from
+Moser and Poschel's averaging step (Comment. Math. Helv. 59, 1984), made
+a-posteriori (:func:`averaging_step`, :func:`certify_probe`).  The probes
+delta_2 = |zeta|^{11/10} (inside) and delta_1 = |zeta|^{9/10} (beyond)
+bracket the gap length.  All averages [.] are the zero Fourier modes of
+entry products, computed exactly from the series.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .kam import ReducibilityResult
 __all__ = [
     "EdgeData", "ProbeResult",
     "edge_data_from_reduction", "perturbation_matrix", "averaged_matrix",
-    "discriminant", "poly_bounds_check", "probe_gap_edge", "bracket_gap",
-    "d_tau_constant",
+    "discriminant", "poly_bounds_check", "AveragingStep", "averaging_step",
+    "certify_probe", "uh_probe", "probe_gap_edge", "bracket_gap", "d_tau_constant",
 ]
 
 
@@ -161,47 +164,125 @@ def poly_bounds_check(edge: EdgeData, kappa):
 
 
 @dataclass
+class AveragingStep:
+    """One averaging step H = I + s Y through B, for every probe scale s:
+    Y(. + alpha) - Y = -(P - [P]).  Then (C - s P) H - H(. + alpha)(C - s [P])
+    = s Q1 + s^2 Q2, Q1 = N Y - Y(. + alpha) N (C = I + N) and
+    Q2 = Y(. + alpha) [P] - P Y, so H(. + alpha)^{-1} (C - s P) H is C - s [P]
+    plus R with sup |R| <= (|s| q1 + s^2 q2) / (1 - |s| y), each mass the sum
+    of the coefficients' operator norms."""
+
+    P: FourierSeries
+    Y: FourierSeries
+    mean: np.ndarray      # [P], real
+    y_mass: float
+    q1_mass: float
+    q2_mass: float
+
+
+def averaging_step(edge: EdgeData):
+    """The :class:`AveragingStep` of the edge, mode by mode over the nonzero
+    modes of P; on the doubled torus mode m stands for m/2, so the divisors
+    are e^{i pi <m, alpha>} - 1."""
+    P = perturbation_matrix(edge.B, edge.zeta)
+    keys, vals = P.modes()
+    shift = np.exp(2j * np.pi * (0.5 if P.halved else 1.0) * (keys @ edge.alpha))[:, None, None]
+    moving = keys.any(axis=1)[:, None, None]
+    y = np.where(moving, -vals / np.where(moving, shift - 1.0, 1.0), 0.0)
+    y_next = shift * y
+    mean = P.mean().real
+    N = np.array([[0.0, edge.zeta], [0.0, 0.0]])
+    # P Y by pairs of modes: both factors hold a few modes spread over a wide block
+    pairs = (keys[:, None] + keys[None, :]).reshape(-1, P.d)
+    q2 = np.concatenate([y_next @ mean, -(vals[:, None] @ y[None, :]).reshape(-1, 2, 2)])
+    series = lambda k, v: FourierSeries.from_modes(P.d, k, v, P.halved, "matrix")
+    Y = series(keys, y)
+    return AveragingStep(P=P, Y=Y, mean=mean, y_mass=Y.coeff_mass(),
+                         q1_mass=series(keys, N @ y - y_next @ N).coeff_mass(),
+                         q2_mass=series(np.concatenate([keys, pairs]), q2).coeff_mass())
+
+
+def certify_probe(step: AveragingStep, zeta, s, residual):
+    """(verdict, margin, kappa sup R) of the probe at E - s from the constant
+    M = C - s [P], with kappa the condition number of M's real eigenframe T.
+    B's sampled residual r, at most 2 r in operator norm, adds
+    2 r (1 + |s| y) / (1 - |s| y) to sup R.
+
+    A hyperbolic M (eigenvalues lam, mu) is "hyperbolic" when kappa sup R <
+    (|lam| - |mu|) / 2: in the frame T the cone |y| <= |x| then maps strictly
+    into itself, a cone-field criterion (Yoccoz 2004).  An elliptic
+    M = T (r R_phi) T^{-1} is "not" when beta = arcsin(kappa sup R / r) <
+    min(phi, pi - phi): each direction turns by phi +- beta per step, so the
+    reduced rotation number is off the lock of this gap's label, and the
+    energy lies outside this gap.  The margin is the ratio of the two sides;
+    at most 1 is "inconclusive".
+    """
+    h = abs(s) * step.y_mass
+    if h >= 1.0:
+        return "inconclusive", 0.0, math.inf
+    sup_r = (abs(s) * step.q1_mass + s * s * step.q2_mass
+             + 2.0 * residual * (1.0 + h)) / (1.0 - h)
+    M = np.array([[1.0, zeta], [0.0, 1.0]]) - s * step.mean
+    w, T = np.linalg.eig(M)
+    if np.iscomplexobj(w) and w[0].imag != 0:
+        # T^{-1} M T = |w| R_{-phi} in the frame T = (Re v, Im v)
+        bound = np.linalg.cond(np.stack([T[:, 0].real, T[:, 0].imag], axis=1)) * sup_r
+        phi = abs(float(np.angle(w[0])))
+        verdict, side = "not", min(phi, math.pi - phi)
+        other = math.asin(min(1.0, bound / abs(w[0])))
+    else:
+        bound = np.linalg.cond(T) * sup_r
+        verdict, side, other = "hyperbolic", abs(abs(w[0]) - abs(w[1])) / 2.0, bound
+    margin = side / other if other > 0 else math.inf
+    return (verdict if margin > 1.0 else "inconclusive"), float(margin), float(bound)
+
+
+@dataclass
 class ProbeResult:
     verdict: str                  # 'hyperbolic' | 'not' | 'inconclusive'
     d_delta: float
     conjugation_residual: float
+    margin: float                 # the certificate's; above 1 it decided
+    decided_by: str               # 'certificate' | 'uh_test'
 
 
-def probe_gap_edge(edge: EdgeData, V, delta):
-    """Probe the energy delta inward from the edge (direction from sign(zeta):
-    a right edge probes downward) and decide hyperbolicity of the cocycle
-    (V, edge.alpha).
+def uh_probe(edge: EdgeData, V, delta):
+    """:func:`uh_test`'s verdict at the probe energy delta inward from the
+    edge, on the full cocycle (V, edge.alpha) on a 192-point grid."""
+    # the reduced constant's per-step expansion is about sqrt|d|; direction
+    # coherence needs a window several times longer (uh_test decides the
+    # free cocycle, V None, by its trace)
+    d_val = discriminant(edge, delta)
+    rate = math.sqrt(abs(d_val)) if d_val != 0 else 1e-6
+    horizon = int(min(20_000, max(256, 12.0 / max(rate, 1e-6))))
+    E = edge.energy - math.copysign(delta, edge.zeta or 1.0)
+    return uh_test(V, edge.alpha, E, horizon=horizon, grid=192).verdict
 
-    The verdict is :func:`uh_test`'s on the full cocycle on a 192-point
-    grid, with a horizon set by d(delta), the discriminant, whose sign is
-    the averaged one-step prediction; an inconclusive test stays
-    "inconclusive".  The conjugation residual of B is taken at 8 seeded
-    random points.
+
+def probe_gap_edge(edge: EdgeData, V, delta, step=None):
+    """Probe the energy delta inward from the edge (a right edge, zeta > 0,
+    probes downward) and decide hyperbolicity of the cocycle (V, edge.alpha).
+
+    The verdict is :func:`certify_probe`'s, from the edge's averaging
+    ``step`` (made here when not given) and the conjugation residual of B at
+    8 seeded random points.  When the certificate is inconclusive,
+    :func:`uh_probe` decides; an inconclusive test stays "inconclusive".
     """
     if not 0 < delta < 1:
         raise QpslError("delta must lie in (0,1)")
-    alpha = edge.alpha
-    direction = -math.copysign(1.0, edge.zeta) if edge.zeta != 0 else -1.0
-    E_probe = edge.energy + direction * delta
-    d_val = discriminant(edge, delta)
-
-    # the reduced constant's per-step expansion is sqrt(-d) when the
-    # discriminant is negative; direction coherence needs a window
-    # several times longer (uh_test decides the free cocycle, V None,
-    # by its trace)
-    rate = math.sqrt(abs(d_val)) if d_val != 0 else 1e-6
-    horizon = int(min(20_000, max(256, 12.0 / max(rate, 1e-6))))
-    verdict = uh_test(V, alpha, E_probe, horizon=horizon, grid=192).verdict
-
+    step = averaging_step(edge) if step is None else step
     # B(.+alpha)^{-1} S_{E - s} B = C - s P at the edge E, s signed into the gap
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(0, 4 * math.pi, size=(8, alpha.size))
-    P = perturbation_matrix(edge.B, edge.zeta)
+    s = math.copysign(delta, edge.zeta or 1.0)
+    pts = np.random.default_rng(0).uniform(0, 4 * math.pi, size=(8, edge.alpha.size))
     C = np.array([[1.0, edge.zeta], [0.0, 1.0]])
-    s = -direction * delta
-    residual = conjugacy_residual(V, alpha, edge.energy - s, edge.B,
-                                  C[None, :, :] - s * P.sample(pts), pts)
-    return ProbeResult(verdict=verdict, d_delta=d_val, conjugation_residual=residual)
+    residual = conjugacy_residual(V, edge.alpha, edge.energy - s, edge.B,
+                                  C[None, :, :] - s * step.P.sample(pts), pts)
+    verdict, margin, _ = certify_probe(step, edge.zeta, s, residual)
+    decided_by = "certificate"
+    if verdict == "inconclusive":
+        verdict, decided_by = uh_probe(edge, V, delta), "uh_test"
+    return ProbeResult(verdict=verdict, d_delta=discriminant(edge, delta),
+                       conjugation_residual=residual, margin=margin, decided_by=decided_by)
 
 
 def bracket_gap(edge: EdgeData, V, probe=True):
@@ -209,9 +290,10 @@ def bracket_gap(edge: EdgeData, V, probe=True):
     [delta_2, delta_1] = [|zeta|^{11/10}, |zeta|^{9/10}] of the gap length,
     ``degenerate`` (|zeta| >= 1, where nothing is probed), the averages and
     the edge's structure checks.  With ``probe`` the two scales are probed
-    on the cocycle (V, edge.alpha) from edge.energy: ``delta2`` {verdict, d,
-    residual} must read inside the gap (hyperbolic) and ``delta1`` {verdict,
-    d} beyond it, and ``bracket_consistent`` says whether both do."""
+    on the cocycle (V, edge.alpha) from edge.energy, through one averaging
+    step of the edge, each to {verdict, d, residual, margin, decided_by}:
+    ``delta2`` must read inside the gap (hyperbolic) and ``delta1`` beyond
+    it, and ``bracket_consistent`` says whether both do."""
     z = abs(edge.zeta)
     if z == 0:
         raise QpslError("zeta = 0: collapsed gap, nothing to bracket")
@@ -219,10 +301,11 @@ def bracket_gap(edge: EdgeData, V, probe=True):
            "averages": {"A11": edge.A11, "A12": edge.A12, "A22": edge.A22},
            "edge_checks": edge.checks}
     if probe and z < 1.0:
-        delta2, delta1 = out["bracket"]
-        p2, p1 = probe_gap_edge(edge, V, delta2), probe_gap_edge(edge, V, delta1)
-        out["delta2"] = {"verdict": p2.verdict, "d": p2.d_delta,
-                         "residual": p2.conjugation_residual}
-        out["delta1"] = {"verdict": p1.verdict, "d": p1.d_delta}
-        out["bracket_consistent"] = p2.verdict == "hyperbolic" and p1.verdict != "hyperbolic"
+        step = averaging_step(edge)
+        for name, delta in zip(("delta2", "delta1"), out["bracket"]):
+            p = probe_gap_edge(edge, V, delta, step)
+            out[name] = {"verdict": p.verdict, "d": p.d_delta, "margin": p.margin,
+                         "decided_by": p.decided_by, "residual": p.conjugation_residual}
+        out["bracket_consistent"] = (out["delta2"]["verdict"] == "hyperbolic"
+                                     and out["delta1"]["verdict"] != "hyperbolic")
     return out

@@ -15,9 +15,11 @@ unchanged), then ``float.hex`` of the edge energy, zeta,
 ``conj_residual``, the bracket, the number of edge-search evaluations,
 the width of the edge search's final bracket and the closed-form trace slope
 dt/dE of the reduction at the edge (``kam._trace_slope``), the delta2/delta1
-verdicts, and for each KAM step its ``sweep_grid`` and the ``float.hex`` of
-its Newton sweep norms, so a change that moves bits on purpose can quote
-which values moved.  Then it runs ``kam --energy`` at the upper edge's
+verdicts, per probe scale the averaging certificate's margin and kappa sup R
+(``float.hex``) with ``uh_test``'s verdict at that scale as a cross-check,
+and for each KAM step its ``sweep_grid`` and the ``float.hex`` of its Newton
+sweep norms, so a change that moves bits on purpose can quote which values
+moved.  Then it runs ``kam --energy`` at the upper edge's
 energy, which labels the reduction by its own n~ instead of searching for
 the edge, and prints the hash of that ``kam.json`` without ``config`` and
 ``config_hash``.  The CLI's own messages are not printed.
@@ -64,8 +66,16 @@ from qpsl.cocycle import to_su11
 from qpsl.diophantine import frequency_vector
 from qpsl.errors import QpslError
 from qpsl.fourier import FourierSeries, build_potential
-from qpsl.kam import KamParams, KamState, Su11Series, kam_step, run_reducibility
+from qpsl.kam import (
+    KamParams,
+    KamState,
+    ReducibilityResult,
+    Su11Series,
+    kam_step,
+    run_reducibility,
+)
 from qpsl.label_set import LabelSet, build_schedule, construct_label_set
+from qpsl.moser_poschel import averaging_step, certify_probe, edge_data_from_reduction, uh_probe
 
 SEEDS = (1, 2)
 EDGES = ("upper", "lower")
@@ -117,6 +127,23 @@ def _edge_slope(seed, energy):
     return kam_module._trace_slope(state)
 
 
+def _certificate(seed, edge, kam_out, probe):
+    """Per probe scale of the edge: the certificate's margin and kappa sup R
+    (``float.hex``) and uh_test's verdict as a cross-check."""
+    with open("set.json") as fh:
+        ks = LabelSet.from_json(fh.read())
+    with open(kam_out) as fh:
+        result = ReducibilityResult.from_dict(json.load(fh))
+    V = build_potential(ks, k=2.0)
+    data = edge_data_from_reduction(result, ks.frequency.floats())
+    step = averaging_step(data)
+    for scale, delta in zip(("delta2", "delta1"), probe["bracket"]):
+        s = math.copysign(delta, data.zeta)
+        _, _, bound = certify_probe(step, data.zeta, s, probe[scale]["residual"])
+        print(f"seed {seed} {edge} {scale} margin {probe[scale]['margin'].hex()} "
+              f"kappa_sup_r {bound.hex()} uh_test {uh_probe(data, V, delta)}")
+
+
 def _run(seed):
     config = _config(seed)
     with open("config.json", "w") as fh:
@@ -148,6 +175,7 @@ def _run(seed):
         print(f"seed {seed} {edge} slope {_edge_slope(seed, kam['energy']).hex()}")
         print(f"seed {seed} {edge} verdicts {probe['delta2']['verdict']} "
               f"{probe['delta1']['verdict']} {probe['bracket_consistent']}")
+        _certificate(seed, edge, kam_out, probe)
         for step in kam["steps"]:
             sweeps = " ".join(float(v).hex() for v in step["newton_sweeps"])
             print(f"seed {seed} {edge} step {step['j']} {step['case']} sweep_grid "

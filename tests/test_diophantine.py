@@ -87,6 +87,25 @@ def test_not_in_unit_interval():
         cf_expand("0.0", depth=3)
 
 
+def test_declared_interval_of_each_input_type():
+    # an int is exact, and never inside (0, 1)
+    with pytest.raises(NotInUnitInterval):
+        cf_expand(1, depth=3)
+    # an mpf is declared to two units of the last place at the working precision
+    with mpmath.workdps(30):
+        cf = cf_expand((mpmath.sqrt(5) - 1) / 2, depth=20)
+        assert cf.alpha_hi - cf.alpha_lo == Fraction(1, 2 ** (mpmath.mp.prec - 2))
+    assert cf.partial_quotients == (1,) * 20
+    # a ratio string is exact; an exponent moves the declared decimal places
+    with pytest.raises(PrecisionExhausted) as ei:
+        cf_expand("3/7", depth=10)
+    assert ei.value.reason == "rational"
+    cf = cf_expand("6.180339887e-1", depth=5)
+    assert cf.alpha_hi - cf.alpha_lo == Fraction(1, 10 ** 10)
+    with pytest.raises(TypeError, match="unsupported frequency type"):
+        cf_expand([0.5], depth=3)
+
+
 def test_precision_exhausted_ambiguous():
     with pytest.raises(PrecisionExhausted) as ei:
         cf_expand("0.618", depth=12)

@@ -1,5 +1,7 @@
-"""Gap-edge probing: perturbation matrix, averaged matrix, discriminant."""
+"""Gap-edge probing: perturbation matrix, averaged matrix, discriminant, and
+the averaging-step certificate of the probes."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -8,19 +10,24 @@ import pytest
 
 from qpsl import moser_poschel
 from qpsl.cocycle import UhReport, uh_test
+from qpsl.diophantine import frequency_vector, golden_mean
 from qpsl.errors import QpslError
-from qpsl.fourier import FourierSeries, Potential
+from qpsl.fourier import FourierSeries, Potential, build_potential
 from qpsl.kam import KamParams, run_reducibility
+from qpsl.label_set import build_schedule, construct_label_set
 from qpsl.moser_poschel import (
     EdgeData,
     averaged_matrix,
+    averaging_step,
     bracket_gap,
+    certify_probe,
     d_tau_constant,
     discriminant,
     edge_data_from_reduction,
     perturbation_matrix,
     poly_bounds_check,
     probe_gap_edge,
+    uh_probe,
 )
 
 GOLD = 0.6180339887498949
@@ -204,11 +211,95 @@ def test_probe_identity_on_free_edge():
                          ids=["label-43", "off-axis-d2"])
 def test_inconclusive_probe_locked_to_a_label_of_v_stays_inconclusive(monkeypatch, label,
                                                                        alpha):
-    # the verdict is uh_test's alone: no rotation-number lock turns an
-    # inconclusive test into "not", whatever the labels of V
+    # B = I reduces nothing here, so B's residual leaves the certificate
+    # inconclusive and uh_test decides alone: no rotation-number lock turns
+    # an inconclusive test into "not", whatever the labels of V
     V = Potential(labels=[label], coefficients=[1e-3], k_exponent=0.0)
     edge = _edge_from_series(_identity_series(len(alpha)), 0.01, energy=0.5, alpha=alpha)
-    monkeypatch.setattr(moser_poschel, "uh_test",
-                        lambda *args, **kw: UhReport(verdict="inconclusive", margin=0.0))
-    assert probe_gap_edge(edge, V, 0.01).verdict == "inconclusive"
+    calls = []
+
+    def inconclusive(*args, **kw):
+        calls.append(args)
+        return UhReport(verdict="inconclusive", margin=0.0)
+
+    monkeypatch.setattr(moser_poschel, "uh_test", inconclusive)
+    p = probe_gap_edge(edge, V, 0.01)
+    assert (p.verdict, p.decided_by, len(calls)) == ("inconclusive", "uh_test", 1)
     assert not hasattr(moser_poschel, "rotation_number")
+
+
+def test_inconclusive_certificate_falls_back_on_uh_test_once(monkeypatch):
+    res = run_reducibility(None, [GOLD], {"energy": 2.0},
+                           params=KamParams(schedule=None, max_degree=64))
+    edge = edge_data_from_reduction(res, [GOLD])
+    step = averaging_step(edge)
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return uh_test(*args, **kw)
+
+    monkeypatch.setattr(moser_poschel, "uh_test", counted)
+    p = probe_gap_edge(edge, None, 0.01, step)
+    assert (p.verdict, p.decided_by, calls) == ("hyperbolic", "certificate", [])
+    # a remainder planted too large for the margin: uh_test decides, once
+    planted = probe_gap_edge(edge, None, 0.01, dataclasses.replace(step, q2_mass=1e12))
+    assert (planted.verdict, planted.decided_by, len(calls)) == ("hyperbolic", "uh_test", 1)
+    assert planted.margin < 1.0 < p.margin
+    # no averaging step when |s| sum |Y_n| >= 1: H = I + s Y may be singular
+    assert certify_probe(dataclasses.replace(step, y_mass=1e3), edge.zeta, 0.01, 0.0) == (
+        "inconclusive", 0.0, math.inf)
+
+
+@pytest.fixture(scope="module")
+def criterion11_edges():
+    """The potential and the EdgeData of both criterion-11 edges."""
+    freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
+    sched = build_schedule(10, 0.9, depth=6)
+    V = build_potential(construct_label_set(freq, sched, j1=0, spacing=2, count=1), k=2.0)
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
+                       grid_size=2048, conj_residual_tol=1e-9, seed=1)
+    af = freq.floats()
+    return V, {edge: edge_data_from_reduction(
+        run_reducibility(V, af, {"label_index": 0, "edge": edge}, params=params), af)
+        for edge in ("upper", "lower")}
+
+
+def test_averaging_step_bounds_the_sampled_remainder(criterion11_edges):
+    _, edges = criterion11_edges
+    edge = edges["upper"]
+    step = averaging_step(edge)
+    th = np.random.default_rng(5).uniform(0, 4 * math.pi, size=(512, 1))
+    P, Y = step.P.sample(th), step.Y.sample(th)
+    Y_next = step.Y.sample(th + 2 * math.pi * edge.alpha)
+    # Y(. + alpha) - Y = -(P - [P])
+    assert np.max(np.abs(Y_next - Y + P - step.mean)) < 1e-12
+    C = np.array([[1.0, edge.zeta], [0.0, 1.0]])
+    for delta in bracket_gap(edge, None, probe=False)["bracket"]:
+        R = (np.linalg.inv(np.eye(2) + delta * Y_next) @ (C - delta * P)
+             @ (np.eye(2) + delta * Y) - (C - delta * step.mean))
+        sampled = np.max(np.linalg.norm(R, 2, axis=(1, 2)))
+        bound = ((delta * step.q1_mass + delta ** 2 * step.q2_mass)
+                 / (1.0 - delta * step.y_mass))
+        assert sampled <= bound < 5.0 * sampled
+
+
+@pytest.mark.parametrize("name", ["upper", "lower"])
+def test_certificate_verdicts_match_uh_test_on_criterion_11_edges(criterion11_edges, name):
+    V, edges = criterion11_edges
+    edge = edges[name]
+    step = averaging_step(edge)
+    # the probe scales |zeta|^p from delta2 (p = 11/10) to delta1 (p = 9/10)
+    verdicts = {}
+    for p in (1.1, 1.075, 1.05, 1.025, 1.0, 0.95, 0.9):
+        cert = probe_gap_edge(edge, V, abs(edge.zeta) ** p, step)
+        uh = uh_probe(edge, V, abs(edge.zeta) ** p)
+        if cert.decided_by == "certificate" and uh != "inconclusive":
+            assert cert.verdict == uh, p
+        verdicts[p] = (cert.verdict, cert.decided_by)
+    assert verdicts[1.1] == ("hyperbolic", "certificate")
+    assert verdicts[0.9] == ("not", "certificate")
+    assert sum(by == "certificate" for _, by in verdicts.values()) >= 5
+    record = bracket_gap(edge, V)
+    assert (record["delta2"]["verdict"], record["delta1"]["verdict"]) == ("hyperbolic", "not")
+    assert record["delta2"]["margin"] > 1.0 and record["delta1"]["margin"] > 1.0
