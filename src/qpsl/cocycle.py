@@ -313,7 +313,7 @@ def conjugacy_residual(V, alpha, E, B, want, pts):
 # the Sturm pivot count shared by the IDS and the rotation number
 
 _ORBIT_BLOCK = 4096        # sites per block of potential values along an orbit
-_WALK_BLOCK = 32           # steps per potential sample of both uh_test walks (64 ran slower)
+_WALK_BLOCK = 64           # steps per block of cocycle values in a step-by-step walk
 _PIVOT_BLOCK = 1 << 15     # pivots the kernel holds at once
 _TINY = 1e-300
 
@@ -344,33 +344,17 @@ def orbit_potential(V, alpha, thetas, sites):
         yield potential_values(V, ang)
 
 
-def _uh_walks(V, alpha, E, pts, horizon, half_k):
-    """The walks of :func:`uh_test`, r <- x_k r - r_prev per entry with
-    x_k = E - V(pts + k 2 pi alpha), run stacked in one loop with V sampled
-    once per _WALK_BLOCK steps: the column walk (u, -u_prev) of S = S A over
-    k = -1, ..., -horizon from the identity (u = (1, -0) makes the first
-    product's zero entry +0, as a matrix product does), and the row walk
-    (r, r_prev) of S = A S over k = 0, ..., horizon - 1.  A step equals that
-    matrix product bit for bit up to a zero's sign.  Returns the column pair
-    (u_prev, u) after half_k and after horizon steps, and (r_prev, r)."""
+def _schrodinger_walk(V, alpha, E, pts, ks, r_prev, r):
+    """Run r <- x_k r - r_prev, x_k = E - V(pts + k 2 pi alpha), per entry over
+    the steps ``ks``, V _WALK_BLOCK steps at a time; r has shape (..., points).
+    The rows of S = A S are (r, r_prev), the columns of S = S A (r, -r_prev),
+    and a step equals that matrix product bit for bit up to a zero's sign."""
     step = 2 * math.pi * np.atleast_1d(np.asarray(alpha, float))
-    m = len(pts)
-    r_prev = np.repeat([[-0.0, -1.0], [0.0, 1.0]], m).reshape(2, 2, m)
-    r = np.repeat([[1.0, -0.0], [1.0, 0.0]], m).reshape(2, 2, m)
-    scratch = np.empty_like(r)
-    for start in range(0, horizon, _WALK_BLOCK):
-        j = np.arange(start, min(start + _WALK_BLOCK, horizon))
-        ks = np.concatenate([-(j + 1), j])
-        x = (E - potential_values(V, pts + ks[:, None, None] * step)).reshape(2, len(j), 1, m)
-        # per step one contiguous (walk, component, point) block of x_k
-        x = np.ascontiguousarray(np.broadcast_to(x, (2, len(j), 2, m)).transpose(1, 0, 2, 3))
-        for i in range(len(j)):
-            np.multiply(x[i], r, out=scratch)
-            np.subtract(scratch, r_prev, out=r_prev)
-            r_prev, r = r, r_prev
-            if start + i + 1 == half_k:
-                half = (r_prev[0].copy(), r[0].copy())
-    return half, (r_prev[0], r[0]), (r_prev[1], r[1])
+    for start in range(0, len(ks), _WALK_BLOCK):
+        kb = ks[start:start + _WALK_BLOCK]
+        for x in E - potential_values(V, pts + kb[:, None, None] * step):
+            r_prev, r = r, x * r - r_prev
+    return r_prev, r
 
 
 def pivot_negatives(energies, potential, r_init):
@@ -484,7 +468,7 @@ def uh_test(V, alpha, E, horizon=256, grid=128):
 
     The free cocycle (V None) is constant and takes the exact trace criterion
     (margin |E| - 2).  Otherwise a finite-window unstable direction field is
-    built on a theta grid by the walks of :func:`_uh_walks`, and a
+    built on a theta grid by the walks of :func:`_schrodinger_walk`, and a
     cone around it is checked for strict invariance under one cocycle step;
     projective maps of SL(2,R) send arcs to arcs, so checking the two cone
     edges and the center is exact for the sampled points.  Returns
@@ -510,9 +494,13 @@ def uh_test(V, alpha, E, horizon=256, grid=128):
 
     # transfer matrices over the `horizon` steps ending at each grid point,
     # and the prefix over the first max(1, horizon // 2) of those steps, as
-    # column walks (u, -u_prev) from the identity; the forward block of the
-    # cone check as a row walk
-    half, full, (r_prev, r) = _uh_walks(V, alpha, E, pts, horizon, max(1, horizon // 2))
+    # column walks (u, -u_prev) from the identity; u = (1, -0) makes the
+    # first product's zero entry +0, as a matrix product does
+    half_k = max(1, horizon // 2)
+    one, zero = np.ones(len(pts)), np.zeros(len(pts))
+    walk = lambda ks, r_prev, r: _schrodinger_walk(V, alpha, E, pts, ks, r_prev, r)
+    half = walk(-np.arange(1, half_k + 1), -np.array([zero, one]), np.array([one, -zero]))
+    full = walk(-np.arange(half_k + 1, horizon + 1), *half)
     columns = lambda u_prev, u: np.moveaxis(np.stack([u, -u_prev], axis=1), -1, 0)
     u_full, s_full = unstable_field(columns(*full))
     u_half, _ = unstable_field(columns(*half))
@@ -528,8 +516,9 @@ def uh_test(V, alpha, E, horizon=256, grid=128):
         return UhReport(verdict="not", margin=-stable_dirs,
                         sigma_min=smin, sigma_max=smax)
 
-    # cone contraction is checked for the horizon-step block map, the row walk
-    # (r, r_prev): weakly hyperbolic cocycles only contract cones over long blocks;
+    # cone contraction is checked for the horizon-step block map, a row walk
+    # (r, r_prev): weakly hyperbolic cocycles only contract cones over long blocks
+    r_prev, r = walk(np.arange(horizon), np.array([zero, one]), np.array([one, zero]))
     # the window ending at pts + horizon step is the forward block itself
     u_next, _ = unstable_field(np.moveaxis(np.stack([r, r_prev]), -1, 0))
     ang = _proj_angle(u_full)

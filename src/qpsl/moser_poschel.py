@@ -28,7 +28,7 @@ import numpy as np
 
 from .cocycle import conjugacy_residual, uh_test
 from .errors import QpslError
-from .fourier import FourierSeries, multiply
+from .fourier import FourierSeries, key_grid, multiply, shift_phases
 from .kam import ReducibilityResult
 
 __all__ = [
@@ -181,32 +181,32 @@ class AveragingStep:
 
 
 def averaging_step(edge: EdgeData):
-    """The :class:`AveragingStep` of the edge, mode by mode over the nonzero
-    modes of P; on the doubled torus mode m stands for m/2, so the divisors
-    are e^{i pi <m, alpha>} - 1."""
+    """The :class:`AveragingStep` of the edge, mode by mode over the modes
+    of P; on the doubled torus mode m stands for m/2, so the divisors are
+    e^{i pi <m, alpha>} - 1."""
     P = perturbation_matrix(edge.B, edge.zeta)
-    keys, vals = P.modes()
-    shift = np.exp(2j * np.pi * (0.5 if P.halved else 1.0) * (keys @ edge.alpha))[:, None, None]
-    moving = keys.any(axis=1)[:, None, None]
-    y = np.where(moving, -vals / np.where(moving, shift - 1.0, 1.0), 0.0)
-    y_next = shift * y
     mean = P.mean().real
+    moving = key_grid(P.K, P.d).any(axis=-1)
+    phases = shift_phases(P.K, P.d, edge.alpha * (0.5 if P.halved else 1.0))
+    divisor = np.where(moving, phases - 1.0, 1.0)[..., None, None]
+    Y = P.map_values(lambda b: -b / divisor).restrict(moving)
+    Y_next = Y.shift(edge.alpha)
     N = np.array([[0.0, edge.zeta], [0.0, 0.0]])
-    # P Y by pairs of modes: both factors hold a few modes spread over a wide block
-    pairs = (keys[:, None] + keys[None, :]).reshape(-1, P.d)
-    q2 = np.concatenate([y_next @ mean, -(vals[:, None] @ y[None, :]).reshape(-1, 2, 2)])
-    series = lambda k, v: FourierSeries.from_modes(P.d, k, v, P.halved, "matrix")
-    Y = series(keys, y)
+    PY = multiply(P, Y)
+    K = max(PY.K, Y.K)
+    at = lambda F, f: F.map_values(f).padded(K)
+    mass = lambda block: FourierSeries.from_block(P.d, block, P.halved, "matrix").coeff_mass()
     return AveragingStep(P=P, Y=Y, mean=mean, y_mass=Y.coeff_mass(),
-                         q1_mass=series(keys, N @ y - y_next @ N).coeff_mass(),
-                         q2_mass=series(np.concatenate([keys, pairs]), q2).coeff_mass())
+                         q1_mass=mass(at(Y, lambda b: N @ b) - at(Y_next, lambda b: b @ N)),
+                         q2_mass=mass(at(Y_next, lambda b: b @ mean) - PY.padded(K)))
 
 
 def certify_probe(step: AveragingStep, zeta, s, residual):
     """(verdict, margin, kappa sup R) of the probe at E - s from the constant
     M = C - s [P], with kappa the condition number of M's real eigenframe T.
-    B's sampled residual r, at most 2 r in operator norm, adds
-    2 r (1 + |s| y) / (1 - |s| y) to sup R.
+    B's residual r, at most 2 r in operator norm, adds
+    2 r (1 + |s| y) / (1 - |s| y) to sup R; r is sampled at the probe's
+    points, not bounded over the torus, so that one term is a measurement.
 
     A hyperbolic M (eigenvalues lam, mu) is "hyperbolic" when kappa sup R <
     (|lam| - |mu|) / 2: in the frame T the cone |y| <= |x| then maps strictly
@@ -214,8 +214,9 @@ def certify_probe(step: AveragingStep, zeta, s, residual):
     M = T (r R_phi) T^{-1} is "not" when beta = arcsin(kappa sup R / r) <
     min(phi, pi - phi): each direction turns by phi +- beta per step, so the
     reduced rotation number is off the lock of this gap's label, and the
-    energy lies outside this gap.  The margin is the ratio of the two sides;
-    at most 1 is "inconclusive".
+    energy lies outside this gap.  That "not" is narrower than
+    :func:`uh_test`'s: it does not exclude a different, smaller gap.  The
+    margin is the ratio of the two sides; at most 1 is "inconclusive".
     """
     h = abs(s) * step.y_mass
     if h >= 1.0:
@@ -243,20 +244,21 @@ class ProbeResult:
     d_delta: float
     conjugation_residual: float
     margin: float                 # the certificate's; above 1 it decided
-    decided_by: str               # 'certificate' | 'uh_test'
+    # 'certificate' | 'uh_test': the certificate's "not" says outside this
+    # gap (the lock of label n~), uh_test's not uniformly hyperbolic
+    decided_by: str
 
 
 def uh_probe(edge: EdgeData, V, delta):
     """:func:`uh_test`'s verdict at the probe energy delta inward from the
     edge, on the full cocycle (V, edge.alpha) on a 192-point grid."""
-    # the reduced constant's per-step expansion is about sqrt|d|; direction
-    # coherence needs a window several times longer (uh_test decides the
-    # free cocycle, V None, by its trace)
-    d_val = discriminant(edge, delta)
-    rate = math.sqrt(abs(d_val)) if d_val != 0 else 1e-6
+    # the reduced constant's per-step expansion is about sqrt|d(s)| at the
+    # probe's signed step s; direction coherence needs a window several times
+    # longer (uh_test decides the free cocycle, V None, by its trace)
+    s = math.copysign(delta, edge.zeta or 1.0)
+    rate = math.sqrt(abs(discriminant(edge, s)))
     horizon = int(min(20_000, max(256, 12.0 / max(rate, 1e-6))))
-    E = edge.energy - math.copysign(delta, edge.zeta or 1.0)
-    return uh_test(V, edge.alpha, E, horizon=horizon, grid=192).verdict
+    return uh_test(V, edge.alpha, edge.energy - s, horizon=horizon, grid=192).verdict
 
 
 def probe_gap_edge(edge: EdgeData, V, delta, step=None):
@@ -265,8 +267,9 @@ def probe_gap_edge(edge: EdgeData, V, delta, step=None):
 
     The verdict is :func:`certify_probe`'s, from the edge's averaging
     ``step`` (made here when not given) and the conjugation residual of B at
-    8 seeded random points.  When the certificate is inconclusive,
-    :func:`uh_probe` decides; an inconclusive test stays "inconclusive".
+    8 seeded random points; its "not" means outside this gap.  When the
+    certificate is inconclusive, :func:`uh_probe` decides, whose "not" means
+    not uniformly hyperbolic; an inconclusive test stays "inconclusive".
     """
     if not 0 < delta < 1:
         raise QpslError("delta must lie in (0,1)")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qpsl import moser_poschel
-from qpsl.cocycle import UhReport, uh_test
+from qpsl.cocycle import UhReport, rotation_number, uh_test
 from qpsl.diophantine import frequency_vector, golden_mean
 from qpsl.errors import QpslError
 from qpsl.fourier import FourierSeries, Potential, build_potential
@@ -253,21 +253,22 @@ def test_inconclusive_certificate_falls_back_on_uh_test_once(monkeypatch):
 
 @pytest.fixture(scope="module")
 def criterion11_edges():
-    """The potential and the EdgeData of both criterion-11 edges."""
+    """The potential, and per criterion-11 edge its EdgeData and label n~."""
     freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
     sched = build_schedule(10, 0.9, depth=6)
     V = build_potential(construct_label_set(freq, sched, j1=0, spacing=2, count=1), k=2.0)
     params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
                        grid_size=2048, conj_residual_tol=1e-9, seed=1)
     af = freq.floats()
-    return V, {edge: edge_data_from_reduction(
-        run_reducibility(V, af, {"label_index": 0, "edge": edge}, params=params), af)
-        for edge in ("upper", "lower")}
+    results = {edge: run_reducibility(V, af, {"label_index": 0, "edge": edge}, params=params)
+               for edge in ("upper", "lower")}
+    return V, {edge: (edge_data_from_reduction(res, af), res.label)
+               for edge, res in results.items()}
 
 
 def test_averaging_step_bounds_the_sampled_remainder(criterion11_edges):
     _, edges = criterion11_edges
-    edge = edges["upper"]
+    edge, _ = edges["upper"]
     step = averaging_step(edge)
     th = np.random.default_rng(5).uniform(0, 4 * math.pi, size=(512, 1))
     P, Y = step.P.sample(th), step.Y.sample(th)
@@ -285,18 +286,32 @@ def test_averaging_step_bounds_the_sampled_remainder(criterion11_edges):
 
 
 @pytest.mark.parametrize("name", ["upper", "lower"])
-def test_certificate_verdicts_match_uh_test_on_criterion_11_edges(criterion11_edges, name):
+def test_certificate_verdicts_match_uh_test_and_the_gap_lock(criterion11_edges, name):
     V, edges = criterion11_edges
-    edge = edges[name]
+    edge, label = edges[name]
     step = averaging_step(edge)
-    # the probe scales |zeta|^p from delta2 (p = 11/10) to delta1 (p = 9/10)
+    # gap labelling: inside the gap of label n~, 2 rho = <n~, alpha> mod 1
+    # (up to sign); 20,000 sites count 2 rho to about 1/20,000
+    lock = float(np.dot(label, edge.alpha)) % 1.0
     verdicts = {}
+    # the probe scales |zeta|^p from delta2 (p = 11/10) to delta1 (p = 9/10)
     for p in (1.1, 1.075, 1.05, 1.025, 1.0, 0.95, 0.9):
-        cert = probe_gap_edge(edge, V, abs(edge.zeta) ** p, step)
-        uh = uh_probe(edge, V, abs(edge.zeta) ** p)
-        if cert.decided_by == "certificate" and uh != "inconclusive":
-            assert cert.verdict == uh, p
+        s = math.copysign(abs(edge.zeta) ** p, edge.zeta)
+        cert = probe_gap_edge(edge, V, abs(s), step)
         verdicts[p] = (cert.verdict, cert.decided_by)
+        if cert.decided_by != "certificate":
+            continue
+        two_rho = 2 * rotation_number(V, edge.alpha, edge.energy - s, iters=20_000,
+                                      phase_samples=2)
+        off_lock = min(abs(two_rho - lock), abs(two_rho - (1.0 - lock)))
+        # each verdict is compared with a test of the same property: a
+        # "hyperbolic" one with uh_test's, a "not" (outside this gap, not
+        # "not uniformly hyperbolic") with the rotation number off the lock
+        if cert.verdict == "hyperbolic":
+            assert uh_probe(edge, V, abs(s)) in ("hyperbolic", "inconclusive"), p
+            assert off_lock < 1e-4, p
+        else:
+            assert off_lock > 5e-4, p
     assert verdicts[1.1] == ("hyperbolic", "certificate")
     assert verdicts[0.9] == ("not", "certificate")
     assert sum(by == "certificate" for _, by in verdicts.values()) >= 5
