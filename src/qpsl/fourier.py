@@ -46,11 +46,16 @@ _TWO_PI = 2.0 * math.pi
 
 def _coeff_norms(values, scalar):
     """Coefficient norms of a stack of coefficients: hypot for scalars
-    (np.abs rounds differently), the top singular value for 2x2 matrices."""
+    (np.abs rounds differently), the top singular value for 2x2 matrices,
+    by SVD of the nonzero (or NaN) ones only: the zero ones read 0.0 in place."""
     values = np.asarray(values)
     if scalar:
         return np.hypot(values.real, values.imag)
-    return np.linalg.svd(values, compute_uv=False).max(axis=-1)
+    norms = np.zeros(values.shape[:-2])
+    live = (values != 0).any(axis=(-2, -1))
+    if live.any():
+        norms[live] = np.linalg.svd(values[live], compute_uv=False).max(axis=-1)
+    return norms
 
 
 @functools.lru_cache(maxsize=32)
@@ -320,26 +325,6 @@ def _common_denominator(a, b):
     return a.lift_halved(), b.lift_halved()
 
 
-def _shift_add(copies, K_out, d, tail):
-    """Sum of centred blocks, each moved by its key (mode n to n + key), on a
-    centred window of half-width K_out.  ``copies`` yields (key, block)
-    pairs; the blocks have half-width K and coefficient shape ``tail``.
-    Returns the window and the summed mass of the modes each copy puts
-    outside it."""
-    out = np.zeros((2 * K_out + 1,) * d + tail, complex)
-    outside = 0.0
-    for k, piece in copies:
-        K = (piece.shape[0] - 1) // 2
-        moved = [np.arange(-K, K + 1) + c for c in k]
-        inside = [np.abs(m) <= K_out for m in moved]
-        out[np.ix_(*[m[i] + K_out for m, i in zip(moved, inside)])] += piece[np.ix_(*inside)]
-        if not all(i.all() for i in inside):
-            norms = _coeff_norms(piece, not tail)
-            norms[np.ix_(*inside)] = 0.0
-            outside += float(np.sum(norms))
-    return out, outside
-
-
 def multiply(F: FourierSeries, G: FourierSeries, max_degree=None):
     """Convolution product of two scalar or two matrix series; matrix kinds
     multiply per term with the matrix product.  Frequencies beyond
@@ -348,9 +333,13 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None):
 
     The product is a direct convolution, not an FFT product, so a mode that
     no pair of modes reaches stays exactly zero and the degree is not
-    inflated by round-off.  It is a shift-and-add over the nonzero modes of
-    the sparser factor: the reducing series hold a few modes spread over a
-    wide block, where a dense convolution of the blocks costs far more.
+    inflated by round-off.  It runs over pairs of nonzero modes, as the
+    reducing series hold a few modes spread over a wide block: per mode of
+    the sparser factor, in key order, one stacked product with the other's
+    modes, added in at the moved keys.  Each slot sums the same nonzero terms
+    in the same order as a product over every slot (whose zero slots add
+    signed zeros), so for finite coefficients the bits agree; only a zero
+    slot times an inf coefficient, NaN there, is no longer formed.
     """
     if F.d != G.d:
         raise DomainMismatch("dimension mismatch")
@@ -359,13 +348,15 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None):
         raise QpslError(f"multiply takes two scalar or two matrix series, not "
                         f"{F.kind} and {G.kind}")
     A, B = _common_denominator(F, G)
-    a, b = A.block, B.block
+    (ka, va), (kb, vb), K = A.modes(), B.modes(), A.K + B.K
     mul = np.multiply if scalar else np.matmul
-    if len(B) <= len(A):
-        copies = ((k, mul(a, v)) for k, v in zip(*B.modes()))
+    if len(kb) <= len(ka):
+        terms = ((k, ka, mul(va, v)) for k, v in zip(kb, vb))
     else:
-        copies = ((k, mul(v, b)) for k, v in zip(*A.modes()))
-    block, _ = _shift_add(copies, A.K + B.K, A.d, () if scalar else (2, 2))
+        terms = ((k, kb, mul(v, vb)) for k, v in zip(ka, va))
+    block = np.zeros((2 * K + 1,) * A.d + A._tail, complex)
+    for k, keys, products in terms:
+        block[tuple((keys + k + K).T)] += products
     out = FourierSeries.from_block(A.d, block, halved=A.halved,
                                    kind="scalar" if scalar else "matrix")
     if max_degree is not None:
@@ -391,8 +382,16 @@ def shift_sum(F: FourierSeries, keys, values, max_degree=None):
     K_out = F.K + int(np.abs(keys).max(initial=0))
     if max_degree is not None:
         K_out = min(K_out, math.floor(max_degree / (0.5 if F.halved else 1.0)))
-    copies = ((k, v * F.block) for k, v in zip(keys.tolist(), values))
-    block, dropped = _shift_add(copies, K_out, F.d, F._tail)
+    block, dropped = np.zeros((2 * K_out + 1,) * F.d + F._tail, complex), 0.0
+    for k, v in zip(keys.tolist(), values):
+        piece = v * F.block
+        moved = [np.arange(-F.K, F.K + 1) + c for c in k]
+        inside = [np.abs(m) <= K_out for m in moved]
+        block[np.ix_(*[m[i] + K_out for m, i in zip(moved, inside)])] += piece[np.ix_(*inside)]
+        if not all(i.all() for i in inside):  # the mass this copy puts past K_out
+            norms = _coeff_norms(piece, not F._tail)
+            norms[np.ix_(*inside)] = 0.0
+            dropped += float(np.sum(norms))
     out = F._like(block)
     out.dropped_mass = dropped
     return out

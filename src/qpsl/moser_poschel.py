@@ -9,9 +9,9 @@ traceless part at E - delta,
 
     d(delta) = -delta [B11^2] zeta + delta^2 ([B11^2][B12^2] - [B11 B12]^2),
 
-is negative at small delta when zeta > 0; when zeta < 0 the probe's own is
-d(-delta), and d(delta) is positive at every delta.  The verdicts come from
-Moser and Poschel's averaging step (Comment. Math. Helv. 59, 1984), made
+is negative at small delta when zeta > 0.  A probe's own is d(s): at a left
+edge (zeta < 0) d(-delta), negative at small delta too.  The verdicts come
+from Moser and Poschel's averaging step (Comment. Math. Helv. 59, 1984), made
 a-posteriori (:func:`averaging_step`, :func:`certify_probe`).  The probes
 delta_2 = |zeta|^{11/10} (inside) and delta_1 = |zeta|^{9/10} (beyond)
 bracket the gap length.  All averages [.] are the zero Fourier modes of
@@ -284,7 +284,7 @@ def probe_gap_edge(edge: EdgeData, V, delta, step=None):
     decided_by = "certificate"
     if verdict == "inconclusive":
         verdict, decided_by = uh_probe(edge, V, delta), "uh_test"
-    return ProbeResult(verdict=verdict, d_delta=discriminant(edge, delta),
+    return ProbeResult(verdict=verdict, d_delta=discriminant(edge, s),
                        conjugation_residual=residual, margin=margin, decided_by=decided_by)
 
 

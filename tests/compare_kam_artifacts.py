@@ -15,7 +15,9 @@ unchanged), then ``float.hex`` of the edge energy, zeta,
 ``conj_residual``, the bracket, the number of edge-search evaluations,
 the width of the edge search's final bracket and the closed-form trace slope
 dt/dE of the reduction at the edge (``kam._trace_slope``), the delta2/delta1
-verdicts, per probe scale the averaging certificate's margin and kappa sup R
+verdicts, the averaging step's masses ``y_mass``, ``q1_mass`` and ``q2_mass``
+(the values the sparse ``multiply`` and ``coeff_mass`` feed the certificate),
+per probe scale the averaging certificate's margin and kappa sup R
 (``float.hex``) with ``uh_test``'s verdict at that scale as a cross-check,
 and for each KAM step its ``sweep_grid`` and the ``float.hex`` of its Newton
 sweep norms, so a change that moves bits on purpose can quote which values
@@ -128,8 +130,9 @@ def _edge_slope(seed, energy):
 
 
 def _certificate(seed, edge, kam_out, probe):
-    """Per probe scale of the edge: the certificate's margin and kappa sup R
-    (``float.hex``) and uh_test's verdict as a cross-check."""
+    """The edge's averaging-step masses y, q1 and q2, then per probe scale
+    the certificate's margin and kappa sup R (all ``float.hex``) and
+    uh_test's verdict as a cross-check."""
     with open("set.json") as fh:
         ks = LabelSet.from_json(fh.read())
     with open(kam_out) as fh:
@@ -137,6 +140,8 @@ def _certificate(seed, edge, kam_out, probe):
     V = build_potential(ks, k=2.0)
     data = edge_data_from_reduction(result, ks.frequency.floats())
     step = averaging_step(data)
+    print(f"seed {seed} {edge} averaging masses y {step.y_mass.hex()} "
+          f"q1 {step.q1_mass.hex()} q2 {step.q2_mass.hex()}")
     for scale, delta in zip(("delta2", "delta1"), probe["bracket"]):
         s = math.copysign(delta, data.zeta)
         _, _, bound = certify_probe(step, data.zeta, s, probe[scale]["residual"])

@@ -10,6 +10,7 @@ from qpsl.diophantine import frequency_vector, golden_mean
 from qpsl.errors import DomainMismatch, QpslError
 from qpsl.fourier import (
     FourierSeries,
+    _coeff_norms,
     amo_potential,
     build_potential,
     grid_points,
@@ -18,6 +19,7 @@ from qpsl.fourier import (
     multiply,
     potential_modes,
     series_from_grid,
+    shift_sum,
     stack_blocks,
 )
 from qpsl.label_set import LabelSet
@@ -105,6 +107,107 @@ def test_multiply_drop_accounting():
     assert c.dropped_mass == pytest.approx(2.0)
 
 
+def _dense_norms(values, scalar):
+    """Coefficient norms over every slot: one SVD of the whole stack."""
+    values = np.asarray(values)
+    if scalar:
+        return np.hypot(values.real, values.imag)
+    return np.linalg.svd(values, compute_uv=False).max(axis=-1)
+
+
+def _dense_multiply(F, G, max_degree=None):
+    """The product as a shift-and-add of whole blocks: each nonzero mode of
+    the sparser factor, in key order, times every slot of the other's block,
+    zero slots included, added into the output at the moved window."""
+    A, B = (F, G) if F.halved == G.halved else (F.lift_halved(), G.lift_halved())
+    scalar = F.kind == "scalar"
+    mul = np.multiply if scalar else np.matmul
+    if len(B) <= len(A):
+        copies = [(k, mul(A.block, v)) for k, v in zip(*B.modes())]
+    else:
+        copies = [(k, mul(v, B.block)) for k, v in zip(*A.modes())]
+    K_out = A.K + B.K
+    block = np.zeros((2 * K_out + 1,) * A.d + A._tail, complex)
+    for k, piece in copies:
+        K = (piece.shape[0] - 1) // 2
+        block[tuple(slice(K_out + c - K, K_out + c + K + 1) for c in k)] += piece
+    out = FourierSeries.from_block(A.d, block, A.halved, "scalar" if scalar else "matrix")
+    if max_degree is not None:
+        over = out._freq_norms() > max_degree
+        mass = _dense_norms(out.block[over], scalar)
+        out = out.restrict(~over)
+        out.dropped_mass = float(np.sum(mass))
+    return out
+
+
+def _sparse_series(rng, d, degree, count, kind, halved):
+    """``count`` random modes spread over a block of half-width ``degree``,
+    some of them sharing keys, so several pairs meet in one output slot."""
+    keys = rng.integers(-degree, degree + 1, size=(count, d))
+    half = count // 2
+    keys[half:] = keys[:count - half] + rng.integers(-1, 2, size=(count - half, d))
+    tail = () if kind == "scalar" else (2, 2)
+    vals = rng.normal(size=(count,) + tail) + 1j * rng.normal(size=(count,) + tail)
+    if kind != "scalar":  # matrices with zero entries in live slots
+        vals[::3, 0, 1] = 0.0
+    return FourierSeries.from_modes(d, np.clip(keys, -degree, degree), vals, halved, kind)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_multiply_matches_the_dense_shift_and_add_bit_for_bit(kind, d):
+    rng = np.random.default_rng(40 + 2 * d + (kind == "matrix"))
+    degree = 30 if d == 1 else 7
+    for trial in range(12):
+        halved = (trial % 3 == 1, trial % 3 == 2)
+        counts = (14, 5) if trial % 2 else (5, 14)  # both sparser-factor branches
+        F = _sparse_series(rng, d, degree, counts[0], kind, halved[0])
+        G = _sparse_series(rng, d, degree // 2, counts[1], kind, halved[1])
+        for max_degree in (None, degree / 2, 1.5 * degree, 0.5):
+            got, want = multiply(F, G, max_degree), _dense_multiply(F, G, max_degree)
+            assert (got.halved, got.kind, got.K) == (want.halved, want.kind, want.K)
+            assert got.block.tobytes() == want.block.tobytes()
+            assert got.dropped_mass == want.dropped_mass
+
+
+@pytest.mark.parametrize("shape", [(9,), (5, 7), (0,), (4,)])
+def test_coeff_norms_match_the_full_stack_svd_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    flat = values.reshape(-1, 2, 2)
+    flat[::2] = 0.0                       # zero slots, among them the first
+    flat[1::4, 1, :] = 0.0                # live slots with a zero row
+    if flat.shape[0] > 3:
+        flat[3, 0, 0] = np.inf            # the SVD reads NaN, in both
+    got, want = _coeff_norms(values, False), _dense_norms(values, False)
+    assert got.dtype == want.dtype and got.shape == want.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert float(np.sum(got)).hex() == float(np.sum(want)).hex()
+    assert _coeff_norms(np.zeros(shape + (2, 2), complex), False).tobytes() == \
+        _dense_norms(np.zeros(shape + (2, 2), complex), False).tobytes()
+    if flat.shape[0]:                     # a NaN slot stops the SVD of both
+        flat[0, 1, 1] = np.nan
+        for norms in (_coeff_norms, _dense_norms):
+            with pytest.raises(np.linalg.LinAlgError):
+                norms(values, False)
+
+
+def test_shift_sum_is_the_product_with_a_sparse_series():
+    rng = np.random.default_rng(9)
+    F = _random_series(rng, degree=6)
+    keys, vals = [(-9,), (4,)], [0.5 + 1j, -2.0 + 0j]
+    product = multiply(FourierSeries(1, dict(zip(keys, vals))), F)
+    assert np.allclose(shift_sum(F, keys, vals).padded(15), product.padded(15), atol=1e-14)
+    # past max_degree each moved copy adds its own tail mass
+    cut = shift_sum(F, keys, vals, max_degree=10)
+    assert cut.K == 10
+    kept = product.restrict(product._freq_norms() <= 10)
+    assert np.allclose(cut.padded(15), kept.padded(15), atol=1e-14)
+    tail = sum(abs(v * c) for (k,), v in zip(keys, vals) for (n,), c in F.coeffs.items()
+               if abs(n + k) > 10)
+    assert cut.dropped_mass == pytest.approx(tail, rel=1e-14)
+
+
 def test_multiply_rejects_a_scalar_times_a_matrix_series():
     scalar = FourierSeries(1, {(1,): 1.0 + 0j})
     matrix = FourierSeries.constant(1, np.eye(2, dtype=complex))
@@ -176,6 +279,38 @@ def test_domain_mismatch():
         F.eval([0.1])
     with pytest.raises(DomainMismatch):
         F[(1,)] = 1.0
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: FourierSeries.from_modes(2, [(1,)], [1.0]), DomainMismatch, "keys have length 1"),
+    (lambda: FourierSeries.from_modes(1, [(1,)], [np.eye(2)]), QpslError,
+     "coefficients must have shape"),
+    (lambda: FourierSeries(2)[3], DomainMismatch, "key \\(3,\\) has length 1"),
+    (lambda: FourierSeries(1, kind="matrix").__setitem__((1,), 1.0), QpslError,
+     "must be 2x2"),
+    (lambda: FourierSeries(2).shift([0.1]), DomainMismatch, "alpha dimension"),
+    (lambda: FourierSeries(1).analytic_norm(-0.1), QpslError, "h must be >= 0"),
+    (lambda: FourierSeries(1).ck_norm_estimate(1.5), QpslError, "nonnegative integer"),
+    (lambda: multiply(FourierSeries(1), FourierSeries(2)), DomainMismatch, "dimension"),
+    (lambda: build_potential(LabelSet(1, [], ALPHA), k=2.0), QpslError, "empty"),
+    (lambda: build_potential(LabelSet.from_labels([(5,)], ALPHA), k=0.0), QpslError,
+     "k must be positive"),
+    (lambda: build_potential(LabelSet.from_labels([(0,)], ALPHA), k=2.0), QpslError,
+     "zero label"),
+    (lambda: series_from_grid(np.zeros(10), 2), QpslError, "do not form a cube"),
+], ids=["from-modes-key-length", "from-modes-shape", "int-key-length", "setitem-shape",
+        "shift-alpha", "analytic-h", "ck-k", "multiply-d", "empty-label-set",
+        "k-not-positive", "zero-label", "grid-not-a-cube"])
+def test_fourier_rejects_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_int_key_and_one_dimensional_thetas_for_d1():
+    F = FourierSeries(1, {(3,): 0.5 + 0j, (-3,): 0.5 + 0j})
+    assert F[3] == F[(3,)] == 0.5
+    th = np.array([0.0, math.pi / 3, 1.1])
+    assert _same_bits(F.sample(th), F.sample(th[:, None]))
 
 
 def test_json_roundtrip_scalar_and_matrix():

@@ -318,3 +318,14 @@ def test_certificate_verdicts_match_uh_test_and_the_gap_lock(criterion11_edges, 
     record = bracket_gap(edge, V)
     assert (record["delta2"]["verdict"], record["delta1"]["verdict"]) == ("hyperbolic", "not")
     assert record["delta2"]["margin"] > 1.0 and record["delta1"]["margin"] > 1.0
+
+
+def test_probe_d_is_the_probes_own_discriminant(criterion11_edges):
+    V, edges = criterion11_edges
+    edge, _ = edges["lower"]
+    delta2 = bracket_gap(edge, None, probe=False)["bracket"][0]
+    p = probe_gap_edge(edge, V, delta2)
+    # a left edge (zeta < 0) is probed at E + delta2: the probe's own d is
+    # d(-delta2), negative inside the gap, where d(delta2) is positive
+    assert edge.zeta < 0 and p.verdict == "hyperbolic"
+    assert p.d_delta == discriminant(edge, -delta2) < 0 < discriminant(edge, delta2)
