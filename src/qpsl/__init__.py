@@ -11,6 +11,7 @@ Subpackages follow the stages of the construction:
 * :mod:`qpsl.cocycle`      - SL(2,R)/SU(1,1) utilities and quasi-periodic
   cocycle dynamics (the Schrodinger rotation number, hyperbolicity).
 * :mod:`qpsl.kam`          - the reducibility iteration on SU(1,1) cocycles.
+* :mod:`qpsl.edge`         - the gap-edge search, a 1-D root search on t(E).
 * :mod:`qpsl.spectrum`     - integrated density of states, rotation curves,
   gap detection and labeling.
 * :mod:`qpsl.moser_poschel`- gap-edge probes bracketing gap lengths.

@@ -27,13 +27,6 @@ axis the iterate stays the stack of its centred (u, w) coefficient blocks of
 half-width G / 2 as the forward FFT fills them (u's +G/2 modes stay apart from
 its -G/2 ones), with the tables over their keys built once per call and grid.
 
-A gap edge is bracketed on steps of spread / 64 from the free-cocycle guess
-E0, which must read inside the gap, jumping to the step the parabola through
-the last three inside values predicts, and then located by Newton steps on
-the indicator |Re a| - 1 with its slope in closed form from each reduction's
-conjugacy, bisecting where a step would leave the bracket, down to the
-resolution of the indicator.
-
 A reduction is labelled by the resonance n~ its resonant steps accumulate:
 at an edge of the gap of label n, n~ = +-n (gap labelling, 2 rho = <n,
 alpha> mod 1).
@@ -80,6 +73,7 @@ from .cocycle import (
     parabolic_normalize,
 )
 from .diophantine import dist_to_integers, sup_norm
+from .edge import locate_edge, recorded
 from .errors import (
     NewtonDiverged,
     NonConvergence,
@@ -719,15 +713,16 @@ def kam_step(state: KamState, params: KamParams):
         W = W.ad_constant(P)
     A_next, f_next = _split_mean(A_base, F_star, params)
     B_step, B_inv = _exp_pair(Y, params)
+    dropped = drop0 + rep["dropped_mass"] + B_step.dropped_mass
     W_next = _ad_series(B_step, B_inv, W, params)
     extra = {"y_norm": Y.norm(h)}
     if nr:  # |Y|_h against 2 |F~|_h / eta
         extra["y_bound_monitor"] = extra["y_norm"] <= 2.0 * norm_before / DIVISOR_FLOOR + 1e-12
-    else:
+    else:  # B_step = Q e^Y P, each product's truncation counted
         md = params.max_degree
-        B_step = multiply(_q_series(site, d),
-                          multiply(B_step, FourierSeries.constant(d, P), max_degree=md),
-                          max_degree=md)
+        inner = multiply(B_step, FourierSeries.constant(d, P), max_degree=md)
+        B_step = multiply(_q_series(site, d), inner, max_degree=md)
+        dropped += inner.dropped_mass + B_step.dropped_mass
         B_inv = multiply(FourierSeries.constant(d, np.linalg.inv(P)),
                          multiply(B_inv, _q_series(site, d, inverse=True), max_degree=md),
                          max_degree=md)
@@ -741,7 +736,6 @@ def kam_step(state: KamState, params: KamParams):
             extra["t_hat_site"] = [t_hat.real, t_hat.imag]
             extra["b_minus_t_hat"] = abs(complex(A_next[0, 1]) - t_hat)
     extra["sweep_grid"] = rep["grid"]
-    dropped = drop0 + rep["dropped_mass"] + B_step.dropped_mass
 
     # certify the step on random probes of the doubled torus
     rng = np.random.default_rng(params.seed + 7 * j + 3)
@@ -885,19 +879,21 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
 
     ``target`` is {"energy": E}, labelled by the reduction's n~ (with the sign
     of V's label when -n~ is one), or {"label": n} / {"label_index": i} with
-    the gap edge located by a Newton search on the reduced constant's trace
+    the gap edge located by :func:`qpsl.edge.locate_edge` on t = |Re a| - 1
     and n~ = +-label checked; {"edge": "upper"|"lower"} selects the edge
     (default upper).  An energy target raises TargetNotLocked when its
-    reduced constant is elliptic, t = |Re a| - 1 < -``conj_residual_tol``:
-    E then lies in the spectrum.  For an edge target the result's
-    ``edge_search`` holds the number of reductions the search made, the
-    failed ones it counted as outside the gap and its final bracket; the
-    search starts at the free-cocycle guess E0 and raises TargetNotLocked
-    after that one reduction unless E0 lies inside the gap.  Raises
-    NonConvergence when B conjugates the cocycle to the normal form only up
-    to a residual above ``params.conj_residual_tol``.  Every error the edge
-    search or the final certification raises for an edge target carries the
-    search record as its ``edge_search``.
+    reduced constant is elliptic, t < -``conj_residual_tol``: E then lies in
+    the spectrum.  The edge search starts at the free-cocycle guess E0 = 2
+    cos(2 pi ||<n, alpha> / 2||), steps by spread / 64, and raises
+    TargetNotLocked after that one reduction unless t(E0) > 0; a reduction
+    raising NewtonDiverged, StateInvalid, SmallDivisor or NotElliptic counts
+    as outside the gap.  The result's ``edge_search`` holds the number of
+    reductions, the failed ones [[type, E], ...] and the final bracket.
+    Raises TargetNotLocked when the edge's n~ is not +-label (it is another
+    label's edge), and NonConvergence when B conjugates the cocycle to the
+    normal form only up to a residual above ``params.conj_residual_tol``.
+    Every QpslError raised for an edge target carries the search record as
+    its ``edge_search``.
     """
     params = params or KamParams()
     alpha_arr = np.atleast_1d(np.asarray(alpha, float))
@@ -914,146 +910,44 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
             label = state.n_tilde
         return _finalize(V, alpha_arr, E, label, state, reports, params)
 
-    if "label" in target or "label_index" in target:
-        if "label_index" in target:
-            label = tuple(V.labels[int(target["label_index"])])
-        else:
-            lab = target["label"]
-            label = (int(lab),) if np.isscalar(lab) else tuple(int(x) for x in lab)
-        edge = target.get("edge", "upper")
-        E_edge, state, reports, search = _locate_edge(V, alpha_arr, label, edge,
-                                                      params, max_steps)
-        return _finalize(V, alpha_arr, E_edge, label, state, reports, params, search)
-
-    raise QpslError("target must contain 'energy', 'label' or 'label_index'")
-
-
-def _locate_edge(V, alpha, label, edge, params, max_steps):
-    """Locate the gap edge on the reduced-trace indicator t = |Re a| - 1.
-
-    The search starts at the free-cocycle guess E_0 = 2 cos(2 pi ||<n,
-    alpha> / 2||) and, unless t(E_0) > 0, raises TargetNotLocked after that
-    one evaluation, with the record below.  The bracket lies on the steps E_k =
-    E_{k-1} +- spread / 64 (running float sums); from step j = 2 on, the
-    search jumps to the step just inside the root of the parabola through the
-    last three inside steps, at most to step 4j, and a Newton step from step j
-    that falls short of step j + 1 comes first; the first energy that reads
-    t <= 0 closes the bracket.  Newton steps -t / t' (t' of
-    :func:`_trace_slope`) from the last reduction then shrink the bracket,
-    bisecting where a step leaves it or an end failed.  t is rounded to the
-    float grid at 1.0, so one quantum of it spans q = 2**-52 / |t'| in E: a
-    shorter step crosses by q / 2, and the search stops once
-    t_in - t_out <= 2 ulp(1.0) in a bracket at most q / 2 and 1e-14 relative
-    wide, or at 4e-16 relative width.
-    Returns the innermost t > 0 energy with its state and reports, and the
-    search record {"evaluations": n, "failures": [[type, E], ...], "bracket":
-    [E_in, E_out]}, where a failure is a reduction that raised and was
-    counted as outside the gap, and the bracket is the final one.
-    Raises NonConvergence, with the record as its ``edge_search``, when the
-    outer end of the final bracket is such a failure: the edge is then
-    ambiguous, since the failure may lie just outside the gap or inside it,
-    and the search cannot tell the two apart.  Raises TargetNotLocked, with
-    the record, when the returned reduction's accumulated resonance n~ is
-    not +-label: the edge is then another label's.
-    """
-    lock = dist_to_integers(float(np.dot(label, alpha)) / 2)
-    E0 = 2 * math.cos(2 * math.pi * lock)
+    if "label" not in target and "label_index" not in target:
+        raise QpslError("target must contain 'energy', 'label' or 'label_index'")
+    if "label_index" in target:
+        label = tuple(V.labels[int(target["label_index"])])
+    else:
+        lab = target["label"]
+        label = (int(lab),) if np.isscalar(lab) else tuple(int(x) for x in lab)
+    edge = target.get("edge", "upper")
+    E0 = 2 * math.cos(2 * math.pi * dist_to_integers(float(np.dot(label, alpha_arr)) / 2))
     spread = max(4 * (V.sup_bound() if V is not None else 0.1), 1e-3)
     search = {"evaluations": 0, "failures": []}
 
-    def indicator(E):
-        # a failed reduction (stalled Newton sweep, small divisor, constant
-        # part not settling) counts as "outside the gap" for the bracket; it
-        # may also happen inside, so it is recorded on the search
-        search["evaluations"] += 1
-        try:
-            st, reps = _reduce_at_energy(V, alpha, E, params, max_steps)
-        except (NewtonDiverged, StateInvalid, SmallDivisor, NotElliptic) as exc:
-            search["failures"].append([type(exc).__name__, E])
-            return -math.inf, None, None
-        return _gap_indicator(st), st, reps
+    def evaluate(E):
+        state, reports = _reduce_at_energy(V, alpha_arr, E, params, max_steps)
+        return _gap_indicator(state), (state, reports)
 
-    E_in = E0
-    t_in, state, reports = indicator(E_in)
-    if t_in <= 0:
-        raise _with_search(TargetNotLocked(f"the free-cocycle guess E0 = {E0!r} for label "
-                                           f"{label} reads t = {t_in:.3e}; the search "
-                                           f"starts only where t > 0"), search)
-
-    sign = +1.0 if edge == "upper" else -1.0
-    steps, inside = [E_in], [(0, t_in)]  # inside: (k, t) with t > 0
-    while True:
-        j, k = inside[-1][0], inside[-1][0] + 1
-        if j >= 2:  # the root beyond x2 of p(x2 + s) = a s^2 + b s + t2
-            (x0, t0), (x1, t1), (x2, t2) = inside[-3:]
-            a = ((t2 - t1) / (x2 - x1) - (t1 - t0) / (x1 - x0)) / (x2 - x0)
-            b = (t2 - t1) / (x2 - x1) + a * (x2 - x1)
-            den = math.sqrt(b * b - 4 * a * t2) - b if b * b >= 4 * a * t2 else 0.0
-            if den > 0:
-                k = min(max(math.ceil(x2 + 2 * t2 / den) - 1, k), 4 * j, 40)
-        if k > 40:
-            raise _with_search(NonConvergence(f"could not bracket the {edge} edge from "
-                                              f"E = {E_in}"), search)
-        while len(steps) <= k:
-            steps.append(steps[-1] + sign * (spread / 64))
-        E = steps[k]
-        if j >= 2 and k == j + 1 and E_in == steps[j]:
-            # a Newton step from step j that falls short of step k comes first
-            slope = _trace_slope(state)
-            if slope and min(E_in, E) < E_in - t_in / slope < max(E_in, E):
-                E = E_in - t_in / slope
-        t, st, reps = indicator(E)
-        if t <= 0:
-            E_out, t_out = E, t
-            break
-        if E == steps[k]:  # after a Newton step inside, step k is still due
-            inside.append((k, t))
-        E_in, t_in, state, reports = E, t, st, reps
-
-    # safeguarded Newton on the closed-form slope, from the last reduction
-    q = 0.0  # one quantum of t, measured in E
-    for _ in range(200):
-        width, scale = abs(E_out - E_in), max(1.0, abs(0.5 * (E_in + E_out)))
-        if (width < 4e-16 * scale or (t_in - t_out <= 2 * math.ulp(1.0)
-                                      and width <= min(q / 2, 1e-14 * scale))):
-            break
-        step = math.inf  # bisect unless a Newton step stays inside the bracket
-        slope = _trace_slope(st) if math.isfinite(t_out) else 0.0
-        if slope:
-            q, step = math.ulp(1.0) / abs(slope), -t / slope
-            if abs(step) < q:  # t cannot resolve the step: cross by q / 2
-                step = math.copysign(q / 2, (E_out if t > 0 else E_in) - E)
-        E = E + step if min(E_in, E_out) < E + step < max(E_in, E_out) else \
-            0.5 * (E_in + E_out)
-        t, st, reps = indicator(E)
-        if t > 0:
-            E_in, t_in, state, reports = E, t, st, reps
-        else:
-            E_out, t_out = E, t
-    search["bracket"] = [E_in, E_out]
-    if t_out == -math.inf:
-        # the bracket closed on a failed reduction, which may be the edge or
-        # the boundary of a failing window inside the gap; that failure is the
-        # last one recorded, since every failure becomes E_out
-        kind, E_fail = search["failures"][-1]
-        raise _with_search(NonConvergence(f"{edge} edge search ended on a failed reduction "
-                                          f"({kind} at E = {E_fail!r}) after "
-                                          f"{search['evaluations']} evaluations"), search)
-    if state.n_tilde not in (label, tuple(-n for n in label)):
-        raise _with_search(TargetNotLocked(f"{edge} edge at E = {E_in!r} locks to n~ = "
-                                           f"{state.n_tilde}, not to label {label}"), search)
-    return E_in, state, reports, search
+    indicator = recorded(evaluate, (NewtonDiverged, StateInvalid, SmallDivisor, NotElliptic),
+                         search)
+    try:
+        t0, found = indicator(E0)
+        if t0 <= 0:
+            raise TargetNotLocked(f"the free-cocycle guess E0 = {E0!r} for label {label} "
+                                  f"reads t = {t0:.3e}; the search starts only where t > 0")
+        E, (state, reports) = locate_edge(indicator, lambda payload: _trace_slope(payload[0]),
+                                          E0, t0, found, spread / 64, edge, search)
+        if state.n_tilde not in (label, tuple(-n for n in label)):
+            raise TargetNotLocked(f"{edge} edge at E = {E!r} locks to n~ = "
+                                  f"{state.n_tilde}, not to label {label}")
+        result = _finalize(V, alpha_arr, E, label, state, reports, params)
+    except QpslError as exc:
+        exc.edge_search = search
+        raise
+    result.edge_search = search
+    return result
 
 
-def _with_search(exc, search):
-    """``exc`` carrying an edge search's record as its ``edge_search``."""
-    exc.edge_search = search
-    return exc
-
-
-def _finalize(V, alpha, E, label, state, reports, params, edge_search=None):
-    """The result at E, certified against the original cocycle; an edge
-    search's record rides on it, or on the NonConvergence of its residual."""
+def _finalize(V, alpha, E, label, state, reports, params):
+    """The result at E, certified against the original cocycle."""
     A_fin = np.asarray(state.A, complex)
     psl_sign, relaxations = 1, []
     if A_fin[0, 0].real < 0:
@@ -1077,9 +971,9 @@ def _finalize(V, alpha, E, label, state, reports, params, edge_search=None):
     conj_residual = conjugacy_residual(V, alpha, E, B, np.array([[1.0, zeta], [0.0, 1.0]]),
                                        pts)
     if conj_residual > params.conj_residual_tol:
-        raise _with_search(NonConvergence(
+        raise NonConvergence(
             f"conjugacy residual {conj_residual:.3e} of the reduction at E = {E!r} "
-            f"exceeds conj_residual_tol {params.conj_residual_tol:.1e}"), edge_search)
+            f"exceeds conj_residual_tol {params.conj_residual_tol:.1e}")
 
     n_norm = sup_norm(label)
     window = {}
@@ -1098,4 +992,4 @@ def _finalize(V, alpha, E, label, state, reports, params, edge_search=None):
                               psl_sign=psl_sign, zeta_window=window,
                               b_final=b_final, phi=phi,
                               b_ck_norm=B.ck_norm_estimate(k0),
-                              relaxations=relaxations, edge_search=edge_search)
+                              relaxations=relaxations)

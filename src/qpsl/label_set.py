@@ -28,8 +28,7 @@ from .diophantine import (
     resonant_denominator,
     sup_norm,
 )
-from .errors import (DegenerateExponent, ExpansionTooShallow, PrecisionExhausted,
-                     QpslError, ScheduleTooShort)
+from .errors import DegenerateExponent, PrecisionExhausted, QpslError, ScheduleTooShort
 
 __all__ = [
     "GrowthSchedule",
@@ -294,11 +293,7 @@ def construct_label_set(alpha: FrequencyVector, schedule: GrowthSchedule,
     entries = []
     for m in range(count):
         j_m = j1 + spacing * m
-        try:
-            res = resonant_denominator(cf, mpf_to_fraction(schedule.level(j_m)))
-        except ExpansionTooShallow as e:
-            raise ExpansionTooShallow(
-                f"entry m={m} at level {j_m}: {e}") from e
+        res = resonant_denominator(cf, mpf_to_fraction(schedule.level(j_m)))
         base = bases[m]
         label = tuple(base[i] + (res.q if i == 0 else 0) for i in range(alpha.d))
         entries.append(LabelEntry(m=m, base=base, shift=res.q, label=label, level=j_m))

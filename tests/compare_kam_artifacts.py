@@ -13,7 +13,8 @@ prints the hashes of ``set.json`` and of each edge's ``kam.json`` and
 ``config_hash`` (so a change to the run configuration alone leaves it
 unchanged), then ``float.hex`` of the edge energy, zeta,
 ``conj_residual``, the bracket, the number of edge-search evaluations,
-the width of the edge search's final bracket and the closed-form trace slope
+the ``float.hex`` of each energy the edge search reduced at, in order, the
+width of the edge search's final bracket and the closed-form trace slope
 dt/dE of the reduction at the edge (``kam._trace_slope``), the delta2/delta1
 verdicts, the averaging step's masses ``y_mass``, ``q1_mass`` and ``q2_mass``
 (the values the sparse ``multiply`` and ``coeff_mass`` feed the certificate),
@@ -38,14 +39,17 @@ Last it runs ``qpsl report`` on the same configuration (seed 1, upper edge,
 bracket probes on) and prints the sha256 of ``report.json`` and of each stage
 artifact it leaves (``set.json``, ``verify.json``, ``kam.json``,
 ``probe.json``) without ``config`` and ``config_hash``, or ``missing`` for an
-artifact a checkout's ``report`` does not write.
+artifact a checkout's ``report`` does not write, and the ``float.hex`` of
+each energy its edge search reduced at.
 
 Then, as a baseline for multi-label edges, it runs the upper-edge search of
 each label of K = {4, 9, 43} (golden-mean alpha to 80 digits, gamma 0.5,
 tau 1.5, M = 3, s = 0.3, depth 10, three labels, k = 2, the criterion-11
 ``KamParams`` with seed 1) and prints its outcome: the error type, or
 ``returned``, then the edge search's evaluation count and number of
-failures, or ``None`` when the outcome carries no search record.  Not
+failures, or ``None`` when the outcome carries no search record, and the
+``float.hex`` of each energy it reduced at.  The energies are recorded by
+wrapping ``kam._reduce_at_energy``.  Not
 collected by pytest: it runs five full edge reductions and three searches.
 """
 
@@ -129,6 +133,23 @@ def _edge_slope(seed, energy):
     return kam_module._trace_slope(state)
 
 
+@contextlib.contextmanager
+def _reductions():
+    """The energies of the reductions kam makes inside the block, in order."""
+    energies, real = [], kam_module._reduce_at_energy
+
+    def reduce(V, alpha, E, *rest):
+        energies.append(E)
+        return real(V, alpha, E, *rest)
+
+    with mock.patch.object(kam_module, "_reduce_at_energy", reduce):
+        yield energies
+
+
+def _hexes(energies):
+    return " ".join(float(E).hex() for E in energies)
+
+
 def _certificate(seed, edge, kam_out, probe):
     """The edge's averaging-step masses y, q1 and q2, then per probe scale
     the certificate's margin and kappa sup R (all ``float.hex``) and
@@ -158,8 +179,9 @@ def _run(seed):
     print(f"seed {seed} set.json {_sha('set.json')}")
     for edge in EDGES:
         kam_out, probe_out = f"kam_{edge}.json", f"probe_{edge}.json"
-        _qpsl(["kam", "--config", "config.json", "--set", "set.json",
-               "--label-index", "0", "--k", "2.0", "--edge", edge, "--out", kam_out], seed)
+        with _reductions() as energies:
+            _qpsl(["kam", "--config", "config.json", "--set", "set.json",
+                   "--label-index", "0", "--k", "2.0", "--edge", edge, "--out", kam_out], seed)
         _qpsl(["edge-probe", "--result", kam_out, "--set", "set.json",
                "--k", "2.0", "--out", probe_out], seed)
         for name in (kam_out, probe_out):
@@ -175,6 +197,7 @@ def _run(seed):
         for key, value in values:
             print(f"seed {seed} {edge} {key} {float(value).hex()}")
         print(f"seed {seed} {edge} evaluations {kam['edge_search']['evaluations']}")
+        print(f"seed {seed} {edge} search energies {_hexes(energies)}")
         E_in, E_out = kam["edge_search"]["bracket"]
         print(f"seed {seed} {edge} edge bracket width {abs(E_out - E_in).hex()}")
         print(f"seed {seed} {edge} slope {_edge_slope(seed, kam['energy']).hex()}")
@@ -200,11 +223,13 @@ def _report(seed):
               "out_dir": "report"}
     with open("config.json", "w") as fh:
         json.dump(config, fh)
-    _qpsl(["report", "--config", "config.json"], seed)
+    with _reductions() as energies:
+        _qpsl(["report", "--config", "config.json"], seed)
     print(f"report seed {seed} report.json {_sha(os.path.join('report', 'report.json'))}")
     for name in ("set.json", "verify.json", "kam.json", "probe.json"):
         print(f"report seed {seed} {name} results-only "
               f"{_results_sha(os.path.join('report', name))}")
+    print(f"report seed {seed} search energies {_hexes(energies)}")
 
 
 def _hex(value):
@@ -259,15 +284,17 @@ def _multi_label():
     params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
                        grid_size=2048, conj_residual_tol=1e-9, seed=1)
     for label in ks.labels():
-        try:
-            search = run_reducibility(V, freq.floats(), {"label": label, "edge": "upper"},
-                                      params=params).edge_search
-            outcome = "returned"
-        except QpslError as exc:
-            outcome, search = type(exc).__name__, getattr(exc, "edge_search", None)
+        with _reductions() as energies:
+            try:
+                search = run_reducibility(V, freq.floats(), {"label": label, "edge": "upper"},
+                                          params=params).edge_search
+                outcome = "returned"
+            except QpslError as exc:
+                outcome, search = type(exc).__name__, getattr(exc, "edge_search", None)
         counts = (f"evaluations {search['evaluations']} failures {len(search['failures'])}"
                   if search else "None")
-        print(f"K 4,9,43 label {label[0]} upper {outcome} {counts}")
+        print(f"K 4,9,43 label {label[0]} upper {outcome} {counts} "
+              f"energies {_hexes(energies)}")
 
 
 def main():

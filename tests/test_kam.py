@@ -17,6 +17,7 @@ from qpsl.cocycle import (
     to_su11,
 )
 from qpsl.diophantine import dist_to_integers, frequency_vector, golden_mean
+from qpsl.edge import locate_edge, recorded
 from qpsl.errors import (
     NewtonDiverged,
     NonConvergence,
@@ -635,6 +636,35 @@ def test_combine_f_and_label_is_the_product_of_both_exponentials():
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
+def test_resonant_step_counts_every_truncation_of_its_conjugator(monkeypatch):
+    # criterion 11 at max_degree 32: the one resonant step truncates the
+    # sweeps' logs (1.9e-7), e^Y (6.7e-8) and the product Q (e^Y P) (6.6e-6),
+    # and its dropped_mass counts each of them
+    freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
+    sched = build_schedule(10, 0.9, depth=6)
+    ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=32,
+                       grid_size=2048, conj_residual_tol=1e-4, seed=1)
+    calls = {}
+    for name in ("remove_nonresonant", "exp_series", "multiply"):
+        def recorded_call(*args, _real=getattr(kam, name), _name=name, **kw):
+            out = _real(*args, **kw)
+            calls.setdefault(_name, []).append((args, out))
+            return out
+        monkeypatch.setattr(kam, name, recorded_call)
+    _, reports = kam._reduce_at_energy(build_potential(ks, k=2.0), freq.floats(),
+                                       1.8806000220263146, params, 24)
+    assert [r.case for r in reports] == ["RS"]
+    [(_, (_, _, sweeps))] = calls["remove_nonresonant"]
+    [(_, e_y)] = calls["exp_series"]
+    inner = next(out for args, out in calls["multiply"] if args[0] is e_y)
+    outer = next(out for args, out in calls["multiply"] if args[1] is inner)
+    assert sweeps["dropped_mass"] > 0 and e_y.dropped_mass > 0 and outer.dropped_mass > 0
+    assert reports[0].dropped_mass == pytest.approx(
+        sweeps["dropped_mass"] + e_y.dropped_mass + inner.dropped_mass + outer.dropped_mass,
+        rel=1e-12)
+
+
 def test_kam_step_rejects_a_step_residual_above_tolerance(monkeypatch):
     # the criterion-8 non-resonant instance, with the gate below its residual
     monkeypatch.setattr(kam, "PROBE_COUNT", 256)
@@ -736,68 +766,37 @@ def test_run_reducibility_free_cocycle_lower_edge_sign():
 
 
 # free-cocycle guess 2 cos(2 pi dist(GOLD / 2)) for label (1,), and a gap
-# around it; the expansion step is 0.4 / 64 for V = None
+# around it; run_reducibility steps by 0.4 / 64 for V = None
 _E0 = 2 * math.cos(2 * math.pi * dist_to_integers(GOLD / 2))
 _GAP = (_E0 - 0.0203, _E0 + 0.0291)
+_STEP = 0.4 / 64
 
 
-_REDUCE, _FINALIZE = kam._reduce_at_energy, kam._finalize
+def _plant(planted, fail=None):
+    """An evaluate for qpsl.edge on the planted planted(E) = (t, dt/dE): it
+    returns t as the indicator |Re a| - 1 of the free cocycle at 2 + 2 t
+    reads it (Re a = 1 + t, rounded to the float grid at 1.0), with dt/dE as
+    its payload; energies inside ``fail`` raise NewtonDiverged.  Returns it
+    with the log of (E, t) per call, -inf for a failure."""
+    log = []
 
-
-def _free_reduction_locked(alpha, E, params, max_steps, n_tilde=(1,)):
-    """The free cocycle's reduction at E, relabelled as locked to ``n_tilde``
-    (label (1,) by default): the free cocycle resonates nowhere (n~ = (0,)),
-    and the edge search only returns an edge whose reduction locks to its
-    label."""
-    state, reports = _REDUCE(None, alpha, E, params, max_steps)
-    return dataclasses.replace(state, n_tilde=n_tilde), reports
-
-
-def _certify_at_mapped_energy(monkeypatch, mapped):
-    """Make _finalize certify the B of a fake reduction at the energy
-    ``mapped[E]`` that the fake reduced the free cocycle at, since that B
-    conjugates the free cocycle there and not at E; the result keeps E."""
-    real = kam._finalize
-
-    def finalize(V, alpha, E, *rest):
-        result = real(V, alpha, mapped[E], *rest)
-        result.energy = E
-        return result
-
-    monkeypatch.setattr(kam, "_finalize", finalize)
-
-
-def _plant(monkeypatch, planted, fail=None, n_tilde=(1,)):
-    """Replace the reduction by the free cocycle at 2 + 2 t, locked to
-    ``n_tilde``, so the reduced constant has Re a = 1 + t, where planted(E) =
-    (t, dt/dE), and make _trace_slope read that dt/dE, since the free
-    cocycle's own slope is not the planted one; energies inside ``fail``
-    raise NewtonDiverged.  Returns the log of (E, indicator) per call, -inf
-    for a failure."""
-    log, mapped, slopes = [], {}, {}
-
-    def fake(V, alpha, E, params, max_steps):
+    def evaluate(E):
         if fail is not None and fail[0] < E < fail[1]:
             log.append((E, -math.inf))
             raise NewtonDiverged("planted failure")
         t, slope = planted(E)
-        mapped[E] = 2.0 + 2.0 * t
-        state, reports = _free_reduction_locked(alpha, mapped[E], params, max_steps, n_tilde)
-        slopes[id(state)] = state, slope
-        log.append((E, kam._gap_indicator(state)))
-        return state, reports
+        A = to_su11(np.array([[2.0 + 2.0 * t, -1.0], [1.0, 0.0]]))
+        log.append((E, abs(float(A[0, 0].real)) - 1.0))
+        return log[-1][1], slope
 
-    monkeypatch.setattr(kam, "_reduce_at_energy", fake)
-    monkeypatch.setattr(kam, "_trace_slope", lambda state: slopes[id(state)][1])
-    _certify_at_mapped_energy(monkeypatch, mapped)
-    return log
+    return evaluate, log
 
 
-def _plant_gap(monkeypatch, fail=None, slope=1.0, gap=_GAP, n_tilde=(1,)):
+def _plant_gap(fail=None, slope=1.0, gap=_GAP):
     """t = slope min(E - lo, hi - E) on the planted gap (lo, hi)."""
     lo, hi = gap
-    return _plant(monkeypatch, lambda E: (slope * min(E - lo, hi - E),
-                                          slope if E - lo < hi - E else -slope), fail, n_tilde)
+    return _plant(lambda E: (slope * min(E - lo, hi - E),
+                             slope if E - lo < hi - E else -slope), fail)
 
 
 # a parabolic gap t = w^2 - (E - Ec)^2 around the free-cocycle guess: its
@@ -805,25 +804,60 @@ def _plant_gap(monkeypatch, fail=None, slope=1.0, gap=_GAP, n_tilde=(1,)):
 _PARABOLA = (_E0 + 0.0071, 0.06)
 
 
-def _plant_parabola(monkeypatch, fail=None):
+def _plant_parabola(fail=None):
     Ec, w = _PARABOLA
-    return _plant(monkeypatch, lambda E: (w * w - (E - Ec) ** 2, -2.0 * (E - Ec)), fail)
+    return _plant(lambda E: (w * w - (E - Ec) ** 2, -2.0 * (E - Ec)), fail)
+
+
+def _locate(evaluate, edge, search=None):
+    """The ``edge`` of a planted gap by qpsl.edge from _E0 on steps of _STEP,
+    NewtonDiverged counted as a failure, as run_reducibility searches for V =
+    None: returns the edge energy and the record ``search`` (a new one by
+    default)."""
+    search = {"evaluations": 0, "failures": []} if search is None else search
+    indicator = recorded(evaluate, (NewtonDiverged,), search)
+    t0, slope0 = indicator(_E0)
+    E, _ = locate_edge(indicator, lambda slope: slope, _E0, t0, slope0, _STEP, edge, search)
+    return E, search
+
+
+_REDUCE = kam._reduce_at_energy
+
+
+def _free_reduction_locked(alpha, E, params, max_steps, n_tilde=(1,)):
+    """The free cocycle's reduction at E, relabelled as locked to ``n_tilde``
+    (label (1,) by default): the free cocycle resonates nowhere (n~ = (0,)),
+    and run_reducibility only returns an edge whose reduction locks to its
+    label."""
+    state, reports = _REDUCE(None, alpha, E, params, max_steps)
+    return dataclasses.replace(state, n_tilde=n_tilde), reports
+
+
+def _planted_reductions(evaluate, n_tilde=(1,)):
+    """A stand-in for kam._reduce_at_energy on a planted indicator: at E the
+    free cocycle's reduction at 2 + 2 t, whose Re a is 1 + t, for the t
+    ``evaluate`` plants (its failures raise), locked to ``n_tilde``.  kam
+    reads the free cocycle's own slope 1/2 from it, not the planted one, so
+    the tests through run_reducibility pin no counts."""
+    def reduce(V, alpha, E, params, max_steps):
+        t, _ = evaluate(E)
+        return _free_reduction_locked(alpha, 2.0 + 2.0 * t, params, max_steps, n_tilde)
+
+    return reduce
 
 
 @pytest.mark.parametrize("edge", ["upper", "lower"])
-def test_edge_search_brackets_planted_edge(monkeypatch, edge):
-    log = _plant_gap(monkeypatch)
-    res = run_reducibility(None, [GOLD], {"label": 1, "edge": edge}, params=_params())
-    E = res.energy
+def test_edge_search_brackets_planted_edge(edge):
+    evaluate, log = _plant_gap()
+    E, search = _locate(evaluate, edge)
     assert dict(log)[E] > 0
     outward = [(abs(e - E), t, e) for e, t in log if (e > E) == (edge == "upper") and e != E]
     gap_to_out, t_out, E_out = min(outward)
     assert t_out <= 0
     assert gap_to_out < 4e-16 * max(1.0, abs(E))
     assert abs(E - _GAP[1 if edge == "upper" else 0]) < 1e-15
-    assert res.edge_search == {"evaluations": len(log), "failures": [], "bracket": [E, E_out]}
-    assert res.edge_search["evaluations"] == {"upper": 9, "lower": 6}[edge]
-    assert res.as_dict()["edge_search"] == res.edge_search
+    assert search == {"evaluations": len(log), "failures": [], "bracket": [E, E_out]}
+    assert search["evaluations"] == {"upper": 9, "lower": 6}[edge]
 
 
 @pytest.mark.parametrize("edge", ["upper", "lower"])
@@ -831,32 +865,32 @@ def test_edge_search_stops_at_indicator_resolution(monkeypatch, edge):
     # Re a = 1 + 1e-3 t: the indicator is rounded to the float grid at 1.0, so
     # one quantum of it spans about 2e-13 in E; the search stops once both
     # ends of the bracket read within one quantum of 0
-    log = _plant_gap(monkeypatch, slope=1e-3)
-    target = {"label": 1, "edge": edge}
-    res = run_reducibility(None, [GOLD], target, params=_params())
-    E_in, E_out = res.edge_search["bracket"]
+    evaluate, log = _plant_gap(slope=1e-3)
+    E, search = _locate(evaluate, edge)
+    E_in, E_out = search["bracket"]
     t = dict(log)
-    assert E_in == res.energy and t[E_in] > 0 >= t[E_out]
+    assert E_in == E and t[E_in] > 0 >= t[E_out]
     assert t[E_in] - t[E_out] <= 2 * math.ulp(1.0)
-    assert abs(res.energy - _GAP[1 if edge == "upper" else 0]) < 1e-12
-    assert res.edge_search["evaluations"] == len(log)
+    assert abs(E - _GAP[1 if edge == "upper" else 0]) < 1e-12
+    assert search["evaluations"] == len(log)
     # with the stop rule disabled the search closes the bracket to 4e-16
     del log[:]
     monkeypatch.setattr(math, "ulp", lambda x: 0.0)
-    width_only = run_reducibility(None, [GOLD], target, params=_params()).edge_search
+    _, width_only = _locate(evaluate, edge)
     E_in, E_out = width_only["bracket"]
     assert abs(E_out - E_in) < 4e-16 * max(1.0, abs(E_in))
-    assert res.edge_search["evaluations"] < width_only["evaluations"] == len(log)
+    assert search["evaluations"] < width_only["evaluations"] == len(log)
 
 
-def test_edge_search_records_failures_and_bisects(monkeypatch):
+def test_edge_search_records_failures_and_bisects():
     # the second expansion step E0 + 0.0125 lands in the failing window, so
-    # the outer end of the bracket stays a failed reduction (t = -inf) and
+    # the outer end of the bracket stays a failed evaluation (t = -inf) and
     # every later energy must be the midpoint of the bracket
     fail = (_E0 + 0.011, _E0 + 0.014)
-    log = _plant_gap(monkeypatch, fail=fail)
+    evaluate, log = _plant_gap(fail=fail)
+    search = {"evaluations": 0, "failures": []}
     with pytest.raises(NonConvergence) as info:
-        run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+        _locate(evaluate, "upper", search)
     first = next(i for i, (_, t) in enumerate(log) if t == -math.inf)
     E_in, E_out = log[first - 1][0], log[first][0]
     for E, t in log[first + 1:]:
@@ -866,38 +900,49 @@ def test_edge_search_records_failures_and_bisects(monkeypatch):
             E_in = E
         else:
             E_out = E
-    # the bracket closed on a failed reduction, so the edge is ambiguous and
-    # the search raises instead of returning the window's boundary
+    # the bracket closed on a failure, so the edge is ambiguous and the
+    # search raises instead of returning the window's boundary
     assert abs(E_out - E_in) < 4e-16 * max(1.0, abs(E_in))
     assert abs(E_in - fail[0]) < 1e-15
     failed = [["NewtonDiverged", E] for E, t in log if t == -math.inf]
     assert len(failed) > 1
     assert failed[-1][1] == E_out
-    assert info.value.edge_search == {"evaluations": len(log), "failures": failed,
-                                      "bracket": [E_in, E_out]}
+    assert search == {"evaluations": len(log), "failures": failed, "bracket": [E_in, E_out]}
     msg = str(info.value)
     assert f"NewtonDiverged at E = {E_out!r}" in msg
     assert f"after {len(log)} evaluations" in msg
 
 
-def test_edge_search_records_failure_outside_gap(monkeypatch):
+def test_edge_search_records_failure_outside_gap():
     # on the parabolic gap, the Newton step from step 10 overshoots the upper
     # edge Ec + w = E0 + 0.0671 into a failing window just past it; the
     # bisection that follows reaches a finite t <= 0 at E0 + 0.06714, so the
     # search closes on the true edge and returns
     Ec, w = _PARABOLA
     fail = (Ec + w + 1e-4, Ec + w + 3e-4)
-    log = _plant_parabola(monkeypatch, fail=fail)
-    res = run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
-    assert abs(res.energy - (Ec + w)) < 4e-15
-    assert dict(log)[res.energy] > 0
-    failed = [["NewtonDiverged", E] for E, t in log if t == -math.inf]
+    evaluate, log = _plant_parabola(fail=fail)
+    E, search = _locate(evaluate, "upper")
+    assert abs(E - (Ec + w)) < 4e-15
+    assert dict(log)[E] > 0
+    failed = [["NewtonDiverged", e] for e, t in log if t == -math.inf]
     assert failed == [["NewtonDiverged", log[5][0]]] and len(log) == 15
-    E_out = min(e for e, t in log if e > res.energy)
+    E_out = min(e for e, t in log if e > E)
     assert log[6][0] == 0.5 * (log[4][0] + log[5][0])  # bisection after the failure
-    assert res.edge_search == {"evaluations": len(log), "failures": failed,
-                               "bracket": [res.energy, E_out]}
-    assert res.as_dict()["edge_search"] == res.edge_search
+    assert search == {"evaluations": len(log), "failures": failed, "bracket": [E, E_out]}
+
+
+def test_edge_search_stops_bracketing_at_step_40():
+    # a gap reaching 50 steps above _E0: the jumps reach step 40 still inside,
+    # and the search raises there, each step evaluated once, with its record
+    evaluate, log = _plant_gap(gap=(_GAP[0], _E0 + 50 * _STEP))
+    search = {"evaluations": 0, "failures": []}
+    with pytest.raises(NonConvergence, match=r"could not bracket the upper edge") as info:
+        _locate(evaluate, "upper", search)
+    energies = [E for E, _ in log]
+    assert len(set(energies)) == len(energies) and all(t > 0 for _, t in log)
+    assert str(info.value).endswith(f"from E = {energies[-1]}")
+    assert abs(energies[-1] - (_E0 + 40 * _STEP)) < 1e-14
+    assert search == {"evaluations": len(log), "failures": []}
 
 
 def test_edge_search_without_a_gap_interior_is_target_not_locked(monkeypatch):
@@ -921,15 +966,16 @@ def test_edge_search_without_a_gap_interior_is_target_not_locked(monkeypatch):
 def test_edge_search_refuses_a_guess_outside_the_gap_or_failing(monkeypatch):
     # a planted gap above the free-cocycle guess: _E0 reads t <= 0, and the
     # search refuses after that one reduction instead of scanning for the gap
-    gap = (_E0 + 0.01, _E0 + 0.05)
-    log = _plant_gap(monkeypatch, gap=gap)
+    evaluate, log = _plant_gap(gap=(_E0 + 0.01, _E0 + 0.05))
+    monkeypatch.setattr(kam, "_reduce_at_energy", _planted_reductions(evaluate))
     with pytest.raises(TargetNotLocked, match=r"reads t = -1\.000e-02; the search starts") as info:
         run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
     assert [E for E, _ in log] == [_E0]
     assert info.value.edge_search == {"evaluations": 1, "failures": []}
     # a failing reduction at the guess is refused the same way and recorded,
     # its energy a plain float in the record and in the message
-    log = _plant_gap(monkeypatch, fail=(_E0 - 1e-3, _E0 + 1e-3))
+    evaluate, log = _plant_gap(fail=(_E0 - 1e-3, _E0 + 1e-3))
+    monkeypatch.setattr(kam, "_reduce_at_energy", _planted_reductions(evaluate))
     with pytest.raises(TargetNotLocked, match=r"reads t = -inf; the search starts") as info:
         run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
     assert log == [(_E0, -math.inf)]
@@ -939,19 +985,19 @@ def test_edge_search_refuses_a_guess_outside_the_gap_or_failing(monkeypatch):
 
 
 @pytest.mark.parametrize("edge", ["upper", "lower"])
-def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
+def test_edge_search_jumps_to_the_linear_scan_bracket(edge):
     Ec, w = _PARABOLA
-    log = _plant_parabola(monkeypatch)
-    res = run_reducibility(None, [GOLD], {"label": 1, "edge": edge}, params=_params())
-    search, energies = res.edge_search, [E for E, _ in log]
+    evaluate, log = _plant_parabola()
+    E, search = _locate(evaluate, edge)
+    energies = [e for e, _ in log]
     assert search == {"evaluations": len(log), "failures": [], "bracket": search["bracket"]}
     # one quantum of the indicator spans 2**-52 / 2w = 1.9e-15 in E here
-    assert abs(res.energy - (Ec + w if edge == "upper" else Ec - w)) < 4e-15
+    assert abs(E - (Ec + w if edge == "upper" else Ec - w)) < 4e-15
 
     # oracle: the plain outward scan from _E0 by running sums
     steps = [_E0]
     while w * w - (steps[-1] - Ec) ** 2 > 0:
-        steps.append(steps[-1] + (1.0 if edge == "upper" else -1.0) * (0.4 / 64))
+        steps.append(steps[-1] + (1.0 if edge == "upper" else -1.0) * _STEP)
     # the jumps evaluate _E0, steps 1 and 2, then upper 8 (the cap 4j) and 10,
     # or lower 8; the Newton step from there lands short of the scan's first
     # outside step (upper 11, lower 9) and outside the gap, so the bracket
@@ -965,11 +1011,11 @@ def test_edge_search_jumps_to_the_linear_scan_bracket(monkeypatch, edge):
 
 def test_run_reducibility_rejects_final_residual_above_tolerance(monkeypatch):
     # the planted gap's reductions run at another energy than the searched
-    # one, so without certifying at that energy B does not conjugate the
-    # cocycle at the edge, and the run must say so instead of returning; the
-    # error carries the search that found the edge
-    log = _plant_gap(monkeypatch)
-    monkeypatch.setattr(kam, "_finalize", _FINALIZE)
+    # one, so B does not conjugate the cocycle at the edge, and the run must
+    # say so instead of returning; the error carries the search that found
+    # the edge
+    evaluate, log = _plant_gap()
+    monkeypatch.setattr(kam, "_reduce_at_energy", _planted_reductions(evaluate))
     with pytest.raises(NonConvergence, match=r"residual \d\.\d{3}e[+-]\d+ .* exceeds "
                                              r"conj_residual_tol 1\.0e-09") as info:
         run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
@@ -978,11 +1024,30 @@ def test_run_reducibility_rejects_final_residual_above_tolerance(monkeypatch):
     assert abs(search["bracket"][0] - _GAP[1]) < 1e-15
 
 
+def test_edge_target_errors_of_the_final_form_carry_the_search(monkeypatch):
+    # the planted gap's reductions end on a constant that is no SU(1,1)
+    # matrix (its lower-left entry is not conj b), which _finalize refuses
+    # before any residual, with the search that found the edge
+    reduce = _planted_reductions(_plant_gap()[0])
+
+    def off_su11(*args):
+        state, reports = reduce(*args)
+        return dataclasses.replace(state, A=state.A + np.array([[0, 0], [1e-3, 0]])), reports
+
+    monkeypatch.setattr(kam, "_reduce_at_energy", off_su11)
+    with pytest.raises(QpslError, match=r"matrix is not SU\(1,1\)") as info:
+        run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
+    search = info.value.edge_search
+    assert search["failures"] == [] and search["evaluations"] > 1
+    assert abs(search["bracket"][0] - _GAP[1]) < 1e-15
+
+
 def test_edge_of_another_label_is_target_not_locked(monkeypatch):
     # the planted gap's reductions lock to n~ = (2,), another label's
     # resonance: the search finds the edge and then refuses it as label
     # (1,)'s, with its record
-    log = _plant_gap(monkeypatch, n_tilde=(2,))
+    evaluate, log = _plant_gap()
+    monkeypatch.setattr(kam, "_reduce_at_energy", _planted_reductions(evaluate, n_tilde=(2,)))
     with pytest.raises(TargetNotLocked, match=r"upper edge at E = .* locks to n~ = \(2,\), "
                                               r"not to label \(1,\)") as info:
         run_reducibility(None, [GOLD], {"label": 1, "edge": "upper"}, params=_params())
