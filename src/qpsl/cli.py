@@ -196,8 +196,6 @@ def _rotation_runner(V, alpha, iters, samples, seed, workers):
     from multiprocessing import get_context   # not at start-up: no other command needs it
     with get_context("fork").Pool(min(workers, os.cpu_count() or 1)) as pool:
         def chunked(energies):
-            if energies.size < 8:
-                return serial(energies)
             chunks = np.array_split(np.arange(energies.size), workers)
             jobs = [(V, alpha, energies[idx], iters, samples, seed) for idx in chunks if idx.size]
             parts = pool.starmap(_rotation_job, jobs)

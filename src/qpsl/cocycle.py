@@ -179,7 +179,7 @@ def parabolic_normalize(A, tol=1e-8):
     return ParabolicForm(phi=phi, zeta=zeta, residual=residual)
 
 
-def diagonalize_su11(A, tol=1e-9):
+def diagonalize_su11(A):
     """P in SU(1,1) with P A P^{-1} = diag(e^{i rho}, e^{-i rho}), rho in radians.
 
     Requires A elliptic (|Re a| < 1).  Returns (P, rho) where rho in (0, 2*pi)
@@ -193,7 +193,7 @@ def diagonalize_su11(A, tol=1e-9):
     for k in (0, 1):
         v = vecs[:, k]
         jn = abs(v[0]) ** 2 - abs(v[1]) ** 2
-        if jn > tol * 1e-3:
+        if jn > 1e-9 * 1e-3:      # the J-norm floor (the product rounds above 1e-12)
             u = v / math.sqrt(jn)
             p, q = u[0], np.conj(u[1])
             Pinv = np.array([[p, q], [np.conj(q), np.conj(p)]], complex)

@@ -44,20 +44,14 @@ __all__ = [
 
 
 def sup_norm(n):
-    """Sup norm of a lattice vector given as an int or tuple of ints."""
-    if isinstance(n, int):
-        return abs(n)
+    """Sup norm of a lattice vector given as a tuple of ints."""
     return max(abs(int(c)) for c in n)
 
 
 def mpf_to_fraction(x):
     """Exact Fraction value of an mpmath float, at whatever precision it
     carries (``mpmath.mpf(x)`` would round it to the working precision)."""
-    if not isinstance(x, mpmath.mpf):
-        x = mpmath.mpf(x)
     sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
     return Fraction((-1) ** sign * man) * Fraction(2) ** exp
 
 
@@ -100,9 +94,6 @@ def dist_to_integers(x):
     if isinstance(x, Fraction):
         frac = x - math.floor(x)
         return min(frac, 1 - frac)
-    if isinstance(x, mpmath.mpf):
-        frac = x - mpmath.floor(x)
-        return float(min(frac, 1 - frac))
     x = float(x)
     frac = x - math.floor(x)
     return min(frac, 1.0 - frac)
@@ -215,9 +206,7 @@ class FrequencyVector:
         return np.array([float(c) for c in self.components])
 
     def exact_pairing(self, n):
-        """<n, alpha> as an exact Fraction of the declared midpoints."""
-        if isinstance(n, int):
-            n = (n,)
+        """<n, alpha> as an exact Fraction of the declared midpoints, n a tuple."""
         return sum((int(ni) * ci for ni, ci in zip(n, self.components)), Fraction(0))
 
     def cf(self, depth, component=0):

@@ -31,10 +31,6 @@ class ScheduleTooShort(QpslError):
     pass
 
 
-class DegenerateExponent(QpslError):
-    pass
-
-
 class DomainMismatch(QpslError):
     pass
 

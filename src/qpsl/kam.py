@@ -160,10 +160,9 @@ class Su11Series:
     def sample(self, pts):
         return su11_element(self.u.sample(pts).real, self.w.sample(pts))
 
-    def on_grid(self, G, shift=None):
-        """Values on grid_points(d, G), or on that grid moved by 2 pi shift."""
-        S = self if shift is None else Su11Series(self.u.shift(shift), self.w.shift(shift))
-        uu, ww = grid_values(S.blocks(), G, self.d)
+    def on_grid(self, G):
+        """Values on grid_points(d, G)."""
+        uu, ww = grid_values(self.blocks(), G, self.d)
         return su11_element(uu.real, ww)
 
     def prune(self, tol):
@@ -188,20 +187,21 @@ class Su11Series:
         return Su11Series(self.u.copy(), shift_sum(self.w, [delta], [1.0]))
 
 
-def _su11_spectra(values, d, max_degree, K=None, prune_tol=1e-16):
+def _su11_spectra(values, d, max_degree, K=None):
     """Stacked samples (u (real), w) on the standard grid -> the stacked
-    centred (u, w) blocks of :func:`grid_spectra`, u projected onto
-    real-valued functions (Hermitian coefficients), and the dropped masses."""
+    centred (u, w) blocks of :func:`grid_spectra`, modes of norm <= 1e-16
+    pruned, u projected onto real-valued functions (Hermitian coefficients),
+    and the dropped masses."""
     blocks, dropped = grid_spectra(values, d, max_degree=max_degree,
-                                   prune_tol=prune_tol, K=K)
+                                   prune_tol=1e-16, K=K)
     blocks[0] = (blocks[0] + np.conj(np.flip(blocks[0]))) / 2
     return blocks, dropped
 
 
-def su11_series_from_samples(uu, ww, d, max_degree=None, prune_tol=1e-16):
+def su11_series_from_samples(uu, ww, d, max_degree=None):
     """Samples of u (real) and w on the standard grid -> (u, w) series, by
     one forward FFT."""
-    blocks, dropped = _su11_spectra(np.stack([uu, ww]), d, max_degree, prune_tol=prune_tol)
+    blocks, dropped = _su11_spectra(np.stack([uu, ww]), d, max_degree)
     out = Su11Series.from_blocks(d, blocks)
     out.u.dropped_mass, out.w.dropped_mass = dropped
     return out
@@ -634,12 +634,6 @@ def _split_mean(A_base, G: Su11Series, params):
                                             max_degree=params.max_degree)
 
 
-def _exp_pair(Y: Su11Series, params):
-    """The series of e^{Y} and of e^{-Y}, its coefficientwise adjugate."""
-    E = exp_series(Y, params.grid_for(int(Y.degree()) * 2 + 8, Y.d), params.max_degree)
-    return E, E.map_values(_adjugate)
-
-
 def kam_step(state: KamState, params: KamParams):
     """One step of the iteration; returns (new_state, StepReport).
 
@@ -712,20 +706,22 @@ def kam_step(state: KamState, params: KamParams):
         A_base = np.diag([np.exp(1j * phi_new), np.exp(-1j * phi_new)])
         W = W.ad_constant(P)
     A_next, f_next = _split_mean(A_base, F_star, params)
-    B_step, B_inv = _exp_pair(Y, params)
+    # e^{Y} and e^{-Y}, its coefficientwise adjugate
+    B_step = exp_series(Y, params.grid_for(int(Y.degree()) * 2 + 8, d), params.max_degree)
+    B_inv = B_step.map_values(_adjugate)
     dropped = drop0 + rep["dropped_mass"] + B_step.dropped_mass
     W_next = _ad_series(B_step, B_inv, W, params)
     extra = {"y_norm": Y.norm(h)}
     if nr:  # |Y|_h against 2 |F~|_h / eta
         extra["y_bound_monitor"] = extra["y_norm"] <= 2.0 * norm_before / DIVISOR_FLOOR + 1e-12
-    else:  # B_step = Q e^Y P, each product's truncation counted
+    else:  # B_step = Q e^Y P and B_inv = P^-1 e^-Y Q^-1, each product's truncation counted
         md = params.max_degree
         inner = multiply(B_step, FourierSeries.constant(d, P), max_degree=md)
         B_step = multiply(_q_series(site, d), inner, max_degree=md)
-        dropped += inner.dropped_mass + B_step.dropped_mass
-        B_inv = multiply(FourierSeries.constant(d, np.linalg.inv(P)),
-                         multiply(B_inv, _q_series(site, d, inverse=True), max_degree=md),
-                         max_degree=md)
+        inner_inv = multiply(B_inv, _q_series(site, d, inverse=True), max_degree=md)
+        B_inv = multiply(FourierSeries.constant(d, np.linalg.inv(P)), inner_inv, max_degree=md)
+        dropped += (inner.dropped_mass + B_step.dropped_mass
+                    + inner_inv.dropped_mass + B_inv.dropped_mass)
         W_next = W_next.shift_w(back)
         n_tilde_next = tuple(a + b for a, b in zip(n_tilde_next, site))
         extra["rotation_shift"] = float(np.dot(site, alpha)) / 2
@@ -753,6 +749,7 @@ def kam_step(state: KamState, params: KamParams):
             f"{params.conj_residual_tol:.1e}")
 
     Dinv_next = multiply(state.Dinv, B_inv, max_degree=2 * params.max_degree)
+    dropped += Dinv_next.dropped_mass
 
     f_next.prune(1e-18)
     diag = compute_diagnostics(W_next, n_tilde_next, params.width(j + 1))

@@ -28,7 +28,7 @@ from .diophantine import (
     resonant_denominator,
     sup_norm,
 )
-from .errors import DegenerateExponent, PrecisionExhausted, QpslError, ScheduleTooShort
+from .errors import PrecisionExhausted, QpslError, ScheduleTooShort
 
 __all__ = [
     "GrowthSchedule",
@@ -54,9 +54,7 @@ def ell_star(k, gamma, tau, s, a_norm):
         raise QpslError("ell_star inputs must be positive (k >= 0)")
     if not 0 < s < 1:
         raise QpslError("ell_star requires s in (0,1)")
-    denom = 3 - 2 * s - s * s
-    if denom <= 0:
-        raise DegenerateExponent(f"3 - 2s - s^2 = {denom} <= 0")
+    denom = 3 - 2 * s - s * s     # (1 - s)(3 + s) > 0 for s in (0, 1)
     logs = [
         (2.5 / tau) * math.log(2 * a_norm),
         (1.0 / s) * math.log(2 * k / 5) if k > 0 else -math.inf,

@@ -32,8 +32,8 @@ from .fourier import FourierSeries, key_grid, multiply, shift_phases
 from .kam import ReducibilityResult
 
 __all__ = [
-    "EdgeData", "ProbeResult",
-    "edge_data_from_reduction", "perturbation_matrix", "averaged_matrix",
+    "EdgeData",
+    "edge_data_from_reduction", "perturbation_matrix",
     "discriminant", "poly_bounds_check", "AveragingStep", "averaging_step",
     "certify_probe", "uh_probe", "probe_gap_edge", "bracket_gap", "d_tau_constant",
 ]
@@ -122,14 +122,6 @@ def perturbation_matrix(B: FourierSeries, zeta):
     block = np.stack([b - zeta * a, -zeta * b + c, -a, -b], axis=-1)
     return FourierSeries.from_block(B.d, block.reshape(a.shape + (2, 2)),
                                     halved=B.halved, kind="matrix")
-
-
-def averaged_matrix(edge: EdgeData):
-    """c1 = [[A12 - zeta A11/2, -zeta A12 + A22], [-A11, -A12 + zeta A11/2]]
-    (trace zero exactly): the traceless part of the mean of P."""
-    A11, A12, A22, zeta = edge.A11, edge.A12, edge.A22, edge.zeta
-    return np.array([[A12 - zeta * A11 / 2.0, -zeta * A12 + A22],
-                     [-A11, -A12 + zeta * A11 / 2.0]])
 
 
 def discriminant(edge: EdgeData, delta):
@@ -238,17 +230,6 @@ def certify_probe(step: AveragingStep, zeta, s, residual):
     return (verdict if margin > 1.0 else "inconclusive"), float(margin), float(bound)
 
 
-@dataclass
-class ProbeResult:
-    verdict: str                  # 'hyperbolic' | 'not' | 'inconclusive'
-    d_delta: float
-    conjugation_residual: float
-    margin: float                 # the certificate's; above 1 it decided
-    # 'certificate' | 'uh_test': the certificate's "not" says outside this
-    # gap (the lock of label n~), uh_test's not uniformly hyperbolic
-    decided_by: str
-
-
 def uh_probe(edge: EdgeData, V, delta):
     """:func:`uh_test`'s verdict at the probe energy delta inward from the
     edge, on the full cocycle (V, edge.alpha) on a 192-point grid."""
@@ -265,11 +246,13 @@ def probe_gap_edge(edge: EdgeData, V, delta, step=None):
     """Probe the energy delta inward from the edge (a right edge, zeta > 0,
     probes downward) and decide hyperbolicity of the cocycle (V, edge.alpha).
 
-    The verdict is :func:`certify_probe`'s, from the edge's averaging
-    ``step`` (made here when not given) and the conjugation residual of B at
-    8 seeded random points; its "not" means outside this gap.  When the
-    certificate is inconclusive, :func:`uh_probe` decides, whose "not" means
-    not uniformly hyperbolic; an inconclusive test stays "inconclusive".
+    Returns probe.json's record {verdict, d, residual, margin, decided_by}:
+    the verdict is :func:`certify_probe`'s (decided_by 'certificate'), from
+    the edge's averaging ``step`` (made here when not given) and the
+    conjugation residual of B at 8 seeded random points; its "not" means
+    outside this gap.  When the certificate is inconclusive, :func:`uh_probe`
+    decides ('uh_test'), whose "not" means not uniformly hyperbolic; an
+    inconclusive test stays "inconclusive".  d is the probe's own d(s).
     """
     if not 0 < delta < 1:
         raise QpslError("delta must lie in (0,1)")
@@ -284,8 +267,8 @@ def probe_gap_edge(edge: EdgeData, V, delta, step=None):
     decided_by = "certificate"
     if verdict == "inconclusive":
         verdict, decided_by = uh_probe(edge, V, delta), "uh_test"
-    return ProbeResult(verdict=verdict, d_delta=discriminant(edge, s),
-                       conjugation_residual=residual, margin=margin, decided_by=decided_by)
+    return {"verdict": verdict, "d": discriminant(edge, s), "margin": margin,
+            "decided_by": decided_by, "residual": residual}
 
 
 def bracket_gap(edge: EdgeData, V, probe=True):
@@ -306,9 +289,7 @@ def bracket_gap(edge: EdgeData, V, probe=True):
     if probe and z < 1.0:
         step = averaging_step(edge)
         for name, delta in zip(("delta2", "delta1"), out["bracket"]):
-            p = probe_gap_edge(edge, V, delta, step)
-            out[name] = {"verdict": p.verdict, "d": p.d_delta, "margin": p.margin,
-                         "decided_by": p.decided_by, "residual": p.conjugation_residual}
+            out[name] = probe_gap_edge(edge, V, delta, step)
         out["bracket_consistent"] = (out["delta2"]["verdict"] == "hyperbolic"
                                      and out["delta1"]["verdict"] != "hyperbolic")
     return out

@@ -42,7 +42,6 @@ from qpsl.moser_poschel import (
     discriminant,
     edge_data_from_reduction,
     perturbation_matrix,
-    averaged_matrix,
 )
 from qpsl.spectrum import detect_gaps, gap_bounds_check, ids_curve, rotation_curve
 from test_kam import _removal_residual
@@ -297,6 +296,7 @@ def test_criterion_10_moser_poschel_closed_forms():
     rng = np.random.default_rng(10)
     # d(delta) cross-identity on 100 random inputs
     from tests.test_moser_poschel import (
+        _averaged_matrix,
         _discriminant_crosscheck,
         _edge_from_series,
         _random_real_sl2_series,
@@ -316,7 +316,7 @@ def test_criterion_10_moser_poschel_closed_forms():
     P = perturbation_matrix(I, zeta)
     assert np.allclose(P.eval([0.4]), [[-zeta, 0.0], [-1.0, 0.0]], atol=1e-15)
     edge_I = _edge_from_series(I, zeta)
-    c1 = averaged_matrix(edge_I)
+    c1 = _averaged_matrix(edge_I)
     assert np.allclose(c1, [[-zeta / 2, 0.0], [-1.0, zeta / 2]], atol=1e-15)
     assert discriminant(edge_I, delta=0.01) == pytest.approx(-0.003)
 

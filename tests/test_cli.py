@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -61,6 +62,12 @@ def test_build_and_verify_set(tmp_path, capsys):
     assert "config_hash" in rep
 
 
+def test_build_set_without_out_writes_the_set_to_stdout(capsys):
+    assert run_cli(["build-set", "--alpha", golden_mean(80), "--M", "10", "--s", "0.9",
+                    "--depth", "6", "--count", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"][0]["label"] == ["16"]
+
+
 def test_build_set_floor_from_k_exponent_and_verify_set_checks_it(tmp_path):
     # --k-exponent records ell_star(k, gamma, tau, s, ||A||) as the schedule's
     # floor; verify-set fails a set with a label below it
@@ -92,6 +99,17 @@ def test_rotation_csv_deterministic(tmp_path):
     head = out1.read_text().splitlines()
     assert head[0].startswith("# schema=qpsl.rotation.v1 config_hash=")
     assert head[1] == "E,rho,dispersion"
+
+
+def test_rotation_without_a_potential_is_the_free_operator(tmp_path):
+    out = tmp_path / "free.csv"
+    assert run_cli(["rotation", "--alpha", GOLDEN, "--emin", "-1.0", "--emax", "1.0",
+                    "--grid", "5", "--iters", "2000", "--samples", "2",
+                    "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    free = rotation_curve(None, [float(GOLDEN)], np.linspace(-1.0, 1.0, 5), iters=2000,
+                          samples=2)
+    assert [float(row[1]) for row in rows] == free.rho.tolist()
 
 
 def test_ids_csv(tmp_path):
@@ -128,6 +146,14 @@ def test_gaps_config_labels_as_a_list(tmp_path):
     assert run_cli(base + ["--config", str(cfg), "--out", str(tmp_path / "list.csv")]) == 0
     assert run_cli(base + ["--labels", "1,2", "--out", str(tmp_path / "flag.csv")]) == 0
     assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
+def test_gaps_labels_default_to_1_2_3(tmp_path):
+    base = ["gaps", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
+            "--grid", "41", "--iters", "4000"]
+    assert run_cli(base + ["--out", str(tmp_path / "default.csv")]) == 0
+    assert run_cli(base + ["--labels", "1,2,3", "--out", str(tmp_path / "flag.csv")]) == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -329,9 +355,14 @@ ROTATION = ["rotation", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
     (["ids"] + ROTATION[1:-2] + ["--phases", "0"], None),
     (["kam", "--set", "{set}", "--label-index", "5"], None),
     (["kam", "--set", "{set}", "--label-index", "-1"], None),
+    (["build-set"], None),
+    (ROTATION[:3] + ROTATION[5:], None),
+    (["rotation", "--preset", "maryland"] + ROTATION[3:], None),
+    (["potential"], None),
 ], ids=["missing-set", "text-set", "missing-result", "non-kam-result", "binary-config",
         "list-config", "labels", "no-labels", "config-labels", "targets", "threads", "grid", "iters", "samples", "phases",
-        "label-index-past-end", "label-index-negative"])
+        "label-index-past-end", "label-index-negative", "no-frequency", "amo-without-lambda",
+        "unknown-preset", "no-potential"])
 def test_invalid_input_exits_config_invalid(argv, threads, tmp_path, capsys, monkeypatch,
                                             criterion11_kam):
     # unreadable or malformed files and flag values exit 1 with ConfigInvalid,
@@ -362,6 +393,24 @@ def test_report_from_config(tmp_path):
     assert stages["kam"]["energy"] == pytest.approx(1.8806000220263146, rel=0, abs=1e-12)
     assert stages["kam"]["zeta"] == pytest.approx(0.005738461448592442, rel=1e-9)
     assert stages["bracket"]["delta2"] is None
+
+
+def test_report_requires_a_config(capsys):
+    assert run_cli(["report"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigInvalid",
+                                                    "message": "report requires --config"}
+
+
+def test_report_stops_at_a_failing_stage_with_its_exit_code(tmp_path, capsys):
+    # three labels at spacing 2 need level 4 of a depth-2 schedule: build-set
+    # exits 2 and report with it, before any other stage runs
+    cfg = {"frequency": {"components": [golden_mean(80)]},
+           "schedule": {"M": 10, "s": 0.9, "depth": 2, "count": 3}, "out_dir": str(tmp_path)}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["report", "--config", str(cfg_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ScheduleTooShort"
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_report_runs_the_stage_subcommands(tmp_path, criterion11_kam):
@@ -555,6 +604,17 @@ def test_gaps_refine_workers_deterministic(tmp_path):
                        [1, 2], tol=4e-3, rho_fn=rho_fn, refine_bisections=14)
     assert [(row[0], float(row[1]), float(row[2])) for row in rows] == [
         (str(g.label[0]), g.E_minus, g.E_plus) for g in want]
+
+
+def test_module_as_main_exits_with_the_code_main_returns(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["qpsl", "cf", "--alpha", "1.5"])
+    with warnings.catch_warnings():
+        # qpsl.cli is imported already; runpy warns before running it afresh
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("qpsl.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NotInUnitInterval"
 
 
 def test_console_entry_point():

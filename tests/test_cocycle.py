@@ -182,6 +182,9 @@ def test_parabolic_normalize_random_unipotents():
 def test_parabolic_normalize_rejects_elliptic():
     with pytest.raises(NotUnipotent):
         parabolic_normalize(to_su11(rotation_matrix(0.2)))
+    # SU(1,1) to 1e-6 and unipotent, but M A M^{-1} has an imaginary part
+    with pytest.raises(QpslError, match="conjugated matrix is not real"):
+        parabolic_normalize(np.diag([1.0, 1.0 + 1e-7j]))
 
 
 def test_diagonalize_su11():
@@ -217,6 +220,13 @@ def test_diagonalize_identity_like():
 def test_diagonalize_rejects_hyperbolic():
     with pytest.raises(NotElliptic):
         diagonalize_su11(to_su11(np.diag([2.0, 0.5])))
+    # |Re a| < 1 but not in SU(1,1): the eigenframe does not diagonalize it
+    # to diag(e^{i rho}, e^{-i rho}) (det 0.15)
+    with pytest.raises(NotElliptic, match=r"diagonalization residual 7\.000e-01"):
+        diagonalize_su11(np.diag([0.5, 0.3]))
+    # a rotation in SL(2, R) form: both eigenvectors (1, +-i) have J-norm 0
+    with pytest.raises(NotElliptic, match="no eigenvector with positive J-norm"):
+        diagonalize_su11(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def _schrodinger(V, E, pts):
@@ -359,6 +369,11 @@ def test_uh_test_overflowing_horizon_raises_nonconvergence():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonConvergence, match="horizon 1099"):
             uh_test(amo_potential(0.5), [GOLD], 3.5, horizon=1099, grid=64)
+
+
+def test_uh_test_rejects_a_horizon_below_one():
+    with pytest.raises(QpslError, match="uh_test takes horizons >= 1, not 0"):
+        uh_test(amo_potential(0.5), [GOLD], 2.5, horizon=0)
 
 
 def _einsum_operands(pattern, m, kinds, rng):

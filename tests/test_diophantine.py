@@ -8,6 +8,8 @@ import mpmath
 import pytest
 
 from qpsl.diophantine import (
+    ContinuedFraction,
+    FrequencyVector,
     cf_expand,
     dc_check,
     dist_to_integers,
@@ -16,7 +18,7 @@ from qpsl.diophantine import (
     resonant_denominator,
     sqrt2_minus_1,
 )
-from qpsl.errors import ExpansionTooShallow, NotInUnitInterval, PrecisionExhausted
+from qpsl.errors import ExpansionTooShallow, NotInUnitInterval, PrecisionExhausted, QpslError
 
 GOLDEN = golden_mean(60)
 
@@ -85,6 +87,10 @@ def test_not_in_unit_interval():
         cf_expand(1.5, depth=3)
     with pytest.raises(NotInUnitInterval):
         cf_expand("0.0", depth=3)
+    with pytest.raises(NotInUnitInterval, match=r"^component 1\.5 outside \(0,1\)$"):
+        frequency_vector((GOLDEN, "1.5"))
+    with pytest.raises(QpslError, match="depth must be >= 1"):
+        cf_expand(GOLDEN, depth=0)
 
 
 def test_declared_interval_of_each_input_type():
@@ -110,6 +116,11 @@ def test_precision_exhausted_ambiguous():
     with pytest.raises(PrecisionExhausted) as ei:
         cf_expand("0.618", depth=12)
     assert ei.value.reason == "ambiguous"
+    # 1/4 - 2^-52 at 53 bits: the declared interval straddles 1/4, so the
+    # remainder after a_1 = 4 may be zero or negative at its lower end
+    with pytest.raises(PrecisionExhausted, match="precision exhausted before level 2") as ei:
+        cf_expand(mpmath.mpf(0.25) - mpmath.mpf(2) ** -52, depth=3)
+    assert (ei.value.reason, ei.value.level) == ("ambiguous", 2)
 
 
 def test_precision_exhausted_rational():
@@ -152,6 +163,11 @@ def test_dc_check_golden_fails_strict_budget():
     assert not rep.holds
     n = rep.worst_n
     assert rep.worst_value < 1.0 / max(abs(n[0]), 1)
+
+
+def test_dc_check_needs_a_norm_bound_of_at_least_one():
+    with pytest.raises(QpslError, match="max_norm must be >= 1"):
+        dc_check(frequency_vector(GOLDEN), max_norm=0)
 
 
 def test_dc_check_symmetric_under_negation():
@@ -204,6 +220,34 @@ def test_resonant_denominator_too_shallow():
     cf = cf_expand(GOLDEN, depth=8)
     with pytest.raises(ExpansionTooShallow):
         resonant_denominator(cf, 10_000)
+
+
+def test_resonant_denominator_rejects_what_it_cannot_certify():
+    cf = cf_expand(GOLDEN, depth=20)
+    with pytest.raises(QpslError, match=r"^ell must exceed q_1 = 1$"):
+        resonant_denominator(cf, 1)
+    # alpha declared only to +-1e-3: at ell = 100 the candidate q = 178 has
+    # ||q alpha|| within q * 1e-3 of the bound 3/89, so neither side is certain
+    wide = ContinuedFraction(cf.alpha, cf.alpha - Fraction(1, 1000), cf.alpha + Fraction(1, 1000),
+                             cf.partial_quotients, cf.p, cf.q)
+    with pytest.raises(PrecisionExhausted, match="at q=178: interval straddles the bound") as ei:
+        resonant_denominator(wide, 100)
+    assert ei.value.reason == "ambiguous"
+    # convergents that are not alpha's: the one multiple 2 * 89 of the window
+    # [105, 205] has ||178 / 4|| = 1/2, far above 3/89
+    alien = ContinuedFraction(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4),
+                              cf.partial_quotients, cf.p, cf.q)
+    with pytest.raises(QpslError, match=r"^no multiple of q_nj=89 in \[105, 205\]"):
+        resonant_denominator(alien, 100)
+
+
+def test_frequency_vector_without_raw_keeps_its_components():
+    fv = FrequencyVector(("0.25", 0.5, Fraction(1, 3)))
+    assert fv.components == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 3))
+    assert fv.raw == fv.components
+    # so the expansion reads the exact Fraction, not the declared string
+    cf = fv.cf(1)
+    assert cf.alpha_lo == cf.alpha_hi == Fraction(1, 4) and cf.partial_quotients == (4,)
 
 
 def test_frequency_vector_rejects_rational():

@@ -115,6 +115,12 @@ def test_classify_nr_tight_threshold():
     assert cls.case == "NR"
 
 
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_classify_rejects_a_threshold_outside_the_unit_interval(threshold):
+    with pytest.raises(QpslError, match=r"threshold must lie in \(0,1\)"):
+        classify_resonance(0.25, [GOLD], N=10, threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # homological equation
 
@@ -123,6 +129,13 @@ def test_solve_homological_zero():
     Y = solve_homological(np.diag([np.exp(0.4j), np.exp(-0.4j)]),
                           Su11Series.zero(1), [GOLD])
     assert Y.is_zero()
+
+
+def test_solve_homological_rejects_a_nondiagonal_constant():
+    # without sigma, the angle is read off a diagonal A only
+    A = to_su11(np.array([[2 * math.cos(2 * math.pi * 0.15), -1.0], [1.0, 0.0]]))
+    with pytest.raises(QpslError, match="expects a diagonal constant part"):
+        solve_homological(A, Su11Series.zero(1), [GOLD])
 
 
 def test_solve_homological_single_mode_oracle():
@@ -285,7 +298,8 @@ def _stack_remove_nonresonant(A, F, eta, h, alpha, rule, params, grid):
             break
         Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
         E_here = _stack_exp(Y_p.on_grid(grid))
-        inner = mat_product(np.linalg.inv(Ad), _stack_exp(Y_p.on_grid(grid, shift=alpha)), Ad)
+        Y_fwd = Su11Series(Y_p.u.shift(alpha), Y_p.w.shift(alpha))
+        inner = mat_product(np.linalg.inv(Ad), _stack_exp(Y_fwd.on_grid(grid)), Ad)
         g_cur = series(mat_product(inner, _stack_exp(g_cur.on_grid(grid)), _adjugate(E_here)))
         dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
         E_acc = E_here if E_acc is None else mat_product(E_here, E_acc)
@@ -638,8 +652,9 @@ def test_combine_f_and_label_is_the_product_of_both_exponentials():
 
 def test_resonant_step_counts_every_truncation_of_its_conjugator(monkeypatch):
     # criterion 11 at max_degree 32: the one resonant step truncates the
-    # sweeps' logs (1.9e-7), e^Y (6.7e-8) and the product Q (e^Y P) (6.6e-6),
-    # and its dropped_mass counts each of them
+    # sweeps' logs (1.9e-7), e^Y (6.7e-8), the product Q (e^Y P) (6.6e-6) and
+    # the product e^-Y Q^-1 of the inverse (1.2e-5), and its dropped_mass
+    # counts each of them, with P^-1 (e^-Y Q^-1) and D^-1 B_inv (none here)
     freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
     sched = build_schedule(10, 0.9, depth=6)
     ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
@@ -657,12 +672,15 @@ def test_resonant_step_counts_every_truncation_of_its_conjugator(monkeypatch):
     assert [r.case for r in reports] == ["RS"]
     [(_, (_, _, sweeps))] = calls["remove_nonresonant"]
     [(_, e_y)] = calls["exp_series"]
-    inner = next(out for args, out in calls["multiply"] if args[0] is e_y)
-    outer = next(out for args, out in calls["multiply"] if args[1] is inner)
+    # Q (e^Y P), then P^-1 (e^-Y Q^-1), then D^-1 B_inv
+    [(a0, inner), (a1, outer), (_, inner_inv), (a3, outer_inv), (a4, dinv)] = calls["multiply"]
+    assert a0[0] is e_y and a1[1] is inner and a3[1] is inner_inv and a4[1] is outer_inv
     assert sweeps["dropped_mass"] > 0 and e_y.dropped_mass > 0 and outer.dropped_mass > 0
+    assert inner_inv.dropped_mass > 0
     assert reports[0].dropped_mass == pytest.approx(
-        sweeps["dropped_mass"] + e_y.dropped_mass + inner.dropped_mass + outer.dropped_mass,
-        rel=1e-12)
+        sweeps["dropped_mass"] + e_y.dropped_mass + inner.dropped_mass + outer.dropped_mass
+        + inner_inv.dropped_mass + outer_inv.dropped_mass + dinv.dropped_mass, rel=1e-12)
+    assert reports[0].dropped_mass == pytest.approx(1.920e-5, rel=1e-3)
 
 
 def test_kam_step_rejects_a_step_residual_above_tolerance(monkeypatch):
@@ -689,6 +707,15 @@ def test_remove_nonresonant_stall_is_newton_diverged(monkeypatch):
     A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
     F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
     with pytest.raises(NewtonDiverged, match=r"non-resonant norm stalled at .* \(sweep 2\)"):
+        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
+
+
+def test_remove_nonresonant_sweep_cap_is_newton_diverged(monkeypatch):
+    # one sweep leaves a second-order remainder far above the Newton stop
+    monkeypatch.setattr(kam, "NEWTON_MAX_SWEEPS", 1)
+    A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
+    F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
+    with pytest.raises(NewtonDiverged, match="Newton sweep cap reached without contraction"):
         remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
 
 
@@ -753,6 +780,11 @@ def test_run_reducibility_free_cocycle_edge():
     assert res.zeta < 0  # bottom edge of the upper infinite gap
     assert res.label == (0,)
     assert res.edge_search is None and res.as_dict()["edge_search"] is None
+
+
+def test_run_reducibility_rejects_a_target_without_energy_or_label():
+    with pytest.raises(QpslError, match="target must contain 'energy', 'label' or 'label_index'"):
+        run_reducibility(None, [GOLD], {"edge": "upper"}, params=_params())
 
 
 def test_run_reducibility_free_cocycle_lower_edge_sign():

@@ -10,6 +10,7 @@ from qpsl.diophantine import (frequency_vector, golden_mean, mpf_to_fraction,
                               sqrt2_minus_1, sup_norm)
 from qpsl.errors import PrecisionExhausted, QpslError, ScheduleTooShort
 from qpsl.label_set import (
+    GrowthSchedule,
     LabelEntry,
     LabelSet,
     build_schedule,
@@ -76,11 +77,38 @@ def test_ell_star_small_k_dominated_by_fourth_term():
     assert val == pytest.approx(fourth, rel=1e-9)
 
 
+def test_ell_star_rejects_inputs_outside_its_domain():
+    for kw in ({"k": -1}, {"gamma": 0.0}, {"tau": 0.0}, {"a_norm": 0.0}):
+        with pytest.raises(QpslError, match=r"inputs must be positive \(k >= 0\)"):
+            ell_star(**{"k": 1, "gamma": 1.0, "tau": 1.0, "s": 0.9, "a_norm": 0.5, **kw})
+    for s in (0.0, 1.0):
+        with pytest.raises(QpslError, match=r"requires s in \(0,1\)"):
+            ell_star(k=1, gamma=1.0, tau=1.0, s=s, a_norm=0.5)
+    # 3 - 2s - s^2 = (1 - s)(3 + s) stays positive up to s = 1: the fourth
+    # term's exponent only grows (past float range just below 1)
+    assert ell_star(k=1, gamma=1.0, tau=1.0, s=1 - 1e-15, a_norm=0.5) == math.inf
+
+
 def test_build_schedule_levels():
     sched = build_schedule(1000, 0.9, depth=3)
     assert sched.level_float(0) == pytest.approx(1000.0)
     assert sched.level_float(1) == pytest.approx(1000.0 ** 1.9, rel=1e-12)
     assert sched.check_ratio_identity()
+    with pytest.raises(QpslError, match="level index must be >= 0"):
+        sched.level(-1)
+
+
+def test_ratio_identity_detects_a_wrong_level(monkeypatch):
+    # a level 2 off by one part in 10^10 breaks ell_2 = ell_1^(1+s) at 1e-12
+    sched = build_schedule(1000, 0.9, depth=3)
+    real = GrowthSchedule._power
+
+    def off(self, j, dps):
+        value = real(self, j, dps)
+        return value * (1 + mpmath.mpf(10) ** -10) if j == 2 else value
+    monkeypatch.setattr(GrowthSchedule, "_power", off)
+    assert not sched.check_ratio_identity()
+    assert sched.check_ratio_identity(rtol=1e-9)
 
 
 def _oracle_level(sched, j):
@@ -178,6 +206,15 @@ def test_build_schedule_relaxations_read_the_same_for_int_and_float():
 def test_build_schedule_strict_rejects_small_M():
     with pytest.raises(QpslError):
         build_schedule(10, 0.9, depth=3, strict=True)
+
+
+def test_build_schedule_rejects_invalid_and_strict_out_of_regime_inputs():
+    for M, s, depth in ((1, 0.9, 3), (10, -0.1, 3), (10, 1.0, 3), (10, 0.9, 0)):
+        with pytest.raises(QpslError, match=r"^need M > 1, s in \[0,1\), depth >= 1$"):
+            build_schedule(M, s, depth)
+    with pytest.raises(QpslError, match=r"^strict schedule rejects s = 0\.5 outside \(4/5, 1\)$"):
+        build_schedule(2000, 0.5, depth=3, strict=True)
+    assert build_schedule(2000, 0.5, depth=3).relaxations == ("s = 0.5 outside (4/5, 1)",)
 
 
 def test_construct_strict_refuses_a_first_level_below_ell_star():
@@ -291,6 +328,30 @@ def test_schedule_too_short():
     sched = build_schedule(100, 0.9, depth=3)
     with pytest.raises(ScheduleTooShort):
         construct_label_set(alpha, sched, j1=0, spacing=2, count=4)
+
+
+def test_construct_and_enumerate_reject_a_bad_spacing_or_count():
+    alpha, sched = _alpha1(), build_schedule(100, 0.9, depth=10)
+    with pytest.raises(QpslError, match="spacing must be >= 2"):
+        construct_label_set(alpha, sched, j1=0, spacing=1, count=2)
+    with pytest.raises(QpslError, match="count must be >= 1"):
+        construct_label_set(alpha, sched, j1=0, spacing=2, count=0)
+    for d, count in ((0, 1), (1, 0)):
+        with pytest.raises(QpslError, match="need d >= 1 and count >= 1"):
+            lex_enumerate(d, count)
+
+
+def test_verify_needs_entries_and_a_schedule_and_flags_a_level_past_its_depth():
+    alpha = _alpha1()
+    with pytest.raises(QpslError, match="label set is empty"):
+        verify_label_set(LabelSet(d=1, entries=[], frequency=alpha))
+    with pytest.raises(QpslError, match="no schedule supplied"):
+        verify_label_set(LabelSet.from_labels([(178,)], alpha))
+    # the entry claims level 7 of a depth-6 schedule: no window to check it in
+    sched = build_schedule(100, 0.9, depth=6)
+    rep = verify_label_set(LabelSet.from_labels([(178,)], alpha, levels=[7]), sched)
+    assert not rep.window_ok and not rep.passed
+    assert rep.violations == [("window-level", 0, 7)]
 
 
 def test_construction_deterministic():

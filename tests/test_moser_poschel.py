@@ -13,11 +13,10 @@ from qpsl.cocycle import UhReport, rotation_number, uh_test
 from qpsl.diophantine import frequency_vector, golden_mean
 from qpsl.errors import QpslError
 from qpsl.fourier import FourierSeries, Potential, build_potential
-from qpsl.kam import KamParams, run_reducibility
+from qpsl.kam import KamParams, ReducibilityResult, run_reducibility
 from qpsl.label_set import build_schedule, construct_label_set
 from qpsl.moser_poschel import (
     EdgeData,
-    averaged_matrix,
     averaging_step,
     bracket_gap,
     certify_probe,
@@ -62,11 +61,17 @@ def _edge_from_series(B, zeta, energy=0.0, alpha=(GOLD,)):
                     A11=A11, A12=A12, A22=A22, k0=1, b_norm_k0=B.ck_norm_estimate(1))
 
 
+def _averaged_matrix(edge: EdgeData):
+    """c1, the traceless part of the averaging step's mean [P]."""
+    mean = averaging_step(edge).mean
+    return mean - 0.5 * np.trace(mean) * np.eye(2)
+
+
 def _discriminant_crosscheck(edge: EdgeData, delta):
     """|d(delta) - det(c0 - delta c1) - delta^2 zeta^2 A11^2 / 4|, which is
     zero in exact arithmetic."""
     c0 = np.array([[0.0, edge.zeta], [0.0, 0.0]])
-    det = np.linalg.det(c0 - delta * averaged_matrix(edge))
+    det = np.linalg.det(c0 - delta * _averaged_matrix(edge))
     d_val = discriminant(edge, delta)
     return abs(d_val - det - 0.25 * delta ** 2 * edge.zeta ** 2 * edge.A11 ** 2)
 
@@ -90,7 +95,7 @@ def test_perturbation_trace_pointwise():
 
 
 def test_averaged_matrix_identity_B():
-    c1 = averaged_matrix(_edge_from_series(_identity_series(), 0.3))
+    c1 = _averaged_matrix(_edge_from_series(_identity_series(), 0.3))
     assert np.allclose(c1, [[-0.15, 0.0], [-1.0, 0.15]])
 
 
@@ -100,7 +105,7 @@ def test_averaged_matrix_traceless_and_mean_consistency():
         B = _random_real_sl2_series(rng)
         zeta = float(rng.uniform(0.01, 0.5))
         edge = _edge_from_series(B, zeta)
-        c1 = averaged_matrix(edge)
+        c1 = _averaged_matrix(edge)
         assert abs(np.trace(c1)) < 1e-14
         # c1 is the traceless part of the mean of P: mean(P) = c1 - (zeta/2) A11 I
         meanP = perturbation_matrix(B, zeta).mean()
@@ -148,6 +153,26 @@ def test_poly_bounds_random_first_bound():
         B = _random_real_sl2_series(rng)
         edge = _edge_from_series(B, 1e-3)
         assert edge.A11 >= (2 * edge.b_norm_k0) ** (-2) - 1e-12
+
+
+def test_probe_scales_outside_their_ranges_are_rejected():
+    edge = _edge_from_series(_identity_series(), 1e-4)
+    for kappa in (0.0, 0.25):
+        with pytest.raises(QpslError, match=r"kappa must lie in \(0, 1/4\)"):
+            poly_bounds_check(edge, kappa)
+    for delta in (0.0, 1.0):
+        with pytest.raises(QpslError, match=r"delta must lie in \(0,1\)"):
+            probe_gap_edge(edge, None, delta)
+
+
+def test_edge_data_rejects_a_complex_average():
+    # B11 = e^{i pi/4}: [B11^2] = i, which no real reducing matrix has
+    B = _identity_series()
+    B[(0,)] = np.diag([np.exp(0.25j * math.pi), np.exp(-0.25j * math.pi)])
+    res = ReducibilityResult(B=B, zeta=0.01, k0=0, conj_residual=0.0, energy=2.0, label=(0,),
+                             reports=[], psl_sign=1, zeta_window={}, b_final=0j, phi=0.0)
+    with pytest.raises(QpslError, match=r"^A11 has imaginary part 1\.000e\+00$"):
+        edge_data_from_reduction(res, [GOLD])
 
 
 def test_constant_probe_matches_trace_criterion():
@@ -201,10 +226,10 @@ def test_probe_identity_on_free_edge():
     assert edge.checks["cauchy_schwarz"]
     assert edge.checks["a11_lower_bound"]
     p = probe_gap_edge(edge, None, delta=0.01)
-    assert p.conjugation_residual < 1e-9
+    assert p["residual"] < 1e-9
     # zeta < 0 at E = 2 (left edge of the upper gap): the probe goes upward,
     # into the gap (2, infinity), where the cocycle is uniformly hyperbolic
-    assert p.verdict == "hyperbolic"
+    assert p["verdict"] == "hyperbolic"
 
 
 @pytest.mark.parametrize("label, alpha", [((43,), (GOLD,)), ((3, -2), (GOLD, math.sqrt(2) - 1))],
@@ -224,7 +249,7 @@ def test_inconclusive_probe_locked_to_a_label_of_v_stays_inconclusive(monkeypatc
 
     monkeypatch.setattr(moser_poschel, "uh_test", inconclusive)
     p = probe_gap_edge(edge, V, 0.01)
-    assert (p.verdict, p.decided_by, len(calls)) == ("inconclusive", "uh_test", 1)
+    assert (p["verdict"], p["decided_by"], len(calls)) == ("inconclusive", "uh_test", 1)
     assert not hasattr(moser_poschel, "rotation_number")
 
 
@@ -241,11 +266,12 @@ def test_inconclusive_certificate_falls_back_on_uh_test_once(monkeypatch):
 
     monkeypatch.setattr(moser_poschel, "uh_test", counted)
     p = probe_gap_edge(edge, None, 0.01, step)
-    assert (p.verdict, p.decided_by, calls) == ("hyperbolic", "certificate", [])
+    assert (p["verdict"], p["decided_by"], calls) == ("hyperbolic", "certificate", [])
     # a remainder planted too large for the margin: uh_test decides, once
     planted = probe_gap_edge(edge, None, 0.01, dataclasses.replace(step, q2_mass=1e12))
-    assert (planted.verdict, planted.decided_by, len(calls)) == ("hyperbolic", "uh_test", 1)
-    assert planted.margin < 1.0 < p.margin
+    assert (planted["verdict"], planted["decided_by"]) == ("hyperbolic", "uh_test")
+    assert len(calls) == 1
+    assert planted["margin"] < 1.0 < p["margin"]
     # no averaging step when |s| sum |Y_n| >= 1: H = I + s Y may be singular
     assert certify_probe(dataclasses.replace(step, y_mass=1e3), edge.zeta, 0.01, 0.0) == (
         "inconclusive", 0.0, math.inf)
@@ -298,8 +324,8 @@ def test_certificate_verdicts_match_uh_test_and_the_gap_lock(criterion11_edges, 
     for p in (1.1, 1.075, 1.05, 1.025, 1.0, 0.95, 0.9):
         s = math.copysign(abs(edge.zeta) ** p, edge.zeta)
         cert = probe_gap_edge(edge, V, abs(s), step)
-        verdicts[p] = (cert.verdict, cert.decided_by)
-        if cert.decided_by != "certificate":
+        verdicts[p] = (cert["verdict"], cert["decided_by"])
+        if cert["decided_by"] != "certificate":
             continue
         two_rho = 2 * rotation_number(V, edge.alpha, edge.energy - s, iters=20_000,
                                       phase_samples=2)
@@ -307,7 +333,7 @@ def test_certificate_verdicts_match_uh_test_and_the_gap_lock(criterion11_edges, 
         # each verdict is compared with a test of the same property: a
         # "hyperbolic" one with uh_test's, a "not" (outside this gap, not
         # "not uniformly hyperbolic") with the rotation number off the lock
-        if cert.verdict == "hyperbolic":
+        if cert["verdict"] == "hyperbolic":
             assert uh_probe(edge, V, abs(s)) in ("hyperbolic", "inconclusive"), p
             assert off_lock < 1e-4, p
         else:
@@ -327,5 +353,5 @@ def test_probe_d_is_the_probes_own_discriminant(criterion11_edges):
     p = probe_gap_edge(edge, V, delta2)
     # a left edge (zeta < 0) is probed at E + delta2: the probe's own d is
     # d(-delta2), negative inside the gap, where d(delta2) is positive
-    assert edge.zeta < 0 and p.verdict == "hyperbolic"
-    assert p.d_delta == discriminant(edge, -delta2) < 0 < discriminant(edge, delta2)
+    assert edge.zeta < 0 and p["verdict"] == "hyperbolic"
+    assert p["d"] == discriminant(edge, -delta2) < 0 < discriminant(edge, delta2)

@@ -60,6 +60,13 @@ def test_non_potential_rejected():
         rotation_curve(lambda th: np.cos(th), [GOLD], [0.0, 1.0], iters=100, samples=2)
 
 
+def test_short_truncation_and_unsorted_grid_rejected():
+    with pytest.raises(QpslError, match="N must be >= 10"):
+        finite_ids(amo_potential(0.5), [GOLD], [0.3], 9, 0.0)
+    with pytest.raises(QpslError, match="energy grid must be sorted"):
+        rotation_curve(None, [GOLD], [0.5, 0.1], iters=100, samples=2)
+
+
 def test_ids_curve_monotone():
     P = amo_potential(0.5)
     E = np.linspace(-3, 3, 41)

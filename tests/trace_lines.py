@@ -15,8 +15,9 @@ Per module it prints the executable lines (from the code objects'
 ``co_lines``), the lines the workloads run, the lines only the tests run and
 the lines nothing runs, then the numbers of the lines only the tests run and
 of the lines nothing runs.  A line run at import counts as run by both.
-Child processes (the rotation pool) are not traced.  Standard library only;
-not collected by pytest.
+Child processes (the rotation pool) are not traced.  It exits 1 when a
+workload's check fails, else with pytest's exit code.  Standard library
+only; not collected by pytest.
 """
 
 import contextlib
@@ -145,7 +146,7 @@ def main(argv):
         for name, lines in table.items():
             if lines:
                 print(f"  {name}: {spans(lines)}")
-    return rc
+    return 1 if failures else rc
 
 
 if __name__ == "__main__":
