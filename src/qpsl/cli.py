@@ -95,14 +95,14 @@ def _load_config(args):
     return cfg
 
 
-def _count(value, name):
-    """``value`` as an integer >= 1, else ConfigInvalid naming the setting."""
+def _count(value, name, least=1):
+    """``value`` as an integer >= ``least``, else ConfigInvalid naming the setting."""
     try:
         n = int(value)
     except (TypeError, ValueError):
-        n = 0
-    if n < 1:
-        raise ConfigInvalid(f"{name} must be an integer >= 1, not {value!r}")
+        n = least - 1
+    if n < least:
+        raise ConfigInvalid(f"{name} must be an integer >= {least}, not {value!r}")
     return n
 
 
@@ -216,7 +216,7 @@ def _rotation_job(V, alpha, energies, iters, samples, seed):
 
 
 def cmd_cf(args):
-    alpha, depth = args.alpha, int(args.depth)
+    alpha, depth = args.alpha, _count(args.depth, "depth")
     cf = cf_expand(alpha, depth)
     print("a =", ",".join(str(a) for a in cf.partial_quotients))
     print("q =", ",".join(str(q) for q in cf.q))
@@ -274,7 +274,7 @@ def cmd_potential(args):
     V = _potential_from(cfg, args)
     if V is None:
         raise ConfigInvalid("potential requires --set or --preset")
-    n_samples = int(args.samples)
+    n_samples = _count(args.samples, "samples")
     thetas = [2 * math.pi * i / n_samples for i in range(n_samples)]
     values = V.sample(np.repeat(np.array(thetas)[:, None], V.d, axis=1))
     rows = list(zip(thetas, values.tolist()))
@@ -303,7 +303,7 @@ def cmd_rotation(args):
 
 def cmd_ids(args):
     _, scan, freq, V, energies, run_cfg = _scan(args, -2.5, 2.5, 101)
-    N = int(_opt(args.N, scan, "N", 1000))
+    N = _count(_opt(args.N, scan, "N", 1000), "N", least=10)  # ids_curve's floor
     phases = _count(_opt(args.phases, scan, "phases", 4), "phases")
     curve = ids_curve(V, freq.floats(), energies, N=N, phases=phases, seed=run_cfg["seed"])
     run_cfg.update(N=N, phases=phases,

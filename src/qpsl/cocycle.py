@@ -196,10 +196,9 @@ def diagonalize_su11(A):
         if jn > 1e-9 * 1e-3:      # the J-norm floor (the product rounds above 1e-12)
             u = v / math.sqrt(jn)
             p, q = u[0], np.conj(u[1])
-            Pinv = np.array([[p, q], [np.conj(q), np.conj(p)]], complex)
             P = np.array([[np.conj(p), -q], [-np.conj(q), p]], complex)
             rho = float(np.angle(w[k])) % (2 * math.pi)
-            D = P @ A @ Pinv
+            D = P @ A @ _adjugate(P)
             res = float(np.max(np.abs(D - np.diag([np.exp(1j * rho), np.exp(-1j * rho)]))))
             if res > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
                 raise NotElliptic(f"diagonalization residual {res:.3e}")
@@ -208,8 +207,9 @@ def diagonalize_su11(A):
 
 
 def _adjugate(M):
-    """adj M = [[d, -b], [-c, a]] over the last two axes.  For M = e^{Y} in
-    SU(1,1) this is e^{-Y}, equal to su11_exp(-Y) bit for bit."""
+    """adj M = [[d, -b], [-c, a]] over the last two axes: the inverse of any
+    SU(1,1) matrix, and coefficientwise of an SU(1,1)-valued series.  For
+    M = e^{Y} it is e^{-Y}, equal to su11_exp(-Y) bit for bit."""
     out = np.empty_like(M)
     out[..., 0, 0] = M[..., 1, 1]
     out[..., 1, 1] = M[..., 0, 0]

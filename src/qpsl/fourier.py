@@ -93,7 +93,7 @@ class FourierSeries:
     """Finite frequency -> coefficient map on T^d or 2T^d, stored as one
     centred block (see the module docstring).
 
-    kind is one of 'scalar', 'matrix', 'su11', 'sl2r'; the last three are
+    kind is one of 'scalar', 'matrix', 'sl2r'; the last two are
     matrix-valued.  ``coeffs`` lists the nonzero modes.
     """
 

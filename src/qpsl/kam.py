@@ -5,11 +5,11 @@ a constant elliptic part A_j, a small su(1,1) remainder f_j, and the not yet
 consumed potential modes V_p conjugated along by the accumulated change of
 variables.  One step removes every non-resonant Fourier mode of the current
 perturbation by a quadratically convergent Newton iteration.  Every step
-works in the eigenframe of A_j, where it is diag(e^{2 pi i sigma}, e^{-2 pi i
-sigma}): a non-resonant step conjugates its result back to the frame of A_j,
-while a resonant step stays in the eigenframe and adds the half-period
-rotation that excises the resonant site (it lives on the doubled torus), and
-restarts with a much smaller constant rotation.
+works in the eigenframe of A_j = P^{-1} D P, D = diag(e^{2 pi i sigma}, e^{-2
+pi i sigma}), and conjugates by B = L e^Y P, inverted by its adjugate: L =
+P^{-1} returns a non-resonant step to the frame of A_j, while a resonant
+step's half-period rotation L = Q excises the resonant site (it lives on the
+doubled torus) and restarts with a much smaller constant rotation.
 
 su(1,1)-valued series are stored as a pair of scalar series (u, w) via
 W(theta) = [[i u, w], [conj w, -i u]]; the homological equation is then
@@ -178,7 +178,7 @@ class Su11Series:
         C[..., 0, 1] = w
         C[..., 1, 0] = np.conj(np.flip(w))
         C[..., 1, 1] = -1j * u
-        Cp = P @ C @ np.linalg.inv(P)
+        Cp = P @ C @ _adjugate(P)
         return Su11Series(self.u._like(-1j * Cp[..., 0, 0]), self.w._like(Cp[..., 0, 1]))
 
     def shift_w(self, delta):
@@ -590,12 +590,11 @@ def compute_diagnostics(W: Su11Series, n_tilde, h):
 # one KAM step
 
 
-def _q_series(site, d, inverse=False):
+def _q_series(site, d):
     """Half-period rotation Q(theta) = diag(e^{-i<site,theta>/2}, e^{+i...}),
     a two-coefficient matrix series on the doubled torus."""
-    sgn = 1 if inverse else -1
-    return FourierSeries(d, {tuple(sgn * c for c in site): np.diag([1.0, 0.0]),
-                             tuple(-sgn * c for c in site): np.diag([0.0, 1.0])},
+    return FourierSeries(d, {tuple(-c for c in site): np.diag([1.0, 0.0]),
+                             tuple(site): np.diag([0.0, 1.0])},
                          halved=True, kind="matrix")
 
 
@@ -629,7 +628,7 @@ def _split_mean(A_base, G: Su11Series, params):
     if G.degree() == 0:
         return A_next, Su11Series.zero(d)
     vals = su11_exp(G.on_grid(params.grid_for(int(G.degree()) + 4, d)))
-    P = mat_product(np.linalg.inv(E_mean), vals)
+    P = mat_product(_adjugate(E_mean), vals)
     return A_next, su11_series_from_samples(*_su11_log_pair(P[:, 0, 0], P[:, 0, 1]), d,
                                             max_degree=params.max_degree)
 
@@ -694,36 +693,32 @@ def kam_step(state: KamState, params: KamParams):
     D = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
     Y, F_star, rep = remove_nonresonant(D, F_t.ad_constant(P), DIVISOR_FLOOR, h, alpha,
                                         rule=rule, params=params)
-    W, n_tilde_next = state.W, state.n_tilde
-    if nr:  # back to the frame of A_j
-        Pinv = np.linalg.inv(P)
-        Y, F_star = Y.ad_constant(Pinv), F_star.ad_constant(Pinv).prune(1e-18)
-        A_base = state.A
-    else:  # rotate the resonant site to frequency zero (doubled torus)
-        back = tuple(-c for c in site)
-        F_star = F_star.shift_w(back)
+    # B_step = L e^Y P, and F* and W leave the eigenframe by ``back``: to the
+    # frame of A_j (L = P^-1), or onto the doubled torus with the resonant
+    # site rotated to frequency zero (L = Q)
+    Pinv, W, md = _adjugate(P), state.W.ad_constant(P), params.max_degree
+    if nr:
+        L, A_base, n_tilde_next = FourierSeries.constant(d, Pinv), state.A, state.n_tilde
+        def back(S):
+            return S.ad_constant(Pinv).prune(1e-18)
+    else:
+        L = _q_series(site, d)
+        n_tilde_next = tuple(a + b for a, b in zip(state.n_tilde, site))
         phi_new = theta - math.pi * float(np.dot(site, alpha))
         A_base = np.diag([np.exp(1j * phi_new), np.exp(-1j * phi_new)])
-        W = W.ad_constant(P)
-    A_next, f_next = _split_mean(A_base, F_star, params)
-    # e^{Y} and e^{-Y}, its coefficientwise adjugate
-    B_step = exp_series(Y, params.grid_for(int(Y.degree()) * 2 + 8, d), params.max_degree)
-    B_inv = B_step.map_values(_adjugate)
-    dropped = drop0 + rep["dropped_mass"] + B_step.dropped_mass
-    W_next = _ad_series(B_step, B_inv, W, params)
-    extra = {"y_norm": Y.norm(h)}
-    if nr:  # |Y|_h against 2 |F~|_h / eta
+        def back(S):
+            return S.shift_w(tuple(-c for c in site))
+    A_next, f_next = _split_mean(A_base, back(F_star), params)
+    E_y = exp_series(Y, params.grid_for(int(Y.degree()) * 2 + 8, d), md)
+    W_next = back(_ad_series(E_y, W, params))
+    inner = multiply(E_y, FourierSeries.constant(d, P), max_degree=md)
+    B_step = multiply(L, inner, max_degree=md)
+    dropped = (drop0 + rep["dropped_mass"] + E_y.dropped_mass + inner.dropped_mass
+               + B_step.dropped_mass)
+    extra = {"y_norm": (Y.ad_constant(Pinv) if nr else Y).norm(h)}
+    if nr:  # |Ad(P^-1) Y|_h against 2 |F~|_h / eta
         extra["y_bound_monitor"] = extra["y_norm"] <= 2.0 * norm_before / DIVISOR_FLOOR + 1e-12
-    else:  # B_step = Q e^Y P and B_inv = P^-1 e^-Y Q^-1, each product's truncation counted
-        md = params.max_degree
-        inner = multiply(B_step, FourierSeries.constant(d, P), max_degree=md)
-        B_step = multiply(_q_series(site, d), inner, max_degree=md)
-        inner_inv = multiply(B_inv, _q_series(site, d, inverse=True), max_degree=md)
-        B_inv = multiply(FourierSeries.constant(d, np.linalg.inv(P)), inner_inv, max_degree=md)
-        dropped += (inner.dropped_mass + B_step.dropped_mass
-                    + inner_inv.dropped_mass + B_inv.dropped_mass)
-        W_next = W_next.shift_w(back)
-        n_tilde_next = tuple(a + b for a, b in zip(n_tilde_next, site))
+    else:
         extra["rotation_shift"] = float(np.dot(site, alpha)) / 2
         if labels:
             # tracked off-diagonal source: the site coefficient of the
@@ -733,14 +728,12 @@ def kam_step(state: KamState, params: KamParams):
             extra["b_minus_t_hat"] = abs(complex(A_next[0, 1]) - t_hat)
     extra["sweep_grid"] = rep["grid"]
 
-    # certify the step on random probes of the doubled torus
+    # certify the step on random probes of the doubled torus, B^-1 = adj B
     rng = np.random.default_rng(params.seed + 7 * j + 3)
     pr = rng.uniform(0, 4 * math.pi, size=(PROBE_COUNT, d))
-    step_vec = 2 * math.pi * alpha
-    Bv = B_step.sample(pr + step_vec[None, :])
-    Bv_inv = B_inv.sample(pr)
+    Bv = B_step.sample(np.concatenate([pr + 2 * math.pi * alpha[None, :], pr]))
     mid = mat_product(state.A, su11_exp(F_t.sample(pr)))
-    lhs = mat_product(Bv, mid, Bv_inv)
+    lhs = mat_product(Bv[:len(pr)], mid, _adjugate(Bv[len(pr):]))
     rhs = mat_product(A_next, su11_exp(f_next.sample(pr)))
     residual = float(np.max(np.abs(lhs - rhs)))
     if residual > params.conj_residual_tol:
@@ -748,7 +741,7 @@ def kam_step(state: KamState, params: KamParams):
             f"step {j} conjugacy residual {residual:.3e} exceeds "
             f"{params.conj_residual_tol:.1e}")
 
-    Dinv_next = multiply(state.Dinv, B_inv, max_degree=2 * params.max_degree)
+    Dinv_next = multiply(state.Dinv, B_step.map_values(_adjugate), max_degree=2 * md)
     dropped += Dinv_next.dropped_mass
 
     f_next.prune(1e-18)
@@ -766,12 +759,12 @@ def kam_step(state: KamState, params: KamParams):
     return new_state, report
 
 
-def _ad_series(E: FourierSeries, Einv: FourierSeries, W: Su11Series,
-               params: KamParams):
-    """Ad(E) W = E W E^{-1} for a matrix series E with inverse series Einv."""
-    G = params.grid_for(int(E.degree + W.degree() + Einv.degree) + 4, W.d)
-    E_v, Einv_v = grid_values(stack_blocks([E, Einv]), G, W.d)
-    vals = mat_product(E_v, W.on_grid(G), Einv_v)
+def _ad_series(E: FourierSeries, W: Su11Series, params: KamParams):
+    """Ad(E) W = E W E^{-1} for an SU(1,1)-valued matrix series E, inverted
+    on the grid by the adjugate of its values."""
+    G = params.grid_for(int(2 * E.degree + W.degree()) + 4, W.d)
+    [E_v] = grid_values(stack_blocks([E]), G, W.d)
+    vals = mat_product(E_v, W.on_grid(G), _adjugate(E_v))
     return su11_series_from_samples(vals[:, 0, 0].imag, vals[:, 0, 1], W.d,
                                     max_degree=params.max_degree)
 

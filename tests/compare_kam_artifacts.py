@@ -15,17 +15,19 @@ unchanged), then ``float.hex`` of the edge energy, zeta,
 ``conj_residual``, the bracket, the number of edge-search evaluations,
 the ``float.hex`` of each energy the edge search reduced at, in order, the
 width of the edge search's final bracket and the closed-form trace slope
-dt/dE of the reduction at the edge (``kam._trace_slope``), the delta2/delta1
-verdicts, the averaging step's masses ``y_mass``, ``q1_mass`` and ``q2_mass``
-(the values the sparse ``multiply`` and ``coeff_mass`` feed the certificate),
-per probe scale the averaging certificate's margin and kappa sup R
-(``float.hex``) with ``uh_test``'s verdict at that scale as a cross-check,
-and for each KAM step its ``sweep_grid`` and the ``float.hex`` of its Newton
-sweep norms, so a change that moves bits on purpose can quote which values
-moved.  Then it runs ``kam --energy`` at the upper edge's
-energy, which labels the reduction by its own n~ instead of searching for
-the edge, and prints the hash of that ``kam.json`` without ``config`` and
-``config_hash``.  The CLI's own messages are not printed.
+dt/dE of the reduction at the edge (``kam._trace_slope``), ``b_ck_norm``,
+the delta2/delta1 verdicts, the averages A11, A12 and A22 of B that the
+probes read, the averaging step's masses ``y_mass``, ``q1_mass`` and
+``q2_mass`` (the values the sparse ``multiply`` and ``coeff_mass`` feed the
+certificate), per probe scale the averaging certificate's margin and kappa
+sup R (``float.hex``) with ``uh_test``'s verdict at that scale as a
+cross-check, and for each KAM step its ``sweep_grid``, the ``float.hex`` of
+its ``dropped_mass`` and of its Newton sweep norms, so a change that moves
+bits on purpose can quote which values moved.  Then it runs ``kam
+--energy`` at the upper edge's energy, which labels the reduction by its own
+n~ instead of searching for the edge, and prints the hash of that
+``kam.json`` without ``config`` and ``config_hash``.  The CLI's own messages
+are not printed.
 
 Every criterion-11 reduction is a single resonant step, so the script then
 runs fixed non-resonant steps: the criterion-8 NR perturbation under
@@ -151,9 +153,9 @@ def _hexes(energies):
 
 
 def _certificate(seed, edge, kam_out, probe):
-    """The edge's averaging-step masses y, q1 and q2, then per probe scale
-    the certificate's margin and kappa sup R (all ``float.hex``) and
-    uh_test's verdict as a cross-check."""
+    """The edge's averages A11, A12 and A22 of B and its averaging-step
+    masses y, q1 and q2, then per probe scale the certificate's margin and
+    kappa sup R (all ``float.hex``) and uh_test's verdict as a cross-check."""
     with open("set.json") as fh:
         ks = LabelSet.from_json(fh.read())
     with open(kam_out) as fh:
@@ -161,6 +163,8 @@ def _certificate(seed, edge, kam_out, probe):
     V = build_potential(ks, k=2.0)
     data = edge_data_from_reduction(result, ks.frequency.floats())
     step = averaging_step(data)
+    print(f"seed {seed} {edge} averages A11 {float(data.A11).hex()} "
+          f"A12 {float(data.A12).hex()} A22 {float(data.A22).hex()}")
     print(f"seed {seed} {edge} averaging masses y {step.y_mass.hex()} "
           f"q1 {step.q1_mass.hex()} q2 {step.q2_mass.hex()}")
     for scale, delta in zip(("delta2", "delta1"), probe["bracket"]):
@@ -201,13 +205,15 @@ def _run(seed):
         E_in, E_out = kam["edge_search"]["bracket"]
         print(f"seed {seed} {edge} edge bracket width {abs(E_out - E_in).hex()}")
         print(f"seed {seed} {edge} slope {_edge_slope(seed, kam['energy']).hex()}")
+        print(f"seed {seed} {edge} b_ck_norm {float(kam['b_ck_norm']).hex()}")
         print(f"seed {seed} {edge} verdicts {probe['delta2']['verdict']} "
               f"{probe['delta1']['verdict']} {probe['bracket_consistent']}")
         _certificate(seed, edge, kam_out, probe)
         for step in kam["steps"]:
             sweeps = " ".join(float(v).hex() for v in step["newton_sweeps"])
             print(f"seed {seed} {edge} step {step['j']} {step['case']} sweep_grid "
-                  f"{step['diagnostics'].get('sweep_grid')} sweeps {sweeps}")
+                  f"{step['diagnostics'].get('sweep_grid')} dropped_mass "
+                  f"{float(step['dropped_mass']).hex()} sweeps {sweeps}")
     with open("kam_upper.json") as fh:
         energy = json.load(fh)["energy"]
     _qpsl(["kam", "--config", "config.json", "--set", "set.json", "--energy", repr(energy),

@@ -359,10 +359,13 @@ ROTATION = ["rotation", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
     (ROTATION[:3] + ROTATION[5:], None),
     (["rotation", "--preset", "maryland"] + ROTATION[3:], None),
     (["potential"], None),
+    (["ids"] + ROTATION[1:-2] + ["--N", "5"], None),
+    (["potential", "--preset", "amo", "--lambda", "0.5", "--samples", "0"], None),
+    (["cf", "--alpha", GOLDEN, "--depth", "0"], None),
 ], ids=["missing-set", "text-set", "missing-result", "non-kam-result", "binary-config",
         "list-config", "labels", "no-labels", "config-labels", "targets", "threads", "grid", "iters", "samples", "phases",
         "label-index-past-end", "label-index-negative", "no-frequency", "amo-without-lambda",
-        "unknown-preset", "no-potential"])
+        "unknown-preset", "no-potential", "ids-N", "potential-samples", "cf-depth"])
 def test_invalid_input_exits_config_invalid(argv, threads, tmp_path, capsys, monkeypatch,
                                             criterion11_kam):
     # unreadable or malformed files and flag values exit 1 with ConfigInvalid,

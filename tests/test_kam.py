@@ -584,10 +584,21 @@ def test_kam_step_rs_synthetic():
     assert min(sig_next, 1 - sig_next) <= 2 * max(thr, offset * 2)
 
 
-@pytest.mark.parametrize("case, conjugations", [("NR", 3), ("RS", 2)])
+def _criterion_8_instance(case):
+    """(A, f) of the criterion-8 non-resonant or resonant step."""
+    f = Su11Series.zero(1)
+    if case == "NR":
+        sigma, f.w[(3,)], f.u[(2,)], f.u[(-2,)] = 0.1545, 2e-6, 1e-6, 1e-6
+    else:
+        sigma, f.w[(1,)], f.w[(4,)] = (4 * GOLD / 2 + 1e-5) % 1.0, 1e-4, 2e-4
+    return np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)]), f
+
+
+@pytest.mark.parametrize("case, conjugations", [("NR", 5), ("RS", 2)])
 def test_kam_step_works_in_one_eigenframe(monkeypatch, case, conjugations):
-    # one diagonalization per step; F~ goes to the eigenframe once, and an NR
-    # step brings Y and F* back while an RS step moves W there instead
+    # one diagonalization per step; F~ and W go to the eigenframe once, and an
+    # NR step brings F* and W back (and Y, for its y_norm) while an RS step
+    # leaves by the half-period rotation
     calls = {"diagonalize_su11": 0, "ad_constant": 0}
 
     def counted(name, real):
@@ -600,17 +611,33 @@ def test_kam_step_works_in_one_eigenframe(monkeypatch, case, conjugations):
                                                          kam.diagonalize_su11))
     monkeypatch.setattr(Su11Series, "ad_constant", counted("ad_constant",
                                                            Su11Series.ad_constant))
-    # the criterion-8 instances
-    f = Su11Series.zero(1)
-    if case == "NR":
-        sigma, f.w[(3,)], f.u[(2,)], f.u[(-2,)] = 0.1545, 2e-6, 1e-6, 1e-6
-    else:
-        sigma, f.w[(1,)], f.w[(4,)] = (4 * GOLD / 2 + 1e-5) % 1.0, 1e-4, 2e-4
-    A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
+    A, f = _criterion_8_instance(case)
     params = _params()
     rep = kam_step(_state(A, f, params), params)[1]
     assert rep.case == case and rep.residual < 1e-9
     assert calls == {"diagonalize_su11": 1, "ad_constant": conjugations}
+
+
+@pytest.mark.parametrize("case", ["NR", "RS"])
+def test_step_inverse_is_the_adjugate_of_the_certified_conjugator(monkeypatch, case):
+    # from D = I, one step leaves D^-1 = B_step^-1, exact up to rounding on
+    # the doubled torus; the products are e^Y P, L (e^Y P) = B_step, D^-1 adj B
+    products = []
+
+    def recorded_multiply(*args, _real=kam.multiply, **kw):
+        products.append(_real(*args, **kw))
+        return products[-1]
+
+    monkeypatch.setattr(kam, "multiply", recorded_multiply)
+    A, f = _criterion_8_instance(case)
+    params = _params()
+    new, rep = kam_step(_state(A, f, params), params)
+    assert rep.case == case
+    _, B_step, Dinv = products
+    assert Dinv is new.Dinv
+    pts = np.random.default_rng(5).uniform(0, 4 * math.pi, size=(16, 1))
+    prod = mat_product(Dinv.sample(pts), B_step.sample(pts))
+    assert np.max(np.abs(prod - np.eye(2))) < 1e-12
 
 
 def _probes(rng):
@@ -652,9 +679,9 @@ def test_combine_f_and_label_is_the_product_of_both_exponentials():
 
 def test_resonant_step_counts_every_truncation_of_its_conjugator(monkeypatch):
     # criterion 11 at max_degree 32: the one resonant step truncates the
-    # sweeps' logs (1.9e-7), e^Y (6.7e-8), the product Q (e^Y P) (6.6e-6) and
-    # the product e^-Y Q^-1 of the inverse (1.2e-5), and its dropped_mass
-    # counts each of them, with P^-1 (e^-Y Q^-1) and D^-1 B_inv (none here)
+    # sweeps' logs (1.9e-7), e^Y (6.7e-8) and the product Q (e^Y P) (6.6e-6),
+    # and its dropped_mass counts each of them, with e^Y P and D^-1 adj B
+    # (none here); B^-1 is the exact adjugate and truncates nothing
     freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
     sched = build_schedule(10, 0.9, depth=6)
     ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
@@ -672,15 +699,15 @@ def test_resonant_step_counts_every_truncation_of_its_conjugator(monkeypatch):
     assert [r.case for r in reports] == ["RS"]
     [(_, (_, _, sweeps))] = calls["remove_nonresonant"]
     [(_, e_y)] = calls["exp_series"]
-    # Q (e^Y P), then P^-1 (e^-Y Q^-1), then D^-1 B_inv
-    [(a0, inner), (a1, outer), (_, inner_inv), (a3, outer_inv), (a4, dinv)] = calls["multiply"]
-    assert a0[0] is e_y and a1[1] is inner and a3[1] is inner_inv and a4[1] is outer_inv
+    # e^Y P, then Q (e^Y P), then D^-1 adj B
+    [(a0, inner), (a1, outer), (a2, dinv)] = calls["multiply"]
+    assert a0[0] is e_y and a1[1] is inner
+    np.testing.assert_array_equal(a2[1].block, kam._adjugate(outer.block))
     assert sweeps["dropped_mass"] > 0 and e_y.dropped_mass > 0 and outer.dropped_mass > 0
-    assert inner_inv.dropped_mass > 0
     assert reports[0].dropped_mass == pytest.approx(
         sweeps["dropped_mass"] + e_y.dropped_mass + inner.dropped_mass + outer.dropped_mass
-        + inner_inv.dropped_mass + outer_inv.dropped_mass + dinv.dropped_mass, rel=1e-12)
-    assert reports[0].dropped_mass == pytest.approx(1.920e-5, rel=1e-3)
+        + dinv.dropped_mass, rel=1e-12)
+    assert reports[0].dropped_mass == pytest.approx(6.9025e-6, rel=1e-3)
 
 
 def test_kam_step_rejects_a_step_residual_above_tolerance(monkeypatch):
