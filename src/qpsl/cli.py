@@ -106,6 +106,17 @@ def _count(value, name, least=1):
     return n
 
 
+def _positive(value, name):
+    """``value`` as a number > 0, else ConfigInvalid naming the setting."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not x > 0:
+        raise ConfigInvalid(f"{name} must be a number > 0, not {value!r}")
+    return x
+
+
 def _freq_from(cfg, args):
     fc = cfg.get("frequency", {})
     comps = None
@@ -147,7 +158,8 @@ def _scan(args, e_min, e_max, grid):
     energies = np.linspace(float(_opt(args.emin, scan, "e_min", e_min)),
                            float(_opt(args.emax, scan, "e_max", e_max)),
                            _count(_opt(args.grid, scan, "grid", grid), "grid"))
-    run_cfg = {"frequency": [str(r) for r in freq.raw], "seed": int(cfg.get("seed", 0)),
+    run_cfg = {"frequency": [str(r) for r in freq.raw],
+               "seed": _count(cfg.get("seed", 0), "seed", least=0),
                "potential": cfg.get("potential", {"preset": args.preset, "lambda": args.lam})}
     return cfg, scan, freq, V, energies, run_cfg
 
@@ -356,10 +368,10 @@ def cmd_kam(args):
     kc = cfg.get("kam", {})
     params = KamParams(
         tau=freq.dc_tau, k_exponent=k, schedule=ks.schedule,
-        max_degree=int(kc.get("max_degree", 384)),
-        grid_size=int(kc.get("grid_size", 2048)),
-        conj_residual_tol=float(kc.get("conj_residual_tol", 1e-9)),
-        seed=int(cfg.get("seed", 0)),
+        max_degree=_count(kc.get("max_degree", 384), "kam.max_degree"),
+        grid_size=_count(kc.get("grid_size", 2048), "kam.grid_size"),
+        conj_residual_tol=_positive(kc.get("conj_residual_tol", 1e-9), "kam.conj_residual_tol"),
+        seed=_count(cfg.get("seed", 0), "seed", least=0),
     )
     unmet = params.strict_unmet() if args.strict else []
     if unmet:

@@ -227,9 +227,6 @@ class FourierSeries:
         return self
 
     # -- algebra ----------------------------------------------------------
-    def scale(self, c):
-        return self._like(c * self.block)
-
     def shift(self, alpha):
         """Translate theta -> theta + 2*pi*alpha (alpha in cycles), in place of
         evaluation: each coefficient picks up e^{2*pi*i <freq, alpha>}."""
@@ -280,15 +277,6 @@ class FourierSeries:
             raise QpslError("k must be a nonnegative integer")
         return float(np.sum(self._norms() * (1.0 + self._freq_norms()) ** k))
 
-    # -- structure --------------------------------------------------------
-    def lift_halved(self):
-        """Re-express an integer-frequency series on the doubled torus."""
-        if self.halved:
-            return self.copy()
-        block = np.zeros((4 * self.K + 1,) * self.d + self._tail, complex)
-        block[(slice(None, None, 2),) * self.d] = self.block
-        return FourierSeries.from_block(self.d, block, halved=True, kind=self.kind)
-
     # -- serialization ----------------------------------------------------
     def as_dict(self):
         return series_dict(self.d, *self.modes(), halved=self.halved, kind=self.kind)
@@ -319,10 +307,25 @@ def series_dict(d, keys, values, halved=False, kind="scalar"):
     return {"d": d, "halved": halved, "kind": kind, "coeffs": rows}
 
 
-def _common_denominator(a, b):
-    if a.halved == b.halved:
-        return a, b
-    return a.lift_halved(), b.lift_halved()
+def _place(keys, shifts, products, K, tail):
+    """The one placement loop of :func:`multiply` and :func:`shift_sum`.
+
+    Term i is the key shifts[i] and ``products``' i-th stack, the products of
+    one coefficient with the other factor's coefficients at ``keys`` (its
+    nonzero keys, sorted); they are added at keys + shifts[i] into a centred
+    block of half-width K, term by term.  Returns the block and, per term,
+    the coefficient mass of the products whose keys fall outside it."""
+    block = np.zeros((2 * K + 1,) * keys.shape[1] + tail, complex)
+    crosses = np.abs(shifts).max(axis=1, initial=0) + np.abs(keys).max(initial=0) > K
+    outside, keys = [0.0] * len(shifts), keys + K
+    for i, (k, p) in enumerate(zip(shifts, products)):
+        moved = keys + k
+        if crosses[i]:  # some keys may fall outside: place the others
+            inside = ((moved >= 0) & (moved <= 2 * K)).all(axis=1)
+            outside[i] = float(np.sum(_coeff_norms(p[~inside], not tail)))
+            moved, p = moved[inside], p[inside]
+        block[tuple(moved.T)] += p
+    return block, outside
 
 
 def multiply(F: FourierSeries, G: FourierSeries, max_degree=None):
@@ -334,12 +337,15 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None):
     The product is a direct convolution, not an FFT product, so a mode that
     no pair of modes reaches stays exactly zero and the degree is not
     inflated by round-off.  It runs over pairs of nonzero modes, as the
-    reducing series hold a few modes spread over a wide block: per mode of
-    the sparser factor, in key order, one stacked product with the other's
-    modes, added in at the moved keys.  Each slot sums the same nonzero terms
-    in the same order as a product over every slot (whose zero slots add
-    signed zeros), so for finite coefficients the bits agree; only a zero
-    slot times an inf coefficient, NaN there, is no longer formed.
+    reducing series hold a few modes spread over a wide block: one term per
+    mode of the sparser factor, in key order, is placed by :func:`_place`
+    into the full block of the product, so nothing falls outside it; the
+    cut to ``max_degree`` is exact, on the summed product.  An integer-torus
+    factor meets a doubled-torus one with its keys doubled.  Each slot sums
+    the same nonzero terms in the same order as a product over every slot
+    (whose zero slots add signed zeros), so for finite coefficients the bits
+    agree; only a zero slot times an inf coefficient, NaN there, is no
+    longer formed.
     """
     if F.d != G.d:
         raise DomainMismatch("dimension mismatch")
@@ -347,17 +353,15 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None):
     if scalar != (G.kind == "scalar"):
         raise QpslError(f"multiply takes two scalar or two matrix series, not "
                         f"{F.kind} and {G.kind}")
-    A, B = _common_denominator(F, G)
-    (ka, va), (kb, vb), K = A.modes(), B.modes(), A.K + B.K
+    sa, sb = 1 + (G.halved > F.halved), 1 + (F.halved > G.halved)
+    (ka, va), (kb, vb) = F.modes(), G.modes()
     mul = np.multiply if scalar else np.matmul
     if len(kb) <= len(ka):
-        terms = ((k, ka, mul(va, v)) for k, v in zip(kb, vb))
+        keys, shifts, products = sa * ka, sb * kb, (mul(va, v) for v in vb)
     else:
-        terms = ((k, kb, mul(v, vb)) for k, v in zip(ka, va))
-    block = np.zeros((2 * K + 1,) * A.d + A._tail, complex)
-    for k, keys, products in terms:
-        block[tuple((keys + k + K).T)] += products
-    out = FourierSeries.from_block(A.d, block, halved=A.halved,
+        keys, shifts, products = sb * kb, sa * ka, (mul(v, vb) for v in va)
+    block, _ = _place(keys, shifts, products, sa * F.K + sb * G.K, F._tail)
+    out = FourierSeries.from_block(F.d, block, halved=F.halved or G.halved,
                                    kind="scalar" if scalar else "matrix")
     if max_degree is not None:
         over = out._freq_norms() > max_degree
@@ -369,31 +373,24 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None):
 
 def shift_sum(F: FourierSeries, keys, values, max_degree=None):
     """Product of F with the sparse scalar series {keys[i]: values[i]}, as
-    sum_i values[i] F(. - keys[i]): mode n of F moves to n + keys[i].
+    sum_i values[i] F(. - keys[i]): mode n of F moves to n + keys[i], one
+    :func:`_place` term per key.
 
     With ``max_degree`` (in frequency units) the product is kept to
     |n| <= max_degree, and no block wider than that is made however far the
-    keys lie.  Each moved copy then adds the mass it puts past max_degree to
-    ``dropped_mass``; the copies' tails are not summed first, so this bounds
-    the tail mass of the product from above (with equality when no two
-    copies overlap past max_degree).
+    keys lie.  Each moved copy then adds the mass of its nonzero products
+    past max_degree to ``dropped_mass``; the copies' tails are not summed
+    first, so this bounds the tail mass of the product from above (with
+    equality when no two copies overlap past max_degree).
     """
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, F.d)
-    K_out = F.K + int(np.abs(keys).max(initial=0))
+    K = F.K + int(np.abs(keys).max(initial=0))
     if max_degree is not None:
-        K_out = min(K_out, math.floor(max_degree / (0.5 if F.halved else 1.0)))
-    block, dropped = np.zeros((2 * K_out + 1,) * F.d + F._tail, complex), 0.0
-    for k, v in zip(keys.tolist(), values):
-        piece = v * F.block
-        moved = [np.arange(-F.K, F.K + 1) + c for c in k]
-        inside = [np.abs(m) <= K_out for m in moved]
-        block[np.ix_(*[m[i] + K_out for m, i in zip(moved, inside)])] += piece[np.ix_(*inside)]
-        if not all(i.all() for i in inside):  # the mass this copy puts past K_out
-            norms = _coeff_norms(piece, not F._tail)
-            norms[np.ix_(*inside)] = 0.0
-            dropped += float(np.sum(norms))
+        K = min(K, math.floor(max_degree / (0.5 if F.halved else 1.0)))
+    fk, fv = F.modes()
+    block, outside = _place(fk, keys, (v * fv for v in values), K, F._tail)
     out = F._like(block)
-    out.dropped_mass = dropped
+    out.dropped_mass = sum(outside, 0.0)
     return out
 
 

@@ -154,9 +154,6 @@ class Su11Series:
         """Majorant of sup ||W|| on the strip: |u|_h + |w|_h pointwise bounds."""
         return self.u.analytic_norm(h) + self.w.analytic_norm(h)
 
-    def scale(self, c):
-        return Su11Series(self.u.scale(c), self.w.scale(c))
-
     def sample(self, pts):
         return su11_element(self.u.sample(pts).real, self.w.sample(pts))
 
@@ -463,8 +460,8 @@ def _min_divisor_distance(alpha, N, d):
     return float(np.min(vals[(keys != 0).any(axis=1)]))
 
 
-def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
-                       params: KamParams = None):
+def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
+                       params: KamParams):
     """Newton iteration conjugating (alpha, A e^F) to (alpha, A e^{F*}) with
     F* supported on the resonant complement of the mode rule, for a diagonal
     constant A = diag(e^{2 pi i sigma}, e^{-2 pi i sigma}) only (the caller
@@ -484,7 +481,6 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     and grid.  Each sweep does the float operations of ``rule.split``,
     :meth:`Su11Series.norm` and :func:`solve_homological` in their order.
     """
-    params = params or KamParams()
     alpha = np.atleast_1d(np.asarray(alpha, float))
     A = np.asarray(A, complex)
     d = F.d
@@ -495,13 +491,6 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule = None,
     sigma = theta / (2 * math.pi)
     Ad = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
     Ad_inv, Ad_diag = np.linalg.inv(Ad)[0, 0], np.diagonal(Ad)
-
-    if rule is None:
-        N = params.window_cap or params.max_degree
-        rule = ModeRule(alpha=alpha, sigma=sigma, window=N,
-                        diag_floor=_min_divisor_distance(alpha, N, d) / 2,
-                        off_floor=RESONANCE_THRESHOLD,
-                        keep_w_mean=True)
 
     scale = max(F.norm(h), 1e-300)
     max_deg = params.max_degree

@@ -14,14 +14,16 @@ edge (zeta < 0) d(-delta), negative at small delta too.  The verdicts come
 from Moser and Poschel's averaging step (Comment. Math. Helv. 59, 1984), made
 a-posteriori (:func:`averaging_step`, :func:`certify_probe`).  The probes
 delta_2 = |zeta|^{11/10} (inside) and delta_1 = |zeta|^{9/10} (beyond)
-bracket the gap length.  All averages [.] are the zero Fourier modes of
-entry products, computed exactly from the series.
+bracket the gap length.  The entry products B11^2, B11 B12 and B12^2 are
+formed once per edge (:func:`edge_data`), as exact convolutions of the
+series: P is stacked from them, and the averages [.] that d(delta), the
+edge checks and the certificate's [P] read are their zero modes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -32,29 +34,10 @@ from .fourier import FourierSeries, key_grid, multiply, shift_phases
 from .kam import ReducibilityResult
 
 __all__ = [
-    "EdgeData",
-    "edge_data_from_reduction", "perturbation_matrix",
+    "EdgeData", "edge_data", "edge_data_from_reduction",
     "discriminant", "poly_bounds_check", "AveragingStep", "averaging_step",
     "certify_probe", "uh_probe", "probe_gap_edge", "bracket_gap", "d_tau_constant",
 ]
-
-
-def _entry(B: FourierSeries, i, j):
-    return B.map_values(lambda c: c[..., i, j], kind="scalar")
-
-
-def _mean_product(F: FourierSeries, G: FourierSeries):
-    """Zero mode of F*G, exactly from coefficients: sum_n F(n) G(-n)."""
-    K = max(F.K, G.K)
-    return complex(np.sum(F.padded(K) * np.flip(G.padded(K))))
-
-
-def _averages(B: FourierSeries):
-    """(A11, A12, A22) = ([B11^2], [B11 B12], [B12^2]), complex."""
-    B11 = _entry(B, 0, 0)
-    B12 = _entry(B, 0, 1)
-    return (_mean_product(B11, B11), _mean_product(B11, B12),
-            _mean_product(B12, B12))
 
 
 def d_tau_constant(k0, k_hat, tau, d):
@@ -68,60 +51,60 @@ def d_tau_constant(k0, k_hat, tau, d):
 
 @dataclass
 class EdgeData:
-    """Averages of the reducing matrix at a gap edge.
+    """The reducing matrix at a gap edge, its perturbation matrix and averages.
 
-    A11 = [B11^2], A12 = [B11 B12], A22 = [B12^2]; Cauchy-Schwarz gives
-    A11 A22 - A12^2 >= 0, and A11 >= (2 ||B||_{k0})^{-2}.
+    P = [[B11 B12 - zeta B11^2, -zeta B11 B12 + B12^2], [-B11^2, -B11 B12]]
+    satisfies B(.+alpha)^{-1} S_{E-delta} B(.) = C - delta P(.) when
+    (B, zeta) reduce the edge cocycle, and trace P = -zeta B11^2 pointwise.
+    A11 = [B11^2], A12 = [B11 B12], A22 = [B12^2] are the zero modes of the
+    products P is stacked from; Cauchy-Schwarz gives A11 A22 - A12^2 >= 0,
+    and A11 >= (2 ||B||_{k0})^{-2}.
     """
 
     B: FourierSeries
     zeta: float
     energy: float
     alpha: np.ndarray
+    P: FourierSeries
     A11: float
     A12: float
     A22: float
     k0: int
     b_norm_k0: float
-    checks: dict = field(default_factory=dict)
+    checks: dict
 
 
-def edge_data_from_reduction(result: ReducibilityResult, alpha):
-    """Assemble the probe data from a reducibility run, with k0 the run's
-    (at least 1)."""
-    B = result.B
-    k0 = max(result.k0, 1)
-    A11, A12, A22 = _averages(B)
-    for name, val in (("A11", A11), ("A12", A12), ("A22", A22)):
+def edge_data(B: FourierSeries, zeta, energy, alpha, k0):
+    """The :class:`EdgeData` of B reducing the edge cocycle at ``energy`` to
+    [[1, zeta], [0, 1]]: B11^2, B11 B12 and B12^2 formed once, stacked into
+    P, their zero modes the averages (each checked real), and the edge's
+    structure checks at smoothness k0."""
+    B11 = B.map_values(lambda c: c[..., 0, 0], kind="scalar")
+    B12 = B.map_values(lambda c: c[..., 0, 1], kind="scalar")
+    products = (multiply(B11, B11), multiply(B11, B12), multiply(B12, B12))
+    means = [F.mean() for F in products]
+    for name, val in zip(("A11", "A12", "A22"), means):
         if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
             raise QpslError(f"{name} has imaginary part {val.imag:.3e}")
-    A11, A12, A22 = A11.real, A12.real, A22.real
+    A11, A12, A22 = (float(val.real) for val in means)
+    K = max(F.K for F in products)
+    a, b, c = (F.padded(K) for F in products)
+    block = np.stack([b - zeta * a, -zeta * b + c, -a, -b], axis=-1)
+    P = FourierSeries.from_block(B.d, block.reshape(a.shape + (2, 2)),
+                                 halved=B.halved, kind="matrix")
     b_norm = B.ck_norm_estimate(k0)
     checks = {
         "cauchy_schwarz": A11 * A22 - A12 ** 2 >= -1e-12 * max(1.0, A11 * A22),
         "a11_lower_bound": A11 >= (2 * b_norm) ** (-2) - 1e-12,
     }
-    return EdgeData(B=B, zeta=result.zeta, energy=result.energy,
-                    alpha=np.atleast_1d(np.asarray(alpha, float)),
-                    A11=A11, A12=A12, A22=A22, k0=k0, b_norm_k0=b_norm,
-                    checks=checks)
+    return EdgeData(B=B, zeta=zeta, energy=energy,
+                    alpha=np.atleast_1d(np.asarray(alpha, float)), P=P,
+                    A11=A11, A12=A12, A22=A22, k0=k0, b_norm_k0=b_norm, checks=checks)
 
 
-def perturbation_matrix(B: FourierSeries, zeta):
-    """P = [[B11 B12 - zeta B11^2, -zeta B11 B12 + B12^2],
-           [-B11^2, -B11 B12]] as a matrix series.
-
-    Satisfies B(.+alpha)^{-1} S_{E-delta} B(.) = C - delta P(.) when (B, zeta)
-    reduce the edge cocycle, and trace P = -zeta B11^2 pointwise.
-    """
-    B11 = _entry(B, 0, 0)
-    B12 = _entry(B, 0, 1)
-    sq11, cross, sq12 = multiply(B11, B11), multiply(B11, B12), multiply(B12, B12)
-    K = max(sq11.K, cross.K, sq12.K)
-    a, b, c = sq11.padded(K), cross.padded(K), sq12.padded(K)
-    block = np.stack([b - zeta * a, -zeta * b + c, -a, -b], axis=-1)
-    return FourierSeries.from_block(B.d, block.reshape(a.shape + (2, 2)),
-                                    halved=B.halved, kind="matrix")
+def edge_data_from_reduction(result: ReducibilityResult, alpha):
+    """:func:`edge_data` of a reducibility run, with k0 the run's (at least 1)."""
+    return edge_data(result.B, result.zeta, result.energy, alpha, max(result.k0, 1))
 
 
 def discriminant(edge: EdgeData, delta):
@@ -176,7 +159,7 @@ def averaging_step(edge: EdgeData):
     """The :class:`AveragingStep` of the edge, mode by mode over the modes
     of P; on the doubled torus mode m stands for m/2, so the divisors are
     e^{i pi <m, alpha>} - 1."""
-    P = perturbation_matrix(edge.B, edge.zeta)
+    P = edge.P
     mean = P.mean().real
     moving = key_grid(P.K, P.d).any(axis=-1)
     phases = shift_phases(P.K, P.d, edge.alpha * (0.5 if P.halved else 1.0))

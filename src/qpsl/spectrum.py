@@ -116,6 +116,8 @@ def detect_gaps(curve: RotationCurve, alpha, labels, tol=1e-3, rho_fn=None,
             cand = tuple(s * c for c in n)
             if cand not in cands:
                 cands.append(cand)
+    if not cands:  # no label, no lock to plateau on
+        return []
 
     # the nearest candidate lock per energy (argmin: first candidate on ties)
     E = curve.energies

@@ -51,8 +51,18 @@ tau 1.5, M = 3, s = 0.3, depth 10, three labels, k = 2, the criterion-11
 ``returned``, then the edge search's evaluation count and number of
 failures, or ``None`` when the outcome carries no search record, and the
 ``float.hex`` of each energy it reduced at.  The energies are recorded by
-wrapping ``kam._reduce_at_energy``.  Not
-collected by pytest: it runs five full edge reductions and three searches.
+wrapping ``kam._reduce_at_energy``.
+
+Last, label 43 of that set is reduced with the target ``{"energy": E}`` at
+its two edge energies (five resonant steps each, on a B of about a thousand
+modes).  Per energy it prints, as ``float.hex``, each step's
+``dropped_mass``, Newton sweep norms and ``t_hat_site`` (read from a
+``shift_sum`` cut at the site's degree), then the edge's zeta,
+``conj_residual`` and averages A11, A12 and A22, and each field of
+``bracket_gap(edge, V, probe=False)``.  These steps combine a nonzero f
+with the label's term, and their edge data is formed from a dense B, which
+the criterion-11 lines do not reach.  Not collected by pytest: it runs five
+full edge reductions, three searches and two energy-target reductions.
 """
 
 import contextlib
@@ -83,12 +93,19 @@ from qpsl.kam import (
     run_reducibility,
 )
 from qpsl.label_set import LabelSet, build_schedule, construct_label_set
-from qpsl.moser_poschel import averaging_step, certify_probe, edge_data_from_reduction, uh_probe
+from qpsl.moser_poschel import (
+    averaging_step,
+    bracket_gap,
+    certify_probe,
+    edge_data_from_reduction,
+    uh_probe,
+)
 
 SEEDS = (1, 2)
 EDGES = ("upper", "lower")
 NR_SIGMAS = (0.1545, 0.3455, 0.6545, 0.8455)
 NR_BOOSTS = (0.0, 0.2, 0.7)
+LABEL_43_EDGES = (-0.47210750729450424, -0.4726472545209334)
 
 
 def _golden_digits(digits):
@@ -281,14 +298,19 @@ def _nr_steps():
             print(f"{tag} Dinv mass {_hex(new.Dinv.coeff_mass())}")
 
 
-def _multi_label():
-    """The upper-edge outcome of each label of K = {4, 9, 43}."""
+def _k_4_9_43():
+    """The frequency, label set, potential and KamParams of K = {4, 9, 43}."""
     freq = frequency_vector(_golden_digits(80), gamma=0.5, tau=1.5)
     sched = build_schedule(3, 0.3, depth=10)
     ks = construct_label_set(freq, sched, j1=0, spacing=2, count=3)
-    V = build_potential(ks, k=2.0)
     params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
                        grid_size=2048, conj_residual_tol=1e-9, seed=1)
+    return freq, ks, build_potential(ks, k=2.0), params
+
+
+def _multi_label():
+    """The upper-edge outcome of each label of K = {4, 9, 43}."""
+    freq, ks, V, params = _k_4_9_43()
     for label in ks.labels():
         with _reductions() as energies:
             try:
@@ -301,6 +323,25 @@ def _multi_label():
                   if search else "None")
         print(f"K 4,9,43 label {label[0]} upper {outcome} {counts} "
               f"energies {_hexes(energies)}")
+
+
+def _label_43_edges():
+    """Label 43 of K = {4, 9, 43} reduced at each of its edge energies: the
+    steps' dropped masses, sweep norms and t_hat_site, the edge's zeta,
+    residual and averages, and bracket_gap's record without probes."""
+    freq, _, V, params = _k_4_9_43()
+    for energy in LABEL_43_EDGES:
+        res = run_reducibility(V, freq.floats(), {"energy": energy}, params=params)
+        tag = f"K 4,9,43 label 43 energy {energy.hex()}"
+        for rep in res.reports:
+            print(f"{tag} step {rep.j} {rep.case} dropped_mass {_hex(rep.dropped_mass)} "
+                  f"sweeps {_hex(rep.newton_sweeps)} "
+                  f"t_hat_site {_hex(rep.diagnostics.get('t_hat_site'))}")
+        edge = edge_data_from_reduction(res, freq.floats())
+        print(f"{tag} zeta {_hex(res.zeta)} conj_residual {_hex(res.conj_residual)}")
+        print(f"{tag} averages A11 {_hex(edge.A11)} A12 {_hex(edge.A12)} A22 {_hex(edge.A22)}")
+        for key, value in bracket_gap(edge, V, probe=False).items():
+            print(f"{tag} bracket_gap {key} {_hex(value)}")
 
 
 def main():
@@ -321,6 +362,7 @@ def main():
         finally:
             os.chdir(home)
     _multi_label()
+    _label_43_edges()
 
 
 if __name__ == "__main__":

@@ -41,10 +41,9 @@ from qpsl.moser_poschel import (
     bracket_gap,
     discriminant,
     edge_data_from_reduction,
-    perturbation_matrix,
 )
 from qpsl.spectrum import detect_gaps, gap_bounds_check, ids_curve, rotation_curve
-from test_kam import _removal_residual
+from test_kam import _removal_residual, _scaled, _window_rule
 
 GOLD = 0.6180339887498949
 GOLDEN_80 = golden_mean(80)
@@ -195,8 +194,9 @@ def test_criterion_07_newton_removal():
     worst_res = 0.0
     exponents = []
     for amp in np.geomspace(1e-5, 1e-3, 7):
-        F = base.scale(amp)
-        Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=params)
+        F = _scaled(base, amp)
+        Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.02, [GOLD],
+                                            _window_rule(A, [GOLD], params), params)
         worst_res = max(worst_res, _removal_residual(A, F, Y, F_star, [GOLD]))
         s = rep["sweeps"]
         if len(s) >= 2 and s[0] < 1 and s[1] > 0:
@@ -313,9 +313,8 @@ def test_criterion_10_moser_poschel_closed_forms():
     I = FourierSeries(1, halved=True, kind="sl2r")
     I[(0,)] = np.eye(2, dtype=complex)
     zeta = 0.3
-    P = perturbation_matrix(I, zeta)
-    assert np.allclose(P.eval([0.4]), [[-zeta, 0.0], [-1.0, 0.0]], atol=1e-15)
     edge_I = _edge_from_series(I, zeta)
+    assert np.allclose(edge_I.P.eval([0.4]), [[-zeta, 0.0], [-1.0, 0.0]], atol=1e-15)
     c1 = _averaged_matrix(edge_I)
     assert np.allclose(c1, [[-zeta / 2, 0.0], [-1.0, zeta / 2]], atol=1e-15)
     assert discriminant(edge_I, delta=0.01) == pytest.approx(-0.003)

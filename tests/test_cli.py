@@ -335,6 +335,18 @@ def test_edge_probe_needs_k_when_the_result_has_none(tmp_path, capsys, criterion
 
 ROTATION = ["rotation", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
             "--grid", "3", "--iters", "100"]
+# config files of the invalid-input cases, written as {tmp}/<name>.json
+BAD_CONFIGS = {
+    "max-degree-0": {"kam": {"max_degree": 0}},
+    "grid-size-0": {"kam": {"grid_size": 0}},
+    "max-degree-text": {"kam": {"max_degree": "x"}},
+    "grid-size-text": {"kam": {"grid_size": "x"}},
+    "tol-text": {"kam": {"conj_residual_tol": "x"}},
+    "tol-0": {"kam": {"conj_residual_tol": 0.0}},
+    "tol-negative": {"kam": {"conj_residual_tol": -1e-9}},
+    "seed-text": {"seed": "x"},
+    "seed-negative": {"seed": -1},
+}
 
 
 @pytest.mark.parametrize("argv, threads", [
@@ -362,10 +374,17 @@ ROTATION = ["rotation", "--preset", "amo", "--lambda", "0.5", "--alpha", GOLDEN,
     (["ids"] + ROTATION[1:-2] + ["--N", "5"], None),
     (["potential", "--preset", "amo", "--lambda", "0.5", "--samples", "0"], None),
     (["cf", "--alpha", GOLDEN, "--depth", "0"], None),
+] + [(["kam", "--set", "{set}", "--config", "{tmp}/" + name + ".json"], None)
+     for name in BAD_CONFIGS] + [
+    (ROTATION + ["--config", "{tmp}/seed-negative.json"], None),
+    (["ids"] + ROTATION[1:-2] + ["--config", "{tmp}/seed-negative.json"], None),
+    (["gaps"] + ROTATION[1:] + ["--config", "{tmp}/seed-negative.json"], None),
 ], ids=["missing-set", "text-set", "missing-result", "non-kam-result", "binary-config",
         "list-config", "labels", "no-labels", "config-labels", "targets", "threads", "grid", "iters", "samples", "phases",
         "label-index-past-end", "label-index-negative", "no-frequency", "amo-without-lambda",
-        "unknown-preset", "no-potential", "ids-N", "potential-samples", "cf-depth"])
+        "unknown-preset", "no-potential", "ids-N", "potential-samples", "cf-depth"]
+    + ["kam-" + name for name in BAD_CONFIGS]
+    + ["rotation-seed-negative", "ids-seed-negative", "gaps-seed-negative"])
 def test_invalid_input_exits_config_invalid(argv, threads, tmp_path, capsys, monkeypatch,
                                             criterion11_kam):
     # unreadable or malformed files and flag values exit 1 with ConfigInvalid,
@@ -375,6 +394,8 @@ def test_invalid_input_exits_config_invalid(argv, threads, tmp_path, capsys, mon
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "not_kam.json").write_text('{"zeta": 1}')
     (tmp_path / "labels.json").write_text('{"labels": [1, "2"]}')
+    for name, cfg in BAD_CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     if threads is not None:
         monkeypatch.setenv("QPSL_THREADS", threads)
     out = tmp_path / "out"

@@ -55,6 +55,24 @@ def _params(**kw):
     return KamParams(**defaults)
 
 
+def _window_rule(A, alpha, params):
+    """The mode rule of a Newton removal at the diagonal constant A on its
+    own: the window params.window_cap (else max_degree), the diagonal floor
+    half the smallest divisor distance inside it, the resonance threshold off
+    the diagonal, the off-diagonal mean kept."""
+    alpha = np.atleast_1d(np.asarray(alpha, float))
+    sigma = float(np.angle(A[0, 0])) % (2 * math.pi) / (2 * math.pi)
+    N = params.window_cap or params.max_degree
+    return ModeRule(alpha=alpha, sigma=sigma, window=N,
+                    diag_floor=kam._min_divisor_distance(alpha, N, alpha.size) / 2,
+                    off_floor=kam.RESONANCE_THRESHOLD, keep_w_mean=True)
+
+
+def _scaled(W, c):
+    """The su(1,1) series c W."""
+    return Su11Series(W.u.map_values(lambda b: c * b), W.w.map_values(lambda b: c * b))
+
+
 def _random_su11_series(rng, degree=8, modes=10, amp=1e-3, nonzero_only=False):
     F = Su11Series.zero(1)
     for _ in range(modes):
@@ -188,8 +206,8 @@ def test_solve_homological_small_divisor_raised():
 
 def test_remove_nonresonant_zero():
     A = np.diag([np.exp(2j * np.pi * 0.15), np.exp(-2j * np.pi * 0.15)])
-    Y, F_star, rep = remove_nonresonant(A, Su11Series.zero(1), 1e-9, 0.05,
-                                        [GOLD], params=_params())
+    Y, F_star, rep = remove_nonresonant(A, Su11Series.zero(1), 1e-9, 0.05, [GOLD],
+                                        _window_rule(A, [GOLD], _params()), _params())
     assert Y.is_zero(1e-300)
     assert F_star.is_zero(1e-300)
 
@@ -198,7 +216,8 @@ def test_remove_nonresonant_rejects_a_nondiagonal_constant():
     # the caller moves to the eigenframe of its constant first
     A = to_su11(np.array([[2 * math.cos(2 * math.pi * 0.15), -1.0], [1.0, 0.0]]))
     with pytest.raises(QpslError, match="diagonal constant"):
-        remove_nonresonant(A, Su11Series.zero(1), 1e-9, 0.05, [GOLD], params=_params())
+        remove_nonresonant(A, Su11Series.zero(1), 1e-9, 0.05, [GOLD],
+                           _window_rule(A, [GOLD], _params()), _params())
 
 
 def test_remove_nonresonant_residual_random():
@@ -226,9 +245,9 @@ def test_remove_nonresonant_quadratic_contraction():
     base = _random_su11_series(rng, degree=12, modes=6, amp=1.0)
     exponents = []
     for amp in np.geomspace(1e-5, 1e-3, 5):
-        F = base.scale(amp)
+        F = _scaled(base, amp)
         Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.02, [GOLD],
-                                            params=_params())
+                                            _window_rule(A, [GOLD], _params()), _params())
         s = rep["sweeps"]
         assert len(s) >= 2
         if s[1] > 0:
@@ -245,7 +264,8 @@ def test_remove_nonresonant_single_mode_second_order():
     for amp in np.geomspace(1e-5, 1e-3, 5):
         F = Su11Series.zero(1)
         F.w[(3,)] = amp
-        _, _, rep = remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
+        _, _, rep = remove_nonresonant(A, F, 1e-9, 0.02, [GOLD],
+                                       _window_rule(A, [GOLD], _params()), _params())
         s = rep["sweeps"]
         if len(s) >= 2 and s[1] > 0:
             ratios.append(s[1] / s[0] ** 2)
@@ -473,7 +493,8 @@ def test_remove_nonresonant_nonfinite_values_raise_newton_diverged(monkeypatch):
     A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
     F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
     with pytest.raises(NewtonDiverged, match="non-finite"):
-        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
+        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], _params()),
+                           _params())
 
 
 @pytest.mark.parametrize("target, value, match", [
@@ -490,7 +511,8 @@ def test_remove_nonresonant_sweep_failure_is_newton_diverged(monkeypatch, target
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NewtonDiverged, match=match):
-            remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
+            remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], _params()),
+                               _params())
 
 
 def _search_with_fifth_poisoned(monkeypatch, armed):
@@ -734,7 +756,8 @@ def test_remove_nonresonant_stall_is_newton_diverged(monkeypatch):
     A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
     F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
     with pytest.raises(NewtonDiverged, match=r"non-resonant norm stalled at .* \(sweep 2\)"):
-        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
+        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], _params()),
+                           _params())
 
 
 def test_remove_nonresonant_sweep_cap_is_newton_diverged(monkeypatch):
@@ -743,7 +766,8 @@ def test_remove_nonresonant_sweep_cap_is_newton_diverged(monkeypatch):
     A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
     F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
     with pytest.raises(NewtonDiverged, match="Newton sweep cap reached without contraction"):
-        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], params=_params())
+        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], _params()),
+                           _params())
 
 
 def test_strict_unmet_lists_every_missed_hypothesis():
@@ -1201,7 +1225,8 @@ def test_remove_nonresonant_d2():
     F.u[(1, -1)] = 1e-4
     F.u[(-1, 1)] = 1e-4
     params = _params(max_degree=12, grid_size=4096, window_cap=6)
-    Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha, params=params)
+    Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha,
+                                        _window_rule(A, alpha, params), params)
     assert _removal_residual(A, F, Y, F_star, alpha) < 1e-10
 
 

@@ -22,8 +22,8 @@ from qpsl.moser_poschel import (
     certify_probe,
     d_tau_constant,
     discriminant,
+    edge_data,
     edge_data_from_reduction,
-    perturbation_matrix,
     poly_bounds_check,
     probe_gap_edge,
     uh_probe,
@@ -51,14 +51,7 @@ def _random_real_sl2_series(rng, degree=4):
 
 
 def _edge_from_series(B, zeta, energy=0.0, alpha=(GOLD,)):
-    from qpsl.moser_poschel import _entry, _mean_product
-    B11 = _entry(B, 0, 0)
-    B12 = _entry(B, 0, 1)
-    A11 = _mean_product(B11, B11).real
-    A12 = _mean_product(B11, B12).real
-    A22 = _mean_product(B12, B12).real
-    return EdgeData(B=B, zeta=zeta, energy=energy, alpha=np.array(alpha),
-                    A11=A11, A12=A12, A22=A22, k0=1, b_norm_k0=B.ck_norm_estimate(1))
+    return edge_data(B, zeta, energy, alpha, k0=1)
 
 
 def _averaged_matrix(edge: EdgeData):
@@ -77,7 +70,7 @@ def _discriminant_crosscheck(edge: EdgeData, delta):
 
 
 def test_perturbation_matrix_identity_B():
-    P = perturbation_matrix(_identity_series(), zeta=0.25)
+    P = _edge_from_series(_identity_series(), zeta=0.25).P
     val = P.eval([0.7])
     assert np.allclose(val, [[-0.25, 0.0], [-1.0, 0.0]], atol=1e-14)
 
@@ -86,9 +79,8 @@ def test_perturbation_trace_pointwise():
     rng = np.random.default_rng(0)
     B = _random_real_sl2_series(rng)
     zeta = 0.1
-    P = perturbation_matrix(B, zeta)
-    from qpsl.moser_poschel import _entry
-    B11 = _entry(B, 0, 0)
+    P = _edge_from_series(B, zeta).P
+    B11 = B.map_values(lambda c: c[..., 0, 0], kind="scalar")
     for th in rng.uniform(0, 2 * math.pi, 12):
         tr = np.trace(P.eval([th]))
         assert tr == pytest.approx(-zeta * B11.eval([th]) ** 2, abs=1e-12)
@@ -108,7 +100,7 @@ def test_averaged_matrix_traceless_and_mean_consistency():
         c1 = _averaged_matrix(edge)
         assert abs(np.trace(c1)) < 1e-14
         # c1 is the traceless part of the mean of P: mean(P) = c1 - (zeta/2) A11 I
-        meanP = perturbation_matrix(B, zeta).mean()
+        meanP = edge.P.mean()
         assert np.allclose(meanP, c1 - 0.5 * zeta * edge.A11 * np.eye(2), atol=1e-12)
 
 
@@ -290,6 +282,16 @@ def criterion11_edges():
                for edge in ("upper", "lower")}
     return V, {edge: (edge_data_from_reduction(res, af), res.label)
                for edge, res in results.items()}
+
+
+def test_averages_are_the_zero_modes_of_p(criterion11_edges):
+    # d(s) and the edge checks read A11 = [B11^2] and A12 = [B11 B12], the
+    # certificate's M = C - s [P] reads P's zero mode: the same floats
+    upper = criterion11_edges[1]["upper"][0]
+    rand = _edge_from_series(_random_real_sl2_series(np.random.default_rng(4)), 0.1)
+    for edge in (upper, rand):
+        mean = edge.P.mean()
+        assert edge.A11 == -mean[1, 0].real and edge.A12 == -mean[1, 1].real
 
 
 def test_averaging_step_bounds_the_sampled_remainder(criterion11_edges):

@@ -118,6 +118,14 @@ def test_detect_gaps_free_cocycle_none():
     assert gaps == []
 
 
+def test_detect_gaps_without_labels_is_empty():
+    # the AMO curve has open gaps, but with no candidate label no plateau
+    # locks, and rho_fn is never called
+    curve = rotation_curve(amo_potential(0.5), [GOLD], np.linspace(-2.6, 2.6, 41),
+                           iters=2_000, samples=2, seed=3)
+    assert detect_gaps(curve, [GOLD], [], rho_fn=lambda evals: 1 / 0) == []
+
+
 def test_detect_gaps_amo_label_one():
     P = amo_potential(0.5)
     E = np.linspace(-2.6, 2.6, 201)
