@@ -95,12 +95,18 @@ def _load_config(args):
     return cfg
 
 
+def _number(value, name, kind=float):
+    """``value`` as a ``kind`` (float or int), else ConfigInvalid naming the setting."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigInvalid(f"{name} must be {what}, not {value!r}") from None
+
+
 def _count(value, name, least=1):
     """``value`` as an integer >= ``least``, else ConfigInvalid naming the setting."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        n = least - 1
+    n = _number(value, name, int)
     if n < least:
         raise ConfigInvalid(f"{name} must be an integer >= {least}, not {value!r}")
     return n
@@ -108,10 +114,7 @@ def _count(value, name, least=1):
 
 def _positive(value, name):
     """``value`` as a number > 0, else ConfigInvalid naming the setting."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
+    x = _number(value, name)
     if not x > 0:
         raise ConfigInvalid(f"{name} must be a number > 0, not {value!r}")
     return x
@@ -126,8 +129,9 @@ def _freq_from(cfg, args):
         comps = fc["components"]
     if comps is None:
         raise ConfigInvalid("no frequency given (--alpha or config.frequency)")
-    return frequency_vector(tuple(comps), gamma=float(_opt(args.gamma, fc, "gamma", 0.5)),
-                            tau=float(_opt(args.tau, fc, "tau", 1.5)))
+    return frequency_vector(tuple(comps),
+                            gamma=_number(_opt(args.gamma, fc, "gamma", 0.5), "gamma"),
+                            tau=_number(_opt(args.tau, fc, "tau", 1.5), "tau"))
 
 
 def _potential_from(cfg, args):
@@ -137,13 +141,13 @@ def _potential_from(cfg, args):
         lam = _opt(args.lam, pc, "lambda", None)
         if lam is None:
             raise ConfigInvalid("preset amo requires --lambda")
-        return amo_potential(float(lam))
+        return amo_potential(_number(lam, "lambda"))
     if preset in (None, "none", "zero"):
         set_path = args.set or pc.get("set")
         if set_path is None:
             return None
         return build_potential(_read(set_path, LabelSet.from_json),
-                               k=float(_opt(args.k, pc, "k", 2.0)))
+                               k=_number(_opt(args.k, pc, "k", 2.0), "k"))
     raise ConfigInvalid(f"unknown preset {preset!r}")
 
 
@@ -155,8 +159,8 @@ def _scan(args, e_min, e_max, grid):
     freq = _freq_from(cfg, args)
     V = _potential_from(cfg, args)
     scan = cfg.get("scan", {})
-    energies = np.linspace(float(_opt(args.emin, scan, "e_min", e_min)),
-                           float(_opt(args.emax, scan, "e_max", e_max)),
+    energies = np.linspace(_number(_opt(args.emin, scan, "e_min", e_min), "e_min"),
+                           _number(_opt(args.emax, scan, "e_max", e_max), "e_max"),
                            _count(_opt(args.grid, scan, "grid", grid), "grid"))
     run_cfg = {"frequency": [str(r) for r in freq.raw],
                "seed": _count(cfg.get("seed", 0), "seed", least=0),
@@ -245,12 +249,12 @@ def cmd_build_set(args):
     cfg = _load_config(args)
     freq = _freq_from(cfg, args)
     sc = cfg.get("schedule", {})
-    M = float(_opt(args.M, sc, "M", 10.0))
-    s = float(_opt(args.s, sc, "s", 0.9))
-    depth = int(_opt(args.depth, sc, "depth", 8))
-    j1 = int(_opt(args.j1, sc, "j1", 0))
-    spacing = int(_opt(args.spacing, sc, "spacing", 2))
-    count = int(_opt(args.count, sc, "count", 1))
+    M = _number(_opt(args.M, sc, "M", 10.0), "M")
+    s = _number(_opt(args.s, sc, "s", 0.9), "s")
+    depth = _number(_opt(args.depth, sc, "depth", 8), "depth", int)
+    j1 = _number(_opt(args.j1, sc, "j1", 0), "j1", int)
+    spacing = _number(_opt(args.spacing, sc, "spacing", 2), "spacing", int)
+    count = _number(_opt(args.count, sc, "count", 1), "count", int)
     strict = bool(sc.get("strict", False)) or bool(args.strict)
     ell = None
     if args.k_exponent is not None:
@@ -331,7 +335,7 @@ def cmd_gaps(args):
     samples = _count(_opt(args.samples, scan, "samples", 2), "samples")
     seed = run_cfg["seed"]
     labels = _parse_labels(args.labels or cfg.get("labels"))
-    tol = float(_opt(args.tol, cfg, "tol", 1e-3))
+    tol = _number(_opt(args.tol, cfg, "tol", 1e-3), "tol")
     alpha = freq.floats()
     with _rotation_runner(V, alpha, iters, samples, seed, _workers(args)) as rotate:
         curve = rotate(energies)
@@ -339,14 +343,14 @@ def cmd_gaps(args):
                            rho_fn=(lambda evals: rotate(evals).rho) if args.refine else None,
                            refine_bisections=14)
     if args.curve_out:
-        N = int(scan.get("N", 1000))
+        N = _count(scan.get("N", 1000), "N", least=10)  # ids_curve's floor
         ic = ids_curve(V, alpha, energies, N=N,
-                       phases=int(scan.get("phases", 4)), seed=seed)
+                       phases=_count(scan.get("phases", 4), "phases"), seed=seed)
         rows = list(zip(energies.tolist(), curve.rho.tolist(), ic.values.tolist()))
         _emit_csv(args.curve_out, "curves", ["E", "rho", "N"], rows,
                   {"frequency": run_cfg["frequency"], "iters": iters,
                    "N_trunc": N, "seed": seed})
-    k = float(_opt(args.k, cfg.get("potential", {}), "k", 2.0))
+    k = _number(_opt(args.k, cfg.get("potential", {}), "k", 2.0), "k")
     rows = []
     for g in gaps:
         chk = gap_bounds_check(g, k, freq.dc_tau)
@@ -363,7 +367,7 @@ def cmd_kam(args):
     cfg = _load_config(args)
     ks = _read(args.set, LabelSet.from_json)
     freq = ks.frequency
-    k = float(_opt(args.k, cfg.get("potential", {}), "k", 2.0))
+    k = _number(_opt(args.k, cfg.get("potential", {}), "k", 2.0), "k")
     V = build_potential(ks, k=k)
     kc = cfg.get("kam", {})
     params = KamParams(
@@ -403,11 +407,11 @@ def cmd_edge_probe(args):
     k = data.get("config", {}).get("k")
     if k is None and args.k is None:
         raise ConfigInvalid("edge-probe needs --k: the kam result records no k")
-    if k is not None and args.k is not None and float(args.k) != float(k):
+    k = args.k if k is None else _number(k, "k of the kam result")
+    if args.k is not None and args.k != k:
         raise ConfigInvalid(f"--k {args.k} differs from k = {k} of the kam result")
     if args.kappa is not None and not 0 < args.kappa < 0.25:
         raise ConfigInvalid(f"--kappa {args.kappa} is not in (0, 1/4)")
-    k = float(args.k if k is None else k)
     V = build_potential(ks, k=k)
     edge = edge_data_from_reduction(res, ks.frequency.floats())
     payload = bracket_gap(edge, V, probe=not args.no_probe)

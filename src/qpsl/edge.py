@@ -3,10 +3,9 @@ positive inside the gap, known through ``evaluate(E) -> (t, payload)``, which
 may raise one of the caller's failure types (recorded, and read as t = -inf,
 outside the gap), and ``slope(payload) -> dt/dE``.
 
-The edge is bracketed on equal steps from a start that reads inside the gap,
-jumping to the step the parabola through the last three inside values
-predicts, and then located by Newton steps on t, bisecting where a step
-would leave the bracket, down to the resolution of t.
+Every move is a root of the quadratic with the last evaluation's t and slope
+and the secant of the last two slopes as curvature: outward until the edge is
+bracketed, then inside the bracket (else bisecting) to the resolution of t.
 """
 
 import math
@@ -34,70 +33,57 @@ def locate_edge(indicator, slope, E_in, t_in, payload, step, edge, search):
     """Locate the ``edge`` ("upper" or "lower") of the gap around E_in, where
     ``indicator`` (from :func:`recorded`) read t_in > 0 with ``payload``.
 
-    The bracket lies on the steps E_k = E_{k-1} +- ``step`` (running float
-    sums from E_0 = E_in); from step j = 2 on, the search jumps to the step
-    just inside the root of the parabola through the last three inside steps,
-    at most to step 4j and to step 40, and a Newton step from step j that
-    falls short of step j + 1 comes first; the first energy that reads t <= 0
-    closes the bracket.  Newton steps -t / ``slope(payload)`` from the last
-    evaluation then shrink the bracket, bisecting where a step leaves it or
-    an end failed.  When t is rounded to the float grid at 1.0 (as |Re a| - 1
-    is), one quantum of it spans q = 2**-52 / |t'| in E: a shorter step
-    crosses by q / 2, and the search stops once t_in - t_out <= 2 ulp(1.0) in
-    a bracket at most q / 2 and 1e-14 relative wide, or at 4e-16 relative
-    width.  Returns the innermost t > 0 energy and its payload, and sets
-    search["bracket"] to the final [E_in, E_out].  Raises NonConvergence
-    when step 40 still reads t > 0, and when the outer end of the final
-    bracket is a failure, which may lie just outside the gap or inside it.
+    Each move from the last evaluation with finite t, (E, t, s = ``slope``),
+    is a root of t + s x + c x^2, c = (s - s') / (2 (E - E')) from the one
+    before, (E', s'): the first move is one ``step``, then the outward root
+    nearest 0 (one ``step`` where there is none) up to step 40 from E_in
+    until an energy reads t <= 0, then the root nearest 0, bisecting where it
+    leaves the bracket or an end failed.  When t is rounded to the float grid
+    at 1.0 (as |Re a| - 1 is), one quantum of it spans q = 2**-52 / |s| in E:
+    a shorter move crosses by q / 2, and the search stops once t_in - t_out
+    <= 2 ulp(1.0) in a bracket at most q / 2 and 1e-14 relative wide, or at
+    4e-16 relative width.  Returns the innermost t > 0 energy and its payload
+    and sets search["bracket"] to the final [E_in, E_out].  Raises
+    NonConvergence when step 40 still reads t > 0, and when the outer end of
+    the final bracket is a failure, just outside the gap or inside it.
     """
     sign = +1.0 if edge == "upper" else -1.0
-    steps, inside = [E_in], [(0, t_in)]  # inside: (k, t) with t > 0
-    while True:
-        j, k = inside[-1][0], inside[-1][0] + 1
-        if 2 <= j < 40:  # the root beyond x2 of p(x2 + s) = a s^2 + b s + t2
-            (x0, t0), (x1, t1), (x2, t2) = inside[-3:]
-            a = ((t2 - t1) / (x2 - x1) - (t1 - t0) / (x1 - x0)) / (x2 - x0)
-            b = (t2 - t1) / (x2 - x1) + a * (x2 - x1)
-            den = math.sqrt(b * b - 4 * a * t2) - b if b * b >= 4 * a * t2 else 0.0
-            if den > 0:
-                k = min(max(math.ceil(x2 + 2 * t2 / den) - 1, k), 4 * j, 40)
-        if k > 40:
-            raise NonConvergence(f"could not bracket the {edge} edge from E = {E_in}")
-        while len(steps) <= k:
-            steps.append(steps[-1] + sign * step)
-        E = steps[k]
-        if j >= 2 and k == j + 1 and E_in == steps[j]:
-            # a Newton step from step j that falls short of step k comes first
-            s = slope(payload)
-            if s and min(E_in, E) < E_in - t_in / s < max(E_in, E):
-                E = E_in - t_in / s
-        t, found = indicator(E)
-        if t <= 0:
-            E_out, t_out = E, t
-            break
-        if E == steps[k]:  # after a Newton step inside, step k is still due
-            inside.append((k, t))
-        E_in, t_in, payload = E, t, found
-
-    # safeguarded Newton on the caller's slope, from the last evaluation
-    q = 0.0  # one quantum of t, measured in E
+    E_last = E_in + sign * 40 * step  # step 40
+    E, t, found, E_out, t_out = E_in, t_in, payload, None, None
+    last, q = [], 0.0  # the last two evaluations with finite t, as (E, t, s)
     for _ in range(200):
-        width, scale = abs(E_out - E_in), max(1.0, abs(0.5 * (E_in + E_out)))
-        if (width < 4e-16 * scale or (t_in - t_out <= 2 * math.ulp(1.0)
-                                      and width <= min(q / 2, 1e-14 * scale))):
-            break
-        dE = math.inf  # bisect unless a Newton step stays inside the bracket
-        s = slope(found) if math.isfinite(t_out) else 0.0
-        if s:
-            q, dE = math.ulp(1.0) / abs(s), -t / s
-            if abs(dE) < q:  # t cannot resolve the step: cross by q / 2
-                dE = math.copysign(q / 2, (E_out if t > 0 else E_in) - E)
-        E = E + dE if min(E_in, E_out) < E + dE < max(E_in, E_out) else 0.5 * (E_in + E_out)
+        if E_out is not None:
+            width, scale = abs(E_out - E_in), max(1.0, abs(0.5 * (E_in + E_out)))
+            if (width < 4e-16 * scale or (t_in - t_out <= 2 * math.ulp(1.0)
+                                          and width <= min(q / 2, 1e-14 * scale))):
+                break
+        if math.isfinite(t):
+            last = [*last[-1:], (E, t, slope(found))]
+        (E_prev, _, s_prev), (E1, t1, s1) = last[0], last[-1]
+        c = (s1 - s_prev) / (2 * (E1 - E_prev)) if E1 != E_prev else 0.0
+        disc = s1 * s1 - 4 * c * t1
+        Q = -0.5 * (s1 + math.copysign(math.sqrt(disc), s1)) if disc >= 0 else 0.0
+        roots = ([t1 / Q] + ([Q / c] if c else [])) if Q and len(last) == 2 else []
+        if E_out is None:  # the outward root nearest 0; one step first and where none is
+            dE = next((x for x in roots if sign * x > 0), sign * step)
+        else:  # the root nearest 0, by bisection where an end failed
+            dE = roots[0] if roots and math.isfinite(t_out) else math.inf
+        q = math.ulp(1.0) / abs(s1) if s1 else q
+        if abs(dE) < q:  # t cannot resolve the move: cross by q / 2
+            dE = (sign if t1 > 0 else -sign) * q / 2
+        if E_out is None:
+            E = E_last if sign * (E1 + dE - E_last) > 0 else E1 + dE
+        else:
+            E = E1 + dE if min(E_in, E_out) < E1 + dE < max(E_in, E_out) else 0.5 * (E_in + E_out)
         t, found = indicator(E)
         if t > 0:
             E_in, t_in, payload = E, t, found
+            if E_out is None and E == E_last:
+                break
         else:
             E_out, t_out = E, t
+    if E_out is None:
+        raise NonConvergence(f"could not bracket the {edge} edge from E = {E_in}")
     search["bracket"] = [E_in, E_out]
     if t_out == -math.inf:
         # the bracket closed on a failure, which may be the edge or the

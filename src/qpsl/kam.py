@@ -863,10 +863,11 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     (default upper).  An energy target raises TargetNotLocked when its
     reduced constant is elliptic, t < -``conj_residual_tol``: E then lies in
     the spectrum.  The edge search starts at the free-cocycle guess E0 = 2
-    cos(2 pi ||<n, alpha> / 2||), steps by spread / 64, and raises
-    TargetNotLocked after that one reduction unless t(E0) > 0; a reduction
-    raising NewtonDiverged, StateInvalid, SmallDivisor or NotElliptic counts
-    as outside the gap.  The result's ``edge_search`` holds the number of
+    cos(2 pi ||<n, alpha> / 2||), raises TargetNotLocked after that one
+    reduction unless t(E0) > 0, then moves by steps of spread / 64 and roots
+    of a quadratic in t and dt/dE (:func:`_trace_slope`); a reduction raising
+    NewtonDiverged, StateInvalid, SmallDivisor or NotElliptic counts as
+    outside the gap.  The result's ``edge_search`` holds the number of
     reductions, the failed ones [[type, E], ...] and the final bracket.
     Raises TargetNotLocked when the edge's n~ is not +-label (it is another
     label's edge), and NonConvergence when B conjugates the cocycle to the

@@ -51,7 +51,10 @@ tau 1.5, M = 3, s = 0.3, depth 10, three labels, k = 2, the criterion-11
 ``returned``, then the edge search's evaluation count and number of
 failures, or ``None`` when the outcome carries no search record, and the
 ``float.hex`` of each energy it reduced at.  The energies are recorded by
-wrapping ``kam._reduce_at_energy``.
+wrapping ``kam._reduce_at_energy``; each search energy, here and above, is
+printed with the indicator t and the slope dt/dE of its reduction
+(``kam._gap_indicator``, ``kam._trace_slope``, as ``float.hex``), or
+``(failed)`` when the reduction raised.
 
 Last, label 43 of that set is reduced with the target ``{"energy": E}`` at
 its two edge energies (five resonant steps each, on a B of about a thousand
@@ -154,19 +157,26 @@ def _edge_slope(seed, energy):
 
 @contextlib.contextmanager
 def _reductions():
-    """The energies of the reductions kam makes inside the block, in order."""
+    """The reductions kam makes inside the block, in order: per energy E its
+    indicator t and slope dt/dE (``kam._gap_indicator``, ``kam._trace_slope``),
+    or None for both when the reduction raised."""
     energies, real = [], kam_module._reduce_at_energy
 
     def reduce(V, alpha, E, *rest):
-        energies.append(E)
-        return real(V, alpha, E, *rest)
+        energies.append((E, None, None))
+        state, reports = real(V, alpha, E, *rest)
+        energies[-1] = (E, kam_module._gap_indicator(state), kam_module._trace_slope(state))
+        return state, reports
 
     with mock.patch.object(kam_module, "_reduce_at_energy", reduce):
         yield energies
 
 
 def _hexes(energies):
-    return " ".join(float(E).hex() for E in energies)
+    """``float.hex`` of each energy with its t and dt/dE, or "failed"."""
+    return " ".join(f"{float(E).hex()} " + (f"(t {float(t).hex()} dt/dE {float(s).hex()})"
+                                            if t is not None else "(failed)")
+                    for E, t, s in energies)
 
 
 def _certificate(seed, edge, kam_out, probe):

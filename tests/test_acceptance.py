@@ -380,8 +380,8 @@ def test_criterion_11_end_to_end_consistency():
 def test_criterion_11_edges_within_drift_budget():
     # the drift budget of a change to the Fourier core, on both edges: edge
     # energies within 1e-14, zeta within 1e-10 relative, residuals <= 1e-9;
-    # the edge search stops at the indicator's resolution in at most 8
-    # reductions on the upper edge and 12 on the lower
+    # the edge search stops at the indicator's resolution in at most 7
+    # reductions on the upper edge and 8 on the lower
     freq = frequency_vector(GOLDEN_80, gamma=0.5, tau=1.5)
     sched = build_schedule(10, 0.9, depth=6)
     ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
@@ -396,7 +396,7 @@ def test_criterion_11_edges_within_drift_budget():
         assert res.zeta == pytest.approx(zeta, rel=1e-10, abs=0), edge
         assert res.conj_residual <= 1e-9, edge
         assert res.edge_search["failures"] == [], edge
-        assert res.edge_search["evaluations"] <= {"upper": 8, "lower": 12}[edge], edge
+        assert res.edge_search["evaluations"] <= {"upper": 7, "lower": 8}[edge], edge
 
 
 def test_criterion_12_exponent_window_report():

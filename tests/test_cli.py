@@ -175,7 +175,7 @@ def test_kam_and_edge_probe(tmp_path, criterion11_kam):
     data = json.loads(kam_out.read_text())
     assert data["zeta"] != 0
     assert data["conj_residual"] < 1e-8
-    assert 0 < data["edge_search"]["evaluations"] <= 8
+    assert 0 < data["edge_search"]["evaluations"] <= 7
     assert data["edge_search"]["failures"] == []
     assert "relaxed" not in data["config"]
     assert data["steps"] and all(step["residual"] < 1e-9 for step in data["steps"])
@@ -347,6 +347,21 @@ BAD_CONFIGS = {
     "seed-text": {"seed": "x"},
     "seed-negative": {"seed": -1},
 }
+# per config number given as text, the command that reads it and its config,
+# written as {tmp}/<name>-text.json
+TEXT_NUMBERS = {
+    "gamma": (ROTATION, {"frequency": {"gamma": "x"}}),
+    "tau": (ROTATION, {"frequency": {"tau": "x"}}),
+    "e-min": (ROTATION, {"scan": {"e_min": "x"}}),
+    "e-max": (ROTATION, {"scan": {"e_max": "x"}}),
+    "lambda": (ROTATION[:3] + ROTATION[5:], {"potential": {"lambda": "x"}}),
+    "k": (["kam", "--set", "{set}"], {"potential": {"k": "x"}}),
+    "gaps-tol": (["gaps"] + ROTATION[1:], {"tol": "x"}),
+    **{"gaps-" + key: (["gaps"] + ROTATION[1:] + ["--curve-out", "{tmp}/curves.csv"],
+                       {"scan": {key: "x"}}) for key in ("N", "phases")},
+    **{key: (["build-set", "--alpha", GOLDEN], {"schedule": {key: "x"}})
+       for key in ("M", "s", "depth", "j1", "spacing", "count")},
+}
 
 
 @pytest.mark.parametrize("argv, threads", [
@@ -376,6 +391,9 @@ BAD_CONFIGS = {
     (["cf", "--alpha", GOLDEN, "--depth", "0"], None),
 ] + [(["kam", "--set", "{set}", "--config", "{tmp}/" + name + ".json"], None)
      for name in BAD_CONFIGS] + [
+    (argv + ["--config", "{tmp}/" + name + "-text.json"], None)
+    for name, (argv, _) in TEXT_NUMBERS.items()] + [
+    (["edge-probe", "--result", "{tmp}/k-text-result.json", "--set", "{set}"], None),
     (ROTATION + ["--config", "{tmp}/seed-negative.json"], None),
     (["ids"] + ROTATION[1:-2] + ["--config", "{tmp}/seed-negative.json"], None),
     (["gaps"] + ROTATION[1:] + ["--config", "{tmp}/seed-negative.json"], None),
@@ -384,6 +402,7 @@ BAD_CONFIGS = {
         "label-index-past-end", "label-index-negative", "no-frequency", "amo-without-lambda",
         "unknown-preset", "no-potential", "ids-N", "potential-samples", "cf-depth"]
     + ["kam-" + name for name in BAD_CONFIGS]
+    + [name + "-text" for name in TEXT_NUMBERS] + ["result-k-text"]
     + ["rotation-seed-negative", "ids-seed-negative", "gaps-seed-negative"])
 def test_invalid_input_exits_config_invalid(argv, threads, tmp_path, capsys, monkeypatch,
                                             criterion11_kam):
@@ -396,6 +415,11 @@ def test_invalid_input_exits_config_invalid(argv, threads, tmp_path, capsys, mon
     (tmp_path / "labels.json").write_text('{"labels": [1, "2"]}')
     for name, cfg in BAD_CONFIGS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    for name, (_, cfg) in TEXT_NUMBERS.items():
+        (tmp_path / f"{name}-text.json").write_text(json.dumps(cfg))
+    result = json.loads(criterion11_kam[1].read_text())
+    result["config"]["k"] = "x"
+    (tmp_path / "k-text-result.json").write_text(json.dumps(result))
     if threads is not None:
         monkeypatch.setenv("QPSL_THREADS", threads)
     out = tmp_path / "out"

@@ -940,7 +940,7 @@ def test_edge_search_brackets_planted_edge(edge):
     assert gap_to_out < 4e-16 * max(1.0, abs(E))
     assert abs(E - _GAP[1 if edge == "upper" else 0]) < 1e-15
     assert search == {"evaluations": len(log), "failures": [], "bracket": [E, E_out]}
-    assert search["evaluations"] == {"upper": 9, "lower": 6}[edge]
+    assert search["evaluations"] == {"upper": 6, "lower": 6}[edge]
 
 
 @pytest.mark.parametrize("edge", ["upper", "lower"])
@@ -966,10 +966,11 @@ def test_edge_search_stops_at_indicator_resolution(monkeypatch, edge):
 
 
 def test_edge_search_records_failures_and_bisects():
-    # the second expansion step E0 + 0.0125 lands in the failing window, so
-    # the outer end of the bracket stays a failed evaluation (t = -inf) and
-    # every later energy must be the midpoint of the bracket
-    fail = (_E0 + 0.011, _E0 + 0.014)
+    # the third evaluation, the outward root E0 + 0.0155 of the quadratic
+    # through E0 and E0 + _STEP, lands in the failing window, so the outer
+    # end of the bracket stays a failed evaluation (t = -inf) and every later
+    # energy must be the midpoint of the bracket
+    fail = (_E0 + 0.014, _E0 + 0.017)
     evaluate, log = _plant_gap(fail=fail)
     search = {"evaluations": 0, "failures": []}
     with pytest.raises(NonConvergence) as info:
@@ -997,20 +998,23 @@ def test_edge_search_records_failures_and_bisects():
 
 
 def test_edge_search_records_failure_outside_gap():
-    # on the parabolic gap, the Newton step from step 10 overshoots the upper
-    # edge Ec + w = E0 + 0.0671 into a failing window just past it; the
-    # bisection that follows reaches a finite t <= 0 at E0 + 0.06714, so the
-    # search closes on the true edge and returns
+    # on the quartic gap t = (w^4 - (E - Ec)^4) / w^2, flatter inside than
+    # the quadratic through its last two slopes, the move from E0 + 10.23
+    # steps overshoots the upper edge Ec + w = E0 + 0.0671 by 6.3e-5 into a
+    # failing window just past it; the bisection that follows reaches a
+    # finite t <= 0 1.3e-5 past the edge, so the search closes on the true
+    # edge and returns
     Ec, w = _PARABOLA
-    fail = (Ec + w + 1e-4, Ec + w + 3e-4)
-    evaluate, log = _plant_parabola(fail=fail)
+    fail = (Ec + w + 5e-5, Ec + w + 1e-4)
+    evaluate, log = _plant(lambda E: ((w ** 4 - (E - Ec) ** 4) / w ** 2,
+                                      -4 * (E - Ec) ** 3 / w ** 2), fail)
     E, search = _locate(evaluate, "upper")
     assert abs(E - (Ec + w)) < 4e-15
     assert dict(log)[E] > 0
     failed = [["NewtonDiverged", e] for e, t in log if t == -math.inf]
-    assert failed == [["NewtonDiverged", log[5][0]]] and len(log) == 15
+    assert failed == [["NewtonDiverged", log[7][0]]] and len(log) == 17
     E_out = min(e for e, t in log if e > E)
-    assert log[6][0] == 0.5 * (log[4][0] + log[5][0])  # bisection after the failure
+    assert log[8][0] == 0.5 * (log[6][0] + log[7][0])  # bisection after the failure
     assert search == {"evaluations": len(log), "failures": failed, "bracket": [E, E_out]}
 
 
@@ -1068,28 +1072,22 @@ def test_edge_search_refuses_a_guess_outside_the_gap_or_failing(monkeypatch):
 
 
 @pytest.mark.parametrize("edge", ["upper", "lower"])
-def test_edge_search_jumps_to_the_linear_scan_bracket(edge):
+def test_edge_search_jumps_to_the_edge_of_a_planted_parabola(edge):
     Ec, w = _PARABOLA
     evaluate, log = _plant_parabola()
     E, search = _locate(evaluate, edge)
     energies = [e for e, _ in log]
     assert search == {"evaluations": len(log), "failures": [], "bracket": search["bracket"]}
     # one quantum of the indicator spans 2**-52 / 2w = 1.9e-15 in E here
-    assert abs(E - (Ec + w if edge == "upper" else Ec - w)) < 4e-15
+    edge_E = Ec + w if edge == "upper" else Ec - w
+    assert abs(E - edge_E) < 4e-15
 
-    # oracle: the plain outward scan from _E0 by running sums
-    steps = [_E0]
-    while w * w - (steps[-1] - Ec) ** 2 > 0:
-        steps.append(steps[-1] + (1.0 if edge == "upper" else -1.0) * _STEP)
-    # the jumps evaluate _E0, steps 1 and 2, then upper 8 (the cap 4j) and 10,
-    # or lower 8; the Newton step from there lands short of the scan's first
-    # outside step (upper 11, lower 9) and outside the gap, so the bracket
-    # the expansion hands to Newton lies inside the scan's
-    jumps = {"upper": [0, 1, 2, 8, 10], "lower": [0, 1, 2, 8]}[edge]
-    assert energies[:len(jumps)] == [steps[k] for k in jumps]
-    E_n, t_n = log[len(jumps)]
-    assert min(steps[-2:]) < E_n < max(steps[-2:]) and t_n <= 0
-    assert len(log) == {"upper": 10, "lower": 11}[edge]
+    # oracle: on a parabola the quadratic through E0 + _STEP with the secant
+    # of the slopes at E0 and E0 + _STEP as curvature is t itself, so after
+    # one step the search jumps to the planted edge, to rounding
+    assert energies[:2] == [_E0, _E0 + (1.0 if edge == "upper" else -1.0) * _STEP]
+    assert abs(energies[2] - edge_E) < 1e-15
+    assert len(log) == {"upper": 4, "lower": 5}[edge]
 
 
 def test_run_reducibility_rejects_final_residual_above_tolerance(monkeypatch):
@@ -1160,6 +1158,21 @@ def test_multi_label_upper_edges_refuse_or_fail_with_their_search():
     assert searches[4]["evaluations"] == 1 and len(searches[4]["failures"]) == 1
     assert searches[43] == {"evaluations": 1, "failures": []}
     assert searches[9]["failures"] == [] and searches[9]["evaluations"] > 1
+
+
+def test_multi_label_lower_edge_of_label_9_returns():
+    # K = {4, 9, 43}: label 9's lower edge closes on a reduction that passes
+    # the residual gate (its upper edge does not, above)
+    freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
+    sched = build_schedule(3, 0.3, depth=10)
+    ks = construct_label_set(freq, sched, j1=0, spacing=2, count=3)
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
+                       grid_size=2048, conj_residual_tol=1e-9, seed=1)
+    res = run_reducibility(build_potential(ks, k=2.0), freq.floats(),
+                           {"label": 9, "edge": "lower"}, params=params)
+    assert res.energy == pytest.approx(0.38598157870401073, rel=0, abs=1e-14)
+    assert res.conj_residual <= 1e-9
+    assert res.edge_search["failures"] == [] and res.edge_search["evaluations"] <= 9
 
 
 def test_trace_slope_is_the_closed_form_and_the_finite_difference():
