@@ -437,17 +437,24 @@ def cmd_report(args):
     cfg = _load_config(args)
     if not cfg:
         raise ConfigInvalid("report requires --config")
+    # the values passed on as flags are checked before any stage writes
+    kc = cfg.get("kam", {})
+    tol = _positive(cfg.get("tol", 0.25), "tol")
+    label_index = _count(kc.get("label_index", 0), "kam.label_index", least=0)
+    max_steps = _count(kc.get("max_steps", 24), "kam.max_steps")
+    edge = kc.get("edge", "upper")
+    if edge not in ("upper", "lower"):
+        raise ConfigInvalid(f"kam.edge must be 'upper' or 'lower', not {edge!r}")
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     path = {name: os.path.join(out_dir, name + ".json")
             for name in ("set", "verify", "kam", "probe", "report")}
-    kc = cfg.get("kam", {})
     stages = (
         ["build-set", "--config", args.config, "--out", path["set"]],
         ["verify-set", "--set", path["set"], "--num-targets", "10",
-         "--tol", str(cfg.get("tol", 0.25)), "--out", path["verify"]],
-        ["kam", "--set", path["set"], "--label-index", str(kc.get("label_index", 0)),
-         "--edge", str(kc.get("edge", "upper")), "--max-steps", str(kc.get("max_steps", 24)),
+         "--tol", repr(tol), "--out", path["verify"]],
+        ["kam", "--set", path["set"], "--label-index", str(label_index),
+         "--edge", edge, "--max-steps", str(max_steps),
          "--config", args.config, "--out", path["kam"]],
         ["edge-probe", "--result", path["kam"], "--set", path["set"], "--out", path["probe"]]
         + ([] if cfg.get("probe", True) else ["--no-probe"]),

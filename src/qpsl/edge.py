@@ -69,8 +69,10 @@ def locate_edge(indicator, slope, E_in, t_in, payload, step, edge, search):
         else:  # the root nearest 0, by bisection where an end failed
             dE = roots[0] if roots and math.isfinite(t_out) else math.inf
         q = math.ulp(1.0) / abs(s1) if s1 else q
-        if abs(dE) < q:  # t cannot resolve the move: cross by q / 2
+        if abs(dE) < q:  # t cannot resolve the move: cross by q / 2, one ulp at least
             dE = (sign if t1 > 0 else -sign) * q / 2
+            if E1 + dE == E1:
+                dE = math.nextafter(E1, math.copysign(math.inf, dE)) - E1
         if E_out is None:
             E = E_last if sign * (E1 + dE - E_last) > 0 else E1 + dE
         else:

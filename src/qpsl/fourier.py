@@ -68,10 +68,11 @@ def key_grid(K, d):
     return keys
 
 
-def shift_phases(K, d, alpha):
-    """e^{2 pi i <n, alpha>} over the keys of a centred block of half-width K:
-    the factors that move a series by 2 pi alpha (alpha in cycles)."""
-    return np.exp(2j * np.pi * (key_grid(K, d) @ alpha))
+def shift_phases(K, d, alpha, stride=1):
+    """e^{2 pi i <n, alpha>} over the keys n = stride m of a centred block of
+    half-width K in m: the factors that move a series by 2 pi alpha (alpha in
+    cycles)."""
+    return np.exp(2j * np.pi * ((key_grid(K, d) * stride) @ alpha))
 
 
 def _trimmed(block, d):
@@ -217,6 +218,13 @@ class FourierSeries:
     @property
     def degree(self):
         return self.K * (0.5 if self.halved else 1.0)
+
+    @property
+    def stride(self):
+        """The gcd of the keys of the nonzero modes over every axis: the
+        series lives on the lattice of its multiples (0 when it has no mode
+        off key 0)."""
+        return int(np.gcd.reduce(self.modes()[0], axis=None))
 
     def mean(self):
         return self[(0,) * self.d]
@@ -480,7 +488,8 @@ def grid_points(d, G, halved=False):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def grid_spectra(values, d, halved=False, max_degree=None, prune_tol=None, K=None):
+def grid_spectra(values, d, halved=False, max_degree=None, prune_tol=None, K=None,
+                 stride=1):
     """Inverse transform of a stack of n value arrays, shape (n, G^d) + the
     coefficient shape, sampled on the :func:`grid_points` grid, by one FFT.
 
@@ -492,13 +501,16 @@ def grid_spectra(values, d, halved=False, max_degree=None, prune_tol=None, K=Non
     count as neither kept nor dropped.  The dropped mass is summed left to
     right in the C order of the FFT block (per axis 0, 1, ..., G/2 - 1,
     -G/2, ..., -1).
+
+    With ``stride`` s (values from :func:`grid_values` with it), key m of
+    the blocks stands for key s m, at frequency s m (s m / 2 when halved).
     """
     n, G = len(values), round(values.shape[1] ** (1.0 / d))
     if G ** d != values.shape[1]:
         raise QpslError("grid values do not form a cube")
     tail = values.shape[2:]
     K = G // 2 if K is None else K
-    place, drop = _fft_layout(G, d, K, 0.5 if halved else 1.0, max_degree)
+    place, drop = _fft_layout(G, d, K, stride * (0.5 if halved else 1.0), max_degree)
     spec = np.fft.fftn(values.reshape((n,) + (G,) * d + tail),
                        axes=tuple(range(1, d + 1))).reshape(values.shape) / (G ** d)
     norms = _coeff_norms(spec, not tail)
@@ -533,9 +545,10 @@ def _fft_layout(G, d, K, scale, max_degree):
 
 
 def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
-                     prune_tol=None):
-    """Inverse transform of values sampled on the :func:`grid_points` grid:
-    :func:`grid_spectra` as series.
+                     prune_tol=None, stride=1):
+    """Inverse transform of values sampled on the :func:`grid_points` grid
+    (or by :func:`grid_values` with ``stride``): :func:`grid_spectra` as
+    series on ordinary keys.
 
     ``values`` has shape (G^d,) or (G^d, 2, 2); a stack of n such arrays
     (a leading axis of length n) is transformed by one FFT into a list of n
@@ -544,9 +557,9 @@ def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
     values = np.asarray(values)
     single = values.ndim == (1 if kind == "scalar" else 3)
     blocks, dropped = grid_spectra(values[None] if single else values, d, halved=halved,
-                                   max_degree=max_degree, prune_tol=prune_tol)
+                                   max_degree=max_degree, prune_tol=prune_tol, stride=stride)
     out = []
-    for b, mass in zip(blocks, dropped):
+    for b, mass in zip(dilate(blocks, stride, d), dropped):
         out.append(FourierSeries.from_block(d, b, halved=halved, kind=kind))
         out[-1].dropped_mass = mass
     return out[0] if single else out
@@ -559,13 +572,43 @@ def stack_blocks(series, K=None):
     return np.stack([F.padded(K) for F in series])
 
 
-def grid_values(blocks, G, d):
+def grid_stride(G, *series):
+    """The largest divisor of the grid size G dividing every key of the
+    nonzero modes of ``series`` (G when none lies off key 0)."""
+    return math.gcd(G, *(S.stride for S in series))
+
+
+def lattice(blocks, stride, d):
+    """The slots of stacked centred blocks at the multiples of ``stride``, as
+    stacked centred blocks of half-width K // stride (a view)."""
+    K = (blocks.shape[1] - 1) // 2
+    return blocks[(slice(None),) + (slice(K % stride, None, stride),) * d]
+
+
+def dilate(blocks, stride, d):
+    """Stacked centred lattice blocks (key m standing for key stride m) as
+    ordinary blocks, zero off the lattice: the inverse of :func:`lattice`."""
+    if stride == 1:
+        return blocks
+    K = (blocks.shape[1] - 1) // 2
+    out = np.zeros((len(blocks),) + (2 * stride * K + 1,) * d + blocks.shape[1 + d:], complex)
+    out[(slice(None),) + (slice(None, None, stride),) * d] = blocks
+    return out
+
+
+def grid_values(blocks, G, d, stride=1):
     """Values on the ``grid_points(d, G, halved)`` grid (halved for blocks of
     series on the doubled torus) of stacked centred coefficient blocks, shape
     (n, (2K+1,)*d) + the coefficient shape, by one inverse FFT: the exact
     inverse of :func:`grid_spectra`.  Returns shape
     (n, G^d) + the coefficient shape.  Mode n folds onto n mod G; the modes
-    that share a residue add up in the C order of their keys."""
+    that share a residue add up in the C order of their keys.
+
+    With ``stride`` s, a divisor of G, only the keys that are multiples of s
+    are read (their :func:`lattice`), and the values are those of one period
+    2 pi / s: the first G / s points of each axis, by an FFT of that size.
+    """
+    blocks, G = lattice(blocks, stride, d), G // stride
     n, K = len(blocks), (blocks.shape[1] - 1) // 2
     tail = blocks.shape[1 + d:]
     # chunks of G consecutive keys from the multiple of G at or below -K: the

@@ -22,10 +22,14 @@ grid as the pair (A, B) of its row 0, and forms only row 0 of its products.
 Its grid is sized by the content it must resolve: it starts at grid_for(4 deg
 F), and the call restarts on twice the grid when a sweep's F' passes degree
 grid / 4 (each sweep's Y has the modes of the F it solves for), up to the
-grid of the degree cap, where nothing is checked.  On a grid of G points per
-axis the iterate stays the stack of its centred (u, w) coefficient blocks of
-half-width G / 2 as the forward FFT fills them (u's +G/2 modes stay apart from
-its -G/2 ones), with the tables over their keys built once per call and grid.
+grid of the degree cap, where nothing is checked.  Every grid transform runs
+on the lattice of its inputs' content: for g the largest divisor of the grid
+size G dividing every key of their nonzero modes (16 for criterion 11's one
+label 16), it takes one period, G / g points per axis, with spectra on the
+multiples of g.  The Newton iterate stays the stack of its centred (u, w)
+blocks of half-width G / (2 g) in lattice keys as the forward FFT fills them
+(u's +G/(2g) modes stay apart from its -G/(2g) ones), with the tables over
+their keys built once per call and grid.
 
 A reduction is labelled by the resonance n~ its resonant steps accumulate:
 at an edge of the gap of label n, n~ = +-n (gap labelling, 2 rho = <n,
@@ -86,9 +90,12 @@ from .errors import (
 from .fourier import (
     FourierSeries,
     Potential,
+    dilate,
     grid_spectra,
+    grid_stride,
     grid_values,
     key_grid,
+    lattice,
     multiply,
     potential_modes,
     series_from_grid,
@@ -157,9 +164,10 @@ class Su11Series:
     def sample(self, pts):
         return su11_element(self.u.sample(pts).real, self.w.sample(pts))
 
-    def on_grid(self, G):
-        """Values on grid_points(d, G)."""
-        uu, ww = grid_values(self.blocks(), G, self.d)
+    def on_grid(self, G, stride=1):
+        """Values on grid_points(d, G), or with ``stride`` on one period of
+        its lattice (see :func:`grid_values`)."""
+        uu, ww = grid_values(self.blocks(), G, self.d, stride)
         return su11_element(uu.real, ww)
 
     def prune(self, tol):
@@ -184,31 +192,33 @@ class Su11Series:
         return Su11Series(self.u.copy(), shift_sum(self.w, [delta], [1.0]))
 
 
-def _su11_spectra(values, d, max_degree, K=None):
+def _su11_spectra(values, d, max_degree, K=None, stride=1):
     """Stacked samples (u (real), w) on the standard grid -> the stacked
-    centred (u, w) blocks of :func:`grid_spectra`, modes of norm <= 1e-16
-    pruned, u projected onto real-valued functions (Hermitian coefficients),
-    and the dropped masses."""
+    centred (u, w) blocks of :func:`grid_spectra` (with ``stride``, its
+    lattice blocks), modes of norm <= 1e-16 pruned, u projected onto
+    real-valued functions (Hermitian coefficients), and the dropped masses."""
     blocks, dropped = grid_spectra(values, d, max_degree=max_degree,
-                                   prune_tol=1e-16, K=K)
+                                   prune_tol=1e-16, K=K, stride=stride)
     blocks[0] = (blocks[0] + np.conj(np.flip(blocks[0]))) / 2
     return blocks, dropped
 
 
-def su11_series_from_samples(uu, ww, d, max_degree=None):
-    """Samples of u (real) and w on the standard grid -> (u, w) series, by
-    one forward FFT."""
-    blocks, dropped = _su11_spectra(np.stack([uu, ww]), d, max_degree)
-    out = Su11Series.from_blocks(d, blocks)
+def su11_series_from_samples(uu, ww, d, max_degree=None, stride=1):
+    """Samples of u (real) and w on the standard grid (or with ``stride`` on
+    its lattice) -> (u, w) series, by one forward FFT."""
+    blocks, dropped = _su11_spectra(np.stack([uu, ww]), d, max_degree, stride=stride)
+    out = Su11Series.from_blocks(d, dilate(blocks, stride, d))
     out.u.dropped_mass, out.w.dropped_mass = dropped
     return out
 
 
 def exp_series(Y: Su11Series, grid, max_degree):
-    """e^{Y(theta)} as a matrix-valued series via the grid transform."""
-    vals = su11_exp(Y.on_grid(grid))
+    """e^{Y(theta)} as a matrix-valued series via the grid transform, on the
+    lattice of Y's content."""
+    g = grid_stride(grid, Y.u, Y.w)
+    vals = su11_exp(Y.on_grid(grid, g))
     return series_from_grid(vals, Y.d, kind="matrix", max_degree=max_degree,
-                            prune_tol=1e-16)
+                            prune_tol=1e-16, stride=g)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +382,10 @@ class ModeRule:
     exclude: tuple = None
     keep_w_mean: bool = True
 
-    def resonant(self, K, d):
-        """Masks (u, w) over the keys of a centred block of half-width K:
-        true where the mode stays in the resonant part."""
-        keys = key_grid(K, d)
+    def resonant(self, K, d, stride=1):
+        """Masks (u, w) over the keys n = stride m of a centred block of
+        half-width K in m: true where the mode stays in the resonant part."""
+        keys = key_grid(K, d) * stride
         dots = keys @ self.alpha
         zero = (keys == 0).all(axis=-1)
         far = np.abs(keys).max(axis=-1) > self.window
@@ -440,15 +450,17 @@ def solve_homological(A, F_nre: Su11Series, alpha, floor=1e-12, sigma=None):
     return Su11Series.from_blocks(F_nre.d, Y)
 
 
-def _blocks_norm(blocks, sup, weights):
-    """|u|_h + |w|_h of stacked centred (u, w) blocks, given |n| (``sup``)
-    and e^{|n| h} (``weights``) over their keys.  Each sum runs over its
-    block trimmed to its nonzero modes, as :meth:`FourierSeries.analytic_norm`
-    sums it, so the two agree bit for bit."""
+def _blocks_norm(blocks, sup, weights, stride=1):
+    """|u|_h + |w|_h of stacked centred (u, w) blocks over the keys n =
+    ``stride`` m, given |n| (``sup``) and e^{|n| h} (``weights``) over them.
+    Each sum runs over its block trimmed to its nonzero modes, as
+    :meth:`FourierSeries.analytic_norm` sums it, so for stride 1 the two
+    agree bit for bit (for a larger stride, to rounding)."""
     K = (blocks.shape[1] - 1) // 2
     terms = np.hypot(blocks.real, blocks.imag) * weights
     norm = 0.0
-    for t, k in zip(terms, np.where(blocks != 0, sup, 0).reshape(2, -1).max(axis=1)):
+    for t, n in zip(terms, np.where(blocks != 0, sup, 0).reshape(2, -1).max(axis=1)):
+        k = n // stride
         norm += float(np.sum(np.ascontiguousarray(t[(slice(K - k, K + k + 1),) * t.ndim])))
     return norm
 
@@ -472,14 +484,16 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
     checks the step identity at random probes).  eta is the divisor floor
     passed to the mode-by-mode solves.  The report holds ``sweeps``, the
     non-resonant norm before each sweep, ``dropped_mass``, the coefficient
-    mass the sweeps dropped, and ``grid``, the grid they ran on (sized by
-    their content, see the module docstring).
+    mass the sweeps dropped, ``grid``, the grid they ran on (sized by their
+    content, see the module docstring), and ``stride``, the stride g of the
+    lattice of F's keys they ran on, which every sweep keeps its content on.
 
-    The iterate stays a stack of centred (u, w) blocks of half-width G / 2
-    (the input's, if wider) until the exit; the resonance masks, divisors,
-    shift phases and norm weights over their keys are built once per call
-    and grid.  Each sweep does the float operations of ``rule.split``,
-    :meth:`Su11Series.norm` and :func:`solve_homological` in their order.
+    The iterate stays a stack of centred (u, w) blocks of half-width G / (2 g)
+    in lattice keys (the input's, if wider) until the exit expands F* and Y
+    to ordinary keys; the resonance masks, divisors, shift phases and norm
+    weights over its keys are built once per call and grid.  Each sweep does
+    the float operations of ``rule.split``, :meth:`Su11Series.norm` and
+    :func:`solve_homological` in their order.
     """
     alpha = np.atleast_1d(np.asarray(alpha, float))
     A = np.asarray(A, complex)
@@ -502,18 +516,19 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
     grid = params.grid_for(4 * int(F.degree()), d)
 
     while True:
-        K = max(grid // 2, F.u.K, F.w.K)
-        keys = key_grid(K, d)
+        g = grid_stride(grid, F.u, F.w)
+        K = max(grid // g // 2, F.u.K // g, F.w.K // g)  # in lattice keys
+        keys = key_grid(K, d) * g
         sup = np.abs(keys).max(axis=-1)
         weights = np.exp(sup * 1.0 * h)
-        resonant = np.stack(rule.resonant(K, d))
+        resonant = np.stack(rule.resonant(K, d, g))
         divisors = _mode_divisors(keys, alpha, sigma)
-        phases = shift_phases(K, d, alpha)
-        blocks, degree = F.blocks(K), F.degree()
+        phases = shift_phases(K, d, alpha, g)
+        blocks, degree = lattice(F.blocks(g * K), g, d), F.degree()
         E_acc, sweeps, dropped = None, [], 0.0
         for it in range(NEWTON_MAX_SWEEPS):
             nre = np.where(resonant, 0, blocks)
-            nre_norm = _blocks_norm(nre, sup, weights)
+            nre_norm = _blocks_norm(nre, sup, weights, g)
             sweeps.append(nre_norm)
             if nre_norm <= NEWTON_TOL * scale:
                 break
@@ -523,7 +538,7 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
             Y = _divide(nre, divisors, keys, eta)
             # e^{Y(.+alpha)} A' e^{g} e^{-Y} = A' e^{g'}, each SU(1,1) matrix
             # held as its row 0 (A, B); e^{-Y} is the adjugate (conj A, -B)
-            vals = grid_values(np.concatenate([Y, phases * Y, blocks]), grid, d)
+            vals = grid_values(np.concatenate([Y, phases * Y, blocks]), grid // g, d)
             # an overflowing sweep is reported by the finite check alone
             with np.errstate(over="ignore", invalid="ignore"):
                 E_here, E_fwd, Gv = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
@@ -535,14 +550,14 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
                 log = _su11_log_pair(*prod)
             except QpslError as exc:  # a rotation angle reached pi
                 raise NewtonDiverged(f"{exc} (sweep {it})") from exc
-            blocks, (drop_u, drop_w) = _su11_spectra(np.stack(log), d, max_deg, K)
+            blocks, (drop_u, drop_w) = _su11_spectra(np.stack(log), d, max_deg, K, g)
             degree = int(np.where(blocks != 0, sup, 0).max())
             if grid < cap and degree > grid / 4:
                 break
             dropped += drop_u + drop_w
             E_acc = E_here if E_acc is None else pair_product(E_here, E_acc)
         else:
-            nre_norm = _blocks_norm(np.where(resonant, 0, blocks), sup, weights)
+            nre_norm = _blocks_norm(np.where(resonant, 0, blocks), sup, weights, g)
             if nre_norm > NEWTON_TOL * scale * 100:
                 raise NewtonDiverged("Newton sweep cap reached without contraction")
         if grid == cap or degree <= grid / 4:
@@ -552,9 +567,10 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
     if E_acc is None:
         Y = Su11Series.zero(d)
     else:
-        Y = su11_series_from_samples(*_su11_log_pair(*E_acc), d, max_degree=max_deg)
-    F_star = Su11Series.from_blocks(d, blocks).prune(1e-18)
-    return Y, F_star, {"sweeps": sweeps, "dropped_mass": dropped, "grid": grid}
+        Y = su11_series_from_samples(*_su11_log_pair(*E_acc), d, max_degree=max_deg,
+                                     stride=g)
+    F_star = Su11Series.from_blocks(d, dilate(blocks, g, d)).prune(1e-18)
+    return Y, F_star, {"sweeps": sweeps, "dropped_mass": dropped, "grid": grid, "stride": g}
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +615,11 @@ def _combine_f_and_label(state: KamState, V_modes, params):
     if state.f.is_zero(1e-300):
         return T, T.u.dropped_mass + T.w.dropped_mass
     grid = params.grid_for(int(max(state.f.degree(), T.degree())) + 4, d)
-    vals = grid_values(stack_blocks([state.f.u, state.f.w, T.u, T.w]), grid, d)
+    g = grid_stride(grid, state.f.u, state.f.w, T.u, T.w)
+    vals = grid_values(stack_blocks([state.f.u, state.f.w, T.u, T.w]), grid, d, g)
     E_f, E_t = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
     out = su11_series_from_samples(*_su11_log_pair(*pair_product(E_f, E_t)), d,
-                                   max_degree=params.max_degree)
+                                   max_degree=params.max_degree, stride=g)
     return out, out.u.dropped_mass + out.w.dropped_mass
 
 
@@ -616,10 +633,11 @@ def _split_mean(A_base, G: Su11Series, params):
     A_next = A_base @ E_mean
     if G.degree() == 0:
         return A_next, Su11Series.zero(d)
-    vals = su11_exp(G.on_grid(params.grid_for(int(G.degree()) + 4, d)))
-    P = mat_product(_adjugate(E_mean), vals)
+    grid = params.grid_for(int(G.degree()) + 4, d)
+    g = grid_stride(grid, G.u, G.w)
+    P = mat_product(_adjugate(E_mean), su11_exp(G.on_grid(grid, g)))
     return A_next, su11_series_from_samples(*_su11_log_pair(P[:, 0, 0], P[:, 0, 1]), d,
-                                            max_degree=params.max_degree)
+                                            max_degree=params.max_degree, stride=g)
 
 
 def kam_step(state: KamState, params: KamParams):
@@ -715,7 +733,7 @@ def kam_step(state: KamState, params: KamParams):
             t_hat = complex(shift_sum(W.w, *V_modes, sup_norm(site))[site])
             extra["t_hat_site"] = [t_hat.real, t_hat.imag]
             extra["b_minus_t_hat"] = abs(complex(A_next[0, 1]) - t_hat)
-    extra["sweep_grid"] = rep["grid"]
+    extra["sweep_grid"], extra["sweep_stride"] = rep["grid"], rep["stride"]
 
     # certify the step on random probes of the doubled torus, B^-1 = adj B
     rng = np.random.default_rng(params.seed + 7 * j + 3)
@@ -752,10 +770,11 @@ def _ad_series(E: FourierSeries, W: Su11Series, params: KamParams):
     """Ad(E) W = E W E^{-1} for an SU(1,1)-valued matrix series E, inverted
     on the grid by the adjugate of its values."""
     G = params.grid_for(int(2 * E.degree + W.degree()) + 4, W.d)
-    [E_v] = grid_values(stack_blocks([E]), G, W.d)
-    vals = mat_product(E_v, W.on_grid(G), _adjugate(E_v))
+    g = grid_stride(G, E, W.u, W.w)
+    [E_v] = grid_values(stack_blocks([E]), G, W.d, g)
+    vals = mat_product(E_v, W.on_grid(G, g), _adjugate(E_v))
     return su11_series_from_samples(vals[:, 0, 0].imag, vals[:, 0, 1], W.d,
-                                    max_degree=params.max_degree)
+                                    max_degree=params.max_degree, stride=g)
 
 
 # ---------------------------------------------------------------------------
@@ -844,10 +863,15 @@ def _trace_slope(state):
     Z = M^{-1} D^{-1} M, S_E + delta e11 conjugates to A + delta Z(.+alpha)^{-1}
     e11 Z, so tr A moves by delta times the mean of Z22(.+alpha) Z11 -
     Z21(.+alpha) Z12 (det Z = 1), exactly the sum over n of mode n of the
-    first factor times mode -n of the second, and t by sign(Re a) / 2 of it."""
-    Z = M_CONJ_INV @ state.Dinv.block @ M_CONJ
-    Zs = M_CONJ_INV @ state.Dinv.shift(state.alpha).block @ M_CONJ
-    Zr = np.flip(Z, axis=tuple(range(state.alpha.size)))  # mode -n at n
+    first factor times mode -n of the second, and t by sign(Re a) / 2 of it.
+    The sum runs over the lattice of D^-1's modes only."""
+    d, g = state.alpha.size, state.Dinv.stride or 1
+    [Dinv] = lattice(state.Dinv.block[None], g, d)
+    phases = shift_phases((len(Dinv) - 1) // 2, d,
+                          state.alpha * (0.5 if state.Dinv.halved else 1.0), g)
+    Z = M_CONJ_INV @ Dinv @ M_CONJ
+    Zs = M_CONJ_INV @ (phases.reshape(phases.shape + (1, 1)) * Dinv) @ M_CONJ
+    Zr = np.flip(Z, axis=tuple(range(d)))  # mode -n at n
     mean = np.sum(Zs[..., 1, 1] * Zr[..., 0, 0] - Zs[..., 1, 0] * Zr[..., 0, 1])
     return math.copysign(0.5, float(np.asarray(state.A)[0, 0].real)) * float(mean.real)
 

@@ -21,8 +21,10 @@ probes read, the averaging step's masses ``y_mass``, ``q1_mass`` and
 ``q2_mass`` (the values the sparse ``multiply`` and ``coeff_mass`` feed the
 certificate), per probe scale the averaging certificate's margin and kappa
 sup R (``float.hex``) with ``uh_test``'s verdict at that scale as a
-cross-check, and for each KAM step its ``sweep_grid``, the ``float.hex`` of
-its ``dropped_mass`` and of its Newton sweep norms, so a change that moves
+cross-check, and for each KAM step its ``sweep_grid`` and ``sweep_stride``
+(the stride of the lattice its Newton sweeps ran on, ``None`` where a
+checkout does not record it), the ``float.hex`` of its ``dropped_mass`` and
+of its Newton sweep norms, so a change that moves
 bits on purpose can quote which values moved.  Then it runs ``kam
 --energy`` at the upper edge's energy, which labels the reduction by its own
 n~ instead of searching for the edge, and prints the hash of that
@@ -58,8 +60,8 @@ printed with the indicator t and the slope dt/dE of its reduction
 
 Last, label 43 of that set is reduced with the target ``{"energy": E}`` at
 its two edge energies (five resonant steps each, on a B of about a thousand
-modes).  Per energy it prints, as ``float.hex``, each step's
-``dropped_mass``, Newton sweep norms and ``t_hat_site`` (read from a
+modes).  Per energy it prints each step's ``sweep_stride`` and, as
+``float.hex``, its ``dropped_mass``, Newton sweep norms and ``t_hat_site`` (read from a
 ``shift_sum`` cut at the site's degree), then the edge's zeta,
 ``conj_residual`` and averages A11, A12 and A22, and each field of
 ``bracket_gap(edge, V, probe=False)``.  These steps combine a nonzero f
@@ -239,7 +241,8 @@ def _run(seed):
         for step in kam["steps"]:
             sweeps = " ".join(float(v).hex() for v in step["newton_sweeps"])
             print(f"seed {seed} {edge} step {step['j']} {step['case']} sweep_grid "
-                  f"{step['diagnostics'].get('sweep_grid')} dropped_mass "
+                  f"{step['diagnostics'].get('sweep_grid')} sweep_stride "
+                  f"{step['diagnostics'].get('sweep_stride')} dropped_mass "
                   f"{float(step['dropped_mass']).hex()} sweeps {sweeps}")
     with open("kam_upper.json") as fh:
         energy = json.load(fh)["energy"]
@@ -344,7 +347,8 @@ def _label_43_edges():
         res = run_reducibility(V, freq.floats(), {"energy": energy}, params=params)
         tag = f"K 4,9,43 label 43 energy {energy.hex()}"
         for rep in res.reports:
-            print(f"{tag} step {rep.j} {rep.case} dropped_mass {_hex(rep.dropped_mass)} "
+            print(f"{tag} step {rep.j} {rep.case} sweep_stride "
+                  f"{rep.diagnostics.get('sweep_stride')} dropped_mass {_hex(rep.dropped_mass)} "
                   f"sweeps {_hex(rep.newton_sweeps)} "
                   f"t_hat_site {_hex(rep.diagnostics.get('t_hat_site'))}")
         edge = edge_data_from_reduction(res, freq.floats())

@@ -399,6 +399,25 @@ def test_criterion_11_edges_within_drift_budget():
         assert res.edge_search["evaluations"] <= {"upper": 7, "lower": 8}[edge], edge
 
 
+def test_criterion_11_edges_and_zeta_keep_their_bits():
+    # the one resonant step of each edge runs its Newton sweep on the lattice
+    # of the label 16 (32 of its 512 points); the edge energies and zeta keep
+    # the bits of the dense sweep
+    freq = frequency_vector(GOLDEN_80, gamma=0.5, tau=1.5)
+    sched = build_schedule(10, 0.9, depth=6)
+    ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
+    V = build_potential(ks, k=2.0)
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched,
+                       max_degree=384, grid_size=2048, conj_residual_tol=1e-9, seed=1)
+    for edge, energy, zeta in (("upper", "0x1.e16f00c775ba3p+0", "0x1.78136840439f6p-8"),
+                               ("lower", "0x1.e06f01194e5eap+0", "-0x1.7241f6f04c44cp-8")):
+        res = run_reducibility(V, freq.floats(), {"label_index": 0, "edge": edge},
+                               params=params)
+        assert (res.energy.hex(), float(res.zeta).hex()) == (energy, zeta), edge
+        [step] = res.reports
+        assert (step.diagnostics["sweep_grid"], step.diagnostics["sweep_stride"]) == (512, 16)
+
+
 def test_criterion_12_exponent_window_report():
     t0 = time.time()
     from qpsl.spectrum import GapRecord

@@ -461,6 +461,28 @@ def test_report_stops_at_a_failing_stage_with_its_exit_code(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize("bad", [
+    {"kam": {"max_steps": "x"}}, {"kam": {"max_steps": 0}},
+    {"kam": {"label_index": "x"}}, {"kam": {"label_index": -1}},
+    {"kam": {"edge": "middle"}}, {"kam": {"edge": 1}},
+    {"tol": "x"}, {"tol": 0}, {"tol": -0.25}, {"tol": None},
+], ids=["max-steps-text", "max-steps-0", "label-index-text",
+        "label-index-negative", "edge-middle", "edge-number", "tol-text", "tol-0",
+        "tol-negative", "tol-null"])
+def test_report_rejects_bad_stage_values_before_any_stage(tmp_path, capsys, bad):
+    # a value report passes on as a flag exits 1 with ConfigInvalid before
+    # build-set or verify-set writes anything
+    out_dir = tmp_path / "report"
+    cfg = {"frequency": {"components": [golden_mean(80)]},
+           "schedule": {"M": 10, "s": 0.9, "depth": 6, "count": 1},
+           "out_dir": str(out_dir), **bad}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["report", "--config", str(cfg_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
+    assert not out_dir.exists()
+
+
 def test_report_runs_the_stage_subcommands(tmp_path, criterion11_kam):
     # the criterion11_kam configuration, bracket probes on: report leaves the
     # artifacts of its stages, equal to the subcommands' own

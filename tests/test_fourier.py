@@ -13,7 +13,9 @@ from qpsl.fourier import (
     _coeff_norms,
     amo_potential,
     build_potential,
+    dilate,
     grid_points,
+    grid_stride,
     grid_values,
     key_grid,
     multiply,
@@ -557,3 +559,65 @@ def test_series_from_grid_roundtrip(kind, halved, d):
     assert set(cut.coeffs) == set(F.coeffs) - set(tail)
     norm = np.abs if kind == "scalar" else lambda v: np.linalg.norm(v, 2)
     assert cut.dropped_mass == pytest.approx(sum(norm(v) for v in tail.values()), rel=1e-12)
+
+
+def _lattice_series(rng, d, g, degree, kind="scalar", halved=False):
+    """A random series whose nonzero modes all sit at multiples of g, up to
+    ``degree`` lattice keys per axis."""
+    F = _random_series(rng, d=d, degree=degree, kind=kind, halved=halved)
+    return FourierSeries.from_block(d, dilate(F.block[None], g, d)[0], halved=halved,
+                                    kind=kind)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix"])
+@pytest.mark.parametrize("halved", [False, True])
+@pytest.mark.parametrize("cut", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+def test_strided_transform_pair_equals_the_dense_pair(kind, halved, cut, d):
+    # on G / g points per axis the pair gives the dense G-point pair's values
+    # (one period of them) and spectra within 1e-15 relative, the degree cut
+    # in frequency units, and exact zeros off the lattice
+    rng = np.random.default_rng(23 + 4 * d + 2 * halved + (kind == "matrix"))
+    g, G, max_degree = (4, 64, 7) if d == 1 else (2, 16, 2)
+    max_degree = max_degree if cut else None
+    F = _lattice_series(rng, d, g, 5 if d == 1 else 3, kind, halved)
+    assert F.stride % g == 0 and grid_stride(G, F) == g
+    dense = grid_values(F.block[None], G, d)
+    vals = grid_values(F.block[None], G, d, g)
+    period = dense.reshape((G,) * d + dense.shape[2:])[(slice(G // g),) * d]
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(vals[0] - period.reshape(vals.shape[1:]))) <= 1e-15 * scale
+    want = series_from_grid(dense[0], d, halved=halved, kind=kind, max_degree=max_degree)
+    got = series_from_grid(vals[0], d, halved=halved, kind=kind, max_degree=max_degree,
+                           stride=g)
+    K = max(want.K, got.K)
+    block, ref = got.padded(K), want.padded(K)
+    assert np.max(np.abs(block - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert got.dropped_mass == pytest.approx(want.dropped_mass, rel=1e-15, abs=0)
+    assert cut == (got.dropped_mass > 0.1)
+    assert got.degree <= (max_degree or np.inf)
+    on_lattice = (key_grid(K, d) % g == 0).all(axis=-1)
+    assert (block[~on_lattice] == 0).all()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stride_of_zero_constant_and_unaligned_content(d):
+    rng = np.random.default_rng(31 + d)
+    # no mode off key 0: stride 0, and a transform on one point per axis that
+    # returns the constant with its bits
+    zero, const = FourierSeries(d), FourierSeries.constant(d, 0.3 - 0.2j)
+    for F in (zero, const):
+        assert F.stride == 0 and grid_stride(32, F) == 32
+        vals = grid_values(F.block[None], 32, d, 32)
+        assert vals.shape == (1, 1) and vals[0, 0] == F.mean()
+        back = series_from_grid(vals[0], d, stride=32)
+        assert _same_bits(back.block, F.block)
+    # content on the multiples of 16, a grid of 24 points: the stride is 8
+    F = _lattice_series(rng, d, 16, 2)
+    assert F.stride == 16 and grid_stride(24, F) == 8 and grid_stride(24, F, const) == 8
+    assert grid_stride(24, F, FourierSeries(d, {(6,) * d: 1.0})) == 2
+    dense = series_from_grid(grid_values(F.block[None], 72, d)[0], d, prune_tol=1e-12)
+    got = series_from_grid(grid_values(F.block[None], 72, d, 8)[0], d, prune_tol=1e-12,
+                           stride=8)
+    assert got.K == dense.K == F.K and got.stride == 16
+    assert np.max(np.abs(got.block - dense.block)) <= 1e-15 * np.max(np.abs(F.block))

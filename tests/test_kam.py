@@ -470,6 +470,66 @@ def test_remove_nonresonant_grid_doubles_when_content_outgrows_it():
         assert got.block.shape == want.block.shape and np.array_equal(got.block, want.block)
 
 
+def _on_lattice(F, g):
+    """The su(1,1) series F with each key n moved to g n."""
+    def dilated(S):
+        keys, vals = S.modes()
+        return FourierSeries.from_modes(S.d, g * keys, vals)
+    return Su11Series(dilated(F.u), dilated(F.w))
+
+
+@pytest.mark.parametrize("rs", [False, True])
+def test_remove_nonresonant_on_a_lattice_equals_the_dense_sweep(rs):
+    # content on the multiples of 4: the sweep runs on the lattice (G / 4
+    # points) and gives the dense stack sweep's Y and F* to the rounding of
+    # its O(1) grid values (1e-16; 2.5e-18 measured), on the lattice, and its
+    # sweep norms to that rounding weighted by e^{|n| h} (up to 1.5e4 here)
+    rng = np.random.default_rng(11)
+    sigma, alpha = (0.85, np.array([GOLD])) if not rs else (
+        (float(np.dot((8,), [GOLD])) / 2 + 1e-5) % 1.0, np.array([GOLD]))
+    A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
+    F = _on_lattice(_random_su11_series(rng, degree=8, modes=8, amp=3e-4), 4)
+    params = _params(max_degree=192, grid_size=1024, window_cap=40)
+    rule = _window_rule(A, alpha, params)
+    if rs:
+        rule = dataclasses.replace(rule, window=params.max_degree, exclude=(8,),
+                                   keep_w_mean=False)
+    Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha, rule=rule, params=params)
+    assert rep["stride"] == 4 and rep["grid"] >= 128
+    Y_ref, F_ref, sweeps, dropped = _stack_remove_nonresonant(A, F, 1e-9, 0.05, alpha,
+                                                              rule, params, rep["grid"])
+    assert len(rep["sweeps"]) == len(sweeps) >= 3
+    assert rep["sweeps"][0] == pytest.approx(sweeps[0], rel=1e-15)
+    assert np.allclose(rep["sweeps"], sweeps, rtol=0, atol=1e-14)
+    assert rep["dropped_mass"] == dropped == 0.0
+    for got, want in ((Y.u, Y_ref.u), (Y.w, Y_ref.w), (F_star.u, F_ref.u), (F_star.w, F_ref.w)):
+        K = max(got.K, want.K)
+        assert np.max(np.abs(got.padded(K) - want.padded(K)), initial=0.0) <= 1e-16
+        assert got.stride % 4 == 0
+    assert _removal_residual(A, F, Y, F_star, alpha) < 1e-12
+
+
+def test_trace_slope_sums_the_lattice_of_dinv():
+    # D^-1 on the multiples of 8 (halved keys): the lattice sum gives the
+    # dense sum over every slot within 1e-15 relative
+    rng = np.random.default_rng(4)
+    keys = 8 * np.arange(-6, 7)[:, None]
+    Dinv = FourierSeries.from_modes(1, keys, rng.normal(size=(13, 2, 2))
+                                    + 1j * rng.normal(size=(13, 2, 2)), halved=True,
+                                    kind="matrix")
+    alpha = np.array([GOLD])
+    for re_a in (0.7, -0.7):
+        state = KamState(j=0, A=np.array([[re_a + 0.1j, 0.2], [0.2, re_a - 0.1j]]),
+                         f=Su11Series.zero(1), pending=[], W=Su11Series.zero(1), Dinv=Dinv,
+                         alpha=alpha, n_tilde=(0,))
+        Z = kam.M_CONJ_INV @ Dinv.block @ kam.M_CONJ
+        Zs = kam.M_CONJ_INV @ Dinv.shift(alpha).block @ kam.M_CONJ
+        Zr = np.flip(Z, axis=0)
+        dense = np.sum(Zs[..., 1, 1] * Zr[..., 0, 0] - Zs[..., 1, 0] * Zr[..., 0, 1]).real
+        assert kam._trace_slope(state) == pytest.approx(math.copysign(0.5, re_a) * dense,
+                                                        rel=1e-15)
+
+
 def _poison_sweep(monkeypatch, target="diag_pair_product", value=np.nan):
     """Set the first value of row 0 of the sweep's ``target`` to ``value``
     while armed[0]: of its diagonal conjugation, of its three-factor product
@@ -941,6 +1001,20 @@ def test_edge_search_brackets_planted_edge(edge):
     assert abs(E - _GAP[1 if edge == "upper" else 0]) < 1e-15
     assert search == {"evaluations": len(log), "failures": [], "bracket": [E, E_out]}
     assert search["evaluations"] == {"upper": 6, "lower": 6}[edge]
+
+
+@pytest.mark.parametrize("slope", [2.0, 10.0, 1000.0])
+@pytest.mark.parametrize("edge", ["upper", "lower"])
+def test_edge_search_on_a_steep_tent_leaves_each_end_by_an_ulp(edge, slope):
+    # |dt/dE| >= 2: the q / 2 crossing is below one ulp of E, and a root
+    # landing on the bracket's end moves one ulp off it, not by bisection
+    evaluate, log = _plant_gap(slope=slope)
+    E, search = _locate(evaluate, edge)
+    assert dict(log)[E] > 0 and search["failures"] == []
+    assert abs(E - _GAP[1 if edge == "upper" else 0]) < 1e-15
+    E_in, E_out = search["bracket"]
+    assert abs(E_out - E_in) < 4e-16 * max(1.0, abs(E))
+    assert search["evaluations"] == len(log) <= 8
 
 
 @pytest.mark.parametrize("edge", ["upper", "lower"])
