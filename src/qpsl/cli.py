@@ -96,9 +96,13 @@ def _load_config(args):
 
 
 def _number(value, name, kind=float):
-    """``value`` as a ``kind`` (float or int), else ConfigInvalid naming the setting."""
+    """``value`` as a ``kind`` (float or int), else ConfigInvalid naming the
+    setting; a number with a fraction is not an int."""
     try:
-        return kind(value)
+        x = kind(value)
+        if kind is int and isinstance(value, float) and x != value:
+            raise ValueError(value)
+        return x
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ConfigInvalid(f"{name} must be {what}, not {value!r}") from None

@@ -12,7 +12,9 @@ SU(1,1) is the isomorphic image of SL(2,R) under the unitary
     M = (1 + i)^(-1) [[1, -i], [1, i]],
 
 and su(1,1) elements are parametrized as [[i*a, b], [conj(b), -i*a]] with a
-real and b complex.
+real and b complex.  An SU(1,1) matrix [[A, B], [conj(B), conj(A)]] is fixed
+by its row 0 (A, B): :func:`pair_product` multiplies such rows in closed
+form, and full (m, 2, 2) stacks are multiplied by ``@``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
 from .fourier import Potential, grid_points
 
 __all__ = [
-    "M_CONJ", "M_CONJ_INV", "mat_product", "pair_product", "diag_pair_product",
+    "M_CONJ", "M_CONJ_INV", "pair_product",
     "to_su11", "from_su11", "check_su11",
     "su11_exp", "su11_exp_pair",
     "parabolic_normalize", "diagonalize_su11", "rotation_matrix",
@@ -218,73 +220,14 @@ def _adjugate(M):
     return out
 
 
-def _times(a, b):
-    """(ar + i ai)(br + i bi) as (re, im) in the real arithmetic of
-    :func:`mat_product`; ai = bi = None for real factors."""
-    (ar, ai), (br, bi) = a, b
-    if ai is None:
-        return ar * br, None
-    re, im = ar * br, ar * bi
-    re -= ai * bi
-    im += ai * br
-    return re, im
-
-
-def _entry_products(entry, n, rows, out):
-    """Add to out[:, r, l] the entry (rows[r], l) of F_0 ... F_{n-1}, given
-    entry(f, j, k) = (re, im) of F_f[j, k], in :func:`mat_product`'s order."""
-    for r, i in enumerate(rows):
-        # the prefixes F_0[i, j] ... F_{n-2}[., k], in C order of (j, ..., k)
-        terms = [entry(0, i, j) for j in (0, 1)]
-        for f in range(1, n - 1):
-            terms = [_times(t, entry(f, s % 2, k)) for s, t in enumerate(terms) for k in (0, 1)]
-        for l in (0, 1):
-            for s, t in enumerate(terms):
-                re, im = _times(t, entry(n - 1, s % 2, l))
-                out.real[:, r, l] += re
-                if im is not None:
-                    out.imag[:, r, l] += im
-    return out
-
-
-def mat_product(*factors):
-    """F_1 F_2 ... F_n per entry over a stack; factors (m, 2, 2) or (2, 2),
-    result (m, 2, 2).  Entry (i, l) adds to 0, over (j, k, ...) in C order,
-    the left-associated products F_1[i, j] F_2[j, k] ..., complex ones in
-    real arithmetic: numpy's Einstein summation order, which it equals bit
-    for bit (``@`` and numpy's complex ``*`` round differently)."""
-    mats = [np.asarray(F, np.result_type(*factors)) for F in factors]
-    cplx = np.iscomplexobj(mats[0])
-    entry = lambda f, i, j: (mats[f][..., i, j].real, mats[f][..., i, j].imag if cplx else None)
-    m = max((len(M) for M in mats if M.ndim == 3), default=1)
-    return _entry_products(entry, len(mats), (0, 1), np.zeros((m, 2, 2), mats[0].dtype))
-
-
 def pair_product(*pairs):
-    """Row 0 (A, B) of the product of SU(1,1) stacks, each given by its row 0
-    (A, B), row 1 being (conj B, conj A): row 0 of :func:`mat_product` of the
-    full stacks, bit for bit but for the sign of an exact zero."""
-
-    def entry(f, j, k):
-        v = pairs[f][(j + k) % 2]
-        return v.real, -v.imag if j else v.imag
-
-    out = _entry_products(entry, len(pairs), (0,),
-                          np.zeros((len(pairs[0][0]), 1, 2), complex))
-    return out[:, 0, 0], out[:, 0, 1]
-
-
-def diag_pair_product(c, pair, d):
-    """Row 0 (c A d[0], c B d[1]) of diag(c, .) M diag(d[0], d[1]) for M of row
-    0 ``pair``: row 0 of :func:`mat_product` of the three, bit for bit, as the
-    terms it adds besides these are exact zeros."""
-    out = np.zeros((len(pair[0]), 1, 2), complex)
-    for l in (0, 1):
-        re, im = _times(_times((c.real, c.imag), (pair[l].real, pair[l].imag)),
-                        (d[l].real, d[l].imag))
-        out.real[:, 0, l] += re
-        out.imag[:, 0, l] += im
-    return out[:, 0, 0], out[:, 0, 1]
+    """Row 0 (A, B) of the product of SU(1,1) matrices or stacks, each given
+    by its row 0 (A, B), row 1 being (conj B, conj A): the closed form
+    (A, B)(a, b) = (A a + B conj b, A b + B conj a), folded left."""
+    A, B = pairs[0]
+    for a, b in pairs[1:]:
+        A, B = A * a + B * np.conj(b), A * b + B * np.conj(a)
+    return A, B
 
 
 def conjugacy_residual(V, alpha, E, B, want, pts):
@@ -305,7 +248,7 @@ def conjugacy_residual(V, alpha, E, B, want, pts):
     S[:, 0, 0] = E - potential_values(V, pts)
     S[:, 0, 1] = -1.0
     S[:, 1, 0] = 1.0
-    got = mat_product(np.linalg.inv(B.sample(pts + step)), S, B.sample(pts))
+    got = np.linalg.inv(B.sample(pts + step)) @ S @ B.sample(pts)
     return float(min(np.max(np.abs(got - want)), np.max(np.abs(got + want))))
 
 

@@ -18,7 +18,9 @@ diagonal component and e^{2 pi i (<n,alpha> - 2 sigma)} - 1 off the diagonal,
 sigma being the angle (in cycles) of the diagonalized constant.
 
 The Newton sweep holds each SU(1,1) matrix [[A, B], [conj B, conj A]] on the
-grid as the pair (A, B) of its row 0, and forms only row 0 of its products.
+grid as the pair (A, B) of its row 0, and forms only row 0 of its products,
+in the closed form of :func:`qpsl.cocycle.pair_product`; the diagonal
+conjugation by the constant is a phase on B.
 Its grid is sized by the content it must resolve: it starts at grid_for(4 deg
 F), and the call restarts on twice the grid when a sweep's F' passes degree
 grid / 4 (each sweep's Y has the modes of the F it solves for), up to the
@@ -68,8 +70,6 @@ from .cocycle import (
     su11_exp_pair,
     _adjugate,
     _su11_log_pair,
-    diag_pair_product,
-    mat_product,
     pair_product,
     to_su11,
     M_CONJ,
@@ -503,8 +503,8 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
         raise QpslError("remove_nonresonant expects a diagonal constant part")
     theta = float(np.angle(A[0, 0])) % (2 * math.pi)
     sigma = theta / (2 * math.pi)
-    Ad = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-    Ad_inv, Ad_diag = np.linalg.inv(Ad)[0, 0], np.diagonal(Ad)
+    # Ad^-1 M Ad, Ad = A, keeps row 0's A and turns its B by e^{-2 i theta}
+    turn = np.exp(-2j * theta)
 
     scale = max(F.norm(h), 1e-300)
     max_deg = params.max_degree
@@ -542,8 +542,8 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
             # an overflowing sweep is reported by the finite check alone
             with np.errstate(over="ignore", invalid="ignore"):
                 E_here, E_fwd, Gv = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
-                inner = diag_pair_product(Ad_inv, E_fwd, Ad_diag)
-                prod = pair_product(inner, Gv, (np.conj(E_here[0]), -E_here[1]))
+                prod = pair_product((E_fwd[0], E_fwd[1] * turn), Gv,
+                                    (np.conj(E_here[0]), -E_here[1]))
             if not np.isfinite(prod).all():
                 raise NewtonDiverged(f"non-finite sweep values (sweep {it})")
             try:
@@ -635,8 +635,9 @@ def _split_mean(A_base, G: Su11Series, params):
         return A_next, Su11Series.zero(d)
     grid = params.grid_for(int(G.degree()) + 4, d)
     g = grid_stride(grid, G.u, G.w)
-    P = mat_product(_adjugate(E_mean), su11_exp(G.on_grid(grid, g)))
-    return A_next, su11_series_from_samples(*_su11_log_pair(P[:, 0, 0], P[:, 0, 1]), d,
+    uu, ww = grid_values(G.blocks(), grid, d, g)
+    prod = pair_product((np.conj(E_mean[0, 0]), -E_mean[0, 1]), su11_exp_pair(uu.real, ww))
+    return A_next, su11_series_from_samples(*_su11_log_pair(*prod), d,
                                             max_degree=params.max_degree, stride=g)
 
 
@@ -739,9 +740,8 @@ def kam_step(state: KamState, params: KamParams):
     rng = np.random.default_rng(params.seed + 7 * j + 3)
     pr = rng.uniform(0, 4 * math.pi, size=(PROBE_COUNT, d))
     Bv = B_step.sample(np.concatenate([pr + 2 * math.pi * alpha[None, :], pr]))
-    mid = mat_product(state.A, su11_exp(F_t.sample(pr)))
-    lhs = mat_product(Bv[:len(pr)], mid, _adjugate(Bv[len(pr):]))
-    rhs = mat_product(A_next, su11_exp(f_next.sample(pr)))
+    lhs = Bv[:len(pr)] @ state.A @ su11_exp(F_t.sample(pr)) @ _adjugate(Bv[len(pr):])
+    rhs = A_next @ su11_exp(f_next.sample(pr))
     residual = float(np.max(np.abs(lhs - rhs)))
     if residual > params.conj_residual_tol:
         raise StateInvalid(
@@ -772,7 +772,7 @@ def _ad_series(E: FourierSeries, W: Su11Series, params: KamParams):
     G = params.grid_for(int(2 * E.degree + W.degree()) + 4, W.d)
     g = grid_stride(G, E, W.u, W.w)
     [E_v] = grid_values(stack_blocks([E]), G, W.d, g)
-    vals = mat_product(E_v, W.on_grid(G, g), _adjugate(E_v))
+    vals = E_v @ W.on_grid(G, g) @ _adjugate(E_v)
     return su11_series_from_samples(vals[:, 0, 0].imag, vals[:, 0, 1], W.d,
                                     max_degree=params.max_degree, stride=g)
 

@@ -13,9 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qpsl import kam
-from qpsl.cocycle import to_su11, uh_test
+from qpsl.cocycle import potential_values, to_su11, uh_test
 from qpsl.diophantine import (
     cf_expand,
     dist_to_integers,
@@ -401,21 +402,59 @@ def test_criterion_11_edges_within_drift_budget():
 
 def test_criterion_11_edges_and_zeta_keep_their_bits():
     # the one resonant step of each edge runs its Newton sweep on the lattice
-    # of the label 16 (32 of its 512 points); the edge energies and zeta keep
-    # the bits of the dense sweep
+    # of the label 16 (32 of its 512 points); the edge energies and zeta are
+    # pinned to the bits of its closed-form row-0 products, so any change in
+    # the order of the sweep's arithmetic shows here
     freq = frequency_vector(GOLDEN_80, gamma=0.5, tau=1.5)
     sched = build_schedule(10, 0.9, depth=6)
     ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
     V = build_potential(ks, k=2.0)
     params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched,
                        max_degree=384, grid_size=2048, conj_residual_tol=1e-9, seed=1)
-    for edge, energy, zeta in (("upper", "0x1.e16f00c775ba3p+0", "0x1.78136840439f6p-8"),
-                               ("lower", "0x1.e06f01194e5eap+0", "-0x1.7241f6f04c44cp-8")):
+    for edge, energy, zeta in (("upper", "0x1.e16f00c775ba3p+0", "0x1.781368404383ep-8"),
+                               ("lower", "0x1.e06f01194e5ebp+0", "-0x1.7241f6f04c44cp-8")):
         res = run_reducibility(V, freq.floats(), {"label_index": 0, "edge": edge},
                                params=params)
         assert (res.energy.hex(), float(res.zeta).hex()) == (energy, zeta), edge
         [step] = res.reports
         assert (step.diagnostics["sweep_grid"], step.diagnostics["sweep_stride"]) == (512, 16)
+
+
+def _periodic_trace(values, E):
+    """tr S_{q-1} ... S_0 for S_k = [[E - V_k, -1], [1, 0]] and the q values
+    V_k of ``values``, by the two column walks from (1, 0) and (0, 1)."""
+    a0, a1, b0, b1 = 1.0, 0.0, 0.0, 1.0
+    for v in values:
+        a0, a1 = (E - v) * a0 - a1, a0
+        b0, b1 = (E - v) * b0 - b1, b0
+    return a0 + b1
+
+
+def test_criterion_11_edges_match_the_periodic_approximants():
+    # a reference that shares no code with the KAM and does not depend on the
+    # order of its products: the band edges tr M_q(E)^2 = 4 of the q-periodic
+    # operators of p/q = 1597/2584 and 2584/4181 (phase 0) lie 2.3e-6 and
+    # 8.8e-7 from the KAM edges, and their linear extrapolation in p/q - alpha
+    # to alpha lies within 1e-11 of them (4.1e-12 measured); the bracket of
+    # +-1e-5 is far inside the bands beyond the edges (about 5e-4 wide)
+    freq = frequency_vector(GOLDEN_80, gamma=0.5, tau=1.5)
+    sched = build_schedule(10, 0.9, depth=6)
+    ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
+    V = build_potential(ks, k=2.0)
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched,
+                       max_degree=384, grid_size=2048, conj_residual_tol=1e-9, seed=1)
+    [alpha] = freq.floats()
+    for edge in ("upper", "lower"):
+        E = run_reducibility(V, [alpha], {"label_index": 0, "edge": edge},
+                             params=params).energy
+        shifts, edges = [], []
+        for p, q in ((1597, 2584), (2584, 4181)):
+            values = potential_values(V, (2 * math.pi * p / q) * np.arange(q)[:, None]).tolist()
+            edges.append(brentq(lambda e: _periodic_trace(values, e) ** 2 - 4.0,
+                                E - 1e-5, E + 1e-5, xtol=1e-16))
+            shifts.append(p / q - alpha)
+        extrapolated = edges[1] - shifts[1] * (edges[1] - edges[0]) / (shifts[1] - shifts[0])
+        assert abs(extrapolated - E) < 1e-11, (edge, extrapolated - E)
 
 
 def test_criterion_12_exponent_window_report():
