@@ -97,10 +97,10 @@ def _load_config(args):
 
 def _number(value, name, kind=float):
     """``value`` as a ``kind`` (float or int), else ConfigInvalid naming the
-    setting; a number with a fraction is not an int."""
+    setting; a boolean is not a number, and one with a fraction not an int."""
     try:
         x = kind(value)
-        if kind is int and isinstance(value, float) and x != value:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and x != value):
             raise ValueError(value)
         return x
     except (TypeError, ValueError, OverflowError):

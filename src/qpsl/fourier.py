@@ -18,6 +18,9 @@ against the majorant.
 A :class:`Potential` stays a sparse list of labels, whose modes can lie far
 beyond any block size; :func:`potential_modes` and :func:`shift_sum` work on
 it without a dense block.
+
+The grid transforms run by FFT; :func:`lattice_values` reads series on the
+lattice of their content and returns its g, the ``stride`` of the inverse.
 """
 
 from __future__ import annotations
@@ -68,11 +71,10 @@ def key_grid(K, d):
     return keys
 
 
-def shift_phases(K, d, alpha, stride=1):
-    """e^{2 pi i <n, alpha>} over the keys n = stride m of a centred block of
-    half-width K in m: the factors that move a series by 2 pi alpha (alpha in
-    cycles)."""
-    return np.exp(2j * np.pi * ((key_grid(K, d) * stride) @ alpha))
+def shift_phases(keys, alpha):
+    """e^{2 pi i <n, alpha>} over keys n (..., d): the factors that move a
+    series by 2 pi alpha (alpha in cycles)."""
+    return np.exp(2j * np.pi * (keys @ alpha))
 
 
 def _trimmed(block, d):
@@ -241,7 +243,7 @@ class FourierSeries:
         alpha = np.atleast_1d(np.asarray(alpha, float))
         if alpha.size != self.d:
             raise DomainMismatch("alpha dimension mismatch")
-        ph = shift_phases(self.K, self.d, alpha * (0.5 if self.halved else 1.0))
+        ph = shift_phases(key_grid(self.K, self.d), alpha * (0.5 if self.halved else 1.0))
         return self._like(ph.reshape(ph.shape + (1,) * len(self._tail)) * self.block)
 
     def map_values(self, f, kind=None):
@@ -502,8 +504,8 @@ def grid_spectra(values, d, halved=False, max_degree=None, prune_tol=None, K=Non
     right in the C order of the FFT block (per axis 0, 1, ..., G/2 - 1,
     -G/2, ..., -1).
 
-    With ``stride`` s (values from :func:`grid_values` with it), key m of
-    the blocks stands for key s m, at frequency s m (s m / 2 when halved).
+    With ``stride`` g (values from :func:`lattice_values` with it), key m of
+    the blocks stands for key g m, at frequency g m (g m / 2 when halved).
     """
     n, G = len(values), round(values.shape[1] ** (1.0 / d))
     if G ** d != values.shape[1]:
@@ -547,8 +549,8 @@ def _fft_layout(G, d, K, scale, max_degree):
 def series_from_grid(values, d, halved=False, kind="scalar", max_degree=None,
                      prune_tol=None, stride=1):
     """Inverse transform of values sampled on the :func:`grid_points` grid
-    (or by :func:`grid_values` with ``stride``): :func:`grid_spectra` as
-    series on ordinary keys.
+    (or by :func:`lattice_values`, with its ``stride``): :func:`grid_spectra`
+    as series on ordinary keys.
 
     ``values`` has shape (G^d,) or (G^d, 2, 2); a stack of n such arrays
     (a leading axis of length n) is transformed by one FFT into a list of n
@@ -572,12 +574,6 @@ def stack_blocks(series, K=None):
     return np.stack([F.padded(K) for F in series])
 
 
-def grid_stride(G, *series):
-    """The largest divisor of the grid size G dividing every key of the
-    nonzero modes of ``series`` (G when none lies off key 0)."""
-    return math.gcd(G, *(S.stride for S in series))
-
-
 def lattice(blocks, stride, d):
     """The slots of stacked centred blocks at the multiples of ``stride``, as
     stacked centred blocks of half-width K // stride (a view)."""
@@ -596,19 +592,23 @@ def dilate(blocks, stride, d):
     return out
 
 
-def grid_values(blocks, G, d, stride=1):
+def lattice_values(series, G):
+    """Values of ``series`` (one d and kind) by one :func:`grid_values` call
+    on the lattice of their content: for g the largest divisor of G dividing
+    every key of their nonzero modes (G if none lies off key 0), one period
+    2 pi / g, the first G / g points per axis.  Returns (values, g)."""
+    d, g = series[0].d, math.gcd(G, *(S.stride for S in series))
+    return grid_values(lattice(stack_blocks(series), g, d), G // g, d), g
+
+
+def grid_values(blocks, G, d):
     """Values on the ``grid_points(d, G, halved)`` grid (halved for blocks of
     series on the doubled torus) of stacked centred coefficient blocks, shape
     (n, (2K+1,)*d) + the coefficient shape, by one inverse FFT: the exact
     inverse of :func:`grid_spectra`.  Returns shape
     (n, G^d) + the coefficient shape.  Mode n folds onto n mod G; the modes
     that share a residue add up in the C order of their keys.
-
-    With ``stride`` s, a divisor of G, only the keys that are multiples of s
-    are read (their :func:`lattice`), and the values are those of one period
-    2 pi / s: the first G / s points of each axis, by an FFT of that size.
     """
-    blocks, G = lattice(blocks, stride, d), G // stride
     n, K = len(blocks), (blocks.shape[1] - 1) // 2
     tail = blocks.shape[1 + d:]
     # chunks of G consecutive keys from the multiple of G at or below -K: the

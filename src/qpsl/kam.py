@@ -28,10 +28,11 @@ grid of the degree cap, where nothing is checked.  Every grid transform runs
 on the lattice of its inputs' content: for g the largest divisor of the grid
 size G dividing every key of their nonzero modes (16 for criterion 11's one
 label 16), it takes one period, G / g points per axis, with spectra on the
-multiples of g.  The Newton iterate stays the stack of its centred (u, w)
-blocks of half-width G / (2 g) in lattice keys as the forward FFT fills them
-(u's +G/(2g) modes stay apart from its -G/(2g) ones), with the tables over
-their keys built once per call and grid.
+multiples of g; g is chosen by :func:`qpsl.fourier.lattice_values` and by the
+sweep, whose iterate stays the stack of its centred (u, w) blocks of
+half-width G / (2 g) in lattice keys as the forward FFT fills them (u's
++G/(2g) modes stay apart from its -G/(2g) ones), with the tables over their
+keys built once per call and grid.
 
 A reduction is labelled by the resonance n~ its resonant steps accumulate:
 at an edge of the gap of label n, n~ = +-n (gap labelling, 2 rho = <n,
@@ -92,10 +93,10 @@ from .fourier import (
     Potential,
     dilate,
     grid_spectra,
-    grid_stride,
     grid_values,
     key_grid,
     lattice,
+    lattice_values,
     multiply,
     potential_modes,
     series_from_grid,
@@ -164,12 +165,6 @@ class Su11Series:
     def sample(self, pts):
         return su11_element(self.u.sample(pts).real, self.w.sample(pts))
 
-    def on_grid(self, G, stride=1):
-        """Values on grid_points(d, G), or with ``stride`` on one period of
-        its lattice (see :func:`grid_values`)."""
-        uu, ww = grid_values(self.blocks(), G, self.d, stride)
-        return su11_element(uu.real, ww)
-
     def prune(self, tol):
         self.u.prune(tol)
         self.w.prune(tol)
@@ -193,9 +188,9 @@ class Su11Series:
 
 
 def _su11_spectra(values, d, max_degree, K=None, stride=1):
-    """Stacked samples (u (real), w) on the standard grid -> the stacked
-    centred (u, w) blocks of :func:`grid_spectra` (with ``stride``, its
-    lattice blocks), modes of norm <= 1e-16 pruned, u projected onto
+    """Stacked samples (u (real), w) on the standard grid (or on its lattice
+    of ``stride``) -> the stacked centred (u, w) blocks of
+    :func:`grid_spectra`, modes of norm <= 1e-16 pruned, u projected onto
     real-valued functions (Hermitian coefficients), and the dropped masses."""
     blocks, dropped = grid_spectra(values, d, max_degree=max_degree,
                                    prune_tol=1e-16, K=K, stride=stride)
@@ -204,8 +199,8 @@ def _su11_spectra(values, d, max_degree, K=None, stride=1):
 
 
 def su11_series_from_samples(uu, ww, d, max_degree=None, stride=1):
-    """Samples of u (real) and w on the standard grid (or with ``stride`` on
-    its lattice) -> (u, w) series, by one forward FFT."""
+    """Samples of u (real) and w on the standard grid (or on its lattice of
+    ``stride``, from lattice_values) -> (u, w) series, by one forward FFT."""
     blocks, dropped = _su11_spectra(np.stack([uu, ww]), d, max_degree, stride=stride)
     out = Su11Series.from_blocks(d, dilate(blocks, stride, d))
     out.u.dropped_mass, out.w.dropped_mass = dropped
@@ -215,10 +210,9 @@ def su11_series_from_samples(uu, ww, d, max_degree=None, stride=1):
 def exp_series(Y: Su11Series, grid, max_degree):
     """e^{Y(theta)} as a matrix-valued series via the grid transform, on the
     lattice of Y's content."""
-    g = grid_stride(grid, Y.u, Y.w)
-    vals = su11_exp(Y.on_grid(grid, g))
-    return series_from_grid(vals, Y.d, kind="matrix", max_degree=max_degree,
-                            prune_tol=1e-16, stride=g)
+    (uu, ww), g = lattice_values([Y.u, Y.w], grid)
+    return series_from_grid(su11_exp(su11_element(uu.real, ww)), Y.d, kind="matrix",
+                            max_degree=max_degree, prune_tol=1e-16, stride=g)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +240,17 @@ class KamParams:
     max_degree: int = 384
     grid_size: int = 2048
     conj_residual_tol: float = 1e-9
-    window_cap: int = None
     seed: int = 0
 
     def width(self, j):
         return H0 * H_DECAY ** j
 
     def window(self, j):
-        cap = self.window_cap or self.max_degree
         if self.schedule is not None:
             ell_next = self.schedule.level_float(j + 1)
             if math.isfinite(ell_next):
-                return int(min(cap, max(8, 2 * ell_next)))
-        return cap
+                return int(min(self.max_degree, max(8, 2 * ell_next)))
+        return self.max_degree
 
     def strict_unmet(self):
         """The hypotheses of the paper's regime that this run misses (empty
@@ -382,10 +374,9 @@ class ModeRule:
     exclude: tuple = None
     keep_w_mean: bool = True
 
-    def resonant(self, K, d, stride=1):
-        """Masks (u, w) over the keys n = stride m of a centred block of
-        half-width K in m: true where the mode stays in the resonant part."""
-        keys = key_grid(K, d) * stride
+    def resonant(self, keys):
+        """Masks (u, w) over keys (..., d): true where the mode stays in the
+        resonant part."""
         dots = keys @ self.alpha
         zero = (keys == 0).all(axis=-1)
         far = np.abs(keys).max(axis=-1) > self.window
@@ -400,7 +391,7 @@ class ModeRule:
     def split(self, F: Su11Series):
         """(non-resonant part, resonant part) of F."""
         K = max(F.u.K, F.w.K)
-        resonant, blocks = np.stack(self.resonant(K, F.d)), F.blocks(K)
+        resonant, blocks = np.stack(self.resonant(key_grid(K, F.d))), F.blocks(K)
         return (Su11Series.from_blocks(F.d, np.where(resonant, 0, blocks)),
                 Su11Series.from_blocks(F.d, np.where(resonant, blocks, 0)))
 
@@ -450,17 +441,15 @@ def solve_homological(A, F_nre: Su11Series, alpha, floor=1e-12, sigma=None):
     return Su11Series.from_blocks(F_nre.d, Y)
 
 
-def _blocks_norm(blocks, sup, weights, stride=1):
-    """|u|_h + |w|_h of stacked centred (u, w) blocks over the keys n =
-    ``stride`` m, given |n| (``sup``) and e^{|n| h} (``weights``) over them.
-    Each sum runs over its block trimmed to its nonzero modes, as
-    :meth:`FourierSeries.analytic_norm` sums it, so for stride 1 the two
-    agree bit for bit (for a larger stride, to rounding)."""
+def _blocks_norm(blocks, sup, weights):
+    """|u|_h + |w|_h of stacked centred (u, w) blocks, given over their slots
+    the sup norm of the block key (``sup``) and e^{|n| h} (``weights``), n the
+    frequency.  Each sum runs over its block trimmed to its nonzero modes, as
+    :meth:`FourierSeries.analytic_norm` sums it (bit for bit on ordinary keys)."""
     K = (blocks.shape[1] - 1) // 2
     terms = np.hypot(blocks.real, blocks.imag) * weights
     norm = 0.0
-    for t, n in zip(terms, np.where(blocks != 0, sup, 0).reshape(2, -1).max(axis=1)):
-        k = n // stride
+    for t, k in zip(terms, np.where(blocks != 0, sup, 0).reshape(2, -1).max(axis=1)):
         norm += float(np.sum(np.ascontiguousarray(t[(slice(K - k, K + k + 1),) * t.ndim])))
     return norm
 
@@ -516,19 +505,19 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
     grid = params.grid_for(4 * int(F.degree()), d)
 
     while True:
-        g = grid_stride(grid, F.u, F.w)
+        g = math.gcd(grid, F.u.stride, F.w.stride)
         K = max(grid // g // 2, F.u.K // g, F.w.K // g)  # in lattice keys
         keys = key_grid(K, d) * g
-        sup = np.abs(keys).max(axis=-1)
-        weights = np.exp(sup * 1.0 * h)
-        resonant = np.stack(rule.resonant(K, d, g))
+        sup = np.abs(key_grid(K, d)).max(axis=-1)
+        weights = np.exp(g * sup * 1.0 * h)
+        resonant = np.stack(rule.resonant(keys))
         divisors = _mode_divisors(keys, alpha, sigma)
-        phases = shift_phases(K, d, alpha, g)
+        phases = shift_phases(keys, alpha)
         blocks, degree = lattice(F.blocks(g * K), g, d), F.degree()
         E_acc, sweeps, dropped = None, [], 0.0
         for it in range(NEWTON_MAX_SWEEPS):
             nre = np.where(resonant, 0, blocks)
-            nre_norm = _blocks_norm(nre, sup, weights, g)
+            nre_norm = _blocks_norm(nre, sup, weights)
             sweeps.append(nre_norm)
             if nre_norm <= NEWTON_TOL * scale:
                 break
@@ -551,13 +540,13 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
             except QpslError as exc:  # a rotation angle reached pi
                 raise NewtonDiverged(f"{exc} (sweep {it})") from exc
             blocks, (drop_u, drop_w) = _su11_spectra(np.stack(log), d, max_deg, K, g)
-            degree = int(np.where(blocks != 0, sup, 0).max())
+            degree = g * int(np.where(blocks != 0, sup, 0).max())
             if grid < cap and degree > grid / 4:
                 break
             dropped += drop_u + drop_w
             E_acc = E_here if E_acc is None else pair_product(E_here, E_acc)
         else:
-            nre_norm = _blocks_norm(np.where(resonant, 0, blocks), sup, weights, g)
+            nre_norm = _blocks_norm(np.where(resonant, 0, blocks), sup, weights)
             if nre_norm > NEWTON_TOL * scale * 100:
                 raise NewtonDiverged("Newton sweep cap reached without contraction")
         if grid == cap or degree <= grid / 4:
@@ -615,8 +604,7 @@ def _combine_f_and_label(state: KamState, V_modes, params):
     if state.f.is_zero(1e-300):
         return T, T.u.dropped_mass + T.w.dropped_mass
     grid = params.grid_for(int(max(state.f.degree(), T.degree())) + 4, d)
-    g = grid_stride(grid, state.f.u, state.f.w, T.u, T.w)
-    vals = grid_values(stack_blocks([state.f.u, state.f.w, T.u, T.w]), grid, d, g)
+    vals, g = lattice_values([state.f.u, state.f.w, T.u, T.w], grid)
     E_f, E_t = zip(*su11_exp_pair(vals[0::2].real, vals[1::2]))
     out = su11_series_from_samples(*_su11_log_pair(*pair_product(E_f, E_t)), d,
                                    max_degree=params.max_degree, stride=g)
@@ -634,8 +622,7 @@ def _split_mean(A_base, G: Su11Series, params):
     if G.degree() == 0:
         return A_next, Su11Series.zero(d)
     grid = params.grid_for(int(G.degree()) + 4, d)
-    g = grid_stride(grid, G.u, G.w)
-    uu, ww = grid_values(G.blocks(), grid, d, g)
+    (uu, ww), g = lattice_values([G.u, G.w], grid)
     prod = pair_product((np.conj(E_mean[0, 0]), -E_mean[0, 1]), su11_exp_pair(uu.real, ww))
     return A_next, su11_series_from_samples(*_su11_log_pair(*prod), d,
                                             max_degree=params.max_degree, stride=g)
@@ -768,11 +755,13 @@ def kam_step(state: KamState, params: KamParams):
 
 def _ad_series(E: FourierSeries, W: Su11Series, params: KamParams):
     """Ad(E) W = E W E^{-1} for an SU(1,1)-valued matrix series E, inverted
-    on the grid by the adjugate of its values."""
+    on the grid by the adjugate of its values; E's four entries and W's
+    (u, w) are the rows of one transform."""
     G = params.grid_for(int(2 * E.degree + W.degree()) + 4, W.d)
-    g = grid_stride(G, E, W.u, W.w)
-    [E_v] = grid_values(stack_blocks([E]), G, W.d, g)
-    vals = E_v @ W.on_grid(G, g) @ _adjugate(E_v)
+    entries = [FourierSeries.from_block(W.d, E.block[..., i, j]) for i in (0, 1) for j in (0, 1)]
+    vals, g = lattice_values(entries + [W.u, W.w], G)
+    E_v = np.stack(vals[:4], axis=-1).reshape(-1, 2, 2)
+    vals = E_v @ su11_element(vals[4].real, vals[5]) @ _adjugate(E_v)
     return su11_series_from_samples(vals[:, 0, 0].imag, vals[:, 0, 1], W.d,
                                     max_degree=params.max_degree, stride=g)
 
@@ -867,8 +856,8 @@ def _trace_slope(state):
     The sum runs over the lattice of D^-1's modes only."""
     d, g = state.alpha.size, state.Dinv.stride or 1
     [Dinv] = lattice(state.Dinv.block[None], g, d)
-    phases = shift_phases((len(Dinv) - 1) // 2, d,
-                          state.alpha * (0.5 if state.Dinv.halved else 1.0), g)
+    phases = shift_phases(key_grid((len(Dinv) - 1) // 2, d) * g,
+                          state.alpha * (0.5 if state.Dinv.halved else 1.0))
     Z = M_CONJ_INV @ Dinv @ M_CONJ
     Zs = M_CONJ_INV @ (phases.reshape(phases.shape + (1, 1)) * Dinv) @ M_CONJ
     Zr = np.flip(Z, axis=tuple(range(d)))  # mode -n at n

@@ -162,7 +162,7 @@ def averaging_step(edge: EdgeData):
     P = edge.P
     mean = P.mean().real
     moving = key_grid(P.K, P.d).any(axis=-1)
-    phases = shift_phases(P.K, P.d, edge.alpha * (0.5 if P.halved else 1.0))
+    phases = shift_phases(key_grid(P.K, P.d), edge.alpha * (0.5 if P.halved else 1.0))
     divisor = np.where(moving, phases - 1.0, 1.0)[..., None, None]
     Y = P.map_values(lambda b: -b / divisor).restrict(moving)
     Y_next = Y.shift(edge.alpha)

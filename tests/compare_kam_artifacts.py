@@ -78,6 +78,7 @@ import json
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
@@ -283,8 +284,9 @@ def _hex(value):
 
 
 def _nr_steps():
-    params = KamParams(schedule=None, max_degree=96, grid_size=1024, window_cap=24,
-                       conj_residual_tol=1e-9)
+    # a schedule whose every level is 12: the step window is 24
+    params = KamParams(schedule=SimpleNamespace(level_float=lambda j: 12.0), max_degree=96,
+                       grid_size=1024, conj_residual_tol=1e-9)
     W_mat = to_su11(np.array([[0.0, 0.0], [1.0, 0.0]]))
     W0 = Su11Series.constant(1, W_mat[0, 0].imag, W_mat[0, 1])
     Dinv = FourierSeries(1, halved=True, kind="matrix")

@@ -44,7 +44,7 @@ from qpsl.moser_poschel import (
     edge_data_from_reduction,
 )
 from qpsl.spectrum import detect_gaps, gap_bounds_check, ids_curve, rotation_curve
-from test_kam import _removal_residual, _scaled, _window_rule
+from test_kam import _removal_residual, _scaled, _window_rule, _window_schedule
 
 GOLD = 0.6180339887498949
 GOLDEN_80 = golden_mean(80)
@@ -184,7 +184,7 @@ def test_criterion_07_newton_removal():
     t0 = time.time()
     rng = np.random.default_rng(7)
     A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
-    params = KamParams(schedule=None, max_degree=256, grid_size=2048, window_cap=40)
+    params = KamParams(schedule=None, max_degree=256, grid_size=2048)
     base = Su11Series.zero(1)
     for _ in range(6):
         n = int(rng.integers(1, 13)) * int(rng.choice([-1, 1]))
@@ -197,7 +197,7 @@ def test_criterion_07_newton_removal():
     for amp in np.geomspace(1e-5, 1e-3, 7):
         F = _scaled(base, amp)
         Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.02, [GOLD],
-                                            _window_rule(A, [GOLD], params), params)
+                                            _window_rule(A, [GOLD], 40), params)
         worst_res = max(worst_res, _removal_residual(A, F, Y, F_star, [GOLD]))
         s = rep["sweeps"]
         if len(s) >= 2 and s[0] < 1 and s[1] > 0:
@@ -222,8 +222,8 @@ def _mk_state(A, f, alpha=GOLD):
 def test_criterion_08_kam_step(monkeypatch):
     t0 = time.time()
     monkeypatch.setattr(kam, "PROBE_COUNT", 256)
-    params = KamParams(schedule=None, max_degree=96, grid_size=1024,
-                       window_cap=24, conj_residual_tol=1e-9)
+    params = KamParams(schedule=_window_schedule(24), max_degree=96, grid_size=1024,
+                       conj_residual_tol=1e-9)
     # non-resonant instance
     A = np.diag([np.exp(2j * np.pi * 0.1545), np.exp(-2j * np.pi * 0.1545)])
     f = Su11Series.zero(1)

@@ -465,10 +465,11 @@ def test_report_stops_at_a_failing_stage_with_its_exit_code(tmp_path, capsys):
     {"kam": {"max_steps": "x"}}, {"kam": {"max_steps": 0}}, {"kam": {"max_steps": 2.5}},
     {"kam": {"label_index": "x"}}, {"kam": {"label_index": -1}},
     {"kam": {"edge": "middle"}}, {"kam": {"edge": 1}},
-    {"tol": "x"}, {"tol": 0}, {"tol": -0.25}, {"tol": None},
+    {"kam": {"max_steps": True}},
+    {"tol": "x"}, {"tol": 0}, {"tol": -0.25}, {"tol": None}, {"tol": True},
 ], ids=["max-steps-text", "max-steps-0", "max-steps-fraction", "label-index-text",
-        "label-index-negative", "edge-middle", "edge-number", "tol-text", "tol-0",
-        "tol-negative", "tol-null"])
+        "label-index-negative", "edge-middle", "edge-number", "max-steps-true", "tol-text",
+        "tol-0", "tol-negative", "tol-null", "tol-true"])
 def test_report_rejects_bad_stage_values_before_any_stage(tmp_path, capsys, bad):
     # a value report passes on as a flag exits 1 with ConfigInvalid before
     # build-set or verify-set writes anything

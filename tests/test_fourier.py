@@ -15,9 +15,9 @@ from qpsl.fourier import (
     build_potential,
     dilate,
     grid_points,
-    grid_stride,
     grid_values,
     key_grid,
+    lattice_values,
     multiply,
     potential_modes,
     series_from_grid,
@@ -581,9 +581,9 @@ def test_strided_transform_pair_equals_the_dense_pair(kind, halved, cut, d):
     g, G, max_degree = (4, 64, 7) if d == 1 else (2, 16, 2)
     max_degree = max_degree if cut else None
     F = _lattice_series(rng, d, g, 5 if d == 1 else 3, kind, halved)
-    assert F.stride % g == 0 and grid_stride(G, F) == g
+    vals, stride = lattice_values([F], G)
+    assert F.stride % g == 0 and stride == g
     dense = grid_values(F.block[None], G, d)
-    vals = grid_values(F.block[None], G, d, g)
     period = dense.reshape((G,) * d + dense.shape[2:])[(slice(G // g),) * d]
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(vals[0] - period.reshape(vals.shape[1:]))) <= 1e-15 * scale
@@ -603,21 +603,30 @@ def test_strided_transform_pair_equals_the_dense_pair(kind, halved, cut, d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_stride_of_zero_constant_and_unaligned_content(d):
     rng = np.random.default_rng(31 + d)
-    # no mode off key 0: stride 0, and a transform on one point per axis that
-    # returns the constant with its bits
+    # no mode off key 0: stride 0, and lattice_values takes g = G, one point
+    # per axis, whose transform returns the constant with its bits
     zero, const = FourierSeries(d), FourierSeries.constant(d, 0.3 - 0.2j)
     for F in (zero, const):
-        assert F.stride == 0 and grid_stride(32, F) == 32
-        vals = grid_values(F.block[None], 32, d, 32)
+        vals, g = lattice_values([F], 32)
+        assert F.stride == 0 and g == 32
         assert vals.shape == (1, 1) and vals[0, 0] == F.mean()
-        back = series_from_grid(vals[0], d, stride=32)
-        assert _same_bits(back.block, F.block)
-    # content on the multiples of 16, a grid of 24 points: the stride is 8
+        assert _same_bits(series_from_grid(vals[0], d, stride=g).block, F.block)
+    assert lattice_values([zero, const], 32)[1] == 32
+    # content on the multiples of 16, a grid of 24 points: g is 8, with the
+    # constant too; a series on the multiples of 6 beside it takes g to 2
     F = _lattice_series(rng, d, 16, 2)
-    assert F.stride == 16 and grid_stride(24, F) == 8 and grid_stride(24, F, const) == 8
-    assert grid_stride(24, F, FourierSeries(d, {(6,) * d: 1.0})) == 2
+    six = FourierSeries(d, {(6,) * d: 1.0})
+    assert F.stride == 16 and lattice_values([F], 24)[1] == 8
+    assert lattice_values([F, const], 24)[1] == 8
+    vals, g = lattice_values([F, six], 24)
+    dense = grid_values(stack_blocks([F, six]), 24, d)
+    period = dense.reshape((2,) + (24,) * d)[(slice(None),) + (slice(12),) * d]
+    assert g == 2 and vals.shape == (2, 12 ** d)
+    assert np.max(np.abs(vals - period.reshape(vals.shape))) <= 1e-14
+    # on 72 points (g 8, nine per axis, enough for F's keys) the round trip
+    # gives the dense one's spectrum, on ordinary keys
     dense = series_from_grid(grid_values(F.block[None], 72, d)[0], d, prune_tol=1e-12)
-    got = series_from_grid(grid_values(F.block[None], 72, d, 8)[0], d, prune_tol=1e-12,
-                           stride=8)
-    assert got.K == dense.K == F.K and got.stride == 16
+    vals, g = lattice_values([F], 72)
+    got = series_from_grid(vals[0], d, prune_tol=1e-12, stride=g)
+    assert g == 8 and got.K == dense.K == F.K and got.stride == 16
     assert np.max(np.abs(got.block - dense.block)) <= 1e-15 * np.max(np.abs(F.block))

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,16 @@ from qpsl.errors import (
     StateInvalid,
     TargetNotLocked,
 )
-from qpsl.fourier import FourierSeries, Potential, build_potential, potential_modes
+from qpsl.fourier import (
+    FourierSeries,
+    Potential,
+    build_potential,
+    grid_values,
+    key_grid,
+    lattice,
+    lattice_values,
+    potential_modes,
+)
 from qpsl.label_set import build_schedule, construct_label_set
 from qpsl.moser_poschel import edge_data_from_reduction
 from test_cocycle import _stack_exp_reference as _stack_exp
@@ -46,22 +56,26 @@ from qpsl.kam import (
 GOLD = 0.6180339887498949
 
 
+def _window_schedule(N):
+    """A test-only schedule whose every level is N / 2, so that
+    KamParams.window(j) is N for 8 <= N <= max_degree."""
+    return SimpleNamespace(level_float=lambda j: N / 2)
+
+
 def _params(**kw):
-    defaults = dict(tau=1.5, k_exponent=2.0, schedule=None,
-                    max_degree=96, grid_size=1024, window_cap=24,
-                    conj_residual_tol=1e-9, seed=0)
+    defaults = dict(tau=1.5, k_exponent=2.0, schedule=_window_schedule(24),
+                    max_degree=96, grid_size=1024, conj_residual_tol=1e-9, seed=0)
     defaults.update(kw)
     return KamParams(**defaults)
 
 
-def _window_rule(A, alpha, params):
+def _window_rule(A, alpha, N):
     """The mode rule of a Newton removal at the diagonal constant A on its
-    own: the window params.window_cap (else max_degree), the diagonal floor
-    half the smallest divisor distance inside it, the resonance threshold off
-    the diagonal, the off-diagonal mean kept."""
+    own: the window N, the diagonal floor half the smallest divisor distance
+    inside it, the resonance threshold off the diagonal, the off-diagonal mean
+    kept."""
     alpha = np.atleast_1d(np.asarray(alpha, float))
     sigma = float(np.angle(A[0, 0])) % (2 * math.pi) / (2 * math.pi)
-    N = params.window_cap or params.max_degree
     return ModeRule(alpha=alpha, sigma=sigma, window=N,
                     diag_floor=kam._min_divisor_distance(alpha, N, alpha.size) / 2,
                     off_floor=kam.RESONANCE_THRESHOLD, keep_w_mean=True)
@@ -206,7 +220,7 @@ def test_solve_homological_small_divisor_raised():
 def test_remove_nonresonant_zero():
     A = np.diag([np.exp(2j * np.pi * 0.15), np.exp(-2j * np.pi * 0.15)])
     Y, F_star, rep = remove_nonresonant(A, Su11Series.zero(1), 1e-9, 0.05, [GOLD],
-                                        _window_rule(A, [GOLD], _params()), _params())
+                                        _window_rule(A, [GOLD], 24), _params())
     assert Y.is_zero(1e-300)
     assert F_star.is_zero(1e-300)
 
@@ -216,7 +230,7 @@ def test_remove_nonresonant_rejects_a_nondiagonal_constant():
     A = to_su11(np.array([[2 * math.cos(2 * math.pi * 0.15), -1.0], [1.0, 0.0]]))
     with pytest.raises(QpslError, match="diagonal constant"):
         remove_nonresonant(A, Su11Series.zero(1), 1e-9, 0.05, [GOLD],
-                           _window_rule(A, [GOLD], _params()), _params())
+                           _window_rule(A, [GOLD], 24), _params())
 
 
 def test_remove_nonresonant_residual_random():
@@ -229,8 +243,7 @@ def test_remove_nonresonant_residual_random():
                         diag_floor=1e-4, off_floor=1e-4, keep_w_mean=True)
         Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], rule=rule,
                                             params=_params(max_degree=320,
-                                                           grid_size=2048,
-                                                           window_cap=56))
+                                                           grid_size=2048))
         assert _removal_residual(A, F, Y, F_star, [GOLD]) <= 1e-10
         # the non-resonant content of F_star is gone
         nre, _ = rule.split(F_star)
@@ -246,7 +259,7 @@ def test_remove_nonresonant_quadratic_contraction():
     for amp in np.geomspace(1e-5, 1e-3, 5):
         F = _scaled(base, amp)
         Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.02, [GOLD],
-                                            _window_rule(A, [GOLD], _params()), _params())
+                                            _window_rule(A, [GOLD], 24), _params())
         s = rep["sweeps"]
         assert len(s) >= 2
         if s[1] > 0:
@@ -264,7 +277,7 @@ def test_remove_nonresonant_single_mode_second_order():
         F = Su11Series.zero(1)
         F.w[(3,)] = amp
         _, _, rep = remove_nonresonant(A, F, 1e-9, 0.02, [GOLD],
-                                       _window_rule(A, [GOLD], _params()), _params())
+                                       _window_rule(A, [GOLD], 24), _params())
         s = rep["sweeps"]
         if len(s) >= 2 and s[1] > 0:
             ratios.append(s[1] / s[0] ** 2)
@@ -285,12 +298,18 @@ def test_mode_rule_split_masks_each_block_at_its_own_width(d):
         for blk, K in ((F.u, Ku), (F.w, Kw)):
             blk.block = rng.normal(size=(2 * K + 1,) * d) + 1j * rng.normal(size=(2 * K + 1,) * d)
         nre, res = rule.split(F)
-        u_res = rule.resonant(Ku, d)[0]
-        w_res = rule.resonant(Kw, d)[1]
+        u_res = rule.resonant(key_grid(Ku, d))[0]
+        w_res = rule.resonant(key_grid(Kw, d))[1]
         assert Ku == 0 or 0 < u_res.sum() < u_res.size
         for got, want in ((nre.u, F.u.restrict(~u_res)), (nre.w, F.w.restrict(~w_res)),
                           (res.u, F.u.restrict(u_res)), (res.w, F.w.restrict(w_res))):
             assert np.array_equal(got.block, want.block)
+
+
+def _on_grid(S, G):
+    """The values of the su(1,1) series S on the dense grid_points(d, G)."""
+    uu, ww = grid_values(S.blocks(), G, S.d)
+    return su11_element(uu.real, ww)
 
 
 def _stack_remove_nonresonant(A, F, eta, h, alpha, rule, params, grid):
@@ -316,10 +335,10 @@ def _stack_remove_nonresonant(A, F, eta, h, alpha, rule, params, grid):
         if sweeps[-1] <= kam.NEWTON_TOL * scale:
             break
         Y_p = solve_homological(None, nre, alpha, floor=eta, sigma=sigma)
-        E_here = _stack_exp(Y_p.on_grid(grid))
+        E_here = _stack_exp(_on_grid(Y_p, grid))
         Y_fwd = Su11Series(Y_p.u.shift(alpha), Y_p.w.shift(alpha))
-        inner = np.linalg.inv(Ad) @ _stack_exp(Y_fwd.on_grid(grid)) @ Ad
-        g_cur = series(inner @ _stack_exp(g_cur.on_grid(grid)) @ _adjugate(E_here))
+        inner = np.linalg.inv(Ad) @ _stack_exp(_on_grid(Y_fwd, grid)) @ Ad
+        g_cur = series(inner @ _stack_exp(_on_grid(g_cur, grid)) @ _adjugate(E_here))
         dropped += g_cur.u.dropped_mass + g_cur.w.dropped_mass
         E_acc = E_here if E_acc is None else E_here @ E_acc
     return series(E_acc), g_cur.copy().prune(1e-18), sweeps, dropped
@@ -351,14 +370,13 @@ def test_remove_nonresonant_equals_stack_sweep(d):
     if d == 1:
         alpha = np.array([GOLD])
         F = _random_su11_series(rng, degree=30, modes=8, amp=3e-4)
-        params = _params(max_degree=192, grid_size=1024, window_cap=40)
+        params, N = _params(max_degree=192, grid_size=1024), 40
     else:
         alpha = np.array([GOLD, math.sqrt(2) - 1])
         F = Su11Series.zero(2)
         F.w[(2, 1)], F.w[(0, -1)] = 2e-4, 1e-4 - 5e-5j
         F.u[(1, -1)], F.u[(-1, 1)] = 1e-4 + 2e-5j, 1e-4 - 2e-5j
-        params = _params(max_degree=12, grid_size=4096, window_cap=6)
-    N = params.window_cap
+        params, N = _params(max_degree=12, grid_size=4096), 6
     rule = ModeRule(alpha=alpha, sigma=sigma, window=N,
                     diag_floor=kam._min_divisor_distance(alpha, N, d) / 2,
                     off_floor=kam.RESONANCE_THRESHOLD, keep_w_mean=True)
@@ -376,19 +394,19 @@ def test_remove_nonresonant_rs_rule_equals_stack_sweep(d):
     if d == 1:
         alpha, site = np.array([GOLD]), (4,)
         F = _random_su11_series(rng, degree=30, modes=8, amp=3e-4)
-        params = _params(max_degree=192, grid_size=1024, window_cap=40)
+        params, N = _params(max_degree=192, grid_size=1024), 40
     else:
         alpha, site = np.array([GOLD, math.sqrt(2) - 1]), (1, -2)
         F = Su11Series.zero(2)
         F.w[(2, 1)], F.w[(0, -1)], F.w[(0, 0)] = 2e-4, 1e-4 - 5e-5j, 3e-5j
         F.u[(1, -1)], F.u[(-1, 1)] = 1e-4 + 2e-5j, 1e-4 - 2e-5j
-        params = _params(max_degree=12, grid_size=4096, window_cap=6)
+        params, N = _params(max_degree=12, grid_size=4096), 6
     sigma = (float(np.dot(site, alpha)) / 2 + 1e-5) % 1.0
     F.w[site] = 2e-4
     A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
     distance = dist_to_integers(2 * sigma - float(np.dot(site, alpha)))
     rule = ModeRule(alpha=alpha, sigma=sigma, window=params.max_degree,
-                    diag_floor=kam._min_divisor_distance(alpha, params.window_cap, d) / 2,
+                    diag_floor=kam._min_divisor_distance(alpha, N, d) / 2,
                     off_floor=min(kam.RESONANCE_THRESHOLD, max(2 * distance, 10 * kam.DIVISOR_FLOOR)),
                     exclude=site, keep_w_mean=False)
     Y, F_star, rep = remove_nonresonant(A, F, kam.DIVISOR_FLOOR, 0.05, alpha, rule=rule,
@@ -458,7 +476,7 @@ def test_remove_nonresonant_grid_doubles_when_content_outgrows_it():
     alpha, sigma = np.array([GOLD]), 0.85
     A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
     F = _random_su11_series(rng, degree=12, modes=6, amp=1e-2)
-    params = _params(max_degree=192, grid_size=1024, window_cap=40)
+    params = _params(max_degree=192, grid_size=1024)
     rule = ModeRule(alpha=alpha, sigma=sigma, window=40,
                     diag_floor=kam._min_divisor_distance(alpha, 40, 1) / 2,
                     off_floor=kam.RESONANCE_THRESHOLD, keep_w_mean=True)
@@ -495,8 +513,8 @@ def test_remove_nonresonant_on_a_lattice_equals_the_dense_sweep(rs):
         (float(np.dot((8,), [GOLD])) / 2 + 1e-5) % 1.0, np.array([GOLD]))
     A = np.diag([np.exp(2j * np.pi * sigma), np.exp(-2j * np.pi * sigma)])
     F = _on_lattice(_random_su11_series(rng, degree=8, modes=8, amp=3e-4), 4)
-    params = _params(max_degree=192, grid_size=1024, window_cap=40)
-    rule = _window_rule(A, alpha, params)
+    params = _params(max_degree=192, grid_size=1024)
+    rule = _window_rule(A, alpha, 40)
     if rs:
         rule = dataclasses.replace(rule, window=params.max_degree, exclude=(8,),
                                    keep_w_mean=False)
@@ -559,7 +577,7 @@ def test_remove_nonresonant_nonfinite_values_raise_newton_diverged(monkeypatch):
     A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
     F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
     with pytest.raises(NewtonDiverged, match="non-finite"):
-        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], _params()),
+        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], 24),
                            _params())
 
 
@@ -577,7 +595,7 @@ def test_remove_nonresonant_sweep_failure_is_newton_diverged(monkeypatch, target
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NewtonDiverged, match=match):
-            remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], _params()),
+            remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], 24),
                                _params())
 
 
@@ -765,6 +783,47 @@ def test_combine_f_and_label_is_the_product_of_both_exponentials():
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
+def _random_lattice_su11(rng, d, g, degree, amp):
+    """A random su(1,1) series on T^d with its modes on the multiples of g,
+    up to ``degree`` lattice keys per axis, u real-valued."""
+    F = Su11Series.zero(d)
+    for _ in range(5):
+        n = tuple(g * int(k) for k in rng.integers(-degree, degree + 1, size=d))
+        c = amp * (rng.normal() + 1j * rng.normal())
+        F.w[n] = c
+        F.u[n] = F.u[n] + c
+        F.u[tuple(-k for k in n)] = F.u[tuple(-k for k in n)] + np.conj(c)
+    return F
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_ad_series_entry_rows_equal_the_matrix_transform(d):
+    # _ad_series reads E's four entries as scalar rows of one lattice_values
+    # call with W's (u, w): the rows give E's matrix-kind transform bit for
+    # bit, and Ad(E) W the bits of the route with one transform of E and one
+    # of W
+    rng = np.random.default_rng(40 + d)
+    params = _params(max_degree=48, grid_size=256)
+    Y = _random_lattice_su11(rng, d, 4, 3, 1e-2)
+    E = kam.exp_series(Y, params.grid_for(int(Y.degree()) * 2 + 8, d), params.max_degree)
+    W = _random_lattice_su11(rng, d, 2, 4, 0.3)
+    G = params.grid_for(int(2 * E.degree + W.degree()) + 4, d)
+    entries = [FourierSeries.from_block(d, E.block[..., i, j]) for i in (0, 1) for j in (0, 1)]
+    vals, g = lattice_values(entries + [W.u, W.w], G)
+    [E_v] = grid_values(lattice(E.block[None], g, d), G // g, d)
+    assert E.stride % 4 == 0 and E.K > 0 and g == 2
+    rows = np.stack(vals[:4], axis=-1).reshape(E_v.shape)
+    assert rows.tobytes() == E_v.tobytes()
+    uu, ww = grid_values(lattice(W.blocks(), g, d), G // g, d)
+    prod = E_v @ su11_element(uu.real, ww) @ _adjugate(E_v)
+    want = kam.su11_series_from_samples(prod[:, 0, 0].imag, prod[:, 0, 1], d,
+                                        max_degree=params.max_degree, stride=g)
+    got = kam._ad_series(E, W, params)
+    for a, b in ((got.u, want.u), (got.w, want.w)):
+        assert a.block.shape == b.block.shape and a.block.tobytes() == b.block.tobytes()
+        assert a.dropped_mass == b.dropped_mass
+
+
 def test_resonant_step_counts_every_truncation_of_its_conjugator(monkeypatch):
     # criterion 11 at max_degree 32: the one resonant step truncates the
     # sweeps' logs (1.9e-7), e^Y (6.7e-8) and the product Q (e^Y P) (6.6e-6),
@@ -822,7 +881,7 @@ def test_remove_nonresonant_stall_is_newton_diverged(monkeypatch):
     A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
     F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
     with pytest.raises(NewtonDiverged, match=r"non-resonant norm stalled at .* \(sweep 2\)"):
-        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], _params()),
+        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], 24),
                            _params())
 
 
@@ -832,8 +891,17 @@ def test_remove_nonresonant_sweep_cap_is_newton_diverged(monkeypatch):
     A = np.diag([np.exp(2j * np.pi * 0.85), np.exp(-2j * np.pi * 0.85)])
     F = _random_su11_series(np.random.default_rng(1), degree=10, modes=6, amp=2e-4)
     with pytest.raises(NewtonDiverged, match="Newton sweep cap reached without contraction"):
-        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], _params()),
+        remove_nonresonant(A, F, 1e-9, 0.02, [GOLD], _window_rule(A, [GOLD], 24),
                            _params())
+
+
+def test_window_is_twice_the_next_level_between_8_and_max_degree():
+    # max_degree caps the window; with no schedule, or past its depth (an
+    # infinite level), the window is max_degree
+    assert [_params(schedule=_window_schedule(N)).window(0)
+            for N in (4, 8, 24, 96, 200)] == [8, 8, 24, 96, 96]
+    assert _params(schedule=None).window(3) == 96
+    assert _params(schedule=SimpleNamespace(level_float=lambda j: math.inf)).window(0) == 96
 
 
 def test_strict_unmet_lists_every_missed_hypothesis():
@@ -1317,9 +1385,9 @@ def test_remove_nonresonant_d2():
     F.w[(2, 1)] = 2e-4
     F.u[(1, -1)] = 1e-4
     F.u[(-1, 1)] = 1e-4
-    params = _params(max_degree=12, grid_size=4096, window_cap=6)
+    params = _params(max_degree=12, grid_size=4096)
     Y, F_star, rep = remove_nonresonant(A, F, 1e-9, 0.05, alpha,
-                                        _window_rule(A, alpha, params), params)
+                                        _window_rule(A, alpha, 6), params)
     assert _removal_residual(A, F, Y, F_star, alpha) < 1e-10
 
 
