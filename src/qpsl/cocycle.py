@@ -19,6 +19,7 @@ form, and full (m, 2, 2) stacks are multiplied by ``@``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,10 +97,14 @@ def su11_exp_pair(a, b):
     disc = (np.abs(b) ** 2 - a * a).astype(complex)
     lam = np.sqrt(disc)
     small = np.abs(lam) < 1e-8
-    lam_safe = np.where(small, 1.0, lam)
-    ch, sc = np.cosh(lam_safe), np.sinh(lam_safe) / lam_safe
-    t = disc[small]  # series of cosh and sinhc where lam is tiny
-    ch[small], sc[small] = 1.0 + t / 2 + t * t / 24, 1.0 + t / 6 + t * t / 120
+    tiny = small.any()
+    if tiny:
+        lam = np.where(small, 1.0, lam)
+    ch, sc = np.cosh(lam), np.sinh(lam) / lam
+    if tiny:  # series of cosh and sinhc where lam is tiny
+        t = disc[small]
+        tt = t * t
+        ch[small], sc[small] = 1.0 + t / 2 + tt / 24, 1.0 + t / 6 + tt / 120
     return ch + 1j * a * sc, b * sc
 
 
@@ -239,9 +244,7 @@ def conjugacy_residual(V, alpha, E, B, want, pts):
     |det B| < 1e-8 at one of 16 seeded random points of B's torus.
     """
     step = 2 * math.pi * np.atleast_1d(np.asarray(alpha, float))
-    probes = np.random.default_rng(0).uniform(0, 2 * math.pi * (2.0 if B.halved else 1.0),
-                                              size=(16, step.size))
-    dets = np.abs(np.linalg.det(B.sample(probes)))
+    dets = np.abs(np.linalg.det(B.sample(_det_probes(step.size, B.halved))))
     if np.min(dets) < 1e-8:
         raise SingularConjugator(f"min |det B| = {np.min(dets):.3e} at probes")
     S = np.zeros((len(pts), 2, 2))
@@ -259,6 +262,16 @@ _ORBIT_BLOCK = 4096        # sites per block of potential values along an orbit
 _WALK_BLOCK = 64           # steps per block of cocycle values in a step-by-step walk
 _PIVOT_BLOCK = 1 << 15     # pivots the kernel holds at once
 _TINY = 1e-300
+
+
+@functools.lru_cache(maxsize=4)
+def _det_probes(d, halved):
+    """The 16 seeded random points of :func:`conjugacy_residual`'s det check
+    on the torus of B.  Memoized: shared, and read-only."""
+    probes = np.random.default_rng(0).uniform(0, 2 * math.pi * (2.0 if halved else 1.0),
+                                              size=(16, d))
+    probes.setflags(write=False)
+    return probes
 
 
 def potential_values(V, thetas):

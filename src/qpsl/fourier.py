@@ -132,7 +132,12 @@ class FourierSeries:
             raise QpslError(f"coefficients must have shape {out._tail}, got {vals.shape[1:]}")
         K = int(np.abs(keys).max(initial=0))
         block = np.zeros((2 * K + 1,) * out.d + out._tail, complex)
-        np.add.at(block, tuple((keys + K).T), vals)
+        slots = np.ravel_multi_index(tuple((keys + K).T), block.shape[:out.d])
+        flat, ordered = block.reshape((-1,) + out._tail), np.sort(slots)
+        if (ordered[1:] != ordered[:-1]).all():  # unique keys: 0 + v, as np.add.at adds
+            flat[slots] += vals
+        else:
+            np.add.at(flat, slots, vals)
         out.block = _trimmed(block, out.d)
         return out
 
@@ -303,8 +308,12 @@ class FourierSeries:
 
     @staticmethod
     def constant(d, value, halved=False):
-        kind = "scalar" if np.isscalar(value) else "matrix"
-        return FourierSeries(d, {(0,) * d: value}, halved=halved, kind=kind)
+        out = FourierSeries(d, halved=halved, kind="scalar" if np.isscalar(value) else "matrix")
+        value = np.asarray(value, complex)
+        if value.shape != out._tail:
+            raise QpslError(f"coefficients must have shape {out._tail}, got {value.shape}")
+        out.block[(0,) * out.d] += value  # 0 + value, as from_modes adds it
+        return out
 
 
 def series_dict(d, keys, values, halved=False, kind="scalar"):
@@ -373,7 +382,10 @@ def multiply(F: FourierSeries, G: FourierSeries, max_degree=None):
     block, _ = _place(keys, shifts, products, sa * F.K + sb * G.K, F._tail)
     out = FourierSeries.from_block(F.d, block, halved=F.halved or G.halved,
                                    kind="scalar" if scalar else "matrix")
-    if max_degree is not None:
+    if max_degree is None or out.degree <= max_degree:
+        if out.block.base is not None:  # own the trimmed block, not a view of the product's
+            out.block = out.block.copy()
+    else:
         over = out._freq_norms() > max_degree
         mass = _coeff_norms(out.block[over], scalar)
         out = out.restrict(~over)
@@ -513,8 +525,8 @@ def grid_spectra(values, d, halved=False, max_degree=None, prune_tol=None, K=Non
     tail = values.shape[2:]
     K = G // 2 if K is None else K
     place, drop = _fft_layout(G, d, K, stride * (0.5 if halved else 1.0), max_degree)
-    spec = np.fft.fftn(values.reshape((n,) + (G,) * d + tail),
-                       axes=tuple(range(1, d + 1))).reshape(values.shape) / (G ** d)
+    spec = _fft(np.fft.fft, np.fft.fftn, values.reshape((n,) + (G,) * d + tail),
+                d).reshape(values.shape) / (G ** d)
     norms = _coeff_norms(spec, not tail)
     keep = ~(norms <= (prune_tol or 0.0))  # not norms > tol: NaN modes stay
     kept, dropped = keep, [0.0] * n
@@ -623,5 +635,12 @@ def grid_values(blocks, G, d):
     for chunk in itertools.product(spans, repeat=d):
         src, dst = zip(*chunk)
         spec[(slice(None),) + dst] += blocks[(slice(None),) + src]
-    vals = np.fft.ifftn(spec, axes=tuple(range(1, d + 1))) * (G ** d)
+    vals = _fft(np.fft.ifft, np.fft.ifftn, spec, d) * (G ** d)
     return vals.reshape((n, G ** d) + tail)
+
+
+def _fft(one, many, x, d):
+    """``many`` (fftn or ifftn) over the key axes 1..d of x; for d = 1 the
+    one-axis ``one`` (fft or ifft), the same pocketfft transform at half the
+    wrapper cost."""
+    return one(x, axis=1) if d == 1 else many(x, axes=tuple(range(1, d + 1)))

@@ -4,7 +4,9 @@ The cocycle is kept in the normal form (alpha, A_j e^{f_j} prod_p e^{V_p W_j}):
 a constant elliptic part A_j, a small su(1,1) remainder f_j, and the not yet
 consumed potential modes V_p conjugated along by the accumulated change of
 variables.  One step removes every non-resonant Fourier mode of the current
-perturbation by a quadratically convergent Newton iteration.  Every step
+perturbation by a Newton iteration whose sweeps converge linearly: the
+resonant part stays in the linearization (at the criterion-11 edge each
+sweep cuts the non-resonant norm by about 2^-7).  Every step
 works in the eigenframe of A_j = P^{-1} D P, D = diag(e^{2 pi i sigma}, e^{-2
 pi i sigma}), and conjugates by B = L e^Y P, inverted by its adjugate: L =
 P^{-1} returns a non-resonant step to the frame of A_j, while a resonant
@@ -42,6 +44,12 @@ Every accepted step, and the final reduction to the normal form, is certified
 by evaluating both sides of its conjugation identity at random probe points;
 these residuals, against ``conj_residual_tol``, are the correctness gates.
 
+The reductions of one call share a :class:`_Plan` of what does not depend on
+the energy (the labels' modes, each level's window, divisor minimum and
+probes, the first step's F~, the sweep tables); it lives as long as the
+call.  Steps leave their report-only fields to be filled once per returned
+reduction: the edge search fills only the one it returns.
+
 The iteration runs in one regime, at desk-scale thresholds: the paper's
 smallness hypotheses need k of order hundreds of tau, which no floating-point
 run reaches.  :meth:`KamParams.strict_unmet` lists the hypotheses a run misses.
@@ -57,6 +65,7 @@ below it from ell_j = 20^{1/(4 tau)} on).  Everything a caller sets is on
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -305,6 +314,7 @@ class StepReport:
     site_unique: bool = True
     newton_sweeps: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+    _step = None  # the _StepRecord of a report whose fields are still to fill
 
     def as_dict(self):
         return {
@@ -322,6 +332,20 @@ class StepReport:
 
 # ---------------------------------------------------------------------------
 # resonance classification and the homological equation
+
+
+@functools.lru_cache(maxsize=8)
+def _sites(N, d):
+    """The keys 0 < |n| <= N, shape (m, d) in C order, and the sort keys that
+    break ties of :func:`classify_resonance` (possible at rho = 1/4 etc.)
+    toward small sites, then toward the larger key (a positive site before its
+    negative).  Memoized: shared, and read-only."""
+    keys = key_grid(N, d).reshape(-1, d)
+    keys = keys[(keys != 0).any(axis=1)]
+    ties = tuple(-keys[:, ::-1].T) + (np.abs(keys).max(axis=1),)
+    for a in (keys,) + ties:
+        a.setflags(write=False)
+    return keys, ties
 
 
 @dataclass
@@ -343,13 +367,10 @@ def classify_resonance(rho, alpha, N, threshold):
     if not 0 < threshold < 1:
         raise QpslError("threshold must lie in (0,1)")
     target = 2.0 * float(rho)
-    keys = key_grid(N, d).reshape(-1, d)
-    keys = keys[(keys != 0).any(axis=1)]
+    keys, ties = _sites(N, d)
     vals = dist_to_integers(target - keys @ alpha)
     hits = int(np.sum(vals < threshold))
-    # ties (possible at rho = 1/4 etc.) break toward small sites, then toward
-    # the larger key (a positive site before its negative)
-    k = np.lexsort(tuple(-keys[:, ::-1].T) + (np.abs(keys).max(axis=1), vals))[0]
+    k = np.lexsort(ties + (vals,))[0]
     best, best_n = float(vals[k]), tuple(keys[k].tolist())
     if best < threshold:
         return Classification(case="RS", site=best_n, distance=best, unique=hits <= 1)
@@ -456,13 +477,12 @@ def _blocks_norm(blocks, sup, weights):
 
 def _min_divisor_distance(alpha, N, d):
     """min ||<n, alpha>|| over 0 < |n| <= N."""
-    keys = key_grid(N, d).reshape(-1, d)
-    vals = dist_to_integers(np.abs(keys @ np.atleast_1d(np.asarray(alpha, float))))
-    return float(np.min(vals[(keys != 0).any(axis=1)]))
+    keys = _sites(N, d)[0]
+    return float(np.min(dist_to_integers(np.abs(keys @ np.atleast_1d(np.asarray(alpha, float))))))
 
 
 def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
-                       params: KamParams):
+                       params: KamParams, tables=None):
     """Newton iteration conjugating (alpha, A e^F) to (alpha, A e^{F*}) with
     F* supported on the resonant complement of the mode rule, for a diagonal
     constant A = diag(e^{2 pi i sigma}, e^{-2 pi i sigma}) only (the caller
@@ -479,9 +499,11 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
 
     The iterate stays a stack of centred (u, w) blocks of half-width G / (2 g)
     in lattice keys (the input's, if wider) until the exit expands F* and Y
-    to ordinary keys; the resonance masks, divisors, shift phases and norm
-    weights over its keys are built once per call and grid.  Each sweep does
-    the float operations of ``rule.split``, :meth:`Su11Series.norm` and
+    to ordinary keys; the resonance masks and divisors over its keys are
+    built once per call and grid, its keys, their sup norms, the norm weights
+    and the shift phases once per (grid, g, K, h) in ``tables`` (a dict the
+    caller may keep across calls with one alpha).  Each sweep does the float
+    operations of ``rule.split``, :meth:`Su11Series.norm` and
     :func:`solve_homological` in their order.
     """
     alpha = np.atleast_1d(np.asarray(alpha, float))
@@ -503,16 +525,18 @@ def remove_nonresonant(A, F: Su11Series, eta, h, alpha, rule: ModeRule,
     # 128 points aliases it to 2.4e-10, inside the 1e-9 gate
     cap = params.grid_for(max_deg, d)
     grid = params.grid_for(4 * int(F.degree()), d)
+    tables = {} if tables is None else tables
 
     while True:
         g = math.gcd(grid, F.u.stride, F.w.stride)
         K = max(grid // g // 2, F.u.K // g, F.w.K // g)  # in lattice keys
-        keys = key_grid(K, d) * g
-        sup = np.abs(key_grid(K, d)).max(axis=-1)
-        weights = np.exp(g * sup * 1.0 * h)
+        if (grid, g, K, h) not in tables:
+            keys, sup = key_grid(K, d) * g, np.abs(key_grid(K, d)).max(axis=-1)
+            tables[grid, g, K, h] = (keys, sup, np.exp(g * sup * 1.0 * h),
+                                     shift_phases(keys, alpha))
+        keys, sup, weights, phases = tables[grid, g, K, h]
         resonant = np.stack(rule.resonant(keys))
         divisors = _mode_divisors(keys, alpha, sigma)
-        phases = shift_phases(keys, alpha)
         blocks, degree = lattice(F.blocks(g * K), g, d), F.degree()
         E_acc, sweeps, dropped = None, [], 0.0
         for it in range(NEWTON_MAX_SWEEPS):
@@ -628,38 +652,118 @@ def _split_mean(A_base, G: Su11Series, params):
                                             max_degree=params.max_degree, stride=g)
 
 
-def kam_step(state: KamState, params: KamParams):
+class _Plan:
+    """What the reductions of one call share, none of it depending on E: the
+    pending labels, the state before the first step (f0, W0 and D^-1, the
+    identity, or None when not known to be), and, each once, the labels'
+    modes per level, per level j the window N, the divisor minimum and the
+    certificate's probes, the first step's F~ (from f0 and W0) and its e^{F~}
+    at the probes, and the Newton sweep's tables (:func:`remove_nonresonant`).
+    A plan lives as long as its call."""
+
+    def __init__(self, pending, alpha, params, f0, W0, Dinv0=None):
+        self.pending, self.alpha, self.params = pending, alpha, params
+        self.f0, self.W0, self.Dinv0 = f0, W0, Dinv0
+        self._modes, self.levels, self.firsts, self.exps, self.sweep_tables = {}, {}, {}, {}, {}
+
+    @staticmethod
+    def of_potential(V, alpha, params):
+        pending = []
+        if V is not None:
+            for i, lab in enumerate(V.labels):
+                lvl = V.label_set.entries[i].level if V.label_set is not None else 0
+                pending.append((lvl, tuple(int(x) for x in lab), V.coefficients[i]))
+        W_mat, d = to_su11(_W0_SL2), alpha.size
+        return _Plan(pending, alpha, params, Su11Series.zero(d),
+                     Su11Series.constant(d, W_mat[0, 0].imag, W_mat[0, 1]),
+                     FourierSeries.constant(d, np.eye(2), halved=True))
+
+    def start(self, E):
+        """The state at E before the first step."""
+        return KamState(j=min([p[0] for p in self.pending], default=0),
+                        A=to_su11(np.array([[E, -1.0], [1.0, 0.0]])), f=self.f0,
+                        pending=self.pending, W=self.W0, Dinv=self.Dinv0,
+                        alpha=self.alpha, n_tilde=(0,) * self.alpha.size)
+
+    def modes(self, j):
+        """The modes of the labels of level j, None without labels."""
+        if j not in self._modes:
+            labels = [(lab, c) for (at, lab, c) in self.pending if at == j]
+            self._modes[j] = potential_modes(Potential(
+                labels=[lab for lab, _ in labels], coefficients=[c for _, c in labels],
+                k_exponent=0.0)) if labels else None
+        return self._modes[j]
+
+    def level(self, j):
+        """(N, divisor minimum, probes pr, their points pr + 2 pi alpha then
+        pr) of level j."""
+        if j not in self.levels:
+            N, d = self.params.window(j), self.alpha.size
+            rng = np.random.default_rng(self.params.seed + 7 * j + 3)
+            pr = rng.uniform(0, 4 * math.pi, size=(PROBE_COUNT, d))
+            self.levels[j] = (N, _min_divisor_distance(self.alpha, N, d), pr,
+                              np.concatenate([pr + 2 * math.pi * self.alpha[None, :], pr]))
+        return self.levels[j]
+
+    def combined(self, state, h):
+        """(F~, its dropped mass, |F~|_h) of the step from ``state``; the
+        first step's, from f0 and W0, once per level."""
+        first = state.f is self.f0 and state.W is self.W0
+        if first and state.j in self.firsts:
+            return self.firsts[state.j]
+        F_t, drop = _combine_f_and_label(state, self.modes(state.j), self.params)
+        out = F_t, drop, F_t.norm(h)
+        if first:
+            self.firsts[state.j] = out
+        return out
+
+    def exp_at_probes(self, j, F_t):
+        """e^{F~} at level j's probes; the first step's once per level."""
+        first = j in self.firsts and F_t is self.firsts[j][0]
+        if first and j in self.exps:
+            return self.exps[j]
+        out = su11_exp(F_t.sample(self.level(j)[2]))
+        if first:
+            self.exps[j] = out
+        return out
+
+
+def kam_step(state: KamState, params: KamParams, plan: _Plan = None):
     """One step of the iteration; returns (new_state, StepReport).
 
     The step conjugation identity
     B_j(theta + alpha)(A_j e^{F~_j}) B_j(theta)^{-1} = A_{j+1} e^{f_{j+1}}
     is evaluated at random probes and must pass params.conj_residual_tol.
+    ``plan`` is the reduction's :class:`_Plan`; its steps form W_{j+1} only
+    while a label is pending and leave the report-only fields (xi, M, m and
+    the diagnostics) to :func:`_complete`.  Without one the step fills its
+    report and forms W_{j+1}.
     """
+    if plan is None:
+        plan = _Plan(state.pending, state.alpha, params, state.f, state.W)
+        new_state, report = kam_step(state, params, plan)
+        new_state.W = _complete([report], plan)
+        return new_state, report
     j = state.j
     d = state.f.d
     alpha = state.alpha
     h = params.width(j)
-    labels = [(lab, c) for (lvl, lab, c) in state.pending if lvl == j]
+    V_modes = plan.modes(j)
     remaining = [p for p in state.pending if p[0] != j]
-    V_modes = potential_modes(Potential(labels=[lab for lab, _ in labels],
-                                        coefficients=[c for _, c in labels],
-                                        k_exponent=0.0)) if labels else None
-
-    F_t, drop0 = _combine_f_and_label(state, V_modes, params)
-    norm_before = F_t.norm(h)
+    F_t, drop0, norm_before = plan.combined(state, h)
 
     re_a = float(np.asarray(state.A)[0, 0].real)
     elliptic = abs(re_a) < 1.0 - 1e-12
 
     # nothing to remove: either a free step, or a settled non-elliptic constant
-    done = norm_before <= STOP_TOL and not labels
+    done = norm_before <= STOP_TOL and V_modes is None
     if done or (not elliptic and norm_before <= max(STOP_TOL * 10, params.conj_residual_tol)):
         report = StepReport(j=j, case="trivial", sigma=None,
                             norm_before=norm_before, norm_after=norm_before,
                             residual=0.0, b_next=complex(state.A[0, 1]))
         # a free step ends the run only when no labels remain
         new_state = KamState(j=j + 1, A=state.A.copy(), f=state.f.copy(),
-                             pending=remaining, W=state.W.copy(),
+                             pending=remaining, W=state.W,
                              Dinv=state.Dinv, alpha=alpha, n_tilde=state.n_tilde,
                              stopped=not (done and remaining))
         return new_state, report
@@ -670,8 +774,7 @@ def kam_step(state: KamState, params: KamParams):
 
     P, theta = diagonalize_su11(state.A)
     sigma = theta / (2 * math.pi)
-    N = params.window(j)
-    dioph_min = _min_divisor_distance(alpha, N, d)
+    N, dioph_min, probes, points = plan.level(j)
     # the resonant route must absorb every site the Newton sweep cannot solve
     # through (its convergence boundary sits at distance of order sqrt of the
     # perturbation), while staying below RESONANCE_THRESHOLD
@@ -687,70 +790,122 @@ def kam_step(state: KamState, params: KamParams):
     # the Newton removal runs in the eigenframe, A_j = P^{-1} D P
     D = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
     Y, F_star, rep = remove_nonresonant(D, F_t.ad_constant(P), DIVISOR_FLOOR, h, alpha,
-                                        rule=rule, params=params)
-    # B_step = L e^Y P, and F* and W leave the eigenframe by ``back``: to the
-    # frame of A_j (L = P^-1), or onto the doubled torus with the resonant
-    # site rotated to frequency zero (L = Q)
-    Pinv, W, md = _adjugate(P), state.W.ad_constant(P), params.max_degree
+                                        rule=rule, params=params, tables=plan.sweep_tables)
+    # B_step = L e^Y P: L = P^-1 returns a non-resonant step to the frame of
+    # A_j, L = Q puts a resonant one on the doubled torus (see _back)
+    Pinv, md = _adjugate(P), params.max_degree
     if nr:
         L, A_base, n_tilde_next = FourierSeries.constant(d, Pinv), state.A, state.n_tilde
-        def back(S):
-            return S.ad_constant(Pinv).prune(1e-18)
     else:
         L = _q_series(site, d)
         n_tilde_next = tuple(a + b for a, b in zip(state.n_tilde, site))
         phi_new = theta - math.pi * float(np.dot(site, alpha))
         A_base = np.diag([np.exp(1j * phi_new), np.exp(-1j * phi_new)])
-        def back(S):
-            return S.shift_w(tuple(-c for c in site))
-    A_next, f_next = _split_mean(A_base, back(F_star), params)
+    A_next, f_next = _split_mean(A_base, _back(F_star, site, Pinv), params)
     E_y = exp_series(Y, params.grid_for(int(Y.degree()) * 2 + 8, d), md)
-    W_next = back(_ad_series(E_y, W, params))
     inner = multiply(E_y, FourierSeries.constant(d, P), max_degree=md)
     B_step = multiply(L, inner, max_degree=md)
     dropped = (drop0 + rep["dropped_mass"] + E_y.dropped_mass + inner.dropped_mass
                + B_step.dropped_mass)
-    extra = {"y_norm": (Y.ad_constant(Pinv) if nr else Y).norm(h)}
-    if nr:  # |Ad(P^-1) Y|_h against 2 |F~|_h / eta
-        extra["y_bound_monitor"] = extra["y_norm"] <= 2.0 * norm_before / DIVISOR_FLOOR + 1e-12
-    else:
-        extra["rotation_shift"] = float(np.dot(site, alpha)) / 2
-        if labels:
-            # tracked off-diagonal source: the site coefficient of the
-            # diagonal-frame potential term P (V W) P^{-1}
-            t_hat = complex(shift_sum(W.w, *V_modes, sup_norm(site))[site])
-            extra["t_hat_site"] = [t_hat.real, t_hat.imag]
-            extra["b_minus_t_hat"] = abs(complex(A_next[0, 1]) - t_hat)
-    extra["sweep_grid"], extra["sweep_stride"] = rep["grid"], rep["stride"]
 
     # certify the step on random probes of the doubled torus, B^-1 = adj B
-    rng = np.random.default_rng(params.seed + 7 * j + 3)
-    pr = rng.uniform(0, 4 * math.pi, size=(PROBE_COUNT, d))
-    Bv = B_step.sample(np.concatenate([pr + 2 * math.pi * alpha[None, :], pr]))
-    lhs = Bv[:len(pr)] @ state.A @ su11_exp(F_t.sample(pr)) @ _adjugate(Bv[len(pr):])
-    rhs = A_next @ su11_exp(f_next.sample(pr))
+    Bv = B_step.sample(points)
+    lhs = (Bv[:len(probes)] @ state.A @ plan.exp_at_probes(j, F_t)
+           @ _adjugate(Bv[len(probes):]))
+    rhs = A_next @ su11_exp(f_next.sample(probes))
     residual = float(np.max(np.abs(lhs - rhs)))
     if residual > params.conj_residual_tol:
         raise StateInvalid(
             f"step {j} conjugacy residual {residual:.3e} exceeds "
             f"{params.conj_residual_tol:.1e}")
 
-    Dinv_next = multiply(state.Dinv, B_step.map_values(_adjugate), max_degree=2 * md)
+    # D^-1 adj B, which is adj B itself while D^-1 is the identity
+    adj_B = B_step.map_values(_adjugate)
+    Dinv_next = (adj_B if state.Dinv is plan.Dinv0 and adj_B.halved else
+                 multiply(state.Dinv, adj_B, max_degree=2 * md))
     dropped += Dinv_next.dropped_mass
 
     f_next.prune(1e-18)
-    diag = compute_diagnostics(W_next, n_tilde_next, params.width(j + 1))
     report = StepReport(
         j=j, case=cls.case, site=site, sigma=sigma,
         norm_before=norm_before, norm_after=f_next.norm(params.width(j + 1)),
-        residual=residual, xi=diag["xi"], big_m=diag["M"], small_m=diag["m"],
-        b_next=complex(A_next[0, 1]), dropped_mass=dropped,
-        site_unique=cls.unique, newton_sweeps=rep["sweeps"],
-        diagnostics=extra)
+        residual=residual, b_next=complex(A_next[0, 1]), dropped_mass=dropped,
+        site_unique=cls.unique, newton_sweeps=rep["sweeps"])
+    rec = report._step = _StepRecord(P, site, Y, E_y, V_modes, A_next, n_tilde_next,
+                                     (rep["grid"], rep["stride"]))
+    if remaining:  # a pending label reads W_{j+1}
+        rec.W_next = _next_W(rec, state.W.ad_constant(P), params)
     new_state = KamState(j=j + 1, A=A_next, f=f_next, pending=remaining,
-                         W=W_next, Dinv=Dinv_next, alpha=alpha,
+                         W=rec.W_next, Dinv=Dinv_next, alpha=alpha,
                          n_tilde=n_tilde_next)
     return new_state, report
+
+
+@dataclass
+class _StepRecord:
+    """What the report-only fields of a step read: its eigenframe P, its
+    resonant site (None for a non-resonant step), Y and e^Y, the labels'
+    modes (None without labels), A_{j+1}, n~_{j+1}, the sweeps' (grid,
+    stride), and W_{j+1} once formed."""
+
+    P: np.ndarray
+    site: tuple
+    Y: Su11Series
+    E_y: FourierSeries
+    V_modes: tuple
+    A_next: np.ndarray
+    n_tilde: tuple
+    sweep: tuple
+    W_next: Su11Series = None
+
+
+def _back(S, site, Pinv):
+    """S out of the eigenframe: to the frame of A_j for a non-resonant step
+    (site None), or onto the doubled torus with the resonant site rotated to
+    frequency zero."""
+    if site is None:
+        return S.ad_constant(Pinv).prune(1e-18)
+    return S.shift_w(tuple(-c for c in site))
+
+
+def _next_W(rec, W_eig, params):
+    """W_{j+1} of a step from W_j in its eigenframe: Ad(e^Y), then out of it."""
+    return _back(_ad_series(rec.E_y, W_eig, params), rec.site, _adjugate(rec.P))
+
+
+def _fill_report(report, W, alpha, params):
+    """Fill ``report``'s report-only fields (xi, M, m and the diagnostics)
+    from its step's record, W being W_j; returns W_{j+1}."""
+    rec, report._step = report._step, None
+    h, Pinv, W_eig = params.width(report.j), _adjugate(rec.P), W.ad_constant(rec.P)
+    W_next = rec.W_next if rec.W_next is not None else _next_W(rec, W_eig, params)
+    diag = compute_diagnostics(W_next, rec.n_tilde, params.width(report.j + 1))
+    report.xi, report.big_m, report.small_m = diag["xi"], diag["M"], diag["m"]
+    extra = {"y_norm": (rec.Y.ad_constant(Pinv) if rec.site is None else rec.Y).norm(h)}
+    if rec.site is None:  # |Ad(P^-1) Y|_h against 2 |F~|_h / eta
+        extra["y_bound_monitor"] = (extra["y_norm"]
+                                    <= 2.0 * report.norm_before / DIVISOR_FLOOR + 1e-12)
+    else:
+        extra["rotation_shift"] = float(np.dot(rec.site, alpha)) / 2
+        if rec.V_modes is not None:
+            # tracked off-diagonal source: the site coefficient of the
+            # diagonal-frame potential term P (V W) P^{-1}
+            t_hat = complex(shift_sum(W_eig.w, *rec.V_modes, sup_norm(rec.site))[rec.site])
+            extra["t_hat_site"] = [t_hat.real, t_hat.imag]
+            extra["b_minus_t_hat"] = abs(complex(rec.A_next[0, 1]) - t_hat)
+    extra["sweep_grid"], extra["sweep_stride"] = rec.sweep
+    report.diagnostics = extra
+    return W_next
+
+
+def _complete(reports, plan):
+    """Fill the report-only fields the steps of a reduction with ``plan``
+    left, W carried from the plan's W0 across the steps; returns the last W."""
+    W = plan.W0
+    for report in reports:
+        if report._step is not None:
+            W = _fill_report(report, W, plan.alpha, plan.params)
+    return W
 
 
 def _ad_series(E: FourierSeries, W: Su11Series, params: KamParams):
@@ -815,29 +970,22 @@ class ReducibilityResult:
             edge_search=data.get("edge_search"))
 
 
-def _reduce_at_energy(V, alpha, E, params: KamParams, max_steps):
-    alpha = np.atleast_1d(np.asarray(alpha, float))
-    d = alpha.size
-    pending = []
-    if V is not None:
-        for i, lab in enumerate(V.labels):
-            lvl = V.label_set.entries[i].level if V.label_set is not None else 0
-            pending.append((lvl, tuple(int(x) for x in lab), V.coefficients[i]))
-    W_mat = to_su11(_W0_SL2)
-    A0 = to_su11(np.array([[E, -1.0], [1.0, 0.0]]))
-    state = KamState(j=min([p[0] for p in pending], default=0), A=A0,
-                     f=Su11Series.zero(d), pending=pending,
-                     W=Su11Series.constant(d, W_mat[0, 0].imag, W_mat[0, 1]),
-                     Dinv=FourierSeries.constant(d, np.eye(2), halved=True),
-                     alpha=alpha, n_tilde=(0,) * d)
-    reports = []
+def _reduce_at_energy(V, alpha, E, params: KamParams, max_steps, plan: _Plan = None):
+    """(final state, step reports) of the reduction at E, steps run with
+    ``plan``.  Without one, a plan of V's own, and the reports are filled."""
+    own = plan is None
+    if own:
+        plan = _Plan.of_potential(V, np.atleast_1d(np.asarray(alpha, float)), params)
+    state, reports = plan.start(E), []
     for _ in range(max_steps):
-        state, rep = kam_step(state, params)
+        state, rep = kam_step(state, params, plan)
         reports.append(rep)
         if state.stopped:
             break
         if not state.pending and state.f.norm(params.width(state.j)) <= STOP_TOL:
             break
+    if own:
+        state.W = _complete(reports, plan)
     return state, reports
 
 
@@ -877,10 +1025,10 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     reduced constant is elliptic, t < -``conj_residual_tol``: E then lies in
     the spectrum.  The edge search starts at the free-cocycle guess E0 = 2
     cos(2 pi ||<n, alpha> / 2||), raises TargetNotLocked after that one
-    reduction unless t(E0) > 0, then moves by steps of spread / 64 and roots
-    of a quadratic in t and dt/dE (:func:`_trace_slope`); a reduction raising
-    NewtonDiverged, StateInvalid, SmallDivisor or NotElliptic counts as
-    outside the gap.  The result's ``edge_search`` holds the number of
+    reduction unless t(E0) > 0, then moves by one step of spread / 64 and
+    roots of a quadratic in t and dt/dE (:func:`_trace_slope`); a reduction
+    raising NewtonDiverged, StateInvalid, SmallDivisor or NotElliptic counts
+    as outside the gap.  The result's ``edge_search`` holds the number of
     reductions, the failed ones [[type, E], ...] and the final bracket.
     Raises TargetNotLocked when the edge's n~ is not +-label (it is another
     label's edge), and NonConvergence when B conjugates the cocycle to the
@@ -914,9 +1062,10 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
     E0 = 2 * math.cos(2 * math.pi * dist_to_integers(float(np.dot(label, alpha_arr)) / 2))
     spread = max(4 * (V.sup_bound() if V is not None else 0.1), 1e-3)
     search = {"evaluations": 0, "failures": []}
+    plan = _Plan.of_potential(V, alpha_arr, params)
 
     def evaluate(E):
-        state, reports = _reduce_at_energy(V, alpha_arr, E, params, max_steps)
+        state, reports = _reduce_at_energy(V, alpha_arr, E, params, max_steps, plan=plan)
         return _gap_indicator(state), (state, reports)
 
     indicator = recorded(evaluate, (NewtonDiverged, StateInvalid, SmallDivisor, NotElliptic),
@@ -932,6 +1081,7 @@ def run_reducibility(V, alpha, target, params: KamParams = None, max_steps=24):
             raise TargetNotLocked(f"{edge} edge at E = {E!r} locks to n~ = "
                                   f"{state.n_tilde}, not to label {label}")
         result = _finalize(V, alpha_arr, E, label, state, reports, params)
+        _complete(reports, plan)
     except QpslError as exc:
         exc.edge_search = search
         raise

@@ -165,9 +165,9 @@ def _reductions():
     or None for both when the reduction raised."""
     energies, real = [], kam_module._reduce_at_energy
 
-    def reduce(V, alpha, E, *rest):
+    def reduce(V, alpha, E, *rest, **kw):
         energies.append((E, None, None))
-        state, reports = real(V, alpha, E, *rest)
+        state, reports = real(V, alpha, E, *rest, **kw)
         energies[-1] = (E, kam_module._gap_indicator(state), kam_module._trace_slope(state))
         return state, reports
 

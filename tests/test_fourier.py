@@ -109,6 +109,59 @@ def test_multiply_drop_accounting():
     assert c.dropped_mass == pytest.approx(2.0)
 
 
+def test_multiply_within_max_degree_owns_its_trimmed_block():
+    # a product inside the cut skips it: nothing dropped, and the block
+    # trimmed to the product's modes (key 6, 1e-400, underflows to 0) is
+    # copied out of the untrimmed product's, not kept as a view of it
+    a = FourierSeries(1, {(3,): 1e-200 + 0j, (0,): 1.0 + 0j})
+    for max_degree in (None, 3, 6.5):
+        c = multiply(a, a, max_degree=max_degree)
+        assert c.K == 3 and c.dropped_mass == 0.0
+        assert c.block.base is None and c.block.flags.owndata
+        np.testing.assert_array_equal(c.block, np.array([0, 0, 0, 1, 0, 0, 2e-200], complex))
+
+
+def _added_at(d, keys, vals, tail=()):
+    """The block of ``from_modes`` built by np.add.at: 0 + v at each key, repeated
+    keys adding up in order."""
+    keys = np.array(keys).reshape(len(keys), d)
+    K = int(np.abs(keys).max(initial=0))
+    block = np.zeros((2 * K + 1,) * d + tail, complex)
+    np.add.at(block, tuple((keys + K).T), np.array(vals, complex))
+    return block
+
+
+def test_constant_and_from_modes_fill_their_block_as_np_add_at():
+    # FourierSeries.constant and from_modes with unique keys place 0 + v (a
+    # -0.0 part turns +0.0 as under np.add.at); repeated keys still add in
+    # order: (0 + 1e16) + 1 + 1 is 1e16, not 1e16 + 2
+    nz = complex(-0.0, -0.0)
+    for d in (1, 2):
+        c = FourierSeries.constant(d, complex(-0.0, 3.0))
+        assert c.block.tobytes() == _added_at(d, [[0] * d], [complex(-0.0, 3.0)]).tobytes()
+        m = np.array([[nz, 1.0], [2.0, -0.0]])
+        c = FourierSeries.constant(d, m, halved=True)
+        assert (c.kind, c.halved) == ("matrix", True)
+        assert c.block.tobytes() == _added_at(d, [[0] * d], [m], (2, 2)).tobytes()
+    keys, vals = [[2], [-1], [0]], [complex(1.0, -0.0), nz, 3.0]
+    got = FourierSeries.from_modes(1, keys, vals)
+    assert got.block.tobytes() == _added_at(1, keys, vals).tobytes()
+    keys, vals = [[1], [1], [-2], [1]], [1e16, 1.0, 5.0, 1.0]
+    got = FourierSeries.from_modes(1, keys, vals)
+    assert got.block.tobytes() == _added_at(1, keys, vals).tobytes()
+    assert got[(1,)] == 1e16
+    assert FourierSeries.constant(1, 0.0).block.tobytes() == np.zeros(1, complex).tobytes()
+
+
+def test_one_axis_transforms_are_the_n_axis_ones_bit_for_bit():
+    # d = 1 grid transforms call fft / ifft on axis 1: the fftn / ifftn bits
+    rng = np.random.default_rng(3)
+    for shape in ((2, 32), (6, 64), (1, 24), (3, 16, 2, 2)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.fft.fft(x, axis=1).tobytes() == np.fft.fftn(x, axes=(1,)).tobytes()
+        assert np.fft.ifft(x, axis=1).tobytes() == np.fft.ifftn(x, axes=(1,)).tobytes()
+
+
 def _dense_norms(values, scalar):
     """Coefficient norms over every slot: one SVD of the whole stack."""
     values = np.asarray(values)
@@ -337,6 +390,8 @@ def test_domain_mismatch():
     (lambda: FourierSeries.from_modes(2, [(1,)], [1.0]), DomainMismatch, "keys have length 1"),
     (lambda: FourierSeries.from_modes(1, [(1,)], [np.eye(2)]), QpslError,
      "coefficients must have shape"),
+    (lambda: FourierSeries.constant(1, np.ones(2)), QpslError,
+     "coefficients must have shape \\(2, 2\\), got \\(2,\\)"),
     (lambda: FourierSeries(2)[3], DomainMismatch, "key \\(3,\\) has length 1"),
     (lambda: FourierSeries(1, kind="matrix").__setitem__((1,), 1.0), QpslError,
      "must be 2x2"),
@@ -350,8 +405,8 @@ def test_domain_mismatch():
     (lambda: build_potential(LabelSet.from_labels([(0,)], ALPHA), k=2.0), QpslError,
      "zero label"),
     (lambda: series_from_grid(np.zeros(10), 2), QpslError, "do not form a cube"),
-], ids=["from-modes-key-length", "from-modes-shape", "int-key-length", "setitem-shape",
-        "shift-alpha", "analytic-h", "ck-k", "multiply-d", "empty-label-set",
+], ids=["from-modes-key-length", "from-modes-shape", "constant-shape", "int-key-length",
+        "setitem-shape", "shift-alpha", "analytic-h", "ck-k", "multiply-d", "empty-label-set",
         "k-not-positive", "zero-label", "grid-not-a-cube"])
 def test_fourier_rejects_bad_input(call, error, match):
     with pytest.raises(error, match=match):

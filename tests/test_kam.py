@@ -1,7 +1,11 @@
 """KAM machinery: classification, homological solve, Newton removal, steps."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -606,10 +610,10 @@ def _search_with_fifth_poisoned(monkeypatch, armed):
     real = kam._reduce_at_energy
     energies = []
 
-    def reduce(V, alpha, E, params, max_steps):
+    def reduce(V, alpha, E, params, max_steps, plan=None):
         energies.append(E)
         armed[0] = len(energies) == 5
-        return real(V, alpha, E, params, max_steps)
+        return real(V, alpha, E, params, max_steps, plan)
 
     monkeypatch.setattr(kam, "_reduce_at_energy", reduce)
     V = Potential(labels=[(1,)], coefficients=[0.1], k_exponent=0.0)
@@ -827,8 +831,9 @@ def test_ad_series_entry_rows_equal_the_matrix_transform(d):
 def test_resonant_step_counts_every_truncation_of_its_conjugator(monkeypatch):
     # criterion 11 at max_degree 32: the one resonant step truncates the
     # sweeps' logs (1.9e-7), e^Y (6.7e-8) and the product Q (e^Y P) (6.6e-6),
-    # and its dropped_mass counts each of them, with e^Y P and D^-1 adj B
-    # (none here); B^-1 is the exact adjugate and truncates nothing
+    # and its dropped_mass counts each of them, with e^Y P (none here); B^-1
+    # is the exact adjugate and truncates nothing, and the first step's D^-1
+    # is adj B itself, no product with the identity
     freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
     sched = build_schedule(10, 0.9, depth=6)
     ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
@@ -841,19 +846,20 @@ def test_resonant_step_counts_every_truncation_of_its_conjugator(monkeypatch):
             calls.setdefault(_name, []).append((args, out))
             return out
         monkeypatch.setattr(kam, name, recorded_call)
-    _, reports = kam._reduce_at_energy(build_potential(ks, k=2.0), freq.floats(),
-                                       1.8806000220263146, params, 24)
+    state, reports = kam._reduce_at_energy(build_potential(ks, k=2.0), freq.floats(),
+                                           1.8806000220263146, params, 24)
     assert [r.case for r in reports] == ["RS"]
     [(_, (_, _, sweeps))] = calls["remove_nonresonant"]
     [(_, e_y)] = calls["exp_series"]
-    # e^Y P, then Q (e^Y P), then D^-1 adj B
-    [(a0, inner), (a1, outer), (a2, dinv)] = calls["multiply"]
+    # e^Y P, then Q (e^Y P); no third product
+    [(a0, inner), (a1, outer)] = calls["multiply"]
     assert a0[0] is e_y and a1[1] is inner
-    np.testing.assert_array_equal(a2[1].block, kam._adjugate(outer.block))
+    assert state.Dinv.halved and state.Dinv.dropped_mass == 0.0
+    np.testing.assert_array_equal(state.Dinv.block, kam._adjugate(outer.block))
     assert sweeps["dropped_mass"] > 0 and e_y.dropped_mass > 0 and outer.dropped_mass > 0
     assert reports[0].dropped_mass == pytest.approx(
-        sweeps["dropped_mass"] + e_y.dropped_mass + inner.dropped_mass + outer.dropped_mass
-        + dinv.dropped_mass, rel=1e-12)
+        sweeps["dropped_mass"] + e_y.dropped_mass + inner.dropped_mass + outer.dropped_mass,
+        rel=1e-12)
     assert reports[0].dropped_mass == pytest.approx(6.9025e-6, rel=1e-3)
 
 
@@ -1041,12 +1047,12 @@ def _locate(evaluate, edge, search=None):
 _REDUCE = kam._reduce_at_energy
 
 
-def _free_reduction_locked(alpha, E, params, max_steps, n_tilde=(1,)):
+def _free_reduction_locked(alpha, E, params, max_steps, plan, n_tilde=(1,)):
     """The free cocycle's reduction at E, relabelled as locked to ``n_tilde``
     (label (1,) by default): the free cocycle resonates nowhere (n~ = (0,)),
     and run_reducibility only returns an edge whose reduction locks to its
     label."""
-    state, reports = _REDUCE(None, alpha, E, params, max_steps)
+    state, reports = _REDUCE(None, alpha, E, params, max_steps, plan)
     return dataclasses.replace(state, n_tilde=n_tilde), reports
 
 
@@ -1056,9 +1062,9 @@ def _planted_reductions(evaluate, n_tilde=(1,)):
     ``evaluate`` plants (its failures raise), locked to ``n_tilde``.  kam
     reads the free cocycle's own slope 1/2 from it, not the planted one, so
     the tests through run_reducibility pin no counts."""
-    def reduce(V, alpha, E, params, max_steps):
+    def reduce(V, alpha, E, params, max_steps, plan=None):
         t, _ = evaluate(E)
-        return _free_reduction_locked(alpha, 2.0 + 2.0 * t, params, max_steps, n_tilde)
+        return _free_reduction_locked(alpha, 2.0 + 2.0 * t, params, max_steps, plan, n_tilde)
 
     return reduce
 
@@ -1185,9 +1191,9 @@ def test_edge_search_without_a_gap_interior_is_target_not_locked(monkeypatch):
     # guess alone and refuses, naming the guess and its t
     real, energies = kam._reduce_at_energy, []
 
-    def fake(V, alpha, E, params, max_steps):
+    def fake(V, alpha, E, params, max_steps, plan=None):
         energies.append(E)
-        return real(None, alpha, 0.0, params, max_steps)
+        return real(None, alpha, 0.0, params, max_steps, plan)
 
     monkeypatch.setattr(kam, "_reduce_at_energy", fake)
     msg = (rf"guess E0 = {_E0!r} for label \(1,\) reads t = -1\.000e\+00; the search "
@@ -1259,8 +1265,8 @@ def test_edge_target_errors_of_the_final_form_carry_the_search(monkeypatch):
     # before any residual, with the search that found the edge
     reduce = _planted_reductions(_plant_gap()[0])
 
-    def off_su11(*args):
-        state, reports = reduce(*args)
+    def off_su11(*args, **kw):
+        state, reports = reduce(*args, **kw)
         return dataclasses.replace(state, A=state.A + np.array([[0, 0], [1e-3, 0]])), reports
 
     monkeypatch.setattr(kam, "_reduce_at_energy", off_su11)
@@ -1406,3 +1412,132 @@ def test_kam_step_deterministic():
 
     r1, r2 = run_once(), run_once()
     assert r1.as_dict() == r2.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# one plan per call: the edge search's deferred reports and shared set-up
+
+
+def _criterion_11(seed=1):
+    """The criterion-11 potential, alpha and KamParams (one label, 16)."""
+    freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
+    sched = build_schedule(10, 0.9, depth=6)
+    ks = construct_label_set(freq, sched, j1=0, spacing=2, count=1)
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
+                       grid_size=2048, conj_residual_tol=1e-9, seed=seed)
+    return build_potential(ks, k=2.0), np.asarray(freq.floats(), float), params
+
+
+def _bits(reports):
+    """The reports as JSON: every field, floats by their shortest repr (which
+    tells -0.0 from 0.0), so equal strings mean equal bits."""
+    return json.dumps([r.as_dict() for r in reports])
+
+
+@pytest.mark.parametrize("edge", ["upper", "lower"])
+def test_edge_search_reports_equal_the_eager_reduction_at_its_energy(edge):
+    # the search fills the report-only fields once, for the reduction it
+    # returns; they equal those of an eager reduction at the returned energy
+    V, alpha, params = _criterion_11()
+    res = run_reducibility(V, alpha, {"label_index": 0, "edge": edge}, params=params)
+    _, eager = kam._reduce_at_energy(V, alpha, res.energy, params, 24)
+    assert [r.case for r in res.reports] == ["RS"]
+    assert all(r._step is None for r in res.reports)
+    assert None not in (res.reports[0].xi, res.reports[0].big_m, res.reports[0].small_m)
+    assert list(res.reports[0].diagnostics) == list(eager[0].diagnostics)
+    assert _bits(res.reports) == _bits(eager)
+
+
+# label 43 of K = {4, 9, 43} at its upper edge energy: per step (xi, M, m,
+# t_hat_site) as float.hex, as computed when each step filled its own report
+_LABEL_43_STEPS = [
+    ("0x1.078a80a0897a7p-1", "0x1.1eff3091cd3ecp+0", "0x1.37f8adc43e8eap-6",
+     ["0x0.0p+0", "0x0.0p+0"]),
+    ("0x1.08f15266756a5p-1", "0x1.643abfe3d851ep+0", "0x1.d0d0a121c21b9p-15", None),
+    ("0x1.08f11834bd23ap-1", "0x1.6562a9ddf9cf2p+0", "0x1.47c76b5109a76p-11",
+     ["0x0.0p+0", "0x0.0p+0"]),
+    ("0x1.0968cbe06d786p-1", "0x1.050b374ddd982p+1", "0x1.73e865b7d7e1ap-32", None),
+    ("0x1.0968cb0fd69e8p-1", "0x1.c1aa92df7428ap+0", "0x1.ea60d477fd996p-14",
+     ["0x1.14014917464c7p-15", "-0x1.1dc2f6f331e67p-13"]),
+]
+
+
+def test_label_43_keeps_the_bits_of_its_steps():
+    # five resonant steps with W carried across the pending labels 4, 9 and
+    # 43: the energy target keeps each step's xi, M, m and t_hat_site, and a
+    # reduction run with a plan, whose steps form W only while a label is
+    # pending, fills the same reports bit for bit when completed
+    freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
+    sched = build_schedule(3, 0.3, depth=10)
+    ks = construct_label_set(freq, sched, j1=0, spacing=2, count=3)
+    V, alpha = build_potential(ks, k=2.0), np.asarray(freq.floats(), float)
+    params = KamParams(tau=1.5, k_exponent=2.0, schedule=sched, max_degree=384,
+                       grid_size=2048, conj_residual_tol=1e-9, seed=1)
+    E = -0.47210750729450424
+    res = run_reducibility(V, alpha, {"energy": E}, params=params)
+    got = [(r.xi.hex(), r.big_m.hex(), r.small_m.hex(),
+            None if "t_hat_site" not in r.diagnostics
+            else [v.hex() for v in r.diagnostics["t_hat_site"]]) for r in res.reports]
+    assert got == _LABEL_43_STEPS
+
+    plan = kam._Plan.of_potential(V, alpha, params)
+    state, reports = kam._reduce_at_energy(V, alpha, E, params, 24, plan)
+    assert state.W is None and state.pending == []
+    assert [r.xi for r in reports] == [None] * 5
+    assert kam._complete(reports, plan) is not None
+    assert _bits(reports) == _bits(res.reports)
+
+
+def test_edge_search_sets_up_once_and_reports_once(monkeypatch):
+    # one criterion-11 upper search: 7 certified kam_step calls, but one
+    # W_{j+1} (_ad_series) and one compute_diagnostics, for the returned
+    # reduction, and one potential_modes call and one probe draw for its level
+    V, alpha, params = _criterion_11()
+    calls, seeds = {}, []
+    for name in ("kam_step", "_ad_series", "compute_diagnostics", "potential_modes"):
+        def counted(*args, _real=getattr(kam, name), _name=name, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(kam, name, counted)
+    real_rng = np.random.default_rng
+
+    def rng(seed=None):
+        seeds.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    res = run_reducibility(V, alpha, {"label_index": 0}, params=params)
+    assert res.edge_search["evaluations"] == 7
+    assert calls == {"kam_step": 7, "_ad_series": 1, "compute_diagnostics": 1,
+                     "potential_modes": 1}
+    [j] = [r.j for r in res.reports]
+    assert seeds.count(params.seed + 7 * j + 3) == 1
+
+
+_DIGEST = """
+import hashlib, json, sys
+sys.path.insert(0, {tests!r})
+from test_kam import _criterion_11
+from qpsl.kam import run_reducibility
+for seed in {seeds!r}:
+    V, alpha, params = _criterion_11(seed)
+    res = run_reducibility(V, alpha, {{"label_index": 0}}, params=params)
+    print(hashlib.sha256(json.dumps(res.as_dict()).encode()).hexdigest())
+"""
+
+
+def test_no_plan_outlives_its_call():
+    # seeds 1, 2, then 1 again in one process each give the bits of a run in
+    # a fresh process: nothing one call set up reaches the next
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(tests), "src"), os.environ.get("PYTHONPATH", "")]))
+
+    def digests(seeds):
+        out = subprocess.run([sys.executable, "-c", _DIGEST.format(tests=tests, seeds=seeds)],
+                             capture_output=True, text=True, env=env, check=True).stdout
+        return out.split()
+
+    fresh = [digests((seed,))[0] for seed in (1, 2)]
+    assert fresh[0] != fresh[1]
+    assert digests((1, 2, 1)) == [fresh[0], fresh[1], fresh[0]]
