@@ -14,12 +14,7 @@ from qpsl.diophantine import frequency_vector, golden_mean
 from qpsl.fourier import build_potential
 from qpsl.kam import KamParams, run_reducibility
 from qpsl.label_set import build_schedule, construct_label_set
-from qpsl.moser_poschel import (
-    bracket_gap,
-    discriminant,
-    edge_data_from_reduction,
-    poly_bounds_check,
-)
+from qpsl.moser_poschel import bracket_gap, discriminant, edge_data_from_reduction
 
 freq = frequency_vector(golden_mean(80), gamma=0.5, tau=1.5)
 sched = build_schedule(10, 0.9, depth=6)
@@ -39,11 +34,6 @@ print(f"structure checks: {edge.checks}")
 
 for delta in (1e-4, 1e-3, 1e-2):
     print(f"  d({delta:.0e}) = {discriminant(edge, delta=delta):+.3e}")
-
-print("\nquadratic-form bounds (kappa = 0.2):")
-pb = poly_bounds_check(edge, kappa=0.2)
-for key in ("precondition_met", "gram", "ratio", "ratio_bound", "gram_bound"):
-    print(f"  {key} = {pb[key]}")
 
 print("\nprobing both scales (verdicts from one averaging step through B):")
 out = bracket_gap(edge, V)

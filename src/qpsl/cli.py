@@ -29,9 +29,7 @@ from . import __version__
 from .diophantine import cf_expand, frequency_vector
 from .errors import ConfigInvalid, QpslError
 from .fourier import amo_potential, build_potential, potential_modes, series_dict
-from .kam import KamParams, ReducibilityResult, run_reducibility
 from .label_set import LabelSet, build_schedule, construct_label_set, ell_star, verify_label_set
-from .moser_poschel import bracket_gap, edge_data_from_reduction, poly_bounds_check
 from .spectrum import RotationCurve, detect_gaps, gap_bounds_check, ids_curve, rotation_curve
 
 SCHEMA_VERSION = "v1"
@@ -368,6 +366,7 @@ def cmd_gaps(args):
 
 
 def cmd_kam(args):
+    from .kam import KamParams, run_reducibility  # not at start-up: only kam and edge-probe run it
     cfg = _load_config(args)
     ks = _read(args.set, LabelSet.from_json)
     freq = ks.frequency
@@ -400,6 +399,8 @@ def cmd_kam(args):
 
 
 def cmd_edge_probe(args):
+    from .kam import ReducibilityResult
+    from .moser_poschel import bracket_gap, edge_data_from_reduction
     data = _read(args.result)
     try:
         res = ReducibilityResult.from_dict(data)
@@ -414,13 +415,9 @@ def cmd_edge_probe(args):
     k = args.k if k is None else _number(k, "k of the kam result")
     if args.k is not None and args.k != k:
         raise ConfigInvalid(f"--k {args.k} differs from k = {k} of the kam result")
-    if args.kappa is not None and not 0 < args.kappa < 0.25:
-        raise ConfigInvalid(f"--kappa {args.kappa} is not in (0, 1/4)")
     V = build_potential(ks, k=k)
     edge = edge_data_from_reduction(res, ks.frequency.floats())
     payload = bracket_gap(edge, V, probe=not args.no_probe)
-    if args.kappa is not None:
-        payload["poly_bounds"] = poly_bounds_check(edge, args.kappa)
     _emit_json(args.out, payload, {"result": args.result, "set": args.set, "k": k})
     if args.gap_csv:
         row = (res.label, *payload["bracket"], edge.zeta,
@@ -594,7 +591,6 @@ def _build_parser():
     sp.add_argument("--result", required=True, help="kam output JSON")
     sp.add_argument("--set", required=True)
     sp.add_argument("--k", type=float)
-    sp.add_argument("--kappa", type=float)
     sp.add_argument("--no-probe", action="store_true")
     sp.add_argument("--gap-csv", help="append a bracket summary row here")
     sp.set_defaults(func=cmd_edge_probe)

@@ -19,7 +19,6 @@ form, and full (m, 2, 2) stacks are multiplied by ``@``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -244,7 +243,9 @@ def conjugacy_residual(V, alpha, E, B, want, pts):
     |det B| < 1e-8 at one of 16 seeded random points of B's torus.
     """
     step = 2 * math.pi * np.atleast_1d(np.asarray(alpha, float))
-    dets = np.abs(np.linalg.det(B.sample(_det_probes(step.size, B.halved))))
+    probes = np.random.default_rng(0).uniform(0, 2 * math.pi * (2.0 if B.halved else 1.0),
+                                              size=(16, step.size))
+    dets = np.abs(np.linalg.det(B.sample(probes)))
     if np.min(dets) < 1e-8:
         raise SingularConjugator(f"min |det B| = {np.min(dets):.3e} at probes")
     S = np.zeros((len(pts), 2, 2))
@@ -262,16 +263,6 @@ _ORBIT_BLOCK = 4096        # sites per block of potential values along an orbit
 _WALK_BLOCK = 64           # steps per block of cocycle values in a step-by-step walk
 _PIVOT_BLOCK = 1 << 15     # pivots the kernel holds at once
 _TINY = 1e-300
-
-
-@functools.lru_cache(maxsize=4)
-def _det_probes(d, halved):
-    """The 16 seeded random points of :func:`conjugacy_residual`'s det check
-    on the torus of B.  Memoized: shared, and read-only."""
-    probes = np.random.default_rng(0).uniform(0, 2 * math.pi * (2.0 if halved else 1.0),
-                                              size=(16, d))
-    probes.setflags(write=False)
-    return probes
 
 
 def potential_values(V, thetas):

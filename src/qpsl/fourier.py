@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatch, QpslError
-from .label_set import LabelSet
 
 __all__ = [
     "FourierSeries",
@@ -132,12 +131,7 @@ class FourierSeries:
             raise QpslError(f"coefficients must have shape {out._tail}, got {vals.shape[1:]}")
         K = int(np.abs(keys).max(initial=0))
         block = np.zeros((2 * K + 1,) * out.d + out._tail, complex)
-        slots = np.ravel_multi_index(tuple((keys + K).T), block.shape[:out.d])
-        flat, ordered = block.reshape((-1,) + out._tail), np.sort(slots)
-        if (ordered[1:] != ordered[:-1]).all():  # unique keys: 0 + v, as np.add.at adds
-            flat[slots] += vals
-        else:
-            np.add.at(flat, slots, vals)
+        np.add.at(block, tuple((keys + K).T), vals)
         out.block = _trimmed(block, out.d)
         return out
 
@@ -308,12 +302,8 @@ class FourierSeries:
 
     @staticmethod
     def constant(d, value, halved=False):
-        out = FourierSeries(d, halved=halved, kind="scalar" if np.isscalar(value) else "matrix")
-        value = np.asarray(value, complex)
-        if value.shape != out._tail:
-            raise QpslError(f"coefficients must have shape {out._tail}, got {value.shape}")
-        out.block[(0,) * out.d] += value  # 0 + value, as from_modes adds it
-        return out
+        kind = "scalar" if np.isscalar(value) else "matrix"
+        return FourierSeries(d, {(0,) * d: value}, halved=halved, kind=kind)
 
 
 def series_dict(d, keys, values, halved=False, kind="scalar"):

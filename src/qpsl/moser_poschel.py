@@ -35,7 +35,7 @@ from .kam import ReducibilityResult
 
 __all__ = [
     "EdgeData", "edge_data", "edge_data_from_reduction",
-    "discriminant", "poly_bounds_check", "AveragingStep", "averaging_step",
+    "discriminant", "AveragingStep", "averaging_step",
     "certify_probe", "uh_probe", "probe_gap_edge", "bracket_gap", "d_tau_constant",
 ]
 
@@ -69,8 +69,6 @@ class EdgeData:
     A11: float
     A12: float
     A22: float
-    k0: int
-    b_norm_k0: float
     checks: dict
 
 
@@ -92,14 +90,13 @@ def edge_data(B: FourierSeries, zeta, energy, alpha, k0):
     block = np.stack([b - zeta * a, -zeta * b + c, -a, -b], axis=-1)
     P = FourierSeries.from_block(B.d, block.reshape(a.shape + (2, 2)),
                                  halved=B.halved, kind="matrix")
-    b_norm = B.ck_norm_estimate(k0)
     checks = {
         "cauchy_schwarz": A11 * A22 - A12 ** 2 >= -1e-12 * max(1.0, A11 * A22),
-        "a11_lower_bound": A11 >= (2 * b_norm) ** (-2) - 1e-12,
+        "a11_lower_bound": A11 >= (2 * B.ck_norm_estimate(k0)) ** (-2) - 1e-12,
     }
     return EdgeData(B=B, zeta=zeta, energy=energy,
                     alpha=np.atleast_1d(np.asarray(alpha, float)), P=P,
-                    A11=A11, A12=A12, A22=A22, k0=k0, b_norm_k0=b_norm, checks=checks)
+                    A11=A11, A12=A12, A22=A22, checks=checks)
 
 
 def edge_data_from_reduction(result: ReducibilityResult, alpha):
@@ -111,31 +108,6 @@ def discriminant(edge: EdgeData, delta):
     """d(delta) = -delta A11 zeta + delta^2 (A11 A22 - A12^2)."""
     A11, A12, A22 = edge.A11, edge.A12, edge.A22
     return -delta * A11 * edge.zeta + delta ** 2 * (A11 * A22 - A12 ** 2)
-
-
-def poly_bounds_check(edge: EdgeData, kappa):
-    """Measured vs claimed bounds for the average quadratic form:
-    when ||B||_{k0} zeta^{kappa/2} <= 1/4,
-    0 < A11 / (A11 A22 - A12^2) <= zeta^{-kappa}/2 and
-    A11 A22 - A12^2 >= 8 zeta^{2 kappa}."""
-    if not 0 < kappa < 0.25:
-        raise QpslError("kappa must lie in (0, 1/4)")
-    z = abs(edge.zeta)
-    gram = edge.A11 * edge.A22 - edge.A12 ** 2
-    pre = edge.b_norm_k0 * z ** (kappa / 2.0) <= 0.25
-    out = {
-        "precondition_met": bool(pre),
-        "gram": gram,
-        "ratio": edge.A11 / gram if gram > 0 else math.inf,
-        "ratio_bound": 0.5 * z ** (-kappa) if z > 0 else math.inf,
-        "gram_bound": 8.0 * z ** (2 * kappa),
-        "a11": edge.A11,
-        "a11_lower": (2 * edge.b_norm_k0) ** (-2),
-    }
-    out["ratio_ok"] = bool(0 < out["ratio"] <= out["ratio_bound"]) if gram > 0 else False
-    out["gram_ok"] = bool(gram >= out["gram_bound"])
-    out["degenerate"] = gram <= 1e-15 * max(edge.A11 * edge.A22, 1.0)
-    return out
 
 
 @dataclass

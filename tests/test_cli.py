@@ -16,9 +16,8 @@ import pytest
 from qpsl import cocycle, kam
 from qpsl.cli import _build_parser, main
 from qpsl.diophantine import frequency_vector, golden_mean
-from qpsl.fourier import amo_potential, build_potential
-from qpsl.label_set import LabelSet, ell_star
-from qpsl.moser_poschel import bracket_gap, edge_data_from_reduction
+from qpsl.fourier import amo_potential
+from qpsl.label_set import ell_star
 from qpsl.spectrum import detect_gaps, rotation_curve
 
 GOLDEN = "0.6180339887498949"
@@ -230,47 +229,6 @@ def test_kam_energy_target_computes_no_rotation_number(tmp_path, monkeypatch, cr
     data = json.loads(out.read_text())
     for key in ("label", "energy", "zeta", "conj_residual", "B_series"):
         assert data[key] == ref[key], key
-
-
-def test_edge_probe_kappa_adds_the_quadratic_form_bounds_to_the_record(tmp_path,
-                                                                      criterion11_kam):
-    # probe.json is bracket_gap's record, plus poly_bounds with --kappa
-    set_path, kam_out = criterion11_kam
-    argv = ["edge-probe", "--result", str(kam_out), "--set", str(set_path), "--k", "2.0",
-            "--no-probe"]
-    assert run_cli(argv + ["--kappa", "0.2", "--out", str(tmp_path / "kappa.json")]) == 0
-    assert run_cli(argv + ["--out", str(tmp_path / "plain.json")]) == 0
-    probe = json.loads((tmp_path / "kappa.json").read_text())
-    pb = probe.pop("poly_bounds")
-    assert probe == json.loads((tmp_path / "plain.json").read_text())
-    ks = LabelSet.from_json(set_path.read_text())
-    edge = edge_data_from_reduction(kam.ReducibilityResult.from_dict(
-        json.loads(kam_out.read_text())), ks.frequency.floats())
-    record = bracket_gap(edge, build_potential(ks, k=2.0), probe=False)
-    assert {key: probe[key] for key in record} == json.loads(json.dumps(record))
-    assert set(probe) - set(record) == {"config", "config_hash", "qpsl_version"}
-    a, z = probe["averages"], abs(probe["zeta"])
-    gram = a["A11"] * a["A22"] - a["A12"] ** 2
-    assert pb["gram"] == pytest.approx(gram, rel=1e-12)
-    assert pb["ratio"] == pytest.approx(a["A11"] / gram, rel=1e-12)
-    assert pb["ratio_bound"] == pytest.approx(0.5 * z ** -0.2, rel=1e-12)
-    assert pb["gram_bound"] == pytest.approx(8 * z ** 0.4, rel=1e-12)
-    assert pb["ratio_ok"] is (0 < pb["ratio"] <= pb["ratio_bound"])
-    assert pb["gram_ok"] is (gram >= pb["gram_bound"])
-    assert pb["degenerate"] is False
-
-
-@pytest.mark.parametrize("kappa", ["0", "0.3"])
-def test_edge_probe_refuses_a_kappa_outside_the_open_quarter(tmp_path, capsys, kappa,
-                                                             criterion11_kam):
-    # an explicit --kappa 0 is not dropped, and both are invalid input (exit 1)
-    set_path, kam_out = criterion11_kam
-    out = tmp_path / "probe.json"
-    assert run_cli(["edge-probe", "--result", str(kam_out), "--set", str(set_path),
-                    "--k", "2.0", "--no-probe", "--kappa", kappa, "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigInvalid" and f"--kappa {float(kappa)}" in err["message"]
-    assert not out.exists()
 
 
 def test_kam_strict_refuses_outside_the_paper_regime(tmp_path, capsys, monkeypatch,
@@ -573,8 +531,7 @@ def test_cli_surface():
                                                         "--curve-out"],
         "kam": ["--config", "--out", "--set", "--label-index", "--edge", "--energy", "--k",
                 "--max-steps", "--strict"],
-        "edge-probe": ["--out", "--result", "--set", "--k", "--kappa", "--no-probe",
-                       "--gap-csv"],
+        "edge-probe": ["--out", "--result", "--set", "--k", "--no-probe", "--gap-csv"],
         "report": ["--config"],
     }
     sub = next(a for a in _build_parser()._actions
@@ -583,7 +540,7 @@ def test_cli_surface():
                   if opt not in ("-h", "--help")]
            for name, sp in sub.choices.items()}
     assert got == surface
-    assert sum(map(len, got.values())) == 99
+    assert sum(map(len, got.values())) == 98
     for argv in (["cf", "--alpha", GOLDEN], ["verify-set", "--set", "set.json"],
                  ["edge-probe", "--result", "kam.json", "--set", "set.json"]):
         with pytest.raises(SystemExit) as exc:

@@ -24,7 +24,6 @@ from qpsl.moser_poschel import (
     discriminant,
     edge_data,
     edge_data_from_reduction,
-    poly_bounds_check,
     probe_gap_edge,
     uh_probe,
 )
@@ -132,26 +131,18 @@ def test_discriminant_crosscheck_identity():
         assert _discriminant_crosscheck(edge, delta) < 1e-12 * max(1.0, edge.A11 ** 2)
 
 
-def test_poly_bounds_identity_degenerate():
-    edge = _edge_from_series(_identity_series(), 1e-4)
-    rep = poly_bounds_check(edge, kappa=0.2)
-    assert rep["degenerate"]
-    assert not rep["gram_ok"]
-
-
 def test_poly_bounds_random_first_bound():
+    # probe.json's edge check A11 >= (2 ||B||_{k0})^{-2}, at k0 = 1
     rng = np.random.default_rng(4)
     for _ in range(20):
         B = _random_real_sl2_series(rng)
         edge = _edge_from_series(B, 1e-3)
-        assert edge.A11 >= (2 * edge.b_norm_k0) ** (-2) - 1e-12
+        assert edge.A11 >= (2 * B.ck_norm_estimate(1)) ** (-2) - 1e-12
+        assert edge.checks["a11_lower_bound"] is True
 
 
 def test_probe_scales_outside_their_ranges_are_rejected():
     edge = _edge_from_series(_identity_series(), 1e-4)
-    for kappa in (0.0, 0.25):
-        with pytest.raises(QpslError, match=r"kappa must lie in \(0, 1/4\)"):
-            poly_bounds_check(edge, kappa)
     for delta in (0.0, 1.0):
         with pytest.raises(QpslError, match=r"delta must lie in \(0,1\)"):
             probe_gap_edge(edge, None, delta)
